@@ -39,16 +39,9 @@
 //!                                     # fingerprints match sequential
 //! fleet_scaling --smoke --sweep       # one fault of every catalog class at a fixed cadence
 //!                                     # (FixSym training coverage)
-//! fleet_scaling --smoke --ungated     # skip the StoreGate serialization (throughput over
-//!                                     # reproducibility; see FleetConfig::ungated)
 //! fleet_scaling --slice N             # tick-slice width of the scheduler's epochs
 //! fleet_scaling --events SPEC         # overlay events on the smoke fleet, e.g.
 //!                                     # "storm@200:0.5,surge@100:3:40"
-//! fleet_scaling --bench-ticks         # tick-throughput baseline (4 replicas x 2000 ticks,
-//!                                     # both engines), written to BENCH_ticks.json at the
-//!                                     # repo root as the reference for hot-path work; when a
-//!                                     # committed baseline from the same core count exists,
-//!                                     # exits nonzero if sequential ticks/s regressed >30%
 //! fleet_scaling --smoke --adversary   # reactive adversary strikes the weakest replica at
 //!                                     # every epoch barrier: exits nonzero unless shared
 //!                                     # learning beats isolated under fire and parallel
@@ -64,12 +57,11 @@
 
 use selfheal_bench::fleet::{
     adversarial_fleet, adversarial_recovery_comparison, cascade_fleet, cascade_injections,
-    cold_start_comparison, distinct_fault_kinds, gate_throughput_comparison, mean_injected_stats,
-    mix_fleet, open_episodes, open_fault_episodes, reactive_strike_stats, scaling_curve,
-    scaling_point, seasons_fleet, smoke_fleet, smoke_workload, storm_fleet,
-    storm_recovery_comparison, warm_start_comparison, AdversarialRecoveryReport, ColdStartReport,
-    GateReport, ScalingPoint, StormRecoveryReport, WarmStartReport, ADVERSARY_START,
-    ADVERSARY_UNTIL, STORM_FRACTION, STORM_TICK,
+    cold_start_comparison, distinct_fault_kinds, mean_injected_stats, mix_fleet, open_episodes,
+    open_fault_episodes, reactive_strike_stats, scaling_curve, seasons_fleet, smoke_fleet,
+    smoke_workload, storm_fleet, storm_recovery_comparison, warm_start_comparison,
+    AdversarialRecoveryReport, ColdStartReport, ScalingPoint, StormRecoveryReport, WarmStartReport,
+    ADVERSARY_START, ADVERSARY_UNTIL, STORM_FRACTION, STORM_TICK,
 };
 use selfheal_core::harness::{EventChoice, FaultChoice, LearnerChoice, WorkloadChoice};
 use selfheal_core::snapshot::SynopsisSnapshot;
@@ -204,24 +196,6 @@ fn adversarial_recovery_json(
     )
 }
 
-fn store_gate_json(report: &GateReport) -> String {
-    format!(
-        "{{\"replicas\": {}, \"ticks_per_replica\": {}, \"gated_wall_s\": {}, \
-         \"ungated_wall_s\": {}, \"gated_throughput_ticks_per_s\": {}, \
-         \"ungated_throughput_ticks_per_s\": {}, \"ungated_speedup\": {}, \
-         \"note\": \"warmed up, best of 3 per mode; an earlier sub-1.0 speedup was a \
-         cold-start ordering artifact (the gated run went first and paid the process's \
-         one-time costs), not gate overhead\"}}",
-        report.replicas,
-        report.ticks_per_replica,
-        json_f64(report.gated_wall_s),
-        json_f64(report.ungated_wall_s),
-        json_f64(report.gated_throughput),
-        json_f64(report.ungated_throughput),
-        json_f64(report.ungated_speedup()),
-    )
-}
-
 fn cold_start_json(report: &ColdStartReport) -> String {
     let side = |label: &str, attempts: f64, recovery: f64, escalations: u64| {
         format!(
@@ -265,11 +239,8 @@ struct Args {
     storm: bool,
     fault_mix: Option<(ServiceProfile, f64)>,
     sweep: bool,
-    ungated: bool,
     slice: Option<u64>,
     events: Vec<EventChoice>,
-    bench_ticks: bool,
-    store_gate: bool,
     adversary: bool,
     seasons: bool,
     cascade: bool,
@@ -290,7 +261,6 @@ impl Args {
             || self.storm
             || self.fault_mix.is_some()
             || self.sweep
-            || self.ungated
             || self.slice.is_some()
             || !self.events.is_empty()
             || self.adversary
@@ -380,11 +350,8 @@ fn parse_args() -> Args {
         storm: false,
         fault_mix: None,
         sweep: false,
-        ungated: false,
         slice: None,
         events: Vec::new(),
-        bench_ticks: false,
-        store_gate: false,
         adversary: false,
         seasons: false,
         cascade: false,
@@ -442,9 +409,6 @@ fn parse_args() -> Args {
                 }
             }
             "--sweep" => args.sweep = true,
-            "--ungated" => args.ungated = true,
-            "--bench-ticks" => args.bench_ticks = true,
-            "--store-gate" => args.store_gate = true,
             "--adversary" => args.adversary = true,
             "--seasons" => args.seasons = true,
             "--cascade" => args.cascade = true,
@@ -467,8 +431,8 @@ fn parse_args() -> Args {
                      usage: fleet_scaling [--smoke] [--record PATH] [--replay PATH] \
                      [--replicas N] [--ticks T] [--save-synopsis PATH] \
                      [--load-synopsis PATH] [--shards N] [--storm] \
-                     [--fault-mix PROFILE:RATE] [--sweep] [--ungated] [--slice W] \
-                     [--events SPEC] [--bench-ticks] [--store-gate] [--adversary] \
+                     [--fault-mix PROFILE:RATE] [--sweep] [--slice W] \
+                     [--events SPEC] [--adversary] \
                      [--seasons] [--cascade]"
                 );
                 exit(2);
@@ -476,135 +440,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// Pulls `"cores"` and the sequential `"ticks_per_s"` out of a committed
-/// `BENCH_ticks.json` without a JSON parser dependency: the file is written
-/// by this binary, so the field order is known.
-fn parse_bench_baseline(json: &str) -> Option<(usize, f64)> {
-    let field = |hay: &str, key: &str| -> Option<f64> {
-        let start = hay.find(key)? + key.len();
-        let rest = hay[start..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    };
-    let cores = field(json, "\"cores\":")? as usize;
-    let sequential = json.split("\"sequential\":").nth(1)?;
-    let ticks_per_s = field(sequential, "\"ticks_per_s\":")?;
-    Some((cores, ticks_per_s))
-}
-
-/// Fraction of the committed baseline the fresh sequential throughput must
-/// reach: a >30% drop fails the `--bench-ticks` run.
-const BENCH_TICKS_FLOOR: f64 = 0.7;
-
-/// The `--bench-ticks` baseline: 4 replicas × 2000 ticks through both
-/// engines, emitted to stdout *and* written to `BENCH_ticks.json` at the
-/// repo root — the committed ticks/s reference future hot-path work
-/// compares against.  When a committed baseline from a machine with the
-/// same core count exists, a sequential throughput more than 30% below it
-/// exits nonzero (and leaves the baseline file untouched) so hot-path
-/// regressions fail CI instead of silently re-baselining.
-fn run_bench_ticks() {
-    const REPLICAS: usize = 4;
-    const TICKS: u64 = 2_000;
-    // Best of three: transient machine load easily costs 30%+ on one
-    // sample, so the gate compares peak capability, not one noisy draw.
-    const SAMPLES: usize = 3;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    eprintln!(
-        "fleet_scaling: tick-throughput baseline ({REPLICAS} replicas x {TICKS} ticks, \
-         {cores} cores, best of {SAMPLES})"
-    );
-    let point = (0..SAMPLES)
-        .map(|_| scaling_point(REPLICAS, TICKS, 42))
-        .min_by(|a, b| a.sequential_wall_s.total_cmp(&b.sequential_wall_s))
-        .expect("at least one sample");
-    let total_ticks = (REPLICAS as u64 * TICKS) as f64;
-    let sequential_throughput = if point.sequential_wall_s > 0.0 {
-        total_ticks / point.sequential_wall_s
-    } else {
-        f64::INFINITY
-    };
-    eprintln!(
-        "  sequential {:>9.0} ticks/s ({:.3}s)   parallel {:>9.0} ticks/s ({:.3}s)   \
-         speedup {:.2}x",
-        sequential_throughput,
-        point.sequential_wall_s,
-        point.parallel_throughput,
-        point.parallel_wall_s,
-        point.speedup(),
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"fleet_ticks\",\n  \"machine\": {{\"cores\": {cores}}},\n  \
-         \"replicas\": {REPLICAS},\n  \"ticks_per_replica\": {TICKS},\n  \
-         \"sequential\": {{\"wall_s\": {}, \"ticks_per_s\": {}}},\n  \
-         \"parallel\": {{\"wall_s\": {}, \"ticks_per_s\": {}}},\n  \"speedup\": {}\n}}\n",
-        json_f64(point.sequential_wall_s),
-        json_f64(sequential_throughput),
-        json_f64(point.parallel_wall_s),
-        json_f64(point.parallel_throughput),
-        json_f64(point.speedup()),
-    );
-    print!("{json}");
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ticks.json");
-    if let Ok(committed) = std::fs::read_to_string(&path) {
-        match parse_bench_baseline(&committed) {
-            Some((baseline_cores, baseline_seq)) if baseline_cores == cores => {
-                let floor = baseline_seq * BENCH_TICKS_FLOOR;
-                if sequential_throughput < floor {
-                    eprintln!(
-                        "fleet_scaling: sequential throughput regressed >30% below the \
-                         committed baseline ({sequential_throughput:.0} ticks/s vs \
-                         {baseline_seq:.0}; floor {floor:.0}) — baseline left untouched. \
-                         To re-baseline deliberately, delete {} and rerun.",
-                        path.display()
-                    );
-                    exit(1);
-                }
-                eprintln!(
-                    "  regression gate: {sequential_throughput:.0} ticks/s >= {floor:.0} \
-                     (70% of the committed {baseline_seq:.0})"
-                );
-            }
-            Some((baseline_cores, _)) => eprintln!(
-                "  regression gate skipped: baseline is from a {baseline_cores}-core machine, \
-                 this one has {cores}"
-            ),
-            None => eprintln!(
-                "  regression gate skipped: could not parse {}",
-                path.display()
-            ),
-        }
-    }
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("(written to {})", path.display()),
-        Err(err) => {
-            eprintln!("fleet_scaling: could not write {}: {err}", path.display());
-            exit(1);
-        }
-    }
-}
-
-/// The `--store-gate` path: just the gated-vs-ungated comparison (same
-/// 8×2000 shape as the full run's `store_gate` section), printed as that
-/// section's JSON row.  Exists so the committed `results/fleet_scaling.json`
-/// row can be regenerated — and anomalies like the original below-1.0
-/// "speedup" investigated — without the multi-minute full suite.
-fn run_store_gate() {
-    eprintln!("fleet_scaling: store-gate cost (gated vs ungated, warmed up, best of 3)");
-    let gate = gate_throughput_comparison(8, 2_000, 42);
-    eprintln!(
-        "  gated {:.3}s vs ungated {:.3}s ({:.2}x ungated speedup)",
-        gate.gated_wall_s,
-        gate.ungated_wall_s,
-        gate.ungated_speedup(),
-    );
-    println!("{}", store_gate_json(&gate));
 }
 
 /// Per-replica failure details as a JSON array — `[]` on a clean run, so
@@ -709,10 +544,9 @@ fn run_smoke(args: &Args) {
     });
     eprintln!(
         "fleet_scaling: smoke fleet ({replicas} replicas x {ticks} ticks, {} learning, \
-         slice {slice}{}{})",
+         slice {slice}{})",
         learner.label(),
         if args.sweep { ", catalog sweep" } else { "" },
-        if args.ungated { ", ungated" } else { "" },
     );
     let mut fleet = smoke_fleet(replicas, ticks, base_seed, workload.clone())
         .learner(learner)
@@ -720,9 +554,6 @@ fn run_smoke(args: &Args) {
         .events(args.events.iter().copied());
     if let Some(choice) = &sweep_choice {
         fleet = fleet.faults(choice.clone());
-    }
-    if args.ungated {
-        fleet = fleet.ungated();
     }
     if let Some((snapshot, _)) = &loaded {
         fleet = fleet.warm_start(snapshot.clone());
@@ -1098,7 +929,7 @@ fn run_smoke(args: &Args) {
     };
     let json = format!(
         "{{\n  \"mode\": \"smoke\",\n  \"replicas\": {replicas},\n  \"ticks\": {ticks},\n  \
-         \"slice\": {slice},\n  \"gated\": {},\n  \
+         \"slice\": {slice},\n  \
          \"workload\": \"{}\",\n  \"learner\": \"{}\",\n  \"goodput\": {},\n  \
          \"throughput_ticks_per_s\": {},\n  \
          \"total_fixes\": {},\n  \"episodes\": {},\n  \"replica_errors\": {},\n  \
@@ -1109,7 +940,6 @@ fn run_smoke(args: &Args) {
          \"seasons\": {seasons_json},\n  \"cascade\": {cascade_json},\n  \
          \"fault_mix\": {mix_json},\n  \"sweep\": {sweep_json},\n  \
          \"scaling\": {},\n  \"cold_start\": {}\n}}",
-        !args.ungated,
         workload.label(),
         learner.label(),
         json_f64(outcome.goodput_fraction()),
@@ -1295,14 +1125,6 @@ fn run_smoke(args: &Args) {
 
 fn main() {
     let args = parse_args();
-    if args.bench_ticks {
-        run_bench_ticks();
-        return;
-    }
-    if args.store_gate {
-        run_store_gate();
-        return;
-    }
     if args.wants_smoke() {
         run_smoke(&args);
         return;
@@ -1371,22 +1193,11 @@ fn main() {
         adversary.isolated_matched,
     );
 
-    eprintln!("fleet_scaling: store-gate cost (gated vs ungated shared-learning throughput)");
-    let gate = gate_throughput_comparison(8, 2_000, 42);
-    eprintln!(
-        "  gated {:.3}s vs ungated {:.3}s ({:.2}x ungated speedup; ungated trades \
-         reproducible fingerprints for throughput)",
-        gate.gated_wall_s,
-        gate.ungated_wall_s,
-        gate.ungated_speedup(),
-    );
-
     let json = format!(
         "{{\n  \"machine\": {{\"cores\": {cores}}},\n  \"scaling\": {},\n  \"acceptance\": \
          {{\"replicas\": {}, \"ticks_per_replica\": {}, \"speedup\": {}, \
          \"speedup_claim_applicable\": {}, \"speedup_above_2x\": {}}},\n  \"cold_start\": {},\n  \
-         \"warm_start\": {},\n  \"storm_recovery\": {},\n  \"adversarial_recovery\": {},\n  \
-         \"store_gate\": {}\n}}",
+         \"warm_start\": {},\n  \"storm_recovery\": {},\n  \"adversarial_recovery\": {}\n}}",
         scaling_json(&points),
         full.replicas,
         full.ticks_per_replica,
@@ -1397,7 +1208,6 @@ fn main() {
         warm_start_json(&warm),
         storm_recovery_json(&storm, None),
         adversarial_recovery_json(&adversary, None),
-        store_gate_json(&gate),
     );
     println!("{json}");
 

@@ -12,7 +12,7 @@ use selfheal_core::synopsis::{Learner, SynopsisKind};
 use selfheal_faults::{FaultKind, FaultTarget, InjectionPlanBuilder, ServiceProfile, StormSpec};
 use selfheal_fleet::events::ReplicaAction;
 use selfheal_fleet::reactive::REACTIVE_PERIOD;
-use selfheal_fleet::{ExecutionMode, FleetConfig, FleetOutcome, LearningTopology};
+use selfheal_fleet::{ExecutionMode, FleetConfig, FleetOutcome};
 use selfheal_sim::ServiceConfig;
 use selfheal_workload::{ArrivalProcess, WorkloadMix};
 
@@ -57,7 +57,7 @@ fn scaling_fleet(replicas: usize, ticks: u64, seed: u64) -> FleetConfig {
         .ticks(ticks)
         .base_seed(seed)
         .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-        .topology(LearningTopology::shared())
+        .learner(LearnerChoice::locked())
         .injections(
             InjectionPlanBuilder::new(4, 3, 1)
                 .inject(
@@ -169,7 +169,7 @@ pub struct ColdStartReport {
 /// drain before the next replica's fault lands.
 const STAGGER_TICKS: u64 = 500;
 
-fn cold_start_fleet(replicas: usize, seed: u64, topology: LearningTopology) -> FleetOutcome {
+fn cold_start_fleet(replicas: usize, seed: u64, learner: LearnerChoice) -> FleetOutcome {
     let ticks = 100 + STAGGER_TICKS * replicas as u64 + 400;
     FleetConfig::builder()
         .service(ServiceConfig::tiny())
@@ -181,7 +181,7 @@ fn cold_start_fleet(replicas: usize, seed: u64, topology: LearningTopology) -> F
         .ticks(ticks)
         .base_seed(seed)
         .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-        .topology(topology)
+        .learner(learner)
         // Tick-interleaved execution so "replica r's fault happens after
         // replica r-1 healed" holds by construction, independent of thread
         // scheduling.
@@ -891,105 +891,10 @@ pub fn distinct_fault_kinds(outcome: &FleetOutcome) -> usize {
     kinds.len()
 }
 
-/// Gated-vs-ungated shared-learning throughput.
-///
-/// Both runs use the same parallel fleet with one lock-shared store; the
-/// gated run serializes store access into the sequential round-robin order
-/// (reproducible fingerprints), the ungated run lets replicas hit the store
-/// the moment they need it (maximum parallel throughput, thread-scheduling-
-/// dependent drain order).  See `FleetConfig::ungated` for the trade-off.
-#[derive(Debug, Clone, Copy)]
-pub struct GateReport {
-    /// Fleet size of both runs.
-    pub replicas: usize,
-    /// Ticks per replica.
-    pub ticks_per_replica: u64,
-    /// Wall-clock seconds with the store gate on (the default).
-    pub gated_wall_s: f64,
-    /// Wall-clock seconds with the gate off.
-    pub ungated_wall_s: f64,
-    /// Simulated ticks per second, gated.
-    pub gated_throughput: f64,
-    /// Simulated ticks per second, ungated.
-    pub ungated_throughput: f64,
-}
-
-impl GateReport {
-    /// Gated wall-clock over ungated wall-clock: how much reproducibility
-    /// costs under this workload.
-    pub fn ungated_speedup(&self) -> f64 {
-        if self.ungated_wall_s <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.gated_wall_s / self.ungated_wall_s
-        }
-    }
-}
-
-/// Measures the store-gate cost: the scaling fleet (shared learner, every
-/// replica healing a mid-run fault) run gated and ungated on parallel
-/// workers at slice 1 — the gate's worst case, a barrier-adjacent wait per
-/// tick.
-pub fn gate_throughput_comparison(replicas: usize, ticks: u64, seed: u64) -> GateReport {
-    let fleet = || {
-        FleetConfig::builder()
-            .service(ServiceConfig::tiny())
-            .synthetic_workload(
-                WorkloadMix::bidding(),
-                ArrivalProcess::Constant { rate: 40.0 },
-            )
-            .replicas(replicas)
-            .ticks(ticks)
-            .base_seed(seed)
-            .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-            .topology(LearningTopology::shared())
-            .injections(
-                InjectionPlanBuilder::new(4, 3, 1)
-                    .inject(
-                        ticks / 10,
-                        FaultKind::BufferContention,
-                        FaultTarget::DatabaseTier,
-                        0.9,
-                    )
-                    .build(),
-            )
-            .series_capacity(512)
-            .mode(ExecutionMode::Parallel { threads: None })
-    };
-    // Warm-up: one untimed run per mode first.  The original measurement
-    // ran gated-then-ungated cold, so the gated run paid the process's
-    // one-time costs (page faults, allocator pool growth, thread-pool
-    // spin-up) and the "ungated speedup" came out *below* 1 — the gate
-    // itself is nearly free at these scales, and the ordering artifact
-    // dominated the signal.
-    let _ = fleet().run();
-    let _ = fleet().ungated().run();
-    // Best of three per mode, like `run_bench_ticks`: the two walls are
-    // compared against each other, so one noisy draw on either side skews
-    // the ratio; the minimum is the scheduler-noise-free capability.
-    const SAMPLES: usize = 3;
-    let gated = (0..SAMPLES)
-        .map(|_| fleet().run())
-        .min_by_key(|run| run.wall())
-        .expect("at least one sample");
-    let ungated = (0..SAMPLES)
-        .map(|_| fleet().ungated().run())
-        .min_by_key(|run| run.wall())
-        .expect("at least one sample");
-    GateReport {
-        replicas,
-        ticks_per_replica: ticks,
-        gated_wall_s: gated.wall().as_secs_f64(),
-        ungated_wall_s: ungated.wall().as_secs_f64(),
-        gated_throughput: gated.throughput_ticks_per_sec(),
-        ungated_throughput: ungated.throughput_ticks_per_sec(),
-    }
-}
-
-/// Runs the staggered-fault fleet under both learning topologies.
+/// Runs the staggered-fault fleet with a shared and with private learners.
 pub fn cold_start_comparison(replicas: usize, seed: u64) -> ColdStartReport {
-    let shared = cold_start_fleet(replicas, seed, LearningTopology::shared());
-    let isolated = cold_start_fleet(replicas, seed, LearningTopology::Isolated);
+    let shared = cold_start_fleet(replicas, seed, LearnerChoice::locked());
+    let isolated = cold_start_fleet(replicas, seed, LearnerChoice::Private);
     let (shared_warm_attempts, shared_warm_recovery, shared_escalations) = warm_stats(&shared);
     let (isolated_warm_attempts, isolated_warm_recovery, isolated_escalations) =
         warm_stats(&isolated);
@@ -1120,17 +1025,6 @@ mod tests {
             "a 0.06-rate stormy season must fault somewhere"
         );
         assert_eq!(open_fault_episodes(&outcome), 0);
-    }
-
-    #[test]
-    fn gate_comparison_measures_both_modes() {
-        let report = gate_throughput_comparison(3, 120, 7);
-        assert_eq!(report.replicas, 3);
-        assert!(report.gated_wall_s > 0.0);
-        assert!(report.ungated_wall_s > 0.0);
-        assert!(report.gated_throughput > 0.0);
-        assert!(report.ungated_throughput > 0.0);
-        assert!(report.ungated_speedup() > 0.0);
     }
 
     #[test]

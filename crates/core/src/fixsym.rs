@@ -185,7 +185,7 @@ impl FixSymEngine {
 /// success from SLO recovery.
 ///
 /// Generic over the [`Learner`] backing it: the default is a privately owned
-/// [`Synopsis`]; a fleet passes a [`crate::shared::SharedSynopsis`] handle so
+/// [`Synopsis`]; a fleet passes a [`crate::store::LockedStore`] handle so
 /// every replica's healer learns from — and teaches — the same model.
 #[derive(Debug)]
 pub struct FixSymHealer<L: Learner = Synopsis> {

@@ -28,7 +28,6 @@ use crate::fixsym::{FixSymConfig, FixSymHealer};
 use crate::hybrid::HybridHealer;
 use crate::policy::DiagnosisHealer;
 use crate::proactive::ProactiveHealer;
-use crate::shared::SharedSynopsis;
 use crate::snapshot::SynopsisSnapshot;
 use crate::store::{LockedStore, PrivateStore, ShardedStore, SynopsisStore};
 use crate::synopsis::SynopsisKind;
@@ -112,17 +111,6 @@ impl PolicyChoice {
             PolicyChoice::Hybrid(_) => Box::new(HybridHealer::with_learner(schema, store, targets)),
             other => other.build_healer(schema, targets),
         }
-    }
-
-    /// Back-compat shorthand for [`PolicyChoice::build_healer_stored`] with
-    /// a [`SharedSynopsis`] (i.e. [`LockedStore`]) handle.
-    pub fn build_healer_shared(
-        &self,
-        schema: &Schema,
-        targets: SloTargets,
-        shared: &SharedSynopsis,
-    ) -> Box<dyn Healer> {
-        self.build_healer_stored(schema, targets, Box::new(shared.clone()))
     }
 
     /// Returns `true` when the policy learns a synopsis that a fleet can

@@ -28,7 +28,7 @@ use selfheal_telemetry::{Schema, SeriesStore, SloTargets};
 ///
 /// Generic over the [`Learner`] backing the signature path (default: a
 /// privately owned [`Synopsis`]; fleets pass a
-/// [`crate::shared::SharedSynopsis`] handle).
+/// [`crate::store::LockedStore`] handle).
 #[derive(Debug)]
 pub struct HybridHealer<L: Learner = Synopsis> {
     synopsis: L,

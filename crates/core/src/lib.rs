@@ -45,7 +45,6 @@ pub mod harness;
 pub mod hybrid;
 pub mod policy;
 pub mod proactive;
-pub mod shared;
 pub mod snapshot;
 pub mod store;
 pub mod symptom;
@@ -58,7 +57,6 @@ pub use harness::{
 pub use hybrid::HybridHealer;
 pub use policy::{DiagnosisEngine, DiagnosisHealer, EpisodeTracker};
 pub use proactive::ProactiveHealer;
-pub use shared::SharedSynopsis;
 pub use snapshot::{SynopsisExample, SynopsisSnapshot};
 pub use store::{FixStats, LockedStore, PrivateStore, ShardedStore, SynopsisStore};
 pub use symptom::SymptomExtractor;

@@ -298,12 +298,6 @@ impl Daemon {
         })
     }
 
-    /// Read access to the `default` tenant's supervisor (pre-`run`
-    /// introspection; most single-tenant tests want exactly this).
-    pub fn supervisor(&self) -> &Supervisor {
-        self.registry.default_supervisor()
-    }
-
     /// Read access to the whole tenant registry.
     pub fn registry(&self) -> &TenantRegistry {
         &self.registry
@@ -318,8 +312,7 @@ impl Daemon {
 
     /// The epoch loop: apply queued commands at the barrier, advance every
     /// active tenant one epoch, emit metrics, repeat — until `SHUTDOWN`
-    /// (clean: actors stopped, stores flushed) or the kill switch (abort:
-    /// no flush).
+    /// (clean: stores flushed) or the kill switch (abort: no flush).
     pub fn run(mut self) -> Result<(), String> {
         // Metrics cadence counts loop iterations rather than any one
         // tenant's epoch clock: tenants tick independently, so no single

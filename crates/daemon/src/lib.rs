@@ -9,9 +9,11 @@
 //! though, is a service that heals itself by accumulating fix knowledge
 //! over its lifetime.  This crate supplies the missing serving story:
 //!
-//! * [`Supervisor`] — owns one replica *actor* per worker thread and drives
-//!   them epoch by epoch (an epoch = [`DaemonConfig::slice`] ticks,
-//!   collected at a barrier).  A replica panic becomes a bounded
+//! * [`Supervisor`] — keeps its replicas in the slots of the fleet crate's
+//!   [`EpochEngine`](selfheal_fleet::EpochEngine), the same engine a batch
+//!   [`FleetEngine::run`](selfheal_fleet::FleetEngine::run) goes through,
+//!   and advances them epoch by epoch (an epoch = [`DaemonConfig::slice`]
+//!   ticks, ending at a barrier).  A replica panic becomes a bounded
 //!   restart-with-backoff instead of run termination: the runner is rebuilt
 //!   from the replica's spec, its healer warm against the *still-alive*
 //!   shared store, until a restart cap retires the replica.  Per-replica
@@ -39,22 +41,26 @@
 //!   consenting tenants.  The HTTP gateway (`crates/gateway`) exposes the
 //!   same [`Command`] surface over authenticated HTTP/JSON.
 //!
-//! ## Determinism trade-off
+//! ## Determinism
 //!
-//! The daemon runs the shared store *ungated* (the batch engine's
-//! [`StoreGate`](selfheal_fleet::scheduler) reproduces sequential
-//! fingerprints; a daemon whose fleet membership changes at runtime has no
-//! fixed sequential reference to reproduce).  Each replica's simulated
-//! streams — service, workload, faults — are still pure functions of
-//! `(base_seed, replica_id)`; only the *visibility timing* of shared
-//! learning varies with thread scheduling, exactly as documented on
-//! [`selfheal_fleet::FleetConfig::ungated`].
+//! The daemon is gated by construction: every healer's store handle waits
+//! for its replica's turn in the epoch's id order (see
+//! [`selfheal_fleet::scheduler`]), so the shared store observes the
+//! sequential round-robin interleave however many worker threads sweep.
+//! Each replica's simulated streams — service, workload, faults — are pure
+//! functions of `(base_seed, replica_id)`, and commands land only at epoch
+//! barriers.  An N-replica tenant whose replicas were all added before its
+//! first epoch is therefore fingerprint-identical to the standalone batch
+//! fleet of the same configuration, with or without the adversary
+//! (`tests/daemon.rs` pins both); replicas added, removed or restarted
+//! later change the fleet at a barrier, after which the run is again a pure
+//! function of the command sequence.
 //!
 //! Tenancy does not change this: tenants advance sequentially inside the
-//! daemon loop and never share mutable state except the opt-in pool.  A
-//! *single-replica* tenant is fully serialized (one actor, one barrier), so
-//! its fingerprints are byte-identical to the same config run standalone —
-//! the isolation property `tests/tenants.rs` pins.
+//! daemon loop and never share mutable state except the opt-in pool, so an
+//! unpooled tenant's fingerprints are byte-identical to the same config run
+//! as a standalone supervisor — the isolation property `tests/tenants.rs`
+//! pins at one and at three replicas.
 //!
 //! ## Example
 //!
@@ -87,8 +93,8 @@ use selfheal_core::harness::{FaultChoice, LearnerChoice, PolicyChoice, WorkloadC
 use selfheal_core::store::SynopsisStore;
 use selfheal_core::synopsis::SynopsisKind;
 use selfheal_faults::ServiceProfile;
-use selfheal_sim::scenario::Healer;
-use selfheal_sim::{ScenarioRunner, ServiceConfig};
+use selfheal_fleet::ReplicaRunner;
+use selfheal_sim::ServiceConfig;
 use selfheal_workload::{ArrivalProcess, WorkloadMix};
 use std::fmt;
 use std::path::PathBuf;
@@ -99,11 +105,11 @@ pub const DEFAULT_MIX_RATE: f64 = 0.02;
 
 /// Builds one replica runner — the test seam that lets supervisor tests
 /// inject deliberately panicking replicas.  The second argument is the
-/// daemon's shared store; production runners wire their healer to a
-/// [`clone_store`](selfheal_core::store::SynopsisStore::clone_store)
-/// handle of it.
+/// replica's gated handle to the daemon's shared store; production runners
+/// wire their healer to a
+/// [`clone_store`](selfheal_core::store::SynopsisStore::clone_store) of it.
 pub type RunnerFactory =
-    Arc<dyn Fn(&ReplicaSpec, &dyn SynopsisStore) -> ScenarioRunner<Box<dyn Healer>> + Send + Sync>;
+    Arc<dyn Fn(&ReplicaSpec, &dyn SynopsisStore) -> ReplicaRunner + Send + Sync>;
 
 /// Configuration of a resident daemon (and its [`Supervisor`]).
 ///

@@ -1,24 +1,26 @@
-//! The supervisor: replica actors on worker threads, epoch barriers, and
-//! bounded restart-with-backoff.
+//! The supervisor: one tenant's replicas in a shared
+//! [`EpochEngine`], plus bounded restart-with-backoff.
 //!
-//! Each replica is an *actor*: a dedicated OS thread owning an optional
-//! [`ScenarioRunner`], driven over an mpsc request channel.  The supervisor
-//! advances the whole fleet one epoch ([`DaemonConfig::slice`] ticks) at a
-//! time: it sends every running actor an `Advance`, then collects one
-//! report per actor — that collection *is* the epoch barrier, and it is the
-//! only point where replicas are added, removed, reconfigured, restarted,
-//! or queried.
+//! The supervisor owns no threads and no stepping loop.  Its replicas live
+//! in the slots of an [`EpochEngine`] — the same engine
+//! [`FleetEngine::run`] drives a batch fleet through — and
+//! [`advance_epoch`](Supervisor::advance_epoch) is one
+//! [`EpochEngine::advance`] of [`DaemonConfig::slice`] ticks.  Between two
+//! advances nothing runs, so that barrier is the only point where replicas
+//! are added, removed, reconfigured, restarted, or queried; every healer's
+//! store handle is gated, so the shared store sees the sequential
+//! round-robin interleave however many workers sweep.
 //!
-//! A panicking replica is not the end of the fleet (contrast the batch
-//! scheduler, which retires panicked replicas as
-//! [`ReplicaError`](selfheal_fleet::ReplicaError)s): the actor catches the
-//! unwind, drops the poisoned runner, and reports the panic; the supervisor
-//! schedules a rebuild after an exponential backoff, rebuilding the runner
-//! from the replica's spec against the *still-alive* shared store — so the
-//! replacement healer starts with everything the fleet has learned,
-//! including whatever the doomed incarnation drained before dying.  After
-//! [`DaemonConfig::max_restarts`] rebuilds the replica is retired as
-//! failed, its last panic message kept for `STATUS`.
+//! What the supervisor adds is the failure policy.  A panicking replica is
+//! not the end of the fleet (contrast the batch run, which retires panicked
+//! replicas as [`ReplicaError`](selfheal_fleet::ReplicaError)s): the engine
+//! catches the unwind, drops the poisoned runner, and reports the panic;
+//! the supervisor schedules a rebuild after an exponential backoff,
+//! rebuilding the runner from the replica's spec against the *still-alive*
+//! shared store — so the replacement healer starts with everything the
+//! fleet has learned, including whatever the doomed incarnation drained
+//! before dying.  After [`DaemonConfig::max_restarts`] rebuilds the replica
+//! is retired as failed, its last panic message kept for `STATUS`.
 
 use crate::pool::PooledStore;
 use crate::DaemonConfig;
@@ -26,25 +28,16 @@ use selfheal_core::harness::{FaultChoice, WorkloadChoice};
 use selfheal_core::snapshot::SynopsisSnapshot;
 use selfheal_core::store::{FixStats, SynopsisStore};
 use selfheal_core::synopsis::Learner;
-use selfheal_faults::injection::default_target;
-use selfheal_faults::{FaultId, FaultKind, FaultSource, FaultSpec, FixKind};
-use selfheal_fleet::reactive::REACTIVE_FAULT_ID_BASE;
-use selfheal_fleet::scheduler::panic_message;
-use selfheal_fleet::{FleetConfig, FleetEngine};
-use selfheal_sim::scenario::Healer;
+use selfheal_faults::{FaultKind, FixKind};
+use selfheal_fleet::reactive::{AdversarySource, ReactivePlan};
+use selfheal_fleet::{EpochEngine, FleetConfig, FleetEngine, ReplicaRunner};
 use selfheal_sim::seeds::{split_seed, SeedStream};
-use selfheal_sim::ScenarioRunner;
 use selfheal_telemetry::{FleetHealth, ReplicaHealth, ReplicaState};
-use selfheal_workload::{ArrivalProcess, TraceSource};
+use selfheal_workload::ArrivalProcess;
 use std::collections::BTreeMap;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::mpsc;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::thread;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What one supervised replica *is*, independent of any runner incarnation:
 /// its identity, its fault recipe, and its workload recipe.  Restarts
@@ -62,103 +55,6 @@ pub struct ReplicaSpec {
     pub workload: WorkloadChoice,
 }
 
-/// Requests the supervisor sends a replica actor.
-enum ActorRequest {
-    /// Install (or replace) the actor's runner.
-    Install(Box<ScenarioRunner<Box<dyn Healer>>>),
-    /// Advance the runner this many ticks, then report.
-    Advance(u64),
-    /// Swap the runner's fault source (RECONFIGURE / DRAIN).
-    SetFaults(Box<dyn FaultSource>),
-    /// Swap the runner's workload source (RECONFIGURE).
-    SetWorkload(Box<dyn TraceSource>),
-    /// Inject one fault directly into the live service (the adversary's
-    /// strike); takes effect from the next tick the runner steps.
-    Inject(FaultSpec),
-    /// Report the runner's deterministic outcome fingerprint (0 when no
-    /// runner is installed).  Computed on demand — tests and operators ask
-    /// rarely, so epochs never pay for the outcome clone.
-    Fingerprint(Sender<u64>),
-    /// Exit the actor thread.
-    Stop,
-}
-
-/// One epoch's report from a replica actor.
-#[derive(Debug, Default)]
-struct EpochReport {
-    /// Runner ticks advanced so far (this incarnation).
-    ticks: u64,
-    /// Failure episodes closed so far (this incarnation).
-    episodes: usize,
-    /// 1 when the replica is currently inside a failure episode.
-    open_episodes: usize,
-    /// Fix attempts initiated so far (this incarnation).
-    fixes_initiated: u64,
-    /// Panic message, when the runner died this epoch.
-    panic: Option<String>,
-}
-
-/// The actor body: owns the runner, steps it on demand, converts panics
-/// into reports instead of thread death.
-fn replica_actor(requests: Receiver<ActorRequest>, reports: Sender<EpochReport>) {
-    let mut runner: Option<ScenarioRunner<Box<dyn Healer>>> = None;
-    while let Ok(request) = requests.recv() {
-        match request {
-            ActorRequest::Install(replacement) => runner = Some(*replacement),
-            ActorRequest::SetFaults(faults) => {
-                if let Some(runner) = runner.as_mut() {
-                    runner.set_faults(faults);
-                }
-            }
-            ActorRequest::SetWorkload(workload) => {
-                if let Some(runner) = runner.as_mut() {
-                    runner.set_workload(workload);
-                }
-            }
-            ActorRequest::Inject(spec) => {
-                if let Some(runner) = runner.as_mut() {
-                    runner.inject(spec);
-                }
-            }
-            ActorRequest::Fingerprint(reply) => {
-                let value = runner
-                    .as_ref()
-                    .map(|current| current.outcome().fingerprint())
-                    .unwrap_or(0);
-                let _ = reply.send(value);
-            }
-            ActorRequest::Stop => break,
-            ActorRequest::Advance(ticks) => {
-                let mut report = EpochReport::default();
-                if let Some(current) = runner.as_mut() {
-                    let stepped = catch_unwind(AssertUnwindSafe(|| {
-                        for _ in 0..ticks {
-                            current.step();
-                        }
-                    }));
-                    match stepped {
-                        Ok(()) => {
-                            report.ticks = current.ticks_run();
-                            report.episodes = current.recovery().len();
-                            report.open_episodes = usize::from(current.recovery().in_episode());
-                            report.fixes_initiated = current.fixes_initiated();
-                        }
-                        Err(payload) => {
-                            // The runner may be mid-tick inconsistent; drop
-                            // the whole incarnation.
-                            runner = None;
-                            report.panic = Some(panic_message(payload));
-                        }
-                    }
-                }
-                if reports.send(report).is_err() {
-                    break;
-                }
-            }
-        }
-    }
-}
-
 /// A replica's lifecycle phase, as the supervisor sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -167,7 +63,7 @@ enum Phase {
     Failed,
 }
 
-/// Supervisor-side bookkeeping for one replica actor.
+/// Supervisor-side bookkeeping for one replica.
 struct ReplicaEntry {
     spec: ReplicaSpec,
     phase: Phase,
@@ -175,16 +71,16 @@ struct ReplicaEntry {
     /// Ticks accumulated by previous (dead) incarnations.
     ticks_prior: u64,
     health: ReplicaHealth,
-    requests: Sender<ActorRequest>,
-    reports: Receiver<EpochReport>,
-    thread: Option<JoinHandle<()>>,
 }
 
-/// Owns the replica actors, the shared store, and the epoch clock — the
+/// Owns one fleet's epoch engine, shared store, and epoch clock — the
 /// heart of the resident daemon (see the [module docs](self)).
 pub struct Supervisor {
     config: DaemonConfig,
-    engine: FleetEngine,
+    /// Builds replica runners (seed splitting, healer wiring).
+    fleet: FleetEngine,
+    /// Holds and steps them.
+    engine: EpochEngine,
     store: Box<dyn SynopsisStore>,
     /// A handle to the daemon-wide cross-tenant pool, when this fleet opted
     /// in (`shared_pool = on`); `store` is then a [`PooledStore`] wrapping
@@ -200,7 +96,6 @@ pub struct Supervisor {
     restored: usize,
     draining: bool,
     adversary: bool,
-    adversary_strikes: u64,
     adversary_target: Option<usize>,
 }
 
@@ -267,8 +162,8 @@ impl Supervisor {
             }
             fleet = fleet.persist_synopsis(path);
         }
-        let engine = fleet.build();
-        let store = engine
+        let fleet = fleet.build();
+        let store = fleet
             .build_shared_store()
             .expect("validated: shared learner + learning policy");
         // Wrap *after* persistence is wired so the snapshot log stays a
@@ -279,7 +174,8 @@ impl Supervisor {
         };
         Ok(Supervisor {
             config,
-            engine,
+            fleet,
+            engine: EpochEngine::new(None),
             store,
             pool,
             label: None,
@@ -290,7 +186,6 @@ impl Supervisor {
             restored,
             draining: false,
             adversary: false,
-            adversary_strikes: 0,
             adversary_target: None,
         })
     }
@@ -361,24 +256,15 @@ impl Supervisor {
     /// current barrier, ordered by id — the byte-identity surface the
     /// tenant-isolation tests compare against standalone fleets.
     pub fn fingerprints(&self) -> Vec<(usize, u64)> {
-        let mut out = Vec::new();
-        for (id, entry) in &self.entries {
-            if entry.phase != Phase::Running {
-                continue;
-            }
-            let (reply_tx, reply_rx) = mpsc::channel();
-            if entry
-                .requests
-                .send(ActorRequest::Fingerprint(reply_tx))
-                .is_err()
-            {
-                continue;
-            }
-            if let Ok(fingerprint) = reply_rx.recv_timeout(Duration::from_secs(60)) {
-                out.push((*id, fingerprint));
-            }
-        }
-        out
+        self.entries
+            .keys()
+            .filter_map(|id| {
+                let fingerprint = self
+                    .engine
+                    .with_runner(*id, |runner| runner.outcome().fingerprint())?;
+                Some((*id, fingerprint))
+            })
+            .collect()
     }
 
     /// Number of supervised replicas (running, restarting, or failed).
@@ -397,7 +283,7 @@ impl Supervisor {
         self.adversary
     }
 
-    /// The replica the adversary struck at the most recent barrier.
+    /// The replica the adversary struck most recently (`None` while off).
     pub fn adversary_target(&self) -> Option<usize> {
         self.adversary_target
     }
@@ -479,7 +365,30 @@ impl Supervisor {
             faults,
             workload: self.config.workload.clone(),
         };
-        self.spawn_replica(spec)?;
+        let runner = self.build_runner(&spec);
+        self.engine.insert(id, runner);
+        let health = ReplicaHealth {
+            id,
+            profile: spec.profile.clone(),
+            state: ReplicaState::Running,
+            ticks: 0,
+            episodes: 0,
+            open_episodes: 0,
+            fixes_initiated: 0,
+            restarts: 0,
+            last_heartbeat_ms: self.uptime_ms(),
+            last_error: None,
+        };
+        self.entries.insert(
+            id,
+            ReplicaEntry {
+                spec,
+                phase: Phase::Running,
+                restarts: 0,
+                ticks_prior: 0,
+                health,
+            },
+        );
         self.next_id += 1;
         self.draining = false;
         Ok(id)
@@ -487,14 +396,10 @@ impl Supervisor {
 
     /// Stops and retires one replica.  Its id is never reused.
     pub fn remove_replica(&mut self, id: usize) -> Result<(), String> {
-        let mut entry = self
-            .entries
+        self.entries
             .remove(&id)
             .ok_or_else(|| format!("no replica {id}"))?;
-        let _ = entry.requests.send(ActorRequest::Stop);
-        if let Some(thread) = entry.thread.take() {
-            let _ = thread.join();
-        }
+        self.engine.remove(id);
         Ok(())
     }
 
@@ -506,7 +411,11 @@ impl Supervisor {
     /// * `workload_rate=<f64>` — synthetic arrival rate.
     /// * `adversary=on|off` — toggles the *fleet-wide* adversarial chaos
     ///   engine (the id names which replica the command rode in on, but the
-    ///   engine targets whichever replica is weakest at each barrier).
+    ///   engine targets whichever replica is weakest at each reactive
+    ///   barrier — every
+    ///   [`REACTIVE_PERIOD`](selfheal_fleet::reactive::REACTIVE_PERIOD)
+    ///   ticks, exactly as in a batch run; refused when
+    ///   [`DaemonConfig::slice`] does not divide that period).
     ///
     /// The rebuilt source is seeded exactly as at construction
     /// ([`split_seed`] by replica id) and swapped into the live runner; the
@@ -527,10 +436,24 @@ impl Supervisor {
                     "off" => false,
                     other => return Err(format!("bad adversary value {other:?} (try on, off)")),
                 };
+                // The batch engine's own adversary, unbounded: weakest-replica
+                // strikes with the catalog's cheapest-to-heal contention
+                // fault, so a live fleet degrades rather than collapses.  A
+                // slice that does not divide the reactive period is refused
+                // here, leaving the adversary as it was.
+                let plan = if enable {
+                    ReactivePlan::new().with(AdversarySource::new(
+                        FaultKind::BufferContention,
+                        0.9,
+                        0,
+                        u64::MAX,
+                    ))
+                } else {
+                    ReactivePlan::new()
+                };
+                self.engine.set_reactive(plan, self.config.slice)?;
                 self.adversary = enable;
-                if !enable {
-                    self.adversary_target = None;
-                }
+                self.adversary_target = None;
                 return Ok(format!("adversary={}", if enable { "on" } else { "off" }));
             }
             "fault_rate" => {
@@ -574,35 +497,40 @@ impl Supervisor {
                 ))
             }
         };
-        let base_seed = self.config.base_seed;
-        let entry = self.entries.get_mut(&id).expect("checked above");
         match change {
             Change::Faults(choice) => {
-                let source = choice.source_for_replica(
-                    split_seed(base_seed, id as u64, SeedStream::Faults),
-                    id as u64,
-                );
-                entry
-                    .requests
-                    .send(ActorRequest::SetFaults(source))
-                    .map_err(|_| format!("replica {id}'s actor is gone"))?;
-                entry.spec.profile = choice.label();
-                entry.health.profile = entry.spec.profile.clone();
-                entry.spec.faults = choice;
-                Ok(format!("faults={}", entry.spec.profile))
+                self.set_faults(id, choice);
+                Ok(format!("faults={}", self.entries[&id].spec.profile))
             }
             Change::Workload(choice) => {
                 let source = choice.source_for_replica(
-                    split_seed(base_seed, id as u64, SeedStream::Workload),
+                    split_seed(self.config.base_seed, id as u64, SeedStream::Workload),
                     id as u64,
                 );
-                entry
-                    .requests
-                    .send(ActorRequest::SetWorkload(source))
-                    .map_err(|_| format!("replica {id}'s actor is gone"))?;
-                entry.spec.workload = choice;
-                Ok(format!("workload={}", entry.spec.workload.label()))
+                self.engine
+                    .with_runner(id, |runner| runner.set_workload(source));
+                let label = choice.label();
+                if let Some(entry) = self.entries.get_mut(&id) {
+                    entry.spec.workload = choice;
+                }
+                Ok(format!("workload={label}"))
             }
+        }
+    }
+
+    /// Swaps replica `id`'s fault recipe: into the live runner when there is
+    /// one, and into the spec so restarts keep it.
+    fn set_faults(&mut self, id: usize, choice: FaultChoice) {
+        let source = choice.source_for_replica(
+            split_seed(self.config.base_seed, id as u64, SeedStream::Faults),
+            id as u64,
+        );
+        self.engine
+            .with_runner(id, |runner| runner.set_faults(source));
+        if let Some(entry) = self.entries.get_mut(&id) {
+            entry.spec.profile = choice.label();
+            entry.health.profile = entry.spec.profile.clone();
+            entry.spec.faults = choice;
         }
     }
 
@@ -612,25 +540,18 @@ impl Supervisor {
     /// have; [`add_replica`](Self::add_replica) resumes normal operation.
     pub fn drain(&mut self) {
         self.draining = true;
-        let base_seed = self.config.base_seed;
-        for (id, entry) in self.entries.iter_mut() {
-            let choice = FaultChoice::default();
-            let source = choice.source_for_replica(
-                split_seed(base_seed, *id as u64, SeedStream::Faults),
-                *id as u64,
-            );
-            let _ = entry.requests.send(ActorRequest::SetFaults(source));
-            entry.spec.profile = choice.label();
-            entry.health.profile = entry.spec.profile.clone();
-            entry.spec.faults = choice;
+        let ids: Vec<usize> = self.entries.keys().copied().collect();
+        for id in ids {
+            self.set_faults(id, FaultChoice::default());
         }
     }
 
     /// Advances every running replica one epoch ([`DaemonConfig::slice`]
-    /// ticks) and collects their reports — the epoch barrier.  Replicas
-    /// whose backoff expired are rebuilt first; replicas that panic during
-    /// the epoch enter backoff (or retire at the restart cap).  Returns the
-    /// number of replicas that advanced.
+    /// ticks) through the engine and folds the per-replica results into
+    /// health — the epoch barrier.  Replicas whose backoff expired are
+    /// rebuilt first; replicas that panic during the epoch enter backoff (or
+    /// retire at the restart cap).  Returns the number of replicas that
+    /// advanced.
     pub fn advance_epoch(&mut self) -> usize {
         self.epoch += 1;
 
@@ -644,105 +565,44 @@ impl Supervisor {
             })
             .collect();
         for id in due {
-            let spec = self.entries[&id].spec.clone();
-            let runner = self.build_runner(&spec);
-            let entry = self.entries.get_mut(&id).expect("due id exists");
-            if entry
-                .requests
-                .send(ActorRequest::Install(Box::new(runner)))
-                .is_ok()
-            {
+            let runner = self.build_runner(&self.entries[&id].spec);
+            self.engine.insert(id, runner);
+            if let Some(entry) = self.entries.get_mut(&id) {
                 entry.phase = Phase::Running;
                 entry.health.state = ReplicaState::Running;
-            } else {
-                entry.phase = Phase::Failed;
-                entry.health.state = ReplicaState::Failed;
-                entry.health.last_error = Some("replica actor is gone".to_string());
             }
         }
 
-        // The adversarial chaos engine: at every barrier while enabled,
-        // strike the currently-weakest running replica (worst open-episode
-        // count from the last barrier's health, ties toward the lowest id —
-        // the same policy as the batch engine's `AdversarySource`).  The
-        // strike is queued before the epoch's `Advance`, so it lands at the
-        // first tick of the epoch it reacts to.
-        self.adversary_target = None;
-        if self.adversary {
-            let weakest = self
-                .entries
-                .iter()
-                .filter(|(_, entry)| entry.phase == Phase::Running)
-                .max_by(|(a_id, a), (b_id, b)| {
-                    (a.health.open_episodes, std::cmp::Reverse(**a_id))
-                        .cmp(&(b.health.open_episodes, std::cmp::Reverse(**b_id)))
-                })
-                .map(|(id, _)| *id);
-            if let Some(id) = weakest {
-                let spec = FaultSpec::new(
-                    FaultId(REACTIVE_FAULT_ID_BASE + self.adversary_strikes),
-                    ADVERSARY_FAULT_KIND,
-                    default_target(ADVERSARY_FAULT_KIND, 0),
-                    ADVERSARY_FAULT_SEVERITY,
-                );
-                let entry = self.entries.get_mut(&id).expect("weakest id exists");
-                if entry.requests.send(ActorRequest::Inject(spec)).is_ok() {
-                    self.adversary_strikes += 1;
-                    self.adversary_target = Some(id);
-                }
-            }
+        let results = self.engine.advance(self.config.slice);
+        if let Some(strike) = self.engine.take_reactive_log().last() {
+            self.adversary_target = Some(strike.replica);
         }
 
-        // Dispatch the epoch to every running actor...
-        let slice = self.config.slice;
-        let running: Vec<usize> = self
-            .entries
-            .iter()
-            .filter(|(_, entry)| entry.phase == Phase::Running)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &running {
-            let entry = self.entries.get_mut(id).expect("running id exists");
-            if entry.requests.send(ActorRequest::Advance(slice)).is_err() {
-                entry.phase = Phase::Failed;
-                entry.health.state = ReplicaState::Failed;
-                entry.health.last_error = Some("replica actor is gone".to_string());
-            }
-        }
-
-        // ...and collect one report per actor: the barrier itself.
         let now_ms = self.uptime_ms();
         let max_restarts = self.config.max_restarts;
         let backoff_epochs = self.config.backoff_epochs.max(1);
-        let epoch = self.epoch;
         let mut advanced = 0;
-        for id in running {
-            let entry = self.entries.get_mut(&id).expect("running id exists");
-            if entry.phase != Phase::Running {
+        for (id, result) in results {
+            let Some(entry) = self.entries.get_mut(&id) else {
                 continue;
-            }
-            let report = match entry.reports.recv_timeout(Duration::from_secs(60)) {
-                Ok(report) => report,
-                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                    entry.phase = Phase::Failed;
-                    entry.health.state = ReplicaState::Failed;
-                    entry.health.last_error = Some("replica actor unresponsive".to_string());
-                    continue;
-                }
             };
             entry.health.last_heartbeat_ms = now_ms;
-            match report.panic {
-                None => {
+            match result {
+                Ok(()) => {
                     advanced += 1;
-                    entry.health.ticks = entry.ticks_prior + report.ticks;
-                    entry.health.episodes = report.episodes;
-                    entry.health.open_episodes = report.open_episodes;
-                    entry.health.fixes_initiated = report.fixes_initiated;
+                    let health = &mut entry.health;
+                    let ticks_prior = entry.ticks_prior;
+                    self.engine.with_runner(id, |runner| {
+                        health.ticks = ticks_prior + runner.ticks_run();
+                        health.episodes = runner.recovery().len();
+                        health.open_episodes = usize::from(runner.recovery().in_episode());
+                        health.fixes_initiated = runner.fixes_initiated();
+                    });
                 }
-                Some(message) => {
+                Err(error) => {
                     entry.ticks_prior = entry.health.ticks;
                     entry.health.open_episodes = 0;
-                    entry.health.last_error = Some(message);
+                    entry.health.last_error = Some(error.message);
                     if entry.restarts >= max_restarts {
                         entry.phase = Phase::Failed;
                         entry.health.state = ReplicaState::Failed;
@@ -752,7 +612,7 @@ impl Supervisor {
                         let doubling = (entry.restarts - 1).min(16);
                         let backoff = backoff_epochs.saturating_mul(1 << doubling);
                         entry.phase = Phase::Restarting {
-                            resume_epoch: epoch + backoff,
+                            resume_epoch: self.epoch + backoff,
                         };
                         entry.health.state = ReplicaState::Restarting;
                     }
@@ -762,96 +622,36 @@ impl Supervisor {
         advanced
     }
 
-    /// Clean exit: stops every actor, then flushes the store (folding any
-    /// queued updates into the model — and, with persistence on, into the
-    /// snapshot log).
-    pub fn shutdown(mut self) {
-        self.stop_actors();
+    /// Clean exit: flushes the store (folding any queued updates into the
+    /// model — and, with persistence on, into the snapshot log), then drops
+    /// the engine and its workers.
+    pub fn shutdown(self) {
         self.store.flush();
     }
 
-    /// Simulated `kill -9`: stops every actor *without* the final flush, so
-    /// only experience already drained to the snapshot log survives —
-    /// exactly what dying mid-run loses.  The crash-restart tests restart a
-    /// supervisor from the same store path after this.
-    pub fn abort(mut self) {
-        self.stop_actors();
-    }
+    /// Simulated `kill -9`: drops the engine and its workers *without* the
+    /// final flush, so only experience already drained to the snapshot log
+    /// survives — exactly what dying mid-run loses.  The crash-restart tests
+    /// restart a supervisor from the same store path after this.
+    pub fn abort(self) {}
 
-    fn stop_actors(&mut self) {
-        let ids: Vec<usize> = self.entries.keys().copied().collect();
-        for id in ids {
-            if let Some(mut entry) = self.entries.remove(&id) {
-                let _ = entry.requests.send(ActorRequest::Stop);
-                if let Some(thread) = entry.thread.take() {
-                    let _ = thread.join();
-                }
-            }
-        }
-    }
-
-    /// Builds one runner for `spec` — through the config's test factory
-    /// when set, through the fleet engine's public replica surface
-    /// otherwise.
-    fn build_runner(&self, spec: &ReplicaSpec) -> ScenarioRunner<Box<dyn Healer>> {
+    /// Builds one runner for `spec` against a gated handle of the shared
+    /// store — through the config's test factory when set, through the
+    /// fleet engine's public replica surface otherwise.
+    fn build_runner(&self, spec: &ReplicaSpec) -> ReplicaRunner {
+        let store = self.engine.gated_store(self.store.as_ref(), spec.id);
         if let Some(factory) = &self.config.runner_factory {
-            factory(spec, self.store.as_ref())
+            factory(spec, store.as_ref())
         } else {
-            self.engine.replica_runner_with(
+            self.fleet.replica_runner_with(
                 spec.id,
                 Some(&spec.faults),
                 Some(&spec.workload),
-                Some(self.store.as_ref()),
+                Some(store.as_ref()),
             )
         }
     }
-
-    fn spawn_replica(&mut self, spec: ReplicaSpec) -> Result<(), String> {
-        let (request_tx, request_rx) = mpsc::channel();
-        let (report_tx, report_rx) = mpsc::channel();
-        let thread = thread::Builder::new()
-            .name(format!("replica-{}", spec.id))
-            .spawn(move || replica_actor(request_rx, report_tx))
-            .map_err(|err| format!("cannot spawn replica actor: {err}"))?;
-        let runner = self.build_runner(&spec);
-        request_tx
-            .send(ActorRequest::Install(Box::new(runner)))
-            .map_err(|_| "replica actor died at birth".to_string())?;
-        let health = ReplicaHealth {
-            id: spec.id,
-            profile: spec.profile.clone(),
-            state: ReplicaState::Running,
-            ticks: 0,
-            episodes: 0,
-            open_episodes: 0,
-            fixes_initiated: 0,
-            restarts: 0,
-            last_heartbeat_ms: self.uptime_ms(),
-            last_error: None,
-        };
-        self.entries.insert(
-            spec.id,
-            ReplicaEntry {
-                spec,
-                phase: Phase::Running,
-                restarts: 0,
-                ticks_prior: 0,
-                health,
-                requests: request_tx,
-                reports: report_rx,
-                thread: Some(thread),
-            },
-        );
-        Ok(())
-    }
 }
-
-/// The failure class the daemon's adversary injects — the catalog's
-/// cheapest-to-heal contention fault, so a live fleet under adversarial
-/// load degrades rather than collapses.
-const ADVERSARY_FAULT_KIND: FaultKind = FaultKind::BufferContention;
-/// Severity of the daemon adversary's strikes.
-const ADVERSARY_FAULT_SEVERITY: f64 = 0.9;
 
 /// Updates the "rate" knob shared by every arrival model.
 fn set_arrival_rate(arrivals: &mut ArrivalProcess, rate: f64) {
@@ -860,5 +660,34 @@ fn set_arrival_rate(arrivals: &mut ArrivalProcess, rate: f64) {
             *current = rate
         }
         ArrivalProcess::Diurnal { base, .. } | ArrivalProcess::Surge { base, .. } => *base = rate,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Hostile input must not kill the daemon loop: the adversary shares the
+    /// batch engine's reactive barriers, which need the slice to divide the
+    /// reactive period — a daemon launched with a slice that does not must
+    /// answer `RECONFIGURE <id> adversary=on` with an error, not a panic.
+    #[test]
+    fn adversary_on_is_refused_when_the_slice_breaks_the_reactive_period() {
+        let mut supervisor = Supervisor::new(DaemonConfig {
+            slice: 48, // lint:allow(barrier-period): the refusal is the point.
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        let id = supervisor.add_replica("none").unwrap();
+        let refusal = supervisor.reconfigure(id, "adversary", "on").unwrap_err();
+        assert!(refusal.contains("must divide"), "explains why: {refusal}");
+        assert!(!supervisor.adversary_enabled(), "the adversary stays off");
+        assert_eq!(
+            supervisor.reconfigure(id, "adversary", "off").unwrap(),
+            "adversary=off"
+        );
+        assert_eq!(supervisor.advance_epoch(), 1, "the fleet ticks on");
+        assert_eq!(supervisor.adversary_target(), None);
+        supervisor.shutdown();
     }
 }

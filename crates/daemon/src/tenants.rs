@@ -235,7 +235,7 @@ impl TenantRegistry {
         self.pool.flush();
     }
 
-    /// Simulated `kill -9`: stops every tenant's actors without final
+    /// Simulated `kill -9`: drops every tenant's fleet without final
     /// flushes, so only experience already drained to each snapshot log
     /// survives.
     pub fn abort(mut self) {

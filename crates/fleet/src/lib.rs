@@ -25,7 +25,8 @@
 //! * [`FleetEngine`] — builds one resumable
 //!   [`selfheal_sim::ScenarioRunner`] per replica (seeded via
 //!   [`selfheal_sim::seeds::split_seed`]) and drives the whole fleet
-//!   through the tick-sliced [`scheduler`]: worker threads advance replicas
+//!   through the [`scheduler`]'s [`EpochEngine`] — the same engine the
+//!   resident daemon's supervisor advances: worker threads advance replicas
 //!   one `slice`-tick epoch at a time through a barrier, so every replica
 //!   lives concurrently and cross-replica [`events`] (correlated
 //!   [`events::FaultStorm`]s, fleet-wide [`events::WorkloadSurge`]s —
@@ -44,8 +45,8 @@
 //! ## Example
 //!
 //! ```
-//! use selfheal_fleet::{FleetConfig, LearningTopology};
-//! use selfheal_core::harness::PolicyChoice;
+//! use selfheal_fleet::FleetConfig;
+//! use selfheal_core::harness::{LearnerChoice, PolicyChoice};
 //! use selfheal_core::synopsis::SynopsisKind;
 //! use selfheal_sim::ServiceConfig;
 //!
@@ -54,7 +55,7 @@
 //!     .replicas(4)
 //!     .ticks(120)
 //!     .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-//!     .topology(LearningTopology::shared())
+//!     .learner(LearnerChoice::locked())
 //!     .run();
 //! assert_eq!(outcome.replicas().len(), 4);
 //! assert_eq!(outcome.total_ticks(), 4 * 120);
@@ -68,59 +69,23 @@ pub mod reactive;
 pub mod scheduler;
 
 use crate::events::{EventPlan, FleetShape};
-use crate::reactive::{ReactiveContext, ReactivePlan, ReactiveRecord};
-pub use crate::scheduler::ReplicaError;
-use crate::scheduler::StoreGate;
+use crate::reactive::{ReactivePlan, ReactiveRecord};
+pub use crate::scheduler::{EpochEngine, ReplicaError, ReplicaRunner};
 use selfheal_core::harness::{
     EventChoice, FaultChoice, LearnerChoice, PolicyChoice, ReactiveChoice, WorkloadChoice,
 };
 use selfheal_core::snapshot::SynopsisSnapshot;
-use selfheal_core::store::{LockedStore, SynopsisStore};
+use selfheal_core::store::SynopsisStore;
 use selfheal_faults::{FaultSource, InjectionPlan, ScriptedSource};
-use selfheal_sim::scenario::{Healer, ScenarioOutcome, ScenarioRunner};
+use selfheal_sim::scenario::{ScenarioOutcome, ScenarioRunner};
 use selfheal_sim::seeds::{split_seed, SeedStream};
 use selfheal_sim::{MultiTierService, ServiceConfig};
 use selfheal_workload::{ArrivalProcess, TraceSource, WorkloadMix};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::thread;
 // lint:allow(nondeterminism): wall-time import feeds the wall_time report
 // field only; simulation state never reads it.
 use std::time::{Duration, Instant};
-
-/// How replica healers relate to each other's learned state — the original
-/// two-way switch, kept as a shorthand for the [`LearnerChoice`] recipes it
-/// maps onto ([`FleetConfig::topology`] translates; [`FleetConfig::learner`]
-/// accepts the full recipe set, including sharded stores).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LearningTopology {
-    /// Every replica's signature-based healer reads and teaches one
-    /// fleet-wide [`LockedStore`]; updates drain in batches of `batch`.
-    /// Non-learning policies fall back to isolated behaviour.
-    Shared {
-        /// Queued updates that trigger one combined drain + retrain.
-        batch: usize,
-    },
-    /// Every replica learns alone (the paper's single-instance setup).
-    Isolated,
-}
-
-impl LearningTopology {
-    /// Shared learning with the default batch threshold.
-    pub fn shared() -> Self {
-        LearningTopology::Shared {
-            batch: LockedStore::DEFAULT_BATCH,
-        }
-    }
-
-    /// The [`LearnerChoice`] recipe this topology names.
-    pub fn learner_choice(self) -> LearnerChoice {
-        match self {
-            LearningTopology::Shared { batch } => LearnerChoice::Locked { batch },
-            LearningTopology::Isolated => LearnerChoice::Private,
-        }
-    }
-}
 
 /// How the fleet's replicas are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,7 +139,6 @@ pub struct FleetConfig {
     warm_start: Option<SynopsisSnapshot>,
     mode: ExecutionMode,
     slice: u64,
-    gated: bool,
     events: EventPlan,
     reactive: ReactivePlan,
     series_capacity: usize,
@@ -200,7 +164,6 @@ impl std::fmt::Debug for FleetConfig {
             .field("warm_start", &self.warm_start.as_ref().map(|s| s.len()))
             .field("mode", &self.mode)
             .field("slice", &self.slice)
-            .field("gated", &self.gated)
             .field("events", &self.events.labels())
             .field("reactive", &self.reactive.labels())
             .finish_non_exhaustive()
@@ -223,7 +186,6 @@ impl FleetConfig {
             warm_start: None,
             mode: ExecutionMode::Parallel { threads: None },
             slice: 1,
-            gated: true,
             events: EventPlan::new(),
             reactive: ReactivePlan::new(),
             series_capacity: 100_000,
@@ -282,12 +244,6 @@ impl FleetConfig {
     pub fn learner(mut self, learner: LearnerChoice) -> Self {
         self.learner = learner;
         self
-    }
-
-    /// Shared vs isolated learning — shorthand for
-    /// [`FleetConfig::learner`] with the matching [`LearnerChoice`].
-    pub fn topology(self, topology: LearningTopology) -> Self {
-        self.learner(topology.learner_choice())
     }
 
     /// Warm-starts the fleet's learning from a saved snapshot: the store is
@@ -355,26 +311,6 @@ impl FleetConfig {
     /// implementations).
     pub fn reactive_plan(mut self, plan: ReactivePlan) -> Self {
         self.reactive = plan;
-        self
-    }
-
-    /// Disables the store gate's round-robin serialization of
-    /// shared-store access for throughput-over-reproducibility runs.
-    ///
-    /// **Determinism trade-off:** with the gate on (the default), a
-    /// tick-sliced parallel shared-learning run is fingerprint-identical to
-    /// [`ExecutionMode::Sequential`] at any worker count — but replica `r`
-    /// must wait for replicas `0..r` to finish the epoch before touching
-    /// the store, so parallel speedup is bounded by how often healers hit
-    /// it.  Ungated, replicas access the shared store the moment they need
-    /// it: no stalls, full parallel throughput — and the order experience
-    /// reaches the store (hence suggest results near drain boundaries)
-    /// depends on thread scheduling, so fingerprints may vary run to run.
-    /// No experience is ever lost either way; only visibility *timing*
-    /// changes.  Private-learner fleets have no shared store and are
-    /// unaffected.
-    pub fn ungated(mut self) -> Self {
-        self.gated = false;
         self
     }
 
@@ -653,77 +589,23 @@ impl FleetEngine {
         FleetEngine { config }
     }
 
-    /// Builds the store backing one replica's healer: a per-replica handle
-    /// to the fleet-wide store when one exists (gated into sequential order
-    /// when the scheduler runs multiple workers), otherwise a fresh private
-    /// store (warm-started from the fleet's snapshot, if any).
-    fn build_store(
-        &self,
-        replica: usize,
-        fleet_store: Option<&dyn SynopsisStore>,
-        gate: Option<&Arc<StoreGate>>,
-    ) -> Box<dyn SynopsisStore> {
-        match (fleet_store, gate) {
-            (Some(store), Some(gate)) => Box::new(scheduler::GatedStore::new(
-                store.clone_store(),
-                replica,
-                Arc::clone(gate),
-            )),
-            (Some(store), None) => store.clone_store(),
-            (None, _) => LearnerChoice::Private.build_store_warm(
-                self.config
-                    .policy
-                    .synopsis_kind()
-                    .expect("learning policy has a kind"),
-                self.config.warm_start.as_ref(),
-            ),
-        }
-    }
-
-    /// Builds the runner for one replica, with every RNG stream split
-    /// deterministically from the fleet's base seed.
-    fn build_replica(
-        &self,
-        replica: usize,
-        fleet_store: Option<&dyn SynopsisStore>,
-        gate: Option<&Arc<StoreGate>>,
-    ) -> ScenarioRunner<Box<dyn Healer>> {
-        let config = &self.config;
-        let workload = config.workload.source_for_replica(
-            split_seed(config.base_seed, replica as u64, SeedStream::Workload),
-            replica as u64,
-        );
-        let faults: Box<dyn FaultSource> = match &config.faults {
-            FleetFaults::Choice(choice) => choice.source_for_replica(
-                split_seed(config.base_seed, replica as u64, SeedStream::Faults),
-                replica as u64,
-            ),
-            FleetFaults::PerReplica(factory) => Box::new(ScriptedSource::new(factory(replica))),
-        };
-        let store = config
-            .policy
-            .shares_learning()
-            .then(|| self.build_store(replica, fleet_store, gate));
-        self.assemble_replica(replica, workload, faults, store)
-    }
-
-    /// Builds a standalone runner for replica index `replica` — the public
+    /// Builds the runner for replica index `replica`, with every RNG stream
+    /// split deterministically from the fleet's base seed — what
+    /// [`run`](FleetEngine::run) inserts into its [`EpochEngine`], and the
     /// replica-construction surface the resident daemon's supervisor uses
-    /// to add, restart, and warm-start replicas *outside* a batch
-    /// [`FleetEngine::run`].  Seeds are split exactly as [`run`](FleetEngine::run) splits
-    /// them, so the replica's simulated streams are the same pure function
-    /// of `(base_seed, replica)`.
+    /// to add, restart, and warm-start replicas in its own.  The replica's
+    /// simulated streams are a pure function of `(base_seed, replica)`.
     ///
     /// When `store` is given and the policy learns, the healer is built
     /// against a [`clone_store`](SynopsisStore::clone_store) handle of it
-    /// (ungated — the supervisor serializes access at its own epoch
-    /// barriers); a learning policy with no `store` gets a private
+    /// (pass an [`EpochEngine::gated_store`] handle to keep multi-worker
+    /// runs reproducible); a learning policy with no `store` gets a private
     /// warm-started store, and non-learning policies ignore `store`.
     pub fn replica_runner(
         &self,
         replica: usize,
         store: Option<&dyn SynopsisStore>,
-    ) -> ScenarioRunner<Box<dyn Healer>> {
+    ) -> ReplicaRunner {
         self.replica_runner_with(replica, None, None, store)
     }
 
@@ -738,7 +620,7 @@ impl FleetEngine {
         faults: Option<&FaultChoice>,
         workload: Option<&WorkloadChoice>,
         store: Option<&dyn SynopsisStore>,
-    ) -> ScenarioRunner<Box<dyn Healer>> {
+    ) -> ReplicaRunner {
         let config = &self.config;
         let workload_source = workload.unwrap_or(&config.workload).source_for_replica(
             split_seed(config.base_seed, replica as u64, SeedStream::Workload),
@@ -769,7 +651,7 @@ impl FleetEngine {
         workload: Box<dyn TraceSource>,
         faults: Box<dyn FaultSource>,
         store: Option<Box<dyn SynopsisStore>>,
-    ) -> ScenarioRunner<Box<dyn Healer>> {
+    ) -> ReplicaRunner {
         let config = &self.config;
         let mut service_config = config.service.clone();
         service_config.seed = split_seed(config.base_seed, replica as u64, SeedStream::Service);
@@ -829,63 +711,51 @@ impl FleetEngine {
         store
     }
 
-    /// Runs the fleet through the tick-sliced scheduler and aggregates the
-    /// results.  Replicas that panic mid-run surface as
+    /// Runs the fleet through the [`EpochEngine`] — insert the replicas,
+    /// advance slice by slice until the tick horizon, collect outcomes — and
+    /// aggregates the results.  Replicas that panic mid-run surface as
     /// [`FleetOutcome::errors`]; the survivors complete normally.
+    ///
+    /// # Panics
+    /// Panics when reactive engines are configured and the
+    /// [`slice`](FleetConfig::slice) does not divide
+    /// [`reactive::REACTIVE_PERIOD`].
     pub fn run(self) -> FleetOutcome {
         let config = &self.config;
         let store = self.build_shared_store();
-        let shape = FleetShape {
+        let schedule = config.events.resolve(&FleetShape {
             replicas: config.replicas,
             ticks: config.ticks,
             base_seed: config.base_seed,
-        };
-        let schedule = config.events.resolve(&shape);
-        let mut reactive = (!config.reactive.is_empty()).then(|| {
-            assert!(
-                reactive::REACTIVE_PERIOD.is_multiple_of(config.slice),
-                "reactive engines evaluate at {}-tick barriers, so the slice \
-                 ({}) must divide the reactive period — use a slice of 1, 2, \
-                 4, 8, 16, 32, or 64",
-                reactive::REACTIVE_PERIOD,
-                config.slice,
-            );
-            ReactiveContext::new(config.reactive.clone())
         });
-
         let workers = match config.mode {
-            ExecutionMode::Sequential => 1,
-            ExecutionMode::Parallel { threads } => threads
-                .unwrap_or_else(|| {
-                    thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                })
-                .clamp(1, config.replicas.max(1)),
+            ExecutionMode::Sequential => Some(1),
+            ExecutionMode::Parallel { threads } => threads,
         };
-        // The gate exists only when parallel workers could race on a shared
-        // store (and the config still wants reproducibility over raw
-        // throughput — see `FleetConfig::ungated`); a single sweeper
-        // already produces the reference order.
-        let gate = (workers > 1 && store.is_some() && config.gated)
-            .then(|| Arc::new(StoreGate::new(config.replicas)));
-
-        let runners: Vec<_> = (0..config.replicas)
-            .map(|r| self.build_replica(r, store.as_deref(), gate.as_ref()))
-            .collect();
+        let mut epochs = EpochEngine::new(workers).with_schedule(schedule);
+        epochs
+            .set_reactive(config.reactive.clone(), config.slice)
+            .unwrap_or_else(|message| panic!("{message}"));
+        for replica in 0..config.replicas {
+            // Store handles are gated only when parallel workers could race
+            // on a shared store; a single sweeper already produces the
+            // reference order.
+            let gated = store
+                .as_deref()
+                .filter(|_| workers != Some(1))
+                .map(|store| epochs.gated_store(store, replica));
+            let runner = self.replica_runner(replica, gated.as_deref().or(store.as_deref()));
+            epochs.insert(replica, runner);
+        }
 
         // lint:allow(nondeterminism): wall-clock duration is reported, not
         // simulated; fingerprints are computed from tick state alone.
         let start = Instant::now();
-        let results = scheduler::run_epochs(
-            runners,
-            config.ticks,
-            config.slice,
-            workers,
-            gate,
-            &schedule,
-            reactive.as_mut(),
-        );
+        let mut errors = Vec::new();
+        while epochs.tick() < config.ticks {
+            let results = epochs.advance(config.slice.min(config.ticks - epochs.tick()));
+            errors.extend(results.into_iter().filter_map(|(_, result)| result.err()));
+        }
         // The final drain is part of the run: flush *inside* the timed
         // region so throughput numbers include it.
         if let Some(store) = &store {
@@ -893,21 +763,20 @@ impl FleetEngine {
         }
         let wall = start.elapsed();
 
-        let mut replicas = Vec::with_capacity(results.len());
-        let mut errors = Vec::new();
-        for (replica, result) in results.into_iter().enumerate() {
-            match result {
-                Ok(outcome) => replicas.push(ReplicaOutcome { replica, outcome }),
-                Err(error) => errors.push(error),
-            }
-        }
+        errors.sort_by_key(|error| error.replica);
+        let replicas = (0..config.replicas)
+            .filter_map(|replica| {
+                let outcome = epochs.with_runner(replica, |runner| runner.outcome())?;
+                Some(ReplicaOutcome { replica, outcome })
+            })
+            .collect();
         FleetOutcome {
             replicas,
             errors,
             wall,
             mode: self.config.mode,
             store,
-            reactive_log: reactive.map(ReactiveContext::into_log).unwrap_or_default(),
+            reactive_log: epochs.take_reactive_log(),
         }
     }
 }
@@ -980,7 +849,7 @@ mod tests {
         let outcome = tiny_fleet()
             .ticks(250)
             .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-            .topology(LearningTopology::shared())
+            .learner(LearnerChoice::locked())
             .injections_per_replica(plan)
             .run();
         let store = outcome.store().expect("shared store present");
@@ -994,7 +863,7 @@ mod tests {
 
     #[test]
     fn non_learning_policies_ignore_the_shared_topology() {
-        let outcome = tiny_fleet().topology(LearningTopology::shared()).run();
+        let outcome = tiny_fleet().learner(LearnerChoice::locked()).run();
         assert!(outcome.store().is_none());
     }
 

@@ -460,7 +460,7 @@ pub struct ReactiveRecord {
     pub action: ReplicaAction,
 }
 
-/// The live reactive state one fleet run carries: the engines, the id
+/// The live reactive state an epoch engine carries: the engines, the id
 /// counter re-stamping their injections, and the emitted-action log.
 #[derive(Debug)]
 pub(crate) struct ReactiveContext {
@@ -469,13 +469,25 @@ pub(crate) struct ReactiveContext {
     log: Vec<ReactiveRecord>,
 }
 
-impl ReactiveContext {
-    pub(crate) fn new(plan: ReactivePlan) -> Self {
+impl Default for ReactiveContext {
+    fn default() -> Self {
         ReactiveContext {
-            events: plan.events,
+            events: Vec::new(),
             next_fault_id: REACTIVE_FAULT_ID_BASE,
             log: Vec::new(),
         }
+    }
+}
+
+impl ReactiveContext {
+    /// Swaps the engines; the id counter and the log carry over, so faults
+    /// injected by successive plans never share an id.
+    pub(crate) fn set_plan(&mut self, plan: ReactivePlan) {
+        self.events = plan.events;
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.events.is_empty()
     }
 
     /// Runs every engine against `view`, re-stamps injected fault ids, logs
@@ -506,8 +518,9 @@ impl ReactiveContext {
         resolved
     }
 
-    pub(crate) fn into_log(self) -> Vec<ReactiveRecord> {
-        self.log
+    /// Drains the emitted-action log.
+    pub(crate) fn take_log(&mut self) -> Vec<ReactiveRecord> {
+        std::mem::take(&mut self.log)
     }
 }
 
@@ -606,7 +619,8 @@ mod tests {
             plan.labels(),
             vec!["adversary_buffer_contention", "cascade_deadlocked_threads"]
         );
-        let mut context = ReactiveContext::new(plan);
+        let mut context = ReactiveContext::default();
+        context.set_plan(plan);
         let actions = context.evaluate(&view(0, &[1, 1]));
         // Adversary hits the tied weakest (replica 0); both replicas enter
         // episodes, so the cascade seeds both dependents.
@@ -628,7 +642,7 @@ mod tests {
                 REACTIVE_FAULT_ID_BASE + 2
             ]
         );
-        let log = context.into_log();
+        let log = context.take_log();
         assert_eq!(log.len(), 3);
         assert_eq!(log[0].event, "adversary_buffer_contention");
         assert_eq!(log[0].tick, 0);

@@ -1,58 +1,73 @@
-//! The tick-sliced fleet scheduler: worker threads advance every replica
-//! one tick-slice at a time through an epoch barrier.
+//! The epoch engine: a resident, id-keyed fleet of replica runners that a
+//! persistent worker pool advances one tick-slice at a time.
 //!
-//! The previous parallel engine ran each replica to completion on a worker
-//! thread, which made two things impossible: cross-replica events (by the
-//! time replica 7 started, replica 0 had already finished) and reproducible
-//! shared learning (the order replicas taught the shared store depended on
-//! thread scheduling).  The scheduler replaces it with a deterministic
-//! per-epoch sweep, the fleet analogue of a cyclic block-coordinate pass:
+//! Everything in the workspace that "advances N runners one epoch against a
+//! shared store" goes through [`EpochEngine::advance`]: the batch
+//! [`FleetEngine::run`](crate::FleetEngine::run) (insert the replicas,
+//! advance until the tick horizon, collect outcomes) and the resident
+//! daemon's supervisor (advance one slice per loop turn, fold the results
+//! into health and restart-with-backoff).  Membership, failure policy and
+//! horizon belong to the caller; the engine owns the sweep, the fleet
+//! analogue of a cyclic block-coordinate pass:
 //!
-//! * Time is cut into **epochs** of `slice` ticks (default 1).  Within an
-//!   epoch, workers claim replicas off an atomic counter in index order and
-//!   advance each claimed replica through the epoch's ticks; a barrier
-//!   separates epochs, so the whole fleet lives concurrently and no replica
-//!   ever runs more than `slice` ticks ahead of another.
+//! * Time is cut into **epochs**: one `advance(ticks)` call each.  Within an
+//!   epoch, workers claim replicas off an atomic counter in id order and
+//!   advance each claimed replica through the epoch's ticks; the calling
+//!   thread is the permanent barrier leader (it sweeps too), the helper
+//!   threads live across epochs, and between two `advance` calls nothing
+//!   runs — which is where the caller inserts, removes, swaps or inspects
+//!   runners.  No replica ever runs more than one slice ahead of another.
 //! * Cross-replica [`FleetEvent`](crate::events::FleetEvent)s are resolved
 //!   into per-replica actions up front and applied by whichever worker
 //!   steps the replica through the action's exact tick — event timing is
 //!   therefore independent of worker count *and* slice width.
 //! * With a fleet-shared store, every replica's store accesses go through a
-//!   store gate: replica `r`'s suggests/records wait until replicas
-//!   `0..r` have finished the current epoch.  The store therefore observes
-//!   *exactly* the sequential round-robin interleave, and a tick-sliced
-//!   parallel run is fingerprint-identical to `run_sequential` at any
-//!   worker count (`tests/scheduler.rs` asserts this) — while the
+//!   store gate keyed by the live replica ids: replica `r`'s
+//!   suggests/records wait until every live replica below `r` has finished
+//!   the current epoch.  The store therefore observes *exactly* the
+//!   sequential round-robin interleave, and a parallel run is
+//!   fingerprint-identical to a one-worker run at any worker count
+//!   (`tests/scheduler.rs` and `tests/daemon.rs` assert this) — while the
 //!   simulation work of gated replicas still overlaps (replica `r+1` can
 //!   serve traffic while replica `r` retrains).
-//! * A panicking replica no longer aborts the fleet: the panic is caught at
-//!   the slice boundary, surfaced as a [`ReplicaError`] in the fleet
-//!   outcome, and the survivors keep running (the replica slot is simply
-//!   retired).
+//! * A panicking replica does not abort the fleet: the panic is caught at
+//!   the slice boundary, the runner is dropped, the gate turn is handed on,
+//!   and `advance` reports a [`ReplicaError`] for that replica.  What
+//!   happens next is the caller's policy — the batch engine retires the
+//!   slot, the daemon inserts a rebuilt runner after a backoff.
+//! * Reactive engines ([`crate::reactive`]) are evaluated by the leader at
+//!   the start of every epoch whose first tick is a
+//!   [`REACTIVE_PERIOD`] multiple, and their actions apply from that tick.
 //!
-//! With `slice >= ticks` there is a single epoch and (for private learners)
-//! the scheduler degenerates to the old run-to-completion behaviour; shared
-//! stores keep the deterministic ordering at every slice width, because
-//! reproducible fleet learning is the point.
+//! With one `advance` spanning the whole run there is a single epoch and
+//! (for private learners) the engine degenerates to run-to-completion
+//! parallelism; shared stores keep the deterministic ordering at every
+//! slice width, because reproducible fleet learning is the point.
 
 use crate::events::{ActionSchedule, ReplicaAction};
-use crate::reactive::{FleetView, ReactiveContext, ReplicaView, REACTIVE_PERIOD};
+use crate::reactive::{
+    FleetView, ReactiveContext, ReactivePlan, ReactiveRecord, ReplicaView, REACTIVE_PERIOD,
+};
 use selfheal_core::snapshot::SynopsisSnapshot;
 use selfheal_core::store::SynopsisStore;
 use selfheal_core::synopsis::{Learner, SynopsisKind};
 use selfheal_faults::FixKind;
-use selfheal_sim::scenario::{Healer, ScenarioOutcome, ScenarioRunner};
-use std::collections::{BTreeMap, HashSet};
+use selfheal_sim::scenario::{Healer, ScenarioRunner};
+use std::collections::HashSet;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
-use std::thread;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{
+    Arc, Barrier, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard,
+    RwLockWriteGuard,
+};
+use std::thread::{self, JoinHandle};
 
-/// A replica that died mid-run: its index and the panic payload, surfaced
-/// in the fleet outcome instead of aborting the surviving replicas.
+/// A replica that died mid-run: its id and the panic payload, reported by
+/// [`EpochEngine::advance`] instead of aborting the surviving replicas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaError {
-    /// Index of the replica that failed.
+    /// Id of the replica that failed.
     pub replica: usize,
     /// Human-readable panic message.
     pub message: String,
@@ -66,10 +81,8 @@ impl std::fmt::Display for ReplicaError {
 
 impl std::error::Error for ReplicaError {}
 
-/// Extracts a printable message from a caught panic payload — shared with
-/// the resident daemon's supervisor, which catches replica panics the same
-/// way this scheduler does.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Extracts a printable message from a caught panic payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {
         (*message).to_string()
     } else if let Some(message) = payload.downcast_ref::<String>() {
@@ -79,66 +92,86 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Locks past poison: every panic the engine expects is caught before a
+/// guard drops, and one dead replica must never take the sweep down.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 // ---------------------------------------------------------------------------
 // StoreGate
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct GateState {
-    /// Smallest replica index whose current epoch slice is not yet
-    /// complete — the only replica allowed to touch the shared store.
-    next: usize,
+    /// The replica ids live this epoch, ascending.
+    live: Vec<usize>,
+    /// `done[i]`: `live[i]` has completed its slice.
     done: Vec<bool>,
+    /// Position in `live` of the first incomplete replica — the only one
+    /// allowed to touch the shared store.  Past the end between epochs: the
+    /// gate stands open.
+    next: usize,
+    /// Replicas parked in [`StoreGate::wait_for`]; nobody is woken (a
+    /// syscall per slice) while there are none.
+    waiting: usize,
 }
 
 /// Orders shared-store access within an epoch: replica `r` may touch the
-/// store only once replicas `0..r` have completed their slice, reproducing
-/// the sequential round-robin interleave under parallel execution.
-#[derive(Debug)]
-pub(crate) struct StoreGate {
+/// store only once every live replica below `r` has completed its slice,
+/// reproducing the sequential round-robin interleave under parallel
+/// execution.  Keyed by whichever ids are live, so removed, panicked and
+/// backed-off replicas never hold a turn.
+#[derive(Debug, Default)]
+struct StoreGate {
     state: Mutex<GateState>,
     turn: Condvar,
 }
 
 impl StoreGate {
-    pub(crate) fn new(replicas: usize) -> Self {
-        StoreGate {
-            state: Mutex::new(GateState {
-                next: 0,
-                done: vec![false; replicas],
-            }),
-            turn: Condvar::new(),
-        }
-    }
-
-    /// Blocks until every replica below `replica` has completed the current
-    /// epoch.  Called by [`GatedStore`] before each store operation; the
-    /// operations of the slice being stepped keep the turn (`next` stays at
-    /// `replica` until the slice completes).
+    /// Blocks until every live replica below `replica` has completed the
+    /// current epoch.  Called by [`GatedStore`] before each store operation;
+    /// the operations of the slice being stepped keep the turn (`next` stays
+    /// on `replica` until the slice completes).
     fn wait_for(&self, replica: usize) {
-        let mut state = self.state.lock().expect("store gate poisoned");
-        while state.next < replica {
-            state = self.turn.wait(state).expect("store gate poisoned");
+        let mut state = lock(&self.state);
+        while state.live.get(state.next).is_some_and(|id| *id < replica) {
+            state.waiting += 1;
+            state = self
+                .turn
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.waiting -= 1;
         }
     }
 
     /// Marks `replica`'s slice complete for this epoch and hands the turn
     /// to the next incomplete replica.
     fn complete(&self, replica: usize) {
-        let mut state = self.state.lock().expect("store gate poisoned");
-        state.done[replica] = true;
-        while state.next < state.done.len() && state.done[state.next] {
+        let mut state = lock(&self.state);
+        if let Ok(at) = state.live.binary_search(&replica) {
+            state.done[at] = true;
+        }
+        while state.done.get(state.next) == Some(&true) {
             state.next += 1;
         }
-        self.turn.notify_all();
+        if state.waiting > 0 {
+            self.turn.notify_all();
+        }
     }
 
-    /// Rearms the gate for the next epoch (called between the epoch
-    /// barriers, when no replica is stepping).
-    fn reset(&self) {
-        let mut state = self.state.lock().expect("store gate poisoned");
-        state.done.fill(false);
+    /// Arms the gate for an epoch over the `live` replica ids (ascending)
+    /// and returns how many there are.  Called by the leader between epochs,
+    /// when no replica is stepping.
+    fn arm(&self, live: impl Iterator<Item = usize>) -> usize {
+        let mut state = lock(&self.state);
+        let state = &mut *state;
+        state.live.clear();
+        state.live.extend(live);
+        state.done.clear();
+        state.done.resize(state.live.len(), false);
         state.next = 0;
+        state.live.len()
     }
 }
 
@@ -146,21 +179,11 @@ impl StoreGate {
 /// replica's turn (as defined by the [`StoreGate`]) before every learning
 /// operation, making parallel shared-store runs replay the sequential
 /// interleave exactly.  Lifecycle operations (flush, snapshot, restore) are
-/// not gated — the engine only calls them outside epochs.
-pub(crate) struct GatedStore {
+/// not gated — callers only use them between epochs.
+struct GatedStore {
     inner: Box<dyn SynopsisStore>,
     replica: usize,
     gate: Arc<StoreGate>,
-}
-
-impl GatedStore {
-    pub(crate) fn new(inner: Box<dyn SynopsisStore>, replica: usize, gate: Arc<StoreGate>) -> Self {
-        GatedStore {
-            inner,
-            replica,
-            gate,
-        }
-    }
 }
 
 impl std::fmt::Debug for GatedStore {
@@ -197,7 +220,7 @@ impl Learner for GatedStore {
     }
 }
 
-// lint:allow(choice-mirror): GatedStore is the scheduler-internal barrier
+// lint:allow(choice-mirror): GatedStore is the engine-internal barrier
 // wrapper around whichever store LearnerChoice built — it is plumbing, not
 // a configurable scenario, so it has no enum variant by design.
 impl SynopsisStore for GatedStore {
@@ -235,269 +258,408 @@ impl SynopsisStore for GatedStore {
 }
 
 // ---------------------------------------------------------------------------
-// The epoch loop
+// The epoch engine
 // ---------------------------------------------------------------------------
 
-/// One replica's slot: the live runner until it completes (or `None` plus
-/// an error once it has panicked), and the reactive actions scheduled
-/// against it for upcoming ticks.
+/// The runner type every slot holds.
+pub type ReplicaRunner = ScenarioRunner<Box<dyn Healer>>;
+
+/// One replica's slot.
 struct ReplicaSlot {
-    runner: Option<ScenarioRunner<Box<dyn Healer>>>,
-    error: Option<ReplicaError>,
-    pending: BTreeMap<u64, Vec<ReplicaAction>>,
+    /// The live runner; `None` once it has panicked, until the caller
+    /// inserts a replacement.
+    runner: Option<ReplicaRunner>,
+    /// The panic that retired the runner this epoch, until the leader
+    /// collects it.
+    panic: Option<String>,
+    /// Reactive actions to apply before the first tick of the next epoch.
+    pending: Vec<ReplicaAction>,
+    /// Replacement runners inserted into this slot so far.
+    restarts: u32,
 }
 
-/// Everything one worker needs to sweep epochs.
-struct SweepContext<'a> {
-    slots: &'a [Mutex<ReplicaSlot>],
-    next: &'a AtomicUsize,
-    gate: Option<&'a Arc<StoreGate>>,
-    schedule: &'a ActionSchedule,
-    ticks: u64,
-    slice: u64,
+/// The state the workers share for one epoch; the leader rewrites it only
+/// between epochs, while every helper is parked at the barrier.
+struct Fleet {
+    /// Slots in ascending id order (ids may be sparse).
+    slots: Vec<(usize, Mutex<ReplicaSlot>)>,
+    schedule: ActionSchedule,
+    /// The ticks of the current epoch.
+    window: Range<u64>,
 }
 
-impl SweepContext<'_> {
-    fn epochs(&self) -> u64 {
-        self.ticks.div_ceil(self.slice)
+impl Fleet {
+    fn slot(&self, replica: usize) -> Option<&Mutex<ReplicaSlot>> {
+        self.slots
+            .binary_search_by_key(&replica, |(id, _)| *id)
+            .ok()
+            .map(|at| &self.slots[at].1)
     }
 
-    /// Claims and advances replicas through epoch `epoch` until the counter
-    /// runs dry.  Panics inside a replica's step are caught here and retire
-    /// the slot; the gate turn is always handed on so siblings never stall
-    /// behind a dead replica.
-    fn sweep_epoch(&self, epoch: u64) {
-        let start = epoch * self.slice;
-        let end = (start + self.slice).min(self.ticks);
-        loop {
-            let replica = self.next.fetch_add(1, Ordering::SeqCst);
-            if replica >= self.slots.len() {
-                break;
-            }
-            // `into_inner` on poison: a slot mutex can only be poisoned by a
-            // panic in this very function, which catch_unwind below already
-            // contains — but never let one dead replica take down the sweep.
-            let mut slot = self.slots[replica]
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if let Some(mut runner) = slot.runner.take() {
-                // Reactive actions due inside this epoch window (barrier
-                // evaluation only ever schedules into the next window, so
-                // nothing earlier can be pending).
-                let later = slot.pending.split_off(&end);
-                let mut due = std::mem::replace(&mut slot.pending, later);
-                let stepped = catch_unwind(AssertUnwindSafe(|| {
-                    for tick in start..end {
-                        let reactive = due.remove(&tick).unwrap_or_default();
-                        for action in self
-                            .schedule
-                            .actions_for(replica, tick)
-                            .iter()
-                            .chain(reactive.iter())
-                        {
-                            match action {
-                                ReplicaAction::Inject(fault) => runner.inject(fault.clone()),
-                                ReplicaAction::Surge { factor, until_tick } => {
-                                    runner.apply_surge(*factor, *until_tick)
-                                }
-                            }
+    /// Builds the [`FleetView`] the reactive engines observe at a barrier —
+    /// a pure function of the run so far.  Indexed by replica id: ids
+    /// without a live runner (removed, panicked, in backoff) read as
+    /// retired.
+    fn view(&self, tick: u64) -> FleetView {
+        let len = self.slots.last().map_or(0, |(id, _)| id + 1);
+        let mut replicas: Vec<ReplicaView> = (0..len).map(ReplicaView::retired).collect();
+        for (id, slot) in &self.slots {
+            let slot = lock(slot);
+            let Some(runner) = &slot.runner else { continue };
+            let recovery = runner.recovery();
+            let recent: Vec<u64> = recovery
+                .episodes()
+                .iter()
+                .rev()
+                .filter_map(|e| e.recovery_ticks())
+                .take(5)
+                .collect();
+            replicas[*id] = ReplicaView {
+                replica: *id,
+                ticks: runner.ticks_run(),
+                retired: false,
+                open_episodes: usize::from(recovery.in_episode()),
+                episodes: recovery.len(),
+                recent_mean_recovery: (!recent.is_empty())
+                    .then(|| recent.iter().sum::<u64>() as f64 / recent.len() as f64),
+                fixes_initiated: runner.fixes_initiated(),
+                restarts: slot.restarts,
+            };
+        }
+        FleetView { tick, replicas }
+    }
+}
+
+fn apply(runner: &mut ReplicaRunner, action: &ReplicaAction) {
+    match action {
+        ReplicaAction::Inject(fault) => runner.inject(fault.clone()),
+        ReplicaAction::Surge { factor, until_tick } => runner.apply_surge(*factor, *until_tick),
+    }
+}
+
+/// What the leader and the helper threads share.
+struct Shared {
+    fleet: RwLock<Fleet>,
+    /// The epoch's claim counter: an index into `Fleet::slots`.
+    next: AtomicUsize,
+    gate: Arc<StoreGate>,
+    /// Tells helpers released from the barrier to exit instead of sweeping.
+    stop: AtomicBool,
+}
+
+impl Shared {
+    fn fleet(&self) -> RwLockReadGuard<'_, Fleet> {
+        self.fleet.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn fleet_mut(&self) -> RwLockWriteGuard<'_, Fleet> {
+        self.fleet.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims and advances replicas through the current epoch window until
+    /// the counter runs dry.  Panics inside a replica's step are caught here
+    /// — the one place the workspace steps a runner inside `catch_unwind` —
+    /// and the gate turn is always handed on, so siblings never stall behind
+    /// a dead replica.
+    fn sweep(&self) {
+        let fleet = self.fleet();
+        let window = fleet.window.clone();
+        while let Some((id, slot)) = fleet.slots.get(self.next.fetch_add(1, Ordering::SeqCst)) {
+            let mut slot = lock(slot);
+            let ReplicaSlot {
+                runner,
+                panic,
+                pending,
+                ..
+            } = &mut *slot;
+            let Some(live) = runner.as_mut() else {
+                continue;
+            };
+            let reactive = std::mem::take(pending);
+            let stepped = catch_unwind(AssertUnwindSafe(|| {
+                for tick in window.clone() {
+                    for action in fleet.schedule.actions_for(*id, tick) {
+                        apply(live, action);
+                    }
+                    if tick == window.start {
+                        for action in &reactive {
+                            apply(live, action);
                         }
-                        runner.step();
                     }
-                    runner
-                }));
-                match stepped {
-                    Ok(runner) => slot.runner = Some(runner),
-                    Err(payload) => {
-                        slot.error = Some(ReplicaError {
-                            replica,
-                            message: panic_message(payload),
-                        });
-                    }
+                    live.step();
                 }
+            }));
+            if let Err(payload) = stepped {
+                // The runner may be mid-tick inconsistent; drop the whole
+                // incarnation.
+                *runner = None;
+                *panic = Some(panic_message(payload));
             }
             drop(slot);
-            if let Some(gate) = self.gate {
-                gate.complete(replica);
-            }
+            self.gate.complete(*id);
         }
     }
 }
 
-/// Builds the [`FleetView`] the reactive engines observe at a barrier:
-/// every live replica has completed exactly `tick` ticks, so the view is a
-/// pure function of the run so far.  Called only between epochs (no worker
-/// holds a slot lock).
-fn fleet_view(slots: &[Mutex<ReplicaSlot>], tick: u64) -> FleetView {
-    let replicas = slots
-        .iter()
-        .enumerate()
-        .map(|(replica, slot)| {
-            let slot = slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            match &slot.runner {
-                Some(runner) => {
-                    let recovery = runner.recovery();
-                    let recent: Vec<u64> = recovery
-                        .episodes()
-                        .iter()
-                        .rev()
-                        .filter_map(|e| e.recovery_ticks())
-                        .take(5)
-                        .collect();
-                    ReplicaView {
-                        replica,
-                        ticks: runner.ticks_run(),
-                        retired: false,
-                        open_episodes: usize::from(recovery.in_episode()),
-                        episodes: recovery.len(),
-                        recent_mean_recovery: (!recent.is_empty())
-                            .then(|| recent.iter().sum::<u64>() as f64 / recent.len() as f64),
-                        fixes_initiated: runner.fixes_initiated(),
+fn helper_loop(shared: &Shared, barrier: &Barrier) {
+    loop {
+        barrier.wait();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        shared.sweep();
+        barrier.wait();
+    }
+}
+
+/// The one epoch engine (see the [module docs](self)): slots keyed by
+/// replica id, a worker pool that lives across epochs, the store gate, and
+/// the reactive context — behind a single [`advance`](Self::advance).
+pub struct EpochEngine {
+    shared: Arc<Shared>,
+    helpers: Vec<JoinHandle<()>>,
+    /// Two-phase epoch barrier over the helpers plus the calling thread.
+    barrier: Arc<Barrier>,
+    max_workers: usize,
+    tick: u64,
+    reactive: ReactiveContext,
+}
+
+impl std::fmt::Debug for EpochEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EpochEngine")
+            .field("tick", &self.tick)
+            .field("workers", &(self.helpers.len() + 1))
+            .finish_non_exhaustive()
+    }
+}
+
+impl EpochEngine {
+    /// An empty engine at tick 0 that sweeps on at most `max_workers` OS
+    /// threads (`None` = one per available core; the calling thread counts,
+    /// and each epoch uses no more workers than it has live replicas).
+    pub fn new(max_workers: Option<usize>) -> Self {
+        let max_workers = max_workers.unwrap_or_else(|| {
+            thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
+        EpochEngine {
+            shared: Arc::new(Shared {
+                fleet: RwLock::new(Fleet {
+                    slots: Vec::new(),
+                    schedule: ActionSchedule::default(),
+                    window: 0..0,
+                }),
+                next: AtomicUsize::new(0),
+                gate: Arc::default(),
+                stop: AtomicBool::new(false),
+            }),
+            helpers: Vec::new(),
+            barrier: Arc::new(Barrier::new(1)),
+            max_workers: max_workers.max(1),
+            tick: 0,
+            reactive: ReactiveContext::default(),
+        }
+    }
+
+    /// Installs the resolved cross-replica event schedule.
+    pub(crate) fn with_schedule(self, schedule: ActionSchedule) -> Self {
+        self.shared.fleet_mut().schedule = schedule;
+        self
+    }
+
+    /// Ticks advanced so far: the first tick of the next epoch.
+    pub fn tick(&self) -> u64 {
+        self.tick
+    }
+
+    /// A handle to `store` for replica `replica`'s healer whose learning
+    /// operations wait for the replica's turn in the epoch's id order.
+    pub fn gated_store(&self, store: &dyn SynopsisStore, replica: usize) -> Box<dyn SynopsisStore> {
+        Box::new(GatedStore {
+            inner: store.clone_store(),
+            replica,
+            gate: Arc::clone(&self.shared.gate),
+        })
+    }
+
+    /// Puts `runner` into slot `replica`, replacing (and counting as a
+    /// restart of) whatever the slot held.
+    pub fn insert(&mut self, replica: usize, runner: ReplicaRunner) {
+        let mut fleet = self.shared.fleet_mut();
+        match fleet.slots.binary_search_by_key(&replica, |(id, _)| *id) {
+            Ok(at) => {
+                let mut slot = lock(&fleet.slots[at].1);
+                slot.runner = Some(runner);
+                slot.pending.clear();
+                slot.restarts += 1;
+            }
+            Err(at) => fleet.slots.insert(
+                at,
+                (
+                    replica,
+                    Mutex::new(ReplicaSlot {
+                        runner: Some(runner),
+                        panic: None,
+                        pending: Vec::new(),
                         restarts: 0,
+                    }),
+                ),
+            ),
+        }
+    }
+
+    /// Drops slot `replica` and its runner.
+    pub fn remove(&mut self, replica: usize) {
+        self.shared
+            .fleet_mut()
+            .slots
+            .retain(|(id, _)| *id != replica);
+    }
+
+    /// Runs `f` on the live runner in slot `replica`; `None` when the slot
+    /// is absent or its runner has panicked.
+    pub fn with_runner<R>(
+        &self,
+        replica: usize,
+        f: impl FnOnce(&mut ReplicaRunner) -> R,
+    ) -> Option<R> {
+        let fleet = self.shared.fleet();
+        let mut slot = lock(fleet.slot(replica)?);
+        slot.runner.as_mut().map(f)
+    }
+
+    /// Replaces the reactive engines (an empty plan switches them off); the
+    /// fault-id counter and the action log carry over.  `slice` is the epoch
+    /// width the caller advances by: it must divide [`REACTIVE_PERIOD`], or
+    /// runs of different slice widths would observe different views.
+    pub fn set_reactive(&mut self, plan: ReactivePlan, slice: u64) -> Result<(), String> {
+        if !plan.is_empty() && !REACTIVE_PERIOD.is_multiple_of(slice.max(1)) {
+            return Err(format!(
+                "reactive engines evaluate at {REACTIVE_PERIOD}-tick barriers, so the slice \
+                 ({slice}) must divide the reactive period — use a slice of 1, 2, 4, 8, 16, \
+                 32, or 64"
+            ));
+        }
+        self.reactive.set_plan(plan);
+        Ok(())
+    }
+
+    /// Drains the log of actions the reactive engines emitted since the
+    /// last call, in emission order.
+    pub fn take_reactive_log(&mut self) -> Vec<ReactiveRecord> {
+        self.reactive.take_log()
+    }
+
+    /// Advances every live replica `ticks` ticks — one epoch — and returns
+    /// one entry per replica that was live when the epoch began, in id
+    /// order: `Ok` when it completed the slice, the [`ReplicaError`]
+    /// describing the panic that killed its runner otherwise.
+    pub fn advance(&mut self, ticks: u64) -> Vec<(usize, Result<(), ReplicaError>)> {
+        let start = self.tick;
+        let mut fleet = self.shared.fleet_mut();
+        fleet.window = start..start + ticks;
+        // The reactive barrier: the engines see the fleet as the previous
+        // epoch left it (untouched at tick 0) and act from this tick on.
+        if !self.reactive.is_empty() && start.is_multiple_of(REACTIVE_PERIOD) {
+            let view = fleet.view(start);
+            for (replica, action) in self.reactive.evaluate(&view) {
+                if let Some(slot) = fleet.slot(replica) {
+                    let mut slot = lock(slot);
+                    if slot.runner.is_some() {
+                        slot.pending.push(action);
                     }
                 }
-                None => ReplicaView::retired(replica),
-            }
-        })
-        .collect();
-    FleetView { tick, replicas }
-}
-
-/// One reactive barrier: observe the fleet, run the engines, and schedule
-/// the emitted actions into the target replicas' pending maps (they apply
-/// from `tick`, the first tick of the next epoch window).
-fn evaluate_reactive(reactive: &mut ReactiveContext, slots: &[Mutex<ReplicaSlot>], tick: u64) {
-    let view = fleet_view(slots, tick);
-    for (replica, action) in reactive.evaluate(&view) {
-        let mut slot = slots[replica]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        slot.pending.entry(tick).or_default().push(action);
-    }
-}
-
-/// Drives `runners` for `ticks` ticks in epochs of `slice` ticks across
-/// `workers` OS threads (1 = the calling thread, no spawning), applying the
-/// resolved event `schedule` at exact ticks and serializing shared-store
-/// access through `gate` when one is given.
-///
-/// When a `reactive` context is given, its engines are evaluated at tick 0
-/// and at every epoch barrier landing on a [`REACTIVE_PERIOD`] multiple —
-/// the caller must ensure `slice` divides the period so slice-1 and
-/// slice-64 runs observe identical view sequences.
-///
-/// Returns one entry per replica, in index order: the outcome, or the
-/// [`ReplicaError`] describing the panic that retired it.
-pub(crate) fn run_epochs(
-    runners: Vec<ScenarioRunner<Box<dyn Healer>>>,
-    ticks: u64,
-    slice: u64,
-    workers: usize,
-    gate: Option<Arc<StoreGate>>,
-    schedule: &ActionSchedule,
-    mut reactive: Option<&mut ReactiveContext>,
-) -> Vec<Result<ScenarioOutcome, ReplicaError>> {
-    let slots: Vec<Mutex<ReplicaSlot>> = runners
-        .into_iter()
-        .map(|runner| {
-            Mutex::new(ReplicaSlot {
-                runner: Some(runner),
-                error: None,
-                pending: BTreeMap::new(),
-            })
-        })
-        .collect();
-    let next = AtomicUsize::new(0);
-    let context = SweepContext {
-        slots: &slots,
-        next: &next,
-        gate: gate.as_ref(),
-        schedule,
-        ticks,
-        slice: slice.max(1),
-    };
-
-    // Initial reactive barrier: the engines see the untouched fleet at tick
-    // 0 and may act from the very first tick.
-    if let Some(reactive) = reactive.as_deref_mut() {
-        evaluate_reactive(reactive, &slots, 0);
-    }
-    // The barrier tick reached after `epoch` completes; reactive engines
-    // run there only on REACTIVE_PERIOD multiples strictly inside the run.
-    let reactive_due = |epoch: u64| {
-        let tick = ((epoch + 1) * context.slice).min(ticks);
-        (tick < ticks && tick.is_multiple_of(REACTIVE_PERIOD)).then_some(tick)
-    };
-
-    let workers = workers.clamp(1, slots.len().max(1));
-    if workers == 1 {
-        // The sequential interleaver: one sweep per epoch on the calling
-        // thread, no barrier needed.
-        for epoch in 0..context.epochs() {
-            context.sweep_epoch(epoch);
-            next.store(0, Ordering::SeqCst);
-            if let Some(gate) = &gate {
-                gate.reset();
-            }
-            if let (Some(reactive), Some(tick)) = (reactive.as_deref_mut(), reactive_due(epoch)) {
-                evaluate_reactive(reactive, &slots, tick);
             }
         }
-    } else {
-        let barrier = Barrier::new(workers);
-        let reactive_cell = Mutex::new(reactive);
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    for epoch in 0..context.epochs() {
-                        context.sweep_epoch(epoch);
-                        // Two-phase barrier: everyone finishes the epoch,
-                        // the leader rearms the claim counter and the gate
-                        // and runs the reactive engines (every worker is
-                        // parked at the second wait, so the fleet state is
-                        // frozen), then everyone enters the next epoch.
-                        if barrier.wait().is_leader() {
-                            next.store(0, Ordering::SeqCst);
-                            if let Some(gate) = context.gate {
-                                gate.reset();
-                            }
-                            let mut guard = reactive_cell
-                                .lock()
-                                .unwrap_or_else(|poisoned| poisoned.into_inner());
-                            if let (Some(reactive), Some(tick)) =
-                                (guard.as_deref_mut(), reactive_due(epoch))
-                            {
-                                evaluate_reactive(reactive, &slots, tick);
-                            }
-                        }
-                        barrier.wait();
-                    }
-                });
-            }
-        });
+        let live = self.shared.gate.arm(
+            fleet
+                .slots
+                .iter()
+                .filter(|(_, slot)| lock(slot).runner.is_some())
+                .map(|(id, _)| *id),
+        );
+        drop(fleet);
+
+        self.shared.next.store(0, Ordering::SeqCst);
+        self.resize_pool(self.max_workers.min(live).max(1) - 1);
+        if self.helpers.is_empty() {
+            self.shared.sweep();
+        } else {
+            // Two-phase barrier: release the helpers into the epoch, sweep
+            // beside them, then wait until the last one has run dry.
+            self.barrier.wait();
+            self.shared.sweep();
+            self.barrier.wait();
+        }
+        self.tick += ticks;
+
+        let fleet = self.shared.fleet();
+        fleet
+            .slots
+            .iter()
+            .filter_map(|(id, slot)| {
+                let mut slot = lock(slot);
+                match slot.panic.take() {
+                    Some(message) => Some((
+                        *id,
+                        Err(ReplicaError {
+                            replica: *id,
+                            message,
+                        }),
+                    )),
+                    None => slot.runner.is_some().then_some((*id, Ok(()))),
+                }
+            })
+            .collect()
     }
 
-    slots
-        .into_iter()
-        .map(|slot| {
-            let slot = slot
-                .into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            match (slot.runner, slot.error) {
-                (Some(runner), _) => Ok(runner.outcome()),
-                (None, Some(error)) => Err(error),
-                (None, None) => unreachable!("a replica is either live or errored"),
-            }
-        })
-        .collect()
+    /// Brings the helper pool to `wanted` threads (membership changes are
+    /// rare, so the pool is simply rebuilt when the count moves).
+    fn resize_pool(&mut self, wanted: usize) {
+        if self.helpers.len() == wanted {
+            return;
+        }
+        self.stop_pool();
+        self.barrier = Arc::new(Barrier::new(wanted + 1));
+        self.helpers = (0..wanted)
+            .map(|_| {
+                let shared = Arc::clone(&self.shared);
+                let barrier = Arc::clone(&self.barrier);
+                thread::Builder::new()
+                    .name("epoch-worker".to_string())
+                    .spawn(move || helper_loop(&shared, &barrier))
+                    .expect("cannot spawn an epoch worker thread")
+            })
+            .collect();
+    }
+
+    fn stop_pool(&mut self) {
+        if self.helpers.is_empty() {
+            return;
+        }
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.barrier.wait();
+        for helper in self.helpers.drain(..) {
+            let _ = helper.join();
+        }
+        self.shared.stop.store(false, Ordering::SeqCst);
+    }
+}
+
+impl Drop for EpochEngine {
+    fn drop(&mut self) {
+        self.stop_pool();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::EventPlan;
     use selfheal_core::store::LockedStore;
     use selfheal_faults::{FixAction, InjectionPlan};
+    use selfheal_sim::scenario::NoHealing;
     use selfheal_sim::service::TickOutcome;
     use selfheal_sim::{MultiTierService, ServiceConfig};
     use selfheal_workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
@@ -523,7 +685,7 @@ mod tests {
         }
     }
 
-    fn runner(healer: Box<dyn Healer>) -> ScenarioRunner<Box<dyn Healer>> {
+    fn runner(healer: Box<dyn Healer>) -> ReplicaRunner {
         let service = MultiTierService::new(ServiceConfig::tiny());
         let workload = TraceGenerator::new(
             WorkloadMix::bidding(),
@@ -533,31 +695,37 @@ mod tests {
         ScenarioRunner::new(service, workload, InjectionPlan::empty(), healer)
     }
 
-    fn empty_schedule(replicas: usize) -> ActionSchedule {
-        EventPlan::new().resolve(&crate::events::FleetShape {
-            replicas,
-            ticks: 100,
-            base_seed: 0,
-        })
+    /// Advances `engine` to `ticks` in `slice`-tick epochs; returns every
+    /// error reported on the way.
+    fn drive(engine: &mut EpochEngine, ticks: u64, slice: u64) -> Vec<ReplicaError> {
+        let mut errors = Vec::new();
+        while engine.tick() < ticks {
+            let results = engine.advance(slice.min(ticks - engine.tick()));
+            errors.extend(results.into_iter().filter_map(|(_, result)| result.err()));
+        }
+        errors
+    }
+
+    fn ticks_run(engine: &EpochEngine, replica: usize) -> Option<u64> {
+        engine.with_runner(replica, |runner| runner.ticks_run())
     }
 
     #[test]
     fn a_panicking_replica_is_retired_without_aborting_the_fleet() {
-        let runners = vec![
-            runner(Box::new(selfheal_sim::scenario::NoHealing)),
-            runner(Box::new(PanicAt { tick: 13, seen: 0 })),
-            runner(Box::new(selfheal_sim::scenario::NoHealing)),
-        ];
-        let results = run_epochs(runners, 40, 1, 2, None, &empty_schedule(3), None);
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0].as_ref().unwrap().ticks, 40, "survivor 0 ran on");
-        assert_eq!(results[2].as_ref().unwrap().ticks, 40, "survivor 2 ran on");
-        let error = results[1].as_ref().unwrap_err();
-        assert_eq!(error.replica, 1);
+        let mut engine = EpochEngine::new(Some(2));
+        engine.insert(0, runner(Box::new(NoHealing)));
+        engine.insert(1, runner(Box::new(PanicAt { tick: 13, seen: 0 })));
+        engine.insert(2, runner(Box::new(NoHealing)));
+        let errors = drive(&mut engine, 40, 1);
+        assert_eq!(ticks_run(&engine, 0), Some(40), "survivor 0 ran on");
+        assert_eq!(ticks_run(&engine, 2), Some(40), "survivor 2 ran on");
+        assert_eq!(ticks_run(&engine, 1), None, "the dead runner is gone");
+        assert_eq!(errors.len(), 1, "reported once, in the epoch it died");
+        assert_eq!(errors[0].replica, 1);
         assert!(
-            error.message.contains("synthetic replica failure"),
+            errors[0].message.contains("synthetic replica failure"),
             "panic payload surfaced: {}",
-            error.message
+            errors[0].message
         );
     }
 
@@ -565,7 +733,6 @@ mod tests {
     /// case for a gate that fails to hand the turn past a dead replica.
     struct TouchStore {
         store: Box<dyn SynopsisStore>,
-        touches: u64,
     }
 
     impl Healer for TouchStore {
@@ -575,54 +742,68 @@ mod tests {
 
         fn observe(&mut self, _outcome: &TickOutcome) -> Vec<FixAction> {
             let _ = self.store.suggest(&[1.0, 2.0, 3.0]);
-            self.touches += 1;
             Vec::new()
         }
     }
 
     #[test]
     fn a_panicking_replica_does_not_stall_gated_siblings() {
-        let gate = Arc::new(StoreGate::new(3));
         let store = LockedStore::new(SynopsisKind::NearestNeighbor);
-        let runners = (0..3)
-            .map(|replica| {
-                if replica == 0 {
-                    runner(Box::new(PanicAt { tick: 5, seen: 0 }))
-                } else {
-                    // Survivors consult the gated store every single tick:
-                    // if the dead replica kept the turn, they would block
-                    // forever and this test would hang.
-                    runner(Box::new(TouchStore {
-                        store: Box::new(GatedStore::new(
-                            Box::new(store.clone()),
-                            replica,
-                            Arc::clone(&gate),
-                        )),
-                        touches: 0,
-                    }))
-                }
-            })
-            .collect();
-        let results = run_epochs(
-            runners,
-            30,
-            1,
-            3,
-            Some(Arc::clone(&gate)),
-            &empty_schedule(3),
-            None,
-        );
-        assert!(results[0].is_err());
-        assert_eq!(results[1].as_ref().unwrap().ticks, 30);
-        assert_eq!(results[2].as_ref().unwrap().ticks, 30);
+        let mut engine = EpochEngine::new(Some(3));
+        // Sparse ids: the gate is keyed by whichever ids are live, not by
+        // `0..n`.  Survivors consult the gated store every single tick: if
+        // the dead replica kept the turn, they would block forever and this
+        // test would hang.
+        engine.insert(2, runner(Box::new(PanicAt { tick: 5, seen: 0 })));
+        for replica in [5, 9] {
+            let store = engine.gated_store(&store, replica);
+            engine.insert(replica, runner(Box::new(TouchStore { store })));
+        }
+        let errors = drive(&mut engine, 30, 1);
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].replica, 2);
+        assert_eq!(ticks_run(&engine, 5), Some(30));
+        assert_eq!(ticks_run(&engine, 9), Some(30));
+
+        // A replacement in the dead slot takes its turn again (first in id
+        // order), a removed sibling is passed over, and a late joiner with
+        // the highest id goes last.
+        engine.insert(2, runner(Box::new(NoHealing)));
+        engine.remove(5);
+        let late = engine.gated_store(&store, 11);
+        engine.insert(11, runner(Box::new(TouchStore { store: late })));
+        assert!(drive(&mut engine, 50, 1).is_empty());
+        assert_eq!(ticks_run(&engine, 2), Some(20));
+        assert_eq!(ticks_run(&engine, 5), None);
+        assert_eq!(ticks_run(&engine, 9), Some(50));
+        assert_eq!(ticks_run(&engine, 11), Some(20));
     }
 
     #[test]
     fn slice_widths_partition_the_run_exactly() {
         for slice in [1, 7, 64, 1000] {
-            let runners = vec![runner(Box::new(selfheal_sim::scenario::NoHealing))];
-            let results = run_epochs(runners, 50, slice, 1, None, &empty_schedule(1), None);
-            assert_eq!(results[0].as_ref().unwrap().ticks, 50, "slice {slice}");
+            let mut engine = EpochEngine::new(Some(1));
+            engine.insert(0, runner(Box::new(NoHealing)));
+            assert!(drive(&mut engine, 50, slice).is_empty());
+            assert_eq!(ticks_run(&engine, 0), Some(50), "slice {slice}");
         }
+    }
+
+    #[test]
+    fn reactive_plans_reject_a_slice_that_does_not_divide_the_period() {
+        use crate::reactive::AdversarySource;
+        use selfheal_faults::FaultKind;
+        let plan = || {
+            ReactivePlan::new().with(AdversarySource::new(
+                FaultKind::BufferContention,
+                0.9,
+                0,
+                u64::MAX,
+            ))
+        };
+        let mut engine = EpochEngine::new(Some(1));
+        assert!(engine.set_reactive(plan(), 48).is_err());
+        assert!(engine.set_reactive(ReactivePlan::new(), 48).is_ok(), "off");
+        assert!(engine.set_reactive(plan(), 32).is_ok());
     }
 }

@@ -133,10 +133,9 @@ impl ScenarioOutcome {
 /// [`ScenarioRunner::outcome`] snapshot whenever it likes.
 ///
 /// Faults enter the run through a pluggable [`FaultSource`] — a scripted
-/// [`InjectionPlan`] (via the [`ScenarioRunner::new`] /
-/// [`ScenarioRunner::with_source`] shims), stochastic demographic
-/// generation, a catalog sweep, or any custom implementation handed to
-/// [`ScenarioRunner::with_faults`].
+/// [`InjectionPlan`] (via the [`ScenarioRunner::new`] shim), stochastic
+/// demographic generation, a catalog sweep, or any custom implementation
+/// handed to [`ScenarioRunner::with_faults`].
 pub struct ScenarioRunner<H: Healer> {
     service: MultiTierService,
     workload: Box<dyn TraceSource>,
@@ -166,23 +165,6 @@ impl<H: Healer> ScenarioRunner<H> {
         Self::with_faults(
             service,
             Box::new(workload),
-            Box::new(ScriptedSource::new(injections)),
-            healer,
-        )
-    }
-
-    /// Creates a runner from an already-boxed workload source and a
-    /// scripted [`InjectionPlan`] (shim over
-    /// [`ScenarioRunner::with_faults`]).
-    pub fn with_source(
-        service: MultiTierService,
-        workload: Box<dyn TraceSource>,
-        injections: InjectionPlan,
-        healer: H,
-    ) -> Self {
-        Self::with_faults(
-            service,
-            workload,
             Box::new(ScriptedSource::new(injections)),
             healer,
         )

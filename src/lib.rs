@@ -24,18 +24,21 @@
 //!   API (private, lock-shared, or sharded by symptom-space region, all
 //!   persistable to JSON-lines for warm starts), hybrid and proactive
 //!   policies, the healing-loop harness (the paper's contribution).
-//! * [`daemon`] — the resident fleet daemon: supervised replica actors
-//!   with bounded restart-with-backoff, a line-oriented control plane over
-//!   a Unix domain socket (`selfheal-daemon` / `selfheal-ctl` binaries),
-//!   live synopsis queries, multi-tenant fleets with per-tenant snapshot
-//!   logs, and crash-restart durability via the incremental snapshot log.
+//! * [`daemon`] — the resident fleet daemon: supervised replicas in the
+//!   fleet crate's shared epoch engine (so a tenant replays the batch fleet
+//!   bit for bit) with bounded restart-with-backoff, a line-oriented control
+//!   plane over a Unix domain socket (`selfheal-daemon` / `selfheal-ctl`
+//!   binaries), live synopsis queries, multi-tenant fleets with per-tenant
+//!   snapshot logs, and crash-restart durability via the incremental
+//!   snapshot log.
 //! * [`gateway`] — the HTTP/JSON serving layer over the daemon: a
 //!   hand-rolled HTTP/1.1 server (`selfheal-gateway` / `selfheal-http`
 //!   binaries) mapping REST-ish routes onto the control-plane commands,
 //!   with bearer-token auth scoped per tenant and a chunked JSON-lines
 //!   metrics stream.
 //! * [`fleet`] — the fleet engine: N independently-seeded replicas driven
-//!   by a tick-sliced epoch scheduler, coordinating through one shared
+//!   by the one tick-sliced epoch engine (batch runs and the daemon's
+//!   supervisor both advance it), coordinating through one shared
 //!   synopsis store (access gated into the sequential interleave, so even
 //!   parallel fleets are bit-reproducible) so every instance benefits from
 //!   failures any sibling already healed — including failures healed by a
@@ -64,8 +67,8 @@
 //! ## Quickstart: a fleet with shared learning
 //!
 //! ```
-//! use selfheal::fleet::{FleetConfig, LearningTopology};
-//! use selfheal::healing::harness::PolicyChoice;
+//! use selfheal::fleet::FleetConfig;
+//! use selfheal::healing::harness::{LearnerChoice, PolicyChoice};
 //! use selfheal::healing::synopsis::SynopsisKind;
 //! use selfheal::sim::ServiceConfig;
 //!
@@ -74,7 +77,7 @@
 //!     .replicas(8)
 //!     .ticks(150)
 //!     .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-//!     .topology(LearningTopology::shared())
+//!     .learner(LearnerChoice::locked())
 //!     .run();
 //! assert_eq!(outcome.replicas().len(), 8);
 //! assert!(outcome.goodput_fraction() > 0.9);

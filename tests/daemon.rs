@@ -1,20 +1,23 @@
 //! Integration tests for the resident fleet daemon: supervisor
-//! restart-with-backoff, crash-restart durability through the incremental
-//! snapshot log, and a scripted end-to-end daemon session over the
-//! control-plane socket.
+//! restart-with-backoff, daemon ≡ batch fingerprint pins, crash-restart
+//! durability through the incremental snapshot log, and a scripted
+//! end-to-end daemon session over the control-plane socket.
 
 use selfheal::daemon::protocol::send_command;
 use selfheal::daemon::{Daemon, DaemonConfig, DaemonOptions, ReplicaSpec, Supervisor};
-use selfheal::faults::{FixAction, InjectionPlan};
+use selfheal::faults::{FaultKind, FixAction, InjectionPlan};
+use selfheal::fleet::{ExecutionMode, FleetConfig};
+use selfheal::healing::harness::ReactiveChoice;
 use selfheal::healing::snapshot::SynopsisSnapshot;
-use selfheal::sim::scenario::{Healer, NoHealing, ScenarioRunner};
+use selfheal::healing::store::SynopsisStore;
+use selfheal::sim::scenario::{Healer, ScenarioRunner};
 use selfheal::sim::service::TickOutcome;
 use selfheal::sim::{MultiTierService, ServiceConfig};
 use selfheal::telemetry::ReplicaState;
 use selfheal::workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -63,6 +66,27 @@ impl Healer for PanicAt {
     }
 }
 
+/// A healer that consults its (gated) store on every tick and logs its
+/// replica id once the store has answered — the log is the order in which
+/// the gate let replicas through.
+struct TouchStore {
+    id: usize,
+    store: Box<dyn SynopsisStore>,
+    order: Arc<Mutex<Vec<usize>>>,
+}
+
+impl Healer for TouchStore {
+    fn name(&self) -> &str {
+        "touch_store"
+    }
+
+    fn observe(&mut self, _outcome: &TickOutcome) -> Vec<FixAction> {
+        let _ = self.store.suggest(&[1.0, 2.0, 3.0]);
+        self.order.lock().unwrap().push(self.id);
+        Vec::new()
+    }
+}
+
 fn bare_runner(spec: &ReplicaSpec, healer: Box<dyn Healer>) -> ScenarioRunner<Box<dyn Healer>> {
     let service = MultiTierService::new(ServiceConfig::tiny());
     let workload = TraceGenerator::new(
@@ -77,7 +101,7 @@ fn bare_runner(spec: &ReplicaSpec, healer: Box<dyn Healer>) -> ScenarioRunner<Bo
 /// runner factory whose incarnation counter decides who panics.
 fn panicky_config(
     max_restarts: u32,
-    factory: impl Fn(&ReplicaSpec, usize) -> Box<dyn Healer> + Send + Sync + 'static,
+    factory: impl Fn(&ReplicaSpec, usize, &dyn SynopsisStore) -> Box<dyn Healer> + Send + Sync + 'static,
 ) -> (DaemonConfig, Arc<AtomicUsize>) {
     let incarnations = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&incarnations);
@@ -85,9 +109,9 @@ fn panicky_config(
         slice: 16,
         max_restarts,
         backoff_epochs: 2,
-        runner_factory: Some(Arc::new(move |spec, _store| {
+        runner_factory: Some(Arc::new(move |spec, store| {
             let incarnation = counter.fetch_add(1, Ordering::SeqCst);
-            bare_runner(spec, factory(spec, incarnation))
+            bare_runner(spec, factory(spec, incarnation, store))
         })),
         ..DaemonConfig::default()
     };
@@ -96,20 +120,41 @@ fn panicky_config(
 
 #[test]
 fn supervisor_restarts_a_panicking_replica_after_backoff() {
-    // Incarnation 0 panics mid-epoch; every rebuild runs clean.
-    let (config, incarnations) = panicky_config(5, |_, incarnation| {
-        if incarnation == 0 {
+    // Replica 1's first incarnation (the second runner built) panics
+    // mid-epoch; its rebuild, like the two siblings either side of it,
+    // consults the gated store on every tick.
+    const SLICE: usize = 16;
+    let order = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&order);
+    let (config, incarnations) = panicky_config(5, move |spec, incarnation, store| {
+        if incarnation == 1 {
             Box::new(PanicAt { tick: 5, seen: 0 })
         } else {
-            Box::new(NoHealing)
+            Box::new(TouchStore {
+                id: spec.id,
+                store: store.clone_store(),
+                order: Arc::clone(&log),
+            })
         }
     });
     let mut supervisor = Supervisor::new(config).unwrap();
-    supervisor.add_replica("none").unwrap();
+    for _ in 0..3 {
+        supervisor.add_replica("none").unwrap();
+    }
+    // The gate's verdict for one epoch: which replica touched the store,
+    // in order.  A full slice per live replica, ascending by id.
+    let turns = |ids: &[usize]| -> Vec<usize> {
+        ids.iter()
+            .flat_map(|id| std::iter::repeat_n(*id, SLICE))
+            .collect()
+    };
+    let take_order = || std::mem::take(&mut *order.lock().unwrap());
 
-    // Epoch 1: the panic lands; the replica enters backoff.
-    assert_eq!(supervisor.advance_epoch(), 0);
-    let health = &supervisor.replica_health()[0];
+    // Epoch 1: the panic lands; the victim enters backoff while both
+    // siblings complete their slice — the gate hands the turn past it.
+    assert_eq!(supervisor.advance_epoch(), 2);
+    assert_eq!(take_order(), turns(&[0, 2]));
+    let health = &supervisor.replica_health()[1];
     assert_eq!(health.state, ReplicaState::Restarting);
     assert_eq!(health.restarts, 1);
     assert!(
@@ -122,21 +167,25 @@ fn supervisor_restarts_a_panicking_replica_after_backoff() {
         health.last_error
     );
 
-    // Epoch 2 is still inside the 2-epoch backoff: nothing advances.
-    assert_eq!(supervisor.advance_epoch(), 0);
-    assert_eq!(
-        supervisor.replica_health()[0].state,
-        ReplicaState::Restarting
-    );
+    // Epoch 2 is still inside the 2-epoch backoff: the victim sits out,
+    // the siblings never stall.
+    assert_eq!(supervisor.advance_epoch(), 2);
+    assert_eq!(take_order(), turns(&[0, 2]));
+    let health = supervisor.replica_health();
+    assert_eq!(health[1].state, ReplicaState::Restarting);
+    assert_eq!(health[0].ticks, 32);
+    assert_eq!(health[2].ticks, 32);
 
-    // Epoch 3: backoff expired, the rebuilt runner advances a full slice.
-    assert_eq!(supervisor.advance_epoch(), 1);
-    let health = &supervisor.replica_health()[0];
+    // Epoch 3: backoff expired, the rebuilt runner advances a full slice —
+    // and takes its turn at the store between its siblings, in id order.
+    assert_eq!(supervisor.advance_epoch(), 3);
+    assert_eq!(take_order(), turns(&[0, 1, 2]));
+    let health = &supervisor.replica_health()[1];
     assert_eq!(health.state, ReplicaState::Running);
     assert_eq!(health.ticks, 16, "one clean slice after the restart");
-    assert_eq!(supervisor.advance_epoch(), 1);
-    assert_eq!(supervisor.replica_health()[0].ticks, 32);
-    assert_eq!(incarnations.load(Ordering::SeqCst), 2, "one rebuild");
+    assert_eq!(supervisor.advance_epoch(), 3);
+    assert_eq!(supervisor.replica_health()[1].ticks, 32);
+    assert_eq!(incarnations.load(Ordering::SeqCst), 4, "one rebuild");
     supervisor.shutdown();
 }
 
@@ -145,7 +194,8 @@ fn restart_cap_retires_a_permanently_broken_replica() {
     // Every incarnation panics: the replica must be retired as failed
     // after max_restarts rebuilds, with exponentially growing backoff
     // (resume epochs 3 and 7 for backoff_epochs=2).
-    let (config, incarnations) = panicky_config(2, |_, _| Box::new(PanicAt { tick: 5, seen: 0 }));
+    let (config, incarnations) =
+        panicky_config(2, |_, _, _| Box::new(PanicAt { tick: 5, seen: 0 }));
     let mut supervisor = Supervisor::new(config).unwrap();
     supervisor.add_replica("none").unwrap();
 
@@ -171,6 +221,75 @@ fn restart_cap_retires_a_permanently_broken_replica() {
     assert_eq!(roll_up.failed, 1);
     assert_eq!(roll_up.restarts, 2);
     supervisor.shutdown();
+}
+
+/// The batch fleet a supervisor over `config` is a resident copy of: same
+/// service, policy, learner, workload, faults and seed, `replicas` replicas
+/// advanced `epochs` daemon epochs by the one-worker reference interleaver.
+fn batch_twin(config: &DaemonConfig, replicas: usize, epochs: u64) -> FleetConfig {
+    FleetConfig::builder()
+        .service(config.service.clone())
+        .policy(config.policy)
+        .learner(config.learner)
+        .workload(config.workload.clone())
+        .faults(config.default_faults.clone())
+        .base_seed(config.base_seed)
+        .series_capacity(config.series_capacity)
+        .replicas(replicas)
+        .slice(config.slice)
+        .ticks(epochs * config.slice)
+        .mode(ExecutionMode::Sequential)
+}
+
+/// The daemon is gated by construction: a multi-replica supervisor — whose
+/// replicas sweep on as many worker threads as the machine has — reproduces
+/// the sequential batch fleet bit for bit.  (Fails on an ungated daemon,
+/// where the order experience reaches the store rides on thread scheduling.)
+#[test]
+fn multi_replica_supervisor_matches_the_sequential_batch_fleet() {
+    const REPLICAS: usize = 4;
+    const EPOCHS: u64 = 40;
+    let config = DaemonConfig::default();
+    for adversary in [false, true] {
+        let mut supervisor = Supervisor::new(config.clone()).unwrap();
+        for _ in 0..REPLICAS {
+            supervisor.add_replica("default").unwrap();
+        }
+        let mut batch = batch_twin(&config, REPLICAS, EPOCHS);
+        if adversary {
+            supervisor.reconfigure(0, "adversary", "on").unwrap();
+            batch = batch.reactive(ReactiveChoice::adversary(
+                FaultKind::BufferContention,
+                0.9,
+                0,
+                u64::MAX,
+            ));
+        }
+        for _ in 0..EPOCHS {
+            assert_eq!(supervisor.advance_epoch(), REPLICAS);
+        }
+        let resident: Vec<u64> = supervisor
+            .fingerprints()
+            .into_iter()
+            .map(|(_, fingerprint)| fingerprint)
+            .collect();
+        let outcome = batch.run();
+        assert_eq!(
+            resident,
+            outcome.fingerprints(),
+            "adversary={adversary}: the resident fleet must replay the batch fleet"
+        );
+        assert!(
+            outcome.total_episodes() > 0,
+            "the run exercised the shared store"
+        );
+        assert_eq!(
+            !outcome.reactive_log().is_empty(),
+            adversary,
+            "the adversary struck iff it was on"
+        );
+        supervisor.shutdown();
+    }
 }
 
 /// Drives a supervisor until its store has drained at least one example to
@@ -379,7 +498,7 @@ fn end_to_end_daemon_session_survives_kill_dash_nine() {
 
     // Second life, same store path: the log replay restores the synopsis.
     let daemon = Daemon::launch(config, options).unwrap();
-    let restored = daemon.supervisor().restored_examples();
+    let restored = daemon.registry().default_supervisor().restored_examples();
     assert!(restored >= 1, "snapshot log replayed after the crash");
     let life_two = thread::spawn(move || daemon.run());
 

@@ -2,8 +2,8 @@
 //! value of fleet-shared learning.
 
 use selfheal::faults::{FaultKind, FaultTarget, InjectionPlan, InjectionPlanBuilder};
-use selfheal::fleet::{ExecutionMode, FleetConfig, LearningTopology};
-use selfheal::healing::harness::{PolicyChoice, SelfHealingService, WorkloadChoice};
+use selfheal::fleet::{ExecutionMode, FleetConfig};
+use selfheal::healing::harness::{LearnerChoice, PolicyChoice, SelfHealingService, WorkloadChoice};
 use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::sim::seeds::{split_seed, SeedStream};
 use selfheal::sim::ServiceConfig;
@@ -128,7 +128,7 @@ fn shared_synopsis_warm_starts_later_replicas() {
             )
             .build()
     };
-    let build = |topology| {
+    let build = |learner| {
         FleetConfig::builder()
             .service(ServiceConfig::tiny())
             .synthetic_workload(
@@ -138,7 +138,7 @@ fn shared_synopsis_warm_starts_later_replicas() {
             .replicas(6)
             .base_seed(77)
             .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-            .topology(topology)
+            .learner(learner)
             // Tick-interleaved so "later replica" is true by construction.
             .mode(ExecutionMode::Sequential)
             .injections_per_replica(staggered)
@@ -147,8 +147,8 @@ fn shared_synopsis_warm_starts_later_replicas() {
             .run_to_quiescence()
     };
 
-    let shared = build(LearningTopology::shared());
-    let isolated = build(LearningTopology::Isolated);
+    let shared = build(LearnerChoice::locked());
+    let isolated = build(LearnerChoice::Private);
 
     // Attempts needed for the injected episode on the warm replicas (1..6).
     // A replica is skipped if an unrelated SLO flap was already open when
@@ -332,7 +332,7 @@ fn adaboost_fleets_are_fingerprint_deterministic_across_runs() {
     let run = || {
         fleet(3, 320)
             .policy(PolicyChoice::FixSym(SynopsisKind::AdaBoost(20)))
-            .topology(LearningTopology::Shared { batch: 4 })
+            .learner(LearnerChoice::Locked { batch: 4 })
             .mode(ExecutionMode::Sequential)
             .run()
             .fingerprints()

@@ -34,47 +34,54 @@ impl Drop for Scratch {
     }
 }
 
-/// The isolation pin from the issue: a single-replica tenant is fully
-/// serialized (one actor, one epoch barrier), so its outcome fingerprints
-/// are byte-identical to the same config run as a standalone supervisor.
-/// Tenancy must add *no* new nondeterminism for unpooled tenants.
+/// The isolation pin from the issue: a tenant's fleet is gated into the
+/// sequential id order whatever its size, so — checked at one replica and
+/// at three — its outcome fingerprints are byte-identical to the same
+/// config run as a standalone supervisor.  Tenancy must add *no* new
+/// nondeterminism for unpooled tenants.
 #[test]
 fn single_replica_tenant_fingerprints_match_standalone() {
     const EPOCHS: usize = 40;
-    let config = DaemonConfig::default();
+    for replicas in [1, 3] {
+        let config = DaemonConfig::default();
 
-    let mut standalone = Supervisor::new(config.clone()).unwrap();
-    standalone.add_replica("default").unwrap();
-    for _ in 0..EPOCHS {
-        standalone.advance_epoch();
+        let mut standalone = Supervisor::new(config.clone()).unwrap();
+        for _ in 0..replicas {
+            standalone.add_replica("default").unwrap();
+        }
+        for _ in 0..EPOCHS {
+            standalone.advance_epoch();
+        }
+        let expected = standalone.fingerprints();
+
+        let mut registry = TenantRegistry::new(config).unwrap();
+        registry.create("iso", false).unwrap();
+        for _ in 0..replicas {
+            registry
+                .supervisor_mut("iso")
+                .unwrap()
+                .add_replica("default")
+                .unwrap();
+        }
+        for _ in 0..EPOCHS {
+            // The default tenant is empty, so only `iso` advances — tenants
+            // tick independently.
+            registry.advance_all();
+        }
+        let tenant = registry.supervisor("iso").unwrap();
+        assert_eq!(tenant.epoch(), EPOCHS as u64);
+        let actual = tenant.fingerprints();
+
+        assert_eq!(expected.len(), replicas);
+        assert_eq!(
+            actual, expected,
+            "an unpooled {replicas}-replica tenant must reproduce the standalone fleet bit-for-bit"
+        );
+        assert_ne!(expected[0].1, 0, "the fingerprint witnessed real work");
+
+        standalone.shutdown();
+        registry.shutdown();
     }
-    let expected = standalone.fingerprints();
-
-    let mut registry = TenantRegistry::new(config).unwrap();
-    registry.create("iso", false).unwrap();
-    registry
-        .supervisor_mut("iso")
-        .unwrap()
-        .add_replica("default")
-        .unwrap();
-    for _ in 0..EPOCHS {
-        // The default tenant is empty, so only `iso` advances — tenants
-        // tick independently.
-        registry.advance_all();
-    }
-    let tenant = registry.supervisor("iso").unwrap();
-    assert_eq!(tenant.epoch(), EPOCHS as u64);
-    let actual = tenant.fingerprints();
-
-    assert_eq!(expected.len(), 1);
-    assert_eq!(
-        actual, expected,
-        "an unpooled single-replica tenant must reproduce the standalone fleet bit-for-bit"
-    );
-    assert_ne!(expected[0].1, 0, "the fingerprint witnessed real work");
-
-    standalone.shutdown();
-    registry.shutdown();
 }
 
 /// The pool contract at registry level: experience recorded by a pooled
