@@ -2,7 +2,7 @@
 //! and shared vs isolated learning, at reduced scale.  The full 32-replica ×
 //! 5000-tick run with JSON output lives in the `fleet_scaling` binary.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use selfheal_bench::fleet::{cold_start_comparison, scaling_point};
+use selfheal_bench::fleet::{cold_start, scaling_point};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_scaling");
@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
         );
     }
     group.bench_function("cold_start_comparison_4_replicas", |b| {
-        b.iter(|| cold_start_comparison(4, 42))
+        b.iter(|| cold_start(4, 42).compare())
     });
     group.finish();
 }

@@ -24,18 +24,15 @@
 //! because engines observe the fleet only at barriers, where every replica
 //! has completed exactly the same tick.
 
-use selfheal::fleet::{ExecutionMode, HEALING_TAIL};
-use selfheal::healing::harness::LearnerChoice;
-use selfheal_bench::fleet::{
-    adversarial_fleet, adversarial_recovery_comparison, cascade_fleet, cascade_injections,
-    reactive_strike_stats, ADVERSARY_UNTIL,
-};
+use selfheal::fleet::HEALING_TAIL;
+use selfheal_bench::fleet::{adversary, cascade, reactive_strike_stats, ADVERSARY_UNTIL};
 
 fn main() {
     // 1 + 2. An adversarial fleet, auto-quiesced: the horizon is the last
     // tick the adversary may still strike, and the run extends one healing
     // tail past it.
-    let config = adversarial_fleet(6, 42, LearnerChoice::Locked { batch: 1 }, 64);
+    let experiment = adversary(6, 42, 64);
+    let config = experiment.fleet(experiment.shared);
     let horizon = config.stimulus_horizon().expect("adversary is bounded");
     assert_eq!(horizon, ADVERSARY_UNTIL - 1, "the last strikeable tick");
     let outcome = config.run_to_quiescence();
@@ -53,38 +50,29 @@ fn main() {
             record.tick, record.event, record.replica
         );
     }
-    let (strikes, matched, open, attempts, recovery) = reactive_strike_stats(&outcome);
+    let stats = reactive_strike_stats(&outcome);
     println!(
-        "shared synopsis: {strikes} strikes, {matched} matched episodes, {open} open, \
-         {attempts:.2} mean attempts, {recovery:.1} mean recovery ticks"
+        "shared synopsis: {} strikes, {} matched episodes, {} open, \
+         {:.2} mean attempts, {:.1} mean recovery ticks",
+        stats.strikes, stats.matched, stats.open, stats.mean_attempts, stats.mean_recovery
     );
 
     // 3. The head-to-head: one fleet pools its fixes, the other learns in
     // isolation; the adversary reacts to each fleet's own health.
-    let report = adversarial_recovery_comparison(6, 42);
+    let report = experiment.compare();
     println!("\nshared vs isolated under adversarial targeting:");
-    println!(
-        "  shared   {} strikes, {} matched, {:.2} attempts, {:>5.1} recovery ticks",
-        report.shared_strikes,
-        report.shared_matched,
-        report.shared_mean_attempts,
-        report.shared_mean_recovery
-    );
-    println!(
-        "  isolated {} strikes, {} matched, {:.2} attempts, {:>5.1} recovery ticks",
-        report.isolated_strikes,
-        report.isolated_matched,
-        report.isolated_mean_attempts,
-        report.isolated_mean_recovery
-    );
+    for (label, side) in [("shared  ", report.shared), ("isolated", report.isolated)] {
+        println!(
+            "  {label} {} strikes, {} matched, {:.2} attempts, {:>5.1} recovery ticks",
+            side.strikes, side.matched, side.mean_attempts, side.mean_recovery
+        );
+    }
     assert!(report.shared_recovers_faster());
 
     // 4. The cascade ring, and worker-count determinism: the same reactive
     // run, sequential and parallel, is fingerprint-identical.
-    let sequential = cascade_fleet(4, 7, LearnerChoice::locked(), 3, 64).run_to_quiescence();
-    let parallel = cascade_fleet(4, 7, LearnerChoice::locked(), 3, 64)
-        .mode(ExecutionMode::Parallel { threads: Some(3) })
-        .run_to_quiescence();
+    let ring = cascade(4, 7, 3, 64);
+    let (sequential, propagations) = ring.measure(ring.shared);
     println!("\ncascade propagation chain:");
     for record in sequential.reactive_log() {
         println!(
@@ -92,10 +80,11 @@ fn main() {
             record.tick, record.event, record.replica
         );
     }
+    let equivalent = ring.parallel_matches(&sequential);
     println!(
-        "cascade: {} propagations within budget 3, fingerprints parallel == sequential: {}",
-        cascade_injections(&sequential),
-        parallel.fingerprints() == sequential.fingerprints()
+        "cascade: {} propagations within budget 3, fingerprints parallel == sequential: \
+         {equivalent}",
+        propagations.strikes
     );
-    assert_eq!(parallel.fingerprints(), sequential.fingerprints());
+    assert!(equivalent);
 }

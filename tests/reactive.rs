@@ -10,9 +10,9 @@
 
 use selfheal::fleet::{ExecutionMode, FleetConfig, HEALING_TAIL};
 use selfheal::healing::harness::LearnerChoice;
-use selfheal_bench::fleet::{
-    adversarial_fleet, cascade_fleet, reactive_strike_stats, seasons_fleet, ADVERSARY_UNTIL,
-};
+use selfheal_bench::fleet::{adversary, cascade, reactive_strike_stats, seasons, ADVERSARY_UNTIL};
+
+const SHARED: LearnerChoice = LearnerChoice::Locked { batch: 1 };
 
 const SEED: u64 = 7;
 
@@ -40,7 +40,7 @@ fn assert_worker_invariant(label: &str, slice: u64, build: impl Fn() -> FleetCon
 fn adversary_runs_are_worker_count_invariant() {
     for slice in [1u64, 64] {
         assert_worker_invariant("adversary", slice, || {
-            adversarial_fleet(5, SEED, LearnerChoice::Locked { batch: 1 }, 1).ticks(640)
+            adversary(5, SEED, 1).fleet(SHARED).ticks(640)
         });
     }
 }
@@ -48,7 +48,7 @@ fn adversary_runs_are_worker_count_invariant() {
 #[test]
 fn seasons_runs_are_worker_count_invariant() {
     for slice in [1u64, 64] {
-        assert_worker_invariant("seasons", slice, || seasons_fleet(3, 512, SEED, 1));
+        assert_worker_invariant("seasons", slice, || seasons(3, 512, SEED, 1).fleet(SHARED));
     }
 }
 
@@ -56,7 +56,9 @@ fn seasons_runs_are_worker_count_invariant() {
 fn cascade_runs_are_worker_count_invariant() {
     for slice in [1u64, 64] {
         assert_worker_invariant("cascade", slice, || {
-            cascade_fleet(4, SEED, LearnerChoice::locked(), 3, 1).ticks(640)
+            cascade(4, SEED, 3, 1)
+                .fleet(LearnerChoice::locked())
+                .ticks(640)
         });
     }
 }
@@ -64,7 +66,7 @@ fn cascade_runs_are_worker_count_invariant() {
 #[test]
 fn run_to_quiescence_stops_one_healing_tail_past_the_horizon() {
     let replicas = 5usize;
-    let config = adversarial_fleet(replicas, SEED, LearnerChoice::Locked { batch: 1 }, 64);
+    let config = adversary(replicas, SEED, 64).fleet(SHARED);
     assert_eq!(
         config.stimulus_horizon(),
         Some(ADVERSARY_UNTIL - 1),
@@ -76,10 +78,13 @@ fn run_to_quiescence_stops_one_healing_tail_past_the_horizon() {
         replicas as u64 * (ADVERSARY_UNTIL + HEALING_TAIL),
         "every replica runs exactly one healing tail past the horizon"
     );
-    let (strikes, matched, open, _, _) = reactive_strike_stats(&outcome);
-    assert!(strikes > 0, "the adversary struck inside its window");
-    assert!(matched > 0, "strikes opened attributable episodes");
-    assert_eq!(open, 0, "the healing tail closed every attributed episode");
+    let stats = reactive_strike_stats(&outcome);
+    assert!(stats.strikes > 0, "the adversary struck inside its window");
+    assert!(stats.matched > 0, "strikes opened attributable episodes");
+    assert_eq!(
+        stats.open, 0,
+        "the healing tail closed every attributed episode"
+    );
     let last_strike = outcome
         .reactive_log()
         .iter()
