@@ -61,8 +61,6 @@ impl EpisodeResult {
 pub struct FixSymEngine {
     synopsis: Synopsis,
     config: FixSymConfig,
-    /// Candidate fix set F of Figure 3.
-    candidates: Vec<FixKind>,
     episodes: u64,
     escalations: u64,
 }
@@ -78,7 +76,6 @@ impl FixSymEngine {
         FixSymEngine {
             synopsis: Synopsis::new(kind),
             config,
-            candidates: FixKind::CANDIDATES.to_vec(),
             episodes: 0,
             escalations: 0,
         }
@@ -129,7 +126,7 @@ impl FixSymEngine {
                 .synopsis
                 .suggest_excluding(symptoms, &tried)
                 .map(|(fix, _)| fix)
-                .or_else(|| self.cheapest_untried(&tried));
+                .or_else(|| cheapest_untried(&tried));
             let Some(fix) = suggestion else { break };
 
             // Lines 11–13: apply the fix and check whether it worked.
@@ -164,18 +161,89 @@ impl FixSymEngine {
             escalated: true,
         }
     }
+}
 
-    fn cheapest_untried(&self, tried: &HashSet<FixKind>) -> Option<FixKind> {
-        self.candidates
-            .iter()
-            .filter(|f| !tried.contains(f) && !f.is_escalation())
-            .min_by(|a, b| {
-                a.default_cost()
-                    .penalty()
-                    .partial_cmp(&b.default_cost().penalty())
-                    .expect("finite penalties")
-            })
-            .copied()
+/// The cheapest fix of the candidate set F of Figure 3 not yet tried in this
+/// episode (escalations excluded) — what FixSym applies when the synopsis
+/// has no suggestion.
+fn cheapest_untried(tried: &HashSet<FixKind>) -> Option<FixKind> {
+    FixKind::CANDIDATES
+        .iter()
+        .filter(|f| !tried.contains(f) && !f.is_escalation())
+        .min_by(|a, b| {
+            a.default_cost()
+                .penalty()
+                .partial_cmp(&b.default_cost().penalty())
+                .expect("finite penalties")
+        })
+        .copied()
+}
+
+/// What the shared part of one online Figure 3 step decided.
+pub(crate) enum Step {
+    /// Nothing to choose this tick: the service is healthy, a fix is in
+    /// flight or settling, or the threshold escalation was just initiated.
+    Done(Vec<FixAction>),
+    /// Line 9 is due: choose a fix for these symptoms outside the kinds
+    /// already tried in this episode, then [`EpisodeTracker::attempt`] it.
+    Choose(Vec<f64>, HashSet<FixKind>),
+}
+
+/// The online Figure 3 loop minus line 9: symptom extraction from the live
+/// metric stream, `check_fix` from SLO recovery, `update_synopsis`, and the
+/// THRESHOLD escalation.  [`FixSymHealer`] and [`crate::HybridHealer`] wrap
+/// it and differ only in *which fix next*.
+#[derive(Debug)]
+pub(crate) struct SignatureLoop<L> {
+    pub(crate) synopsis: L,
+    extractor: SymptomExtractor,
+    pub(crate) tracker: EpisodeTracker,
+    current_symptoms: Option<Vec<f64>>,
+}
+
+impl<L: Learner> SignatureLoop<L> {
+    pub(crate) fn new(schema: &Schema, learner: L, threshold: u32, verify_ticks: u32) -> Self {
+        SignatureLoop {
+            synopsis: learner,
+            extractor: SymptomExtractor::new(schema, 30, 5),
+            tracker: EpisodeTracker::new(threshold, verify_ticks),
+            current_symptoms: None,
+        }
+    }
+
+    pub(crate) fn step(&mut self, outcome: &TickOutcome) -> Step {
+        let violated = !outcome.violations.is_empty();
+        self.extractor
+            .observe(&outcome.sample, !violated && !self.tracker.in_episode());
+
+        // Resolve the outcome of a previously applied fix (check_fix) and
+        // teach it to the synopsis (update_synopsis).
+        if let Some((fix, success)) = self.tracker.resolve(outcome, violated) {
+            if let Some(symptoms) = &self.current_symptoms {
+                self.synopsis.record(symptoms, fix.kind, success);
+            }
+            if success {
+                self.current_symptoms = None;
+            }
+        }
+
+        // Nothing to do while healthy or while a fix is in flight / settling.
+        if !self.tracker.should_act(violated) {
+            return Step::Done(Vec::new());
+        }
+
+        // New failure data point (or next attempt for the current one).
+        let Some(symptoms) = self.extractor.symptoms() else {
+            return Step::Done(Vec::new());
+        };
+        if self.current_symptoms.is_none() {
+            self.current_symptoms = Some(symptoms.clone());
+        }
+
+        if self.tracker.exhausted() {
+            return Step::Done(self.tracker.escalate());
+        }
+        Step::Choose(symptoms, self.tracker.tried_kinds())
     }
 }
 
@@ -185,16 +253,13 @@ impl FixSymEngine {
 /// success from SLO recovery.
 ///
 /// Generic over the [`Learner`] backing it: the default is a privately owned
-/// [`Synopsis`]; a fleet passes a [`crate::store::LockedStore`] handle so
+/// [`Synopsis`]; a fleet passes a [`crate::store::SynopsisStore`] handle so
 /// every replica's healer learns from — and teaches — the same model.
 #[derive(Debug)]
 pub struct FixSymHealer<L: Learner = Synopsis> {
-    synopsis: L,
-    extractor: SymptomExtractor,
-    tracker: EpisodeTracker,
+    figure3: SignatureLoop<L>,
     config: FixSymConfig,
     schema: Schema,
-    current_symptoms: Option<Vec<f64>>,
 }
 
 impl FixSymHealer {
@@ -210,12 +275,12 @@ impl FixSymHealer {
 
     /// The learned synopsis.
     pub fn synopsis(&self) -> &Synopsis {
-        &self.synopsis
+        &self.figure3.synopsis
     }
 
     /// Mutable synopsis access (for preproduction bootstrapping).
     pub fn synopsis_mut(&mut self) -> &mut Synopsis {
-        &mut self.synopsis
+        &mut self.figure3.synopsis
     }
 }
 
@@ -224,18 +289,15 @@ impl<L: Learner> FixSymHealer<L> {
     /// handle, or a pre-bootstrapped private synopsis).
     pub fn with_learner(schema: &Schema, learner: L, config: FixSymConfig) -> Self {
         FixSymHealer {
-            synopsis: learner,
-            extractor: SymptomExtractor::new(schema, 30, 5),
-            tracker: EpisodeTracker::new(config.threshold, config.verify_ticks),
+            figure3: SignatureLoop::new(schema, learner, config.threshold, config.verify_ticks),
             config,
             schema: schema.clone(),
-            current_symptoms: None,
         }
     }
 
     /// The learner backing this healer.
     pub fn learner(&self) -> &L {
-        &self.synopsis
+        &self.figure3.synopsis
     }
 }
 
@@ -245,65 +307,23 @@ impl<L: Learner> Healer for FixSymHealer<L> {
     }
 
     fn observe(&mut self, outcome: &TickOutcome) -> Vec<FixAction> {
-        let violated = !outcome.violations.is_empty();
-        self.extractor
-            .observe(&outcome.sample, !violated && !self.tracker.in_episode());
-
-        // Resolve the outcome of a previously applied fix (check_fix).
-        if let Some((fix, success)) = self.tracker.resolve(outcome, violated) {
-            if let Some(symptoms) = &self.current_symptoms {
-                self.synopsis.record(symptoms, fix.kind, success);
-            }
-            if success {
-                self.current_symptoms = None;
-            }
-        }
-
-        // Nothing to do while healthy or while a fix is in flight / settling.
-        if !self.tracker.should_act(violated) {
-            return Vec::new();
-        }
-
-        // New failure data point (or next attempt for the current one).
-        let symptoms = match self.extractor.symptoms() {
-            Some(s) => s,
-            None => return Vec::new(),
+        let (symptoms, tried) = match self.figure3.step(outcome) {
+            Step::Choose(symptoms, tried) => (symptoms, tried),
+            Step::Done(actions) => return actions,
         };
-        if self.current_symptoms.is_none() {
-            self.current_symptoms = Some(symptoms.clone());
-        }
-
-        if self.tracker.exhausted() {
-            // Threshold exceeded: escalate (Figure 3, line 19).
-            let action = FixAction::untargeted(FixKind::FullServiceRestart);
-            self.tracker.record_attempt(action);
-            return vec![action];
-        }
-
-        let tried = self.tracker.tried_kinds();
+        // Line 9: the synopsis's suggestion, else the cheapest untried
+        // candidate ("domain knowledge may be used").
         let suggestion = self
+            .figure3
             .synopsis
             .suggest_excluding(&symptoms, &tried)
             .filter(|(_, confidence)| *confidence >= self.config.min_confidence)
             .map(|(fix, _)| fix)
-            .or_else(|| {
-                FixKind::CANDIDATES
-                    .iter()
-                    .filter(|f| !tried.contains(f) && !f.is_escalation())
-                    .min_by(|a, b| {
-                        a.default_cost()
-                            .penalty()
-                            .partial_cmp(&b.default_cost().penalty())
-                            .expect("finite penalties")
-                    })
-                    .copied()
-            });
-
+            .or_else(|| cheapest_untried(&tried));
         match suggestion {
             Some(kind) => {
                 let action = target_for_fix(kind, &self.schema, &outcome.sample);
-                self.tracker.record_attempt(action);
-                vec![action]
+                self.figure3.tracker.attempt(action)
             }
             None => Vec::new(),
         }

@@ -29,7 +29,7 @@ use crate::hybrid::HybridHealer;
 use crate::policy::DiagnosisHealer;
 use crate::proactive::ProactiveHealer;
 use crate::snapshot::SynopsisSnapshot;
-use crate::store::{LockedStore, PrivateStore, ShardedStore, SynopsisStore};
+use crate::store::{PrivateStore, ShardedStore, SynopsisStore};
 use crate::synopsis::SynopsisKind;
 use selfheal_faults::{
     CatalogSweep, ComposedSource, FaultKind, FaultSource, InjectionPlan, MixSource, OperatorSource,
@@ -69,8 +69,8 @@ pub enum PolicyChoice {
 
 impl PolicyChoice {
     /// Builds the healer this policy describes, boxed so heterogeneous
-    /// policies can drive identical runners (the fleet engine and the
-    /// [`SelfHealingService`] builder both construct healers through here).
+    /// policies can drive identical runners ([`build_runner`] constructs
+    /// every healer through here or [`build_healer_stored`](Self::build_healer_stored)).
     pub fn build_healer(&self, schema: &Schema, targets: SloTargets) -> Box<dyn Healer> {
         match self {
             PolicyChoice::None => Box::new(NoHealing),
@@ -618,8 +618,8 @@ pub enum LearnerChoice {
     /// single-instance setup).
     #[default]
     Private,
-    /// One fleet-wide [`LockedStore`]: a single synopsis behind one lock,
-    /// draining queued updates in batches of `batch`.
+    /// One fleet-wide synopsis behind one lock (a one-shard
+    /// [`ShardedStore`]), draining queued updates in batches of `batch`.
     Locked {
         /// Queued updates that trigger one combined drain + retrain.
         batch: usize,
@@ -628,7 +628,7 @@ pub enum LearnerChoice {
     /// `shards` k-means-routed synopses, each with its own lock and batch
     /// queue, so replicas healing different failure modes never contend.
     Sharded {
-        /// Number of symptom-space shards (1 behaves exactly like `Locked`).
+        /// Number of symptom-space shards (1 is `Locked`).
         shards: usize,
         /// Queued updates per shard that trigger a drain + retrain.
         batch: usize,
@@ -639,7 +639,7 @@ impl LearnerChoice {
     /// Lock-shared learning with the default batch threshold.
     pub fn locked() -> Self {
         LearnerChoice::Locked {
-            batch: LockedStore::DEFAULT_BATCH,
+            batch: ShardedStore::DEFAULT_BATCH,
         }
     }
 
@@ -647,7 +647,7 @@ impl LearnerChoice {
     pub fn sharded(shards: usize) -> Self {
         LearnerChoice::Sharded {
             shards,
-            batch: LockedStore::DEFAULT_BATCH,
+            batch: ShardedStore::DEFAULT_BATCH,
         }
     }
 
@@ -661,7 +661,7 @@ impl LearnerChoice {
     pub fn build_store(&self, kind: SynopsisKind) -> Box<dyn SynopsisStore> {
         match self {
             LearnerChoice::Private => Box::new(PrivateStore::new(kind)),
-            LearnerChoice::Locked { batch } => Box::new(LockedStore::with_batch(kind, *batch)),
+            LearnerChoice::Locked { batch } => Box::new(ShardedStore::with_batch(kind, 1, *batch)),
             LearnerChoice::Sharded { shards, batch } => {
                 Box::new(ShardedStore::with_batch(kind, *shards, *batch))
             }
@@ -973,23 +973,10 @@ impl SelfHealingService {
         self.policy
     }
 
-    /// Assembles the runner this builder describes without driving it —
-    /// the fleet engine uses this to obtain resumable replicas it can step
-    /// itself, with an optional externally owned synopsis store wired into
-    /// the healer.
-    ///
-    /// When `store` is `None` and the policy learns, the builder's
-    /// [`LearnerChoice`] constructs the store (restored from the
-    /// [`warm_start`](Self::warm_start) snapshot, if any).  An external
-    /// `store` handle wins over both — the fleet engine passes per-replica
-    /// handles of its fleet-wide store through here.
-    pub fn into_runner(
-        self,
-        store: Option<Box<dyn SynopsisStore>>,
-    ) -> ScenarioRunner<Box<dyn Healer>> {
-        let service = MultiTierService::new(self.config.clone());
-        let schema = service.schema().clone();
-        let targets = self.config.slo_targets();
+    /// Runs the scenario for `ticks` ticks.  A learning policy gets the
+    /// store the builder's [`LearnerChoice`] names, restored from the
+    /// [`warm_start`](Self::warm_start) snapshot when one was given.
+    pub fn run(self, ticks: u64) -> ScenarioOutcome {
         let workload = match self.workload {
             WorkloadSpec::Choice(choice) => choice.build_source(self.seed),
             WorkloadSpec::Custom(source) => source,
@@ -999,25 +986,36 @@ impl SelfHealingService {
         let faults = self
             .faults
             .build_source(split_seed(self.seed, 0, SeedStream::Faults));
-        let healer = match (self.policy.shares_learning(), store) {
-            (true, Some(store)) => self.policy.build_healer_stored(&schema, targets, store),
-            (true, None) => {
-                let kind = self.policy.synopsis_kind().expect("learning policy kind");
-                let store = self
-                    .learner
-                    .build_store_warm(kind, self.warm_start.as_ref());
-                self.policy.build_healer_stored(&schema, targets, store)
-            }
-            (false, _) => self.policy.build_healer(&schema, targets),
-        };
-        ScenarioRunner::with_faults(service, workload, faults, healer)
+        let store = self.policy.synopsis_kind().map(|kind| {
+            self.learner
+                .build_store_warm(kind, self.warm_start.as_ref())
+        });
+        let runner = build_runner(self.config, workload, faults, self.policy, store);
+        runner.run(ticks).0
     }
+}
 
-    /// Runs the scenario for `ticks` ticks.
-    pub fn run(self, ticks: u64) -> ScenarioOutcome {
-        let (outcome, _) = self.into_runner(None).run(ticks);
-        outcome
-    }
+/// The one replica assembly: the simulated service, its metric schema and
+/// SLO targets, the policy's healer — wired to `store` when one is given,
+/// else to the policy's own private synopsis — and the runner around them.
+/// [`SelfHealingService::run`] and the fleet engine's per-replica
+/// construction both build through here; they differ only in how they seed
+/// `config` and the two sources, and in where `store` comes from.
+pub fn build_runner(
+    config: ServiceConfig,
+    workload: Box<dyn TraceSource>,
+    faults: Box<dyn FaultSource>,
+    policy: PolicyChoice,
+    store: Option<Box<dyn SynopsisStore>>,
+) -> ScenarioRunner<Box<dyn Healer>> {
+    let targets = config.slo_targets();
+    let service = MultiTierService::new(config);
+    let schema = service.schema().clone();
+    let healer = match store {
+        Some(store) => policy.build_healer_stored(&schema, targets, store),
+        None => policy.build_healer(&schema, targets),
+    };
+    ScenarioRunner::with_faults(service, workload, faults, healer)
 }
 
 #[cfg(test)]

@@ -15,34 +15,26 @@
 //! so that the next occurrence of the same signature is handled by the
 //! signature path.
 
-use crate::policy::{target_for_fix, EpisodeTracker};
-use crate::symptom::SymptomExtractor;
+use crate::fixsym::{SignatureLoop, Step};
+use crate::policy::{target_for_fix, DiagnosisPanel};
 use crate::synopsis::{Learner, Synopsis, SynopsisKind};
-use selfheal_diagnosis::{AnomalyDetector, BottleneckAnalyzer, DiagnosisContext, ManualRuleBase};
-use selfheal_faults::{FixAction, FixKind};
+use selfheal_faults::FixAction;
 use selfheal_sim::scenario::Healer;
 use selfheal_sim::service::TickOutcome;
-use selfheal_telemetry::{Schema, SeriesStore, SloTargets};
+use selfheal_telemetry::{Schema, SloTargets};
 
 /// Combined signature + diagnosis healer.
 ///
 /// Generic over the [`Learner`] backing the signature path (default: a
 /// privately owned [`Synopsis`]; fleets pass a
-/// [`crate::store::LockedStore`] handle).
+/// [`crate::store::SynopsisStore`] handle).
 #[derive(Debug)]
 pub struct HybridHealer<L: Learner = Synopsis> {
-    synopsis: L,
-    extractor: SymptomExtractor,
-    tracker: EpisodeTracker,
-    series: SeriesStore,
-    ctx: DiagnosisContext,
-    anomaly: AnomalyDetector,
-    bottleneck: BottleneckAnalyzer,
-    manual: ManualRuleBase,
+    figure3: SignatureLoop<L>,
+    panel: DiagnosisPanel,
     schema: Schema,
     /// Synopsis confidence above which the signature path is trusted.
     pub signature_confidence_threshold: f64,
-    current_symptoms: Option<Vec<f64>>,
     signature_decisions: u64,
     diagnosis_decisions: u64,
 }
@@ -56,12 +48,12 @@ impl HybridHealer {
 
     /// The learned synopsis.
     pub fn synopsis(&self) -> &Synopsis {
-        &self.synopsis
+        &self.figure3.synopsis
     }
 
     /// Mutable synopsis access (for preproduction bootstrapping).
     pub fn synopsis_mut(&mut self) -> &mut Synopsis {
-        &mut self.synopsis
+        &mut self.figure3.synopsis
     }
 }
 
@@ -70,17 +62,10 @@ impl<L: Learner> HybridHealer<L> {
     /// fleet-shared synopsis handle).
     pub fn with_learner(schema: &Schema, learner: L, targets: SloTargets) -> Self {
         HybridHealer {
-            synopsis: learner,
-            extractor: SymptomExtractor::new(schema, 30, 5),
-            tracker: EpisodeTracker::new(4, 25),
-            series: SeriesStore::new(schema.clone(), 4096),
-            ctx: DiagnosisContext::from_schema(schema, targets),
-            anomaly: AnomalyDetector::standard(),
-            bottleneck: BottleneckAnalyzer::standard(),
-            manual: ManualRuleBase::standard(),
+            figure3: SignatureLoop::new(schema, learner, 4, 25),
+            panel: DiagnosisPanel::new(schema, targets),
             schema: schema.clone(),
             signature_confidence_threshold: 0.5,
-            current_symptoms: None,
             signature_decisions: 0,
             diagnosis_decisions: 0,
         }
@@ -88,32 +73,13 @@ impl<L: Learner> HybridHealer<L> {
 
     /// The learner backing the signature path.
     pub fn learner(&self) -> &L {
-        &self.synopsis
+        &self.figure3.synopsis
     }
 
     /// How many fixes were chosen by the signature path vs the diagnosis
     /// fallback: `(signature, diagnosis)`.
     pub fn decision_counts(&self) -> (u64, u64) {
         (self.signature_decisions, self.diagnosis_decisions)
-    }
-
-    fn diagnose_fallback(&self, tried: &std::collections::HashSet<FixKind>) -> Option<FixAction> {
-        let mut candidates = Vec::new();
-        candidates.extend(self.anomaly.diagnose(&self.series, &self.ctx));
-        candidates.extend(self.bottleneck.diagnose(&self.series, &self.ctx));
-        let mut manual = self.manual.diagnose(&self.series, &self.ctx);
-        // The manual catch-all restart is a last resort, not a fallback peer.
-        manual.retain(|d| d.fix.kind != FixKind::FullServiceRestart);
-        candidates.extend(manual);
-        candidates.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .expect("finite confidence")
-        });
-        candidates
-            .into_iter()
-            .find(|d| !tried.contains(&d.fix.kind))
-            .map(|d| d.fix)
     }
 }
 
@@ -123,59 +89,30 @@ impl<L: Learner> Healer for HybridHealer<L> {
     }
 
     fn observe(&mut self, outcome: &TickOutcome) -> Vec<FixAction> {
-        let violated = !outcome.violations.is_empty();
-        self.series.push(outcome.sample.clone());
-        self.extractor
-            .observe(&outcome.sample, !violated && !self.tracker.in_episode());
-
-        if let Some((fix, success)) = self.tracker.resolve(outcome, violated) {
-            if let Some(symptoms) = &self.current_symptoms {
-                self.synopsis.record(symptoms, fix.kind, success);
-            }
-            if success {
-                self.current_symptoms = None;
-            }
-        }
-
-        if !self.tracker.should_act(violated) {
-            return Vec::new();
-        }
-        let Some(symptoms) = self.extractor.symptoms() else {
-            return Vec::new();
+        self.panel.push(&outcome.sample);
+        let (symptoms, tried) = match self.figure3.step(outcome) {
+            Step::Choose(symptoms, tried) => (symptoms, tried),
+            Step::Done(actions) => return actions,
         };
-        if self.current_symptoms.is_none() {
-            self.current_symptoms = Some(symptoms.clone());
-        }
-
-        if self.tracker.exhausted() {
-            let action = FixAction::untargeted(FixKind::FullServiceRestart);
-            self.tracker.record_attempt(action);
-            return vec![action];
-        }
-
-        let tried = self.tracker.tried_kinds();
 
         // Signature path: trust the synopsis when it is confident.
-        if let Some((fix, confidence)) = self.synopsis.suggest_excluding(&symptoms, &tried) {
+        if let Some((fix, confidence)) = self.figure3.synopsis.suggest_excluding(&symptoms, &tried)
+        {
             if confidence >= self.signature_confidence_threshold {
                 self.signature_decisions += 1;
                 let action = target_for_fix(fix, &self.schema, &outcome.sample);
-                self.tracker.record_attempt(action);
-                return vec![action];
+                return self.figure3.tracker.attempt(action);
             }
         }
 
         // Diagnosis fallback for novel / low-confidence failures.
-        if let Some(action) = self.diagnose_fallback(&tried) {
+        if let Some(action) = self.panel.best_untried(&tried) {
             self.diagnosis_decisions += 1;
-            self.tracker.record_attempt(action);
-            return vec![action];
+            return self.figure3.tracker.attempt(action);
         }
 
         // Neither path has anything new: escalate.
-        let action = FixAction::untargeted(FixKind::FullServiceRestart);
-        self.tracker.record_attempt(action);
-        vec![action]
+        self.figure3.tracker.escalate()
     }
 }
 

@@ -58,6 +58,6 @@ pub use hybrid::HybridHealer;
 pub use policy::{DiagnosisEngine, DiagnosisHealer, EpisodeTracker};
 pub use proactive::ProactiveHealer;
 pub use snapshot::{SynopsisExample, SynopsisSnapshot};
-pub use store::{FixStats, LockedStore, PrivateStore, ShardedStore, SynopsisStore};
+pub use store::{FixStats, PrivateStore, ShardedStore, SynopsisStore};
 pub use symptom::SymptomExtractor;
 pub use synopsis::{Learner, Synopsis, SynopsisKind};

@@ -86,6 +86,20 @@ impl EpisodeTracker {
         self.in_episode = true;
     }
 
+    /// [`record_attempt`](Self::record_attempt), returning the fix as this
+    /// tick's actions — how a healer's `observe` initiates its choice.
+    pub(crate) fn attempt(&mut self, action: FixAction) -> Vec<FixAction> {
+        self.record_attempt(action);
+        vec![action]
+    }
+
+    /// Initiates the escalation of Figure 3, line 19 — restart the service
+    /// (and notify the administrator) — and returns it as this tick's
+    /// actions.  Every healer escalates through here.
+    pub fn escalate(&mut self) -> Vec<FixAction> {
+        self.attempt(FixAction::untargeted(FixKind::FullServiceRestart))
+    }
+
     /// Advances the tracker with this tick's outcome.  Returns
     /// `Some((action, success))` when a previously initiated fix has
     /// completed and its verification window has elapsed; `success` is
@@ -203,6 +217,55 @@ pub fn target_for_fix(kind: FixKind, schema: &Schema, sample: &Sample) -> FixAct
             FixAction::targeted(kind, target)
         }
         _ => FixAction::untargeted(kind),
+    }
+}
+
+/// The diagnosis engines a signature-less healer consults (Section 5.1):
+/// the anomaly detector, the bottleneck analyzer and the manual rule base,
+/// evaluated over one shared metric history.
+#[derive(Debug)]
+pub(crate) struct DiagnosisPanel {
+    series: SeriesStore,
+    pub(crate) ctx: DiagnosisContext,
+    anomaly: AnomalyDetector,
+    bottleneck: BottleneckAnalyzer,
+    manual: ManualRuleBase,
+}
+
+impl DiagnosisPanel {
+    pub(crate) fn new(schema: &Schema, targets: SloTargets) -> Self {
+        DiagnosisPanel {
+            series: SeriesStore::new(schema.clone(), 4096),
+            ctx: DiagnosisContext::from_schema(schema, targets),
+            anomaly: AnomalyDetector::standard(),
+            bottleneck: BottleneckAnalyzer::standard(),
+            manual: ManualRuleBase::standard(),
+        }
+    }
+
+    /// Appends this tick's sample to the history the engines diagnose.
+    pub(crate) fn push(&mut self, sample: &Sample) {
+        self.series.push(sample.clone());
+    }
+
+    /// Ranks every engine's recommendations by confidence and returns the
+    /// best one whose fix kind is not in `tried`.
+    pub(crate) fn best_untried(&self, tried: &HashSet<FixKind>) -> Option<FixAction> {
+        let mut candidates = self.anomaly.diagnose(&self.series, &self.ctx);
+        candidates.extend(self.bottleneck.diagnose(&self.series, &self.ctx));
+        let mut manual = self.manual.diagnose(&self.series, &self.ctx);
+        // The manual catch-all restart is a last resort, not a fallback peer.
+        manual.retain(|d| d.fix.kind != FixKind::FullServiceRestart);
+        candidates.extend(manual);
+        candidates.sort_by(|a, b| {
+            b.confidence
+                .partial_cmp(&a.confidence)
+                .expect("finite confidence")
+        });
+        candidates
+            .into_iter()
+            .find(|d| !tried.contains(&d.fix.kind))
+            .map(|d| d.fix)
     }
 }
 
@@ -324,9 +387,7 @@ impl Healer for DiagnosisHealer {
             return Vec::new();
         }
         if self.tracker.exhausted() {
-            let action = FixAction::untargeted(FixKind::FullServiceRestart);
-            self.tracker.record_attempt(action);
-            return vec![action];
+            return self.tracker.escalate();
         }
 
         let diagnoses = match &self.engine {
@@ -345,8 +406,7 @@ impl Healer for DiagnosisHealer {
         match next {
             Some(diagnosis) => {
                 self.idle_violation_ticks = 0;
-                self.tracker.record_attempt(diagnosis.fix);
-                vec![diagnosis.fix]
+                self.tracker.attempt(diagnosis.fix)
             }
             None => {
                 // The engine has nothing (new) to suggest.  Wait a bounded
@@ -355,9 +415,7 @@ impl Healer for DiagnosisHealer {
                 self.idle_violation_ticks += 1;
                 if self.idle_violation_ticks > self.max_wait_ticks {
                     self.idle_violation_ticks = 0;
-                    let action = FixAction::untargeted(FixKind::FullServiceRestart);
-                    self.tracker.record_attempt(action);
-                    vec![action]
+                    self.tracker.escalate()
                 } else {
                     Vec::new()
                 }

@@ -14,22 +14,18 @@
 //! the generic remedy for gradual degradation such as software aging).
 //! When a violation does slip through, it reacts like the reactive hybrid.
 
-use crate::policy::EpisodeTracker;
-use selfheal_diagnosis::{AnomalyDetector, BottleneckAnalyzer, DiagnosisContext, ManualRuleBase};
+use crate::policy::{DiagnosisPanel, EpisodeTracker};
 use selfheal_faults::{FaultTarget, FixAction, FixKind};
 use selfheal_learn::forecast::{steps_until_threshold, Forecaster, SlidingLinearTrend};
 use selfheal_sim::scenario::Healer;
 use selfheal_sim::service::TickOutcome;
-use selfheal_telemetry::{Schema, SeriesStore, SloTargets};
+use selfheal_telemetry::{Schema, SloTargets};
+use std::collections::HashSet;
 
 /// Forecast-driven proactive healer.
 #[derive(Debug)]
 pub struct ProactiveHealer {
-    series: SeriesStore,
-    ctx: DiagnosisContext,
-    anomaly: AnomalyDetector,
-    bottleneck: BottleneckAnalyzer,
-    manual: ManualRuleBase,
+    panel: DiagnosisPanel,
     forecaster: SlidingLinearTrend,
     tracker: EpisodeTracker,
     /// How far ahead (ticks) the forecast must cross the SLO before acting.
@@ -46,11 +42,7 @@ impl ProactiveHealer {
     /// SLO targets.
     pub fn new(schema: &Schema, targets: SloTargets) -> Self {
         ProactiveHealer {
-            series: SeriesStore::new(schema.clone(), 4096),
-            ctx: DiagnosisContext::from_schema(schema, targets),
-            anomaly: AnomalyDetector::standard(),
-            bottleneck: BottleneckAnalyzer::standard(),
-            manual: ManualRuleBase::standard(),
+            panel: DiagnosisPanel::new(schema, targets),
             forecaster: SlidingLinearTrend::new(30),
             tracker: EpisodeTracker::new(3, 25),
             horizon_ticks: 60,
@@ -65,24 +57,6 @@ impl ProactiveHealer {
     pub fn fix_counts(&self) -> (u64, u64) {
         (self.proactive_fixes, self.reactive_fixes)
     }
-
-    fn best_diagnosis(&self, tried: &std::collections::HashSet<FixKind>) -> Option<FixAction> {
-        let mut candidates = Vec::new();
-        candidates.extend(self.anomaly.diagnose(&self.series, &self.ctx));
-        candidates.extend(self.bottleneck.diagnose(&self.series, &self.ctx));
-        let mut manual = self.manual.diagnose(&self.series, &self.ctx);
-        manual.retain(|d| d.fix.kind != FixKind::FullServiceRestart);
-        candidates.extend(manual);
-        candidates.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .expect("finite confidence")
-        });
-        candidates
-            .into_iter()
-            .find(|d| !tried.contains(&d.fix.kind))
-            .map(|d| d.fix)
-    }
 }
 
 impl Healer for ProactiveHealer {
@@ -92,24 +66,21 @@ impl Healer for ProactiveHealer {
 
     fn observe(&mut self, outcome: &TickOutcome) -> Vec<FixAction> {
         let violated = !outcome.violations.is_empty();
-        self.series.push(outcome.sample.clone());
+        self.panel.push(&outcome.sample);
         self.forecaster
-            .observe(outcome.sample.get(self.ctx.response_ms));
+            .observe(outcome.sample.get(self.panel.ctx.response_ms));
 
         let _ = self.tracker.resolve(outcome, violated);
 
         // Reactive path when a violation slipped through.
         if self.tracker.should_act(violated) {
-            let tried = self.tracker.tried_kinds();
-            let action = if self.tracker.exhausted() {
-                FixAction::untargeted(FixKind::FullServiceRestart)
-            } else {
-                self.best_diagnosis(&tried)
-                    .unwrap_or_else(|| FixAction::untargeted(FixKind::FullServiceRestart))
-            };
-            self.tracker.record_attempt(action);
             self.reactive_fixes += 1;
-            return vec![action];
+            if !self.tracker.exhausted() {
+                if let Some(action) = self.panel.best_untried(&self.tracker.tried_kinds()) {
+                    return self.tracker.attempt(action);
+                }
+            }
+            return self.tracker.escalate();
         }
 
         // Proactive path: act when the forecast crosses the SLO soon.
@@ -125,7 +96,7 @@ impl Healer for ProactiveHealer {
         }
         let crossing = steps_until_threshold(
             &self.forecaster,
-            self.ctx.slo_response_ms,
+            self.panel.ctx.slo_response_ms,
             self.horizon_ticks,
         );
         if crossing.is_none() {
@@ -135,9 +106,9 @@ impl Healer for ProactiveHealer {
         // A violation is coming: pick the best preventive fix from the
         // diagnosis engines, defaulting to rejuvenating the application tier
         // (the classic countermeasure to gradual degradation).
-        let empty = std::collections::HashSet::new();
         let action = self
-            .best_diagnosis(&empty)
+            .panel
+            .best_untried(&HashSet::new())
             .unwrap_or_else(|| FixAction::targeted(FixKind::RebootTier, FaultTarget::AppTier));
         self.last_proactive_at = Some(outcome.tick);
         self.proactive_fixes += 1;

@@ -8,17 +8,16 @@
 //!
 //! * [`PrivateStore`] — one replica, one synopsis (the paper's
 //!   single-instance setup).  Updates apply immediately.
-//! * [`LockedStore`] — one fleet, one synopsis behind one `RwLock`, with
-//!   batched update draining so replicas never stall on a sibling's
-//!   retrain.  This is the store previously known as `SharedSynopsis`.
-//! * [`ShardedStore`] — one fleet, `k` synopses, each owning a region of
-//!   symptom space.  Like cyclic block coordinate descent partitions a
-//!   solver's coordinates into disjoint blocks, the store partitions the
-//!   symptom space with k-means centroids (`selfheal_learn::KMeans`) and
-//!   routes every suggest/record to the shard owning that region — so
-//!   concurrent replicas updating *different* failure modes contend on
-//!   different locks.  With one shard it degenerates to exactly a
-//!   [`LockedStore`] (asserted fingerprint-identical in `tests/stores.rs`).
+//! * [`ShardedStore`] — the one fleet-shared store: `k` synopses, each
+//!   behind its own `RwLock` with batched update draining so replicas never
+//!   stall on a sibling's retrain, each owning a region of symptom space.
+//!   Like cyclic block coordinate descent partitions a solver's coordinates
+//!   into disjoint blocks, the store partitions the symptom space with
+//!   k-means centroids (`selfheal_learn::KMeans`) and routes every
+//!   suggest/record to the shard owning that region — so concurrent
+//!   replicas updating *different* failure modes contend on different
+//!   locks.  With `k = 1` there is nothing to route: one fleet, one
+//!   synopsis behind one lock (what `LearnerChoice::Locked` builds).
 //!
 //! Every store can [`snapshot`](SynopsisStore::snapshot) its experience to a
 //! [`SynopsisSnapshot`] and [`restore`](SynopsisStore::restore) from one —
@@ -79,36 +78,6 @@ fn recreate_log(log: &Mutex<Option<SnapshotLog>>, snapshot: impl FnOnce() -> Syn
     }
 }
 
-/// Folds a pending queue into its model with one combined refit — the one
-/// drain implementation behind [`LockedStore`] and every [`ShardedStore`]
-/// shard.  `blocking` waits for the model lock; otherwise the drain gives up
-/// (leaving the queue for a later caller) when a retrain is in progress.
-/// Drained updates are appended to `log` when incremental persistence is
-/// active.
-fn drain_into(
-    model: &RwLock<Synopsis>,
-    pending: &Mutex<Vec<PendingUpdate>>,
-    drains: &Mutex<u64>,
-    log: &Mutex<Option<SnapshotLog>>,
-    blocking: bool,
-) {
-    let mut model = if blocking {
-        model.write().expect("synopsis lock poisoned")
-    } else {
-        match model.try_write() {
-            Ok(model) => model,
-            Err(_) => return,
-        }
-    };
-    let updates = std::mem::take(&mut *pending.lock().expect("pending queue poisoned"));
-    if updates.is_empty() {
-        return;
-    }
-    log_drained(log, &updates);
-    model.absorb(updates);
-    *drains.lock().expect("drain counter poisoned") += 1;
-}
-
 /// A home for learned synopsis state, pluggable behind every healer.
 ///
 /// `SynopsisStore` extends [`Learner`] (the suggest/record surface healers
@@ -141,9 +110,9 @@ pub trait SynopsisStore: Learner {
     /// not fitted weights, so any store restores from any snapshot).
     fn restore(&mut self, snapshot: &SynopsisSnapshot);
 
-    /// A handle for one more consumer of this store.  Shared stores
-    /// ([`LockedStore`], [`ShardedStore`]) return a handle to the *same*
-    /// state; [`PrivateStore`] returns an independent deep copy.
+    /// A handle for one more consumer of this store.  The shared
+    /// [`ShardedStore`] returns a handle to the *same* state;
+    /// [`PrivateStore`] returns an independent deep copy.
     fn clone_store(&self) -> Box<dyn SynopsisStore>;
 
     /// Switches the store to *incremental* persistence: creates (truncating)
@@ -381,199 +350,6 @@ impl SynopsisStore for PrivateStore {
 }
 
 // ---------------------------------------------------------------------------
-// LockedStore
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct LockedState {
-    model: RwLock<Synopsis>,
-    pending: Mutex<Vec<PendingUpdate>>,
-    batch: usize,
-    drains: Mutex<u64>,
-    log: Mutex<Option<SnapshotLog>>,
-}
-
-/// A cloneable, thread-safe handle to one fleet-wide [`Synopsis`] behind a
-/// single lock (the store previously named `SharedSynopsis`):
-///
-/// * **Reads** ([`suggest`](Learner::suggest) /
-///   [`suggest_excluding`](Learner::suggest_excluding)) take a shared read
-///   lock on the fitted model — replicas query concurrently.
-/// * **Writes** ([`record`](Learner::record)) append to a cheap pending
-///   queue.  Only when the queue reaches the batch threshold does one
-///   replica opportunistically (`try_write`, never blocking on a retrain
-///   already in progress) drain the queue into the model with a *single*
-///   combined refit.  A replica therefore never stalls because another
-///   replica's update triggered a retrain.
-///
-/// The handle is `Clone`; clones share state.  Batching trades staleness for
-/// throughput: a freshly learned fix becomes visible to other replicas after
-/// at most `batch - 1` further updates (or a [`flush`](SynopsisStore::flush)).
-#[derive(Debug, Clone)]
-pub struct LockedStore {
-    state: Arc<LockedState>,
-}
-
-impl LockedStore {
-    /// Default number of queued updates that triggers a drain + refit.
-    pub const DEFAULT_BATCH: usize = 4;
-
-    /// Creates a locked store of the given kind with the default batch
-    /// threshold.
-    pub fn new(kind: SynopsisKind) -> Self {
-        Self::with_batch(kind, Self::DEFAULT_BATCH)
-    }
-
-    /// Creates a locked store that drains after `batch` queued updates
-    /// (`1` = drain on every update, i.e. no added staleness).
-    pub fn with_batch(kind: SynopsisKind, batch: usize) -> Self {
-        LockedStore {
-            state: Arc::new(LockedState {
-                model: RwLock::new(Synopsis::new(kind)),
-                pending: Mutex::new(Vec::new()),
-                batch: batch.max(1),
-                drains: Mutex::new(0),
-                log: Mutex::new(None),
-            }),
-        }
-    }
-
-    /// The configured synopsis kind (inherent mirror of
-    /// [`SynopsisStore::kind`] so handle users don't need the trait in
-    /// scope).
-    pub fn kind(&self) -> SynopsisKind {
-        self.read().kind()
-    }
-
-    /// Number of successful-fix examples folded into the model so far
-    /// (inherent mirror of [`Learner::correct_fixes_learned`]).
-    pub fn correct_fixes_learned(&self) -> usize {
-        self.read().correct_fixes_learned()
-    }
-
-    /// Number of updates currently queued and not yet folded into the model.
-    pub fn pending_updates(&self) -> usize {
-        self.state
-            .pending
-            .lock()
-            .expect("pending queue poisoned")
-            .len()
-    }
-
-    /// How many batched drains have run so far.
-    pub fn drains(&self) -> u64 {
-        *self.state.drains.lock().expect("drain counter poisoned")
-    }
-
-    /// Runs `f` against the fitted model under the read lock.
-    ///
-    /// Exposed so callers can take consistent multi-field snapshots (e.g.
-    /// training cost plus accuracy) without cloning the synopsis.
-    pub fn with_model<T>(&self, f: impl FnOnce(&Synopsis) -> T) -> T {
-        f(&self.read())
-    }
-
-    /// Blockingly drains every queued update into the model (inherent
-    /// mirror of [`SynopsisStore::flush`]).
-    pub fn flush(&self) {
-        drain_into(
-            &self.state.model,
-            &self.state.pending,
-            &self.state.drains,
-            &self.state.log,
-            true,
-        );
-    }
-
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, Synopsis> {
-        self.state.model.read().expect("synopsis lock poisoned")
-    }
-
-    /// Opportunistic drain: skips (leaving the queue for a later caller)
-    /// when another replica holds the model lock.
-    fn try_drain(&self) {
-        drain_into(
-            &self.state.model,
-            &self.state.pending,
-            &self.state.drains,
-            &self.state.log,
-            false,
-        );
-    }
-}
-
-impl Learner for LockedStore {
-    fn suggest(&self, symptoms: &[f64]) -> Option<(FixKind, f64)> {
-        self.read().suggest(symptoms)
-    }
-
-    fn suggest_excluding(
-        &self,
-        symptoms: &[f64],
-        excluded: &HashSet<FixKind>,
-    ) -> Option<(FixKind, f64)> {
-        self.read().suggest_excluding(symptoms, excluded)
-    }
-
-    fn record(&mut self, symptoms: &[f64], fix: FixKind, success: bool) {
-        let due = {
-            let mut pending = self.state.pending.lock().expect("pending queue poisoned");
-            pending.push((symptoms.to_vec(), fix, success));
-            pending.len() >= self.state.batch
-        };
-        if due {
-            self.try_drain();
-        }
-    }
-
-    fn correct_fixes_learned(&self) -> usize {
-        self.read().correct_fixes_learned()
-    }
-}
-
-impl SynopsisStore for LockedStore {
-    fn kind(&self) -> SynopsisKind {
-        LockedStore::kind(self)
-    }
-
-    fn flush(&self) {
-        LockedStore::flush(self);
-    }
-
-    fn pending_updates(&self) -> usize {
-        LockedStore::pending_updates(self)
-    }
-
-    fn snapshot(&self) -> SynopsisSnapshot {
-        self.flush();
-        let mut snapshot = SynopsisSnapshot::new(self.kind());
-        self.with_model(|model| append_synopsis(&mut snapshot, model));
-        snapshot
-    }
-
-    fn restore(&mut self, snapshot: &SynopsisSnapshot) {
-        let rebuilt = synopsis_from_snapshot(self.kind(), snapshot);
-        self.state
-            .pending
-            .lock()
-            .expect("pending queue poisoned")
-            .clear();
-        *self.state.model.write().expect("synopsis lock poisoned") = rebuilt;
-        recreate_log(&self.state.log, || SynopsisStore::snapshot(self));
-    }
-
-    fn clone_store(&self) -> Box<dyn SynopsisStore> {
-        Box::new(self.clone())
-    }
-
-    fn persist_to(&mut self, path: &Path) -> io::Result<()> {
-        let log = SnapshotLog::create(path, &SynopsisStore::snapshot(self))?;
-        *self.state.log.lock().expect("snapshot log poisoned") = Some(log);
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // ShardedStore
 // ---------------------------------------------------------------------------
 
@@ -581,7 +357,7 @@ impl SynopsisStore for LockedStore {
 ///
 /// Until enough symptom vectors have been observed to fit centroids, every
 /// request routes to shard 0 (so a cold sharded fleet behaves exactly like a
-/// [`LockedStore`]).  Once `fit_after` distinct observations accumulate, the
+/// one-shard store).  Once `fit_after` distinct observations accumulate, the
 /// router fits `k` centroids with Lloyd's k-means (deterministically seeded)
 /// and the partition is frozen — fixed blocks, as in cyclic block
 /// coordinate descent, so a symptom region never migrates between shards
@@ -681,15 +457,29 @@ struct ShardedState {
     log: Mutex<Option<SnapshotLog>>,
 }
 
-/// A fleet-shared store that partitions symptom space across `k`
-/// independently locked synopses.
+/// The fleet-shared store: a cloneable, thread-safe handle to `k`
+/// independently locked synopses that partition symptom space.
 ///
 /// Every suggest/record is routed to the shard owning the symptom's region
 /// (nearest fitted centroid), so replicas healing *different* failure modes
 /// update disjoint models and never contend on one global lock — the paper's
-/// shared-learning benefit without its single-writer bottleneck.  Each shard
-/// batches its writes exactly like a [`LockedStore`]; with `k = 1` the two
-/// are byte-for-byte equivalent (`tests/stores.rs` asserts the fingerprint).
+/// shared-learning benefit without its single-writer bottleneck.  Within a
+/// shard:
+///
+/// * **Reads** ([`suggest`](Learner::suggest) /
+///   [`suggest_excluding`](Learner::suggest_excluding)) take a shared read
+///   lock on the fitted model — replicas query concurrently.
+/// * **Writes** ([`record`](Learner::record)) append to a cheap pending
+///   queue.  Only when the queue reaches the batch threshold does one
+///   replica opportunistically (`try_write`, never blocking on a retrain
+///   already in progress) drain the queue into the model with a *single*
+///   combined refit.  A replica therefore never stalls because another
+///   replica's update triggered a retrain.
+///
+/// Batching trades staleness for throughput: a freshly learned fix becomes
+/// visible to other replicas after at most `batch - 1` further updates (or a
+/// [`flush`](SynopsisStore::flush)).  With `k = 1` the router is inert and
+/// the store is one fleet-wide synopsis behind one lock.
 ///
 /// The handle is `Clone`; clones share state.
 #[derive(Debug, Clone)]
@@ -698,6 +488,9 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
+    /// Default number of queued updates that triggers a drain + refit.
+    pub const DEFAULT_BATCH: usize = 4;
+
     /// Observations buffered before the routing centroids are fitted.
     pub const DEFAULT_FIT_AFTER: usize = 32;
 
@@ -707,11 +500,11 @@ impl ShardedStore {
     /// Creates a sharded store with the default batch threshold and router
     /// warm-up.
     pub fn new(kind: SynopsisKind, shards: usize) -> Self {
-        Self::with_batch(kind, shards, LockedStore::DEFAULT_BATCH)
+        Self::with_batch(kind, shards, Self::DEFAULT_BATCH)
     }
 
     /// Creates a sharded store whose shards drain after `batch` queued
-    /// updates each.
+    /// updates each (`1` = drain on every update, i.e. no added staleness).
     pub fn with_batch(kind: SynopsisKind, shards: usize, batch: usize) -> Self {
         let shards = shards.max(1);
         ShardedStore {
@@ -762,22 +555,35 @@ impl ShardedStore {
         *self.state.drains.lock().expect("drain counter poisoned")
     }
 
-    fn route(&self, symptoms: &[f64]) -> usize {
-        self.state
-            .router
-            .read()
-            .expect("router poisoned")
-            .route(symptoms)
+    /// Folds `shard`'s pending queue into its model with one combined refit.
+    /// `blocking` (a flush) waits for the model lock; otherwise (a due batch)
+    /// the drain gives up, leaving the queue for a later caller, when a
+    /// sibling's retrain is in progress.  Drained updates are appended to
+    /// the incremental log when persistence is active.
+    fn drain_shard(&self, shard: &Shard, blocking: bool) {
+        let mut model = if blocking {
+            shard.model.write().expect("shard lock poisoned")
+        } else {
+            match shard.model.try_write() {
+                Ok(model) => model,
+                Err(_) => return,
+            }
+        };
+        let updates = std::mem::take(&mut *shard.pending.lock().expect("shard queue poisoned"));
+        if updates.is_empty() {
+            return;
+        }
+        log_drained(&self.state.log, &updates);
+        model.absorb(updates);
+        *self.state.drains.lock().expect("drain counter poisoned") += 1;
     }
 
-    fn flush_shard(&self, shard: &Shard) {
-        drain_into(
-            &shard.model,
-            &shard.pending,
-            &self.state.drains,
-            &self.state.log,
-            true,
-        );
+    /// The model owning `symptoms`' region, read-locked.
+    fn routed_model(&self, symptoms: &[f64]) -> std::sync::RwLockReadGuard<'_, Synopsis> {
+        let router = self.state.router.read().expect("router poisoned");
+        let shard = &self.state.shards[router.route(symptoms)];
+        drop(router);
+        shard.model.read().expect("shard lock poisoned")
     }
 
     /// Drains every shard and collects the store's entire experience —
@@ -795,7 +601,7 @@ impl ShardedStore {
             };
             let mut model = shard.model.write().expect("shard lock poisoned");
             if !updates.is_empty() {
-                // Re-homing drains these updates outside drain_into, so the
+                // Re-homing drains these updates outside drain_shard, so the
                 // incremental log must hear about them here.
                 log_drained(&self.state.log, &updates);
                 model.absorb(updates);
@@ -808,6 +614,16 @@ impl ShardedStore {
     /// Rebuilds every shard's model from `snapshot`, partitioned by the
     /// given router's (current) centroids.
     fn partition_into_shards(&self, router: &Router, snapshot: &SynopsisSnapshot) {
+        let rebuild = |shard: &Shard, slice: &SynopsisSnapshot| {
+            shard.pending.lock().expect("shard queue poisoned").clear();
+            *shard.model.write().expect("shard lock poisoned") =
+                synopsis_from_snapshot(self.state.kind, slice);
+        };
+        // One shard owns everything: rebuild straight from the snapshot
+        // instead of copying it into a per-shard slice first.
+        if let [only] = self.state.shards.as_slice() {
+            return rebuild(only, snapshot);
+        }
         let mut per_shard: Vec<SynopsisSnapshot> = (0..self.state.shards.len())
             .map(|_| SynopsisSnapshot::new(self.state.kind))
             .collect();
@@ -817,31 +633,14 @@ impl ShardedStore {
                 .push(example.clone());
         }
         for (shard, slice) in self.state.shards.iter().zip(&per_shard) {
-            shard.pending.lock().expect("shard queue poisoned").clear();
-            *shard.model.write().expect("shard lock poisoned") =
-                synopsis_from_snapshot(self.state.kind, slice);
+            rebuild(shard, slice);
         }
-    }
-
-    fn try_drain_shard(&self, shard: &Shard) {
-        drain_into(
-            &shard.model,
-            &shard.pending,
-            &self.state.drains,
-            &self.state.log,
-            false,
-        );
     }
 }
 
 impl Learner for ShardedStore {
     fn suggest(&self, symptoms: &[f64]) -> Option<(FixKind, f64)> {
-        let shard = &self.state.shards[self.route(symptoms)];
-        shard
-            .model
-            .read()
-            .expect("shard lock poisoned")
-            .suggest(symptoms)
+        self.routed_model(symptoms).suggest(symptoms)
     }
 
     fn suggest_excluding(
@@ -849,11 +648,7 @@ impl Learner for ShardedStore {
         symptoms: &[f64],
         excluded: &HashSet<FixKind>,
     ) -> Option<(FixKind, f64)> {
-        let shard = &self.state.shards[self.route(symptoms)];
-        shard
-            .model
-            .read()
-            .expect("shard lock poisoned")
+        self.routed_model(symptoms)
             .suggest_excluding(symptoms, excluded)
     }
 
@@ -885,7 +680,7 @@ impl Learner for ShardedStore {
             (index, pending.len() >= self.state.batch)
         };
         if due {
-            self.try_drain_shard(&self.state.shards[index]);
+            self.drain_shard(&self.state.shards[index], false);
         }
     }
 
@@ -901,7 +696,7 @@ impl SynopsisStore for ShardedStore {
 
     fn flush(&self) {
         for shard in &self.state.shards {
-            self.flush_shard(shard);
+            self.drain_shard(shard, true);
         }
     }
 
@@ -978,87 +773,111 @@ mod tests {
         FixKind::UpdateStatistics,
     ];
 
+    /// The shared-store contract holds at every shard count: one shard (what
+    /// `LearnerChoice::Locked` builds) and four (unfitted, so still routing
+    /// to shard 0 at these update counts — except under the 100 concurrent
+    /// records below, which cross the router fit).
+    const SHARD_COUNTS: [usize; 2] = [1, 4];
+
+    /// Sums a per-model statistic over every shard.
+    fn over_models(store: &ShardedStore, stat: impl Fn(&Synopsis) -> usize) -> usize {
+        let models = store.state.shards.iter();
+        models
+            .map(|shard| stat(&shard.model.read().expect("shard lock poisoned")))
+            .sum()
+    }
+
     #[test]
     fn locked_updates_are_batched_until_the_threshold() {
-        let mut shared = LockedStore::with_batch(SynopsisKind::NearestNeighbor, 3);
-        shared.record(&symptom(0), FixKind::RepartitionMemory, true);
-        shared.record(&symptom(1), FixKind::MicrorebootEjb, true);
-        assert_eq!(shared.pending_updates(), 2);
-        assert_eq!(shared.correct_fixes_learned(), 0, "not yet drained");
-        assert!(shared.suggest(&symptom(0)).is_none());
+        for shards in SHARD_COUNTS {
+            let mut shared = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, shards, 3);
+            shared.record(&symptom(0), FixKind::RepartitionMemory, true);
+            shared.record(&symptom(1), FixKind::MicrorebootEjb, true);
+            assert_eq!(shared.pending_updates(), 2, "{shards} shards");
+            assert_eq!(shared.correct_fixes_learned(), 0, "not yet drained");
+            assert!(shared.suggest(&symptom(0)).is_none());
 
-        shared.record(&symptom(2), FixKind::UpdateStatistics, true);
-        assert_eq!(shared.pending_updates(), 0);
-        assert_eq!(shared.correct_fixes_learned(), 3);
-        assert_eq!(shared.drains(), 1);
-        assert_eq!(
-            shared.suggest(&symptom(0)).unwrap().0,
-            FixKind::RepartitionMemory
-        );
-        assert_eq!(
-            shared.with_model(|m| m.retrains()),
-            1,
-            "one refit for the whole batch"
-        );
+            shared.record(&symptom(2), FixKind::UpdateStatistics, true);
+            assert_eq!(shared.pending_updates(), 0, "{shards} shards");
+            assert_eq!(shared.correct_fixes_learned(), 3);
+            assert_eq!(shared.drains(), 1);
+            assert_eq!(
+                shared.suggest(&symptom(0)).unwrap().0,
+                FixKind::RepartitionMemory
+            );
+            assert_eq!(
+                over_models(&shared, |m| m.retrains() as usize),
+                1,
+                "one refit for the whole batch"
+            );
+        }
     }
 
     #[test]
     fn locked_flush_publishes_a_partial_batch() {
-        let mut shared = LockedStore::with_batch(SynopsisKind::NearestNeighbor, 64);
-        shared.record(&symptom(0), FixKind::RepartitionMemory, true);
-        assert!(shared.suggest(&symptom(0)).is_none());
-        LockedStore::flush(&shared);
-        assert_eq!(
-            shared.suggest(&symptom(0)).unwrap().0,
-            FixKind::RepartitionMemory
-        );
-        // A second flush with an empty queue is a no-op.
-        LockedStore::flush(&shared);
-        assert_eq!(shared.drains(), 1);
+        for shards in SHARD_COUNTS {
+            let mut shared = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, shards, 64);
+            shared.record(&symptom(0), FixKind::RepartitionMemory, true);
+            assert!(shared.suggest(&symptom(0)).is_none());
+            shared.flush();
+            assert_eq!(
+                shared.suggest(&symptom(0)).unwrap().0,
+                FixKind::RepartitionMemory
+            );
+            // A second flush with an empty queue is a no-op.
+            shared.flush();
+            assert_eq!(shared.drains(), 1, "{shards} shards");
+        }
     }
 
     #[test]
     fn locked_clones_share_learned_state() {
-        let mut a = LockedStore::with_batch(SynopsisKind::NearestNeighbor, 1);
-        let b = a.clone();
-        a.record(&symptom(1), FixKind::MicrorebootEjb, true);
-        assert_eq!(b.correct_fixes_learned(), 1);
-        assert_eq!(b.suggest(&symptom(1)).unwrap().0, FixKind::MicrorebootEjb);
+        for shards in SHARD_COUNTS {
+            let mut a = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, shards, 1);
+            let b = a.clone();
+            a.record(&symptom(1), FixKind::MicrorebootEjb, true);
+            assert_eq!(b.correct_fixes_learned(), 1, "{shards} shards");
+            assert_eq!(b.suggest(&symptom(1)).unwrap().0, FixKind::MicrorebootEjb);
+        }
     }
 
     #[test]
     fn failed_fixes_never_become_positives() {
-        let mut shared = LockedStore::with_batch(SynopsisKind::NearestNeighbor, 1);
-        shared.record(&symptom(0), FixKind::KillHungQuery, false);
-        LockedStore::flush(&shared);
-        assert_eq!(shared.correct_fixes_learned(), 0);
-        assert_eq!(shared.with_model(|m| m.failed_fixes_recorded()), 1);
+        for shards in SHARD_COUNTS {
+            let mut shared = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, shards, 1);
+            shared.record(&symptom(0), FixKind::KillHungQuery, false);
+            shared.flush();
+            assert_eq!(shared.correct_fixes_learned(), 0, "{shards} shards");
+            assert_eq!(over_models(&shared, |m| m.failed_fixes_recorded()), 1);
+        }
     }
 
     #[test]
     fn concurrent_recorders_lose_no_updates() {
-        let shared = LockedStore::with_batch(SynopsisKind::NearestNeighbor, 5);
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let mut handle = shared.clone();
-                thread::spawn(move || {
-                    for i in 0..25 {
-                        let class = (t + i) % 3;
-                        handle.record(&symptom(class), FIXES[class], true);
-                    }
+        for shards in SHARD_COUNTS {
+            let shared = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, shards, 5);
+            let threads: Vec<_> = (0..4)
+                .map(|t| {
+                    let mut handle = shared.clone();
+                    thread::spawn(move || {
+                        for i in 0..25 {
+                            let class = (t + i) % 3;
+                            handle.record(&symptom(class), FIXES[class], true);
+                        }
+                    })
                 })
-            })
-            .collect();
-        for t in threads {
-            t.join().expect("recorder thread panicked");
+                .collect();
+            for t in threads {
+                t.join().expect("recorder thread panicked");
+            }
+            shared.flush();
+            assert_eq!(shared.correct_fixes_learned(), 100, "{shards} shards");
+            assert!(shared.drains() >= 1);
+            assert_eq!(
+                shared.suggest(&symptom(0)).unwrap().0,
+                FixKind::RepartitionMemory
+            );
         }
-        LockedStore::flush(&shared);
-        assert_eq!(shared.correct_fixes_learned(), 100);
-        assert!(shared.drains() >= 1);
-        assert_eq!(
-            shared.suggest(&symptom(0)).unwrap().0,
-            FixKind::RepartitionMemory
-        );
     }
 
     #[test]
@@ -1096,14 +915,14 @@ mod tests {
 
     #[test]
     fn snapshots_restore_across_store_and_synopsis_kinds() {
-        let mut locked = LockedStore::with_batch(SynopsisKind::NearestNeighbor, 1);
+        let mut locked = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
         for i in 0..12 {
             let class = i % 3;
             locked.record(&symptom(class), FIXES[class], true);
         }
-        let snap = SynopsisStore::snapshot(&locked);
+        let snap = locked.snapshot();
 
-        // Restore into a different store type AND a different model kind.
+        // Restore into a different shard count AND a different model kind.
         let mut sharded = ShardedStore::new(SynopsisKind::KMeans, 3);
         sharded.restore(&snap);
         assert_eq!(sharded.correct_fixes_learned(), 12);
@@ -1146,33 +965,6 @@ mod tests {
         // Suggestions still resolve correctly through the router.
         for (class, fix) in FIXES.iter().enumerate() {
             assert_eq!(store.suggest(&symptom(class)).unwrap().0, *fix);
-        }
-    }
-
-    #[test]
-    fn one_shard_store_matches_a_locked_store_update_for_update() {
-        let mut locked = LockedStore::with_batch(SynopsisKind::NearestNeighbor, 4);
-        let mut sharded = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 4);
-        for i in 0..23 {
-            let class = i % 3;
-            let success = i % 5 != 0;
-            locked.record(&symptom(class), FIXES[class], success);
-            sharded.record(&symptom(class), FIXES[class], success);
-            assert_eq!(
-                LockedStore::pending_updates(&locked),
-                SynopsisStore::pending_updates(&sharded),
-                "at update {i}"
-            );
-            assert_eq!(
-                locked.correct_fixes_learned(),
-                sharded.correct_fixes_learned(),
-                "at update {i}"
-            );
-            assert_eq!(
-                locked.suggest(&symptom(class)),
-                sharded.suggest(&symptom(class)),
-                "at update {i}"
-            );
         }
     }
 
@@ -1261,9 +1053,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("locked.jsonl");
 
-        let mut store = LockedStore::with_batch(SynopsisKind::NearestNeighbor, 2);
+        let mut store = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 2);
         store.record(&symptom(0), FIXES[0], true);
-        SynopsisStore::persist_to(&mut store, &path).unwrap();
+        store.persist_to(&path).unwrap();
         // The pending (undrained) update seeded the file via the flush
         // inside snapshot().
         assert_eq!(SynopsisSnapshot::load(&path).unwrap().len(), 1);
@@ -1272,7 +1064,7 @@ mod tests {
         // quiesce.
         store.record(&symptom(1), FIXES[1], true);
         store.record(&symptom(2), FIXES[2], false);
-        assert_eq!(LockedStore::pending_updates(&store), 0, "batch drained");
+        assert_eq!(store.pending_updates(), 0, "batch drained");
         let mid_run = SynopsisSnapshot::load(&path).unwrap();
         assert_eq!(mid_run.len(), 3, "drained outcomes are on disk mid-run");
 
@@ -1283,13 +1075,13 @@ mod tests {
         assert_eq!(SynopsisSnapshot::load(&path).unwrap().len(), 3);
 
         // ...and a "restarted process" warm-starts from the mid-run file.
-        let mut revived = LockedStore::new(SynopsisKind::NearestNeighbor);
+        let mut revived = ShardedStore::new(SynopsisKind::NearestNeighbor, 1);
         revived.restore(&mid_run);
         assert_eq!(revived.correct_fixes_learned(), 2);
         assert_eq!(revived.suggest(&symptom(0)).unwrap().0, FIXES[0]);
 
         // The final flush appends the tail.
-        LockedStore::flush(&store);
+        store.flush();
         assert_eq!(SynopsisSnapshot::load(&path).unwrap().len(), 4);
         std::fs::remove_file(&path).ok();
     }

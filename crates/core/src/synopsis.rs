@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 /// A learned failure-signature → fix mapping, abstracted so healing policies
 /// work identically against a privately owned [`Synopsis`] or a handle to
-/// fleet-shared state (e.g. [`crate::store::LockedStore`]).
+/// fleet-shared state (e.g. [`crate::store::ShardedStore`]).
 ///
 /// This is the seam the fleet engine plugs into: [`crate::FixSymHealer`] and
 /// [`crate::HybridHealer`] are generic over `Learner`, so one replica's

@@ -442,11 +442,12 @@ fn apply_fleet_command(supervisor: &mut Supervisor, command: Command) -> (String
             Err(message) => (reply_err(&message), false),
         },
         Command::QueryFixes(Some(signature)) => match supervisor.suggest_fix(&signature) {
-            Some((fix, confidence)) => (
+            Ok(Some((fix, confidence))) => (
                 reply_ok(&[format!("fix={} confidence={confidence:.3}", fix.label())]),
                 false,
             ),
-            None => (reply_ok(&["no_suggestion".to_string()]), false),
+            Ok(None) => (reply_ok(&["no_suggestion".to_string()]), false),
+            Err(message) => (reply_err(&message), false),
         },
         Command::QueryFixes(None) => {
             let stats = supervisor.fix_stats();

@@ -103,6 +103,22 @@ use std::sync::Arc;
 /// Per-tick fault probability used when an `ADD <profile>` omits the rate.
 pub const DEFAULT_MIX_RATE: f64 = 0.02;
 
+/// Largest `workload_rate` (requests per tick) a `RECONFIGURE` may set —
+/// 250× the default workload.  Arrival generation allocates and loops per
+/// request, so an unbounded rate from the wire would wedge or OOM the daemon
+/// loop.
+pub const MAX_WORKLOAD_RATE: f64 = 10_000.0;
+
+/// Parses a rate that arrived from outside the process (`ADD`,
+/// `RECONFIGURE`, `--fault-mix`): it must be a finite number, since `NaN`
+/// survives every later clamp and an infinite rate never stops generating.
+pub(crate) fn parse_rate(text: &str, what: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(rate) if rate.is_finite() => Ok(rate),
+        _ => Err(format!("bad {what} {text:?}")),
+    }
+}
+
 /// Builds one replica runner — the test seam that lets supervisor tests
 /// inject deliberately panicking replicas.  The second argument is the
 /// replica's gated handle to the daemon's shared store; production runners
@@ -206,7 +222,8 @@ impl DaemonConfig {
     /// `none` (quiet), `default` ([`DaemonConfig::default_faults`]), or
     /// `<service>[:<rate>]` where `<service>` is a
     /// [`ServiceProfile`] name (`online`, `content`, `readmostly`) and
-    /// `<rate>` defaults to [`DEFAULT_MIX_RATE`].  Used by `ADD`,
+    /// `<rate>` (finite; clamped to `[0, 1]`) defaults to
+    /// [`DEFAULT_MIX_RATE`].  Used by `ADD`,
     /// `RECONFIGURE <id> fault_profile=...`, and the daemon binary's
     /// `--fault-mix` flag.
     pub fn fault_profile(&self, text: &str) -> Result<FaultChoice, String> {
@@ -215,11 +232,7 @@ impl DaemonConfig {
             "default" => Ok(self.default_faults.clone()),
             other => {
                 let (name, rate) = match other.split_once(':') {
-                    Some((name, rate)) => (
-                        name,
-                        rate.parse::<f64>()
-                            .map_err(|_| format!("bad fault rate {rate:?}"))?,
-                    ),
+                    Some((name, rate)) => (name, parse_rate(rate, "fault rate")?),
                     None => (other, DEFAULT_MIX_RATE),
                 };
                 let profile = ServiceProfile::ALL

@@ -107,20 +107,24 @@ impl SynopsisStore for PooledStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selfheal_core::store::LockedStore;
+    use selfheal_core::store::ShardedStore;
 
     fn signature() -> Vec<f64> {
         vec![4.0, 1.0, 0.0, 2.5]
     }
 
-    fn pooled(pool: &LockedStore) -> PooledStore {
-        let primary = Box::new(LockedStore::with_batch(SynopsisKind::NearestNeighbor, 1));
+    fn pooled(pool: &ShardedStore) -> PooledStore {
+        let primary = Box::new(ShardedStore::with_batch(
+            SynopsisKind::NearestNeighbor,
+            1,
+            1,
+        ));
         PooledStore::new(primary, pool.clone_store())
     }
 
     #[test]
     fn fixes_transfer_through_the_pool() {
-        let pool = LockedStore::with_batch(SynopsisKind::NearestNeighbor, 1);
+        let pool = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
         let mut scout = pooled(&pool);
         let victim = pooled(&pool);
         scout.record(&signature(), FixKind::MicrorebootEjb, true);
@@ -137,7 +141,7 @@ mod tests {
         assert!(confidence > 0.0);
 
         // A store outside the pool sees nothing.
-        let mut loner = LockedStore::with_batch(SynopsisKind::NearestNeighbor, 1);
+        let mut loner = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
         Learner::record(&mut loner, &[9.9, 9.9, 9.9, 9.9], FixKind::RebootTier, true);
         loner.flush();
         assert_eq!(
@@ -149,7 +153,7 @@ mod tests {
 
     #[test]
     fn primary_experience_wins_over_the_pool() {
-        let pool = LockedStore::with_batch(SynopsisKind::NearestNeighbor, 1);
+        let pool = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
         let mut scout = pooled(&pool);
         scout.record(&signature(), FixKind::MicrorebootEjb, true);
         let mut victim = pooled(&pool);
@@ -165,7 +169,7 @@ mod tests {
 
     #[test]
     fn namespace_surfaces_exclude_the_pool() {
-        let pool = LockedStore::with_batch(SynopsisKind::NearestNeighbor, 1);
+        let pool = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
         let mut scout = pooled(&pool);
         let mut victim = pooled(&pool);
         scout.record(&signature(), FixKind::MicrorebootEjb, true);

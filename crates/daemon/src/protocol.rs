@@ -43,9 +43,10 @@ pub enum Command {
         /// The new value, parsed per key.
         value: String,
     },
-    /// `QUERY FIXES [<signature>]` — with a comma-separated symptom vector,
-    /// ask the shared store for its best fix; without one, dump per-fix
-    /// success/failure statistics.
+    /// `QUERY FIXES [<signature>]` — with a comma-separated symptom vector
+    /// (finite components, one per metric of the fleet's schema — anything
+    /// else answers `ERR`), ask the shared store for its best fix; without
+    /// one, dump per-fix success/failure statistics.
     QueryFixes(Option<Vec<f64>>),
     /// `EPISODES OPEN` — which replicas are currently inside a failure
     /// episode.

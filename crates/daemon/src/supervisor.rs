@@ -23,7 +23,7 @@
 //! is retired as failed, its last panic message kept for `STATUS`.
 
 use crate::pool::PooledStore;
-use crate::DaemonConfig;
+use crate::{parse_rate, DaemonConfig, MAX_WORKLOAD_RATE};
 use selfheal_core::harness::{FaultChoice, WorkloadChoice};
 use selfheal_core::snapshot::SynopsisSnapshot;
 use selfheal_core::store::{FixStats, SynopsisStore};
@@ -31,6 +31,7 @@ use selfheal_core::synopsis::Learner;
 use selfheal_faults::{FaultKind, FixKind};
 use selfheal_fleet::reactive::{AdversarySource, ReactivePlan};
 use selfheal_fleet::{EpochEngine, FleetConfig, FleetEngine, ReplicaRunner};
+use selfheal_sim::metrics::MetricsCatalog;
 use selfheal_sim::seeds::{split_seed, SeedStream};
 use selfheal_telemetry::{FleetHealth, ReplicaHealth, ReplicaState};
 use selfheal_workload::ArrivalProcess;
@@ -333,9 +334,22 @@ impl Supervisor {
         health
     }
 
-    /// The store's best fix for a failure signature (live query).
-    pub fn suggest_fix(&self, symptoms: &[f64]) -> Option<(FixKind, f64)> {
-        self.store.suggest(symptoms)
+    /// The store's best fix for a failure signature (live query).  The
+    /// signature comes from the wire, so it is checked before the learners
+    /// see it: every component finite and as many of them as this fleet's
+    /// symptom vectors have (one per metric of the service's schema).
+    pub fn suggest_fix(&self, symptoms: &[f64]) -> Result<Option<(FixKind, f64)>, String> {
+        let width = MetricsCatalog::build(&self.config.service).schema().len();
+        if symptoms.len() != width {
+            return Err(format!(
+                "signature has {} components; this fleet's symptom vectors have {width}",
+                symptoms.len()
+            ));
+        }
+        if let Some(bad) = symptoms.iter().find(|v| !v.is_finite()) {
+            return Err(format!("signature component {bad} is not finite"));
+        }
+        Ok(self.store.suggest(symptoms))
     }
 
     /// Per-fix success/failure statistics over the store's experience.
@@ -405,10 +419,11 @@ impl Supervisor {
 
     /// Live-updates one replica's input streams.  Keys:
     ///
-    /// * `fault_rate=<f64>` — per-tick fault probability (the replica must
-    ///   already run a demographic mix).
+    /// * `fault_rate=<f64>` — per-tick fault probability, finite and clamped
+    ///   to `[0, 1]` (the replica must already run a demographic mix).
     /// * `fault_profile=<word>` — any [`DaemonConfig::fault_profile`] word.
-    /// * `workload_rate=<f64>` — synthetic arrival rate.
+    /// * `workload_rate=<f64>` — synthetic arrival rate, finite, floored at
+    ///   0 and refused above [`MAX_WORKLOAD_RATE`].
     /// * `adversary=on|off` — toggles the *fleet-wide* adversarial chaos
     ///   engine (the id names which replica the command rode in on, but the
     ///   engine targets whichever replica is weakest at each reactive
@@ -457,9 +472,7 @@ impl Supervisor {
                 return Ok(format!("adversary={}", if enable { "on" } else { "off" }));
             }
             "fault_rate" => {
-                let rate: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad fault rate {value:?}"))?;
+                let rate = parse_rate(value, "fault rate")?;
                 let mut faults = self.entries[&id].spec.faults.clone();
                 match &mut faults {
                     FaultChoice::Mix { rate: current, .. } => *current = rate.clamp(0.0, 1.0),
@@ -473,9 +486,12 @@ impl Supervisor {
             }
             "fault_profile" => Change::Faults(self.config.fault_profile(value)?),
             "workload_rate" => {
-                let rate: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad workload rate {value:?}"))?;
+                let rate = parse_rate(value, "workload rate")?;
+                if rate > MAX_WORKLOAD_RATE {
+                    return Err(format!(
+                        "workload rate {rate} exceeds the maximum of {MAX_WORKLOAD_RATE}"
+                    ));
+                }
                 let mut workload = self.entries[&id].spec.workload.clone();
                 match &mut workload {
                     WorkloadChoice::Synthetic { arrivals, .. } => {
@@ -688,6 +704,50 @@ mod tests {
         );
         assert_eq!(supervisor.advance_epoch(), 1, "the fleet ticks on");
         assert_eq!(supervisor.adversary_target(), None);
+        supervisor.shutdown();
+    }
+
+    /// Rates arrive from the wire (`ADD`, `RECONFIGURE`): non-finite ones
+    /// and workload rates above [`MAX_WORKLOAD_RATE`] are refused, finite
+    /// fault rates are clamped as before, and a refusal changes nothing.
+    #[test]
+    fn hostile_rates_are_refused_and_sane_ones_accepted() {
+        let mut supervisor = Supervisor::new(DaemonConfig::default()).unwrap();
+        let id = supervisor.add_replica("online:0.05").unwrap();
+        let max = MAX_WORKLOAD_RATE.to_string();
+        let cases: &[(&str, &str, Option<&str>)] = &[
+            ("workload_rate", "1e9", None),
+            ("workload_rate", "10000.5", None),
+            ("workload_rate", "inf", None),
+            ("workload_rate", "-inf", None),
+            ("workload_rate", "nan", None),
+            ("workload_rate", "fast", None),
+            ("fault_rate", "nan", None),
+            ("fault_rate", "inf", None),
+            ("fault_profile", "online:nan", None),
+            ("fault_profile", "online:inf", None),
+            ("workload_rate", &max, Some("workload=synthetic_bidding")),
+            ("workload_rate", "-3", Some("workload=synthetic_bidding")),
+            ("fault_rate", "7", Some("faults=mix_online_1")),
+            (
+                "fault_profile",
+                "content:0.5",
+                Some("faults=mix_content_0.5"),
+            ),
+        ];
+        for &(key, value, expected) in cases {
+            let before = supervisor.replica_health()[0].profile.clone();
+            let result = supervisor.reconfigure(id, key, value);
+            assert_eq!(result.as_deref().ok(), expected, "{key}={value}");
+            if expected.is_none() {
+                assert_eq!(supervisor.replica_health()[0].profile, before);
+            }
+        }
+        for bad in ["online:nan", "online:inf", "online:-inf"] {
+            assert!(supervisor.add_replica(bad).is_err(), "ADD {bad}");
+        }
+        assert_eq!(supervisor.replica_count(), 1, "refused ADDs add nothing");
+        assert_eq!(supervisor.advance_epoch(), 1, "the fleet ticks on");
         supervisor.shutdown();
     }
 }

@@ -33,7 +33,8 @@
 //! blur the per-tenant namespace isolation the snapshot logs guarantee.
 
 use crate::{DaemonConfig, Supervisor};
-use selfheal_core::store::{LockedStore, SynopsisStore};
+use selfheal_core::harness::LearnerChoice;
+use selfheal_core::store::SynopsisStore;
 use selfheal_jsonl::{push_json_string, JsonError, Scanner};
 use std::collections::BTreeMap;
 use std::fs;
@@ -96,7 +97,7 @@ impl TenantRegistry {
                 config.policy.label()
             )
         })?;
-        let pool: Box<dyn SynopsisStore> = Box::new(LockedStore::with_batch(kind, 1));
+        let pool = LearnerChoice::Locked { batch: 1 }.build_store(kind);
         let mut registry = TenantRegistry {
             template: config,
             pool,

@@ -72,15 +72,16 @@ use crate::events::{EventPlan, FleetShape};
 use crate::reactive::{ReactivePlan, ReactiveRecord};
 pub use crate::scheduler::{EpochEngine, ReplicaError, ReplicaRunner};
 use selfheal_core::harness::{
-    EventChoice, FaultChoice, LearnerChoice, PolicyChoice, ReactiveChoice, WorkloadChoice,
+    build_runner, EventChoice, FaultChoice, LearnerChoice, PolicyChoice, ReactiveChoice,
+    WorkloadChoice,
 };
 use selfheal_core::snapshot::SynopsisSnapshot;
 use selfheal_core::store::SynopsisStore;
 use selfheal_faults::{FaultSource, InjectionPlan, ScriptedSource};
-use selfheal_sim::scenario::{ScenarioOutcome, ScenarioRunner};
+use selfheal_sim::scenario::ScenarioOutcome;
 use selfheal_sim::seeds::{split_seed, SeedStream};
-use selfheal_sim::{MultiTierService, ServiceConfig};
-use selfheal_workload::{ArrivalProcess, TraceSource, WorkloadMix};
+use selfheal_sim::ServiceConfig;
+use selfheal_workload::{ArrivalProcess, WorkloadMix};
 use std::path::PathBuf;
 use std::sync::Arc;
 // lint:allow(nondeterminism): wall-time import feeds the wall_time report
@@ -636,43 +637,13 @@ impl FleetEngine {
                 FleetFaults::PerReplica(factory) => Box::new(ScriptedSource::new(factory(replica))),
             },
         };
-        let store = (config.policy.shares_learning())
-            .then(|| store.map(|s| s.clone_store()))
-            .flatten();
-        self.assemble_replica(replica, workload_source, fault_source, store)
-    }
-
-    /// Common replica assembly: seeds the service, wires the healer to the
-    /// provided store handle (or a private warm-started one), and caps the
-    /// series history.
-    fn assemble_replica(
-        &self,
-        replica: usize,
-        workload: Box<dyn TraceSource>,
-        faults: Box<dyn FaultSource>,
-        store: Option<Box<dyn SynopsisStore>>,
-    ) -> ReplicaRunner {
-        let config = &self.config;
-        let mut service_config = config.service.clone();
-        service_config.seed = split_seed(config.base_seed, replica as u64, SeedStream::Service);
-        let service = MultiTierService::new(service_config);
-        let schema = service.schema().clone();
-        let targets = config.service.slo_targets();
-        let healer = if config.policy.shares_learning() {
-            let store = store.unwrap_or_else(|| {
-                LearnerChoice::Private.build_store_warm(
-                    config
-                        .policy
-                        .synopsis_kind()
-                        .expect("learning policy has a kind"),
-                    config.warm_start.as_ref(),
-                )
-            });
-            config.policy.build_healer_stored(&schema, targets, store)
-        } else {
-            config.policy.build_healer(&schema, targets)
-        };
-        ScenarioRunner::with_faults(service, workload, faults, healer)
+        let store = config.policy.synopsis_kind().map(|kind| match store {
+            Some(shared) => shared.clone_store(),
+            None => LearnerChoice::Private.build_store_warm(kind, config.warm_start.as_ref()),
+        });
+        let mut service = config.service.clone();
+        service.seed = split_seed(config.base_seed, replica as u64, SeedStream::Service);
+        build_runner(service, workload_source, fault_source, config.policy, store)
             .with_series_capacity(config.series_capacity)
     }
 

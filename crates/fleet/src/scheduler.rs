@@ -657,7 +657,7 @@ impl Drop for EpochEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selfheal_core::store::LockedStore;
+    use selfheal_core::store::ShardedStore;
     use selfheal_faults::{FixAction, InjectionPlan};
     use selfheal_sim::scenario::NoHealing;
     use selfheal_sim::service::TickOutcome;
@@ -748,7 +748,7 @@ mod tests {
 
     #[test]
     fn a_panicking_replica_does_not_stall_gated_siblings() {
-        let store = LockedStore::new(SynopsisKind::NearestNeighbor);
+        let store = ShardedStore::new(SynopsisKind::NearestNeighbor, 1);
         let mut engine = EpochEngine::new(Some(3));
         // Sparse ids: the gate is keyed by whichever ids are live, not by
         // `0..n`.  Survivors consult the gated store every single tick: if

@@ -5,11 +5,12 @@
 
 use selfheal::daemon::protocol::send_command;
 use selfheal::daemon::{Daemon, DaemonConfig, DaemonOptions, ReplicaSpec, Supervisor};
-use selfheal::faults::{FaultKind, FixAction, InjectionPlan};
+use selfheal::faults::{FaultKind, FixAction, FixKind, InjectionPlan};
 use selfheal::fleet::{ExecutionMode, FleetConfig};
 use selfheal::healing::harness::ReactiveChoice;
 use selfheal::healing::snapshot::SynopsisSnapshot;
 use selfheal::healing::store::SynopsisStore;
+use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::sim::scenario::{Healer, ScenarioRunner};
 use selfheal::sim::service::TickOutcome;
 use selfheal::sim::{MultiTierService, ServiceConfig};
@@ -522,4 +523,51 @@ fn end_to_end_daemon_session_survives_kill_dash_nine() {
     let bye = ctl(&socket, "SHUTDOWN");
     assert!(bye.ends_with("OK\n"), "shutdown accepted: {bye}");
     life_two.join().unwrap().unwrap();
+}
+
+/// Hostile `QUERY FIXES` signatures are refused at the daemon boundary: a
+/// `nan` component (which, with two or more fixes learned, used to panic
+/// the nearest-neighbor distance sort on the daemon-loop thread) and a
+/// vector of the wrong length both answer `ERR`, and `STATUS` still
+/// answers afterwards.
+#[test]
+fn hostile_query_signatures_answer_err_and_the_daemon_lives() {
+    let scratch = Scratch::new("hostile-query");
+    let socket = scratch.path("control.sock");
+    let store_path = scratch.path("synopsis.jsonl");
+    let config = DaemonConfig {
+        store_path: Some(store_path.clone()),
+        ..DaemonConfig::default()
+    };
+    let width = MultiTierService::new(config.service.clone()).schema().len();
+
+    // Two learned fixes, replayed from the snapshot log at launch.
+    let mut learned = SynopsisSnapshot::new(SynopsisKind::NearestNeighbor);
+    learned.push(vec![2.0; width], FixKind::MicrorebootEjb, true);
+    learned.push(vec![5.0; width], FixKind::RebootTier, true);
+    learned.save(&store_path).unwrap();
+
+    let mut options = DaemonOptions::new(&socket);
+    options.replicas = 1;
+    options.profile = "none".to_string();
+    let daemon = Daemon::launch(config, options).unwrap();
+    let life = thread::spawn(move || daemon.run());
+    let alive = |reply: &str| field(reply, "fixes_known=") == Some(2);
+    wait_for(&socket, "STATUS", "the daemon to answer", alive);
+
+    let signature = |first: &str| {
+        let mut components = vec!["2"; width];
+        components[0] = first;
+        components.join(",")
+    };
+    let known = ctl(&socket, &format!("QUERY FIXES {}", signature("2")));
+    assert!(known.contains("fix=microreboot_ejb"), "good query: {known}");
+    for bad in [signature("nan"), signature("inf"), "1,2,3".to_string()] {
+        let reply = ctl(&socket, &format!("QUERY FIXES {bad}"));
+        assert!(reply.starts_with("ERR "), "{bad:?} is refused: {reply}");
+        assert!(alive(&ctl(&socket, "STATUS")), "alive after {bad:?}");
+    }
+
+    assert!(ctl(&socket, "SHUTDOWN").ends_with("OK\n"));
+    life.join().unwrap().unwrap();
 }

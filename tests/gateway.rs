@@ -7,6 +7,7 @@ use selfheal::daemon::{Daemon, DaemonConfig, DaemonOptions};
 use selfheal::gateway::auth::{AuthConfig, Scope, Token};
 use selfheal::gateway::client::{request, stream_lines, HttpReply};
 use selfheal::gateway::server::{Gateway, GatewayOptions};
+use selfheal::sim::MultiTierService;
 use std::path::PathBuf;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -133,6 +134,19 @@ fn gateway_serves_tenants_auth_and_streams_end_to_end() {
         Some("{\"profile\":\"default\"}"),
     );
     assert_eq!(added.status, 200, "add replica: {}", added.body);
+    // A hostile signature query is refused at the daemon boundary (400) and
+    // the daemon keeps serving: a non-finite component, then a wrong length.
+    let width = MultiTierService::new(DaemonConfig::default().service)
+        .schema()
+        .len();
+    for bad in [
+        format!("nan{}", ",1".repeat(width - 1)),
+        "1,2,3".to_string(),
+    ] {
+        let target = format!("/v1/tenants/scout/fixes?signature={bad}");
+        let refused = get(&addr, &target, Some("hunter2"));
+        assert_eq!(refused.status, 400, "{bad}: {}", refused.body);
+    }
     assert_eq!(
         get(&addr, "/v1/tenants/scout/status", Some("hunter2")).status,
         200

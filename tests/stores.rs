@@ -56,24 +56,6 @@ fn mean_attempts(outcome: &FleetOutcome) -> f64 {
     attempts.iter().sum::<f64>() / attempts.len() as f64
 }
 
-/// A `ShardedStore` with one shard must be indistinguishable from a
-/// `LockedStore`: same batching, same routing (there is nowhere else to
-/// route), same models — so the whole fleet run is fingerprint-identical.
-#[test]
-fn one_shard_fleet_is_fingerprint_identical_to_a_locked_fleet() {
-    let locked = fleet(LearnerChoice::locked()).run();
-    let sharded = fleet(LearnerChoice::Sharded {
-        shards: 1,
-        batch: 4,
-    })
-    .run();
-    assert_eq!(
-        locked.fingerprints(),
-        sharded.fingerprints(),
-        "a 1-shard sharded store must degenerate to exactly the locked store"
-    );
-}
-
 /// Sharded learning with k >= 4 is deterministic under sequential execution:
 /// the same seed reproduces every replica bit-for-bit, and a different seed
 /// does not (so the fingerprints actually discriminate).
@@ -126,20 +108,13 @@ fn warm_started_fleets_recover_in_fewer_attempts_than_cold_ones() {
 #[test]
 fn snapshots_flush_queued_updates_instead_of_dropping_them() {
     use selfheal::faults::FixKind;
-    use selfheal::healing::store::{LockedStore, ShardedStore, SynopsisStore};
+    use selfheal::healing::store::{ShardedStore, SynopsisStore};
     use selfheal::healing::synopsis::Learner;
 
-    let stores: [Box<dyn SynopsisStore>; 2] = [
-        // Batch thresholds far above the update count: everything stays
+    for shards in [1, 4] {
+        // A batch threshold far above the update count: everything stays
         // queued until something flushes.
-        Box::new(LockedStore::with_batch(SynopsisKind::NearestNeighbor, 64)),
-        Box::new(ShardedStore::with_batch(
-            SynopsisKind::NearestNeighbor,
-            4,
-            64,
-        )),
-    ];
-    for mut store in stores {
+        let mut store = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, shards, 64);
         store.record(&[8.0, 1.0, 1.0], FixKind::RepartitionMemory, true);
         store.record(&[1.0, 9.0, 1.0], FixKind::MicrorebootEjb, true);
         store.record(&[1.0, 1.0, 7.0], FixKind::UpdateStatistics, false);
@@ -151,7 +126,7 @@ fn snapshots_flush_queued_updates_instead_of_dropping_them() {
         assert_eq!(snapshot.negatives(), 1, "queued failures captured");
 
         // The queued experience survives a restore elsewhere.
-        let mut restored = LockedStore::new(SynopsisKind::NearestNeighbor);
+        let mut restored = ShardedStore::new(SynopsisKind::NearestNeighbor, 1);
         restored.restore(&snapshot);
         assert_eq!(
             restored.suggest(&[8.0, 1.0, 1.0]).map(|(fix, _)| fix),
