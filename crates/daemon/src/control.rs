@@ -1,12 +1,12 @@
 //! The control plane: a Unix-domain-socket server feeding parsed commands
 //! to the daemon loop, and the [`Daemon`] loop itself.
 //!
-//! The socket thread never touches the fleet.  It parses each request line
-//! into a [`Command`], enqueues it with a reply channel, and waits; the
-//! daemon loop drains the queue *between epochs* and answers through the
-//! channel.  Commands therefore land exactly at epoch barriers — the same
-//! synchronization points the batch scheduler uses — so the ticks between
-//! two control events stay deterministic per replica.
+//! The socket threads never touch the fleet.  Each parses its connection's
+//! request lines into [`Command`]s, enqueues them with a reply channel, and
+//! waits; the daemon loop drains the queue *between epochs* and answers
+//! through the channel.  Commands therefore land exactly at epoch barriers —
+//! the same synchronization points the batch scheduler uses — so the ticks
+//! between two control events stay deterministic per replica.
 
 use crate::protocol::{is_ok_reply, parse_command, reply_err, reply_ok, Command};
 use crate::supervisor::Supervisor;
@@ -15,6 +15,8 @@ use crate::DaemonConfig;
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
+use std::net::Shutdown;
+use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,22 +45,47 @@ impl PendingCommand {
     }
 }
 
+/// Live control connections beyond which a new one is answered `ERR` and
+/// closed: every connection occupies a thread, and a client that opens them
+/// in a loop must not be able to exhaust the daemon.
+const MAX_CONNECTIONS: usize = 64;
+
+/// How long a connection may sit without sending a command before it is
+/// cut loose (it holds one of the [`MAX_CONNECTIONS`] slots meanwhile).
+const IDLE_LIMIT: Duration = Duration::from_secs(600);
+
 struct ControlShared {
+    listener: UnixListener,
     queue: Mutex<VecDeque<PendingCommand>>,
     stop: AtomicBool,
+    threads: Mutex<ControlThreads>,
+}
+
+/// The control plane's threads.  Each runs [`control_thread`]: accept a
+/// connection, serve it to its end, accept the next.
+#[derive(Default)]
+struct ControlThreads {
+    /// Every thread started, for `Drop` to join.
+    handles: Vec<JoinHandle<()>>,
+    /// How many of them are in `accept` rather than serving.
+    accepting: usize,
+    /// A clone of every stream being served, so a stop can end the blocking
+    /// read its thread sits in.
+    serving: Vec<UnixStream>,
 }
 
 /// The socket server: accepts connections on a Unix domain socket, parses
 /// request lines, and queues [`PendingCommand`]s for the daemon loop.
 ///
-/// Connections are served one at a time (clients hold the socket only for
-/// the duration of one command; see
-/// [`send_command`](crate::protocol::send_command)).  The socket file is
-/// removed on [`Drop`].
+/// Every connection is served on a thread of its own (at most 64 at a
+/// time; one more is answered `ERR` and closed), and all of them feed the
+/// one queue the daemon loop drains at its epoch barrier.  So any number of
+/// waiting clients share the next barrier, a connection's replies arrive in
+/// the order it sent its commands, and a session that sits idle delays
+/// nobody.  The socket file is removed and every thread joined on [`Drop`].
 pub struct ControlPlane {
     path: PathBuf,
     shared: Arc<ControlShared>,
-    thread: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ControlPlane {
@@ -71,24 +98,19 @@ impl std::fmt::Debug for ControlPlane {
 
 impl ControlPlane {
     /// Binds the socket (removing any stale file at `path` first) and
-    /// starts the accept thread.
+    /// starts the first control thread.
     pub fn bind(path: &Path) -> io::Result<ControlPlane> {
         let _ = fs::remove_file(path);
-        let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(ControlShared {
+            listener: UnixListener::bind(path)?,
             queue: Mutex::new(VecDeque::new()),
             stop: AtomicBool::new(false),
+            threads: Mutex::new(ControlThreads::default()),
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept_path = path.to_path_buf();
-        let thread = thread::Builder::new()
-            .name("control-plane".to_string())
-            .spawn(move || accept_loop(listener, accept_shared, accept_path))?;
+        spawn_control_thread(&shared, &mut shared.threads.lock().expect("fresh mutex"))?;
         Ok(ControlPlane {
             path: path.to_path_buf(),
             shared,
-            thread: Some(thread),
         })
     }
 
@@ -103,91 +125,137 @@ impl ControlPlane {
         queue.drain(..).collect()
     }
 
-    /// Asks the accept thread to exit (it also unlinks the socket file).
+    /// Asks every control thread to exit: the connections being served stop
+    /// reading (a reply already on its way is still written), and each
+    /// thread, blocked in `accept` now or after its connection ends, is
+    /// woken by one connection to the plane's own socket.
     pub fn request_stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        if self.shared.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Called from `Drop` too, so a poisoned lock is skipped, not a panic.
+        let Ok(threads) = self.shared.threads.lock() else {
+            return;
+        };
+        for stream in &threads.serving {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        let wakes = threads.handles.len();
+        drop(threads);
+        for _ in 0..wakes {
+            let _ = UnixStream::connect(&self.path);
+        }
     }
 }
 
 impl Drop for ControlPlane {
     fn drop(&mut self) {
         self.request_stop();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
+        // No thread starts another once it has seen the stop.
+        let handles = match self.shared.threads.lock() {
+            Ok(mut threads) => std::mem::take(&mut threads.handles),
+            Err(_) => Vec::new(),
+        };
+        for handle in handles {
+            let _ = handle.join();
         }
+        let _ = fs::remove_file(&self.path);
     }
 }
 
-fn accept_loop(listener: UnixListener, shared: Arc<ControlShared>, path: PathBuf) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = serve_connection(stream, &shared);
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
+/// Starts one more control thread, counted as accepting.
+fn spawn_control_thread(
+    shared: &Arc<ControlShared>,
+    threads: &mut ControlThreads,
+) -> io::Result<()> {
+    let thread_shared = Arc::clone(shared);
+    let handle = thread::Builder::new()
+        .name("control-plane".to_string())
+        .spawn(move || control_thread(&thread_shared))?;
+    threads.handles.push(handle);
+    threads.accepting += 1;
+    Ok(())
+}
+
+/// Accepts and serves connections, one at a time, until the stop.  A thread
+/// that takes a connection while no other is left in `accept` starts one
+/// first, so there is always somebody to take the next connection and the
+/// plane holds one thread more than it ever had connections at once — a
+/// command is read by the thread its connection woke, with no hand-over.
+fn control_thread(shared: &Arc<ControlShared>) {
+    while let Ok((stream, _)) = shared.listener.accept() {
+        // The stop flag is read under the lock `request_stop` takes after
+        // setting it: a connection is either in `serving` when the stop
+        // hangs up on everything there, or never served.
+        let mut threads = shared.threads.lock().expect("control threads poisoned");
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
         }
+        if threads.serving.len() >= MAX_CONNECTIONS {
+            let refusal = reply_err(&format!(
+                "too many control connections (limit {MAX_CONNECTIONS})"
+            ));
+            let _ = (&stream).write_all(refusal.as_bytes());
+            continue;
+        }
+        let Ok(peer) = stream.try_clone() else {
+            continue;
+        };
+        let serving = peer.as_raw_fd();
+        threads.serving.push(peer);
+        threads.accepting -= 1;
+        if threads.accepting == 0 {
+            // Without a successor new connections wait for this one to end.
+            let _ = spawn_control_thread(shared, &mut threads);
+        }
+        drop(threads);
+        let _ = serve_connection(stream, shared);
+        let mut threads = shared.threads.lock().expect("control threads poisoned");
+        threads.serving.retain(|peer| peer.as_raw_fd() != serving);
+        threads.accepting += 1;
     }
-    let _ = fs::remove_file(&path);
 }
 
 /// Serves one connection: a loop of request line → queue → reply.  Closes
-/// on EOF, read errors, a served `SHUTDOWN`, or a long idle stretch.
-fn serve_connection(stream: UnixStream, shared: &Arc<ControlShared>) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(1)))?;
+/// on EOF (which is also what a stop makes the read return), a served
+/// `SHUTDOWN`, or a read error — [`IDLE_LIMIT`] without a command is one.
+fn serve_connection(stream: UnixStream, shared: &ControlShared) -> io::Result<()> {
+    stream.set_read_timeout(Some(IDLE_LIMIT))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut buffer = String::new();
-    let mut idle = 0u32;
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return Ok(());
         }
         buffer.clear();
-        match reader.read_line(&mut buffer) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {
-                idle = 0;
-                let line = buffer.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                let (reply, was_shutdown) = match parse_command(line) {
-                    Err(message) => (reply_err(&message), false),
-                    Ok(command) => {
-                        let was_shutdown = command == Command::Shutdown;
-                        let (reply_tx, reply_rx) = mpsc::channel();
-                        shared
-                            .queue
-                            .lock()
-                            .expect("control queue poisoned")
-                            .push_back(PendingCommand {
-                                command,
-                                reply: reply_tx,
-                            });
-                        (wait_reply(reply_rx, shared), was_shutdown)
-                    }
-                };
-                writer.write_all(reply.as_bytes())?;
-                writer.flush()?;
-                if was_shutdown && is_ok_reply(&reply) {
-                    return Ok(());
-                }
+        if reader.read_line(&mut buffer)? == 0 {
+            return Ok(());
+        }
+        let line = buffer.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let (reply, was_shutdown) = match parse_command(line) {
+            Err(message) => (reply_err(&message), false),
+            Ok(command) => {
+                let was_shutdown = command == Command::Shutdown;
+                let (reply_tx, reply_rx) = mpsc::channel();
+                shared
+                    .queue
+                    .lock()
+                    .expect("control queue poisoned")
+                    .push_back(PendingCommand {
+                        command,
+                        reply: reply_tx,
+                    });
+                (wait_reply(reply_rx, shared), was_shutdown)
             }
-            Err(err)
-                if err.kind() == io::ErrorKind::WouldBlock
-                    || err.kind() == io::ErrorKind::TimedOut =>
-            {
-                idle += 1;
-                if idle > 600 {
-                    // A client has held the (single-served) socket idle for
-                    // ten minutes; cut it loose.
-                    return Ok(());
-                }
-            }
-            Err(err) => return Err(err),
+        };
+        writer.write_all(reply.as_bytes())?;
+        writer.flush()?;
+        if was_shutdown && is_ok_reply(&reply) {
+            return Ok(());
         }
     }
 }

@@ -292,13 +292,12 @@ pub fn is_terminator(line: &str) -> bool {
 pub fn send_command(socket: &Path, command: &str, timeout: Duration) -> io::Result<String> {
     let stream = UnixStream::connect(socket)?;
     stream.set_read_timeout(Some(timeout))?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(command.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
+    // One write, command and newline together.  A daemon at its connection
+    // limit answers `ERR` and hangs up without reading, so a failed write
+    // counts only when no reply arrives either.
+    let sent = (&stream).write_all(format!("{command}\n").as_bytes());
     let mut reply = String::new();
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
+    for line in BufReader::new(stream).lines() {
         let line = line?;
         let done = is_terminator(&line);
         reply.push_str(&line);
@@ -306,6 +305,9 @@ pub fn send_command(socket: &Path, command: &str, timeout: Duration) -> io::Resu
         if done {
             break;
         }
+    }
+    if reply.is_empty() {
+        sent?;
     }
     Ok(reply)
 }

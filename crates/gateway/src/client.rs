@@ -118,21 +118,21 @@ fn write_request(
     token: Option<&str>,
     body: Option<&str>,
 ) -> io::Result<()> {
-    let mut head = format!("{method} {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
+    // Head and body leave in one write: a second small write would wait
+    // (Nagle) for the server's delayed ACK of the first.
+    let mut wire = format!("{method} {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
     if let Some(token) = token {
-        head.push_str(&format!("Authorization: Bearer {token}\r\n"));
+        wire.push_str(&format!("Authorization: Bearer {token}\r\n"));
     }
     if let Some(body) = body {
-        head.push_str(&format!(
+        wire.push_str(&format!(
             "Content-Type: application/json\r\nContent-Length: {}\r\n",
             body.len()
         ));
     }
-    head.push_str("\r\n");
-    writer.write_all(head.as_bytes())?;
-    if let Some(body) = body {
-        writer.write_all(body.as_bytes())?;
-    }
+    wire.push_str("\r\n");
+    wire.push_str(body.unwrap_or(""));
+    writer.write_all(wire.as_bytes())?;
     writer.flush()
 }
 

@@ -238,17 +238,19 @@ impl Response {
         }
     }
 
-    /// Serializes status line, headers, and body onto the wire.
+    /// Serializes status line, headers, and body onto the wire in a single
+    /// write: a reply split over several small writes meets Nagle's
+    /// algorithm and the peer's delayed ACK, which costs ~40 ms apiece.
     pub fn write_to<W: Write>(&self, writer: &mut W, keep_alive: bool) -> io::Result<()> {
-        write!(
-            writer,
+        let wire = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{}",
             self.status,
             status_reason(self.status),
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
             self.body
-        )?;
+        );
+        writer.write_all(wire.as_bytes())?;
         writer.flush()
     }
 }
@@ -261,26 +263,28 @@ pub struct ChunkWriter<W: Write> {
 }
 
 impl<W: Write> ChunkWriter<W> {
-    /// Writes the response head and returns the writer for the chunks.
+    /// Writes the response head (one write) and returns the writer for the
+    /// chunks.
     pub fn start(mut inner: W, status: u16, content_type: &str) -> io::Result<ChunkWriter<W>> {
-        write!(
-            inner,
+        let head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             status,
             status_reason(status),
             content_type
-        )?;
+        );
+        inner.write_all(head.as_bytes())?;
         inner.flush()?;
         Ok(ChunkWriter { inner })
     }
 
-    /// Writes one chunk (empty input is skipped: a zero-length chunk would
-    /// terminate the stream).
+    /// Writes one chunk, size line and data in one write (empty input is
+    /// skipped: a zero-length chunk would terminate the stream).
     pub fn chunk(&mut self, data: &str) -> io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.inner, "{:x}\r\n{}\r\n", data.len(), data)?;
+        let chunk = format!("{:x}\r\n{}\r\n", data.len(), data);
+        self.inner.write_all(chunk.as_bytes())?;
         self.inner.flush()
     }
 
@@ -386,5 +390,55 @@ mod tests {
         assert!(text.contains("Transfer-Encoding: chunked\r\n"));
         assert!(text.contains("c\r\n{\"epoch\":1}\n\r\n"));
         assert!(text.ends_with("0\r\n\r\n"));
+    }
+
+    /// A sink that records every `write` call separately, as a socket
+    /// without a userspace buffer would see them.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_piece_reaches_the_socket_in_one_write() {
+        let mut log = WriteLog::default();
+        Response::json(404, "{\"error\":\"nope\"}")
+            .write_to(&mut log, false)
+            .unwrap();
+        assert_eq!(
+            log.0,
+            [
+                b"HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+               Content-Length: 16\r\nConnection: close\r\n\r\n{\"error\":\"nope\"}"
+                    .to_vec()
+            ]
+        );
+
+        let mut log = WriteLog::default();
+        let mut chunks = ChunkWriter::start(&mut log, 200, "application/jsonl").unwrap();
+        chunks.chunk("{\"epoch\":1}\n").unwrap();
+        chunks.chunk("").unwrap();
+        chunks.chunk("{\"epoch\":2}\n").unwrap();
+        chunks.finish().unwrap();
+        assert_eq!(
+            log.0,
+            [
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/jsonl\r\n\
+                  Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+                    .to_vec(),
+                b"c\r\n{\"epoch\":1}\n\r\n".to_vec(),
+                b"c\r\n{\"epoch\":2}\n\r\n".to_vec(),
+                b"0\r\n\r\n".to_vec(),
+            ]
+        );
     }
 }

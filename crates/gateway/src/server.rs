@@ -22,7 +22,7 @@ use selfheal_daemon::protocol::{is_ok_reply, is_terminator, render_command, send
 use selfheal_jsonl::push_json_string;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,13 +67,21 @@ struct ServerShared {
     audit: Option<Mutex<File>>,
 }
 
+/// How long a keep-alive connection may sit between requests before it is
+/// cut loose.
+const IDLE_LIMIT: Duration = Duration::from_secs(300);
+
+/// One entry per live connection: its thread, and a clone of its stream so
+/// a stop can end the thread's blocking read.
+type Connections = Arc<Mutex<Vec<(JoinHandle<()>, TcpStream)>>>;
+
 /// A running gateway server: an accept thread plus one thread per live
 /// connection.  Dropping it stops accepting and joins every thread.
 pub struct Gateway {
     addr: SocketAddr,
     shared: Arc<ServerShared>,
     accept: Option<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    connections: Connections,
 }
 
 impl std::fmt::Debug for Gateway {
@@ -99,9 +107,6 @@ impl Gateway {
         };
         let listener = TcpListener::bind(&options.listen)
             .map_err(|err| format!("cannot bind {:?}: {err}", options.listen))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|err| format!("cannot configure listener: {err}"))?;
         let addr = listener
             .local_addr()
             .map_err(|err| format!("cannot read bound address: {err}"))?;
@@ -110,7 +115,7 @@ impl Gateway {
             stop: AtomicBool::new(false),
             audit,
         });
-        let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let connections: Connections = Arc::new(Mutex::new(Vec::new()));
         let accept_shared = Arc::clone(&shared);
         let accept_connections = Arc::clone(&connections);
         let accept = thread::Builder::new()
@@ -130,9 +135,28 @@ impl Gateway {
         self.addr
     }
 
-    /// Asks every server thread to wind down.
+    /// Asks every server thread to wind down: connections stop reading (a
+    /// reply already on its way is still written), and the accept thread,
+    /// which blocks in `accept`, is woken by a connection to its own
+    /// address.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        if self.shared.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Called from `Drop` too, so a poisoned list is skipped, not a panic.
+        if let Ok(live) = self.connections.lock() {
+            for (_, stream) in live.iter() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
     }
 
     /// Blocks until the accept thread exits (it only does on [`stop`]
@@ -152,65 +176,56 @@ impl Drop for Gateway {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.connections.lock().expect("connection list poisoned"));
-        for handle in handles {
+        let live = match self.connections.lock() {
+            Ok(mut live) => std::mem::take(&mut *live),
+            Err(_) => return,
+        };
+        for (handle, _) in live {
             let _ = handle.join();
         }
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<ServerShared>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let conn_shared = Arc::clone(&shared);
-                if let Ok(handle) = thread::Builder::new()
-                    .name("gateway-conn".to_string())
-                    .spawn(move || {
-                        let _ = serve_connection(stream, &conn_shared);
-                    })
-                {
-                    let mut handles = connections.lock().expect("connection list poisoned");
-                    handles.retain(|h| !h.is_finished());
-                    handles.push(handle);
-                }
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
+fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, connections: Connections) {
+    while let Ok((stream, _)) = listener.accept() {
+        // The stop flag is read under the list's lock, which `stop` takes
+        // after setting it: a connection is either in the list when the stop
+        // hangs up on everything in it, or never served.
+        let mut live = connections.lock().expect("connection list poisoned");
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        live.retain(|(handle, _)| !handle.is_finished());
+        let Ok(peer) = stream.try_clone() else {
+            continue;
+        };
+        let conn_shared = Arc::clone(&shared);
+        if let Ok(handle) = thread::Builder::new()
+            .name("gateway-conn".to_string())
+            .spawn(move || {
+                let _ = serve_connection(stream, &conn_shared);
+            })
+        {
+            live.push((handle, peer));
         }
     }
 }
 
 fn serve_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+    // Every reply is one write; without Nagle it leaves at once.
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(IDLE_LIMIT))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut idle = 0u32;
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return Ok(());
         }
         let request = match read_request(&mut reader) {
             Ok(Some(request)) => request,
+            // EOF: the peer hung up, or a stop shut the read side.
             Ok(None) => return Ok(()),
-            Err(HttpError::Io(err))
-                if err.kind() == io::ErrorKind::WouldBlock
-                    || err.kind() == io::ErrorKind::TimedOut =>
-            {
-                idle += 1;
-                if idle > 150 {
-                    // Five idle minutes; cut the keep-alive connection loose.
-                    return Ok(());
-                }
-                continue;
-            }
+            // Includes the read that timed out after `IDLE_LIMIT`.
             Err(HttpError::Io(err)) => return Err(err),
             Err(HttpError::Bad { status, message }) => {
                 let response = Response::json(status, error_body(&message));
@@ -218,7 +233,6 @@ fn serve_connection(stream: TcpStream, shared: &ServerShared) -> io::Result<()> 
                 return Ok(());
             }
         };
-        idle = 0;
         let keep_alive = request.keep_alive();
         match handle_request(shared, &request, &mut writer)? {
             Handled::Response(response) => response.write_to(&mut writer, keep_alive)?,

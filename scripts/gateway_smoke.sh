@@ -26,6 +26,7 @@ DIR="$(mktemp -d)"
 SOCKET="$DIR/control.sock"
 STORE="$DIR/synopsis.jsonl"
 AUDIT="$DIR/audit.log"
+READ_MS="$DIR/read_ms"
 DAEMON_PID=""
 GATEWAY_PID=""
 
@@ -37,7 +38,18 @@ fail() {
     exit 1
 }
 
-http() { "$HTTP" --timeout-secs 20 "$@"; }
+# Runs the client; a successful plain GET is a latency sample for the gate
+# at the end of the script.
+http() {
+    local started status
+    started=$(date +%s%N)
+    "$HTTP" --timeout-secs 20 "$@"
+    status=$?
+    if [ "$status" -eq 0 ] && [[ " $* " == *" GET "* && " $* " != *" --stream "* ]]; then
+        echo $(( ($(date +%s%N) - started) / 1000000 )) >> "$READ_MS"
+    fi
+    return "$status"
+}
 
 # Asserts that a request is denied with the given status (the client exits
 # nonzero and names the status on stderr).
@@ -210,5 +222,11 @@ done
 kill "$GATEWAY_PID" 2>/dev/null
 wait "$GATEWAY_PID" 2>/dev/null
 GATEWAY_PID=""
+
+# Read latency: a command waits for the daemon's next epoch barrier (a few
+# ms) and its reply leaves the gateway as one segment on a no-delay socket.
+MEDIAN_MS="$(sort -n "$READ_MS" | awk '{ v[NR] = $1 } END { print v[int((NR + 1) / 2)] }')"
+[ -n "$MEDIAN_MS" ] && [ "$MEDIAN_MS" -le 25 ] \
+    || fail "median read took ${MEDIAN_MS:-?} ms over $(wc -l < "$READ_MS") requests (limit 25 ms): replies are being delayed"
 rm -rf "$DIR"
-echo "gateway_smoke: OK"
+echo "gateway_smoke: OK (median read ${MEDIAN_MS} ms)"

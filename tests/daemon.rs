@@ -1,10 +1,14 @@
 //! Integration tests for the resident fleet daemon: supervisor
 //! restart-with-backoff, daemon ≡ batch fingerprint pins, crash-restart
-//! durability through the incremental snapshot log, and a scripted
-//! end-to-end daemon session over the control-plane socket.
+//! durability through the incremental snapshot log, a scripted end-to-end
+//! daemon session over the control-plane socket, and the control plane's
+//! concurrency: idle sessions, parallel clients, the connection cap, and
+//! stopping with clients connected.
 
-use selfheal::daemon::protocol::send_command;
-use selfheal::daemon::{Daemon, DaemonConfig, DaemonOptions, ReplicaSpec, Supervisor};
+use selfheal::daemon::protocol::{is_terminator, send_command};
+use selfheal::daemon::{
+    ControlPlane, Daemon, DaemonConfig, DaemonOptions, ReplicaSpec, Supervisor,
+};
 use selfheal::faults::{FaultKind, FixAction, FixKind, InjectionPlan};
 use selfheal::fleet::{ExecutionMode, FleetConfig};
 use selfheal::healing::harness::ReactiveChoice;
@@ -16,9 +20,11 @@ use selfheal::sim::service::TickOutcome;
 use selfheal::sim::{MultiTierService, ServiceConfig};
 use selfheal::telemetry::ReplicaState;
 use selfheal::workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -570,4 +576,208 @@ fn hostile_query_signatures_answer_err_and_the_daemon_lives() {
 
     assert!(ctl(&socket, "SHUTDOWN").ends_with("OK\n"));
     life.join().unwrap().unwrap();
+}
+
+/// A quiet one-replica daemon on `socket`, running on its own thread; the
+/// receiver yields `run`'s result once the loop has exited.
+fn quiet_daemon(socket: &Path) -> (Arc<AtomicBool>, mpsc::Receiver<Result<(), String>>) {
+    let mut options = DaemonOptions::new(socket);
+    options.replicas = 1;
+    options.profile = "none".to_string();
+    let daemon = Daemon::launch(DaemonConfig::default(), options).unwrap();
+    let kill = daemon.kill_switch();
+    let (done_tx, done_rx) = mpsc::channel();
+    thread::spawn(move || done_tx.send(daemon.run()));
+    wait_for(socket, "STATUS", "the daemon to answer", |reply| {
+        reply.ends_with("OK\n")
+    });
+    (kill, done_rx)
+}
+
+/// Reads one full reply (payload lines + terminator) off a held connection.
+fn read_reply(reader: &mut BufReader<UnixStream>) -> String {
+    let mut reply = String::new();
+    loop {
+        let mut line = String::new();
+        let read = reader.read_line(&mut line).expect("read a reply line");
+        assert!(read > 0, "connection closed mid-reply after {reply:?}");
+        reply.push_str(&line);
+        if is_terminator(line.trim_end()) {
+            return reply;
+        }
+    }
+}
+
+fn held_connection(socket: &Path) -> BufReader<UnixStream> {
+    let stream = UnixStream::connect(socket).expect("connect to the control socket");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    BufReader::new(stream)
+}
+
+/// Connections are served concurrently: an idle session delays nobody,
+/// parallel clients all get well-formed replies in their own send order,
+/// and the connection past the cap is told so instead of left hanging.
+#[test]
+fn control_plane_serves_clients_concurrently_up_to_its_cap() {
+    let scratch = Scratch::new("concurrent");
+    let socket = scratch.path("control.sock");
+    let (_kill, done) = quiet_daemon(&socket);
+
+    // An open, silent session (an interactive `selfheal-ctl`, say)...
+    let mut idle = held_connection(&socket);
+    // ...and a second client's command still lands on the next barrier.
+    let sent = Instant::now();
+    let reply = ctl(&socket, "STATUS");
+    assert!(
+        reply.ends_with("OK\n"),
+        "status beside an idle session: {reply}"
+    );
+    assert!(
+        sent.elapsed() < Duration::from_secs(1),
+        "an idle session stalled another client for {:?}",
+        sent.elapsed()
+    );
+    // The idle session itself is still served.
+    idle.get_mut().write_all(b"TENANT LIST\n").unwrap();
+    assert!(read_reply(&mut idle).contains("tenant=default"));
+
+    // K clients, released together, each pipelining M commands whose
+    // replies tell them apart: every reply well-formed, in send order.
+    const CLIENTS: usize = 6;
+    const ROUNDS: usize = 5;
+    // (command, how its reply starts)
+    const SCRIPT: [(&str, &str); 4] = [
+        ("STATUS", "epoch="),
+        ("FROB", "ERR unknown command"),
+        ("TENANT LIST", "tenant=default"),
+        ("REMOVE 99", "ERR no replica 99"),
+    ];
+    let start = Arc::new(Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|client| {
+            let (socket, start) = (socket.clone(), Arc::clone(&start));
+            thread::spawn(move || {
+                let mut link = held_connection(&socket);
+                let lines: String = (0..ROUNDS)
+                    .flat_map(|_| SCRIPT.iter().map(|(line, _)| format!("{line}\n")))
+                    .collect();
+                start.wait();
+                link.get_mut().write_all(lines.as_bytes()).unwrap();
+                for round in 0..ROUNDS {
+                    for (line, opening) in SCRIPT {
+                        let reply = read_reply(&mut link);
+                        assert!(
+                            reply.starts_with(opening),
+                            "client {client} round {round}: {line} answered {reply:?}"
+                        );
+                    }
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client
+            .join()
+            .expect("a client saw a bad or misordered reply");
+    }
+
+    // Fill the plane with silent sessions until one is refused: the refusal
+    // is an immediate `ERR` line and a hang-up, not a wait.
+    let mut held = Vec::new();
+    let refusal = loop {
+        assert!(held.len() < 1024, "no connection cap in sight");
+        let mut link = held_connection(&socket);
+        // The refused connection may already be closed when this lands.
+        let _ = link.get_mut().write_all(b"STATUS\n");
+        let reply = read_reply(&mut link);
+        if reply.starts_with("ERR ") {
+            let mut rest = Vec::new();
+            let _ = link.read_to_end(&mut rest);
+            assert!(rest.is_empty(), "the refused connection is closed");
+            break reply;
+        }
+        assert!(reply.ends_with("OK\n"), "under the cap: {reply}");
+        held.push(link);
+    };
+    assert!(
+        refusal.contains("too many control connections"),
+        "refusal: {refusal}"
+    );
+    assert!(held.len() >= 8, "the cap leaves room for real use");
+    let refused = ctl(&socket, "STATUS");
+    assert!(
+        refused.contains("too many control connections"),
+        "send_command surfaces the refusal: {refused}"
+    );
+    // Hanging up frees the slots.
+    drop(held);
+    wait_for(&socket, "STATUS", "slots to free up", |reply| {
+        reply.ends_with("OK\n")
+    });
+
+    assert!(ctl(&socket, "SHUTDOWN").ends_with("OK\n"));
+    done.recv_timeout(Duration::from_secs(10))
+        .expect("the daemon loop exits")
+        .unwrap();
+}
+
+/// `SHUTDOWN` and the kill switch both end `Daemon::run`, hang up on a
+/// connected client and unlink the socket — promptly, though every control
+/// thread sits in a blocking `accept` or `read`.
+#[test]
+fn daemon_stops_promptly_with_a_client_connected() {
+    let scratch = Scratch::new("stop-connected");
+    let socket = scratch.path("control.sock");
+    for clean in [true, false] {
+        let (kill, done) = quiet_daemon(&socket);
+        let mut idle = held_connection(&socket);
+        idle.get_mut().write_all(b"STATUS\n").unwrap();
+        assert!(read_reply(&mut idle).ends_with("OK\n"));
+
+        let asked = Instant::now();
+        if clean {
+            assert!(ctl(&socket, "SHUTDOWN").ends_with("OK\n"));
+        } else {
+            kill.store(true, Ordering::SeqCst);
+        }
+        done.recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("clean={clean}: run() never returned"))
+            .unwrap();
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "clean={clean}: stopping took {:?}",
+            asked.elapsed()
+        );
+        assert!(!socket.exists(), "clean={clean}: socket file unlinked");
+        let mut rest = String::new();
+        assert_eq!(
+            idle.read_to_string(&mut rest).unwrap(),
+            0,
+            "clean={clean}: the held connection was hung up on"
+        );
+    }
+}
+
+/// Dropping a control plane does not wait out an idle client's read.
+#[test]
+fn control_plane_drop_hangs_up_on_an_idle_client() {
+    let scratch = Scratch::new("plane-drop");
+    let socket = scratch.path("control.sock");
+    let plane = ControlPlane::bind(&socket).unwrap();
+    // A parse error is answered without the daemon loop, which proves the
+    // connection's thread is up and back in its blocking read.
+    let mut idle = held_connection(&socket);
+    idle.get_mut().write_all(b"FROB\n").unwrap();
+    assert!(read_reply(&mut idle).starts_with("ERR "));
+
+    let dropped = Instant::now();
+    drop(plane);
+    assert!(
+        dropped.elapsed() < Duration::from_millis(500),
+        "drop took {:?}",
+        dropped.elapsed()
+    );
+    assert!(!socket.exists(), "socket file unlinked");
 }

@@ -1,13 +1,17 @@
 //! End-to-end tests for the HTTP gateway: an in-process daemon behind an
 //! in-process [`Gateway`], driven through the real TCP client — auth
 //! denials, tenant lifecycle, the streaming metrics feed, the audit log,
-//! and daemon-unreachable handling.
+//! daemon-unreachable handling, keep-alive request latency, and stopping
+//! with a client connected.
 
+use selfheal::daemon::protocol::send_command;
 use selfheal::daemon::{Daemon, DaemonConfig, DaemonOptions};
 use selfheal::gateway::auth::{AuthConfig, Scope, Token};
 use selfheal::gateway::client::{request, stream_lines, HttpReply};
 use selfheal::gateway::server::{Gateway, GatewayOptions};
 use selfheal::sim::MultiTierService;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -220,4 +224,98 @@ fn gateway_serves_tenants_auth_and_streams_end_to_end() {
     }
 
     gateway.stop();
+}
+
+/// One request over a held keep-alive connection; returns status and body.
+fn keep_alive_get(link: &mut BufReader<TcpStream>, target: &str, token: &str) -> (u16, String) {
+    let request =
+        format!("GET {target} HTTP/1.1\r\nHost: gateway\r\nAuthorization: Bearer {token}\r\n\r\n");
+    link.get_mut().write_all(request.as_bytes()).unwrap();
+    let mut line = String::new();
+    link.read_line(&mut line).unwrap();
+    let status = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line {line:?}"));
+    let mut length = 0usize;
+    loop {
+        line.clear();
+        link.read_line(&mut line).unwrap();
+        let header = line.trim_end().to_ascii_lowercase();
+        if header.is_empty() {
+            break;
+        }
+        if let Some(value) = header.strip_prefix("content-length:") {
+            length = value.trim().parse().unwrap();
+        }
+    }
+    let mut body = vec![0u8; length];
+    link.read_exact(&mut body).unwrap();
+    (status, String::from_utf8(body).unwrap())
+}
+
+/// Every reply leaves the gateway as one segment on a no-delay socket, so
+/// a keep-alive client is not held ~40 ms per request by Nagle's algorithm
+/// waiting for its own delayed ACK; the chunked stream still arrives; and
+/// dropping the gateway does not wait out an idle keep-alive connection.
+#[test]
+fn keep_alive_requests_are_not_stalled_and_drop_is_prompt() {
+    let scratch = Scratch::new("keepalive");
+    let socket = scratch.path("control.sock");
+    let mut options = DaemonOptions::new(&socket);
+    options.replicas = 1;
+    options.profile = "none".to_string();
+    let daemon = Daemon::launch(DaemonConfig::default(), options).unwrap();
+    let daemon_thread = thread::spawn(move || daemon.run());
+
+    let mut gateway_options = GatewayOptions::new("127.0.0.1:0", &socket, tokens());
+    gateway_options.stream_interval = Duration::from_millis(10);
+    let gateway = Gateway::launch(gateway_options).unwrap();
+    let addr = gateway.addr().to_string();
+
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut link = BufReader::new(stream);
+    // The first reply waits for the daemon to come up; time the rest.
+    let target = "/v1/tenants/default/status";
+    assert_eq!(keep_alive_get(&mut link, target, "swordfish").0, 200);
+    let started = Instant::now();
+    for _ in 0..50 {
+        let (status, body) = keep_alive_get(&mut link, target, "swordfish");
+        assert_eq!(status, 200, "body: {body}");
+        assert!(body.contains("tenant=default"), "body: {body}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 keep-alive reads took {elapsed:?}: the replies are being delayed"
+    );
+
+    let lines = stream_lines(
+        &addr,
+        "/v1/tenants/default/metrics/stream",
+        Some("swordfish"),
+        3,
+        Duration::from_secs(30),
+    )
+    .expect("stream");
+    assert_eq!(lines.len(), 3);
+    assert!(lines.iter().all(|line| line.contains("\"epoch\"")));
+
+    // `link` is still open and idle: the drop must hang up on it.
+    let dropped = Instant::now();
+    drop(gateway);
+    assert!(
+        dropped.elapsed() < Duration::from_millis(500),
+        "drop took {:?}",
+        dropped.elapsed()
+    );
+    let mut rest = Vec::new();
+    assert_eq!(link.read_to_end(&mut rest).unwrap(), 0, "connection closed");
+
+    send_command(&socket, "SHUTDOWN", Duration::from_secs(10)).unwrap();
+    daemon_thread.join().unwrap().unwrap();
 }
