@@ -37,7 +37,8 @@
 //! fleet_scaling --shards N            # learn through a k-means-sharded store (N >= 1 shards)
 //! fleet_scaling --sweep               # one fault of every catalog class at a fixed cadence
 //!                                     # (FixSym training coverage)
-//! fleet_scaling --slice W             # tick-slice width of the scheduler's epochs
+//! fleet_scaling --slice W             # ticks per turn when replicas interleave on a shared
+//!                                     # store (selects the interleave, not the speed)
 //! fleet_scaling --events SPEC         # overlay events on the smoke fleet, e.g.
 //!                                     # "storm@200:0.5,surge@100:3:40"
 //! fleet_scaling --storm               # 50%-of-fleet fault storm, shared vs isolated learning

@@ -100,11 +100,6 @@ pub fn scaling_point(replicas: usize, ticks: u64, seed: u64) -> ScalingPoint {
             .ticks(ticks)
             .learner(LearnerChoice::locked())
             .injections(inject_at(ticks / 10))
-            // The curve measures replica-simulation throughput, not
-            // epoch-sync overhead: a wide slice amortizes the scheduler's
-            // per-epoch barrier (5000 ticks -> ~78 barriers instead of
-            // 5000) while the store gate keeps the run deterministic.
-            .slice(64)
             .mode(mode)
             .run()
     };

@@ -26,17 +26,20 @@
 //!   [`selfheal_sim::ScenarioRunner`] per replica (seeded via
 //!   [`selfheal_sim::seeds::split_seed`]) and drives the whole fleet
 //!   through the [`scheduler`]'s [`EpochEngine`] — the same engine the
-//!   resident daemon's supervisor advances: worker threads advance replicas
-//!   one `slice`-tick epoch at a time through a barrier, so every replica
-//!   lives concurrently and cross-replica [`events`] (correlated
-//!   [`events::FaultStorm`]s, fleet-wide [`events::WorkloadSurge`]s —
-//!   declared via [`selfheal_core::harness::EventChoice`] on the config)
-//!   land at exact ticks.  With **isolated** learning, replica `i`'s entire
-//!   run is a pure function of `(base_seed, i)` — identical at any fleet
-//!   size, thread count, and slice width (asserted by `tests/fleet.rs` and
-//!   `tests/scheduler.rs`).  With **shared** learning, store access is
-//!   gated into the sequential round-robin order, so even parallel fleets
-//!   reproduce [`ExecutionMode::Sequential`]'s fingerprints bit for bit.
+//!   resident daemon's supervisor advances: worker threads go round the
+//!   fleet taking turns of a few dozen ticks on a replica nobody else is
+//!   stepping, and meet at a barrier only once per window (the whole run,
+//!   or one reactive period), so every replica lives concurrently and
+//!   cross-replica [`events`] (correlated [`events::FaultStorm`]s,
+//!   fleet-wide [`events::WorkloadSurge`]s — declared via
+//!   [`selfheal_core::harness::EventChoice`] on the config) land at exact
+//!   ticks.  With **isolated** learning, replica `i`'s entire run is a pure
+//!   function of `(base_seed, i)` — identical at any fleet size, thread
+//!   count, and slice width (asserted by `tests/fleet.rs` and
+//!   `tests/scheduler.rs`).  With **shared** learning, replicas wait for
+//!   each other only at the store, where access is gated into the
+//!   sequential round-robin order, so even parallel fleets reproduce
+//!   [`ExecutionMode::Sequential`]'s fingerprints bit for bit.
 //!   A replica that panics is retired as a [`ReplicaError`] instead of
 //!   aborting the fleet.
 //! * [`FleetOutcome`] / [`ReplicaOutcome`] — per-replica scenario outcomes
@@ -69,7 +72,7 @@ pub mod reactive;
 pub mod scheduler;
 
 use crate::events::{EventPlan, FleetShape};
-use crate::reactive::{ReactivePlan, ReactiveRecord};
+use crate::reactive::{ReactivePlan, ReactiveRecord, REACTIVE_PERIOD};
 pub use crate::scheduler::{EpochEngine, ReplicaError, ReplicaRunner};
 use selfheal_core::harness::{
     build_runner, EventChoice, FaultChoice, LearnerChoice, PolicyChoice, ReactiveChoice,
@@ -93,16 +96,19 @@ use std::time::{Duration, Instant};
 pub enum ExecutionMode {
     /// Replicas advance through the tick-sliced [`scheduler`] on `threads`
     /// OS worker threads (`None` = one per available core): every replica
-    /// lives concurrently, epoch barriers every [`FleetConfig::slice`]
-    /// ticks, shared-store access gated into sequential order.  With
-    /// `slice >= ticks` and private learners this degenerates to the old
+    /// lives concurrently, and the workers synchronise only where replicas
+    /// can observe each other — shared-store access is gated into the
+    /// sequential order, [`FleetConfig::slice`] ticks per turn, and reactive
+    /// engines get a barrier every [`reactive::REACTIVE_PERIOD`] ticks.
+    /// With private learners and no reactive engines that is
     /// run-to-completion parallelism.
     Parallel {
         /// Worker thread count; `None` uses the machine's parallelism.
         threads: Option<usize>,
     },
-    /// All replicas are interleaved slice-by-slice (tick-by-tick at the
-    /// default slice of 1) on the calling thread — the single-core baseline
+    /// One worker, the calling thread: replicas sharing a store are
+    /// interleaved slice-by-slice (tick-by-tick at the default slice of 1),
+    /// private learners run one after the other — the single-core baseline
     /// the scaling bench compares against, and the reference interleave the
     /// parallel scheduler reproduces for shared stores.
     Sequential,
@@ -263,10 +269,12 @@ impl FleetConfig {
     }
 
     /// Width of the scheduler's tick slices, in ticks (minimum 1, the
-    /// default): how far one replica may run ahead of another between epoch
-    /// barriers.  Private-learner outcomes are slice-invariant; larger
-    /// slices amortize the barrier when raw throughput matters, while
-    /// `slice >= ticks` collapses the run to a single epoch.
+    /// default): the granularity at which replicas take turns on a shared
+    /// store — the store sees replica 0's first `slice` ticks, then replica
+    /// 1's, and so on round the fleet.  It selects the interleave, not the
+    /// speed: workers wait for each other only at store accesses, whatever
+    /// the width.  Private-learner outcomes are slice-invariant, and the
+    /// engine ignores the slice for them.
     pub fn slice(mut self, slice: u64) -> Self {
         self.slice = slice.max(1);
         self
@@ -297,7 +305,7 @@ impl FleetConfig {
 
     /// Wires in one declarative reactive chaos engine (a
     /// [`ReactiveChoice::Adversary`] or [`ReactiveChoice::Cascade`]); may
-    /// be called repeatedly.  Reactive engines observe the fleet at epoch
+    /// be called repeatedly.  Reactive engines observe the fleet at window
     /// barriers every [`reactive::REACTIVE_PERIOD`] ticks and emit actions
     /// for the next window, so their runs stay fingerprint-identical at any
     /// worker count — the run panics unless the configured
@@ -683,9 +691,10 @@ impl FleetEngine {
     }
 
     /// Runs the fleet through the [`EpochEngine`] — insert the replicas,
-    /// advance slice by slice until the tick horizon, collect outcomes — and
-    /// aggregates the results.  Replicas that panic mid-run surface as
-    /// [`FleetOutcome::errors`]; the survivors complete normally.
+    /// advance to the tick horizon (in one window, or one per reactive
+    /// barrier), collect outcomes — and aggregates the results.  Replicas
+    /// that panic mid-run surface as [`FleetOutcome::errors`]; the
+    /// survivors complete normally.
     ///
     /// # Panics
     /// Panics when reactive engines are configured and the
@@ -704,6 +713,12 @@ impl FleetEngine {
             ExecutionMode::Parallel { threads } => threads,
         };
         let mut epochs = EpochEngine::new(workers).with_schedule(schedule);
+        // The slice is the shared store's interleave granularity; private
+        // learners share nothing, so their windows stay uncut and every
+        // replica runs each one through on a single core.
+        if store.is_some() {
+            epochs = epochs.with_slice(config.slice);
+        }
         epochs
             .set_reactive(config.reactive.clone(), config.slice)
             .unwrap_or_else(|message| panic!("{message}"));
@@ -722,9 +737,17 @@ impl FleetEngine {
         // lint:allow(nondeterminism): wall-clock duration is reported, not
         // simulated; fingerprints are computed from tick state alone.
         let start = Instant::now();
+        // One window to the horizon — unless reactive engines are set: they
+        // read the fleet at every reactive barrier, which only exists
+        // between windows.
+        let window = if config.reactive.is_empty() {
+            u64::MAX
+        } else {
+            REACTIVE_PERIOD
+        };
         let mut errors = Vec::new();
         while epochs.tick() < config.ticks {
-            let results = epochs.advance(config.slice.min(config.ticks - epochs.tick()));
+            let results = epochs.advance(window.min(config.ticks - epochs.tick()));
             errors.extend(results.into_iter().filter_map(|(_, result)| result.err()));
         }
         // The final drain is part of the run: flush *inside* the timed

@@ -43,51 +43,59 @@ fn stormy_fleet(replicas: usize, ticks: u64, learner: LearnerChoice) -> FleetCon
 
 /// The tentpole acceptance criterion: with one fleet-shared store, the
 /// tick-sliced parallel scheduler produces fingerprints identical to
-/// `run_sequential`'s round-robin interleave — at every worker count.
+/// `run_sequential`'s round-robin interleave — at every worker count,
+/// whether or not it divides the fleet.
 #[test]
 fn tick_sliced_parallel_matches_sequential_with_a_shared_store() {
-    let sequential = stormy_fleet(4, 320, LearnerChoice::locked())
-        .mode(ExecutionMode::Sequential)
-        .run();
-    assert!(sequential.is_complete());
-    let reference = sequential.fingerprints();
-    assert!(
-        sequential.total_fixes_initiated() >= 4,
-        "the scenario must actually exercise shared learning"
-    );
-
-    for workers in [1, 2, 3, 4] {
-        let parallel = stormy_fleet(4, 320, LearnerChoice::locked())
-            .mode(ExecutionMode::Parallel {
-                threads: Some(workers),
-            })
+    for replicas in [4, 5] {
+        let sequential = stormy_fleet(replicas, 320, LearnerChoice::locked())
+            .mode(ExecutionMode::Sequential)
             .run();
-        assert_eq!(
-            parallel.fingerprints(),
-            reference,
-            "{workers} workers must reproduce the sequential interleave"
+        assert!(sequential.is_complete());
+        let reference = sequential.fingerprints();
+        assert!(
+            sequential.total_fixes_initiated() >= 4,
+            "the scenario must actually exercise shared learning"
         );
+
+        for workers in [1, 2, 3, 4] {
+            let parallel = stormy_fleet(replicas, 320, LearnerChoice::locked())
+                .mode(ExecutionMode::Parallel {
+                    threads: Some(workers),
+                })
+                .run();
+            assert_eq!(
+                parallel.fingerprints(),
+                reference,
+                "{workers} workers on {replicas} replicas must reproduce the sequential \
+                 interleave"
+            );
+        }
     }
 }
 
 /// The same equivalence holds at wider slices, as long as both modes use
-/// the same width (the store then observes the slice-interleaved sweep).
+/// the same width (the store then observes the slice-interleaved sweep) —
+/// also when the workers do not divide the replicas and the slice does not
+/// divide the horizon.
 #[test]
 fn parallel_and_sequential_agree_at_any_matching_slice_width() {
-    for slice in [4, 64] {
-        let sequential = stormy_fleet(3, 300, LearnerChoice::locked())
-            .slice(slice)
-            .mode(ExecutionMode::Sequential)
-            .run();
-        let parallel = stormy_fleet(3, 300, LearnerChoice::locked())
-            .slice(slice)
-            .mode(ExecutionMode::Parallel { threads: Some(3) })
-            .run();
-        assert_eq!(
-            parallel.fingerprints(),
-            sequential.fingerprints(),
-            "slice {slice}"
-        );
+    for (replicas, ticks) in [(3, 300), (4, 310), (5, 310)] {
+        for slice in [4, 7, 64] {
+            let sequential = stormy_fleet(replicas, ticks, LearnerChoice::locked())
+                .slice(slice)
+                .mode(ExecutionMode::Sequential)
+                .run();
+            let parallel = stormy_fleet(replicas, ticks, LearnerChoice::locked())
+                .slice(slice)
+                .mode(ExecutionMode::Parallel { threads: Some(3) })
+                .run();
+            assert_eq!(
+                parallel.fingerprints(),
+                sequential.fingerprints(),
+                "{replicas} replicas x {ticks} ticks, slice {slice}"
+            );
+        }
     }
 }
 
