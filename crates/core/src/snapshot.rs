@@ -34,11 +34,49 @@
 //!   outcomes as it happens, so the file is valid — and restores everything
 //!   appended so far — even if the process dies mid-run.  The loader reads
 //!   incremental files to EOF with no count check.
+//!
+//! Either shape is read in one streaming pass — the header, then each
+//! example straight into the result — and [`SnapshotLog::open`] streams the
+//! file itself through one small buffer, so a log is never in memory whole
+//! beside the experience parsed from it.
+//!
+//! ## Restarting over a log: adopt, don't recreate
+//!
+//! A process that comes back over its own log reads it **once and rewrites
+//! nothing**: [`SnapshotLog::open`] replays the file exactly as strictly as
+//! [`SynopsisSnapshot::load`] (every line parsed, unknown fields and labels
+//! refused, header required and unique) and hands back the replayed
+//! snapshot *and* the file, still open for appending.  The caller restores
+//! its store from the one and attaches the other
+//! ([`crate::store::SynopsisStore::attach_log`]); the bytes already on disk
+//! stay byte for byte what they were, so a log keeps its **recording
+//! order** across any number of restarts instead of being regrouped
+//! successes-first by a store's `snapshot()`.
+//!
+//! A rewrite ([`SnapshotLog::create`], through `persist_to`) remains only
+//! where the file itself shows it is needed:
+//!
+//! 1. the file is **absent** — there is nothing to adopt;
+//! 2. its header is a **complete-snapshot** header (`"examples":N`) —
+//!    appending would falsify the count, so [`SnapshotLog::open`] returns
+//!    the snapshot without a log handle and leaves the file untouched;
+//! 3. its header names a **different synopsis kind** than the store that
+//!    will append to it — the header would misdescribe what follows.
+//!
+//! **Torn tail.**  An append is one `O_APPEND` write of whole lines, so the
+//! only damage a killed writer can leave is an unfinished *final* line.
+//! `open` therefore looks at the bytes after the last `\n`: if they parse
+//! as a whole example it keeps it and writes the missing `\n`; if not it
+//! truncates the file back to the last `\n` and reports the dropped byte
+//! count ([`Replay::torn_bytes`]).  A bad line anywhere *before* the final
+//! one still fails the whole replay.  Nothing here calls `fsync`: the log
+//! survives the death of the process, not of the machine.
 
 use crate::synopsis::SynopsisKind;
 use selfheal_faults::FixKind;
-use selfheal_jsonl::{parse_lines, push_f64, JsonError, Scanner};
-use std::io;
+use selfheal_jsonl::{push_f64, JsonError, Scanner};
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufRead as _, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 
 /// One recorded fix outcome: the failure signature, the fix attempted, and
@@ -121,8 +159,7 @@ impl SynopsisSnapshot {
         out.push_str(&self.examples.len().to_string());
         out.push_str("}\n");
         for example in &self.examples {
-            serialize_example(&mut out, example);
-            out.push('\n');
+            push_outcome_line(&mut out, &example.symptoms, example.fix, example.success);
         }
         out
     }
@@ -132,38 +169,11 @@ impl SynopsisSnapshot {
     /// (blank lines are skipped).  Complete snapshots are verified against
     /// their declared example count; incremental logs are read to EOF.
     pub fn from_jsonl(text: &str) -> Result<SynopsisSnapshot, JsonError> {
-        let lines = parse_lines(text, parse_line)?;
-        let mut iter = lines.into_iter();
-        let (kind, declared) = match iter.next() {
-            Some(Line::Header { kind, examples }) => (kind, examples),
-            Some(Line::Example(_)) | None => {
-                return Err(JsonError::at(
-                    0,
-                    "synopsis file must start with a {\"synopsis\":...} header line",
-                ))
-            }
-        };
-        let mut examples = Vec::new();
-        for line in iter {
-            match line {
-                Line::Example(example) => examples.push(example),
-                Line::Header { .. } => {
-                    return Err(JsonError::at(0, "duplicate synopsis header line"))
-                }
-            }
+        let mut document = Document::sized(text.len());
+        for line in text.lines() {
+            document.feed(line)?;
         }
-        if let Some(declared) = declared {
-            if examples.len() != declared {
-                return Err(JsonError::at(
-                    0,
-                    format!(
-                        "header declares {declared} examples but the file holds {}",
-                        examples.len()
-                    ),
-                ));
-            }
-        }
-        Ok(SynopsisSnapshot { kind, examples })
+        document.finish()
     }
 
     /// Writes the snapshot to a JSON-lines file.
@@ -174,37 +184,66 @@ impl SynopsisSnapshot {
     /// Reads a snapshot from a JSON-lines file.
     pub fn load(path: impl AsRef<Path>) -> io::Result<SynopsisSnapshot> {
         let text = std::fs::read_to_string(path)?;
-        SynopsisSnapshot::from_jsonl(&text)
-            .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))
+        SynopsisSnapshot::from_jsonl(&text).map_err(invalid_data)
     }
 }
 
-fn serialize_example(out: &mut String, example: &SynopsisExample) {
+/// A file whose contents are not a synopsis document.
+fn invalid_data(err: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, err)
+}
+
+/// Appends one outcome as a whole line, newline included.
+fn push_outcome_line(out: &mut String, symptoms: &[f64], fix: FixKind, success: bool) {
+    // Room for the line in one step (a shortest-form f64 is ≤ 24 bytes).
+    out.reserve(64 + 20 * symptoms.len());
     out.push_str("{\"symptoms\":[");
-    for (i, v) in example.symptoms.iter().enumerate() {
+    for (i, v) in symptoms.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         push_f64(out, *v);
     }
     out.push_str("],\"fix\":\"");
-    out.push_str(example.fix.label());
+    out.push_str(fix.label());
     out.push_str("\",\"success\":");
-    out.push_str(if example.success { "true" } else { "false" });
-    out.push('}');
+    out.push_str(if success { "true" } else { "false" });
+    out.push_str("}\n");
 }
 
 /// The append-on-drain half of synopsis persistence: a JSON-lines file
 /// whose header is marked incremental, to which stores append every batch
 /// of drained `(symptoms, fix, success)` outcomes.
 ///
-/// Created by [`crate::store::SynopsisStore::persist_to`]; loaded with the
-/// ordinary [`SynopsisSnapshot::load`].  Because each append is a single
-/// `O_APPEND` write of whole lines, the file restores everything appended
-/// so far even when the writing process is killed mid-run.
+/// [`create`](Self::create)d by
+/// [`crate::store::SynopsisStore::persist_to`], or [`open`](Self::open)ed
+/// over the file an earlier process left behind (see the
+/// [module docs](self) for when each applies); loaded with the ordinary
+/// [`SynopsisSnapshot::load`].  The log holds one `O_APPEND` handle for its
+/// lifetime and each append is a single write of whole lines, so the file
+/// restores everything appended so far even when the writing process is
+/// killed mid-run.
 #[derive(Debug)]
 pub struct SnapshotLog {
     path: PathBuf,
+    file: File,
+}
+
+/// What [`SnapshotLog::open`] found in an existing file.
+#[derive(Debug)]
+pub struct Replay {
+    /// The experience the file holds, in recording order.
+    pub snapshot: SynopsisSnapshot,
+    /// The file, open for appending after its last whole line — `None`
+    /// when the header declares an example count (a complete snapshot):
+    /// appending would falsify the count, so such a file is left untouched
+    /// and the caller recreates it ([`SnapshotLog::create`]).
+    pub log: Option<SnapshotLog>,
+    /// Bytes replayed: the file's length, less [`torn_bytes`](Self::torn_bytes).
+    pub bytes: u64,
+    /// Bytes of an unfinished final line that were dropped (0 when the file
+    /// ended on a whole line).
+    pub torn_bytes: u64,
 }
 
 impl SnapshotLog {
@@ -217,12 +256,67 @@ impl SnapshotLog {
         text.push_str(&snapshot.kind.label());
         text.push_str("\",\"incremental\":true}\n");
         for example in &snapshot.examples {
-            serialize_example(&mut text, example);
-            text.push('\n');
+            push_outcome_line(&mut text, &example.symptoms, example.fix, example.success);
         }
-        std::fs::write(&path, text)?;
-        Ok(SnapshotLog {
-            path: path.as_ref().to_path_buf(),
+        let path = path.as_ref().to_path_buf();
+        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
+        file.set_len(0)?;
+        file.write_all(text.as_bytes())?;
+        Ok(SnapshotLog { path, file })
+    }
+
+    /// Replays and verifies an existing file — every line parsed, the
+    /// header checked, exactly as [`SynopsisSnapshot::load`] would — and
+    /// returns what it held together with the file itself, open for
+    /// appending.  Nothing already on disk is rewritten.
+    ///
+    /// The one input `open` accepts that `load` refuses is a **torn final
+    /// line** (bytes after the last `\n`, left by a writer killed
+    /// mid-append): a whole example there is kept and its missing `\n`
+    /// written, anything else is cut off the file and counted in
+    /// [`Replay::torn_bytes`].  A complete snapshot (`"examples":N` header)
+    /// is replayed but neither repaired nor opened for append — see
+    /// [`Replay::log`].
+    pub fn open(path: impl AsRef<Path>) -> io::Result<Replay> {
+        let path = path.as_ref().to_path_buf();
+        let mut file = OpenOptions::new().read(true).append(true).open(&path)?;
+        let mut document = Document::sized(file.metadata()?.len() as usize);
+        // Line by line through one small buffer: the file is never in
+        // memory whole.  `whole` counts the bytes of terminated lines.
+        let mut reader = BufReader::with_capacity(1 << 16, &file);
+        let mut line = Vec::new();
+        let mut whole = 0u64;
+        loop {
+            line.clear();
+            reader.read_until(b'\n', &mut line)?;
+            let Some(text) = line.strip_suffix(b"\n") else {
+                break;
+            };
+            let text = std::str::from_utf8(text).map_err(invalid_data)?;
+            document.feed(text).map_err(invalid_data)?;
+            whole += line.len() as u64;
+        }
+        // What is left in `line` is the tail no newline ended.
+        let kept = std::str::from_utf8(&line).is_ok_and(|tail| document.feed_whole_example(tail));
+        let torn = if kept { 0 } else { line.len() as u64 };
+        let incremental = document.is_incremental();
+        let snapshot = document.finish().map_err(invalid_data)?;
+
+        let log = if incremental {
+            if torn > 0 {
+                file.set_len(whole)?;
+            } else if !line.is_empty() {
+                file.write_all(b"\n")?;
+            }
+            Some(SnapshotLog { path, file })
+        } else {
+            None
+        };
+        Ok(Replay {
+            snapshot,
+            log,
+            bytes: whole + line.len() as u64 - torn,
+            torn_bytes: torn,
         })
     }
 
@@ -231,17 +325,26 @@ impl SnapshotLog {
         &self,
         examples: impl IntoIterator<Item = &'a SynopsisExample>,
     ) -> io::Result<()> {
-        use std::io::Write as _;
+        self.append_outcomes(
+            examples
+                .into_iter()
+                .map(|e| (e.symptoms.as_slice(), e.fix, e.success)),
+        )
+    }
+
+    /// [`append`](Self::append) for outcomes the caller only borrows.
+    pub(crate) fn append_outcomes<'a>(
+        &self,
+        outcomes: impl IntoIterator<Item = (&'a [f64], FixKind, bool)>,
+    ) -> io::Result<()> {
         let mut text = String::new();
-        for example in examples {
-            serialize_example(&mut text, example);
-            text.push('\n');
+        for (symptoms, fix, success) in outcomes {
+            push_outcome_line(&mut text, symptoms, fix, success);
         }
         if text.is_empty() {
             return Ok(());
         }
-        let mut file = std::fs::OpenOptions::new().append(true).open(&self.path)?;
-        file.write_all(text.as_bytes())
+        (&self.file).write_all(text.as_bytes())
     }
 
     /// The file being appended to.
@@ -250,17 +353,112 @@ impl SnapshotLog {
     }
 }
 
+/// The first line of a synopsis file.
+struct Header {
+    kind: SynopsisKind,
+    /// `Some(count)` for complete snapshots (verified), `None` for
+    /// incremental logs (read to EOF).
+    declared: Option<usize>,
+}
+
 enum Line {
-    Header {
-        kind: SynopsisKind,
-        /// `Some(count)` for complete snapshots (verified), `None` for
-        /// incremental logs (read to EOF).
-        examples: Option<usize>,
-    },
+    Header(Header),
     Example(SynopsisExample),
 }
 
-fn parse_line(line: &str) -> Result<Line, JsonError> {
+/// A synopsis document being read, one line at a time: the header, then
+/// every example pushed straight into the result.
+struct Document {
+    header: Option<Header>,
+    examples: Vec<SynopsisExample>,
+    /// Lines fed so far (errors carry the 1-based number).
+    lines: usize,
+    /// Length of the whole text, for sizing `examples` by the first one.
+    bytes: usize,
+}
+
+impl Document {
+    fn sized(bytes: usize) -> Document {
+        Document {
+            header: None,
+            examples: Vec::new(),
+            lines: 0,
+            bytes,
+        }
+    }
+
+    /// Takes the next line (its line ending stripped, a `\r` tolerated).
+    /// Blank lines are skipped; an example before the header, or a second
+    /// header, is an error.
+    fn feed(&mut self, line: &str) -> Result<(), JsonError> {
+        self.lines += 1;
+        if line.trim().is_empty() {
+            return Ok(());
+        }
+        let at_line = |mut err: JsonError| {
+            err.line = self.lines;
+            err
+        };
+        // Neighbouring lines are as wide as each other: size the symptom
+        // vector by the previous line's, and the result by the first's.
+        let width = self.examples.last().map_or(0, |e| e.symptoms.len());
+        match (parse_line(line, width).map_err(at_line)?, &self.header) {
+            (Line::Header(header), None) => self.header = Some(header),
+            (Line::Header(_), Some(_)) => {
+                return Err(at_line(JsonError::at(0, "duplicate synopsis header line")))
+            }
+            (Line::Example(_), None) => return Err(JsonError::at(0, MISSING_HEADER)),
+            (Line::Example(example), Some(_)) => {
+                if self.examples.is_empty() {
+                    self.examples.reserve(self.bytes / (line.len() + 1));
+                }
+                self.examples.push(example);
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes `line` if — and only if — it is a whole example in its place;
+    /// says whether it did.
+    fn feed_whole_example(&mut self, line: &str) -> bool {
+        let width = self.examples.last().map_or(0, |e| e.symptoms.len());
+        match (parse_line(line, width), &self.header) {
+            (Ok(Line::Example(example)), Some(_)) => {
+                self.examples.push(example);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Whether the header read marks an incremental log (no count).
+    fn is_incremental(&self) -> bool {
+        matches!(self.header, Some(Header { declared: None, .. }))
+    }
+
+    /// The finished snapshot, a complete one's declared count checked.
+    fn finish(self) -> Result<SynopsisSnapshot, JsonError> {
+        let header = self
+            .header
+            .ok_or_else(|| JsonError::at(0, MISSING_HEADER))?;
+        let found = self.examples.len();
+        match header.declared {
+            Some(declared) if declared != found => Err(JsonError::at(
+                0,
+                format!("header declares {declared} examples but the file holds {found}"),
+            )),
+            _ => Ok(SynopsisSnapshot {
+                kind: header.kind,
+                examples: self.examples,
+            }),
+        }
+    }
+}
+
+const MISSING_HEADER: &str = "synopsis file must start with a {\"synopsis\":...} header line";
+
+/// Parses one line; `width` is how many symptoms to make room for.
+fn parse_line(line: &str, width: usize) -> Result<Line, JsonError> {
     let mut s = Scanner::new(line);
     s.expect(b'{')?;
     let mut kind: Option<SynopsisKind> = None;
@@ -297,7 +495,7 @@ fn parse_line(line: &str) -> Result<Line, JsonError> {
                 is_header = true;
                 incremental = s.parse_bool()?;
             }
-            "symptoms" => symptoms = Some(parse_symptoms(&mut s)?),
+            "symptoms" => symptoms = Some(parse_symptoms(&mut s, width)?),
             "fix" => {
                 let label_at = {
                     s.skip_ws();
@@ -329,12 +527,12 @@ fn parse_line(line: &str) -> Result<Line, JsonError> {
     s.finish()?;
     if is_header {
         let kind = kind.ok_or_else(|| JsonError::at(0, "header is missing \"synopsis\""))?;
-        let examples = if incremental {
+        let declared = if incremental {
             None
         } else {
             Some(declared.ok_or_else(|| JsonError::at(0, "header is missing \"examples\""))?)
         };
-        return Ok(Line::Header { kind, examples });
+        return Ok(Line::Header(Header { kind, declared }));
     }
     match (symptoms, fix, success) {
         (Some(symptoms), Some(fix), Some(success)) => {
@@ -346,9 +544,9 @@ fn parse_line(line: &str) -> Result<Line, JsonError> {
     }
 }
 
-fn parse_symptoms(s: &mut Scanner<'_>) -> Result<Vec<f64>, JsonError> {
+fn parse_symptoms(s: &mut Scanner<'_>, width: usize) -> Result<Vec<f64>, JsonError> {
     s.expect(b'[')?;
-    let mut values = Vec::new();
+    let mut values = Vec::with_capacity(width);
     s.skip_ws();
     if s.peek() == Some(b']') {
         s.bump();
@@ -491,6 +689,215 @@ mod tests {
             .unwrap_err()
             .message
             .contains("declares 2 examples"));
+    }
+
+    /// A scratch file unique to one test.
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("selfheal_snapshot_open_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    #[test]
+    fn open_replays_what_load_loads_and_appends_to_the_same_bytes() {
+        let path = scratch("adopt.jsonl");
+        let first = SnapshotLog::create(&path, &snapshot()).unwrap();
+        let more = [SynopsisExample::new(
+            vec![2.0, 2.0, 0.5],
+            FixKind::RebootTier,
+            true,
+        )];
+        first.append(more.iter()).unwrap();
+        drop(first);
+        let before = std::fs::read(&path).unwrap();
+
+        let replay = SnapshotLog::open(&path).unwrap();
+        assert_eq!(replay.snapshot, SynopsisSnapshot::load(&path).unwrap());
+        assert_eq!(replay.snapshot.len(), 4);
+        assert_eq!((replay.bytes, replay.torn_bytes), (before.len() as u64, 0));
+        assert_eq!(std::fs::read(&path).unwrap(), before, "open writes nothing");
+
+        let log = replay.log.expect("an incremental log is adopted");
+        assert_eq!(log.path(), path.as_path());
+        log.append(more.iter()).unwrap();
+        let after = std::fs::read(&path).unwrap();
+        assert_eq!(after[..before.len()], before[..], "appended in place");
+        let reloaded = SynopsisSnapshot::load(&path).unwrap();
+        assert_eq!(reloaded.examples[..4], replay.snapshot.examples[..]);
+        assert_eq!(reloaded.examples[4..], more[..]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn open_keeps_a_whole_unterminated_line_and_cuts_a_torn_one() {
+        let path = scratch("torn.jsonl");
+        let whole = {
+            SnapshotLog::create(&path, &snapshot()).unwrap();
+            std::fs::read(&path).unwrap()
+        };
+        let last_line = whole[..whole.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+
+        // The final newline alone is missing: nothing is lost, and the next
+        // append starts on a line of its own.
+        std::fs::write(&path, &whole[..whole.len() - 1]).unwrap();
+        let replay = SnapshotLog::open(&path).unwrap();
+        assert_eq!((replay.snapshot.len(), replay.torn_bytes), (3, 0));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            whole,
+            "the newline is written"
+        );
+
+        // Any shorter cut of the last line is dropped, counted, and gone
+        // from the file.
+        for cut in last_line + 1..whole.len() - 1 {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            assert!(SynopsisSnapshot::load(&path).is_err(), "load stays strict");
+            let replay = SnapshotLog::open(&path).unwrap();
+            assert_eq!(replay.snapshot.len(), 2, "cut at {cut}");
+            assert_eq!(replay.torn_bytes, (cut - last_line) as u64);
+            assert_eq!(replay.bytes, last_line as u64);
+            assert_eq!(std::fs::read(&path).unwrap(), whole[..last_line]);
+            replay
+                .log
+                .unwrap()
+                .append(&snapshot().examples[2..])
+                .unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), whole, "cut at {cut}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn open_refuses_everything_load_refuses_before_the_final_line() {
+        let header = "{\"synopsis\":\"k_means\",\"incremental\":true}\n";
+        let good = "{\"symptoms\":[1.0],\"fix\":\"reboot_tier\",\"success\":true}\n";
+        let cases = [
+            ("empty file", String::new()),
+            ("no header", format!("{good}{good}")),
+            ("duplicate header", format!("{header}{good}{header}{good}")),
+            ("unknown kind", header.replace("k_means", "oracle")),
+            (
+                "unknown field",
+                format!("{header}{}{good}", good.replace("success", "succes")),
+            ),
+            (
+                "unknown fix",
+                format!("{header}{}{good}", good.replace("reboot_tier", "prayer")),
+            ),
+            (
+                "torn line mid-file",
+                format!("{header}{}\n{good}", &good[..17]),
+            ),
+            (
+                "trailing data",
+                format!("{header}{} x\n{good}", good.trim_end()),
+            ),
+            (
+                "wrong count",
+                format!(
+                    "{}{good}",
+                    header.replace("\"incremental\":true", "\"examples\":2")
+                ),
+            ),
+        ];
+        let path = scratch("refused.jsonl");
+        for (what, text) in cases {
+            std::fs::write(&path, &text).unwrap();
+            let loaded = SynopsisSnapshot::load(&path).expect_err(what);
+            let opened = SnapshotLog::open(&path).expect_err(what);
+            assert_eq!(opened.to_string(), loaded.to_string(), "{what}");
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                text,
+                "{what}: untouched"
+            );
+        }
+        // Refused by both, if in different words: a file that is all torn
+        // header (`open` sees no whole line), and bytes that are not text.
+        for bytes in [
+            header.as_bytes()[..20].to_vec(),
+            [header.as_bytes(), b"\xff\n"].concat(),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(SynopsisSnapshot::load(&path).is_err());
+            assert!(SnapshotLog::open(&path).is_err());
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "untouched");
+        }
+        assert!(SnapshotLog::open(scratch("absent.jsonl")).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn complete_snapshots_replay_without_a_log_handle_and_stay_untouched() {
+        let path = scratch("complete.jsonl");
+        snapshot().save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let replay = SnapshotLog::open(&path).unwrap();
+        assert_eq!(replay.snapshot, snapshot());
+        assert!(replay.log.is_none(), "appending would falsify the count");
+
+        // Even a repairable tail is left alone: the caller rewrites the file.
+        std::fs::write(&path, text.trim_end()).unwrap();
+        let replay = SnapshotLog::open(&path).unwrap();
+        assert_eq!((replay.snapshot.len(), replay.torn_bytes), (3, 0));
+        assert!(replay.log.is_none());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text.trim_end());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_streaming_pass_numbers_lines_across_blanks_crlf_and_widths() {
+        let header = "{\"synopsis\":\"k_means\",\"incremental\":true}";
+        let line = |n: usize, width: usize| {
+            let symptoms: Vec<f64> = (0..width).map(|i| (n * width + i) as f64 + 0.125).collect();
+            let mut line = String::new();
+            push_outcome_line(&mut line, &symptoms, FixKind::RebootTier, n % 3 == 1);
+            line
+        };
+        // A blank first line, CRLF endings, blank and space-only lines in
+        // the body, a change of width, no final newline.
+        let mut document = format!("\n{header}\r\n");
+        for n in 0..40 {
+            document.push_str(&line(n, if n < 25 { 26 } else { 3 }));
+            match n % 8 {
+                0 => document.push('\n'),
+                1 => document.insert(document.len() - 1, '\r'),
+                2 => document.push_str("  \r\n"),
+                _ => {}
+            }
+        }
+        let document = document.trim_end();
+        let parsed = SynopsisSnapshot::from_jsonl(document).unwrap();
+        assert_eq!(parsed.len(), 40);
+        for (n, example) in parsed.examples.iter().enumerate() {
+            let width = if n < 25 { 26 } else { 3 };
+            assert_eq!(example.symptoms.len(), width, "line {n}");
+            assert_eq!(example.symptoms[0], (n * width) as f64 + 0.125, "line {n}");
+        }
+
+        // Whatever goes wrong is reported at the line a text editor shows.
+        let lines: Vec<&str> = document.lines().collect();
+        let breaks = [
+            (
+                lines.len() - 1,
+                "{\"symptoms\":[1.0],\"fix\":\"reboot_tier\"}",
+                0,
+            ),
+            (30, "{\"symptoms\":[1.0,oops],\"fix\":\"reboot_tier\"}", 17),
+            (12, header, 0),
+        ];
+        let mut damaged: Vec<&str> = lines.clone();
+        for (at, bad, offset) in breaks {
+            // Each break lands above the last, so it is the one met first.
+            damaged[at] = bad;
+            let err = SynopsisSnapshot::from_jsonl(&damaged.join("\n")).unwrap_err();
+            assert_eq!((err.line, err.offset), (at + 1, offset), "{}", err.message);
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! [`crate::FixSymHealer`] and [`crate::HybridHealer`] are oblivious to
 //! which store backs them.
 
-use crate::snapshot::{SnapshotLog, SynopsisExample, SynopsisSnapshot};
+use crate::snapshot::{SnapshotLog, SynopsisSnapshot};
 use crate::synopsis::{Learner, Synopsis, SynopsisKind};
 use selfheal_faults::FixKind;
 use selfheal_learn::{Classifier, Dataset, Example, KMeans};
@@ -50,11 +50,8 @@ type PendingUpdate = (Vec<f64>, FixKind, bool);
 fn log_drained(log: &Mutex<Option<SnapshotLog>>, updates: &[PendingUpdate]) {
     let log = log.lock().expect("snapshot log poisoned");
     if let Some(log) = log.as_ref() {
-        let examples: Vec<SynopsisExample> = updates
-            .iter()
-            .map(|(symptoms, fix, success)| SynopsisExample::new(symptoms.clone(), *fix, *success))
-            .collect();
-        log.append(examples.iter())
+        let outcomes = updates.iter().map(|(s, fix, ok)| (s.as_slice(), *fix, *ok));
+        log.append_outcomes(outcomes)
             .expect("appending drained outcomes to the synopsis log failed");
     }
 }
@@ -117,11 +114,19 @@ pub trait SynopsisStore: Learner {
 
     /// Switches the store to *incremental* persistence: creates (truncating)
     /// a [`SnapshotLog`] at `path` seeded with the store's current
-    /// experience, then appends every subsequently drained batch of
-    /// `(symptoms, fix, success)` outcomes as it happens — instead of one
-    /// full-file snapshot write at quiesce.  A process killed mid-run
-    /// therefore leaves a file that
+    /// experience ([`snapshot`](Self::snapshot), so successes first), then
+    /// [attaches](Self::attach_log) it — every subsequently drained batch
+    /// of `(symptoms, fix, success)` outcomes is appended as it happens,
+    /// instead of one full-file snapshot write at quiesce.  A process
+    /// killed mid-run therefore leaves a file that
     /// [`SynopsisSnapshot::load`] restores up to the last drain.
+    ///
+    /// This is the *rewrite*: the right call for a fresh path, a
+    /// complete-snapshot file or a log of another synopsis kind.  A process
+    /// restarting over its own log should [`SnapshotLog::open`] it,
+    /// [`restore`](Self::restore) from the replay and
+    /// [`attach_log`](Self::attach_log) the handle instead, which writes
+    /// nothing (see [`crate::snapshot`]).
     ///
     /// Shared stores log through their shared state, so every
     /// [`clone_store`](Self::clone_store) handle feeds the same file;
@@ -129,6 +134,23 @@ pub trait SynopsisStore: Learner {
     /// experience.  [`PrivateStore`] applies updates immediately, so it
     /// appends on every record.
     fn persist_to(&mut self, path: &Path) -> io::Result<()>;
+
+    /// Switches the store to incremental persistence through a log that is
+    /// **already open** — one [`SnapshotLog::open`] replayed and verified a
+    /// moment ago and from whose snapshot this store was just restored.
+    /// The store appends to it from here on; nothing is serialised and the
+    /// file is not touched until the next drain.
+    ///
+    /// The log must describe this store: same kind, and holding exactly the
+    /// experience the store holds.  Nothing checks that — a caller that
+    /// cannot promise it wants [`persist_to`](Self::persist_to).
+    ///
+    /// The default body is that rewrite (`persist_to(log.path())`), so a
+    /// store that only forwards the seven required methods keeps working;
+    /// every store in this workspace overrides it to keep the handle.
+    fn attach_log(&mut self, log: SnapshotLog) -> io::Result<()> {
+        self.persist_to(log.path())
+    }
 
     /// Aggregates the store's entire experience into per-fix
     /// success/failure counts — the introspection surface live queries
@@ -296,12 +318,8 @@ impl Learner for PrivateStore {
         // A private store applies updates immediately, so every record *is*
         // a drain — append it to the log right away.
         if let Some(log) = &self.log {
-            log.append(std::iter::once(&SynopsisExample::new(
-                symptoms.to_vec(),
-                fix,
-                success,
-            )))
-            .expect("appending the recorded outcome to the synopsis log failed");
+            log.append_outcomes(std::iter::once((symptoms, fix, success)))
+                .expect("appending the recorded outcome to the synopsis log failed");
         }
     }
 
@@ -344,7 +362,11 @@ impl SynopsisStore for PrivateStore {
     }
 
     fn persist_to(&mut self, path: &Path) -> io::Result<()> {
-        self.log = Some(SnapshotLog::create(path, &SynopsisStore::snapshot(self))?);
+        self.attach_log(SnapshotLog::create(path, &SynopsisStore::snapshot(self))?)
+    }
+
+    fn attach_log(&mut self, log: SnapshotLog) -> io::Result<()> {
+        self.log = Some(log);
         Ok(())
     }
 }
@@ -748,7 +770,10 @@ impl SynopsisStore for ShardedStore {
     }
 
     fn persist_to(&mut self, path: &Path) -> io::Result<()> {
-        let log = SnapshotLog::create(path, &SynopsisStore::snapshot(self))?;
+        self.attach_log(SnapshotLog::create(path, &SynopsisStore::snapshot(self))?)
+    }
+
+    fn attach_log(&mut self, log: SnapshotLog) -> io::Result<()> {
         *self.state.log.lock().expect("snapshot log poisoned") = Some(log);
         Ok(())
     }

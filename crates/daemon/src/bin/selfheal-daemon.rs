@@ -141,6 +141,28 @@ fn run() -> Result<(), String> {
     options.epoch_pause = Duration::from_millis(args.epoch_ms);
 
     let daemon = Daemon::launch(config, options)?;
+    for name in daemon.registry().names() {
+        let supervisor = daemon
+            .registry()
+            .supervisor(&name)
+            .expect("a listed tenant");
+        let Some(path) = supervisor.store_path() else {
+            continue;
+        };
+        let replay = supervisor.log_replay();
+        let torn = match replay.torn_bytes {
+            0 => String::new(),
+            bytes => format!(" torn_bytes_dropped={bytes}"),
+        };
+        println!(
+            "selfheal-daemon: tenant={name} log={} path={} examples={} bytes={} replay_ms={}{torn}",
+            replay.start.label(),
+            path.display(),
+            replay.examples,
+            replay.bytes,
+            replay.millis
+        );
+    }
     println!("selfheal-daemon: serving on {}", socket.display());
     let _ = std::io::stdout().flush();
     daemon.run()

@@ -430,8 +430,27 @@ impl Daemon {
 /// Daemon-wide commands (`TENANT ...`, `SHUTDOWN`) are handled here;
 /// everything else is a fleet command, routed to the `@<tenant>` scope it
 /// names or to the `default` tenant when unscoped — so a single-tenant
-/// daemon behaves exactly as it did before tenancy existed.
+/// daemon behaves exactly as it did before tenancy existed.  A `SNAPSHOT`
+/// aimed at a file the daemon itself writes (any tenant's snapshot log, the
+/// tenant manifest) is refused before it reaches a fleet.
 fn apply_command(registry: &mut TenantRegistry, command: Command) -> (String, bool) {
+    let snapshot_target = match &command {
+        Command::Snapshot(path) => Some(path),
+        Command::Scoped { inner, .. } => match inner.as_ref() {
+            Command::Snapshot(path) => Some(path),
+            _ => None,
+        },
+        _ => None,
+    };
+    if let Some(path) = snapshot_target {
+        if let Some(owner) = registry.owned_file(path) {
+            let refusal = format!(
+                "cannot snapshot to {}: that is {owner}, which the daemon itself writes",
+                path.display()
+            );
+            return (reply_err(&refusal), false);
+        }
+    }
     match command {
         Command::Shutdown => (reply_ok(&["shutting down".to_string()]), true),
         Command::TenantCreate { name, shared_pool } => match registry.create(&name, shared_pool) {
@@ -592,6 +611,7 @@ fn apply_fleet_command(supervisor: &mut Supervisor, command: Command) -> (String
 /// error/restart summary lines.
 fn status_lines(supervisor: &Supervisor) -> Vec<String> {
     let health = supervisor.health();
+    let replay = supervisor.log_replay();
     let persist = supervisor
         .store_path()
         .map(|p| p.display().to_string())
@@ -616,11 +636,14 @@ fn status_lines(supervisor: &Supervisor) -> Vec<String> {
             health.total_ticks, health.ticks_per_sec
         ),
         format!(
-            "store={} fixes_known={} pending_updates={} restored_examples={} persist={persist}",
+            "store={} fixes_known={} pending_updates={} restored_examples={} persist={persist} \
+             replay_ms={} log={}",
             supervisor.store().kind().label(),
             health.fixes_known,
             health.pending_updates,
-            supervisor.restored_examples()
+            replay.examples,
+            replay.millis,
+            replay.start.label()
         ),
         format!(
             "open_episodes={} restarts_total={}",

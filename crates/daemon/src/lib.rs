@@ -33,7 +33,16 @@
 //!   persists through the incremental
 //!   [`SnapshotLog`](selfheal_core::snapshot::SnapshotLog): every drained
 //!   batch is appended as it happens, and on startup the daemon replays the
-//!   file, so a `kill -9` mid-run loses nothing already drained.
+//!   file, so a `kill -9` mid-run loses nothing already drained.  The
+//!   replay reads the log once and rewrites nothing: the file is verified
+//!   line by line, the store restored from it, and the same file — same
+//!   bytes, same recording order — adopted for appending
+//!   ([`LogStart::Adopted`]); it is written anew only when absent, a
+//!   complete snapshot, or another synopsis kind's log.  A final line torn
+//!   by the kill is cut off rather than refusing the start, and `SNAPSHOT`
+//!   refuses to overwrite a file the daemon itself writes.  `STATUS`
+//!   reports what the replay restored, what it cost and which way it went
+//!   ([`LogReplay`]).
 //! * **Multi-tenancy** — a [`TenantRegistry`] runs several named fleets in
 //!   one daemon (`TENANT CREATE/DROP/LIST`, `@<tenant>` command scoping),
 //!   each with its own store namespace and snapshot log, plus an opt-in
@@ -86,7 +95,7 @@ pub mod tenants;
 pub use control::{ControlPlane, Daemon, DaemonOptions, PendingCommand};
 pub use pool::PooledStore;
 pub use protocol::{parse_command, render_command, send_command, Command};
-pub use supervisor::{ReplicaSpec, Supervisor};
+pub use supervisor::{LogReplay, LogStart, ReplicaSpec, Supervisor};
 pub use tenants::{Tenant, TenantRegistry, DEFAULT_TENANT};
 
 use selfheal_core::harness::{FaultChoice, LearnerChoice, PolicyChoice, WorkloadChoice};
@@ -159,7 +168,8 @@ pub struct DaemonConfig {
     /// restart of the same replica.
     pub backoff_epochs: u64,
     /// Incremental persistence file: replayed at startup (crash-restart),
-    /// then appended to on every store drain.  `None` = in-memory only.
+    /// then appended to — in place — on every store drain.  `None` =
+    /// in-memory only.
     pub store_path: Option<PathBuf>,
     /// Test seam: overrides how replica runners are built.  `None` (the
     /// default) builds them through

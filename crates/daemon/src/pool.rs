@@ -12,14 +12,14 @@
 //! shared-learning result.
 //!
 //! Isolation contract: the tenant's *namespace* surfaces
-//! ([`SynopsisStore::snapshot`], [`SynopsisStore::persist_to`],
-//! [`SynopsisStore::fix_stats`], `correct_fixes_learned`) read the primary
-//! store only, so snapshots, logs, and per-tenant statistics never blend in
-//! pooled data.  The pool is visible exclusively through `suggest*`
-//! fallback and through the supervisor's explicit `pool_*` introspection
-//! surface.
+//! ([`SynopsisStore::snapshot`], [`SynopsisStore::persist_to`] /
+//! [`SynopsisStore::attach_log`], [`SynopsisStore::fix_stats`],
+//! `correct_fixes_learned`) read the primary store only, so snapshots,
+//! logs, and per-tenant statistics never blend in pooled data.  The pool is
+//! visible exclusively through `suggest*` fallback and through the
+//! supervisor's explicit `pool_*` introspection surface.
 
-use selfheal_core::snapshot::SynopsisSnapshot;
+use selfheal_core::snapshot::{SnapshotLog, SynopsisSnapshot};
 use selfheal_core::store::SynopsisStore;
 use selfheal_core::synopsis::{Learner, SynopsisKind};
 use selfheal_faults::FixKind;
@@ -101,6 +101,10 @@ impl SynopsisStore for PooledStore {
 
     fn persist_to(&mut self, path: &Path) -> io::Result<()> {
         self.primary.persist_to(path)
+    }
+
+    fn attach_log(&mut self, log: SnapshotLog) -> io::Result<()> {
+        self.primary.attach_log(log)
     }
 }
 

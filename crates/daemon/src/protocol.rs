@@ -52,7 +52,8 @@ pub enum Command {
     /// episode.
     EpisodesOpen,
     /// `SNAPSHOT <path>` — save the shared store's full experience to a
-    /// JSON-lines snapshot file.
+    /// JSON-lines snapshot file.  Refused when `path` resolves to a file the
+    /// daemon itself writes (a tenant's snapshot log, the tenant manifest).
     Snapshot(PathBuf),
     /// `DRAIN` — stop injecting faults fleet-wide and keep ticking until
     /// every open episode closes, then pause.

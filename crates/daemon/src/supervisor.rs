@@ -25,7 +25,7 @@
 use crate::pool::PooledStore;
 use crate::{parse_rate, DaemonConfig, MAX_WORKLOAD_RATE};
 use selfheal_core::harness::{FaultChoice, WorkloadChoice};
-use selfheal_core::snapshot::SynopsisSnapshot;
+use selfheal_core::snapshot::SnapshotLog;
 use selfheal_core::store::{FixStats, SynopsisStore};
 use selfheal_core::synopsis::Learner;
 use selfheal_faults::{FaultKind, FixKind};
@@ -74,6 +74,103 @@ struct ReplicaEntry {
     health: ReplicaHealth,
 }
 
+/// Which way startup went with the snapshot log (`STATUS`'s `log=` word).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogStart {
+    /// No [`DaemonConfig::store_path`]: the store lives in memory only.
+    None,
+    /// The file was absent and was created.
+    Created,
+    /// The file was replayed, verified and kept as it is: the store appends
+    /// to the bytes already there.
+    Adopted,
+    /// The file was replayed and then written again from the store — it was
+    /// a complete snapshot, or a log of another synopsis kind.
+    Rewritten,
+}
+
+impl LogStart {
+    /// The word `STATUS` and the launch line print.
+    pub fn label(self) -> &'static str {
+        match self {
+            LogStart::None => "none",
+            LogStart::Created => "created",
+            LogStart::Adopted => "adopted",
+            LogStart::Rewritten => "rewritten",
+        }
+    }
+}
+
+/// What startup did with the snapshot log and what it cost — the restart's
+/// own time-to-recover, reported by `STATUS` (`restored_examples=`,
+/// `replay_ms=`, `log=`) and by `selfheal-daemon`'s launch line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogReplay {
+    /// The path taken.
+    pub start: LogStart,
+    /// Examples replayed into the store.
+    pub examples: usize,
+    /// Bytes of log replayed.
+    pub bytes: u64,
+    /// Bytes of a torn final line cut off the log (0 = it ended whole).
+    pub torn_bytes: u64,
+    /// Wall time of replay, restore and attach (or rewrite), in ms.
+    pub millis: u64,
+}
+
+impl LogReplay {
+    /// A start that replayed nothing (yet).
+    fn empty(start: LogStart) -> LogReplay {
+        LogReplay {
+            start,
+            examples: 0,
+            bytes: 0,
+            torn_bytes: 0,
+            millis: 0,
+        }
+    }
+}
+
+/// Brings `store` up over the snapshot log at `path`, the one way every
+/// start goes: replay and verify what is there ([`SnapshotLog::open`]),
+/// restore the store from it, and keep appending to the same bytes.  The
+/// file is written anew ([`SynopsisStore::persist_to`]) only when there is
+/// nothing to adopt — it is absent, it is a complete snapshot, or its
+/// header names another synopsis kind than the store's.
+fn replay_log(store: &mut dyn SynopsisStore, path: &Path) -> Result<LogReplay, String> {
+    let started = Instant::now();
+    let persist_failed = |err: io::Error| format!("cannot persist synopsis to {path:?}: {err}");
+    let mut replay = match SnapshotLog::open(path) {
+        Ok(found) => {
+            store.restore(&found.snapshot);
+            let start = match found.log.filter(|_| found.snapshot.kind == store.kind()) {
+                Some(log) => {
+                    store.attach_log(log).map_err(persist_failed)?;
+                    LogStart::Adopted
+                }
+                None => {
+                    store.persist_to(path).map_err(persist_failed)?;
+                    LogStart::Rewritten
+                }
+            };
+            LogReplay {
+                start,
+                examples: found.snapshot.len(),
+                bytes: found.bytes,
+                torn_bytes: found.torn_bytes,
+                millis: 0,
+            }
+        }
+        Err(err) if err.kind() == io::ErrorKind::NotFound => {
+            store.persist_to(path).map_err(persist_failed)?;
+            LogReplay::empty(LogStart::Created)
+        }
+        Err(err) => return Err(format!("cannot replay snapshot log {path:?}: {err}")),
+    };
+    replay.millis = started.elapsed().as_millis() as u64;
+    Ok(replay)
+}
+
 /// Owns one fleet's epoch engine, shared store, and epoch clock — the
 /// heart of the resident daemon (see the [module docs](self)).
 pub struct Supervisor {
@@ -94,7 +191,7 @@ pub struct Supervisor {
     next_id: usize,
     epoch: u64,
     started: Instant,
-    restored: usize,
+    replay: LogReplay,
     draining: bool,
     adversary: bool,
     adversary_target: Option<usize>,
@@ -105,7 +202,7 @@ impl std::fmt::Debug for Supervisor {
         f.debug_struct("Supervisor")
             .field("epoch", &self.epoch)
             .field("replicas", &self.entries.keys().collect::<Vec<_>>())
-            .field("restored", &self.restored)
+            .field("replay", &self.replay)
             .field("draining", &self.draining)
             .field("adversary", &self.adversary)
             .finish_non_exhaustive()
@@ -116,8 +213,9 @@ impl Supervisor {
     /// Builds the supervisor: validates the config (shared learning is
     /// mandatory), replays the [`DaemonConfig::store_path`] snapshot log
     /// when the file exists (crash-restart), and switches the store to
-    /// incremental persistence.  No replicas yet — call
-    /// [`add_replica`](Self::add_replica).
+    /// incremental persistence — appending to that same file, which is
+    /// rewritten only when it cannot be adopted ([`LogStart`]).  No
+    /// replicas yet — call [`add_replica`](Self::add_replica).
     pub fn new(config: DaemonConfig) -> Result<Supervisor, String> {
         Self::with_pool(config, None)
     }
@@ -144,8 +242,7 @@ impl Supervisor {
                 config.learner.label()
             ));
         }
-        let mut restored = 0;
-        let mut fleet = FleetConfig::builder()
+        let fleet = FleetConfig::builder()
             .service(config.service.clone())
             .workload(config.workload.clone())
             .policy(config.policy)
@@ -153,20 +250,15 @@ impl Supervisor {
             .base_seed(config.base_seed)
             .slice(config.slice)
             .series_capacity(config.series_capacity)
-            .faults(config.default_faults.clone());
-        if let Some(path) = &config.store_path {
-            if path.exists() {
-                let snapshot = SynopsisSnapshot::load(path)
-                    .map_err(|err| format!("cannot replay snapshot log {path:?}: {err}"))?;
-                restored = snapshot.len();
-                fleet = fleet.warm_start(snapshot);
-            }
-            fleet = fleet.persist_synopsis(path);
-        }
-        let fleet = fleet.build();
-        let store = fleet
+            .faults(config.default_faults.clone())
+            .build();
+        let mut store = fleet
             .build_shared_store()
             .expect("validated: shared learner + learning policy");
+        let replay = match &config.store_path {
+            Some(path) => replay_log(store.as_mut(), path)?,
+            None => LogReplay::empty(LogStart::None),
+        };
         // Wrap *after* persistence is wired so the snapshot log stays a
         // pure per-fleet namespace; the pool never touches the file.
         let store: Box<dyn SynopsisStore> = match &pool {
@@ -184,7 +276,7 @@ impl Supervisor {
             next_id: 0,
             epoch: 0,
             started: Instant::now(),
-            restored,
+            replay,
             draining: false,
             adversary: false,
             adversary_target: None,
@@ -203,7 +295,12 @@ impl Supervisor {
 
     /// Examples replayed from the snapshot log at startup.
     pub fn restored_examples(&self) -> usize {
-        self.restored
+        self.replay.examples
+    }
+
+    /// What startup did with the snapshot log, and what it cost.
+    pub fn log_replay(&self) -> LogReplay {
+        self.replay
     }
 
     /// The incremental-persistence path, when one is configured.
@@ -358,7 +455,9 @@ impl Supervisor {
     }
 
     /// Saves the store's full experience to a snapshot file; returns the
-    /// example count written.
+    /// example count written.  The file is a *complete* snapshot, so `path`
+    /// must not be a live snapshot log (the daemon refuses such targets, see
+    /// [`TenantRegistry::owned_file`](crate::TenantRegistry::owned_file)).
     pub fn snapshot_to(&self, path: &Path) -> io::Result<usize> {
         let snapshot = self.store.snapshot();
         snapshot.save(path)?;

@@ -190,6 +190,24 @@ impl TenantRegistry {
             .collect()
     }
 
+    /// Names the file of the daemon's own that `path` resolves to, if any:
+    /// a tenant's live snapshot log or the tenant manifest.  Writing
+    /// anything else there — a `SNAPSHOT`, say, whose complete-snapshot
+    /// header the next drained batch would then append past — leaves a file
+    /// the next launch refuses to replay.
+    pub fn owned_file(&self, path: &Path) -> Option<String> {
+        let target = resolve(path);
+        let log = self.tenants.iter().find_map(|(name, tenant)| {
+            let log = tenant.supervisor.store_path()?;
+            (resolve(log) == target).then(|| format!("tenant {name}'s snapshot log"))
+        });
+        let manifest = || {
+            let manifest = self.manifest_path()?;
+            (resolve(&manifest) == target).then(|| "the tenant manifest".to_string())
+        };
+        log.or_else(manifest)
+    }
+
     /// Whether any tenant has replicas left to advance (the daemon loop
     /// sleeps otherwise).
     pub fn any_active(&self) -> bool {
@@ -324,6 +342,22 @@ pub fn tenant_store_path(base: &Path, tenant: &str) -> PathBuf {
     } else {
         sibling_path(base, tenant)
     }
+}
+
+/// `path` with symlinks, `.` and `..` resolved as far as the file system
+/// can tell: the file itself when it exists, else its directory plus its
+/// name, else `path` as given.
+fn resolve(path: &Path) -> PathBuf {
+    fs::canonicalize(path).unwrap_or_else(|_| {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        match (fs::canonicalize(dir), path.file_name()) {
+            (Ok(dir), Some(name)) => dir.join(name),
+            _ => path.to_path_buf(),
+        }
+    })
 }
 
 fn sibling_path(base: &Path, tag: &str) -> PathBuf {

@@ -660,7 +660,8 @@ impl FleetEngine {
     /// the policy learns, warm-started from the config's snapshot and
     /// switched to incremental persistence when
     /// [`FleetConfig::persist_synopsis`] was set.  [`run`](Self::run) calls
-    /// this internally; the resident daemon calls it once at boot and keeps
+    /// this internally; the resident daemon calls it once at boot (with
+    /// neither set: it replays and adopts its own snapshot log) and keeps
     /// the store alive across epochs and replica restarts.
     ///
     /// # Panics

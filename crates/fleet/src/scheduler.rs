@@ -85,7 +85,7 @@ use crate::events::{ActionSchedule, ReplicaAction};
 use crate::reactive::{
     FleetView, ReactiveContext, ReactivePlan, ReactiveRecord, ReplicaView, REACTIVE_PERIOD,
 };
-use selfheal_core::snapshot::SynopsisSnapshot;
+use selfheal_core::snapshot::{SnapshotLog, SynopsisSnapshot};
 use selfheal_core::store::SynopsisStore;
 use selfheal_core::synopsis::{Learner, SynopsisKind};
 use selfheal_faults::FixKind;
@@ -225,6 +225,10 @@ impl SynopsisStore for GatedStore {
 
     fn persist_to(&mut self, path: &std::path::Path) -> std::io::Result<()> {
         self.inner.persist_to(path)
+    }
+
+    fn attach_log(&mut self, log: SnapshotLog) -> std::io::Result<()> {
+        self.inner.attach_log(log)
     }
 }
 

@@ -26,7 +26,7 @@
 #![forbid(unsafe_code)]
 
 use std::borrow::Cow;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parse failure, with the 1-based line number when decoding a whole
 /// JSON-lines document (0 when parsing a single line directly).
@@ -78,7 +78,7 @@ pub fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),
         }
@@ -97,7 +97,7 @@ pub fn push_json_string(out: &mut String, s: &str) {
 /// output well-formed JSON.
 pub fn push_f64(out: &mut String, value: f64) {
     if value.is_finite() {
-        out.push_str(&format!("{value:?}"));
+        write!(out, "{value:?}").expect("writing to a String cannot fail");
     } else {
         out.push('0');
     }

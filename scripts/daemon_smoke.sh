@@ -5,8 +5,12 @@
 #     -> wait for the shared store to learn a fix
 #     -> ADD / REPLICAS / QUERY FIXES / SNAPSHOT over selfheal-ctl
 #     -> RECONFIGURE adversary=on, STATUS must show a strike target
+#     -> SNAPSHOT onto the live log itself must be refused
 #     -> kill -9, relaunch from the same log
-#     -> STATUS must show restored synopsis counts
+#     -> STATUS must show restored synopsis counts and log=adopted; the
+#        pre-crash bytes must be a prefix of the live file, header untouched
+#     -> kill -9, tear 7 bytes off the log's tail, relaunch
+#     -> STATUS must show every whole line but the torn one restored
 #     -> clean SHUTDOWN within a bounded wait
 #
 # Exits 1 on any failed step.  Binaries default to target/release; override
@@ -42,6 +46,12 @@ launch() {
         sleep 0.1
     done
     fail "control socket never answered"
+}
+
+crash() {
+    kill -9 "$PID" || fail "kill -9 failed"
+    wait "$PID" 2>/dev/null
+    PID=""
 }
 
 [ -x "$DAEMON" ] || fail "$DAEMON is not built (cargo build --release)"
@@ -101,19 +111,40 @@ ctl SNAPSHOT "$SNAPSHOT" >/dev/null || fail "SNAPSHOT rejected"
 [ -s "$SNAPSHOT" ] || fail "snapshot file is empty"
 grep -q '"fix"' "$SNAPSHOT" || fail "snapshot holds no examples"
 
-# kill -9: only what the incremental log already drained survives.
-kill -9 "$PID" || fail "kill -9 failed"
-wait "$PID" 2>/dev/null
-PID=""
-[ -s "$STORE" ] || fail "snapshot log is empty after the crash"
+# ...but never onto the live log: its header would stop describing it.
+ctl SNAPSHOT "$STORE" >/dev/null 2>&1
+[ $? -eq 1 ] || fail "SNAPSHOT onto the daemon's own log must be refused"
 
-# Second life: the log replay restores the synopsis.
+# kill -9: only what the incremental log already drained survives.
+crash
+[ -s "$STORE" ] || fail "snapshot log is empty after the crash"
+SIZE="$(wc -c <"$STORE")"
+cp "$STORE" "$DIR/first-life.jsonl"
+
+# Second life: the log replay restores the synopsis, and appends to the
+# bytes it replayed instead of writing them again.
 launch
 STATUS="$(ctl STATUS)" || fail "STATUS after restart rejected"
 printf '%s\n' "$STATUS" | grep -q 'restored_examples=[1-9]' \
     || fail "nothing restored after the crash: $STATUS"
 printf '%s\n' "$STATUS" | grep -q 'fixes_known=[1-9]' \
     || fail "restored store knows no fixes: $STATUS"
+printf '%s\n' "$STATUS" | grep -q 'replay_ms=[0-9][0-9]* log=adopted' \
+    || fail "the restart did not adopt its log: $STATUS"
+cmp -s -n "$SIZE" "$DIR/first-life.jsonl" "$STORE" \
+    || fail "the first life's $SIZE bytes are no longer a prefix of the log"
+head -1 "$STORE" | grep -q '"incremental":true' \
+    || fail "the log's header was rewritten: $(head -1 "$STORE")"
+
+# Third life, over a torn tail: a crash mid-append costs the unfinished line
+# and nothing else.
+crash
+WHOLE="$(($(wc -l <"$STORE") - 1))"
+truncate -s -7 "$STORE"
+launch
+STATUS="$(ctl STATUS)" || fail "STATUS over a torn log rejected"
+printf '%s\n' "$STATUS" | grep -q "restored_examples=$((WHOLE - 1)) .* log=adopted" \
+    || fail "expected $((WHOLE - 1)) examples restored over the torn tail: $STATUS"
 
 # Clean shutdown, bounded.
 ctl SHUTDOWN | grep -q 'shutting down' || fail "SHUTDOWN rejected"

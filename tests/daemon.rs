@@ -7,14 +7,14 @@
 
 use selfheal::daemon::protocol::{is_terminator, send_command};
 use selfheal::daemon::{
-    ControlPlane, Daemon, DaemonConfig, DaemonOptions, ReplicaSpec, Supervisor,
+    ControlPlane, Daemon, DaemonConfig, DaemonOptions, LogStart, ReplicaSpec, Supervisor,
 };
 use selfheal::faults::{FaultKind, FixAction, FixKind, InjectionPlan};
 use selfheal::fleet::{ExecutionMode, FleetConfig};
 use selfheal::healing::harness::ReactiveChoice;
-use selfheal::healing::snapshot::SynopsisSnapshot;
+use selfheal::healing::snapshot::{SnapshotLog, SynopsisSnapshot};
 use selfheal::healing::store::SynopsisStore;
-use selfheal::healing::synopsis::SynopsisKind;
+use selfheal::healing::synopsis::{Learner, SynopsisKind};
 use selfheal::sim::scenario::{Healer, ScenarioRunner};
 use selfheal::sim::service::TickOutcome;
 use selfheal::sim::{MultiTierService, ServiceConfig};
@@ -356,6 +356,204 @@ fn crash_restart_replays_the_snapshot_log() {
     supervisor.shutdown();
 }
 
+/// Restart reads the log once and rewrites nothing: the second life appends
+/// behind the bytes the first left (same header, same recording order), a
+/// life that drains nothing leaves the file byte-identical, and the next
+/// restart restores the first life's experience plus the second's.
+#[test]
+fn restart_adopts_the_log_in_place_and_rewrites_nothing() {
+    let scratch = Scratch::new("adopt-in-place");
+    let store_path = scratch.path("synopsis.jsonl");
+    let config = DaemonConfig {
+        store_path: Some(store_path.clone()),
+        ..DaemonConfig::default()
+    };
+    let header = "{\"synopsis\":\"nearest_neighbor\",\"incremental\":true}\n";
+
+    let mut supervisor = Supervisor::new(config.clone()).unwrap();
+    assert_eq!(supervisor.log_replay().start, LogStart::Created);
+    supervisor.add_replica("default").unwrap();
+    supervisor.add_replica("default").unwrap();
+    run_until_learned(&mut supervisor, 400);
+    supervisor.abort();
+    let first = std::fs::read(&store_path).unwrap();
+    let first_life = SynopsisSnapshot::load(&store_path).unwrap();
+    assert!(first.starts_with(header.as_bytes()));
+
+    // Second life: the launch itself writes nothing...
+    let mut supervisor = Supervisor::new(config.clone()).unwrap();
+    let replay = supervisor.log_replay();
+    assert_eq!(replay.start, LogStart::Adopted);
+    assert_eq!(replay.examples, first_life.len());
+    assert_eq!((replay.bytes, replay.torn_bytes), (first.len() as u64, 0));
+    assert_eq!(std::fs::read(&store_path).unwrap(), first);
+    // ...and what it drains lands behind what was there.
+    supervisor.add_replica("default").unwrap();
+    supervisor.add_replica("default").unwrap();
+    for _ in 0..400 {
+        supervisor.advance_epoch();
+        if std::fs::metadata(&store_path).unwrap().len() > first.len() as u64 {
+            break;
+        }
+    }
+    supervisor.abort();
+    let second = std::fs::read(&store_path).unwrap();
+    assert!(
+        second.len() > first.len(),
+        "the second life drained something"
+    );
+    assert!(second.starts_with(&first), "byte-for-byte prefix");
+    let both_lives = SynopsisSnapshot::load(&store_path).unwrap();
+    assert_eq!(
+        both_lives.examples[..first_life.len()],
+        first_life.examples[..]
+    );
+
+    // Third and fourth lives drain nothing, one dying and one exiting
+    // cleanly: first + appended is restored, the file does not change.
+    for clean_exit in [false, true] {
+        let supervisor = Supervisor::new(config.clone()).unwrap();
+        assert_eq!(supervisor.log_replay().start, LogStart::Adopted);
+        assert_eq!(supervisor.restored_examples(), both_lives.len());
+        assert_eq!(supervisor.store().snapshot().len(), both_lives.len());
+        if clean_exit {
+            supervisor.shutdown();
+        } else {
+            supervisor.abort();
+        }
+        assert_eq!(std::fs::read(&store_path).unwrap(), second);
+    }
+}
+
+/// The log is written anew only where the file itself shows there is nothing
+/// to adopt: it is absent, it is a complete snapshot, or it was recorded by
+/// another kind of synopsis.  Whatever the start, the next one adopts.
+#[test]
+fn only_a_log_that_cannot_be_adopted_is_rewritten() {
+    let scratch = Scratch::new("rewrite-cases");
+    let mut learned = SynopsisSnapshot::new(SynopsisKind::KMeans);
+    learned.push(vec![1.0, 9.0, 1.0], FixKind::RebootTier, false);
+    learned.push(vec![2.0, 2.0, 2.0], FixKind::MicrorebootEjb, true);
+    learned.push(vec![5.0, 5.0, 5.0], FixKind::RebootTier, true);
+    let first_line = |path: &Path| {
+        let text = std::fs::read_to_string(path).unwrap();
+        text.lines().next().unwrap_or_default().to_string()
+    };
+    let ours = "{\"synopsis\":\"nearest_neighbor\",\"incremental\":true}";
+
+    for (case, expected) in [
+        ("absent", LogStart::Created),
+        ("complete", LogStart::Rewritten),
+        ("foreign-kind", LogStart::Rewritten),
+    ] {
+        let store_path = scratch.path(&format!("{case}.jsonl"));
+        match case {
+            "complete" => learned.save(&store_path).unwrap(),
+            "foreign-kind" => drop(SnapshotLog::create(&store_path, &learned).unwrap()),
+            _ => {}
+        }
+        let restored = if expected == LogStart::Created {
+            0
+        } else {
+            assert_ne!(first_line(&store_path), ours, "{case}: not ours yet");
+            learned.len()
+        };
+        let config = DaemonConfig {
+            store_path: Some(store_path.clone()),
+            ..DaemonConfig::default()
+        };
+        let supervisor = Supervisor::new(config.clone()).unwrap();
+        assert_eq!(supervisor.log_replay().start, expected, "{case}");
+        assert_eq!(supervisor.restored_examples(), restored, "{case}");
+        supervisor.abort();
+        assert_eq!(
+            first_line(&store_path),
+            ours,
+            "{case}: the store's own header"
+        );
+        let on_disk = SynopsisSnapshot::load(&store_path).unwrap();
+        assert_eq!(on_disk.len(), restored, "{case}: nothing lost");
+
+        let supervisor = Supervisor::new(config).unwrap();
+        assert_eq!(supervisor.log_replay().start, LogStart::Adopted, "{case}");
+        assert_eq!(supervisor.restored_examples(), restored, "{case}");
+        supervisor.abort();
+    }
+}
+
+/// `kill -9` mid-append leaves at worst an unfinished final line.  Whatever
+/// byte the file was cut at inside its last two lines, the daemon starts,
+/// restores every whole line, cuts the rest off, and appends from there.
+#[test]
+fn a_torn_log_tail_is_cut_off_and_the_daemon_starts() {
+    let scratch = Scratch::new("torn-tail");
+    let store_path = scratch.path("synopsis.jsonl");
+    let config = DaemonConfig {
+        store_path: Some(store_path.clone()),
+        ..DaemonConfig::default()
+    };
+    let mut recorded = SynopsisSnapshot::new(SynopsisKind::NearestNeighbor);
+    for i in 0..4 {
+        let fix = [FixKind::MicrorebootEjb, FixKind::RebootTier][i % 2];
+        recorded.push(vec![i as f64 + 0.25, 1e-3, -7.5], fix, i != 2);
+    }
+    let appended = (vec![9.0, 9.0, 9.0], FixKind::RepartitionMemory, true);
+    let whole = {
+        let log = SnapshotLog::create(&store_path, &SynopsisSnapshot::new(recorded.kind)).unwrap();
+        log.append(&recorded.examples[..3]).unwrap();
+        log.append(&recorded.examples[3..]).unwrap();
+        std::fs::read(&store_path).unwrap()
+    };
+    let newlines: Vec<usize> = (0..whole.len()).filter(|&at| whole[at] == b'\n').collect();
+    assert_eq!(newlines.len(), 5, "a header and four examples");
+
+    for cut in newlines[2] + 1..=whole.len() {
+        std::fs::write(&store_path, &whole[..cut]).unwrap();
+        let terminated = newlines.iter().filter(|&&at| at < cut).count() - 1;
+        // A whole example that lost only its newline is kept.
+        let kept = terminated + usize::from(newlines.contains(&cut));
+        let last_line = newlines[terminated] + 1;
+
+        let supervisor =
+            Supervisor::new(config.clone()).unwrap_or_else(|err| panic!("cut at {cut}: {err}"));
+        let replay = supervisor.log_replay();
+        assert_eq!(replay.start, LogStart::Adopted, "cut at {cut}");
+        assert_eq!(supervisor.restored_examples(), kept, "cut at {cut}");
+        let torn = if kept > terminated {
+            0
+        } else {
+            cut - last_line
+        };
+        assert_eq!(replay.torn_bytes, torn as u64, "cut at {cut}");
+
+        // Batch 1: the record is drained, so appended, at once.
+        let (symptoms, fix, success) = &appended;
+        supervisor.store_handle().record(symptoms, *fix, *success);
+        supervisor.abort();
+        let reloaded = SynopsisSnapshot::load(&store_path)
+            .unwrap_or_else(|err| panic!("cut at {cut}: the repaired log reloads: {err}"));
+        assert_eq!(
+            reloaded.examples[..kept],
+            recorded.examples[..kept],
+            "cut at {cut}"
+        );
+        assert_eq!(reloaded.len(), kept + 1, "cut at {cut}");
+        assert_eq!(reloaded.examples[kept].symptoms, *symptoms, "cut at {cut}");
+    }
+
+    // A bad line before the final one is not a torn tail: no start.
+    let mut damaged = whole.clone();
+    damaged[newlines[1] + 3] = b'!';
+    std::fs::write(&store_path, &damaged).unwrap();
+    let refusal = Supervisor::new(config).unwrap_err();
+    assert!(refusal.contains("line 3"), "names the line: {refusal}");
+    assert_eq!(
+        std::fs::read(&store_path).unwrap(),
+        damaged,
+        "and touches nothing"
+    );
+}
+
 #[test]
 fn adversary_reconfigure_strikes_the_weakest_replica() {
     let mut supervisor = Supervisor::new(DaemonConfig {
@@ -581,6 +779,80 @@ fn hostile_query_signatures_answer_err_and_the_daemon_lives() {
 
     assert!(ctl(&socket, "SHUTDOWN").ends_with("OK\n"));
     life.join().unwrap().unwrap();
+}
+
+/// `SNAPSHOT` onto a file the daemon itself writes would leave a
+/// complete-snapshot header with appended lines behind it — a log no launch
+/// replays.  Such targets answer `ERR`, by any spelling of the path and from
+/// any tenant's scope; the fleet ticks on, and after `kill -9` the relaunch
+/// restores every drained example.
+#[test]
+fn snapshot_onto_the_daemons_own_files_is_refused() {
+    let scratch = Scratch::new("snapshot-own-log");
+    let socket = scratch.path("control.sock");
+    let store_path = scratch.path("synopsis.jsonl");
+    let config = DaemonConfig {
+        store_path: Some(store_path.clone()),
+        ..DaemonConfig::default()
+    };
+    let mut options = DaemonOptions::new(&socket);
+    options.replicas = 2;
+    let daemon = Daemon::launch(config.clone(), options.clone()).unwrap();
+    let kill = daemon.kill_switch();
+    let life_one = thread::spawn(move || daemon.run());
+    wait_for(&socket, "STATUS", "the fleet to learn a fix", |reply| {
+        field(reply, "fixes_known=").unwrap_or(0) >= 1
+    });
+    // The manifest is the daemon's before it exists.
+    let manifest = scratch.path("synopsis.tenants.jsonl");
+    let reply = ctl(&socket, &format!("SNAPSHOT {}", manifest.display()));
+    assert!(reply.starts_with("ERR ") && !manifest.exists(), "{reply}");
+    assert!(ctl(&socket, "TENANT CREATE scout").ends_with("OK\n"));
+
+    std::fs::create_dir(scratch.path("sub")).unwrap();
+    let own_files = [
+        ("", store_path.clone()),
+        ("", scratch.path("sub/../synopsis.jsonl")),
+        ("", scratch.path("synopsis.scout.jsonl")),
+        ("", manifest.clone()),
+        ("@scout ", store_path.clone()),
+        ("@scout ", scratch.path("./synopsis.scout.jsonl")),
+    ];
+    for (scope, target) in &own_files {
+        let before = std::fs::read(target).unwrap();
+        let reply = ctl(&socket, &format!("{scope}SNAPSHOT {}", target.display()));
+        assert!(reply.starts_with("ERR "), "{scope}{target:?}: {reply}");
+        assert!(reply.contains("the daemon itself writes"), "{reply}");
+        let after = std::fs::read(target).unwrap();
+        assert!(
+            after.starts_with(&before),
+            "{target:?} was only ever appended to"
+        );
+    }
+    // Any other file is still fair game, and the fleet is still ticking.
+    let free = scratch.path("fixes.jsonl");
+    let reply = ctl(&socket, &format!("SNAPSHOT {}", free.display()));
+    assert!(field(&reply, "examples=").unwrap_or(0) >= 1, "{reply}");
+    let epoch = field(&ctl(&socket, "STATUS"), "epoch=").unwrap();
+    wait_for(&socket, "STATUS", "later epochs", |reply| {
+        field(reply, "epoch=").is_some_and(|now| now > epoch)
+    });
+
+    kill.store(true, Ordering::SeqCst);
+    life_one.join().unwrap().unwrap();
+    let drained = SynopsisSnapshot::load(&store_path).expect("the log still replays");
+    assert!(!drained.is_empty());
+
+    let daemon = Daemon::launch(config, options).unwrap();
+    let supervisor = daemon.registry().default_supervisor();
+    assert_eq!(supervisor.log_replay().start, LogStart::Adopted);
+    assert_eq!(supervisor.restored_examples(), drained.len());
+    assert!(
+        daemon.registry().contains("scout"),
+        "the manifest replays too"
+    );
+    daemon.kill_switch().store(true, Ordering::SeqCst);
+    daemon.run().unwrap();
 }
 
 /// A quiet one-replica daemon on `socket`, running on its own thread; the

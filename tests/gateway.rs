@@ -226,6 +226,57 @@ fn gateway_serves_tenants_auth_and_streams_end_to_end() {
     gateway.stop();
 }
 
+/// `POST /v1/tenants/<t>/snapshot` onto a file the daemon itself writes is
+/// the client's error (the daemon's `ERR`), not a snapshot; any other path
+/// still is one.
+#[test]
+fn snapshot_onto_the_daemons_own_log_is_a_client_error() {
+    let scratch = Scratch::new("snapshot-own-log");
+    let socket = scratch.path("control.sock");
+    let store_path = scratch.path("synopsis.jsonl");
+    let mut options = DaemonOptions::new(&socket);
+    options.replicas = 1;
+    let config = DaemonConfig {
+        store_path: Some(store_path.clone()),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::launch(config, options).unwrap();
+    let daemon_thread = thread::spawn(move || daemon.run());
+    let gateway = Gateway::launch(GatewayOptions::new("127.0.0.1:0", &socket, tokens())).unwrap();
+    let addr = gateway.addr().to_string();
+
+    let snapshot = |path: &std::path::Path| {
+        let body = format!("{{\"path\":\"{}\"}}", path.display());
+        post(
+            &addr,
+            "/v1/tenants/default/snapshot",
+            Some("swordfish"),
+            Some(&body),
+        )
+    };
+    let header = std::fs::read_to_string(&store_path).unwrap();
+    let refused = snapshot(&store_path);
+    assert_eq!(refused.status, 400, "body: {}", refused.body);
+    assert!(
+        refused.body.contains("the daemon itself writes"),
+        "body: {}",
+        refused.body
+    );
+    assert!(std::fs::read_to_string(&store_path)
+        .unwrap()
+        .starts_with(&header));
+    let free = scratch.path("fixes.jsonl");
+    assert_eq!(snapshot(&free).status, 200);
+    assert!(free.exists());
+
+    assert_eq!(
+        post(&addr, "/v1/shutdown", Some("swordfish"), None).status,
+        200
+    );
+    daemon_thread.join().unwrap().unwrap();
+    gateway.stop();
+}
+
 /// One request over a held keep-alive connection; returns status and body.
 fn keep_alive_get(link: &mut BufReader<TcpStream>, target: &str, token: &str) -> (u16, String) {
     let request =

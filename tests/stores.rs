@@ -158,3 +158,187 @@ fn snapshots_transfer_between_store_layouts() {
         "locked -> private transfer"
     );
 }
+
+/// Restart equivalence: a store that adopted a live log — restored from
+/// [`SnapshotLog::open`]'s replay, then handed the open file — is the store
+/// a fresh one restored from [`SynopsisSnapshot::load`] of the same file
+/// is, for the locked and the sharded layout and under the daemon's
+/// cross-tenant wrapper; adopting writes nothing, and what the adopted
+/// store learns next lands behind the bytes already there.
+#[test]
+fn a_store_that_adopted_a_log_equals_one_restored_from_it() {
+    use selfheal::daemon::PooledStore;
+    use selfheal::faults::FixKind;
+    use selfheal::healing::snapshot::SnapshotLog;
+    use selfheal::healing::store::SynopsisStore;
+
+    let build = |layout: &str| -> Box<dyn SynopsisStore> {
+        let kind = SynopsisKind::NearestNeighbor;
+        let locked = || LearnerChoice::Locked { batch: 1 }.build_store(kind);
+        match layout {
+            "locked" => locked(),
+            "sharded_4" => LearnerChoice::Sharded {
+                shards: 4,
+                batch: 3,
+            }
+            .build_store(kind),
+            _ => Box::new(PooledStore::new(locked(), locked())),
+        }
+    };
+
+    const FIXES: [FixKind; 3] = [
+        FixKind::RepartitionMemory,
+        FixKind::MicrorebootEjb,
+        FixKind::UpdateStatistics,
+    ];
+    // Three failure modes, jittered so no two signatures coincide.
+    let signature = |i: usize| {
+        let mut symptoms = vec![1.0, 1.0, 1.0];
+        symptoms[i % 3] = 8.0 + (i / 3) as f64 * 0.01;
+        symptoms
+    };
+    let dir = std::env::temp_dir().join(format!("selfheal-stores-adopt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    for layout in ["locked", "sharded_4", "pooled"] {
+        // The log as a live store of this layout leaves it: created empty,
+        // appended drain by drain, successes and failures interleaved.
+        let path = dir.join(format!("{layout}.jsonl"));
+        let mut writer = build(layout);
+        writer.persist_to(&path).unwrap();
+        for i in 0..90 {
+            writer.record(&signature(i), FIXES[(i + i / 7) % 3], i % 5 != 0);
+        }
+        writer.flush();
+        drop(writer);
+        let before = std::fs::read(&path).unwrap();
+
+        let replay = SnapshotLog::open(&path).unwrap();
+        assert_eq!(replay.snapshot.len(), 90, "{layout}");
+        let mut adopted = build(layout);
+        adopted.restore(&replay.snapshot);
+        adopted
+            .attach_log(replay.log.expect("an incremental log"))
+            .unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "{layout}: nothing written"
+        );
+
+        let mut restored = build(layout);
+        restored.restore(&SynopsisSnapshot::load(&path).unwrap());
+        assert_eq!(adopted.snapshot(), restored.snapshot(), "{layout}");
+        assert_eq!(adopted.fix_stats(), restored.fix_stats(), "{layout}");
+        let probes = [
+            signature(0),
+            signature(40),
+            signature(83),
+            vec![4.0, 4.0, 4.0],
+        ];
+        for probe in &probes {
+            assert_eq!(adopted.suggest(probe), restored.suggest(probe), "{layout}");
+        }
+        assert!(
+            adopted.suggest(&probes[0]).is_some(),
+            "{layout}: it did learn"
+        );
+
+        adopted.record(&[2.0, 2.0, 2.0], FixKind::RebootTier, true);
+        adopted.flush();
+        let after = std::fs::read(&path).unwrap();
+        assert!(
+            after.len() > before.len() && after.starts_with(&before),
+            "{layout}"
+        );
+        let reloaded = SynopsisSnapshot::load(&path).unwrap();
+        assert_eq!(
+            reloaded.examples[..90],
+            replay.snapshot.examples[..],
+            "{layout}"
+        );
+        assert_eq!(reloaded.examples[90].fix, FixKind::RebootTier, "{layout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The compatibility half of `attach_log`: a store written against the seven
+/// required `SynopsisStore` methods alone (the benchmark's timing wrapper is
+/// one) falls back to the rewrite — the log is recreated at the same path
+/// from the store's experience, and appends go on from there.
+#[test]
+fn a_store_without_its_own_attach_log_falls_back_to_the_rewrite() {
+    use selfheal::faults::FixKind;
+    use selfheal::healing::snapshot::SnapshotLog;
+    use selfheal::healing::store::SynopsisStore;
+    use selfheal::healing::synopsis::Learner;
+    use std::collections::HashSet;
+
+    struct Forwarding(Box<dyn SynopsisStore>);
+    impl Learner for Forwarding {
+        fn suggest(&self, symptoms: &[f64]) -> Option<(FixKind, f64)> {
+            self.0.suggest(symptoms)
+        }
+        fn suggest_excluding(
+            &self,
+            symptoms: &[f64],
+            excluded: &HashSet<FixKind>,
+        ) -> Option<(FixKind, f64)> {
+            self.0.suggest_excluding(symptoms, excluded)
+        }
+        fn record(&mut self, symptoms: &[f64], fix: FixKind, success: bool) {
+            self.0.record(symptoms, fix, success);
+        }
+        fn correct_fixes_learned(&self) -> usize {
+            self.0.correct_fixes_learned()
+        }
+    }
+    // lint:allow(choice-mirror): a test double of an out-of-tree wrapper.
+    impl SynopsisStore for Forwarding {
+        fn kind(&self) -> SynopsisKind {
+            self.0.kind()
+        }
+        fn flush(&self) {
+            self.0.flush();
+        }
+        fn pending_updates(&self) -> usize {
+            self.0.pending_updates()
+        }
+        fn snapshot(&self) -> SynopsisSnapshot {
+            self.0.snapshot()
+        }
+        fn restore(&mut self, snapshot: &SynopsisSnapshot) {
+            self.0.restore(snapshot);
+        }
+        fn clone_store(&self) -> Box<dyn SynopsisStore> {
+            Box::new(Forwarding(self.0.clone_store()))
+        }
+        fn persist_to(&mut self, path: &std::path::Path) -> std::io::Result<()> {
+            self.0.persist_to(path)
+        }
+    }
+
+    let path =
+        std::env::temp_dir().join(format!("selfheal-stores-fwd-{}.jsonl", std::process::id()));
+    let mut recorded = SynopsisSnapshot::new(SynopsisKind::NearestNeighbor);
+    recorded.push(vec![1.0, 9.0], FixKind::MicrorebootEjb, false);
+    recorded.push(vec![8.0, 1.0], FixKind::RepartitionMemory, true);
+    drop(SnapshotLog::create(&path, &recorded).unwrap());
+
+    let replay = SnapshotLog::open(&path).unwrap();
+    let mut store = Forwarding(LearnerChoice::Locked { batch: 1 }.build_store(recorded.kind));
+    store.restore(&replay.snapshot);
+    store.attach_log(replay.log.unwrap()).unwrap();
+    // Rewritten from `snapshot()`, so regrouped successes first.
+    let rewritten = SynopsisSnapshot::load(&path).unwrap();
+    assert_eq!(rewritten.examples[0], recorded.examples[1]);
+    assert_eq!(rewritten.examples[1], recorded.examples[0]);
+
+    store.record(&[3.0, 3.0], FixKind::RebootTier, true);
+    assert_eq!(
+        SynopsisSnapshot::load(&path).unwrap().len(),
+        3,
+        "and appended to"
+    );
+    let _ = std::fs::remove_file(&path);
+}
