@@ -156,27 +156,54 @@ pub trait SynopsisStore: Learner {
     /// success/failure counts — the introspection surface live queries
     /// (e.g. the resident daemon's `QUERY FIXES`) read at epoch barriers.
     ///
-    /// Flushes internally (via [`snapshot`](Self::snapshot)), so queued
-    /// updates are counted.  Fixes with no recorded attempts are omitted;
-    /// the rest appear in [`FixKind::ALL`] order.
+    /// Queued updates are counted: the default body reads a
+    /// [`snapshot`](Self::snapshot), which flushes, and copies the whole
+    /// experience to do it; every store in this workspace overrides it to
+    /// [`flush`](Self::flush) and count the examples where they lie.  Fixes
+    /// with no recorded attempts are omitted; the rest appear in
+    /// [`FixKind::ALL`] order.
     fn fix_stats(&self) -> Vec<FixStats> {
-        let snapshot = self.snapshot();
+        let mut tally = FixTally::default();
+        for example in &self.snapshot().examples {
+            tally.add(example.fix.code(), example.success);
+        }
+        tally.finish()
+    }
+}
+
+/// Per-fix success/failure counts while [`SynopsisStore::fix_stats`]
+/// gathers them, indexed by fix code.
+#[derive(Default)]
+struct FixTally([(usize, usize); FixKind::ALL.len()]);
+
+impl FixTally {
+    /// Counts one outcome.  Codes outside [`FixKind::ALL`] are skipped, as
+    /// [`append_synopsis`] skips them.
+    fn add(&mut self, code: usize, success: bool) {
+        if let Some((successes, failures)) = self.0.get_mut(code) {
+            *(if success { successes } else { failures }) += 1;
+        }
+    }
+
+    /// Counts everything a synopsis holds, without copying any of it.
+    fn add_synopsis(&mut self, synopsis: &Synopsis) {
+        for example in synopsis.positive_examples() {
+            self.add(example.label, true);
+        }
+        for example in synopsis.negative_examples() {
+            self.add(example.label, false);
+        }
+    }
+
+    fn finish(self) -> Vec<FixStats> {
         FixKind::ALL
             .iter()
-            .filter_map(|&fix| {
-                let mut stats = FixStats {
-                    fix,
-                    successes: 0,
-                    failures: 0,
-                };
-                for example in snapshot.examples.iter().filter(|e| e.fix == fix) {
-                    if example.success {
-                        stats.successes += 1;
-                    } else {
-                        stats.failures += 1;
-                    }
-                }
-                (stats.successes + stats.failures > 0).then_some(stats)
+            .zip(self.0)
+            .filter(|(_, (successes, failures))| successes + failures > 0)
+            .map(|(&fix, (successes, failures))| FixStats {
+                fix,
+                successes,
+                failures,
             })
             .collect()
     }
@@ -343,6 +370,12 @@ impl SynopsisStore for PrivateStore {
         let mut snapshot = SynopsisSnapshot::new(self.kind());
         append_synopsis(&mut snapshot, &self.synopsis);
         snapshot
+    }
+
+    fn fix_stats(&self) -> Vec<FixStats> {
+        let mut tally = FixTally::default();
+        tally.add_synopsis(&self.synopsis);
+        tally.finish()
     }
 
     fn restore(&mut self, snapshot: &SynopsisSnapshot) {
@@ -738,6 +771,15 @@ impl SynopsisStore for ShardedStore {
             append_synopsis(&mut snapshot, &model);
         }
         snapshot
+    }
+
+    fn fix_stats(&self) -> Vec<FixStats> {
+        self.flush();
+        let mut tally = FixTally::default();
+        for shard in &self.state.shards {
+            tally.add_synopsis(&shard.model.read().expect("shard lock poisoned"));
+        }
+        tally.finish()
     }
 
     fn restore(&mut self, snapshot: &SynopsisSnapshot) {

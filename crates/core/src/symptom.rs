@@ -72,10 +72,13 @@ impl SymptomExtractor {
                 self.frozen = true;
             }
         }
+        // A full window hands its oldest row back to hold the newest.
+        let mut row = Vec::new();
         if self.recent.len() == self.window {
-            self.recent.pop_front();
+            row = self.recent.pop_front().unwrap_or_default();
         }
-        self.recent.push_back(sample.values().to_vec());
+        sample.values().clone_into(&mut row);
+        self.recent.push_back(row);
     }
 
     /// The healthy baseline mean of every metric (zeros until at least one
@@ -188,6 +191,28 @@ mod tests {
         let baseline = e.baseline_means();
         assert!((baseline[0] - 100.0).abs() < 1e-9);
         assert!(!e.baseline_ready(), "only one healthy sample so far");
+    }
+
+    #[test]
+    fn symptoms_follow_the_window_after_it_has_turned_over() {
+        let sc = schema();
+        let at = |t: u64| sample(&sc, t, 100.0 + 7.0 * t as f64, 0.1 * t as f64);
+        let mut recycling = SymptomExtractor::new(&sc, 5, 3);
+        for t in 0..11 {
+            recycling.observe(&at(t), true);
+        }
+        // An extractor that saw the same baseline and then only the last
+        // three samples holds the same window in rows it never recycled.
+        let mut fresh = SymptomExtractor::new(&sc, 5, 3);
+        for t in 0..5 {
+            fresh.observe(&at(t), true);
+        }
+        fresh.recent.clear();
+        for t in 8..11 {
+            fresh.observe(&at(t), true);
+        }
+        assert_eq!(recycling.recent, fresh.recent);
+        assert_eq!(recycling.symptoms(), fresh.symptoms());
     }
 
     #[test]

@@ -487,7 +487,7 @@ fn apply_fleet_command(supervisor: &mut Supervisor, command: Command) -> (String
                 .map(|replica| {
                     format!(
                         "replica {} profile={} state={} ticks={} episodes={} open={} \
-                         fixes={} restarts={} heartbeat_ms={}",
+                         fixes={} restarts={} heartbeat_ms={} active_faults={}",
                         replica.id,
                         replica.profile,
                         replica.state.label(),
@@ -496,7 +496,8 @@ fn apply_fleet_command(supervisor: &mut Supervisor, command: Command) -> (String
                         replica.open_episodes,
                         replica.fixes_initiated,
                         replica.restarts,
-                        replica.last_heartbeat_ms
+                        replica.last_heartbeat_ms,
+                        replica.active_faults
                     )
                 })
                 .collect();

@@ -20,7 +20,7 @@
 //! supervisor's explicit `pool_*` introspection surface.
 
 use selfheal_core::snapshot::{SnapshotLog, SynopsisSnapshot};
-use selfheal_core::store::SynopsisStore;
+use selfheal_core::store::{FixStats, SynopsisStore};
 use selfheal_core::synopsis::{Learner, SynopsisKind};
 use selfheal_faults::FixKind;
 use std::collections::HashSet;
@@ -86,6 +86,10 @@ impl SynopsisStore for PooledStore {
 
     fn snapshot(&self) -> SynopsisSnapshot {
         self.primary.snapshot()
+    }
+
+    fn fix_stats(&self) -> Vec<FixStats> {
+        self.primary.fix_stats()
     }
 
     fn restore(&mut self, snapshot: &SynopsisSnapshot) {

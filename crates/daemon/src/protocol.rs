@@ -22,7 +22,8 @@ pub enum Command {
     /// `STATUS` — one-screen daemon summary (epoch, replica states, store
     /// statistics, per-replica error/restart lines).
     Status,
-    /// `REPLICAS` — one line per supervised replica.
+    /// `REPLICAS` — one line per supervised replica, `key=value` words
+    /// from `profile=` to `active_faults=`.
     Replicas,
     /// `ADD <profile>` — add a replica under a fault profile
     /// (`none`, `default`, or `<service>[:<rate>]`, e.g. `online:0.05`).

@@ -490,6 +490,7 @@ impl Supervisor {
             fixes_initiated: 0,
             restarts: 0,
             last_heartbeat_ms: self.uptime_ms(),
+            active_faults: 0,
             last_error: None,
         };
         self.entries.insert(
@@ -712,6 +713,7 @@ impl Supervisor {
                         health.episodes = runner.recovery().len();
                         health.open_episodes = usize::from(runner.recovery().in_episode());
                         health.fixes_initiated = runner.fixes_initiated();
+                        health.active_faults = runner.service().active_faults().len();
                     });
                 }
                 Err(error) => {

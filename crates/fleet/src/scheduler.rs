@@ -86,7 +86,7 @@ use crate::reactive::{
     FleetView, ReactiveContext, ReactivePlan, ReactiveRecord, ReplicaView, REACTIVE_PERIOD,
 };
 use selfheal_core::snapshot::{SnapshotLog, SynopsisSnapshot};
-use selfheal_core::store::SynopsisStore;
+use selfheal_core::store::{FixStats, SynopsisStore};
 use selfheal_core::synopsis::{Learner, SynopsisKind};
 use selfheal_faults::FixKind;
 use selfheal_sim::scenario::{Healer, ScenarioRunner};
@@ -209,6 +209,10 @@ impl SynopsisStore for GatedStore {
 
     fn snapshot(&self) -> SynopsisSnapshot {
         self.inner.snapshot()
+    }
+
+    fn fix_stats(&self) -> Vec<FixStats> {
+        self.inner.fix_stats()
     }
 
     fn restore(&mut self, snapshot: &SynopsisSnapshot) {

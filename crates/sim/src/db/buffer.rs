@@ -13,7 +13,9 @@ use serde::{Deserialize, Serialize};
 /// Baseline (cold/compulsory) miss rate of a healthy, warm buffer pool.
 const COLD_MISS_RATE: f64 = 0.02;
 
-/// The buffer pool.
+/// The buffer pool.  Every operation is constant time: the number of tables
+/// accessed this tick, which the miss rate depends on, is kept up to date by
+/// the accesses themselves instead of being recounted on each.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BufferPool {
     nominal_pages: u64,
@@ -22,6 +24,9 @@ pub struct BufferPool {
     table_count: usize,
     /// Per-table access weight this tick (rows touched).
     tick_access_rows: Vec<f64>,
+    /// How many entries of `tick_access_rows` are positive, kept as
+    /// [`BufferPool::access`] and [`BufferPool::finish_tick`] change them.
+    active_tables: usize,
     tick_rows_read: f64,
     tick_rows_written: f64,
     tick_miss_weighted: f64,
@@ -40,6 +45,7 @@ impl BufferPool {
             working_set_pages: working_set_pages.max(1),
             table_count,
             tick_access_rows: vec![0.0; table_count],
+            active_tables: 0,
             tick_rows_read: 0.0,
             tick_rows_written: 0.0,
             tick_miss_weighted: 0.0,
@@ -74,12 +80,7 @@ impl BufferPool {
     /// table; the miss rate interpolates between the cold-miss floor (pool ≥
     /// demand) and ~1.0 (pool ≪ demand).
     pub fn miss_rate(&self) -> f64 {
-        let active_tables = self
-            .tick_access_rows
-            .iter()
-            .filter(|r| **r > 0.0)
-            .count()
-            .max(1) as f64;
+        let active_tables = self.active_tables.max(1) as f64;
         let demand = active_tables * self.working_set_pages as f64;
         let available = self.current_pages as f64;
         if available >= demand {
@@ -93,8 +94,14 @@ impl BufferPool {
     /// Records one access of `rows` rows against `table` and returns the
     /// miss rate charged to it.
     pub fn access(&mut self, table: usize, rows: f64) -> f64 {
-        let table = table % self.table_count;
-        self.tick_access_rows[table] += rows;
+        let accessed = &mut self.tick_access_rows[table % self.table_count];
+        let was_active = *accessed > 0.0;
+        *accessed += rows;
+        match (was_active, *accessed > 0.0) {
+            (false, true) => self.active_tables += 1,
+            (true, false) => self.active_tables -= 1,
+            _ => {}
+        }
         let miss = self.miss_rate();
         self.tick_rows_read += rows;
         self.tick_miss_weighted += miss * rows;
@@ -121,9 +128,8 @@ impl BufferPool {
         self.tick_rows_written = 0.0;
         self.tick_miss_weighted = 0.0;
         self.tick_access_weight = 0.0;
-        for r in &mut self.tick_access_rows {
-            *r = 0.0;
-        }
+        self.tick_access_rows.fill(0.0);
+        self.active_tables = 0;
         result
     }
 }
@@ -131,6 +137,35 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every step of any sequence of operations the maintained
+        /// count of active tables equals a recount.  Rows are rounded so
+        /// that zero-row accesses and exact cancellations occur.
+        #[test]
+        fn active_table_count_equals_a_recount(
+            ops in prop::collection::vec((0usize..6, 0usize..8, -3.0f64..6.0), 1..80),
+        ) {
+            let mut pool = BufferPool::new(4000, 900, 5);
+            for (op, table, rows) in ops {
+                match op {
+                    0 => pool.shrink_to_fraction(rows / 6.0),
+                    1 => pool.restore_nominal(),
+                    2 => {
+                        pool.finish_tick();
+                    }
+                    _ => {
+                        pool.access(table, rows.round());
+                    }
+                }
+                let recount = pool.tick_access_rows.iter().filter(|r| **r > 0.0).count();
+                prop_assert_eq!(pool.active_tables, recount);
+            }
+        }
+    }
 
     #[test]
     fn healthy_pool_has_cold_miss_rate_only() {

@@ -3,7 +3,7 @@
 use crate::actuator::{CompletedFix, FixActuator};
 use crate::config::ServiceConfig;
 use crate::db::DatabaseTier;
-use crate::ejb::EjbGraph;
+use crate::ejb::{EjbGraph, RequestPath};
 use crate::faults_runtime::{ActiveFaults, SimTier};
 use crate::metrics::MetricsCatalog;
 use crate::resource::TierResource;
@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfheal_faults::{FaultId, FaultSpec, FaultTarget, FixAction, FixCatalog, FixId, FixKind};
 use selfheal_telemetry::{Sample, Schema, Slo, SloMonitor, SloViolation};
-use selfheal_workload::Request;
+use selfheal_workload::{Request, RequestKind};
 
 /// A fix that completed during a tick, together with the faults it repaired.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +54,18 @@ pub struct MultiTierService {
     config: ServiceConfig,
     fix_catalog: FixCatalog,
     metrics: MetricsCatalog,
-    graph: EjbGraph,
+    /// [`EjbGraph::path`] of every request kind, indexed by
+    /// [`RequestKind::code`]: the paths are fixed per service, so they are
+    /// built once and not per request.
+    paths: [RequestPath; RequestKind::ALL.len()],
+    /// Per-EJB call and error counts and per-table access counts of the
+    /// tick being simulated: zeroed at its start, not reallocated.  They
+    /// are copied into the sample at the end and not counted there directly
+    /// — with hundreds of faults active that made the fault scans between
+    /// the counts a third slower (CHANGES.md, PR 19).
+    ejb_calls: Vec<f64>,
+    ejb_errors: Vec<f64>,
+    table_accesses: Vec<f64>,
     web: TierResource,
     app: TierResource,
     db_resource: TierResource,
@@ -83,8 +94,12 @@ impl MultiTierService {
             config.slo_window,
             config.slo_confirm_after,
         );
+        let graph = EjbGraph::new(config.ejb_count, config.table_count);
         MultiTierService {
-            graph: EjbGraph::new(config.ejb_count, config.table_count),
+            paths: RequestKind::ALL.map(|kind| graph.path(kind)),
+            ejb_calls: vec![0.0; config.ejb_count],
+            ejb_errors: vec![0.0; config.ejb_count],
+            table_accesses: vec![0.0; config.table_count],
             web: TierResource::new("web", config.web_capacity_ms),
             app: TierResource::new("app", config.app_capacity_ms),
             db_resource: TierResource::new("db", config.db_capacity_ms),
@@ -176,6 +191,13 @@ impl MultiTierService {
     }
 
     /// Simulates one tick with the given arrived requests.
+    ///
+    /// What a tick allocates does not depend on its batch: each request's
+    /// path comes from the table built with the service, the per-EJB and
+    /// per-table counts are kept in the service, and the SLO windows are
+    /// evaluated where they lie.  A tick that confirms no violation and
+    /// completes no fix allocates the sample's row and nothing else
+    /// (`tests/alloc.rs`).
     pub fn tick(&mut self, requests: &[Request]) -> TickOutcome {
         let tick = self.current_tick;
 
@@ -214,30 +236,27 @@ impl MultiTierService {
         let mut db_demand = 0.0;
         let mut extra_latency_total = 0.0;
         let mut errors = 0usize;
-        let mut ejb_calls = vec![0.0; self.config.ejb_count];
-        let mut ejb_errors = vec![0.0; self.config.ejb_count];
-        let mut table_accesses = vec![0.0; self.config.table_count];
+        self.ejb_calls.fill(0.0);
+        self.ejb_errors.fill(0.0);
+        self.table_accesses.fill(0.0);
 
         let service_error_p = self.faults.service_error_probability();
         let network_extra = self.faults.network_extra_latency_ms();
 
         for request in requests {
             let demand = request.kind.demand();
-            let path = self.graph.path(request.kind);
-
-            // Per-EJB call accounting (invasive instrumentation).
-            for (ejb, calls) in &path.ejb_calls {
-                ejb_calls[*ejb] += *calls as f64;
-            }
+            let path = &self.paths[request.kind.code()];
 
             // Does the request fail outright?
             let mut failed = self.rng.gen_bool(service_error_p.clamp(0.0, 1.0));
             let mut extra_latency = network_extra;
-            for (ejb, _) in &path.ejb_calls {
+            for (ejb, calls) in &path.ejb_calls {
+                // Per-EJB call accounting (invasive instrumentation).
+                self.ejb_calls[*ejb] += *calls as f64;
                 let p = self.faults.ejb_error_probability(*ejb);
                 if p > 0.0 && self.rng.gen_bool(p.clamp(0.0, 1.0)) {
                     failed = true;
-                    ejb_errors[*ejb] += 1.0;
+                    self.ejb_errors[*ejb] += 1.0;
                 }
                 extra_latency += self.faults.ejb_extra_latency_ms(*ejb);
             }
@@ -248,7 +267,7 @@ impl MultiTierService {
             let mut request_db_ms = 0.0;
             let mut request_lock_ms = 0.0;
             for (table, rows, is_write) in &path.table_accesses {
-                table_accesses[*table] += 1.0;
+                self.table_accesses[*table] += 1.0;
                 let share = if total_rows > 0.0 {
                     rows / total_rows
                 } else {
@@ -338,13 +357,13 @@ impl MultiTierService {
         sample.set(m.rows_written, db_counters.rows_written);
         sample.set(m.lock_wait_ms, db_counters.lock_wait_ms);
         sample.set(m.plan_misestimate, db_counters.plan_misestimate);
-        for (i, calls) in ejb_calls.iter().enumerate() {
+        for (i, calls) in self.ejb_calls.iter().enumerate() {
             sample.set(m.ejb_calls[i], *calls);
         }
-        for (i, errs) in ejb_errors.iter().enumerate() {
+        for (i, errs) in self.ejb_errors.iter().enumerate() {
             sample.set(m.ejb_errors[i], *errs);
         }
-        for (j, accesses) in table_accesses.iter().enumerate() {
+        for (j, accesses) in self.table_accesses.iter().enumerate() {
             sample.set(m.table_accesses[j], *accesses);
         }
 
@@ -658,6 +677,25 @@ mod tests {
             resp_after < resp_during,
             "response time should improve after statistics update ({resp_after} vs {resp_during})"
         );
+    }
+
+    #[test]
+    fn the_path_table_is_the_call_graph_for_every_kind() {
+        for config in [ServiceConfig::tiny(), ServiceConfig::rubis_default()] {
+            let graph = EjbGraph::new(config.ejb_count, config.table_count);
+            let service = MultiTierService::new(config.clone());
+            for kind in RequestKind::ALL {
+                let path = &service.paths[kind.code()];
+                assert_eq!(*path, graph.path(kind), "{kind}");
+                // `tiny` has fewer EJBs and tables than the graph has
+                // roles, so its indices wrap.
+                assert!(path.ejb_calls.iter().all(|(e, _)| *e < config.ejb_count));
+                assert!(path
+                    .table_accesses
+                    .iter()
+                    .all(|(t, _, _)| *t < config.table_count));
+            }
+        }
     }
 
     #[test]

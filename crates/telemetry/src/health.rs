@@ -57,6 +57,11 @@ pub struct ReplicaHealth {
     /// Milliseconds (since the supervisor started) of the last epoch this
     /// replica reported in.
     pub last_heartbeat_ms: u64,
+    /// Faults active in the simulated service at the last barrier (current
+    /// incarnation).  Ground truth for the operator: every fault still
+    /// active is scanned on each request, so this is the number an epoch's
+    /// cost follows.  Healers never see it.
+    pub active_faults: usize,
     /// Message of the most recent panic, when any.
     pub last_error: Option<String>,
 }
@@ -83,6 +88,8 @@ impl ReplicaHealth {
         out.push_str(&self.restarts.to_string());
         out.push_str(",\"last_heartbeat_ms\":");
         out.push_str(&self.last_heartbeat_ms.to_string());
+        out.push_str(",\"active_faults\":");
+        out.push_str(&self.active_faults.to_string());
         if let Some(error) = &self.last_error {
             out.push_str(",\"last_error\":");
             push_json_string(&mut out, error);
@@ -118,6 +125,9 @@ pub struct FleetHealth {
     pub pending_updates: usize,
     /// Simulated ticks per wall-clock second since the supervisor started.
     pub ticks_per_sec: f64,
+    /// Faults active across the fleet's simulated services (see
+    /// [`ReplicaHealth::active_faults`]).
+    pub active_faults: usize,
     /// Replica the fleet-wide adversary struck at the last barrier, when
     /// the adversarial chaos engine is enabled and found a target.
     pub adversary_target: Option<usize>,
@@ -141,6 +151,7 @@ impl FleetHealth {
             self.total_ticks += replica.ticks;
             self.open_episodes += replica.open_episodes;
             self.restarts += u64::from(replica.restarts);
+            self.active_faults += replica.active_faults;
         }
     }
 
@@ -170,6 +181,8 @@ impl FleetHealth {
         out.push_str(&self.pending_updates.to_string());
         out.push_str(",\"ticks_per_sec\":");
         push_f64(&mut out, self.ticks_per_sec);
+        out.push_str(",\"active_faults\":");
+        out.push_str(&self.active_faults.to_string());
         if let Some(target) = self.adversary_target {
             out.push_str(",\"adversary_target\":");
             out.push_str(&target.to_string());
@@ -197,6 +210,7 @@ impl Default for FleetHealth {
             fixes_known: 0,
             pending_updates: 0,
             ticks_per_sec: 0.0,
+            active_faults: 0,
             adversary_target: None,
             tenant: None,
         }
@@ -218,6 +232,7 @@ mod tests {
             fixes_initiated: 3,
             restarts: 1,
             last_heartbeat_ms: 42,
+            active_faults: 5,
             last_error: (state != ReplicaState::Running).then(|| "boom \"quoted\"".to_string()),
         }
     }
@@ -227,6 +242,7 @@ mod tests {
         let json = replica(7, ReplicaState::Failed).to_json();
         assert!(json.starts_with("{\"id\":7,"));
         assert!(json.contains("\"state\":\"failed\""));
+        assert!(json.contains("\"last_heartbeat_ms\":42,\"active_faults\":5,"));
         assert!(json.contains("\"last_error\":\"boom \\\"quoted\\\"\""));
     }
 
@@ -251,7 +267,9 @@ mod tests {
         assert_eq!(health.total_ticks, 400);
         assert_eq!(health.open_episodes, 2);
         assert_eq!(health.restarts, 4);
+        assert_eq!(health.active_faults, 20);
         let line = health.to_json_line();
+        assert!(line.contains("\"active_faults\":20"));
         assert!(line.contains("\"epoch\":9"));
         assert!(line.contains("\"fixes_known\":5"));
         assert!(!line.contains("adversary_target"));

@@ -116,12 +116,20 @@ impl Slo {
     /// of violation (`0.0` when compliant, positive and growing with
     /// severity when violated).
     pub fn violation_severity(&self, values: &[Value]) -> f64 {
-        if values.is_empty() {
+        self.severity_over(values.iter())
+    }
+
+    /// [`Slo::violation_severity`] over any in-order walk of the window —
+    /// the monitor's ring buffers are read where they lie.  Sums run oldest
+    /// to newest, as they do over a slice.
+    fn severity_over<'a>(&self, values: impl ExactSizeIterator<Item = &'a Value>) -> f64 {
+        let len = values.len();
+        if len == 0 {
             return 0.0;
         }
         match self.kind {
             SloKind::UpperBound => {
-                let mean = values.iter().sum::<Value>() / values.len() as Value;
+                let mean = values.sum::<Value>() / len as Value;
                 if mean <= self.threshold {
                     0.0
                 } else if self.threshold.abs() < f64::EPSILON {
@@ -131,7 +139,7 @@ impl Slo {
                 }
             }
             SloKind::LowerBound => {
-                let mean = values.iter().sum::<Value>() / values.len() as Value;
+                let mean = values.sum::<Value>() / len as Value;
                 if mean >= self.threshold {
                     0.0
                 } else if self.threshold.abs() < f64::EPSILON {
@@ -141,8 +149,7 @@ impl Slo {
                 }
             }
             SloKind::ExceedanceRate { tolerated_fraction } => {
-                let exceeding = values.iter().filter(|v| **v > self.threshold).count() as f64
-                    / values.len() as f64;
+                let exceeding = values.filter(|v| **v > self.threshold).count() as f64 / len as f64;
                 if exceeding <= tolerated_fraction {
                     0.0
                 } else {
@@ -235,6 +242,9 @@ impl SloMonitor {
     /// A violation is reported every evaluation while it remains confirmed,
     /// with an increasing `consecutive` count, so the healing layer can both
     /// trigger on the first confirmation and track ongoing outage length.
+    ///
+    /// Each window is evaluated in its ring buffer; a compliant tick
+    /// allocates nothing.
     pub fn observe(&mut self, sample: &Sample) -> Vec<SloViolation> {
         let mut violations = Vec::new();
         self.total_evaluations += 1;
@@ -245,8 +255,7 @@ impl SloMonitor {
                 hist.pop_front();
             }
             hist.push_back(sample.get(slo.metric));
-            let values: Vec<Value> = hist.iter().copied().collect();
-            let severity = slo.violation_severity(&values);
+            let severity = slo.severity_over(hist.iter());
             if severity > 0.0 {
                 self.consecutive[i] += 1;
                 if self.consecutive[i] >= self.confirm_after {
@@ -270,24 +279,24 @@ impl SloMonitor {
 
     /// Current status of every SLO, in the order they were registered.
     pub fn status(&self) -> Vec<SloStatus> {
-        self.slos
-            .iter()
-            .enumerate()
-            .map(|(i, slo)| {
-                let values: Vec<Value> = self.history[i].iter().copied().collect();
-                let severity = slo.violation_severity(&values);
-                if severity > 0.0 && self.consecutive[i] >= self.confirm_after {
-                    SloStatus::Violated { severity }
-                } else {
-                    SloStatus::Compliant
-                }
-            })
-            .collect()
+        self.statuses().collect()
     }
 
     /// Returns `true` if any SLO is currently in confirmed violation.
     pub fn any_violated(&self) -> bool {
-        self.status().iter().any(SloStatus::is_violated)
+        self.statuses().any(|status| status.is_violated())
+    }
+
+    /// Each SLO's status, evaluated on its window as the caller asks for it.
+    fn statuses(&self) -> impl Iterator<Item = SloStatus> + '_ {
+        self.slos.iter().enumerate().map(|(i, slo)| {
+            let severity = slo.severity_over(self.history[i].iter());
+            if severity > 0.0 && self.consecutive[i] >= self.confirm_after {
+                SloStatus::Violated { severity }
+            } else {
+                SloStatus::Compliant
+            }
+        })
     }
 
     /// Fraction of observed ticks during which at least one SLO was in
@@ -428,6 +437,31 @@ mod tests {
         assert!(severe > mild);
         assert_eq!(slo.violation_severity(&[900.0]), 0.0);
         assert_eq!(slo.violation_severity(&[]), 0.0);
+    }
+
+    #[test]
+    fn severity_on_a_wrapped_window_equals_the_copied_slice_form() {
+        let sc = schema();
+        let mut m = monitor(&sc);
+        let mut wrapped = false;
+        for t in 0..23u64 {
+            // Irrational-ish steps, so a different summation order would
+            // show in the last bits.
+            let x = (t as f64 * 0.7311).sin().abs();
+            m.observe(&sample(&sc, t, 2_000.0 * x, 20.0 * x, 0.02 * x));
+            for (slo, hist) in m.slos.iter().zip(&m.history) {
+                wrapped |= !hist.as_slices().1.is_empty();
+                let copied: Vec<Value> = hist.iter().copied().collect();
+                assert_eq!(
+                    slo.severity_over(hist.iter()).to_bits(),
+                    slo.violation_severity(&copied).to_bits(),
+                    "{} at tick {t}",
+                    slo.name
+                );
+            }
+        }
+        assert!(wrapped, "the ring buffers must have wrapped around");
+        assert!(m.status().iter().any(SloStatus::is_violated));
     }
 
     #[test]

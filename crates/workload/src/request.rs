@@ -102,12 +102,11 @@ impl RequestKind {
             .find(|k| k.label() == label)
     }
 
-    /// Stable numeric code (its index in [`RequestKind::ALL`]).
+    /// Stable numeric code: the discriminant, which is the kind's index in
+    /// [`RequestKind::ALL`] (the variants are declared in that order).
+    #[inline]
     pub fn code(self) -> usize {
-        RequestKind::ALL
-            .iter()
-            .position(|k| *k == self)
-            .expect("kind in ALL")
+        self as usize
     }
 
     /// Whether the interaction writes to the database.

@@ -1,0 +1,104 @@
+//! Heap allocations on the simulator's tick path, as exact counts.
+//!
+//! What a tick allocates must not depend on how many requests it serves:
+//! the request paths are a table built with the service, the per-EJB and
+//! per-table accumulators live in it, and the SLO and symptom windows are
+//! read where they lie.  This file holds one test, so no other test thread
+//! allocates while it counts, and the counter is per thread besides.
+
+use selfheal::fleet::FleetConfig;
+use selfheal::healing::harness::PolicyChoice;
+use selfheal::healing::synopsis::SynopsisKind;
+use selfheal::sim::{MultiTierService, ServiceConfig};
+use selfheal::workload::{Request, RequestKind};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting the calls each thread makes.  `realloc`
+/// and `alloc_zeroed` keep their default bodies, which go through `alloc`,
+/// so each counts once.
+struct Counting;
+
+// SAFETY: both methods hand their arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract.  The counter is a `const`-initialised
+// thread-local `Cell<u64>`: it has no destructor and needs no lazy
+// initialisation, so touching it never allocates and is valid at every point
+// of a thread's life.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|count| count.set(count.get() + 1));
+        // SAFETY: the caller's `layout` is passed through as it came.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this same `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns how many allocations this thread made meanwhile.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// `n` requests cycling through every kind.
+fn batch(n: usize, tick: u64) -> Vec<Request> {
+    (0..n)
+        .map(|i| Request::new(i as u64, RequestKind::ALL[i % RequestKind::ALL.len()], tick))
+        .collect()
+}
+
+/// Most allocations a steady-state `ScenarioRunner::step` may make: the
+/// workload's batch, the tick's sample and its copy in the series.
+const STEP_ALLOCATIONS: u64 = 3;
+
+#[test]
+fn a_tick_allocates_the_same_for_ten_requests_as_for_two_hundred() {
+    let mut service = MultiTierService::new(ServiceConfig::rubis_default());
+    for tick in 0..50 {
+        service.tick(&batch(40, tick));
+    }
+    let (small, large) = (batch(10, 50), batch(200, 51));
+    let (for_ten, outcome) = allocations_in(|| service.tick(&small));
+    assert!(outcome.violations.is_empty() && outcome.errors == 0);
+    let (for_two_hundred, outcome) = allocations_in(|| service.tick(&large));
+    assert_eq!(outcome.arrived, 200);
+    println!(
+        "MultiTierService::tick: {for_ten} allocations for 10 requests, {for_two_hundred} for 200"
+    );
+    assert_eq!(for_ten, for_two_hundred);
+    assert_eq!(for_ten, 1, "the sample's row is the only allocation");
+
+    // FixSym over a private learner under the default Poisson-40 workload,
+    // stepped until the baseline is frozen and the series ring is full.
+    let mut runner = FleetConfig::builder()
+        .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
+        .series_capacity(512)
+        .build()
+        .replica_runner(0, None);
+    for _ in 0..600 {
+        runner.step();
+    }
+    let per_step: Vec<u64> = (0..200)
+        .map(|_| allocations_in(|| runner.step()).0)
+        .collect();
+    println!("ScenarioRunner::step: {per_step:?}");
+    // Poisson bursts open a short SLO episode every few dozen ticks; the
+    // steps in which the healer opens, works on or closes one do its
+    // bookkeeping on top and are not the steady state.
+    let steady = per_step
+        .iter()
+        .filter(|count| **count <= STEP_ALLOCATIONS)
+        .count();
+    assert!(steady >= 180, "only {steady} of 200 steps stayed in bounds");
+}

@@ -615,6 +615,36 @@ fn adversary_reconfigure_strikes_the_weakest_replica() {
     supervisor.shutdown();
 }
 
+/// `active_faults` is the simulator's ground truth at the last barrier: it
+/// climbs under a fault mix that outruns the healer, stays 0 on a quiet
+/// replica, and the fleet's JSON line carries the total.
+#[test]
+fn active_faults_rise_under_a_heavy_mix_and_stay_zero_without_one() {
+    let mut supervisor = Supervisor::new(DaemonConfig::default()).unwrap();
+    let faulty = supervisor.add_replica("online:0.2").unwrap();
+    let quiet = supervisor.add_replica("none").unwrap();
+    let mut seen = Vec::new();
+    for epochs in [10, 110] {
+        for _ in 0..epochs {
+            assert_eq!(supervisor.advance_epoch(), 2);
+        }
+        let replicas = supervisor.replica_health();
+        assert_eq!(replicas[quiet].active_faults, 0);
+        let active = replicas[faulty].active_faults;
+        assert_eq!(supervisor.health().active_faults, active);
+        assert!(supervisor
+            .health()
+            .to_json_line()
+            .contains(&format!("\"active_faults\":{active}")));
+        seen.push(active);
+    }
+    assert!(
+        0 < seen[0] && seen[0] < seen[1],
+        "active faults after 10 and after 120 epochs: {seen:?}"
+    );
+    supervisor.shutdown();
+}
+
 /// Extracts `key=<u64>` from a space-separated reply.
 fn field(reply: &str, key: &str) -> Option<u64> {
     reply
@@ -688,6 +718,17 @@ fn end_to_end_daemon_session_survives_kill_dash_nine() {
             .count(),
         3,
         "three replicas listed: {replicas}"
+    );
+    assert!(
+        replicas
+            .lines()
+            .filter(|l| l.starts_with("replica "))
+            .all(|l| l
+                .rsplit(' ')
+                .next()
+                .and_then(|word| word.strip_prefix("active_faults="))
+                .is_some_and(|n| n.parse::<u64>().is_ok())),
+        "every line ends in active_faults=<n>: {replicas}"
     );
 
     // SNAPSHOT: the store's full experience, written on demand.

@@ -1,13 +1,16 @@
 //! Integration tests for the pluggable `SynopsisStore` layer: shard
 //! equivalence, determinism, and cross-process warm starts.
 
-use selfheal::faults::{FaultKind, FaultTarget, InjectionPlanBuilder};
+use selfheal::daemon::PooledStore;
+use selfheal::faults::{FaultKind, FaultTarget, FixKind, InjectionPlanBuilder};
 use selfheal::fleet::{ExecutionMode, FleetConfig, FleetOutcome};
 use selfheal::healing::harness::{LearnerChoice, PolicyChoice};
 use selfheal::healing::snapshot::SynopsisSnapshot;
-use selfheal::healing::synopsis::SynopsisKind;
+use selfheal::healing::store::SynopsisStore;
+use selfheal::healing::synopsis::{Learner, SynopsisKind};
 use selfheal::sim::ServiceConfig;
 use selfheal::workload::{ArrivalProcess, WorkloadMix};
+use std::collections::HashSet;
 
 /// A fleet whose replicas meet staggered faults, run tick-interleaved so
 /// shared-learning interactions are deterministic.
@@ -262,61 +265,132 @@ fn a_store_that_adopted_a_log_equals_one_restored_from_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A store written against the seven required `SynopsisStore` methods alone,
+/// as the benchmark's timing wrapper is: every provided method keeps the
+/// trait's default body.
+struct Forwarding(Box<dyn SynopsisStore>);
+impl Learner for Forwarding {
+    fn suggest(&self, symptoms: &[f64]) -> Option<(FixKind, f64)> {
+        self.0.suggest(symptoms)
+    }
+    fn suggest_excluding(
+        &self,
+        symptoms: &[f64],
+        excluded: &HashSet<FixKind>,
+    ) -> Option<(FixKind, f64)> {
+        self.0.suggest_excluding(symptoms, excluded)
+    }
+    fn record(&mut self, symptoms: &[f64], fix: FixKind, success: bool) {
+        self.0.record(symptoms, fix, success);
+    }
+    fn correct_fixes_learned(&self) -> usize {
+        self.0.correct_fixes_learned()
+    }
+}
+// lint:allow(choice-mirror): a test double of an out-of-tree wrapper.
+impl SynopsisStore for Forwarding {
+    fn kind(&self) -> SynopsisKind {
+        self.0.kind()
+    }
+    fn flush(&self) {
+        self.0.flush();
+    }
+    fn pending_updates(&self) -> usize {
+        self.0.pending_updates()
+    }
+    fn snapshot(&self) -> SynopsisSnapshot {
+        self.0.snapshot()
+    }
+    fn restore(&mut self, snapshot: &SynopsisSnapshot) {
+        self.0.restore(snapshot);
+    }
+    fn clone_store(&self) -> Box<dyn SynopsisStore> {
+        Box::new(Forwarding(self.0.clone_store()))
+    }
+    fn persist_to(&mut self, path: &std::path::Path) -> std::io::Result<()> {
+        self.0.persist_to(path)
+    }
+}
+
+/// `QUERY FIXES` counts the experience where it lies.  Each override must
+/// answer what the trait's snapshot-derived default answers — queued updates
+/// included — and a pooled handle must answer for its tenant alone.
+#[test]
+fn fix_stats_counted_in_place_equal_the_snapshot_derived_default() {
+    let kind = SynopsisKind::NearestNeighbor;
+    let outcomes = [
+        (vec![8.0, 1.0, 1.0], FixKind::RepartitionMemory, true),
+        (vec![1.0, 9.0, 1.0], FixKind::MicrorebootEjb, false),
+        (vec![1.0, 9.0, 1.2], FixKind::MicrorebootEjb, true),
+        (vec![1.0, 1.0, 7.0], FixKind::UpdateStatistics, false),
+        (vec![1.1, 1.0, 7.0], FixKind::UpdateStatistics, false),
+        (vec![8.0, 1.0, 1.1], FixKind::FullServiceRestart, true),
+        (vec![1.0, 9.1, 1.0], FixKind::MicrorebootEjb, true),
+    ];
+    let teach = |store: &mut dyn SynopsisStore| {
+        for (symptoms, fix, success) in &outcomes {
+            store.record(symptoms, *fix, *success);
+        }
+    };
+    let sharded = LearnerChoice::Sharded {
+        shards: 4,
+        batch: 3,
+    };
+    for learner in [LearnerChoice::Private, LearnerChoice::locked(), sharded] {
+        let mut store = learner.build_store(kind);
+        teach(store.as_mut());
+        if learner == sharded {
+            assert!(store.pending_updates() > 0, "updates must still be queued");
+        }
+        let counted = store.fix_stats();
+        assert_eq!(store.pending_updates(), 0, "counting flushes first");
+        assert_eq!(
+            counted,
+            Forwarding(store).fix_stats(),
+            "{}",
+            learner.label()
+        );
+        let attempts: usize = counted.iter().map(|s| s.successes + s.failures).sum();
+        assert_eq!(attempts, outcomes.len());
+        assert_eq!(
+            counted[0].fix,
+            FixKind::MicrorebootEjb,
+            "FixKind::ALL order"
+        );
+        assert_eq!((counted[0].successes, counted[0].failures), (2, 1));
+    }
+
+    // A pooled pair: the scout's experience reaches the pool, not the
+    // victim's own statistics.
+    let pool = LearnerChoice::locked().build_store(kind);
+    let pooled = || PooledStore::new(sharded.build_store(kind), pool.clone_store());
+    let (mut scout, mut victim) = (pooled(), pooled());
+    teach(&mut scout);
+    victim.record(&[8.0, 1.0, 1.0], FixKind::RebootTier, false);
+    assert_eq!(
+        scout.fix_stats(),
+        Forwarding(scout.clone_store()).fix_stats()
+    );
+    let own = victim.fix_stats();
+    assert_eq!(own, Forwarding(victim.clone_store()).fix_stats());
+    assert_eq!(own.len(), 1);
+    assert_eq!((own[0].fix, own[0].failures), (FixKind::RebootTier, 1));
+    assert_eq!(
+        pool.fix_stats()
+            .iter()
+            .map(|s| s.successes + s.failures)
+            .sum::<usize>(),
+        outcomes.len() + 1
+    );
+}
+
 /// The compatibility half of `attach_log`: a store written against the seven
 /// required `SynopsisStore` methods alone (the benchmark's timing wrapper is
 /// one) falls back to the rewrite — the log is recreated at the same path
 /// from the store's experience, and appends go on from there.
 #[test]
 fn a_store_without_its_own_attach_log_falls_back_to_the_rewrite() {
-    use selfheal::faults::FixKind;
     use selfheal::healing::snapshot::SnapshotLog;
-    use selfheal::healing::store::SynopsisStore;
-    use selfheal::healing::synopsis::Learner;
-    use std::collections::HashSet;
-
-    struct Forwarding(Box<dyn SynopsisStore>);
-    impl Learner for Forwarding {
-        fn suggest(&self, symptoms: &[f64]) -> Option<(FixKind, f64)> {
-            self.0.suggest(symptoms)
-        }
-        fn suggest_excluding(
-            &self,
-            symptoms: &[f64],
-            excluded: &HashSet<FixKind>,
-        ) -> Option<(FixKind, f64)> {
-            self.0.suggest_excluding(symptoms, excluded)
-        }
-        fn record(&mut self, symptoms: &[f64], fix: FixKind, success: bool) {
-            self.0.record(symptoms, fix, success);
-        }
-        fn correct_fixes_learned(&self) -> usize {
-            self.0.correct_fixes_learned()
-        }
-    }
-    // lint:allow(choice-mirror): a test double of an out-of-tree wrapper.
-    impl SynopsisStore for Forwarding {
-        fn kind(&self) -> SynopsisKind {
-            self.0.kind()
-        }
-        fn flush(&self) {
-            self.0.flush();
-        }
-        fn pending_updates(&self) -> usize {
-            self.0.pending_updates()
-        }
-        fn snapshot(&self) -> SynopsisSnapshot {
-            self.0.snapshot()
-        }
-        fn restore(&mut self, snapshot: &SynopsisSnapshot) {
-            self.0.restore(snapshot);
-        }
-        fn clone_store(&self) -> Box<dyn SynopsisStore> {
-            Box::new(Forwarding(self.0.clone_store()))
-        }
-        fn persist_to(&mut self, path: &std::path::Path) -> std::io::Result<()> {
-            self.0.persist_to(path)
-        }
-    }
 
     let path =
         std::env::temp_dir().join(format!("selfheal-stores-fwd-{}.jsonl", std::process::id()));
