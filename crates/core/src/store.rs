@@ -91,8 +91,10 @@ pub trait SynopsisStore: Learner {
     /// Number of recorded updates not yet folded into a model.
     fn pending_updates(&self) -> usize;
 
-    /// Captures every recorded outcome so the store can be rebuilt
-    /// elsewhere — the save half of warm-start.
+    /// Captures the store's experience so it can be rebuilt elsewhere — the
+    /// save half of warm-start: every success, and of the failures the ones
+    /// still held ([`NEGATIVES_KEPT`](crate::synopsis::NEGATIVES_KEPT) per
+    /// synopsis; only an incremental log has them all).
     ///
     /// Implementations must [`flush`](Self::flush) internally before
     /// capturing: up to `batch - 1` updates can sit in a shared store's
@@ -157,9 +159,10 @@ pub trait SynopsisStore: Learner {
     /// (e.g. the resident daemon's `QUERY FIXES`) read at epoch barriers.
     ///
     /// Queued updates are counted: the default body reads a
-    /// [`snapshot`](Self::snapshot), which flushes, and copies the whole
-    /// experience to do it; every store in this workspace overrides it to
-    /// [`flush`](Self::flush) and count the examples where they lie.  Fixes
+    /// [`snapshot`](Self::snapshot), which flushes, copies the experience to
+    /// do it, and sees only the failures still held; every store in this
+    /// workspace overrides it to [`flush`](Self::flush), count the successes
+    /// where they lie and read the synopses' exact failure counters.  Fixes
     /// with no recorded attempts are omitted; the rest appear in
     /// [`FixKind::ALL`] order.
     fn fix_stats(&self) -> Vec<FixStats> {
@@ -168,6 +171,20 @@ pub trait SynopsisStore: Learner {
             tally.add(example.fix.code(), example.success);
         }
         tally.finish()
+    }
+
+    /// `(recorded, kept)`: failed fixes folded into the model(s) so far, and
+    /// how many of them are still held as examples — what tells a bounded
+    /// memory from a growing one (`STATUS`'s `failures_recorded=` /
+    /// `negatives_kept=`).
+    ///
+    /// The default body counts a [`snapshot`](Self::snapshot)'s failures for
+    /// both, which flushes; every store in this workspace overrides it to
+    /// read its synopses as they are, queued updates left queued, so a
+    /// status read between two epochs moves no drain.
+    fn failure_memory(&self) -> (usize, usize) {
+        let kept = self.snapshot().negatives();
+        (kept, kept)
     }
 }
 
@@ -185,13 +202,14 @@ impl FixTally {
         }
     }
 
-    /// Counts everything a synopsis holds, without copying any of it.
+    /// Counts everything a synopsis recorded, without copying any of it:
+    /// the successes where they lie, the failures from its own counters.
     fn add_synopsis(&mut self, synopsis: &Synopsis) {
         for example in synopsis.positive_examples() {
             self.add(example.label, true);
         }
-        for example in synopsis.negative_examples() {
-            self.add(example.label, false);
+        for (tally, failures) in self.0.iter_mut().zip(synopsis.failures_by_fix()) {
+            tally.1 += failures;
         }
     }
 
@@ -376,6 +394,10 @@ impl SynopsisStore for PrivateStore {
         let mut tally = FixTally::default();
         tally.add_synopsis(&self.synopsis);
         tally.finish()
+    }
+
+    fn failure_memory(&self) -> (usize, usize) {
+        self.synopsis.failure_memory()
     }
 
     fn restore(&mut self, snapshot: &SynopsisSnapshot) {
@@ -780,6 +802,15 @@ impl SynopsisStore for ShardedStore {
             tally.add_synopsis(&shard.model.read().expect("shard lock poisoned"));
         }
         tally.finish()
+    }
+
+    fn failure_memory(&self) -> (usize, usize) {
+        let models = self.state.shards.iter();
+        models.fold((0, 0), |(recorded, kept), shard| {
+            let model = shard.model.read().expect("shard lock poisoned");
+            let (r, k) = model.failure_memory();
+            (recorded + r, kept + k)
+        })
     }
 
     fn restore(&mut self, snapshot: &SynopsisSnapshot) {

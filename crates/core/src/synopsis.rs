@@ -9,10 +9,15 @@
 //! unsuccessful fixes ... in addition to successful fixes"), and tracks both
 //! wall-clock and a deterministic model-operation count for the cost
 //! comparison.
+//!
+//! Failures are a *bounded* memory: a resident service whose faults outrun
+//! its healer records failed attempts for as long as it lives, no model is
+//! fitted to them and nothing scans them, so a synopsis counts every one
+//! per fix and holds only the most recent [`NEGATIVES_KEPT`] as examples.
 
 use selfheal_faults::FixKind;
 use selfheal_learn::{AdaBoost, Classifier, Dataset, Example, KMeans, NearestNeighbor};
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 // lint:allow(nondeterminism): wall-time import feeds the training_wall_time
 // metric only, never a learned or fingerprinted value.
 use std::time::{Duration, Instant};
@@ -150,6 +155,11 @@ impl std::fmt::Debug for Model {
     }
 }
 
+/// How many failed-fix examples a synopsis holds: the most recent ones, in
+/// recording order.  Above the 32 outcomes a sharded store re-homes when its
+/// router fits, so that move loses none.
+pub const NEGATIVES_KEPT: usize = 256;
+
 /// A learned mapping from failure signatures to fixes.
 #[derive(Debug)]
 pub struct Synopsis {
@@ -157,9 +167,12 @@ pub struct Synopsis {
     model: Model,
     /// Successful (symptom, fix) examples — the positive training set.
     positives: Dataset,
-    /// Failed fix attempts as (symptom, fix) pairs — kept for the negative
-    /// knowledge queries and the noisy-label ablation.
-    negatives: Vec<Example>,
+    /// The last [`NEGATIVES_KEPT`] failed fix attempts as (symptom, fix)
+    /// pairs, oldest first — kept for the negative knowledge queries and
+    /// the noisy-label ablation.
+    negatives: VecDeque<Example>,
+    /// Every failed attempt ever recorded, counted by fix code.
+    failures: [usize; FixKind::ALL.len()],
     training_wall_time: Duration,
     training_ops: u64,
     retrains: u64,
@@ -177,7 +190,8 @@ impl Synopsis {
             kind,
             model,
             positives: Dataset::new(0),
-            negatives: Vec::new(),
+            negatives: VecDeque::new(),
+            failures: [0; FixKind::ALL.len()],
             training_wall_time: Duration::ZERO,
             training_ops: 0,
             retrains: 0,
@@ -195,9 +209,21 @@ impl Synopsis {
         self.positives.len()
     }
 
-    /// Number of failed-fix examples recorded.
+    /// Number of failed fixes recorded (all of them, not only the
+    /// [`NEGATIVES_KEPT`] still held as examples).
     pub fn failed_fixes_recorded(&self) -> usize {
-        self.negatives.len()
+        self.failures.iter().sum()
+    }
+
+    /// `(recorded, kept)`: failed fixes recorded, and how many of them are
+    /// still held as examples.
+    pub fn failure_memory(&self) -> (usize, usize) {
+        (self.failed_fixes_recorded(), self.negatives.len())
+    }
+
+    /// Failed fixes recorded per fix, indexed by [`FixKind::code`].
+    pub fn failures_by_fix(&self) -> &[usize] {
+        &self.failures
     }
 
     /// The successful (symptom, fix) training examples, in insertion order —
@@ -207,9 +233,10 @@ impl Synopsis {
         self.positives.examples()
     }
 
-    /// The failed-fix examples, in insertion order.
-    pub fn negative_examples(&self) -> &[Example] {
-        &self.negatives
+    /// The failed-fix examples still held — the most recent
+    /// [`NEGATIVES_KEPT`] — in insertion order.
+    pub fn negative_examples(&self) -> impl Iterator<Item = &Example> {
+        self.negatives.iter()
     }
 
     /// Cumulative wall-clock time spent fitting the model.
@@ -237,9 +264,18 @@ impl Synopsis {
                 .push(Example::new(symptoms.to_vec(), fix.code()));
             self.refit();
         } else {
-            self.negatives
-                .push(Example::new(symptoms.to_vec(), fix.code()));
+            self.record_failure(Example::new(symptoms.to_vec(), fix.code()));
         }
+    }
+
+    /// Counts a failed attempt and holds it in place of the oldest one held
+    /// once [`NEGATIVES_KEPT`] are.
+    fn record_failure(&mut self, example: Example) {
+        self.failures[example.label] += 1;
+        if self.negatives.len() == NEGATIVES_KEPT {
+            self.negatives.pop_front();
+        }
+        self.negatives.push_back(example);
     }
 
     /// Applies a batch of `(symptoms, fix, success)` outcomes with a single
@@ -256,7 +292,7 @@ impl Synopsis {
                 self.positives.push(example);
                 new_positives = true;
             } else {
-                self.negatives.push(example);
+                self.record_failure(example);
             }
         }
         if new_positives {

@@ -21,7 +21,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -59,6 +59,15 @@ struct ControlShared {
     queue: Mutex<VecDeque<PendingCommand>>,
     stop: AtomicBool,
     threads: Mutex<ControlThreads>,
+}
+
+/// Locks the command queue or the thread table, taking the guard back from
+/// a poisoned mutex.  Both are shared by the daemon loop and every control
+/// thread, and each update of either (a push, a drain, a counter) leaves it
+/// whole — a control thread that died holding one must not take the loop,
+/// or the threads still serving, down with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The control plane's threads.  Each runs [`control_thread`]: accept a
@@ -107,7 +116,7 @@ impl ControlPlane {
             stop: AtomicBool::new(false),
             threads: Mutex::new(ControlThreads::default()),
         });
-        spawn_control_thread(&shared, &mut shared.threads.lock().expect("fresh mutex"))?;
+        spawn_control_thread(&shared, &mut lock(&shared.threads))?;
         Ok(ControlPlane {
             path: path.to_path_buf(),
             shared,
@@ -121,8 +130,7 @@ impl ControlPlane {
 
     /// Drains every command queued since the last barrier.
     pub fn take_pending(&self) -> Vec<PendingCommand> {
-        let mut queue = self.shared.queue.lock().expect("control queue poisoned");
-        queue.drain(..).collect()
+        lock(&self.shared.queue).drain(..).collect()
     }
 
     /// Asks every control thread to exit: the connections being served stop
@@ -133,10 +141,7 @@ impl ControlPlane {
         if self.shared.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Called from `Drop` too, so a poisoned lock is skipped, not a panic.
-        let Ok(threads) = self.shared.threads.lock() else {
-            return;
-        };
+        let threads = lock(&self.shared.threads);
         for stream in &threads.serving {
             let _ = stream.shutdown(Shutdown::Read);
         }
@@ -152,10 +157,7 @@ impl Drop for ControlPlane {
     fn drop(&mut self) {
         self.request_stop();
         // No thread starts another once it has seen the stop.
-        let handles = match self.shared.threads.lock() {
-            Ok(mut threads) => std::mem::take(&mut threads.handles),
-            Err(_) => Vec::new(),
-        };
+        let handles = std::mem::take(&mut lock(&self.shared.threads).handles);
         for handle in handles {
             let _ = handle.join();
         }
@@ -187,7 +189,7 @@ fn control_thread(shared: &Arc<ControlShared>) {
         // The stop flag is read under the lock `request_stop` takes after
         // setting it: a connection is either in `serving` when the stop
         // hangs up on everything there, or never served.
-        let mut threads = shared.threads.lock().expect("control threads poisoned");
+        let mut threads = lock(&shared.threads);
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
@@ -210,7 +212,7 @@ fn control_thread(shared: &Arc<ControlShared>) {
         }
         drop(threads);
         let _ = serve_connection(stream, shared);
-        let mut threads = shared.threads.lock().expect("control threads poisoned");
+        let mut threads = lock(&shared.threads);
         threads.serving.retain(|peer| peer.as_raw_fd() != serving);
         threads.accepting += 1;
     }
@@ -241,14 +243,10 @@ fn serve_connection(stream: UnixStream, shared: &ControlShared) -> io::Result<()
             Ok(command) => {
                 let was_shutdown = command == Command::Shutdown;
                 let (reply_tx, reply_rx) = mpsc::channel();
-                shared
-                    .queue
-                    .lock()
-                    .expect("control queue poisoned")
-                    .push_back(PendingCommand {
-                        command,
-                        reply: reply_tx,
-                    });
+                lock(&shared.queue).push_back(PendingCommand {
+                    command,
+                    reply: reply_tx,
+                });
                 (wait_reply(reply_rx, shared), was_shutdown)
             }
         };
@@ -613,6 +611,7 @@ fn apply_fleet_command(supervisor: &mut Supervisor, command: Command) -> (String
 fn status_lines(supervisor: &Supervisor) -> Vec<String> {
     let health = supervisor.health();
     let replay = supervisor.log_replay();
+    let (failures_recorded, negatives_kept) = supervisor.store().failure_memory();
     let persist = supervisor
         .store_path()
         .map(|p| p.display().to_string())
@@ -633,12 +632,13 @@ fn status_lines(supervisor: &Supervisor) -> Vec<String> {
             health.failed
         ),
         format!(
-            "ticks_total={} ticks_per_sec={:.1}",
-            health.total_ticks, health.ticks_per_sec
+            "ticks_total={} ticks_per_sec={:.1} epoch_us={}",
+            health.total_ticks, health.ticks_per_sec, health.epoch_us
         ),
         format!(
             "store={} fixes_known={} pending_updates={} restored_examples={} persist={persist} \
-             replay_ms={} log={}",
+             replay_ms={} log={} failures_recorded={failures_recorded} \
+             negatives_kept={negatives_kept}",
             supervisor.store().kind().label(),
             health.fixes_known,
             health.pending_updates,
@@ -684,4 +684,51 @@ fn status_lines(supervisor: &Supervisor) -> Vec<String> {
         }
     }
     lines
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::send_command;
+
+    /// A thread that panics holding the command queue or the thread table
+    /// poisons it.  The daemon loop drains that queue at every barrier and
+    /// every control thread takes both: a `STATUS` sent afterwards must
+    /// still be accepted, queued, drained and answered, and the plane must
+    /// still stop and join its threads.
+    #[test]
+    fn a_status_is_answered_after_a_thread_died_holding_the_locks() {
+        let socket = std::env::temp_dir().join(format!(
+            "selfheal-control-poison-{}.sock",
+            std::process::id()
+        ));
+        let plane = ControlPlane::bind(&socket).unwrap();
+        let shared = Arc::clone(&plane.shared);
+        let died = thread::spawn(move || {
+            let _queue = shared.queue.lock().unwrap();
+            let _threads = shared.threads.lock().unwrap();
+            panic!("a control thread dies holding the queue and the thread table");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(plane.shared.queue.is_poisoned() && plane.shared.threads.is_poisoned());
+
+        let client = thread::spawn({
+            let socket = socket.clone();
+            move || send_command(&socket, "STATUS", Duration::from_secs(20))
+        });
+        let mut registry = TenantRegistry::new(DaemonConfig::default()).unwrap();
+        let pending = loop {
+            match plane.take_pending().pop() {
+                Some(pending) => break pending,
+                None => thread::sleep(Duration::from_millis(2)),
+            }
+        };
+        let (reply, _) = apply_command(&mut registry, pending.command().clone());
+        pending.respond(reply);
+        let reply = client.join().unwrap().unwrap();
+        assert!(is_ok_reply(&reply) && reply.contains("epoch=0"), "{reply}");
+        drop(plane);
+        assert!(!socket.exists(), "the stop ran to its end");
+    }
 }

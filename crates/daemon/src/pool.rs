@@ -92,6 +92,10 @@ impl SynopsisStore for PooledStore {
         self.primary.fix_stats()
     }
 
+    fn failure_memory(&self) -> (usize, usize) {
+        self.primary.failure_memory()
+    }
+
     fn restore(&mut self, snapshot: &SynopsisSnapshot) {
         self.primary.restore(snapshot);
     }

@@ -69,8 +69,10 @@ struct ReplicaEntry {
     spec: ReplicaSpec,
     phase: Phase,
     restarts: u32,
-    /// Ticks accumulated by previous (dead) incarnations.
-    ticks_prior: u64,
+    /// `health` as the last incarnation to die left it (as at birth before
+    /// any has): a rebuilt runner counts ticks, episodes and fixes from
+    /// zero, and the replica's carry on from here.
+    prior: ReplicaHealth,
     health: ReplicaHealth,
 }
 
@@ -190,6 +192,8 @@ pub struct Supervisor {
     entries: BTreeMap<usize, ReplicaEntry>,
     next_id: usize,
     epoch: u64,
+    /// Wall time of the last [`advance_epoch`](Self::advance_epoch), µs.
+    epoch_us: u64,
     started: Instant,
     replay: LogReplay,
     draining: bool,
@@ -275,6 +279,7 @@ impl Supervisor {
             entries: BTreeMap::new(),
             next_id: 0,
             epoch: 0,
+            epoch_us: 0,
             started: Instant::now(),
             replay,
             draining: false,
@@ -417,6 +422,7 @@ impl Supervisor {
             uptime_ms: self.uptime_ms(),
             fixes_known: self.store.correct_fixes_learned(),
             pending_updates: self.store.pending_updates(),
+            epoch_us: self.epoch_us,
             adversary_target: self.adversary_target,
             tenant: self.label.clone(),
             ..FleetHealth::default()
@@ -499,7 +505,7 @@ impl Supervisor {
                 spec,
                 phase: Phase::Running,
                 restarts: 0,
-                ticks_prior: 0,
+                prior: health.clone(),
                 health,
             },
         );
@@ -669,6 +675,7 @@ impl Supervisor {
     /// retire at the restart cap).  Returns the number of replicas that
     /// advanced.
     pub fn advance_epoch(&mut self) -> usize {
+        let began = Instant::now();
         self.epoch += 1;
 
         // Rebuild replicas whose backoff expired.
@@ -707,17 +714,17 @@ impl Supervisor {
                 Ok(()) => {
                     advanced += 1;
                     let health = &mut entry.health;
-                    let ticks_prior = entry.ticks_prior;
+                    let prior = &entry.prior;
                     self.engine.with_runner(id, |runner| {
-                        health.ticks = ticks_prior + runner.ticks_run();
-                        health.episodes = runner.recovery().len();
+                        health.ticks = prior.ticks + runner.ticks_run();
+                        health.episodes = prior.episodes + runner.recovery().len();
                         health.open_episodes = usize::from(runner.recovery().in_episode());
-                        health.fixes_initiated = runner.fixes_initiated();
+                        health.fixes_initiated = prior.fixes_initiated + runner.fixes_initiated();
                         health.active_faults = runner.service().active_faults().len();
                     });
                 }
                 Err(error) => {
-                    entry.ticks_prior = entry.health.ticks;
+                    entry.prior = entry.health.clone();
                     entry.health.open_episodes = 0;
                     entry.health.last_error = Some(error.message);
                     if entry.restarts >= max_restarts {
@@ -736,6 +743,7 @@ impl Supervisor {
                 }
             }
         }
+        self.epoch_us = began.elapsed().as_micros() as u64;
         advanced
     }
 

@@ -147,41 +147,6 @@ impl ActiveFaults {
         factor.clamp(0.02, 1.0)
     }
 
-    /// Probability that a request *touching the given EJB* fails outright
-    /// this tick due to application-tier faults.
-    pub fn ejb_error_probability(&self, ejb: usize) -> f64 {
-        let mut p_ok = 1.0;
-        for f in &self.faults {
-            let s = f.spec.severity;
-            let hits = matches!(f.spec.target, FaultTarget::Ejb { index } if index == ejb)
-                || matches!(f.spec.target, FaultTarget::AppTier);
-            if !hits {
-                continue;
-            }
-            let p = match f.spec.kind {
-                FaultKind::UnhandledException => 0.6 * s,
-                FaultKind::SourceCodeBug => 0.35 * s,
-                FaultKind::DeadlockedThreads => 0.5 * s,
-                _ => 0.0,
-            };
-            p_ok *= 1.0 - p.clamp(0.0, 1.0);
-        }
-        1.0 - p_ok
-    }
-
-    /// Extra latency (ms) added to a request touching the given EJB
-    /// (deadlocked threads stall requests until timeouts fire).
-    pub fn ejb_extra_latency_ms(&self, ejb: usize) -> f64 {
-        self.faults
-            .iter()
-            .filter(|f| {
-                f.spec.kind == FaultKind::DeadlockedThreads
-                    && matches!(f.spec.target, FaultTarget::Ejb { index } if index == ejb)
-            })
-            .map(|f| 400.0 * f.spec.severity)
-            .sum()
-    }
-
     /// Probability that any request fails this tick due to whole-service
     /// faults (network partitions, operator procedural errors).
     pub fn service_error_probability(&self) -> f64 {
@@ -200,24 +165,6 @@ impl ActiveFaults {
             p_ok *= 1.0 - p.clamp(0.0, 1.0);
         }
         1.0 - p_ok
-    }
-
-    /// Returns `true` if an injected suboptimal-plan fault is active for the
-    /// table.
-    pub fn plan_fault(&self, table: usize) -> bool {
-        self.faults.iter().any(|f| {
-            f.spec.kind == FaultKind::SuboptimalQueryPlan
-                && matches!(f.spec.target, FaultTarget::Table { index } if index == table)
-        })
-    }
-
-    /// Returns `true` if an injected block-contention fault is active for
-    /// the table.
-    pub fn contention_fault(&self, table: usize) -> bool {
-        self.faults.iter().any(|f| {
-            f.spec.kind == FaultKind::TableBlockContention
-                && matches!(f.spec.target, FaultTarget::Table { index } if index == table)
-        })
     }
 
     /// The severity of an active buffer-contention fault, if any (also
@@ -245,13 +192,197 @@ impl ActiveFaults {
     }
 }
 
+/// What the active faults do to each EJB call and table access of one tick:
+/// the per-call questions of the request loop, answered for every EJB and
+/// table in one pass over the fault set so that the loop indexes a table
+/// and the cost of a tick does not grow with requests × active faults.
+///
+/// The pass visits the faults in stored order, so every product and sum
+/// takes its operands in the order a per-call scan would (the tests keep
+/// those scans as the oracle and compare bit for bit).
+#[derive(Debug, Clone)]
+pub(crate) struct CallEffects {
+    /// Probability that a call to the EJB does *not* fail outright for an
+    /// application-tier fault (one on the EJB itself or on the whole tier).
+    pub(crate) ejb_ok_p: Vec<f64>,
+    /// Extra latency (ms) of a request touching the EJB (deadlocked
+    /// threads stall requests until timeouts fire).
+    pub(crate) ejb_extra_ms: Vec<f64>,
+    /// Whether an injected suboptimal-plan fault is active for the table.
+    pub(crate) plan_fault: Vec<bool>,
+    /// Whether an injected block-contention fault is active for the table.
+    pub(crate) contention_fault: Vec<bool>,
+}
+
+impl CallEffects {
+    /// Tables for a service of `ejbs` EJBs and `tables` tables, healthy.
+    pub(crate) fn new(ejbs: usize, tables: usize) -> Self {
+        CallEffects {
+            ejb_ok_p: vec![1.0; ejbs],
+            ejb_extra_ms: vec![0.0; ejbs],
+            plan_fault: vec![false; tables],
+            contention_fault: vec![false; tables],
+        }
+    }
+
+    /// Refills the tables from the faults active this tick.  A fault aimed
+    /// at an EJB or table the service does not have touches nothing.
+    pub(crate) fn fill(&mut self, faults: &ActiveFaults) {
+        self.ejb_ok_p.fill(1.0);
+        // What `Iterator::sum` starts a sum of `f64`s from (its sign has
+        // changed between toolchains).
+        self.ejb_extra_ms.fill(std::iter::empty::<f64>().sum());
+        self.plan_fault.fill(false);
+        self.contention_fault.fill(false);
+        for f in &faults.faults {
+            let s = f.spec.severity;
+            let p = match f.spec.kind {
+                FaultKind::UnhandledException => 0.6 * s,
+                FaultKind::SourceCodeBug => 0.35 * s,
+                FaultKind::DeadlockedThreads => 0.5 * s,
+                _ => 0.0,
+            };
+            let ok = 1.0 - p.clamp(0.0, 1.0);
+            match f.spec.target {
+                FaultTarget::AppTier => self.ejb_ok_p.iter_mut().for_each(|p_ok| *p_ok *= ok),
+                FaultTarget::Ejb { index } if index < self.ejb_ok_p.len() => {
+                    self.ejb_ok_p[index] *= ok;
+                    if f.spec.kind == FaultKind::DeadlockedThreads {
+                        self.ejb_extra_ms[index] += 400.0 * s;
+                    }
+                }
+                FaultTarget::Table { index } if index < self.plan_fault.len() => {
+                    self.plan_fault[index] |= f.spec.kind == FaultKind::SuboptimalQueryPlan;
+                    self.contention_fault[index] |= f.spec.kind == FaultKind::TableBlockContention;
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use selfheal_faults::FixKind;
+
+    /// The per-call scans `CallEffects::fill` replaced, kept as its oracle.
+    impl ActiveFaults {
+        /// Probability that a request *touching the given EJB* fails outright
+        /// this tick due to application-tier faults.
+        fn ejb_error_probability(&self, ejb: usize) -> f64 {
+            let mut p_ok = 1.0;
+            for f in &self.faults {
+                let s = f.spec.severity;
+                let hits = matches!(f.spec.target, FaultTarget::Ejb { index } if index == ejb)
+                    || matches!(f.spec.target, FaultTarget::AppTier);
+                if !hits {
+                    continue;
+                }
+                let p = match f.spec.kind {
+                    FaultKind::UnhandledException => 0.6 * s,
+                    FaultKind::SourceCodeBug => 0.35 * s,
+                    FaultKind::DeadlockedThreads => 0.5 * s,
+                    _ => 0.0,
+                };
+                p_ok *= 1.0 - p.clamp(0.0, 1.0);
+            }
+            1.0 - p_ok
+        }
+
+        /// Extra latency (ms) added to a request touching the given EJB
+        /// (deadlocked threads stall requests until timeouts fire).
+        fn ejb_extra_latency_ms(&self, ejb: usize) -> f64 {
+            self.faults
+                .iter()
+                .filter(|f| {
+                    f.spec.kind == FaultKind::DeadlockedThreads
+                        && matches!(f.spec.target, FaultTarget::Ejb { index } if index == ejb)
+                })
+                .map(|f| 400.0 * f.spec.severity)
+                .sum()
+        }
+
+        /// Returns `true` if an injected suboptimal-plan fault is active for the
+        /// table.
+        fn plan_fault(&self, table: usize) -> bool {
+            self.faults.iter().any(|f| {
+                f.spec.kind == FaultKind::SuboptimalQueryPlan
+                    && matches!(f.spec.target, FaultTarget::Table { index } if index == table)
+            })
+        }
+
+        /// Returns `true` if an injected block-contention fault is active for
+        /// the table.
+        fn contention_fault(&self, table: usize) -> bool {
+            self.faults.iter().any(|f| {
+                f.spec.kind == FaultKind::TableBlockContention
+                    && matches!(f.spec.target, FaultTarget::Table { index } if index == table)
+            })
+        }
+    }
 
     fn spec(id: u64, kind: FaultKind, target: FaultTarget, severity: f64) -> FaultSpec {
         FaultSpec::new(FaultId(id), kind, target, severity)
+    }
+
+    /// Severities `FaultSpec::new` would clamp away are set on the field:
+    /// zero, one, two subnormals, and ordinary values.
+    const SEVERITIES: [f64; 8] = [0.0, 1.0, 5e-324, 1.1e-308, 1e-6, 0.25, 0.5, 0.731];
+
+    fn target_of_shape(shape: usize, index: usize) -> FaultTarget {
+        match shape {
+            0 => FaultTarget::WebTier,
+            1 => FaultTarget::Ejb { index },
+            2 => FaultTarget::AppTier,
+            3 => FaultTarget::Table { index },
+            4 => FaultTarget::Index { index },
+            5 => FaultTarget::DatabaseTier,
+            _ => FaultTarget::WholeService,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// For any fault set — every kind on every target shape, tier-wide
+        /// faults between per-EJB ones, indices repeated and beyond the
+        /// service's four EJBs and three tables — the one-pass tables hold
+        /// the bits the per-call scans return.
+        #[test]
+        fn call_effects_equal_the_per_call_scans_bit_for_bit(
+            picks in prop::collection::vec((0usize..12, 0usize..7, 0usize..7, 0usize..8), 0..40),
+        ) {
+            let (ejbs, tables) = (4, 3);
+            let mut af = ActiveFaults::new();
+            for (id, (kind, shape, index, severity)) in picks.into_iter().enumerate() {
+                let mut fault = spec(id as u64, FaultKind::ALL[kind], target_of_shape(shape, index), 1.0);
+                fault.severity = SEVERITIES[severity];
+                af.activate(fault, 0);
+            }
+            let mut effects = CallEffects::new(ejbs, tables);
+            // A refill starts over: what an earlier tick left is gone.
+            effects.ejb_ok_p.fill(0.5);
+            effects.ejb_extra_ms.fill(7.0);
+            effects.plan_fault.fill(true);
+            effects.contention_fault.fill(true);
+            effects.fill(&af);
+            for ejb in 0..ejbs {
+                prop_assert_eq!(
+                    (1.0 - effects.ejb_ok_p[ejb]).to_bits(),
+                    af.ejb_error_probability(ejb).to_bits()
+                );
+                prop_assert_eq!(
+                    effects.ejb_extra_ms[ejb].to_bits(),
+                    af.ejb_extra_latency_ms(ejb).to_bits()
+                );
+            }
+            for table in 0..tables {
+                prop_assert_eq!(effects.plan_fault[table], af.plan_fault(table));
+                prop_assert_eq!(effects.contention_fault[table], af.contention_fault(table));
+            }
+        }
     }
 
     #[test]

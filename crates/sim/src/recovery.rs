@@ -17,11 +17,14 @@ pub struct FailureEpisode {
     pub detected_at: u64,
     /// Tick at which the service was compliant again, if it recovered.
     pub recovered_at: Option<u64>,
-    /// The kinds of the faults active when the episode was detected
-    /// (ground truth used only for scoring).
-    pub fault_kinds: Vec<FaultKind>,
-    /// The cause categories of those faults.
-    pub causes: Vec<FailureCause>,
+    /// Kind and cause category of the first (oldest) fault active when the
+    /// episode was detected — ground truth used only for scoring; `None`
+    /// when no fault was active (e.g. a pure overload episode).
+    pub primary: Option<(FaultKind, FailureCause)>,
+    /// How many faults were active at detection.  An episode records the
+    /// count and not the set: nothing reads past the first, and a resident
+    /// service has hundreds active per episode.
+    pub active_faults: usize,
     /// Fixes attempted during the episode, in order.
     pub fixes_attempted: Vec<FixAction>,
     /// Whether the episode ended in an escalation (full restart or operator
@@ -40,15 +43,13 @@ impl FailureEpisode {
     /// `Unknown` when no fault was active at detection time (e.g. a pure
     /// overload episode).
     pub fn primary_cause(&self) -> FailureCause {
-        self.causes
-            .first()
-            .copied()
-            .unwrap_or(FailureCause::Unknown)
+        self.primary
+            .map_or(FailureCause::Unknown, |(_, cause)| cause)
     }
 
     /// The primary (first) fault kind recorded, if any.
     pub fn primary_fault(&self) -> Option<FaultKind> {
-        self.fault_kinds.first().copied()
+        self.primary.map(|(kind, _)| kind)
     }
 }
 
@@ -70,13 +71,14 @@ impl RecoveryLog {
         self.open.is_some()
     }
 
-    /// Opens an episode at `tick` with the given ground-truth faults
+    /// Opens an episode at `tick` given the ground truth at detection — the
+    /// first active fault's kind and cause, and how many were active
     /// (ignored if an episode is already open).
     pub fn open_episode(
         &mut self,
         tick: u64,
-        fault_kinds: Vec<FaultKind>,
-        causes: Vec<FailureCause>,
+        primary: Option<(FaultKind, FailureCause)>,
+        active_faults: usize,
     ) {
         if self.open.is_some() {
             return;
@@ -84,8 +86,8 @@ impl RecoveryLog {
         self.open = Some(FailureEpisode {
             detected_at: tick,
             recovered_at: None,
-            fault_kinds,
-            causes,
+            primary,
+            active_faults,
             fixes_attempted: Vec::new(),
             escalated: false,
         });
@@ -213,15 +215,15 @@ mod tests {
         assert!(!log.in_episode());
         log.open_episode(
             100,
-            vec![FaultKind::BufferContention],
-            vec![FailureCause::Software],
+            Some((FaultKind::BufferContention, FailureCause::Software)),
+            1,
         );
         assert!(log.in_episode());
         // Opening again while open is ignored.
         log.open_episode(
             105,
-            vec![FaultKind::SourceCodeBug],
-            vec![FailureCause::Software],
+            Some((FaultKind::SourceCodeBug, FailureCause::Software)),
+            1,
         );
         log.record_fix(FixAction::untargeted(FixKind::RepartitionMemory));
         log.close_episode(130);
@@ -240,8 +242,8 @@ mod tests {
         let mut log = RecoveryLog::new();
         log.open_episode(
             0,
-            vec![FaultKind::SourceCodeBug],
-            vec![FailureCause::Software],
+            Some((FaultKind::SourceCodeBug, FailureCause::Software)),
+            1,
         );
         log.record_fix(FixAction::untargeted(FixKind::MicrorebootEjb));
         log.record_fix(FixAction::untargeted(FixKind::FullServiceRestart));
@@ -255,14 +257,14 @@ mod tests {
         let mut log = RecoveryLog::new();
         log.open_episode(
             0,
-            vec![FaultKind::OperatorMisconfiguration],
-            vec![FailureCause::Operator],
+            Some((FaultKind::OperatorMisconfiguration, FailureCause::Operator)),
+            1,
         );
         log.close_episode(200);
         log.open_episode(
             300,
-            vec![FaultKind::BufferContention],
-            vec![FailureCause::Software],
+            Some((FaultKind::BufferContention, FailureCause::Software)),
+            1,
         );
         log.close_episode(320);
         assert_eq!(log.mean_recovery_ticks(), Some(110.0));
@@ -286,7 +288,7 @@ mod tests {
     #[test]
     fn unfinished_episode_is_recorded_without_recovery() {
         let mut log = RecoveryLog::new();
-        log.open_episode(10, vec![], vec![]);
+        log.open_episode(10, None, 0);
         log.finish();
         assert_eq!(log.len(), 1);
         assert_eq!(log.episodes()[0].recovery_ticks(), None);

@@ -116,9 +116,18 @@ impl ScenarioOutcome {
                 value.to_bits().hash(&mut hasher);
             }
         }
-        // Episodes carry enums and nested actions; their Debug form is a
-        // faithful, cheap-to-hash encoding of all of it.
-        format!("{:?}", self.recovery).hash(&mut hasher);
+        // Episodes field by field, so the digest says what an episode is
+        // held to and not how its struct happens to be laid out.
+        self.recovery.len().hash(&mut hasher);
+        for episode in self.recovery.episodes() {
+            (episode.detected_at, episode.recovered_at).hash(&mut hasher);
+            (episode.primary_fault(), episode.primary_cause()).hash(&mut hasher);
+            (episode.active_faults, episode.fixes_attempted.len()).hash(&mut hasher);
+            for fix in &episode.fixes_attempted {
+                (fix.kind, fix.target).hash(&mut hasher);
+            }
+            episode.escalated.hash(&mut hasher);
+        }
         hasher.finish()
     }
 }
@@ -320,19 +329,10 @@ impl<H: Healer> ScenarioRunner<H> {
         // Episode bookkeeping: open on first confirmed violation, close
         // when the monitor reports the service compliant again.
         if !outcome.violations.is_empty() && !self.recovery.in_episode() {
-            let kinds = self
-                .service
-                .active_faults()
-                .iter()
-                .map(|f| f.spec.kind)
-                .collect();
-            let causes = self
-                .service
-                .active_faults()
-                .iter()
-                .map(|f| f.spec.cause)
-                .collect();
-            self.recovery.open_episode(outcome.tick, kinds, causes);
+            let active = self.service.active_faults();
+            let primary = active.iter().next().map(|f| (f.spec.kind, f.spec.cause));
+            self.recovery
+                .open_episode(outcome.tick, primary, active.len());
         } else if self.recovery.in_episode() && !self.service.slo_violated() {
             self.recovery.close_episode(outcome.tick);
         }

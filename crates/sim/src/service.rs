@@ -4,7 +4,7 @@ use crate::actuator::{CompletedFix, FixActuator};
 use crate::config::ServiceConfig;
 use crate::db::DatabaseTier;
 use crate::ejb::{EjbGraph, RequestPath};
-use crate::faults_runtime::{ActiveFaults, SimTier};
+use crate::faults_runtime::{ActiveFaults, CallEffects, SimTier};
 use crate::metrics::MetricsCatalog;
 use crate::resource::TierResource;
 use rand::rngs::StdRng;
@@ -66,6 +66,9 @@ pub struct MultiTierService {
     ejb_calls: Vec<f64>,
     ejb_errors: Vec<f64>,
     table_accesses: Vec<f64>,
+    /// What the active faults do to each EJB call and table access,
+    /// refilled once per tick.
+    call_effects: CallEffects,
     web: TierResource,
     app: TierResource,
     db_resource: TierResource,
@@ -100,6 +103,7 @@ impl MultiTierService {
             ejb_calls: vec![0.0; config.ejb_count],
             ejb_errors: vec![0.0; config.ejb_count],
             table_accesses: vec![0.0; config.table_count],
+            call_effects: CallEffects::new(config.ejb_count, config.table_count),
             web: TierResource::new("web", config.web_capacity_ms),
             app: TierResource::new("app", config.app_capacity_ms),
             db_resource: TierResource::new("db", config.db_capacity_ms),
@@ -242,6 +246,7 @@ impl MultiTierService {
 
         let service_error_p = self.faults.service_error_probability();
         let network_extra = self.faults.network_extra_latency_ms();
+        self.call_effects.fill(&self.faults);
 
         for request in requests {
             let demand = request.kind.demand();
@@ -253,12 +258,12 @@ impl MultiTierService {
             for (ejb, calls) in &path.ejb_calls {
                 // Per-EJB call accounting (invasive instrumentation).
                 self.ejb_calls[*ejb] += *calls as f64;
-                let p = self.faults.ejb_error_probability(*ejb);
+                let p = 1.0 - self.call_effects.ejb_ok_p[*ejb];
                 if p > 0.0 && self.rng.gen_bool(p.clamp(0.0, 1.0)) {
                     failed = true;
                     self.ejb_errors[*ejb] += 1.0;
                 }
-                extra_latency += self.faults.ejb_extra_latency_ms(*ejb);
+                extra_latency += self.call_effects.ejb_extra_ms[*ejb];
             }
 
             // Database work: split the nominal DB demand across the accessed
@@ -279,8 +284,8 @@ impl MultiTierService {
                     *rows,
                     *is_write,
                     nominal_ms,
-                    self.faults.plan_fault(*table),
-                    self.faults.contention_fault(*table),
+                    self.call_effects.plan_fault[*table],
+                    self.call_effects.contention_fault[*table],
                 );
                 if *is_write {
                     self.db.buffer_mut().record_write(*rows);

@@ -125,6 +125,9 @@ pub struct FleetHealth {
     pub pending_updates: usize,
     /// Simulated ticks per wall-clock second since the supervisor started.
     pub ticks_per_sec: f64,
+    /// Wall time of the supervisor's last epoch advance, in microseconds —
+    /// what a command queued behind that epoch waited for.
+    pub epoch_us: u64,
     /// Faults active across the fleet's simulated services (see
     /// [`ReplicaHealth::active_faults`]).
     pub active_faults: usize,
@@ -181,6 +184,8 @@ impl FleetHealth {
         out.push_str(&self.pending_updates.to_string());
         out.push_str(",\"ticks_per_sec\":");
         push_f64(&mut out, self.ticks_per_sec);
+        out.push_str(",\"epoch_us\":");
+        out.push_str(&self.epoch_us.to_string());
         out.push_str(",\"active_faults\":");
         out.push_str(&self.active_faults.to_string());
         if let Some(target) = self.adversary_target {
@@ -210,6 +215,7 @@ impl Default for FleetHealth {
             fixes_known: 0,
             pending_updates: 0,
             ticks_per_sec: 0.0,
+            epoch_us: 0,
             active_faults: 0,
             adversary_target: None,
             tenant: None,
@@ -257,6 +263,7 @@ mod tests {
         let mut health = FleetHealth {
             epoch: 9,
             fixes_known: 5,
+            epoch_us: 750,
             ..FleetHealth::default()
         };
         health.absorb_replicas(&replicas);
@@ -272,6 +279,7 @@ mod tests {
         assert!(line.contains("\"active_faults\":20"));
         assert!(line.contains("\"epoch\":9"));
         assert!(line.contains("\"fixes_known\":5"));
+        assert!(line.contains("\"epoch_us\":750"));
         assert!(!line.contains("adversary_target"));
         assert!(!line.contains("tenant"));
         assert!(!line.contains('\n'));

@@ -76,6 +76,11 @@ REPLICAS="$(ctl REPLICAS)" || fail "REPLICAS rejected"
 COUNT="$(printf '%s\n' "$REPLICAS" | grep -c '^replica ')"
 [ "$COUNT" -eq 3 ] || fail "expected 3 replicas, got $COUNT: $REPLICAS"
 ctl QUERY FIXES | grep -q 'fix=' || fail "QUERY FIXES returned no experience"
+# What an epoch costs and what the store remembers, from the outside.
+for FIELD in epoch_us failures_recorded negatives_kept; do
+    printf '%s\n' "$STATUS" | grep -q "$FIELD=[0-9]" || fail "STATUS lacks $FIELD=: $STATUS"
+done
+ctl METRICS | grep -q '"epoch_us":[0-9]' || fail "METRICS lacks epoch_us"
 
 # Exit codes are part of the ctl contract: a daemon ERR reply exits 1 —
 # distinct from transport failures, which exit 2 — so scripts like this

@@ -9,7 +9,9 @@ use selfheal::daemon::protocol::{is_terminator, send_command};
 use selfheal::daemon::{
     ControlPlane, Daemon, DaemonConfig, DaemonOptions, LogStart, ReplicaSpec, Supervisor,
 };
-use selfheal::faults::{FaultKind, FixAction, FixKind, InjectionPlan};
+use selfheal::faults::{
+    FaultKind, FaultTarget, FixAction, FixKind, InjectionPlan, InjectionPlanBuilder,
+};
 use selfheal::fleet::{ExecutionMode, FleetConfig};
 use selfheal::healing::harness::ReactiveChoice;
 use selfheal::healing::snapshot::{SnapshotLog, SynopsisSnapshot};
@@ -227,6 +229,108 @@ fn restart_cap_retires_a_permanently_broken_replica() {
     let roll_up = supervisor.health();
     assert_eq!(roll_up.failed, 1);
     assert_eq!(roll_up.restarts, 2);
+    supervisor.shutdown();
+}
+
+/// A healer that microreboots EJB 1 at the first confirmed violation and
+/// panics once its incarnation has seen `panic_at` ticks.
+struct FixOnceThenPanic {
+    fixed: bool,
+    panic_at: u64,
+    seen: u64,
+}
+
+impl Healer for FixOnceThenPanic {
+    fn name(&self) -> &str {
+        "fix_once_then_panic"
+    }
+
+    fn observe(&mut self, outcome: &TickOutcome) -> Vec<FixAction> {
+        if self.seen == self.panic_at {
+            panic!("deliberate panic at tick {}", self.seen);
+        }
+        self.seen += 1;
+        if outcome.violations.is_empty() || self.fixed {
+            return Vec::new();
+        }
+        self.fixed = true;
+        vec![FixAction::targeted(
+            FixKind::MicrorebootEjb,
+            FaultTarget::Ejb { index: 1 },
+        )]
+    }
+}
+
+/// A restart starts a new runner, not a new replica: like `ticks`, the
+/// `episodes` and `fixes` that `REPLICAS` and the health records report
+/// carry on from what the dead incarnations had reached.
+#[test]
+fn episodes_and_fixes_carry_across_a_replica_restart() {
+    const SLICE: u64 = 16;
+    let incarnations = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&incarnations);
+    let config = DaemonConfig {
+        slice: SLICE,
+        max_restarts: 5,
+        backoff_epochs: 2,
+        runner_factory: Some(Arc::new(move |spec, _store| {
+            // The first incarnation meets one fault, repairs it and dies
+            // eight epochs in; its successor meets none.
+            let first = counter.fetch_add(1, Ordering::SeqCst) == 0;
+            let plan = if first {
+                InjectionPlanBuilder::new(4, 3, 1)
+                    .inject(
+                        10,
+                        FaultKind::UnhandledException,
+                        FaultTarget::Ejb { index: 1 },
+                        0.9,
+                    )
+                    .build()
+            } else {
+                InjectionPlan::empty()
+            };
+            let healer: Box<dyn Healer> = Box::new(FixOnceThenPanic {
+                fixed: false,
+                panic_at: if first { 8 * SLICE + 3 } else { u64::MAX },
+                seen: 0,
+            });
+            let service = MultiTierService::new(ServiceConfig::tiny());
+            let workload = TraceGenerator::new(
+                WorkloadMix::bidding(),
+                ArrivalProcess::Constant { rate: 40.0 },
+                spec.id as u64 + 7,
+            );
+            ScenarioRunner::new(service, workload, plan, healer)
+        })),
+        ..DaemonConfig::default()
+    };
+    let mut supervisor = Supervisor::new(config).unwrap();
+    supervisor.add_replica("none").unwrap();
+
+    for _ in 0..8 {
+        assert_eq!(supervisor.advance_epoch(), 1);
+    }
+    let before = supervisor.replica_health()[0].clone();
+    assert_eq!(
+        (before.ticks, before.episodes, before.fixes_initiated),
+        (8 * SLICE, 1, 1),
+        "one episode opened, repaired and closed before the panic"
+    );
+    assert_eq!(supervisor.advance_epoch(), 0, "the panic lands in epoch 9");
+    assert_eq!(
+        supervisor.replica_health()[0].state,
+        ReplicaState::Restarting
+    );
+    assert_eq!(supervisor.advance_epoch(), 0, "backoff");
+    assert_eq!(supervisor.advance_epoch(), 1, "rebuilt");
+    let after = &supervisor.replica_health()[0];
+    assert_eq!(after.state, ReplicaState::Running);
+    assert_eq!(incarnations.load(Ordering::SeqCst), 2);
+    assert_eq!(
+        (after.ticks, after.episodes, after.fixes_initiated),
+        (9 * SLICE, 1, 1),
+        "the new runner's zeros are added to what the replica had"
+    );
     supervisor.shutdown();
 }
 

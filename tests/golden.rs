@@ -1,14 +1,19 @@
 //! Golden fingerprints: the simulated outcome of a grid of fleets, of the
 //! benchmark's two fleet configurations and of the daemon's default tenant,
-//! pinned to the values commit 2718727 produced.
+//! pinned to what the simulator of commit 2718727 produces.  The numbers
+//! were regenerated once since, with no simulated value changed: when
+//! `ScenarioOutcome::fingerprint` stopped digesting the episode log's
+//! `Debug` text and began digesting each episode field by field, that one
+//! function on top of the unchanged simulator printed the tables below.
 //!
 //! A fingerprint digests every retained metric value bit for bit, every
-//! failure episode and every counter, so a change to the simulator's
-//! arithmetic, to the order of its floating-point operations or to the
-//! number of RNG draws moves at least one of them.  An optimisation of the
-//! tick path passes this file unmodified or is not an optimisation.  A
-//! change that *means* to alter simulated behaviour regenerates the tables:
-//! run the failing test and paste what it prints.
+//! failure episode (detected, recovered, first fault's kind and cause, how
+//! many were active, each attempted fix, escalated) and every counter, so a
+//! change to the simulator's arithmetic, to the order of its floating-point
+//! operations or to the number of RNG draws moves at least one of them.  An
+//! optimisation of the tick path passes this file unmodified or is not an
+//! optimisation.  A change that *means* to alter simulated behaviour
+//! regenerates the tables: run the failing test and paste what it prints.
 
 use selfheal::daemon::{DaemonConfig, Supervisor};
 use selfheal::faults::{FaultKind, ServiceProfile};
@@ -192,22 +197,22 @@ fn the_default_daemon_tenant_matches_the_pinned_fingerprints() {
 
 /// `(epochs run, fingerprints by replica id)`.
 const DAEMON_DEFAULT: [(usize, [(usize, u64); 2]); 2] = [
-    (1_000, [(0, 5104803909268611079), (1, 12202620256808881852)]),
-    (3_000, [(0, 1366923227385670831), (1, 2270666972848580629)]),
+    (1_000, [(0, 8037605621900490268), (1, 2053889015822062076)]),
+    (3_000, [(0, 4117338056951287107), (1, 11932139439240936156)]),
 ];
 
 const FLEET_QUIET: [u64; 4] = [
-    14446415700593011916,
-    1580566031184316559,
-    11298140239096340334,
-    7324481170335758167,
+    11101700323625404791,
+    9023325765395125243,
+    13301795576074067703,
+    7381828931711497402,
 ];
 
 const FLEET_FAULTY: [u64; 4] = [
-    4431101245562955359,
-    17015464614957426942,
-    1228123836477444216,
-    12420721387749670678,
+    3107109735735981643,
+    2964266565017787379,
+    6224610564413719355,
+    15297884730679009451,
 ];
 
 /// Per healer and fault profile, four rows: seed 42 at slices 1 and 7, then
@@ -215,128 +220,128 @@ const FLEET_FAULTY: [u64; 4] = [
 #[rustfmt::skip]
 const TINY: &[[u64; REPLICAS]] = &[
     // fixsym_private, none
-    [7146067397044503806, 9091481114886870222, 5530678316360904471],
-    [7146067397044503806, 9091481114886870222, 5530678316360904471],
-    [2774262093931070975, 12390847237020964483, 9648326777343351472],
-    [2774262093931070975, 12390847237020964483, 9648326777343351472],
+    [4710931648406716600, 14449976468471270921, 17810798100799727873],
+    [4710931648406716600, 14449976468471270921, 17810798100799727873],
+    [8101877597354039160, 7373739726255269067, 16974641075554649012],
+    [8101877597354039160, 7373739726255269067, 16974641075554649012],
     // fixsym_private, mix0.002
-    [14094906920741938073, 9091481114886870222, 6912467816347558966],
-    [14094906920741938073, 9091481114886870222, 6912467816347558966],
-    [14461843997351241238, 8112293069608495406, 6435648723528298107],
-    [14461843997351241238, 8112293069608495406, 6435648723528298107],
+    [2735022177793085619, 14449976468471270921, 17907172648580386593],
+    [2735022177793085619, 14449976468471270921, 17907172648580386593],
+    [16754747766369007909, 7408933720408557937, 595226904902135573],
+    [16754747766369007909, 7408933720408557937, 595226904902135573],
     // fixsym_private, mix0.02
-    [14174581726985662624, 10854467499239615777, 3725731603170136308],
-    [14174581726985662624, 10854467499239615777, 3725731603170136308],
-    [14180447681828416521, 6530135208561345513, 4224540366749551647],
-    [14180447681828416521, 6530135208561345513, 4224540366749551647],
+    [12375011466566568171, 17392955736822142687, 17227762017312226579],
+    [12375011466566568171, 17392955736822142687, 17227762017312226579],
+    [6271910077243706170, 6507673556343797534, 16039064441431507857],
+    [6271910077243706170, 6507673556343797534, 16039064441431507857],
     // fixsym_private, storm
-    [7146067397044503806, 4175526619891464695, 1447668836463702732],
-    [7146067397044503806, 4175526619891464695, 1447668836463702732],
-    [2774262093931070975, 4759672687528609402, 8432190146234694462],
-    [2774262093931070975, 4759672687528609402, 8432190146234694462],
+    [4710931648406716600, 18217779634834790485, 5803605011398298068],
+    [4710931648406716600, 18217779634834790485, 5803605011398298068],
+    [8101877597354039160, 11889663620662720378, 12367330458327487129],
+    [8101877597354039160, 11889663620662720378, 12367330458327487129],
     // hybrid_locked, none
-    [15599082234245553088, 9091481114886870222, 13871033075341545613],
-    [15599082234245553088, 9091481114886870222, 13871033075341545613],
-    [7190643520770310745, 12287486430180280201, 6137575677558243835],
-    [7190643520770310745, 12287486430180280201, 6137575677558243835],
+    [8341883551867953778, 14449976468471270921, 2407699520541898957],
+    [8341883551867953778, 14449976468471270921, 2407699520541898957],
+    [16090629357453422268, 622959614288296031, 9500790022722681827],
+    [16090629357453422268, 622959614288296031, 9500790022722681827],
     // hybrid_locked, mix0.002
-    [16945463606675155964, 9091481114886870222, 18125818887375582324],
-    [16945463606675155964, 9091481114886870222, 18125818887375582324],
-    [16998263187099683343, 13877869350466460699, 15113374316312973952],
-    [16998263187099683343, 13877869350466460699, 15113374316312973952],
+    [2350628265290413395, 14449976468471270921, 3042868305671617932],
+    [2350628265290413395, 14449976468471270921, 3042868305671617932],
+    [13691334540479767781, 17657197938723107628, 9545951976125358004],
+    [13691334540479767781, 17657197938723107628, 9545951976125358004],
     // hybrid_locked, mix0.02
-    [10646272796502184816, 3557216039237850944, 13462224770248553002],
-    [10646272796502184816, 3557216039237850944, 13462224770248553002],
-    [12016191638503434893, 6750887907787269403, 12816797159222083588],
-    [12016191638503434893, 6750887907787269403, 12816797159222083588],
+    [17968903795863453197, 6956035363167241114, 11079554589788209976],
+    [17968903795863453197, 6956035363167241114, 11079554589788209976],
+    [4291315787152622118, 2545556243216024520, 7803141270003628844],
+    [4291315787152622118, 2545556243216024520, 7803141270003628844],
     // hybrid_locked, storm
-    [15599082234245553088, 6049270669114551177, 17629551839975953409],
-    [15599082234245553088, 6049270669114551177, 17629551839975953409],
-    [7190643520770310745, 6189143402415932828, 8204172843723297930],
-    [7190643520770310745, 6189143402415932828, 8204172843723297930],
+    [8341883551867953778, 16490251756258831473, 6242284373035246257],
+    [8341883551867953778, 16490251756258831473, 6242284373035246257],
+    [16090629357453422268, 4924864498051437724, 12968098915641007233],
+    [16090629357453422268, 4924864498051437724, 12968098915641007233],
     // hybrid_sharded4, none
-    [15599082234245553088, 9091481114886870222, 13871033075341545613],
-    [15599082234245553088, 9091481114886870222, 13871033075341545613],
-    [7190643520770310745, 12287486430180280201, 6137575677558243835],
-    [7190643520770310745, 12287486430180280201, 6137575677558243835],
+    [8341883551867953778, 14449976468471270921, 2407699520541898957],
+    [8341883551867953778, 14449976468471270921, 2407699520541898957],
+    [16090629357453422268, 622959614288296031, 9500790022722681827],
+    [16090629357453422268, 622959614288296031, 9500790022722681827],
     // hybrid_sharded4, mix0.002
-    [16945463606675155964, 9091481114886870222, 18125818887375582324],
-    [16945463606675155964, 9091481114886870222, 18125818887375582324],
-    [16998263187099683343, 13877869350466460699, 15113374316312973952],
-    [16998263187099683343, 13877869350466460699, 15113374316312973952],
+    [2350628265290413395, 14449976468471270921, 3042868305671617932],
+    [2350628265290413395, 14449976468471270921, 3042868305671617932],
+    [13691334540479767781, 17657197938723107628, 9545951976125358004],
+    [13691334540479767781, 17657197938723107628, 9545951976125358004],
     // hybrid_sharded4, mix0.02
-    [10646272796502184816, 3557216039237850944, 13462224770248553002],
-    [10646272796502184816, 3557216039237850944, 13462224770248553002],
-    [12016191638503434893, 6750887907787269403, 12816797159222083588],
-    [12016191638503434893, 6750887907787269403, 12816797159222083588],
+    [17968903795863453197, 6956035363167241114, 11079554589788209976],
+    [17968903795863453197, 6956035363167241114, 11079554589788209976],
+    [4291315787152622118, 2545556243216024520, 7803141270003628844],
+    [4291315787152622118, 2545556243216024520, 7803141270003628844],
     // hybrid_sharded4, storm
-    [15599082234245553088, 6049270669114551177, 17629551839975953409],
-    [15599082234245553088, 6049270669114551177, 17629551839975953409],
-    [7190643520770310745, 6189143402415932828, 8204172843723297930],
-    [7190643520770310745, 6189143402415932828, 8204172843723297930],
+    [8341883551867953778, 16490251756258831473, 6242284373035246257],
+    [8341883551867953778, 16490251756258831473, 6242284373035246257],
+    [16090629357453422268, 4924864498051437724, 12968098915641007233],
+    [16090629357453422268, 4924864498051437724, 12968098915641007233],
 ];
 
 /// Rows as in [`TINY`].
 #[rustfmt::skip]
 const RUBIS_DEFAULT: &[[u64; REPLICAS]] = &[
     // fixsym_private, none
-    [758922764963313926, 9831927901727579572, 18361628571896996166],
-    [758922764963313926, 9831927901727579572, 18361628571896996166],
-    [5614013261117995118, 1872668908024419809, 16822984302330755518],
-    [5614013261117995118, 1872668908024419809, 16822984302330755518],
+    [6370874439868559239, 5540424428054609261, 15400609149115451709],
+    [6370874439868559239, 5540424428054609261, 15400609149115451709],
+    [8198073450149143595, 16869688229789377255, 12574909265911136799],
+    [8198073450149143595, 16869688229789377255, 12574909265911136799],
     // fixsym_private, mix0.002
-    [12379917223920470454, 9831927901727579572, 1930717425882223384],
-    [12379917223920470454, 9831927901727579572, 1930717425882223384],
-    [16076938922221747844, 9432951911028172685, 17024493702851361581],
-    [16076938922221747844, 9432951911028172685, 17024493702851361581],
+    [8246009078104026893, 5540424428054609261, 8460482406877520515],
+    [8246009078104026893, 5540424428054609261, 8460482406877520515],
+    [18089239520977874285, 2393181828491705571, 3914741367169923866],
+    [18089239520977874285, 2393181828491705571, 3914741367169923866],
     // fixsym_private, mix0.02
-    [5481974002867519104, 4660084042949197210, 15670343190096566890],
-    [5481974002867519104, 4660084042949197210, 15670343190096566890],
-    [13312088607465888823, 2160391845998383307, 16517107627239570187],
-    [13312088607465888823, 2160391845998383307, 16517107627239570187],
+    [12200008841740644914, 5049664838149413377, 8354080636375079543],
+    [12200008841740644914, 5049664838149413377, 8354080636375079543],
+    [6427127893613326292, 5471914475048684174, 7577438692931541014],
+    [6427127893613326292, 5471914475048684174, 7577438692931541014],
     // fixsym_private, storm
-    [758922764963313926, 8181687207187395431, 327978727766328049],
-    [758922764963313926, 8181687207187395431, 327978727766328049],
-    [5614013261117995118, 9335953159792597935, 7844784682933304930],
-    [5614013261117995118, 9335953159792597935, 7844784682933304930],
+    [6370874439868559239, 9801300686148656504, 545493704775636606],
+    [6370874439868559239, 9801300686148656504, 545493704775636606],
+    [8198073450149143595, 2446468384024405875, 4151036742330203219],
+    [8198073450149143595, 2446468384024405875, 4151036742330203219],
     // hybrid_locked, none
-    [758922764963313926, 9831927901727579572, 18361628571896996166],
-    [758922764963313926, 9831927901727579572, 18361628571896996166],
-    [5614013261117995118, 1872668908024419809, 16822984302330755518],
-    [5614013261117995118, 1872668908024419809, 16822984302330755518],
+    [6370874439868559239, 5540424428054609261, 15400609149115451709],
+    [6370874439868559239, 5540424428054609261, 15400609149115451709],
+    [8198073450149143595, 16869688229789377255, 12574909265911136799],
+    [8198073450149143595, 16869688229789377255, 12574909265911136799],
     // hybrid_locked, mix0.002
-    [6786340141706264873, 9831927901727579572, 1930717425882223384],
-    [6786340141706264873, 9831927901727579572, 1930717425882223384],
-    [15385867809924812359, 10771680676423924029, 9907821436018774992],
-    [15385867809924812359, 10771680676423924029, 9907821436018774992],
+    [7764206405735826818, 5540424428054609261, 8460482406877520515],
+    [7764206405735826818, 5540424428054609261, 8460482406877520515],
+    [216454390176061364, 10104935449454089571, 11140690712195634534],
+    [216454390176061364, 10104935449454089571, 11140690712195634534],
     // hybrid_locked, mix0.02
-    [3585125012338681152, 1014025881191513511, 5031514838729648261],
-    [3585125012338681152, 1014025881191513511, 18183265307004952912],
-    [2003803572745819755, 11389056660098410092, 7183562799908870060],
-    [2003803572745819755, 11389056660098410092, 7183562799908870060],
+    [2468496325721359132, 17316757280820694077, 13189260117786014396],
+    [2468496325721359132, 17316757280820694077, 15087041734742452930],
+    [7406532004507987049, 15093546557742149909, 16065484840263444969],
+    [7406532004507987049, 15093546557742149909, 16065484840263444969],
     // hybrid_locked, storm
-    [758922764963313926, 7951785529949072151, 16450487693522089261],
-    [758922764963313926, 7951785529949072151, 16450487693522089261],
-    [5614013261117995118, 2355897091815618301, 16473449627719083222],
-    [5614013261117995118, 2355897091815618301, 16473449627719083222],
+    [6370874439868559239, 7929793738501673319, 7997796331528558448],
+    [6370874439868559239, 7929793738501673319, 7997796331528558448],
+    [8198073450149143595, 1908637777534788005, 1467931546692131349],
+    [8198073450149143595, 1908637777534788005, 1467931546692131349],
     // hybrid_sharded4, none
-    [758922764963313926, 9831927901727579572, 18361628571896996166],
-    [758922764963313926, 9831927901727579572, 18361628571896996166],
-    [5614013261117995118, 1872668908024419809, 16822984302330755518],
-    [5614013261117995118, 1872668908024419809, 16822984302330755518],
+    [6370874439868559239, 5540424428054609261, 15400609149115451709],
+    [6370874439868559239, 5540424428054609261, 15400609149115451709],
+    [8198073450149143595, 16869688229789377255, 12574909265911136799],
+    [8198073450149143595, 16869688229789377255, 12574909265911136799],
     // hybrid_sharded4, mix0.002
-    [6786340141706264873, 9831927901727579572, 1930717425882223384],
-    [6786340141706264873, 9831927901727579572, 1930717425882223384],
-    [15385867809924812359, 10771680676423924029, 9907821436018774992],
-    [15385867809924812359, 10771680676423924029, 9907821436018774992],
+    [7764206405735826818, 5540424428054609261, 8460482406877520515],
+    [7764206405735826818, 5540424428054609261, 8460482406877520515],
+    [216454390176061364, 10104935449454089571, 11140690712195634534],
+    [216454390176061364, 10104935449454089571, 11140690712195634534],
     // hybrid_sharded4, mix0.02
-    [3585125012338681152, 1014025881191513511, 5031514838729648261],
-    [3585125012338681152, 1014025881191513511, 18183265307004952912],
-    [2003803572745819755, 11389056660098410092, 7183562799908870060],
-    [2003803572745819755, 11389056660098410092, 7183562799908870060],
+    [2468496325721359132, 17316757280820694077, 13189260117786014396],
+    [2468496325721359132, 17316757280820694077, 15087041734742452930],
+    [7406532004507987049, 15093546557742149909, 16065484840263444969],
+    [7406532004507987049, 15093546557742149909, 16065484840263444969],
     // hybrid_sharded4, storm
-    [758922764963313926, 7951785529949072151, 16450487693522089261],
-    [758922764963313926, 7951785529949072151, 16450487693522089261],
-    [5614013261117995118, 2355897091815618301, 16473449627719083222],
-    [5614013261117995118, 2355897091815618301, 16473449627719083222],
+    [6370874439868559239, 7929793738501673319, 7997796331528558448],
+    [6370874439868559239, 7929793738501673319, 7997796331528558448],
+    [8198073450149143595, 1908637777534788005, 1467931546692131349],
+    [8198073450149143595, 1908637777534788005, 1467931546692131349],
 ];

@@ -265,6 +265,70 @@ fn a_store_that_adopted_a_log_equals_one_restored_from_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Failures are a bounded memory (`NEGATIVES_KEPT` examples per synopsis,
+/// exact counts per fix), and a restart keeps it what it was: a store that
+/// replays the log another wrote holds the writer's counts and the writer's
+/// examples in the writer's order — below the ring's size, at it, and after
+/// it has turned over.
+#[test]
+fn a_restarted_store_remembers_the_failures_its_writer_did() {
+    use selfheal::healing::snapshot::SnapshotLog;
+    use selfheal::healing::synopsis::NEGATIVES_KEPT;
+
+    let build = |layout: &str| -> Box<dyn SynopsisStore> {
+        let kind = SynopsisKind::NearestNeighbor;
+        match layout {
+            "private" => LearnerChoice::Private.build_store(kind),
+            _ => LearnerChoice::Locked { batch: 3 }.build_store(kind),
+        }
+    };
+    const FIXES: [FixKind; 3] = [
+        FixKind::RebootTier,
+        FixKind::MicrorebootEjb,
+        FixKind::FullServiceRestart,
+    ];
+    let dir = std::env::temp_dir().join(format!("selfheal-stores-ring-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    for layout in ["private", "locked"] {
+        for failures in [NEGATIVES_KEPT - 1, NEGATIVES_KEPT, 2 * NEGATIVES_KEPT + 7] {
+            let what = format!("{layout}, {failures} failures");
+            let path = dir.join(format!("{layout}-{failures}.jsonl"));
+            let mut writer = build(layout);
+            writer.persist_to(&path).unwrap();
+            for i in 0..failures {
+                // Every signature differs, so which examples are held shows.
+                writer.record(&[i as f64, 1.0, 2.0], FIXES[i % 3], false);
+                if i % 50 == 0 {
+                    writer.record(&[8.0, i as f64, 1.0], FIXES[i % 3], true);
+                }
+            }
+            writer.flush();
+            let kept = failures.min(NEGATIVES_KEPT);
+            assert_eq!(writer.failure_memory(), (failures, kept), "{what}");
+            let held = writer.snapshot();
+            assert_eq!(held.negatives(), kept, "{what}");
+            let oldest = held.examples.iter().find(|e| !e.success).unwrap();
+            assert_eq!(oldest.symptoms[0], (failures - kept) as f64, "{what}");
+            let counted: usize = writer.fix_stats().iter().map(|s| s.failures).sum();
+            assert_eq!(counted, failures, "{what}: counts are exact");
+
+            let replay = SnapshotLog::open(&path).unwrap();
+            assert_eq!(
+                replay.snapshot.negatives(),
+                failures,
+                "{what}: the log has all"
+            );
+            let mut restarted = build(layout);
+            restarted.restore(&replay.snapshot);
+            assert_eq!(restarted.snapshot(), held, "{what}");
+            assert_eq!(restarted.fix_stats(), writer.fix_stats(), "{what}");
+            assert_eq!(restarted.failure_memory(), (failures, kept), "{what}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A store written against the seven required `SynopsisStore` methods alone,
 /// as the benchmark's timing wrapper is: every provided method keeps the
 /// trait's default body.
