@@ -245,7 +245,7 @@ impl DiagnosisPanel {
 
     /// Appends this tick's sample to the history the engines diagnose.
     pub(crate) fn push(&mut self, sample: &Sample) {
-        self.series.push(sample.clone());
+        self.series.push_copy(sample);
     }
 
     /// Ranks every engine's recommendations by confidence and returns the
@@ -377,7 +377,7 @@ impl Healer for DiagnosisHealer {
 
     fn observe(&mut self, outcome: &TickOutcome) -> Vec<FixAction> {
         let violated = !outcome.violations.is_empty();
-        self.series.push(outcome.sample.clone());
+        self.series.push_copy(&outcome.sample);
         if let DiagnosisEngine::Correlation(analyzer) = &mut self.engine {
             analyzer.observe(&outcome.sample, violated);
         }

@@ -21,7 +21,6 @@ pub struct BufferPool {
     nominal_pages: u64,
     current_pages: u64,
     working_set_pages: u64,
-    table_count: usize,
     /// Per-table access weight this tick (rows touched).
     tick_access_rows: Vec<f64>,
     /// How many entries of `tick_access_rows` are positive, kept as
@@ -43,7 +42,6 @@ impl BufferPool {
             nominal_pages,
             current_pages: nominal_pages,
             working_set_pages: working_set_pages.max(1),
-            table_count,
             tick_access_rows: vec![0.0; table_count],
             active_tables: 0,
             tick_rows_read: 0.0,
@@ -93,8 +91,12 @@ impl BufferPool {
 
     /// Records one access of `rows` rows against `table` and returns the
     /// miss rate charged to it.
+    ///
+    /// # Panics
+    /// Panics if `table` is not below the pool's table count.
+    #[inline(always)]
     pub fn access(&mut self, table: usize, rows: f64) -> f64 {
-        let accessed = &mut self.tick_access_rows[table % self.table_count];
+        let accessed = &mut self.tick_access_rows[table];
         let was_active = *accessed > 0.0;
         *accessed += rows;
         match (was_active, *accessed > 0.0) {
@@ -149,7 +151,7 @@ mod tests {
         fn active_table_count_equals_a_recount(
             ops in prop::collection::vec((0usize..6, 0usize..8, -3.0f64..6.0), 1..80),
         ) {
-            let mut pool = BufferPool::new(4000, 900, 5);
+            let mut pool = BufferPool::new(4000, 900, 8);
             for (op, table, rows) in ops {
                 match op {
                     0 => pool.shrink_to_fraction(rows / 6.0),

@@ -50,6 +50,10 @@ impl LockManager {
     /// table; writes also conflict with each other.  The injected
     /// block-contention fault concentrates all traffic on one block,
     /// multiplying the conflict rate by `INJECTED_SKEW`.
+    ///
+    /// # Panics
+    /// Panics if `table` is not one of the manager's tables.
+    #[inline(always)]
     pub fn access(
         &mut self,
         table: usize,
@@ -57,9 +61,8 @@ impl LockManager {
         is_write: bool,
         contention_fault: bool,
     ) -> f64 {
-        let idx = table % self.partitions.len();
-        let partitions = self.partitions[idx] as f64;
-        let concurrent_writes = self.tick_write_rows[idx];
+        let partitions = self.partitions[table] as f64;
+        let concurrent_writes = self.tick_write_rows[table];
 
         let skew = if contention_fault { INJECTED_SKEW } else { 1.0 };
         let conflicting = concurrent_writes * skew / partitions;
@@ -70,7 +73,7 @@ impl LockManager {
         };
 
         if is_write {
-            self.tick_write_rows[idx] += rows;
+            self.tick_write_rows[table] += rows;
         }
         self.tick_wait_ms += wait;
         wait

@@ -41,9 +41,6 @@ pub struct DbTickCounters {
     /// Mean ratio of actual to optimizer-estimated rows across accesses
     /// this tick (1.0 = estimates accurate; grows as statistics go stale).
     pub plan_misestimate: f64,
-    /// Extra database service demand (ms) caused by bad plans, misses, and
-    /// lock waits this tick.
-    pub extra_demand_ms: f64,
 }
 
 /// The simulated database engine state.
@@ -52,7 +49,6 @@ pub struct DatabaseTier {
     buffer: BufferPool,
     stats: Vec<TableStatistics>,
     locks: LockManager,
-    table_count: usize,
     /// Row-weighted sum of the misestimate factors actually charged this
     /// tick (including injected plan faults), and the corresponding weight.
     tick_misestimate_weighted: f64,
@@ -85,7 +81,6 @@ impl DatabaseTier {
                 .map(|_| TableStatistics::new(staleness_threshold_writes))
                 .collect(),
             locks: LockManager::new(table_count),
-            table_count,
             tick_misestimate_weighted: 0.0,
             tick_misestimate_weight: 0.0,
         }
@@ -93,7 +88,7 @@ impl DatabaseTier {
 
     /// Number of tables.
     pub fn table_count(&self) -> usize {
-        self.table_count
+        self.stats.len()
     }
 
     /// The buffer pool.
@@ -111,26 +106,16 @@ impl DatabaseTier {
         &self.stats[table]
     }
 
-    /// Mutable statistics of one table.
-    pub fn table_stats_mut(&mut self, table: usize) -> &mut TableStatistics {
-        &mut self.stats[table]
-    }
-
-    /// The lock manager.
-    pub fn locks(&self) -> &LockManager {
-        &self.locks
-    }
-
-    /// Mutable lock manager.
-    pub fn locks_mut(&mut self) -> &mut LockManager {
-        &mut self.locks
-    }
-
     /// Charges one table access and returns the latency consequences.
     ///
     /// `plan_penalty_active` marks the table as suffering an injected
     /// suboptimal-plan fault (in addition to any organic staleness), and
     /// `contention_active` marks it as suffering injected block contention.
+    /// Inlined, with everything it calls, into the request loop.
+    ///
+    /// # Panics
+    /// Panics if `table` is not below [`DatabaseTier::table_count`].
+    #[inline(always)]
     pub fn charge_access(
         &mut self,
         table: usize,
@@ -140,8 +125,6 @@ impl DatabaseTier {
         plan_penalty_active: bool,
         contention_active: bool,
     ) -> AccessCharge {
-        let table = table % self.table_count;
-
         // Buffer pool: misses add I/O time proportional to the rows touched.
         let miss_rate = self.buffer.access(table, rows);
         let miss_ms = nominal_ms * miss_rate * 2.0;
@@ -175,8 +158,6 @@ impl DatabaseTier {
         // queries it falls back to the per-table statistics staleness.
         let plan_misestimate = if self.tick_misestimate_weight > 0.0 {
             self.tick_misestimate_weighted / self.tick_misestimate_weight
-        } else if self.stats.is_empty() {
-            1.0
         } else {
             self.stats
                 .iter()
@@ -192,19 +173,18 @@ impl DatabaseTier {
             buffer_miss_rate: miss_rate,
             lock_wait_ms,
             plan_misestimate,
-            extra_demand_ms: 0.0,
         }
     }
 
     /// Applies the `UpdateStatistics` fix to one table.
     pub fn update_statistics(&mut self, table: usize) {
-        let table = table % self.table_count;
+        let table = table % self.stats.len();
         self.stats[table].refresh();
     }
 
     /// Applies the `RepartitionTable` fix to one table.
     pub fn repartition_table(&mut self, table: usize) {
-        let table = table % self.table_count;
+        let table = table % self.stats.len();
         self.locks.rebalance(table);
     }
 

@@ -27,6 +27,10 @@ pub struct TableStatistics {
     staleness_threshold: u64,
     /// How many times the statistics have been refreshed.
     refresh_count: u64,
+    /// The misestimate factor staleness alone accounts for: 1.0 when fresh,
+    /// ramping linearly up to `MAX_ORGANIC_PENALTY`.  It moves only with
+    /// `writes_since_refresh`, so it is worked out where that changes.
+    organic: f64,
 }
 
 impl TableStatistics {
@@ -36,12 +40,14 @@ impl TableStatistics {
             writes_since_refresh: 0,
             staleness_threshold: staleness_threshold.max(1),
             refresh_count: 0,
+            organic: 1.0,
         }
     }
 
     /// Records `rows` written to the table.
     pub fn record_writes(&mut self, rows: u64) {
         self.writes_since_refresh = self.writes_since_refresh.saturating_add(rows);
+        self.organic = 1.0 + (MAX_ORGANIC_PENALTY - 1.0) * self.staleness().min(1.0);
     }
 
     /// Fraction of the staleness threshold consumed (0 = fresh, ≥1 = fully
@@ -57,11 +63,10 @@ impl TableStatistics {
     /// linearly up to `MAX_ORGANIC_PENALTY`; an injected suboptimal-plan
     /// fault pins it at least at `INJECTED_PLAN_PENALTY`.
     pub fn misestimate_factor(&self, injected_fault: bool) -> f64 {
-        let organic = 1.0 + (MAX_ORGANIC_PENALTY - 1.0) * self.staleness().min(1.0);
         if injected_fault {
-            organic.max(INJECTED_PLAN_PENALTY)
+            self.organic.max(INJECTED_PLAN_PENALTY)
         } else {
-            organic
+            self.organic
         }
     }
 
@@ -69,6 +74,7 @@ impl TableStatistics {
     pub fn refresh(&mut self) {
         self.writes_since_refresh = 0;
         self.refresh_count += 1;
+        self.organic = 1.0;
     }
 
     /// How many times the statistics have been refreshed.

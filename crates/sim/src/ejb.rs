@@ -141,19 +141,6 @@ impl EjbGraph {
             },
         }
     }
-
-    /// Returns `true` if a request of `kind` invokes the given EJB.
-    pub fn touches_ejb(&self, kind: RequestKind, ejb: usize) -> bool {
-        self.path(kind).ejb_calls.iter().any(|(e, _)| *e == ejb)
-    }
-
-    /// Returns `true` if a request of `kind` accesses the given table.
-    pub fn touches_table(&self, kind: RequestKind, table: usize) -> bool {
-        self.path(kind)
-            .table_accesses
-            .iter()
-            .any(|(t, _, _)| *t == table)
-    }
 }
 
 #[cfg(test)]
@@ -209,10 +196,13 @@ mod tests {
     #[test]
     fn bid_requests_exercise_the_bid_manager_not_the_report_builder() {
         let graph = EjbGraph::new(8, 6);
-        assert!(graph.touches_ejb(RequestKind::Bid, 4));
-        assert!(!graph.touches_ejb(RequestKind::Bid, 7));
-        assert!(graph.touches_table(RequestKind::Bid, 1));
-        assert!(!graph.touches_table(RequestKind::Bid, 5));
+        let path = graph.path(RequestKind::Bid);
+        let touches_ejb = |ejb| path.ejb_calls.iter().any(|(e, _)| *e == ejb);
+        let touches_table = |table| path.table_accesses.iter().any(|(t, _, _)| *t == table);
+        assert!(touches_ejb(4));
+        assert!(!touches_ejb(7));
+        assert!(touches_table(1));
+        assert!(!touches_table(5));
     }
 
     #[test]

@@ -345,7 +345,7 @@ impl<H: Healer> ScenarioRunner<H> {
             self.fixes_initiated += 1;
         }
 
-        self.series.push(outcome.sample.clone());
+        self.series.push_copy(&outcome.sample);
         self.ticks_run += 1;
         outcome
     }

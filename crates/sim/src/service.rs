@@ -3,7 +3,7 @@
 use crate::actuator::{CompletedFix, FixActuator};
 use crate::config::ServiceConfig;
 use crate::db::DatabaseTier;
-use crate::ejb::{EjbGraph, RequestPath};
+use crate::ejb::EjbGraph;
 use crate::faults_runtime::{ActiveFaults, CallEffects, SimTier};
 use crate::metrics::MetricsCatalog;
 use crate::resource::TierResource;
@@ -48,16 +48,51 @@ pub struct TickOutcome {
     pub completed_fixes: Vec<CompletedFixReport>,
 }
 
+/// What serving one request of a kind takes, fixed per service: its demand
+/// on the web and application tiers, [`EjbGraph::path`]'s EJB calls with
+/// their counts as the `f64` they are accumulated in, and per table access
+/// `(table, rows, is_write, nominal_ms)` — the kind's database demand is
+/// split across its accesses proportionally to the rows each touches.
+#[derive(Debug, Clone, PartialEq)]
+struct KindPlan {
+    web_ms: f64,
+    app_ms: f64,
+    ejb_calls: Vec<(usize, f64)>,
+    accesses: Vec<(usize, f64, bool, f64)>,
+}
+
+impl KindPlan {
+    fn new(graph: &EjbGraph, kind: RequestKind) -> Self {
+        let (demand, path) = (kind.demand(), graph.path(kind));
+        let total_rows: f64 = path.table_accesses.iter().map(|(_, r, _)| *r).sum();
+        let planned = |&(table, rows, is_write): &(usize, f64, bool)| {
+            let share = if total_rows > 0.0 {
+                rows / total_rows
+            } else {
+                1.0
+            };
+            (table, rows, is_write, demand.db_ms * share)
+        };
+        let counted = |&(ejb, calls): &(usize, u32)| (ejb, calls as f64);
+        KindPlan {
+            web_ms: demand.web_ms,
+            app_ms: demand.app_ms,
+            ejb_calls: path.ejb_calls.iter().map(counted).collect(),
+            accesses: path.table_accesses.iter().map(planned).collect(),
+        }
+    }
+}
+
 /// The simulated three-tier service.
 #[derive(Debug, Clone)]
 pub struct MultiTierService {
     config: ServiceConfig,
     fix_catalog: FixCatalog,
     metrics: MetricsCatalog,
-    /// [`EjbGraph::path`] of every request kind, indexed by
-    /// [`RequestKind::code`]: the paths are fixed per service, so they are
-    /// built once and not per request.
-    paths: [RequestPath; RequestKind::ALL.len()],
+    /// The plan of every request kind, indexed by [`RequestKind::code`]:
+    /// plans are fixed per service, so they are built once and not per
+    /// request.
+    plans: [KindPlan; RequestKind::ALL.len()],
     /// Per-EJB call and error counts and per-table access counts of the
     /// tick being simulated: zeroed at its start, not reallocated.  They
     /// are copied into the sample at the end and not counted there directly
@@ -99,7 +134,7 @@ impl MultiTierService {
         );
         let graph = EjbGraph::new(config.ejb_count, config.table_count);
         MultiTierService {
-            paths: RequestKind::ALL.map(|kind| graph.path(kind)),
+            plans: RequestKind::ALL.map(|kind| KindPlan::new(&graph, kind)),
             ejb_calls: vec![0.0; config.ejb_count],
             ejb_errors: vec![0.0; config.ejb_count],
             table_accesses: vec![0.0; config.table_count],
@@ -249,15 +284,14 @@ impl MultiTierService {
         self.call_effects.fill(&self.faults);
 
         for request in requests {
-            let demand = request.kind.demand();
-            let path = &self.paths[request.kind.code()];
+            let plan = &self.plans[request.kind.code()];
 
             // Does the request fail outright?
             let mut failed = self.rng.gen_bool(service_error_p.clamp(0.0, 1.0));
             let mut extra_latency = network_extra;
-            for (ejb, calls) in &path.ejb_calls {
+            for (ejb, calls) in &plan.ejb_calls {
                 // Per-EJB call accounting (invasive instrumentation).
-                self.ejb_calls[*ejb] += *calls as f64;
+                self.ejb_calls[*ejb] += *calls;
                 let p = 1.0 - self.call_effects.ejb_ok_p[*ejb];
                 if p > 0.0 && self.rng.gen_bool(p.clamp(0.0, 1.0)) {
                     failed = true;
@@ -266,29 +300,21 @@ impl MultiTierService {
                 extra_latency += self.call_effects.ejb_extra_ms[*ejb];
             }
 
-            // Database work: split the nominal DB demand across the accessed
-            // tables proportionally to the rows each access touches.
-            let total_rows: f64 = path.table_accesses.iter().map(|(_, r, _)| *r).sum();
+            // Database work.
             let mut request_db_ms = 0.0;
             let mut request_lock_ms = 0.0;
-            for (table, rows, is_write) in &path.table_accesses {
-                self.table_accesses[*table] += 1.0;
-                let share = if total_rows > 0.0 {
-                    rows / total_rows
-                } else {
-                    1.0
-                };
-                let nominal_ms = demand.db_ms * share;
+            for &(table, rows, is_write, nominal_ms) in &plan.accesses {
+                self.table_accesses[table] += 1.0;
                 let charge = self.db.charge_access(
-                    *table,
-                    *rows,
-                    *is_write,
+                    table,
+                    rows,
+                    is_write,
                     nominal_ms,
-                    self.call_effects.plan_fault[*table],
-                    self.call_effects.contention_fault[*table],
+                    self.call_effects.plan_fault[table],
+                    self.call_effects.contention_fault[table],
                 );
-                if *is_write {
-                    self.db.buffer_mut().record_write(*rows);
+                if is_write {
+                    self.db.buffer_mut().record_write(rows);
                 }
                 // Lock waits occupy a database worker/connection while the
                 // request waits, so they consume tier capacity as well as
@@ -300,8 +326,8 @@ impl MultiTierService {
             // Failed requests abort partway through and consume roughly half
             // of their nominal demand.
             let scale = if failed { 0.5 } else { 1.0 };
-            web_demand += demand.web_ms * scale;
-            app_demand += demand.app_ms * scale;
+            web_demand += plan.web_ms * scale;
+            app_demand += plan.app_ms * scale;
             db_demand += request_db_ms * scale;
             extra_latency_total += extra_latency + request_lock_ms;
             if failed {
@@ -690,15 +716,27 @@ mod tests {
             let graph = EjbGraph::new(config.ejb_count, config.table_count);
             let service = MultiTierService::new(config.clone());
             for kind in RequestKind::ALL {
-                let path = &service.paths[kind.code()];
-                assert_eq!(*path, graph.path(kind), "{kind}");
+                let (plan, path, demand) =
+                    (&service.plans[kind.code()], graph.path(kind), kind.demand());
+                assert_eq!((plan.web_ms, plan.app_ms), (demand.web_ms, demand.app_ms));
+                let calls = path.ejb_calls.iter().map(|(e, n)| (*e, *n as f64));
+                assert_eq!(plan.ejb_calls, calls.collect::<Vec<_>>(), "{kind}");
+                // Every access is the path's, charged what the request loop
+                // used to work out for every request.
+                let total_rows: f64 = path.table_accesses.iter().map(|(_, r, _)| *r).sum();
+                let accesses = path.table_accesses.iter().map(|&(table, rows, is_write)| {
+                    let nominal_ms = demand.db_ms * (rows / total_rows);
+                    (table, rows, is_write, nominal_ms.to_bits())
+                });
+                let planned = plan
+                    .accesses
+                    .iter()
+                    .map(|&(t, r, w, ms)| (t, r, w, ms.to_bits()));
+                assert!(planned.eq(accesses), "{kind}");
                 // `tiny` has fewer EJBs and tables than the graph has
                 // roles, so its indices wrap.
-                assert!(path.ejb_calls.iter().all(|(e, _)| *e < config.ejb_count));
-                assert!(path
-                    .table_accesses
-                    .iter()
-                    .all(|(t, _, _)| *t < config.table_count));
+                assert!(plan.ejb_calls.iter().all(|(e, _)| *e < config.ejb_count));
+                assert!(plan.accesses.iter().all(|a| a.0 < config.table_count));
             }
         }
     }

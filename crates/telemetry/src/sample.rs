@@ -41,6 +41,12 @@ impl Sample {
         Sample { tick, values }
     }
 
+    /// Overwrites this sample with `other`, keeping its row's allocation.
+    pub(crate) fn copy_from(&mut self, other: &Sample) {
+        self.tick = other.tick;
+        other.values.clone_into(&mut self.values);
+    }
+
     /// The tick at which this sample was collected.
     #[inline]
     pub fn tick(&self) -> Tick {

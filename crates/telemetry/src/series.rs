@@ -65,6 +65,26 @@ impl SeriesStore {
     /// is older than the most recent stored tick (samples must arrive in
     /// nondecreasing tick order).
     pub fn push(&mut self, sample: Sample) {
+        self.check(&sample);
+        if self.samples.len() == self.capacity {
+            self.samples.pop_front();
+        }
+        self.samples.push_back(sample);
+    }
+
+    /// Appends a copy of `sample`; a full store copies it into the row it
+    /// evicts and allocates nothing.  Panics as [`SeriesStore::push`] does.
+    pub fn push_copy(&mut self, sample: &Sample) {
+        self.check(sample);
+        if self.samples.len() < self.capacity {
+            return self.samples.push_back(sample.clone());
+        }
+        let mut row = self.samples.pop_front().expect("capacity is positive");
+        row.copy_from(sample);
+        self.samples.push_back(row);
+    }
+
+    fn check(&self, sample: &Sample) {
         assert_eq!(
             sample.width(),
             self.schema.len(),
@@ -78,10 +98,6 @@ impl SeriesStore {
                 last.tick()
             );
         }
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(sample);
     }
 
     /// The most recent sample, if any.
@@ -208,8 +224,11 @@ mod tests {
     fn capacity_evicts_oldest() {
         let sc = schema();
         let mut store = SeriesStore::new(sc.clone(), 3);
+        let mut copied = SeriesStore::new(sc.clone(), 3);
         for t in 0..10 {
             store.push(sample(&sc, t, t as f64, 0.0));
+            copied.push_copy(&sample(&sc, t, t as f64, 0.0));
+            assert!(store.iter().eq(copied.iter()));
         }
         assert_eq!(store.len(), 3);
         let ticks: Vec<Tick> = store.iter().map(Sample::tick).collect();
