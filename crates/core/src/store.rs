@@ -275,24 +275,6 @@ impl Learner for Box<dyn SynopsisStore> {
     }
 }
 
-/// Rebuilds a synopsis of `kind` from a snapshot's raw experience: one
-/// bootstrap refit over the successes, then the failures as negative
-/// knowledge (failures never trigger refits).
-fn synopsis_from_snapshot(kind: SynopsisKind, snapshot: &SynopsisSnapshot) -> Synopsis {
-    let mut synopsis = Synopsis::new(kind);
-    let positives: Vec<Example> = snapshot
-        .examples
-        .iter()
-        .filter(|e| e.success)
-        .map(|e| Example::new(e.symptoms.clone(), e.fix.code()))
-        .collect();
-    synopsis.bootstrap(&positives);
-    for example in snapshot.examples.iter().filter(|e| !e.success) {
-        synopsis.update(&example.symptoms, example.fix, false);
-    }
-    synopsis
-}
-
 /// Appends a synopsis's experience (successes first, then failures) to a
 /// snapshot.
 fn append_synopsis(snapshot: &mut SynopsisSnapshot, synopsis: &Synopsis) {
@@ -334,7 +316,7 @@ impl PrivateStore {
     /// Creates a private store pre-loaded from a snapshot.
     pub fn from_snapshot(kind: SynopsisKind, snapshot: &SynopsisSnapshot) -> Self {
         PrivateStore {
-            synopsis: synopsis_from_snapshot(kind, snapshot),
+            synopsis: Synopsis::from_examples(kind, &snapshot.examples),
             log: None,
         }
     }
@@ -401,7 +383,7 @@ impl SynopsisStore for PrivateStore {
     }
 
     fn restore(&mut self, snapshot: &SynopsisSnapshot) {
-        self.synopsis = synopsis_from_snapshot(self.kind(), snapshot);
+        self.synopsis = Synopsis::from_examples(self.kind(), &snapshot.examples);
         if let Some(log) = &self.log {
             self.log = Some(
                 SnapshotLog::create(log.path(), &SynopsisStore::snapshot(self))
@@ -694,7 +676,7 @@ impl ShardedStore {
         let rebuild = |shard: &Shard, slice: &SynopsisSnapshot| {
             shard.pending.lock().expect("shard queue poisoned").clear();
             *shard.model.write().expect("shard lock poisoned") =
-                synopsis_from_snapshot(self.state.kind, slice);
+                Synopsis::from_examples(self.state.kind, &slice.examples);
         };
         // One shard owns everything: rebuild straight from the snapshot
         // instead of copying it into a per-shard slice first.

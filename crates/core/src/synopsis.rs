@@ -15,6 +15,7 @@
 //! fitted to them and nothing scans them, so a synopsis counts every one
 //! per fix and holds only the most recent [`NEGATIVES_KEPT`] as examples.
 
+use crate::snapshot::SynopsisExample;
 use selfheal_faults::FixKind;
 use selfheal_learn::{AdaBoost, Classifier, Dataset, Example, KMeans, NearestNeighbor};
 use std::collections::{HashSet, VecDeque};
@@ -300,6 +301,23 @@ impl Synopsis {
         }
     }
 
+    /// Rebuilds a synopsis of `kind` from recorded outcomes with one refit
+    /// and one clone per example it will hold: every success, and the last
+    /// [`NEGATIVES_KEPT`] failures — the failures before those are counted,
+    /// as they would be by now had each been recorded in turn.
+    pub(crate) fn from_examples(kind: SynopsisKind, examples: &[SynopsisExample]) -> Synopsis {
+        let mut synopsis = Synopsis::new(kind);
+        let failures = examples.iter().filter(|e| !e.success);
+        let counted_only = failures.clone().count().saturating_sub(NEGATIVES_KEPT);
+        for early in failures.clone().take(counted_only) {
+            synopsis.failures[early.fix.code()] += 1;
+        }
+        let successes = examples.iter().filter(|e| e.success);
+        let held = successes.chain(failures.skip(counted_only));
+        synopsis.absorb(held.map(|e| (e.symptoms.clone(), e.fix, e.success)));
+        synopsis
+    }
+
     /// Bulk-loads successful-fix examples (preproduction bootstrap /
     /// Figure 4 training prefix) and refits once.
     pub fn bootstrap(&mut self, examples: &[Example]) {
@@ -526,6 +544,28 @@ mod tests {
         synopsis.bootstrap(&examples);
         assert_eq!(synopsis.correct_fixes_learned(), 10);
         assert_eq!(synopsis.retrains(), 1);
+    }
+
+    #[test]
+    fn from_examples_is_recording_each_in_turn_with_one_refit() {
+        let outcomes: Vec<SynopsisExample> = (0..2 * NEGATIVES_KEPT + 40)
+            .map(|i| {
+                let fix = FixKind::ALL[i % FixKind::ALL.len()];
+                SynopsisExample::new(vec![i as f64, symptom(i % 3)[0]], fix, i % 5 == 0)
+            })
+            .collect();
+        for cut in [0, 7, NEGATIVES_KEPT, outcomes.len()] {
+            let rebuilt = Synopsis::from_examples(SynopsisKind::NearestNeighbor, &outcomes[..cut]);
+            let mut recorded = Synopsis::new(SynopsisKind::NearestNeighbor);
+            for outcome in &outcomes[..cut] {
+                recorded.update(&outcome.symptoms, outcome.fix, outcome.success);
+            }
+            assert_eq!(rebuilt.positive_examples(), recorded.positive_examples());
+            assert!(rebuilt.negative_examples().eq(recorded.negative_examples()));
+            assert_eq!(rebuilt.failures_by_fix(), recorded.failures_by_fix());
+            assert_eq!(rebuilt.retrains(), u64::from(cut > 0));
+            assert_eq!(rebuilt.suggest(&[5.0, 1.0]), recorded.suggest(&[5.0, 1.0]));
+        }
     }
 
     #[test]

@@ -681,4 +681,18 @@ mod tests {
         assert!(parse_object(b"{\"a\":1} trailing").is_err());
         assert!(parse_object(b"[1]").is_err());
     }
+
+    #[test]
+    fn a_number_no_f64_holds_is_a_400_at_the_body_parser() {
+        for body in [&b"{\"rate\":1e999}"[..], b"{\"rate\":-1e999}"] {
+            let err = parse_object(body).unwrap_err();
+            assert_eq!(err.status, 400);
+            assert!(err.message.contains("byte 8: number out of range"));
+        }
+        // Through a route: refused before the route looks at its keys.
+        let err = route("POST", "/v1/tenants", None, b"{\"rate\":1e999}").unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(err.message.contains("number out of range: 1e999"));
+        assert!(parse_object(b"{\"rate\":1e308}").is_ok());
+    }
 }

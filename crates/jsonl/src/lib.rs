@@ -11,7 +11,10 @@
 //!
 //! * [`Scanner`] — a recursive-descent cursor over one line: whitespace
 //!   skipping, token expectation, and number / boolean / string parsing
-//!   (including escape sequences).
+//!   (including escape sequences).  A token's end is found by one search
+//!   over the rest of the line and the token is a slice of the `&str` the
+//!   scanner was handed, so `str::parse` is the only other reader of its
+//!   bytes; a number `f64` cannot hold is an error, never an infinity.
 //! * [`escape_into`] / [`push_json_string`] — the serialization-side string
 //!   escaping the scanner undoes.
 //! * [`JsonError`] — a parse failure with line and byte-offset context.
@@ -128,6 +131,11 @@ pub fn parse_lines<T>(
 /// schema); the scanner owns the token-level work every codec shares.
 #[derive(Debug)]
 pub struct Scanner<'a> {
+    /// The line, and the same line as bytes.  A token is *found* in `bytes`
+    /// and *returned* as a slice of `text`: every token starts and ends
+    /// next to an ASCII byte, so the slice cannot split a character and
+    /// nothing is validated as UTF-8 a second time.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -136,6 +144,7 @@ impl<'a> Scanner<'a> {
     /// Starts a scanner at the beginning of `line`.
     pub fn new(line: &'a str) -> Self {
         Scanner {
+            text: line,
             bytes: line.as_bytes(),
             pos: 0,
         }
@@ -198,50 +207,68 @@ impl<'a> Scanner<'a> {
         }
     }
 
+    /// The bytes from the cursor on (none once `bump` has passed the end).
+    fn rest(&self) -> &'a [u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
     /// Parses an unsigned decimal integer.
     pub fn parse_u64(&mut self) -> Result<u64, JsonError> {
         self.skip_ws();
         let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        let rest = self.rest();
+        self.pos += rest
+            .iter()
+            .position(|b| !b.is_ascii_digit())
+            .unwrap_or(rest.len());
         if self.pos == start {
             return Err(JsonError::at(start, "expected an unsigned integer"));
         }
-        let digits = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let digits = &self.text[start..self.pos];
         digits
             .parse::<u64>()
             .map_err(|_| JsonError::at(start, format!("integer out of range: {digits}")))
     }
 
     /// Parses a JSON number as `f64` (sign, fraction, and exponent forms).
+    /// A number `f64` cannot hold (`1e999`) is refused, not read as
+    /// infinity: [`push_f64`] never writes one.
     pub fn parse_f64(&mut self) -> Result<f64, JsonError> {
         self.skip_ws();
         let start = self.pos;
-        if matches!(self.peek(), Some(b'-' | b'+')) {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E')) {
-            self.pos += 1;
-            // An exponent may carry its own sign.
-            if matches!(self.bytes.get(self.pos - 1), Some(b'e' | b'E'))
-                && matches!(self.peek(), Some(b'-' | b'+'))
-            {
-                self.pos += 1;
+        let rest = self.rest();
+        // The token's end in one search over the rest of the line, entered
+        // again only past the sign an exponent may carry.
+        let mut len = usize::from(matches!(rest.first(), Some(b'-' | b'+')));
+        loop {
+            len += rest[len..]
+                .iter()
+                .position(|b| !matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E'))
+                .unwrap_or(rest.len() - len);
+            let signed_exponent = len > 0
+                && matches!(rest[len - 1], b'e' | b'E')
+                && matches!(rest.get(len), Some(b'-' | b'+'));
+            if !signed_exponent {
+                break;
             }
+            len += 1;
         }
-        if self.pos == start {
+        if len == 0 {
             return Err(JsonError::at(start, "expected a number"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        text.parse::<f64>()
-            .map_err(|_| JsonError::at(start, format!("invalid number: {text}")))
+        self.pos += len;
+        let text = &self.text[start..self.pos];
+        match text.parse::<f64>() {
+            Ok(value) if value.is_finite() => Ok(value),
+            Ok(_) => Err(JsonError::at(start, format!("number out of range: {text}"))),
+            Err(_) => Err(JsonError::at(start, format!("invalid number: {text}"))),
+        }
     }
 
     /// Parses `true` or `false`.
     pub fn parse_bool(&mut self) -> Result<bool, JsonError> {
         self.skip_ws();
-        let rest = &self.bytes[self.pos.min(self.bytes.len())..];
+        let rest = self.rest();
         if rest.starts_with(b"true") {
             self.pos += 4;
             Ok(true)
@@ -259,27 +286,31 @@ impl<'a> Scanner<'a> {
     pub fn parse_string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
         let start = self.pos;
-        // Fast path: scan for the closing quote; fall back to owned
-        // unescaping the moment a backslash appears.
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| JsonError::at(start, "string is not valid UTF-8"))?;
-                    self.pos += 1;
-                    return Ok(Cow::Borrowed(s));
-                }
-                Some(b'\\') => return self.parse_string_escaped(start).map(Cow::Owned),
-                Some(_) => self.pos += 1,
-                None => return Err(JsonError::at(self.pos, "unterminated string")),
+        // Fast path: one search for the closing quote; fall back to owned
+        // unescaping when a backslash comes first.
+        self.skip_plain();
+        match self.peek() {
+            Some(b'"') => {
+                self.pos += 1;
+                Ok(Cow::Borrowed(&self.text[start..self.pos - 1]))
             }
+            Some(_) => self.parse_string_escaped(start).map(Cow::Owned),
+            None => Err(JsonError::at(self.pos, "unterminated string")),
         }
     }
 
+    /// Moves to the next quote or backslash (or the end of the line).
+    fn skip_plain(&mut self) {
+        let rest = self.rest();
+        self.pos += rest
+            .iter()
+            .position(|b| matches!(b, b'"' | b'\\'))
+            .unwrap_or(rest.len());
+    }
+
+    /// The cursor is on the first backslash of a string begun at `start`.
     fn parse_string_escaped(&mut self, start: usize) -> Result<String, JsonError> {
-        let prefix = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::at(start, "string is not valid UTF-8"))?;
-        let mut out = String::from(prefix);
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
             match self.peek() {
                 Some(b'"') => {
@@ -313,15 +344,11 @@ impl<'a> Scanner<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences are copied verbatim.
-                    let seq_start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| (b & 0xC0) == 0x80) {
-                        self.pos += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[seq_start..self.pos])
-                        .map_err(|_| JsonError::at(seq_start, "string is not valid UTF-8"))?;
-                    out.push_str(s);
+                    // Everything up to the next quote or backslash is
+                    // copied verbatim, multi-byte characters included.
+                    let plain = self.pos;
+                    self.skip_plain();
+                    out.push_str(&self.text[plain..self.pos]);
                 }
                 None => return Err(JsonError::at(self.pos, "unterminated string")),
             }
@@ -418,5 +445,206 @@ mod tests {
         let mut s = Scanner::new("1 trailing");
         s.parse_u64().unwrap();
         assert!(s.finish().is_err());
+    }
+
+    #[test]
+    fn numbers_an_f64_cannot_hold_are_refused_at_the_token() {
+        for (line, at, token) in [("  1e999,", 2, "1e999"), ("[-1e999]", 1, "-1e999")] {
+            let mut s = Scanner::new(line);
+            s.bump();
+            let err = s.parse_f64().unwrap_err();
+            assert_eq!(err.offset, at);
+            assert_eq!(err.message, format!("number out of range: {token}"));
+        }
+        // The largest finite value and the smallest subnormal are numbers
+        // like any other.
+        let max = Scanner::new("1.7976931348623157e308").parse_f64();
+        assert_eq!(max, Ok(f64::MAX));
+        assert_eq!(Scanner::new("5e-324").parse_f64(), Ok(5e-324));
+    }
+
+    /// `parse_f64` as it delimited a number before the slice search — one
+    /// `peek` a byte, the token checked as UTF-8 a second time — kept as
+    /// the oracle the search is held to.
+    fn parse_f64_per_byte(s: &mut Scanner<'_>) -> Result<f64, JsonError> {
+        s.skip_ws();
+        let start = s.pos;
+        if matches!(s.peek(), Some(b'-' | b'+')) {
+            s.pos += 1;
+        }
+        while matches!(s.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E')) {
+            s.pos += 1;
+            // An exponent may carry its own sign.
+            if matches!(s.bytes.get(s.pos - 1), Some(b'e' | b'E'))
+                && matches!(s.peek(), Some(b'-' | b'+'))
+            {
+                s.pos += 1;
+            }
+        }
+        if s.pos == start {
+            return Err(JsonError::at(start, "expected a number"));
+        }
+        let text = std::str::from_utf8(&s.bytes[start..s.pos]).expect("ascii number");
+        match text.parse::<f64>() {
+            Ok(value) if value.is_finite() => Ok(value),
+            Ok(_) => Err(JsonError::at(start, format!("number out of range: {text}"))),
+            Err(_) => Err(JsonError::at(start, format!("invalid number: {text}"))),
+        }
+    }
+
+    /// From every offset of `line` (and one past its end) the search and
+    /// the oracle return the same thing and leave the cursor in the same
+    /// place.
+    fn assert_delimiters_agree(line: &str) {
+        for bumps in 0..=line.len() + 1 {
+            let (mut searched, mut stepped) = (Scanner::new(line), Scanner::new(line));
+            for _ in 0..bumps {
+                searched.bump();
+                stepped.bump();
+            }
+            let found = searched.parse_f64().map(f64::to_bits);
+            let expected = parse_f64_per_byte(&mut stepped).map(f64::to_bits);
+            assert_eq!(found, expected, "{line:?} from byte {bumps}");
+            assert_eq!(searched.pos(), stepped.pos(), "{line:?} from byte {bumps}");
+        }
+    }
+
+    #[test]
+    fn the_number_search_delimits_what_the_per_byte_loop_did() {
+        let tokens = [
+            "",
+            "-",
+            "+",
+            "+.5",
+            "1.",
+            "1e",
+            "1e+",
+            "1e+5",
+            "1E-5x",
+            "1.2.3",
+            "--5",
+            "1-2",
+            "e5",
+            "e+5",
+            "-e-",
+            "1e+e-5",
+            "1e++5",
+            "-0.0",
+            "1e999",
+            "-1e999",
+            "1e-999",
+            "12345678901234567890",
+            "0.30000000000000004",
+            "8.034562879203127",
+        ];
+        for token in tokens {
+            // Alone (so ending the line), after blanks, before each thing a
+            // record puts after a number, and next to multi-byte characters.
+            for line in [
+                token.to_string(),
+                format!(" \t{token}"),
+                format!("{token},1.5]"),
+                format!("{token} ,"),
+                format!("[{token}]}}"),
+                format!("{token}é"),
+                format!("é{token}日"),
+            ] {
+                assert_delimiters_agree(&line);
+            }
+        }
+    }
+
+    /// What a number is made of, and what ends one.
+    const NUMBER_ALPHABET: &str = "0123456789.eE+- ,]}xé";
+    /// What a line is made of: whole and broken escapes, characters of
+    /// every width, the other tokens and what stands between them.
+    const LINE_PIECES: [&str; 30] = [
+        "\"", "\"", "\\\"", "\\\\", "\\n", "\\u00e9", "\\u12", "\\ud800", "\\q", "\\", "é", "日",
+        "😀", "true", "false", "tru", "12.5", "-1e+5", "1e999", "{", "}", "[", "]", ":", ",", " ",
+        "\t", "\r", "x", "0",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn the_number_search_agrees_with_the_loop_on_arbitrary_strings(
+            picks in proptest::prop::collection::vec(0usize..NUMBER_ALPHABET.chars().count(), 0..25),
+        ) {
+            let alphabet: Vec<char> = NUMBER_ALPHABET.chars().collect();
+            let line: String = picks.iter().map(|&pick| alphabet[pick]).collect();
+            assert_delimiters_agree(&line);
+        }
+
+        /// Whatever the line, and wherever `bump` has left the cursor —
+        /// inside a character, past the end — every method returns.
+        #[test]
+        fn no_scanner_method_panics_on_any_line_from_any_offset(
+            picks in proptest::prop::collection::vec(0usize..LINE_PIECES.len(), 0..25),
+        ) {
+            let line: String = picks.iter().map(|&pick| LINE_PIECES[pick]).collect();
+            for bumps in 0..=line.len() + 2 {
+                let at = || {
+                    let mut s = Scanner::new(&line);
+                    (0..bumps).for_each(|_| s.bump());
+                    s
+                };
+                let _ = (at().pos(), at().at_end(), at().peek(), at().skip_ws());
+                let _ = (at().expect(b'"'), at().expect(b'{'), at().finish());
+                let _ = (at().parse_u64(), at().parse_f64(), at().parse_bool());
+                // A string that was read ends at a quote, and a borrowed one
+                // is the bytes in front of that quote.
+                let mut s = at();
+                if let Ok(read) = s.parse_string() {
+                    let quote = s.pos() - 1;
+                    assert_eq!(line.as_bytes()[quote], b'"', "{line:?} from byte {bumps}");
+                    if let Cow::Borrowed(read) = read {
+                        assert_eq!(read, &line[quote - read.len()..quote]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_finite_f64_reads_back_bit_for_bit() {
+        let round_trip = |value: f64, out: &mut String| {
+            out.clear();
+            push_f64(out, value);
+            let mut s = Scanner::new(out);
+            let back = s.parse_f64().map(f64::to_bits);
+            assert_eq!(back, Ok(value.to_bits()), "{out}");
+            assert!(s.at_end(), "{out}");
+        };
+        let mut out = String::new();
+        for value in [
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            -0.0,
+            0.1 + 0.2,
+        ] {
+            round_trip(value, &mut out);
+        }
+        // Seeded draws over every bit pattern, and as many in the shape the
+        // snapshot log holds: a symptom jittered to 16 or 17 digits.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut finite = 0;
+        for _ in 0..1_000_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let drawn = f64::from_bits(state);
+            if drawn.is_finite() {
+                finite += 1;
+                round_trip(drawn, &mut out);
+            }
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+            round_trip(97.3 * (1.0 + (unit - 0.5) * 0.02), &mut out);
+        }
+        assert!(finite > 990_000, "{finite} of the draws were finite");
     }
 }
