@@ -223,6 +223,13 @@ pub fn target_for_fix(kind: FixKind, schema: &Schema, sample: &Sample) -> FixAct
 /// The diagnosis engines a signature-less healer consults (Section 5.1):
 /// the anomaly detector, the bottleneck analyzer and the manual rule base,
 /// evaluated over one shared metric history.
+///
+/// The history holds the most any engine reads — the largest of their
+/// `history()`, 35 samples for the standard windows — and no more: every
+/// engine reads only the latest rows, so a longer store would answer the
+/// same (`crates/diagnosis/tests/history.rs` holds each engine to a
+/// 4 096-row store).  The engines are private to the panel, so their
+/// windows cannot change after the store is sized.
 #[derive(Debug)]
 pub(crate) struct DiagnosisPanel {
     series: SeriesStore,
@@ -234,12 +241,21 @@ pub(crate) struct DiagnosisPanel {
 
 impl DiagnosisPanel {
     pub(crate) fn new(schema: &Schema, targets: SloTargets) -> Self {
+        let (anomaly, bottleneck, manual) = (
+            AnomalyDetector::standard(),
+            BottleneckAnalyzer::standard(),
+            ManualRuleBase::standard(),
+        );
+        let history = anomaly
+            .history()
+            .max(bottleneck.history())
+            .max(manual.history());
         DiagnosisPanel {
-            series: SeriesStore::new(schema.clone(), 4096),
+            series: SeriesStore::new(schema.clone(), history),
             ctx: DiagnosisContext::from_schema(schema, targets),
-            anomaly: AnomalyDetector::standard(),
-            bottleneck: BottleneckAnalyzer::standard(),
-            manual: ManualRuleBase::standard(),
+            anomaly,
+            bottleneck,
+            manual,
         }
     }
 
@@ -291,10 +307,25 @@ impl DiagnosisEngine {
             DiagnosisEngine::Bottleneck(_) => "bottleneck_analysis",
         }
     }
+
+    /// How many of the latest samples the engine's `diagnose` reads.
+    fn history(&self) -> usize {
+        match self {
+            DiagnosisEngine::Manual(e) => e.history(),
+            DiagnosisEngine::Anomaly(e) => e.history(),
+            DiagnosisEngine::Correlation(e) => e.history(),
+            DiagnosisEngine::Bottleneck(e) => e.history(),
+        }
+    }
 }
 
 /// A healer that drives the service with one diagnosis-based engine (or the
 /// manual rule base).
+///
+/// Its metric history holds the engine's `history()` samples and no more
+/// (the correlation analyzer's own observation window is separate).  The
+/// engine is private to the healer once built, so its windows cannot change
+/// after the store is sized.
 #[derive(Debug)]
 pub struct DiagnosisHealer {
     engine: DiagnosisEngine,
@@ -317,8 +348,8 @@ impl DiagnosisHealer {
         let ctx = DiagnosisContext::from_schema(schema, targets);
         let name = engine.label();
         DiagnosisHealer {
+            series: SeriesStore::new(schema.clone(), engine.history().max(1)),
             engine,
-            series: SeriesStore::new(schema.clone(), 4096),
             ctx,
             tracker: EpisodeTracker::new(3, 25),
             name,

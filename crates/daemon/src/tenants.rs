@@ -20,7 +20,9 @@
 //! * tenant `scout` logs to the sibling `synopsis.scout.jsonl`;
 //! * the tenant *set* is persisted to `synopsis.tenants.jsonl` — one JSON
 //!   line per non-default tenant — rewritten on every `TENANT CREATE`/
-//!   `DROP`.  A relaunch replays the manifest first, recreating each
+//!   `DROP` into `synopsis.tenants.jsonl.tmp`, which is then renamed over
+//!   it, so a crash mid-write leaves the previous manifest whole.  A
+//!   relaunch replays the manifest first, recreating each
 //!   tenant, whose own constructor then replays its per-tenant log.  A
 //!   `kill -9` therefore restores every tenant's synopsis, not just the
 //!   default fleet's.
@@ -312,7 +314,13 @@ impl TenantRegistry {
             out.push_str(if tenant.shared_pool { "true" } else { "false" });
             out.push_str("}\n");
         }
-        fs::write(path, out)
+        // Written beside the manifest, then renamed over it: a crash leaves
+        // either the old manifest or the new one, never a torn line that
+        // the next launch would refuse.
+        let mut temp = path.clone().into_os_string();
+        temp.push(".tmp");
+        fs::write(&temp, out)?;
+        fs::rename(&temp, &path)
     }
 
     fn restore_manifest(&mut self) -> Result<(), String> {

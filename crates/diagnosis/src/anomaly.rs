@@ -8,6 +8,10 @@
 //! a significant deviation implicates an EJB and recommends a microreboot.
 //! Database and tier metrics are checked with z-scores against the baseline
 //! and mapped to the corresponding Table 1 fixes.
+//!
+//! [`AnomalyDetector::history`] is `Nb + Nc`: the two windows together are
+//! every sample the detector reads, so a store of that many rows answers as
+//! a longer one does, and one row fewer yields no window pair at all.
 
 use crate::context::DiagnosisContext;
 use crate::report::{
@@ -59,8 +63,9 @@ impl AnomalyDetector {
         }
     }
 
-    /// Minimum history (samples) needed before the detector can run.
-    pub fn required_history(&self) -> usize {
+    /// How many of the latest samples [`diagnose`](Self::diagnose) reads,
+    /// and the least it needs before it can run: `Nb + Nc`.
+    pub fn history(&self) -> usize {
         self.nb + self.nc
     }
 
@@ -278,7 +283,7 @@ mod tests {
         let store = store_with_baseline(&schema, 10);
         let detector = AnomalyDetector::new(60, 6);
         assert!(detector.diagnose(&store, &ctx(&schema)).is_empty());
-        assert_eq!(detector.required_history(), 66);
+        assert_eq!(detector.history(), 66);
     }
 
     #[test]

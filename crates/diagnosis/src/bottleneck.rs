@@ -12,6 +12,9 @@
 //! to distinguish capacity exhaustion from buffer starvation, lock
 //! contention, and bad plans — the Oracle ADDM-style refinement the paper
 //! cites as \[12\] (Example 4).
+//!
+//! [`BottleneckAnalyzer::history`] is the averaging window: the analyzer
+//! reads the latest `window` samples and nothing older.
 
 use crate::context::DiagnosisContext;
 use crate::report::{busiest_component, rank, Diagnosis, DiagnosisMethod};
@@ -35,6 +38,11 @@ impl BottleneckAnalyzer {
             window: 10,
             saturation_threshold: 0.85,
         }
+    }
+
+    /// How many of the latest samples [`diagnose`](Self::diagnose) reads.
+    pub fn history(&self) -> usize {
+        self.window
     }
 
     /// Diagnoses the current state, returning ranked recommendations (empty

@@ -13,6 +13,10 @@
 //! returns low-confidence or empty recommendations ("correlation-analysis
 //! may fail to find fixes for failures not seen previously and for failures
 //! that occur rarely").
+//!
+//! The analyzer keeps its own `(sample, violated)` history; of the
+//! [`SeriesStore`] it reads only the latest [`CorrelationAnalyzer::history`]
+//! samples, the current window it picks component targets from.
 
 use crate::context::DiagnosisContext;
 use crate::report::{
@@ -23,6 +27,9 @@ use selfheal_faults::{FaultTarget, FixAction, FixKind};
 use selfheal_learn::stats::point_biserial;
 use selfheal_telemetry::{MetricId, Sample, SeriesStore, Window, WindowSpec};
 use std::collections::VecDeque;
+
+/// Samples in the current window a database fix picks its table from.
+const CURRENT_WINDOW: usize = 8;
 
 /// Correlation-based fix recommender.
 #[derive(Debug, Clone)]
@@ -72,6 +79,13 @@ impl CorrelationAnalyzer {
         self.history.len()
     }
 
+    /// How many of the latest samples of the series
+    /// [`diagnose`](Self::diagnose) reads (its own observation history
+    /// aside).
+    pub fn history(&self) -> usize {
+        CURRENT_WINDOW
+    }
+
     /// Records one observation: the sample and whether the service was in
     /// confirmed SLO violation at that time (the failure indicator Y).
     pub fn observe(&mut self, sample: &Sample, violated: bool) {
@@ -95,7 +109,7 @@ impl CorrelationAnalyzer {
         }
 
         let current = series
-            .window(WindowSpec::latest(series.len().min(8)))
+            .window(WindowSpec::latest(series.len().min(CURRENT_WINDOW)))
             .unwrap_or_else(|| Window::from_samples(series.schema().clone(), &[]));
 
         let mut scored: Vec<(MetricId, f64)> = self

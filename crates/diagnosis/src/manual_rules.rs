@@ -10,6 +10,10 @@
 //! coverage is partial (failures the experts did not anticipate fall through
 //! to the coarse-grained catch-all rule "do a full service restart if any
 //! failure is observed"), and the rules never adapt.
+//!
+//! [`ManualRuleBase::history`] is the rule window: every condition is
+//! evaluated over the latest `window` samples (fewer while the history is
+//! shorter), never over older ones.
 
 use crate::context::DiagnosisContext;
 use crate::report::{Diagnosis, DiagnosisMethod};
@@ -104,6 +108,11 @@ impl ManualRuleBase {
             rules,
             catch_all_restart: true,
         }
+    }
+
+    /// How many of the latest samples [`diagnose`](Self::diagnose) reads.
+    pub fn history(&self) -> usize {
+        self.window
     }
 
     /// Number of specific (non-catch-all) rules.

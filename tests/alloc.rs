@@ -80,26 +80,37 @@ fn a_tick_allocates_the_same_for_ten_requests_as_for_two_hundred() {
     assert_eq!(for_ten, for_two_hundred);
     assert_eq!(for_ten, 1, "the sample's row is the only allocation");
 
-    // FixSym over a private learner under the default Poisson-40 workload,
-    // stepped until the baseline is frozen and the series ring is full.
-    let mut runner = FleetConfig::builder()
-        .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-        .series_capacity(512)
-        .build()
-        .replica_runner(0, None);
-    for _ in 0..600 {
-        runner.step();
+    // FixSym, then the hybrid, over a private learner under the default
+    // Poisson-40 workload, stepped until the baseline is frozen and the
+    // series rings are full: the runner's, and the hybrid's diagnosis
+    // history, which holds only the samples its engines read.
+    for policy in [
+        PolicyChoice::FixSym(SynopsisKind::NearestNeighbor),
+        PolicyChoice::Hybrid(SynopsisKind::NearestNeighbor),
+    ] {
+        let label = policy.label();
+        let mut runner = FleetConfig::builder()
+            .policy(policy)
+            .series_capacity(512)
+            .build()
+            .replica_runner(0, None);
+        for _ in 0..600 {
+            runner.step();
+        }
+        let per_step: Vec<u64> = (0..200)
+            .map(|_| allocations_in(|| runner.step()).0)
+            .collect();
+        println!("ScenarioRunner::step ({label}): {per_step:?}");
+        // Poisson bursts open a short SLO episode every few dozen ticks; the
+        // steps in which the healer opens, works on or closes one do its
+        // bookkeeping on top and are not the steady state.
+        let steady = per_step
+            .iter()
+            .filter(|count| **count <= STEP_ALLOCATIONS)
+            .count();
+        assert!(
+            steady >= 180,
+            "{label}: only {steady} of 200 steps stayed in bounds"
+        );
     }
-    let per_step: Vec<u64> = (0..200)
-        .map(|_| allocations_in(|| runner.step()).0)
-        .collect();
-    println!("ScenarioRunner::step: {per_step:?}");
-    // Poisson bursts open a short SLO episode every few dozen ticks; the
-    // steps in which the healer opens, works on or closes one do its
-    // bookkeeping on top and are not the steady state.
-    let steady = per_step
-        .iter()
-        .filter(|count| **count <= STEP_ALLOCATIONS)
-        .count();
-    assert!(steady >= 180, "only {steady} of 200 steps stayed in bounds");
 }

@@ -5,12 +5,14 @@
 //! for as long as it lives.  An episode must therefore hold a count of the
 //! faults active at detection, not a copy of the set, and a synopsis the
 //! most recent failed examples, not all of them — or memory grows with
-//! simulated time squared.  This file holds one test, so no other test
-//! thread allocates while it measures.
+//! simulated time squared.  A hybrid healer, likewise, keeps the metric
+//! history its diagnosis engines read and no more.  This file holds one
+//! test, so no other test thread allocates while it measures.
 
 use selfheal::daemon::{DaemonConfig, Supervisor};
 use selfheal::faults::{FaultId, FaultKind, FaultSpec, FaultTarget, InjectionPlan};
-use selfheal::sim::scenario::{NoHealing, ScenarioRunner};
+use selfheal::healing::{HybridHealer, SynopsisKind};
+use selfheal::sim::scenario::{Healer, NoHealing, ScenarioRunner};
 use selfheal::sim::{MultiTierService, ServiceConfig};
 use selfheal::workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -85,6 +87,41 @@ fn bytes_held_by_opening_an_episode(inert: u64) -> isize {
     panic!("a 95 % database bottleneck opened no episode in 200 ticks");
 }
 
+/// Live bytes a hybrid healer on `rubis_default` holds after observing 100
+/// ticks and after 5 000: what its own `observe` calls allocated and did
+/// not free, the service and workload around it left out.
+fn bytes_held_by_a_hybrid_healer() -> (isize, isize) {
+    let config = ServiceConfig::rubis_default();
+    let mut service = MultiTierService::new(config.clone());
+    let mut workload = TraceGenerator::new(
+        WorkloadMix::bidding(),
+        ArrivalProcess::Constant { rate: 40.0 },
+        11,
+    );
+    let mut healer = HybridHealer::new(
+        service.schema(),
+        SynopsisKind::NearestNeighbor,
+        config.slo_targets(),
+    );
+    let (mut held, mut at_100) = (0, 0);
+    for tick in 1..=5_000 {
+        let outcome = service.tick(&workload.tick(service.current_tick()));
+        let before = live_bytes();
+        drop(healer.observe(&outcome));
+        held += live_bytes() - before;
+        if tick == 100 {
+            at_100 = held;
+        }
+    }
+    (at_100, held)
+}
+
+/// Most a hybrid healer's live heap may grow from its 100th observation to
+/// its 5 000th.  Its diagnosis history holds the 35 samples its engines
+/// read, full long before the 100th; a 4 096-row history grew by about a
+/// megabyte over the same stretch.
+const HYBRID_GROWTH_CEILING_BYTES: isize = 64 * 1024;
+
 /// Most the default tenant's live heap may grow over epochs 3 000 to 6 000.
 /// What still grows is linear and small: one `FailureEpisode` per episode
 /// (≈ 200 of them) and one `ActiveFault` per fault the healer is behind by
@@ -100,6 +137,16 @@ fn a_tenant_does_not_remember_more_the_longer_it_lives() {
     let many = bytes_held_by_opening_an_episode(1_000);
     println!("opening an episode holds {few} bytes beside 10 faults, {many} beside 1 000");
     assert_eq!(few, many);
+
+    // A healer holds the history it reads, however long it observes.
+    let (at_100, at_5000) = bytes_held_by_a_hybrid_healer();
+    let growth = at_5000 - at_100;
+    println!("hybrid healer on rubis_default holds {at_100} bytes at tick 100, {at_5000} at 5 000");
+    assert!(
+        growth < HYBRID_GROWTH_CEILING_BYTES,
+        "a hybrid healer grew {growth} bytes from tick 100 to 5 000 \
+         (ceiling {HYBRID_GROWTH_CEILING_BYTES})"
+    );
 
     let mut supervisor = Supervisor::new(DaemonConfig::default()).expect("default config");
     for _ in 0..2 {

@@ -1,11 +1,13 @@
 //! Property-based tests over cross-crate invariants.
 
 use proptest::prelude::*;
+use selfheal::daemon::{parse_command, render_command};
 use selfheal::faults::injection::default_target;
 use selfheal::faults::{
     FaultId, FaultKind, FaultSource, FaultSpec, FixAction, FixCatalog, FixKind, MixSource,
     ServiceProfile,
 };
+use selfheal::gateway::http::{read_request, MAX_BODY_BYTES};
 use selfheal::healing::snapshot::SynopsisSnapshot;
 use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::learn::{Classifier, Dataset, Example, NearestNeighbor};
@@ -219,5 +221,95 @@ proptest! {
         let mut sorted = ticks.clone();
         sorted.sort_unstable();
         prop_assert_eq!(ticks, sorted);
+    }
+}
+
+/// A header line longer than half the header budget.
+const LONG_HEADER: [u8; 5_000] = [b'h'; 5_000];
+
+/// What a request head is made of, whole and broken: request-line words,
+/// both line endings and stray ones, the headers the reader acts on with
+/// sane and hostile values, bytes that are not UTF-8.
+#[rustfmt::skip]
+const HTTP_PIECES: [&[u8]; 41] = [
+    b"GET", b"POST", b"delete", b" ", b"\t", b"/v1/status", b"/v1/tenants?pool=1", b"*",
+    b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2", b"\r\n", b"\n", b"\r", b"\r\n\r\n", b"\n\n",
+    b"Content-Length: ", b"content-length:", b"0", b"5", b"-1", b"+5", b"65536", b"65537",
+    b"18446744073709551616", b"99999999999999999999999999999", b"Transfer-Encoding: chunked",
+    b"Connection: close", b"Authorization: Bearer t", b":", b"x", b"{\"a\":1}", b"\xff", b"\xc3",
+    b"\xe6\x97\xa5", b"\0", b"\r\n\r\nbody", b"Host: a\r\n", b"GET / HTTP/1.1\r\n",
+    b"Content-Length: 3\r\n\r\nab", &LONG_HEADER,
+];
+
+/// What a control line is made of: every command word in both cases, the
+/// two-word heads whole, `@` scopes, Unicode blanks, arguments of every
+/// shape.  `#` stands for a run of digits of the case's chosen length.
+#[rustfmt::skip]
+const COMMAND_PIECES: [&str; 59] = [
+    "STATUS", "status", "REPLICAS", "ADD", "REMOVE", "RECONFIGURE", "QUERY", "FIXES", "fixes",
+    "EPISODES", "OPEN", "SNAPSHOT", "DRAIN", "METRICS", "TENANT", "CREATE", "DROP", "LIST", "pool",
+    "SHUTDOWN", "QUERY FIXES", "@scout query fixes", "TENANT CREATE", "TENANT DROP",
+    "TENANT LIST", "EPISODES OPEN", "RECONFIGURE 1", "@", "@scout", "@@", " ", "\t", "\n",
+    "\u{a0}", "\u{3000}", "1", "0", "-1", "+3", "18446744073709551616", "1e308", "1e999", "-0",
+    "nan", "NaN", "inf", "-infinity", ",", "=", "fault_rate=0.1", "/tmp/x.jsonl", "é", "日",
+    "scout", "#", "#.#", "-#e-#", "#,#", "0x#",
+];
+
+/// What goes between two pieces of a control line.
+const COMMAND_GLUE: [&str; 3] = ["", " ", " \t "];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// Whatever bytes arrive, `read_request` answers — a request, a clean
+    /// end, or an error — and never panics.  A request it accepts is
+    /// well-formed and within its caps, and each one consumes bytes, so a
+    /// keep-alive stream of them always moves forward.  Half the heads
+    /// start with a good request line, so the header and body paths see
+    /// traffic too.
+    #[test]
+    fn read_request_answers_any_bytes_without_panicking(
+        request_line in 0usize..2,
+        picks in prop::collection::vec(0usize..HTTP_PIECES.len(), 0..30),
+        raw in prop::collection::vec(0u32..256, 0..48),
+    ) {
+        let mut pieces = [&b""[..], b"POST /v1/replicas HTTP/1.1\r\n"][request_line].to_vec();
+        pieces.extend(picks.iter().flat_map(|&pick| HTTP_PIECES[pick]));
+        let raw: Vec<u8> = raw.into_iter().map(|byte| byte as u8).collect();
+        for input in [pieces.clone(), raw.clone(), [pieces, raw].concat()] {
+            let mut reader = std::io::Cursor::new(input);
+            let mut at = 0;
+            while let Ok(Some(request)) = read_request(&mut reader) {
+                prop_assert!(reader.position() > at, "a request that read nothing");
+                at = reader.position();
+                prop_assert!(request.path.starts_with('/'));
+                prop_assert!(request.body.len() <= MAX_BODY_BYTES);
+                prop_assert_eq!(request.method.to_ascii_uppercase(), request.method.clone());
+            }
+        }
+    }
+
+    /// Whatever the line, `parse_command` answers without panicking, and
+    /// every command it accepts renders to a line that parses back to the
+    /// same command.
+    #[test]
+    fn parse_command_answers_any_line_and_round_trips_what_it_accepts(
+        picks in prop::collection::vec(0usize..COMMAND_PIECES.len(), 0..6),
+        glue in 0usize..COMMAND_GLUE.len(),
+        digits in 1usize..400,
+    ) {
+        let line = picks
+            .iter()
+            .map(|&pick| COMMAND_PIECES[pick])
+            .collect::<Vec<_>>()
+            .join(COMMAND_GLUE[glue])
+            .replace('#', &"7".repeat(digits));
+        if let Ok(command) = parse_command(&line) {
+            let rendered = render_command(&command);
+            let back = parse_command(&rendered)
+                .unwrap_or_else(|err| panic!("{rendered:?} (from {line:?}) does not parse: {err}"));
+            // Compared through `Debug`, where a NaN component equals itself.
+            prop_assert_eq!(format!("{back:?}"), format!("{command:?}"), "{:?}", line);
+        }
     }
 }

@@ -281,3 +281,44 @@ fn tenant_set_survives_kill_dash_nine_over_the_line_protocol() {
     assert!(bye.ends_with("OK\n"), "shutdown accepted: {bye}");
     life_two.join().unwrap().unwrap();
 }
+
+/// The manifest is replaced whole or not at all: it is written to a
+/// sibling temp file and renamed over.  With a directory squatting on that
+/// temp path the write fails, the command answers `ERR`, and the manifest
+/// on disk is the previous one byte for byte — where an in-place rewrite
+/// would have truncated it first.
+#[test]
+fn a_failed_manifest_write_leaves_the_previous_manifest_whole() {
+    let scratch = Scratch::new("manifest");
+    let socket = scratch.path("control.sock");
+    let config = DaemonConfig {
+        store_path: Some(scratch.path("synopsis.jsonl")),
+        ..DaemonConfig::default()
+    };
+    let mut options = DaemonOptions::new(&socket);
+    options.replicas = 0;
+    let daemon = Daemon::launch(config, options).unwrap();
+    let daemon = thread::spawn(move || daemon.run());
+    wait_for(&socket, "STATUS", "the daemon socket", |reply| {
+        reply.ends_with("OK\n")
+    });
+
+    assert!(ctl(&socket, "TENANT CREATE scout pool").ends_with("OK\n"));
+    let manifest = scratch.path("synopsis.tenants.jsonl");
+    let before = std::fs::read(&manifest).expect("the manifest was written");
+    std::fs::create_dir(scratch.path("synopsis.tenants.jsonl.tmp")).unwrap();
+
+    let reply = ctl(&socket, "TENANT CREATE loner");
+    assert!(
+        reply.starts_with("ERR"),
+        "the manifest write failed: {reply}"
+    );
+    assert_eq!(
+        std::fs::read(&manifest).unwrap(),
+        before,
+        "the previous manifest is untouched"
+    );
+
+    assert!(ctl(&socket, "SHUTDOWN").ends_with("OK\n"));
+    daemon.join().unwrap().unwrap();
+}
