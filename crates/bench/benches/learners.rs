@@ -2,9 +2,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use selfheal_learn::{
-    AdaBoost, Classifier, Dataset, Example, GaussianNaiveBayes, KMeans, NearestNeighbor,
-};
+use selfheal_learn::{AdaBoost, Classifier, Dataset, Example, KMeans, NearestNeighbor};
 
 fn blobs(n: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -37,13 +35,6 @@ fn bench(c: &mut Criterion) {
     group.bench_function("kmeans_fit", |b| {
         b.iter(|| {
             let mut m = KMeans::new();
-            m.fit(&train);
-            m.predict(&probe)
-        })
-    });
-    group.bench_function("naive_bayes_fit", |b| {
-        b.iter(|| {
-            let mut m = GaussianNaiveBayes::new();
             m.fit(&train);
             m.predict(&probe)
         })

@@ -52,7 +52,7 @@ fn base_fleet(replicas: usize, seed: u64) -> FleetConfig {
 
 /// One scripted [`KIND`] injection on the database tier at `tick`.
 fn inject_at(tick: u64) -> InjectionPlan {
-    InjectionPlanBuilder::new(4, 3, 1)
+    InjectionPlanBuilder::new()
         .inject(tick, KIND, FaultTarget::DatabaseTier, 0.9)
         .build()
 }

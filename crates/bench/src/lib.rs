@@ -152,7 +152,7 @@ pub fn fig2_recovery_time(scale: ExperimentScale, seed: u64) -> ResultTable {
     let outcome = SelfHealingService::builder()
         .config(ServiceConfig::tiny())
         .injections(
-            InjectionPlanBuilder::new(4, 3, 1)
+            InjectionPlanBuilder::new()
                 .inject(
                     60,
                     FaultKind::BufferContention,
@@ -341,7 +341,7 @@ fn comparison_scenario(
     // A recurring-failure scenario: the same three Table 1 failure classes
     // strike repeatedly, spaced far enough apart for recovery in between.
     let spacing = (scale.comparison_ticks / 6).max(200);
-    let mut builder = InjectionPlanBuilder::new(config.ejb_count, config.table_count, 1);
+    let mut builder = InjectionPlanBuilder::new();
     let kinds = [
         FaultKind::BufferContention,
         FaultKind::UnhandledException,

@@ -11,7 +11,7 @@ use std::collections::HashSet;
 
 /// Configuration of the FixSym loop.
 #[derive(Debug, Clone, Copy)]
-pub struct FixSymConfig {
+pub(crate) struct FixSymConfig {
     /// Maximum fix attempts per failure before escalating (the THRESHOLD of
     /// Figure 3).
     pub threshold: u32,
@@ -72,7 +72,7 @@ impl FixSymEngine {
     }
 
     /// Creates an engine with an explicit configuration.
-    pub fn with_config(kind: SynopsisKind, config: FixSymConfig) -> Self {
+    pub(crate) fn with_config(kind: SynopsisKind, config: FixSymConfig) -> Self {
         FixSymEngine {
             synopsis: Synopsis::new(kind),
             config,
@@ -84,17 +84,6 @@ impl FixSymEngine {
     /// The synopsis (e.g. to measure accuracy or training cost).
     pub fn synopsis(&self) -> &Synopsis {
         &self.synopsis
-    }
-
-    /// Mutable access to the synopsis (e.g. to bootstrap it with
-    /// preproduction data).
-    pub fn synopsis_mut(&mut self) -> &mut Synopsis {
-        &mut self.synopsis
-    }
-
-    /// Number of failure episodes processed.
-    pub fn episodes(&self) -> u64 {
-        self.episodes
     }
 
     /// Number of episodes that ended in escalation.
@@ -256,7 +245,7 @@ impl<L: Learner> SignatureLoop<L> {
 /// [`Synopsis`]; a fleet passes a [`crate::store::SynopsisStore`] handle so
 /// every replica's healer learns from — and teaches — the same model.
 #[derive(Debug)]
-pub struct FixSymHealer<L: Learner = Synopsis> {
+pub(crate) struct FixSymHealer<L: Learner = Synopsis> {
     figure3: SignatureLoop<L>,
     config: FixSymConfig,
     schema: Schema,
@@ -264,40 +253,25 @@ pub struct FixSymHealer<L: Learner = Synopsis> {
 
 impl FixSymHealer {
     /// Creates a healer for a service with the given metric schema.
-    pub fn new(schema: &Schema, kind: SynopsisKind) -> Self {
+    pub(crate) fn new(schema: &Schema, kind: SynopsisKind) -> Self {
         Self::with_config(schema, kind, FixSymConfig::default())
     }
 
     /// Creates a healer with an explicit configuration.
-    pub fn with_config(schema: &Schema, kind: SynopsisKind, config: FixSymConfig) -> Self {
+    pub(crate) fn with_config(schema: &Schema, kind: SynopsisKind, config: FixSymConfig) -> Self {
         Self::with_learner(schema, Synopsis::new(kind), config)
-    }
-
-    /// The learned synopsis.
-    pub fn synopsis(&self) -> &Synopsis {
-        &self.figure3.synopsis
-    }
-
-    /// Mutable synopsis access (for preproduction bootstrapping).
-    pub fn synopsis_mut(&mut self) -> &mut Synopsis {
-        &mut self.figure3.synopsis
     }
 }
 
 impl<L: Learner> FixSymHealer<L> {
     /// Creates a healer around an existing learner (a fleet-shared synopsis
     /// handle, or a pre-bootstrapped private synopsis).
-    pub fn with_learner(schema: &Schema, learner: L, config: FixSymConfig) -> Self {
+    pub(crate) fn with_learner(schema: &Schema, learner: L, config: FixSymConfig) -> Self {
         FixSymHealer {
             figure3: SignatureLoop::new(schema, learner, config.threshold, config.verify_ticks),
             config,
             schema: schema.clone(),
         }
-    }
-
-    /// The learner backing this healer.
-    pub fn learner(&self) -> &L {
-        &self.figure3.synopsis
     }
 }
 
@@ -334,6 +308,13 @@ impl<L: Learner> Healer for FixSymHealer<L> {
 mod tests {
     use super::*;
     use selfheal_faults::{FaultKind, FixCatalog};
+
+    impl FixSymEngine {
+        /// Number of failure episodes processed.
+        pub(crate) fn episodes(&self) -> u64 {
+            self.episodes
+        }
+    }
 
     fn symptoms_for(kind: usize) -> Vec<f64> {
         match kind {

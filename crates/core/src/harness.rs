@@ -292,15 +292,6 @@ impl ReactiveChoice {
             until_tick,
         }
     }
-
-    /// Display label (used by bench output alongside the other choice
-    /// labels).
-    pub fn label(&self) -> String {
-        match self {
-            ReactiveChoice::Adversary { kind, .. } => format!("adversary_{}", kind.label()),
-            ReactiveChoice::Cascade { kind, .. } => format!("cascade_{}", kind.label()),
-        }
-    }
 }
 
 /// Which fault schedule drives the service — the fault-side mirror of
@@ -377,7 +368,7 @@ pub enum FaultChoice {
     },
     /// A live flaky operator: at each tick an operator action fires with
     /// probability `action_rate` and manifests as a fault per the
-    /// [`selfheal_faults::OperatorModel`]'s error rate — the Figure 1
+    /// `selfheal_faults::OperatorModel`'s error rate — the Figure 1
     /// operator-error demographics as an online [`FaultSource`] (see
     /// [`selfheal_faults::OperatorSource`]).
     Operator {
@@ -400,25 +391,6 @@ impl Default for FaultChoice {
 }
 
 impl FaultChoice {
-    /// Scripted-plan shorthand.
-    pub fn scripted(plan: InjectionPlan) -> Self {
-        FaultChoice::Scripted(plan)
-    }
-
-    /// Demographic-mix shorthand: unbounded window, the workspace's
-    /// default tiny topology (4 EJBs, 3 tables, 1 index).  Chain
-    /// [`FaultChoice::active_for`] to bound the window for finite runs.
-    pub fn mix(profile: ServiceProfile, rate: f64) -> Self {
-        FaultChoice::Mix {
-            profile,
-            rate,
-            active_ticks: u64::MAX,
-            ejbs: 4,
-            tables: 3,
-            indexes: 1,
-        }
-    }
-
     /// Demographic-mix shorthand with the target topology taken from a
     /// [`ServiceConfig`].
     pub fn mix_for(profile: ServiceProfile, rate: f64, config: &ServiceConfig) -> Self {
@@ -454,14 +426,6 @@ impl FaultChoice {
             ejbs: 4,
             tables: 3,
             indexes: 1,
-        }
-    }
-
-    /// Flaky-operator shorthand with an unbounded window.
-    pub fn operator(action_rate: f64) -> Self {
-        FaultChoice::Operator {
-            action_rate,
-            active_ticks: u64::MAX,
         }
     }
 
@@ -530,7 +494,7 @@ impl FaultChoice {
     }
 
     /// Bakes the choice into a single (replica-0) source.
-    pub fn build_source(&self, seed: u64) -> Box<dyn FaultSource> {
+    pub(crate) fn build_source(&self, seed: u64) -> Box<dyn FaultSource> {
         self.source_for_replica(seed, 0)
     }
 
@@ -614,7 +578,7 @@ impl FaultChoice {
 /// per replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LearnerChoice {
-    /// Every replica learns alone in its own [`PrivateStore`] (the paper's
+    /// Every replica learns alone in its own `PrivateStore` (the paper's
     /// single-instance setup).
     #[default]
     Private,
@@ -771,7 +735,7 @@ impl WorkloadChoice {
     }
 
     /// Burst-storm shorthand: storms correlated across replicas
-    /// (`phase_step = 0`); see [`WorkloadChoice::burst_staggered`].
+    /// (`phase_step = 0`); see `WorkloadChoice::burst_staggered`.
     pub fn burst(
         mix: WorkloadMix,
         base_rate: f64,
@@ -784,7 +748,7 @@ impl WorkloadChoice {
 
     /// Burst-storm shorthand with replica `i`'s storm schedule shifted by
     /// `i * phase_step` ticks.
-    pub fn burst_staggered(
+    pub(crate) fn burst_staggered(
         mix: WorkloadMix,
         base_rate: f64,
         burst_factor: f64,
@@ -855,7 +819,7 @@ impl WorkloadChoice {
     }
 
     /// Bakes the choice into a single (replica-0) source.
-    pub fn build_source(&self, seed: u64) -> Box<dyn TraceSource> {
+    pub(crate) fn build_source(&self, seed: u64) -> Box<dyn TraceSource> {
         self.source_for_replica(seed, 0)
     }
 }
@@ -946,21 +910,6 @@ impl SelfHealingService {
         self
     }
 
-    /// Chooses where learned synopsis state lives (ignored by policies with
-    /// nothing to learn).
-    pub fn learner(mut self, learner: LearnerChoice) -> Self {
-        self.learner = learner;
-        self
-    }
-
-    /// Warm-starts the learner from a saved snapshot: the store is restored
-    /// from the snapshot's experience before the first tick, so previously
-    /// healed failure signatures are fixed on the first attempt.
-    pub fn warm_start(mut self, snapshot: SynopsisSnapshot) -> Self {
-        self.warm_start = Some(snapshot);
-        self
-    }
-
     /// Sets the workload seed (ignored when a custom source was supplied
     /// via [`workload`](Self::workload)).
     pub fn seed(mut self, seed: u64) -> Self {
@@ -968,14 +917,9 @@ impl SelfHealingService {
         self
     }
 
-    /// The chosen policy.
-    pub fn policy_choice(&self) -> PolicyChoice {
-        self.policy
-    }
-
     /// Runs the scenario for `ticks` ticks.  A learning policy gets the
     /// store the builder's [`LearnerChoice`] names, restored from the
-    /// [`warm_start`](Self::warm_start) snapshot when one was given.
+    /// `warm_start` snapshot when one was given.
     pub fn run(self, ticks: u64) -> ScenarioOutcome {
         let workload = match self.workload {
             WorkloadSpec::Choice(choice) => choice.build_source(self.seed),
@@ -1023,6 +967,27 @@ mod tests {
     use super::*;
     use selfheal_faults::{FaultKind, FaultTarget, InjectionPlanBuilder};
 
+    impl FaultChoice {
+        /// Scripted-plan shorthand.
+        pub(crate) fn scripted(plan: InjectionPlan) -> Self {
+            FaultChoice::Scripted(plan)
+        }
+
+        /// Demographic-mix shorthand: unbounded window, the workspace's
+        /// default tiny topology (4 EJBs, 3 tables, 1 index).  Chain
+        /// [`FaultChoice::active_for`] to bound the window for finite runs.
+        pub(crate) fn mix(profile: ServiceProfile, rate: f64) -> Self {
+            FaultChoice::Mix {
+                profile,
+                rate,
+                active_ticks: u64::MAX,
+                ejbs: 4,
+                tables: 3,
+                indexes: 1,
+            }
+        }
+    }
+
     #[test]
     fn builder_defaults_run_cleanly() {
         let outcome = SelfHealingService::builder()
@@ -1035,7 +1000,7 @@ mod tests {
     #[test]
     fn hybrid_policy_beats_no_healing_on_an_injected_fault() {
         let config = ServiceConfig::tiny();
-        let plan = InjectionPlanBuilder::new(config.ejb_count, config.table_count, 1)
+        let plan = InjectionPlanBuilder::new()
             .inject(
                 40,
                 FaultKind::BufferContention,
@@ -1132,7 +1097,7 @@ mod tests {
         let labels: Vec<String> = [
             FaultChoice::default(),
             FaultChoice::scripted(
-                InjectionPlanBuilder::new(4, 3, 1)
+                InjectionPlanBuilder::new()
                     .inject_default(10, FaultKind::BufferContention)
                     .build(),
             ),

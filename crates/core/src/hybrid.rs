@@ -45,22 +45,12 @@ impl HybridHealer {
     pub fn new(schema: &Schema, kind: SynopsisKind, targets: SloTargets) -> Self {
         Self::with_learner(schema, Synopsis::new(kind), targets)
     }
-
-    /// The learned synopsis.
-    pub fn synopsis(&self) -> &Synopsis {
-        &self.figure3.synopsis
-    }
-
-    /// Mutable synopsis access (for preproduction bootstrapping).
-    pub fn synopsis_mut(&mut self) -> &mut Synopsis {
-        &mut self.figure3.synopsis
-    }
 }
 
 impl<L: Learner> HybridHealer<L> {
     /// Creates a hybrid healer around an existing learner (e.g. a
     /// fleet-shared synopsis handle).
-    pub fn with_learner(schema: &Schema, learner: L, targets: SloTargets) -> Self {
+    pub(crate) fn with_learner(schema: &Schema, learner: L, targets: SloTargets) -> Self {
         HybridHealer {
             figure3: SignatureLoop::new(schema, learner, 4, 25),
             panel: DiagnosisPanel::new(schema, targets),
@@ -69,17 +59,6 @@ impl<L: Learner> HybridHealer<L> {
             signature_decisions: 0,
             diagnosis_decisions: 0,
         }
-    }
-
-    /// The learner backing the signature path.
-    pub fn learner(&self) -> &L {
-        &self.figure3.synopsis
-    }
-
-    /// How many fixes were chosen by the signature path vs the diagnosis
-    /// fallback: `(signature, diagnosis)`.
-    pub fn decision_counts(&self) -> (u64, u64) {
-        (self.signature_decisions, self.diagnosis_decisions)
     }
 }
 
@@ -122,6 +101,21 @@ mod tests {
     use selfheal_faults::{FaultId, FaultKind, FaultSpec, FaultTarget};
     use selfheal_sim::{MultiTierService, ServiceConfig};
     use selfheal_workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
+
+    impl<L: Learner> HybridHealer<L> {
+        /// How many fixes were chosen by the signature path vs the diagnosis
+        /// fallback: `(signature, diagnosis)`.
+        pub(crate) fn decision_counts(&self) -> (u64, u64) {
+            (self.signature_decisions, self.diagnosis_decisions)
+        }
+    }
+
+    impl HybridHealer {
+        /// The learned synopsis.
+        pub(crate) fn synopsis(&self) -> &Synopsis {
+            &self.figure3.synopsis
+        }
+    }
 
     fn run(
         healer: &mut HybridHealer,

@@ -25,10 +25,10 @@
 //! with 60 weak learners) behind one interface and tracks the training cost
 //! needed for the Table 3 comparison.
 //!
-//! The crate also provides [`policy`] (healers wrapping the manual rule base
+//! The crate also provides `policy` (healers wrapping the manual rule base
 //! and the three diagnosis-based engines so all approaches of Table 2 can be
-//! run head-to-head), [`hybrid`] (signature + diagnosis combination,
-//! Section 5.1), [`proactive`] (failure forecasting, Section 5.3),
+//! run head-to-head), `hybrid` (signature + diagnosis combination,
+//! Section 5.1), `proactive` (failure forecasting, Section 5.3),
 //! [`control`] (settling time / overshoot / oscillation of the healing loop,
 //! Section 5.4), [`store`] (pluggable [`store::SynopsisStore`] homes for the
 //! learned model: private, lock-shared, or sharded by symptom-space region),
@@ -42,22 +42,13 @@
 pub mod control;
 pub mod fixsym;
 pub mod harness;
-pub mod hybrid;
-pub mod policy;
-pub mod proactive;
+pub(crate) mod hybrid;
+pub(crate) mod policy;
+pub(crate) mod proactive;
 pub mod snapshot;
 pub mod store;
-pub mod symptom;
+pub(crate) mod symptom;
 pub mod synopsis;
 
-pub use fixsym::{EpisodeResult, FixSymConfig, FixSymEngine, FixSymHealer};
-pub use harness::{
-    EventChoice, LearnerChoice, PolicyChoice, ReactiveChoice, SelfHealingService, WorkloadChoice,
-};
 pub use hybrid::HybridHealer;
-pub use policy::{DiagnosisEngine, DiagnosisHealer, EpisodeTracker};
-pub use proactive::ProactiveHealer;
-pub use snapshot::{SynopsisExample, SynopsisSnapshot};
-pub use store::{FixStats, PrivateStore, ShardedStore, SynopsisStore};
-pub use symptom::SymptomExtractor;
 pub use synopsis::{Learner, Synopsis, SynopsisKind};

@@ -16,7 +16,7 @@ use std::collections::HashSet;
 /// which fixes have been tried, whether a fix is in flight, and whether the
 /// post-fix verification window has elapsed.
 #[derive(Debug, Clone)]
-pub struct EpisodeTracker {
+pub(crate) struct EpisodeTracker {
     threshold: u32,
     verify_ticks: u32,
     attempts: Vec<FixAction>,
@@ -30,7 +30,7 @@ pub struct EpisodeTracker {
 impl EpisodeTracker {
     /// Creates a tracker with the given attempt threshold and verification
     /// delay (ticks to wait after a fix completes before judging it).
-    pub fn new(threshold: u32, verify_ticks: u32) -> Self {
+    pub(crate) fn new(threshold: u32, verify_ticks: u32) -> Self {
         EpisodeTracker {
             threshold: threshold.max(1),
             verify_ticks,
@@ -44,39 +44,24 @@ impl EpisodeTracker {
     }
 
     /// Returns `true` while a failure episode is being handled.
-    pub fn in_episode(&self) -> bool {
+    pub(crate) fn in_episode(&self) -> bool {
         self.in_episode
     }
 
-    /// Number of episodes that have been closed (recovered).
-    pub fn episodes_completed(&self) -> u64 {
-        self.episodes_completed
-    }
-
-    /// Number of escalations recorded.
-    pub fn escalations(&self) -> u64 {
-        self.escalations
-    }
-
-    /// Fix attempts made in the current episode.
-    pub fn attempts(&self) -> &[FixAction] {
-        &self.attempts
-    }
-
     /// The kinds of fixes already tried in the current episode.
-    pub fn tried_kinds(&self) -> HashSet<FixKind> {
+    pub(crate) fn tried_kinds(&self) -> HashSet<FixKind> {
         self.attempts.iter().map(|a| a.kind).collect()
     }
 
     /// Returns `true` when the attempt threshold has been reached and the
     /// next action should be the escalation.
-    pub fn exhausted(&self) -> bool {
+    pub(crate) fn exhausted(&self) -> bool {
         self.attempts.len() as u32 >= self.threshold
             && !self.attempts.iter().any(|a| a.kind.is_escalation())
     }
 
     /// Records that a fix was initiated.
-    pub fn record_attempt(&mut self, action: FixAction) {
+    pub(crate) fn record_attempt(&mut self, action: FixAction) {
         if action.kind.is_escalation() {
             self.escalations += 1;
         }
@@ -96,7 +81,7 @@ impl EpisodeTracker {
     /// Initiates the escalation of Figure 3, line 19 — restart the service
     /// (and notify the administrator) — and returns it as this tick's
     /// actions.  Every healer escalates through here.
-    pub fn escalate(&mut self) -> Vec<FixAction> {
+    pub(crate) fn escalate(&mut self) -> Vec<FixAction> {
         self.attempt(FixAction::untargeted(FixKind::FullServiceRestart))
     }
 
@@ -104,7 +89,11 @@ impl EpisodeTracker {
     /// `Some((action, success))` when a previously initiated fix has
     /// completed and its verification window has elapsed; `success` is
     /// judged from whether the service is still in violation.
-    pub fn resolve(&mut self, outcome: &TickOutcome, violated: bool) -> Option<(FixAction, bool)> {
+    pub(crate) fn resolve(
+        &mut self,
+        outcome: &TickOutcome,
+        violated: bool,
+    ) -> Option<(FixAction, bool)> {
         // Has the in-flight fix finished being applied?
         if let Some(pending) = self.pending {
             if outcome
@@ -143,7 +132,7 @@ impl EpisodeTracker {
     /// Returns `true` when the healer should pick a (new) fix this tick:
     /// the service is in confirmed violation and no fix is being applied or
     /// verified.
-    pub fn should_act(&mut self, violated: bool) -> bool {
+    pub(crate) fn should_act(&mut self, violated: bool) -> bool {
         if violated {
             self.in_episode = true;
         }
@@ -165,7 +154,7 @@ impl EpisodeTracker {
 /// sample, using the simulator's metric naming convention: the EJB with the
 /// most errors (falling back to the most calls), the busiest table, or the
 /// most utilized tier.
-pub fn target_for_fix(kind: FixKind, schema: &Schema, sample: &Sample) -> FixAction {
+pub(crate) fn target_for_fix(kind: FixKind, schema: &Schema, sample: &Sample) -> FixAction {
     if !kind.needs_target() {
         return FixAction::untargeted(kind);
     }
@@ -287,7 +276,7 @@ impl DiagnosisPanel {
 
 /// The diagnosis engine wrapped by a [`DiagnosisHealer`].
 #[derive(Debug)]
-pub enum DiagnosisEngine {
+pub(crate) enum DiagnosisEngine {
     /// Manual rule-based baseline (Section 3).
     Manual(ManualRuleBase),
     /// Anomaly detection (Section 4.3.1).
@@ -327,7 +316,7 @@ impl DiagnosisEngine {
 /// engine is private to the healer once built, so its windows cannot change
 /// after the store is sized.
 #[derive(Debug)]
-pub struct DiagnosisHealer {
+pub(crate) struct DiagnosisHealer {
     engine: DiagnosisEngine,
     series: SeriesStore,
     ctx: DiagnosisContext,
@@ -344,7 +333,7 @@ impl DiagnosisHealer {
     /// Creates a healer around the given engine for a service with `schema`
     /// and the given SLO targets (used as the failure indicator by the
     /// correlation analyzer).
-    pub fn new(engine: DiagnosisEngine, schema: &Schema, targets: SloTargets) -> Self {
+    pub(crate) fn new(engine: DiagnosisEngine, schema: &Schema, targets: SloTargets) -> Self {
         let ctx = DiagnosisContext::from_schema(schema, targets);
         let name = engine.label();
         DiagnosisHealer {
@@ -359,7 +348,7 @@ impl DiagnosisHealer {
     }
 
     /// Convenience constructors for the four engines.
-    pub fn manual(schema: &Schema, targets: SloTargets) -> Self {
+    pub(crate) fn manual(schema: &Schema, targets: SloTargets) -> Self {
         Self::new(
             DiagnosisEngine::Manual(ManualRuleBase::standard()),
             schema,
@@ -368,7 +357,7 @@ impl DiagnosisHealer {
     }
 
     /// Anomaly-detection healer with the standard window sizes.
-    pub fn anomaly(schema: &Schema, targets: SloTargets) -> Self {
+    pub(crate) fn anomaly(schema: &Schema, targets: SloTargets) -> Self {
         Self::new(
             DiagnosisEngine::Anomaly(AnomalyDetector::standard()),
             schema,
@@ -377,7 +366,7 @@ impl DiagnosisHealer {
     }
 
     /// Correlation-analysis healer with the standard window.
-    pub fn correlation(schema: &Schema, targets: SloTargets) -> Self {
+    pub(crate) fn correlation(schema: &Schema, targets: SloTargets) -> Self {
         let ctx = DiagnosisContext::from_schema(schema, targets);
         Self::new(
             DiagnosisEngine::Correlation(CorrelationAnalyzer::standard(&ctx)),
@@ -387,17 +376,12 @@ impl DiagnosisHealer {
     }
 
     /// Bottleneck-analysis healer with the standard thresholds.
-    pub fn bottleneck(schema: &Schema, targets: SloTargets) -> Self {
+    pub(crate) fn bottleneck(schema: &Schema, targets: SloTargets) -> Self {
         Self::new(
             DiagnosisEngine::Bottleneck(BottleneckAnalyzer::standard()),
             schema,
             targets,
         )
-    }
-
-    /// The episode tracker (for benchmark reporting).
-    pub fn tracker(&self) -> &EpisodeTracker {
-        &self.tracker
     }
 }
 
@@ -461,6 +445,13 @@ mod tests {
     use selfheal_faults::{FaultId, FaultKind, FaultSpec};
     use selfheal_sim::{MultiTierService, ServiceConfig};
     use selfheal_workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
+
+    impl EpisodeTracker {
+        /// Number of escalations recorded.
+        pub(crate) fn escalations(&self) -> u64 {
+            self.escalations
+        }
+    }
 
     fn run_with_healer<H: Healer>(
         mut healer: H,

@@ -24,7 +24,7 @@ use std::collections::HashSet;
 
 /// Forecast-driven proactive healer.
 #[derive(Debug)]
-pub struct ProactiveHealer {
+pub(crate) struct ProactiveHealer {
     panel: DiagnosisPanel,
     forecaster: SlidingLinearTrend,
     tracker: EpisodeTracker,
@@ -40,7 +40,7 @@ pub struct ProactiveHealer {
 impl ProactiveHealer {
     /// Creates a proactive healer for a service with the given schema and
     /// SLO targets.
-    pub fn new(schema: &Schema, targets: SloTargets) -> Self {
+    pub(crate) fn new(schema: &Schema, targets: SloTargets) -> Self {
         ProactiveHealer {
             panel: DiagnosisPanel::new(schema, targets),
             forecaster: SlidingLinearTrend::new(30),
@@ -51,11 +51,6 @@ impl ProactiveHealer {
             proactive_fixes: 0,
             reactive_fixes: 0,
         }
-    }
-
-    /// `(proactive, reactive)` fix counts.
-    pub fn fix_counts(&self) -> (u64, u64) {
-        (self.proactive_fixes, self.reactive_fixes)
     }
 }
 
@@ -122,6 +117,13 @@ mod tests {
     use selfheal_faults::{FaultId, FaultKind, FaultSpec};
     use selfheal_sim::{MultiTierService, ServiceConfig};
     use selfheal_workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
+
+    impl ProactiveHealer {
+        /// `(proactive, reactive)` fix counts.
+        pub(crate) fn fix_counts(&self) -> (u64, u64) {
+            (self.proactive_fixes, self.reactive_fixes)
+        }
+    }
 
     fn run_aging_scenario<H: Healer>(mut healer: H, ticks: u64) -> (MultiTierService, H, u64) {
         let config = ServiceConfig::tiny();

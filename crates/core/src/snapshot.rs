@@ -381,7 +381,7 @@ impl SnapshotLog {
     }
 
     /// The file being appended to.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 }

@@ -6,7 +6,7 @@
 //! [`SynopsisStore`] trait is the seam that makes the topology of that
 //! sharing a configuration choice instead of a code path:
 //!
-//! * [`PrivateStore`] — one replica, one synopsis (the paper's
+//! * `PrivateStore` — one replica, one synopsis (the paper's
 //!   single-instance setup).  Updates apply immediately.
 //! * [`ShardedStore`] — the one fleet-shared store: `k` synopses, each
 //!   behind its own `RwLock` with batched update draining so replicas never
@@ -26,7 +26,7 @@
 //!
 //! Healing policies stay written against the [`Learner`] trait; every store
 //! implements it (as does `Box<dyn SynopsisStore>`), so
-//! [`crate::FixSymHealer`] and [`crate::HybridHealer`] are oblivious to
+//! `crate::FixSymHealer` and [`crate::HybridHealer`] are oblivious to
 //! which store backs them.
 
 use crate::snapshot::{SnapshotLog, SynopsisSnapshot};
@@ -111,7 +111,7 @@ pub trait SynopsisStore: Learner {
 
     /// A handle for one more consumer of this store.  The shared
     /// [`ShardedStore`] returns a handle to the *same* state;
-    /// [`PrivateStore`] returns an independent deep copy.
+    /// `PrivateStore` returns an independent deep copy.
     fn clone_store(&self) -> Box<dyn SynopsisStore>;
 
     /// Switches the store to *incremental* persistence: creates (truncating)
@@ -133,7 +133,7 @@ pub trait SynopsisStore: Learner {
     /// Shared stores log through their shared state, so every
     /// [`clone_store`](Self::clone_store) handle feeds the same file;
     /// [`restore`](Self::restore) recreates the file from the restored
-    /// experience.  [`PrivateStore`] applies updates immediately, so it
+    /// experience.  `PrivateStore` applies updates immediately, so it
     /// appends on every record.
     fn persist_to(&mut self, path: &Path) -> io::Result<()>;
 
@@ -299,14 +299,14 @@ fn append_synopsis(snapshot: &mut SynopsisSnapshot, synopsis: &Synopsis) {
 /// the same way.  Updates apply (and refit) immediately; there is nothing to
 /// flush.
 #[derive(Debug)]
-pub struct PrivateStore {
+pub(crate) struct PrivateStore {
     synopsis: Synopsis,
     log: Option<SnapshotLog>,
 }
 
 impl PrivateStore {
     /// Creates an empty private store.
-    pub fn new(kind: SynopsisKind) -> Self {
+    pub(crate) fn new(kind: SynopsisKind) -> Self {
         PrivateStore {
             synopsis: Synopsis::new(kind),
             log: None,
@@ -314,16 +314,11 @@ impl PrivateStore {
     }
 
     /// Creates a private store pre-loaded from a snapshot.
-    pub fn from_snapshot(kind: SynopsisKind, snapshot: &SynopsisSnapshot) -> Self {
+    pub(crate) fn from_snapshot(kind: SynopsisKind, snapshot: &SynopsisSnapshot) -> Self {
         PrivateStore {
             synopsis: Synopsis::from_examples(kind, &snapshot.examples),
             log: None,
         }
-    }
-
-    /// The wrapped synopsis.
-    pub fn synopsis(&self) -> &Synopsis {
-        &self.synopsis
     }
 }
 
@@ -551,10 +546,10 @@ impl ShardedStore {
     pub const DEFAULT_BATCH: usize = 4;
 
     /// Observations buffered before the routing centroids are fitted.
-    pub const DEFAULT_FIT_AFTER: usize = 32;
+    pub(crate) const DEFAULT_FIT_AFTER: usize = 32;
 
     /// Seed of the deterministic Lloyd fit behind the router.
-    pub const ROUTE_SEED: u64 = 0x5ead_c0de;
+    pub(crate) const ROUTE_SEED: u64 = 0x5ead_c0de;
 
     /// Creates a sharded store with the default batch threshold and router
     /// warm-up.
@@ -583,20 +578,9 @@ impl ShardedStore {
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.state.shards.len()
-    }
-
-    /// Whether the routing centroids have been fitted yet (before the fit,
-    /// all traffic goes to shard 0).
-    pub fn routing_fitted(&self) -> bool {
-        self.state.router.read().expect("router poisoned").fitted
-    }
-
     /// Successful-fix examples per shard — how the symptom space actually
     /// partitioned.
-    pub fn shard_sizes(&self) -> Vec<usize> {
+    pub(crate) fn shard_sizes(&self) -> Vec<usize> {
         self.state
             .shards
             .iter()
@@ -607,11 +591,6 @@ impl ShardedStore {
                     .correct_fixes_learned()
             })
             .collect()
-    }
-
-    /// How many batched drains have run across all shards.
-    pub fn drains(&self) -> u64 {
-        *self.state.drains.lock().expect("drain counter poisoned")
     }
 
     /// Folds `shard`'s pending queue into its model with one combined refit.
@@ -838,6 +817,26 @@ impl SynopsisStore for ShardedStore {
 mod tests {
     use super::*;
     use std::thread;
+
+    impl ShardedStore {
+        /// Whether the routing centroids have been fitted yet (before the fit,
+        /// all traffic goes to shard 0).
+        pub(crate) fn routing_fitted(&self) -> bool {
+            self.state.router.read().expect("router poisoned").fitted
+        }
+
+        /// How many batched drains have run across all shards.
+        pub(crate) fn drains(&self) -> u64 {
+            *self.state.drains.lock().expect("drain counter poisoned")
+        }
+    }
+
+    impl PrivateStore {
+        /// The wrapped synopsis.
+        pub(crate) fn synopsis(&self) -> &Synopsis {
+            &self.synopsis
+        }
+    }
 
     fn symptom(kind: usize) -> Vec<f64> {
         match kind {

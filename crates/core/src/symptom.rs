@@ -20,7 +20,7 @@ const RATIO_CLIP: f64 = 25.0;
 
 /// Maintains a healthy baseline and produces symptom vectors.
 #[derive(Debug, Clone)]
-pub struct SymptomExtractor {
+pub(crate) struct SymptomExtractor {
     width: usize,
     baseline_target: usize,
     window: usize,
@@ -34,7 +34,7 @@ impl SymptomExtractor {
     /// Creates an extractor for samples of `schema`, establishing the
     /// baseline from the first `baseline_ticks` *healthy* samples and
     /// summarizing symptoms over a `window`-sample recent window.
-    pub fn new(schema: &Schema, baseline_ticks: usize, window: usize) -> Self {
+    pub(crate) fn new(schema: &Schema, baseline_ticks: usize, window: usize) -> Self {
         SymptomExtractor {
             width: schema.len(),
             baseline_target: baseline_ticks.max(5),
@@ -46,22 +46,12 @@ impl SymptomExtractor {
         }
     }
 
-    /// Number of metrics per symptom vector.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Returns `true` once the baseline has been established.
-    pub fn baseline_ready(&self) -> bool {
-        self.frozen || self.baseline_count >= self.baseline_target as u64
-    }
-
     /// Observes one sample.  `healthy` should be `false` while the service
     /// is in (or suspected to be in) violation so the baseline is not
     /// contaminated — the paper's warning that "the baseline behavior may
     /// need to be captured when the service is not experiencing significant
     /// failures".
-    pub fn observe(&mut self, sample: &Sample, healthy: bool) {
+    pub(crate) fn observe(&mut self, sample: &Sample, healthy: bool) {
         debug_assert_eq!(sample.width(), self.width);
         if !self.frozen && healthy {
             for (acc, v) in self.baseline_sums.iter_mut().zip(sample.values()) {
@@ -83,7 +73,7 @@ impl SymptomExtractor {
 
     /// The healthy baseline mean of every metric (zeros until at least one
     /// healthy sample has been observed).
-    pub fn baseline_means(&self) -> Vec<Value> {
+    pub(crate) fn baseline_means(&self) -> Vec<Value> {
         if self.baseline_count == 0 {
             return vec![0.0; self.width];
         }
@@ -96,7 +86,7 @@ impl SymptomExtractor {
     /// The current symptom vector: per-metric ratio of the recent-window
     /// mean to the baseline mean, clipped to `[0, 25]`.  Returns `None`
     /// until both a baseline and at least one recent sample exist.
-    pub fn symptoms(&self) -> Option<Vec<Value>> {
+    pub(crate) fn symptoms(&self) -> Option<Vec<Value>> {
         if self.baseline_count == 0 || self.recent.is_empty() {
             return None;
         }
@@ -125,6 +115,18 @@ impl SymptomExtractor {
 mod tests {
     use super::*;
     use selfheal_telemetry::{MetricKind, SchemaBuilder, Tier};
+
+    impl SymptomExtractor {
+        /// Number of metrics per symptom vector.
+        pub(crate) fn width(&self) -> usize {
+            self.width
+        }
+
+        /// Returns `true` once the baseline has been established.
+        pub(crate) fn baseline_ready(&self) -> bool {
+            self.frozen || self.baseline_count >= self.baseline_target as u64
+        }
+    }
 
     fn schema() -> Schema {
         SchemaBuilder::new()

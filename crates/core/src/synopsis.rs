@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 /// work identically against a privately owned [`Synopsis`] or a handle to
 /// fleet-shared state (e.g. [`crate::store::ShardedStore`]).
 ///
-/// This is the seam the fleet engine plugs into: [`crate::FixSymHealer`] and
+/// This is the seam the fleet engine plugs into: `crate::FixSymHealer` and
 /// [`crate::HybridHealer`] are generic over `Learner`, so one replica's
 /// healer can consult — and teach — a synopsis that every other replica in
 /// the fleet shares.
@@ -110,7 +110,7 @@ impl SynopsisKind {
 
     /// Inverse of [`SynopsisKind::label`] — used by the synopsis codec when
     /// loading a saved model.
-    pub fn from_label(label: &str) -> Option<SynopsisKind> {
+    pub(crate) fn from_label(label: &str) -> Option<SynopsisKind> {
         match label {
             "nearest_neighbor" => Some(SynopsisKind::NearestNeighbor),
             "k_means" => Some(SynopsisKind::KMeans),
@@ -200,7 +200,7 @@ impl Synopsis {
     }
 
     /// The configured kind.
-    pub fn kind(&self) -> SynopsisKind {
+    pub(crate) fn kind(&self) -> SynopsisKind {
         self.kind
     }
 
@@ -212,48 +212,38 @@ impl Synopsis {
 
     /// Number of failed fixes recorded (all of them, not only the
     /// [`NEGATIVES_KEPT`] still held as examples).
-    pub fn failed_fixes_recorded(&self) -> usize {
+    pub(crate) fn failed_fixes_recorded(&self) -> usize {
         self.failures.iter().sum()
     }
 
     /// `(recorded, kept)`: failed fixes recorded, and how many of them are
     /// still held as examples.
-    pub fn failure_memory(&self) -> (usize, usize) {
+    pub(crate) fn failure_memory(&self) -> (usize, usize) {
         (self.failed_fixes_recorded(), self.negatives.len())
     }
 
     /// Failed fixes recorded per fix, indexed by [`FixKind::code`].
-    pub fn failures_by_fix(&self) -> &[usize] {
+    pub(crate) fn failures_by_fix(&self) -> &[usize] {
         &self.failures
     }
 
     /// The successful (symptom, fix) training examples, in insertion order —
     /// what the synopsis codec persists so another store can rebuild the
     /// model.
-    pub fn positive_examples(&self) -> &[Example] {
+    pub(crate) fn positive_examples(&self) -> &[Example] {
         self.positives.examples()
     }
 
     /// The failed-fix examples still held — the most recent
     /// [`NEGATIVES_KEPT`] — in insertion order.
-    pub fn negative_examples(&self) -> impl Iterator<Item = &Example> {
+    pub(crate) fn negative_examples(&self) -> impl Iterator<Item = &Example> {
         self.negatives.iter()
-    }
-
-    /// Cumulative wall-clock time spent fitting the model.
-    pub fn training_wall_time(&self) -> Duration {
-        self.training_wall_time
     }
 
     /// Cumulative deterministic model-fitting operations (hardware
     /// independent cost proxy for Table 3).
     pub fn training_ops(&self) -> u64 {
         self.training_ops
-    }
-
-    /// How many times the underlying model has been refitted.
-    pub fn retrains(&self) -> u64 {
-        self.retrains
     }
 
     /// Records the outcome of an attempted fix and updates the synopsis
@@ -318,17 +308,6 @@ impl Synopsis {
         synopsis
     }
 
-    /// Bulk-loads successful-fix examples (preproduction bootstrap /
-    /// Figure 4 training prefix) and refits once.
-    pub fn bootstrap(&mut self, examples: &[Example]) {
-        for e in examples {
-            self.positives.push(e.clone());
-        }
-        if !examples.is_empty() {
-            self.refit();
-        }
-    }
-
     fn refit(&mut self) {
         // lint:allow(nondeterminism): measures training wall time for the
         // report; the fitted model sees none of it.
@@ -369,7 +348,7 @@ impl Synopsis {
     /// For the instance-based models this re-ranks by voting among the fixes
     /// of the stored examples closest in symptom space; for the ensemble it
     /// uses the per-class vote scores.
-    pub fn suggest_excluding(
+    pub(crate) fn suggest_excluding(
         &self,
         symptoms: &[f64],
         excluded: &HashSet<FixKind>,
@@ -442,6 +421,24 @@ impl Synopsis {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Synopsis {
+        /// How many times the underlying model has been refitted.
+        pub(crate) fn retrains(&self) -> u64 {
+            self.retrains
+        }
+
+        /// Bulk-loads successful-fix examples (preproduction bootstrap /
+        /// Figure 4 training prefix) and refits once.
+        pub(crate) fn bootstrap(&mut self, examples: &[Example]) {
+            for e in examples {
+                self.positives.push(e.clone());
+            }
+            if !examples.is_empty() {
+                self.refit();
+            }
+        }
+    }
 
     fn symptom(kind: usize) -> Vec<f64> {
         // Three well-separated symptom archetypes.

@@ -27,20 +27,20 @@ use std::time::Duration;
 
 /// A parsed command awaiting its epoch barrier, with the channel its reply
 /// travels back on.
-pub struct PendingCommand {
+pub(crate) struct PendingCommand {
     command: Command,
     reply: mpsc::Sender<String>,
 }
 
 impl PendingCommand {
     /// The parsed command.
-    pub fn command(&self) -> &Command {
+    pub(crate) fn command(&self) -> &Command {
         &self.command
     }
 
     /// Sends the full reply text (payload lines + terminator) back to the
     /// waiting connection.
-    pub fn respond(self, reply: String) {
+    pub(crate) fn respond(self, reply: String) {
         let _ = self.reply.send(reply);
     }
 }
@@ -84,7 +84,7 @@ struct ControlThreads {
 }
 
 /// The socket server: accepts connections on a Unix domain socket, parses
-/// request lines, and queues [`PendingCommand`]s for the daemon loop.
+/// request lines, and queues `PendingCommand`s for the daemon loop.
 ///
 /// Every connection is served on a thread of its own (at most 64 at a
 /// time; one more is answered `ERR` and closed), and all of them feed the
@@ -123,13 +123,8 @@ impl ControlPlane {
         })
     }
 
-    /// The socket path this plane serves.
-    pub fn socket_path(&self) -> &Path {
-        &self.path
-    }
-
     /// Drains every command queued since the last barrier.
-    pub fn take_pending(&self) -> Vec<PendingCommand> {
+    pub(crate) fn take_pending(&self) -> Vec<PendingCommand> {
         lock(&self.shared.queue).drain(..).collect()
     }
 
@@ -137,7 +132,7 @@ impl ControlPlane {
     /// reading (a reply already on its way is still written), and each
     /// thread, blocked in `accept` now or after its connection ends, is
     /// woken by one connection to the plane's own socket.
-    pub fn request_stop(&self) {
+    pub(crate) fn request_stop(&self) {
         if self.shared.stop.swap(true, Ordering::SeqCst) {
             return;
         }

@@ -18,8 +18,8 @@
 //!   from the replica's spec, its healer warm against the *still-alive*
 //!   shared store, until a restart cap retires the replica.  Per-replica
 //!   health (ticks, episodes, restarts, heartbeats) is tracked via
-//!   [`selfheal_telemetry::health`].
-//! * [`control`] — a line-oriented text protocol (see [`protocol`]) served
+//!   `selfheal_telemetry::health`.
+//! * `control` — a line-oriented text protocol (see [`protocol`]) served
 //!   over a Unix domain socket, std-only.  Commands (`STATUS`, `ADD`,
 //!   `RECONFIGURE`, `QUERY FIXES`, `SNAPSHOT`, `DRAIN`, `SHUTDOWN`, ...)
 //!   are queued by the socket thread and applied by the daemon loop at
@@ -54,7 +54,7 @@
 //!
 //! The daemon is gated by construction: every healer's store handle waits
 //! for its replica's turn in the epoch's id order (see
-//! [`selfheal_fleet::scheduler`]), so the shared store observes the
+//! `selfheal_fleet::scheduler`), so the shared store observes the
 //! sequential round-robin interleave however many worker threads sweep.
 //! Each replica's simulated streams — service, workload, faults — are pure
 //! functions of `(base_seed, replica_id)`, and commands land only at epoch
@@ -86,17 +86,17 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod control;
-pub mod pool;
+pub(crate) mod control;
+pub(crate) mod pool;
 pub mod protocol;
-pub mod supervisor;
-pub mod tenants;
+pub(crate) mod supervisor;
+pub(crate) mod tenants;
 
-pub use control::{ControlPlane, Daemon, DaemonOptions, PendingCommand};
+pub use control::{ControlPlane, Daemon, DaemonOptions};
 pub use pool::PooledStore;
 pub use protocol::{parse_command, render_command, send_command, Command};
 pub use supervisor::{LogReplay, LogStart, ReplicaSpec, Supervisor};
-pub use tenants::{Tenant, TenantRegistry, DEFAULT_TENANT};
+pub use tenants::{Tenant, TenantRegistry};
 
 use selfheal_core::harness::{FaultChoice, LearnerChoice, PolicyChoice, WorkloadChoice};
 use selfheal_core::store::SynopsisStore;
@@ -110,13 +110,13 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Per-tick fault probability used when an `ADD <profile>` omits the rate.
-pub const DEFAULT_MIX_RATE: f64 = 0.02;
+pub(crate) const DEFAULT_MIX_RATE: f64 = 0.02;
 
 /// Largest `workload_rate` (requests per tick) a `RECONFIGURE` may set —
 /// 250× the default workload.  Arrival generation allocates and loops per
 /// request, so an unbounded rate from the wire would wedge or OOM the daemon
 /// loop.
-pub const MAX_WORKLOAD_RATE: f64 = 10_000.0;
+pub(crate) const MAX_WORKLOAD_RATE: f64 = 10_000.0;
 
 /// Parses a rate that arrived from outside the process (`ADD`,
 /// `RECONFIGURE`, `--fault-mix`): it must be a finite number, since `NaN`
@@ -133,7 +133,7 @@ pub(crate) fn parse_rate(text: &str, what: &str) -> Result<f64, String> {
 /// replica's gated handle to the daemon's shared store; production runners
 /// wire their healer to a
 /// [`clone_store`](selfheal_core::store::SynopsisStore::clone_store) of it.
-pub type RunnerFactory =
+pub(crate) type RunnerFactory =
     Arc<dyn Fn(&ReplicaSpec, &dyn SynopsisStore) -> ReplicaRunner + Send + Sync>;
 
 /// Configuration of a resident daemon (and its [`Supervisor`]).
@@ -233,7 +233,7 @@ impl DaemonConfig {
     /// `<service>[:<rate>]` where `<service>` is a
     /// [`ServiceProfile`] name (`online`, `content`, `readmostly`) and
     /// `<rate>` (finite; clamped to `[0, 1]`) defaults to
-    /// [`DEFAULT_MIX_RATE`].  Used by `ADD`,
+    /// `DEFAULT_MIX_RATE`.  Used by `ADD`,
     /// `RECONFIGURE <id> fault_profile=...`, and the daemon binary's
     /// `--fault-mix` flag.
     pub fn fault_profile(&self, text: &str) -> Result<FaultChoice, String> {

@@ -98,7 +98,7 @@ pub enum Command {
 impl Command {
     /// Whether the command addresses the whole daemon rather than one
     /// tenant's fleet (global commands reject `@<tenant>` scoping).
-    pub fn is_global(&self) -> bool {
+    pub(crate) fn is_global(&self) -> bool {
         matches!(
             self,
             Command::Shutdown
@@ -259,7 +259,7 @@ fn parse_signature(word: &str) -> Result<Vec<f64>, String> {
 }
 
 /// Renders a success reply: the payload lines, then the `OK` terminator.
-pub fn reply_ok(lines: &[String]) -> String {
+pub(crate) fn reply_ok(lines: &[String]) -> String {
     let mut out = String::new();
     for line in lines {
         out.push_str(line);
@@ -271,7 +271,7 @@ pub fn reply_ok(lines: &[String]) -> String {
 
 /// Renders a failure reply (`ERR <message>`, newlines flattened so the
 /// terminator stays one line).
-pub fn reply_err(message: &str) -> String {
+pub(crate) fn reply_err(message: &str) -> String {
     format!("ERR {}\n", message.replace('\n', " "))
 }
 

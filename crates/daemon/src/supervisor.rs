@@ -174,7 +174,7 @@ fn replay_log(store: &mut dyn SynopsisStore, path: &Path) -> Result<LogReplay, S
 }
 
 /// Owns one fleet's epoch engine, shared store, and epoch clock — the
-/// heart of the resident daemon (see the [module docs](self)).
+/// heart of the resident daemon (see the module docs).
 pub struct Supervisor {
     config: DaemonConfig,
     /// Builds replica runners (seed splitting, healer wiring).
@@ -230,7 +230,7 @@ impl Supervisor {
     /// back to it on suggestion misses, while snapshots, the incremental
     /// log, and per-fix statistics keep reading the private primary only.
     /// Used by the tenant registry for `shared_pool = on` tenants.
-    pub fn with_pool(
+    pub(crate) fn with_pool(
         config: DaemonConfig,
         pool: Option<Box<dyn SynopsisStore>>,
     ) -> Result<Supervisor, String> {
@@ -289,7 +289,7 @@ impl Supervisor {
     }
 
     /// Milliseconds since the supervisor was built (the heartbeat clock).
-    pub fn uptime_ms(&self) -> u64 {
+    pub(crate) fn uptime_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
     }
 
@@ -327,12 +327,12 @@ impl Supervisor {
 
     /// Stamps the tenant name this fleet serves; `health()` tags its
     /// records with it.
-    pub fn set_label(&mut self, label: &str) {
+    pub(crate) fn set_label(&mut self, label: &str) {
         self.label = Some(label.to_string());
     }
 
     /// The tenant name stamped by [`set_label`](Self::set_label), if any.
-    pub fn label(&self) -> Option<&str> {
+    pub(crate) fn label(&self) -> Option<&str> {
         self.label.as_deref()
     }
 
@@ -343,7 +343,7 @@ impl Supervisor {
 
     /// Successful-fix examples visible through the cross-tenant pool
     /// (`None` when the fleet is not pooled).
-    pub fn pool_fixes_known(&self) -> Option<usize> {
+    pub(crate) fn pool_fixes_known(&self) -> Option<usize> {
         self.pool.as_ref().map(|pool| pool.correct_fixes_learned())
     }
 
@@ -351,7 +351,7 @@ impl Supervisor {
     /// when the fleet is not pooled).  Kept separate from
     /// [`fix_stats`](Self::fix_stats) so a tenant's own record never blurs
     /// with borrowed knowledge.
-    pub fn pool_stats(&self) -> Option<Vec<FixStats>> {
+    pub(crate) fn pool_stats(&self) -> Option<Vec<FixStats>> {
         self.pool.as_ref().map(|pool| pool.fix_stats())
     }
 
@@ -371,12 +371,12 @@ impl Supervisor {
     }
 
     /// Number of supervised replicas (running, restarting, or failed).
-    pub fn replica_count(&self) -> usize {
+    pub(crate) fn replica_count(&self) -> usize {
         self.entries.len()
     }
 
     /// `true` after [`drain`](Self::drain), until a replica is added.
-    pub fn draining(&self) -> bool {
+    pub(crate) fn draining(&self) -> bool {
         self.draining
     }
 
@@ -393,12 +393,12 @@ impl Supervisor {
 
     /// `true` when a drain was requested and every episode has closed —
     /// the daemon loop stops ticking then.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.draining && self.total_open_episodes() == 0
     }
 
     /// Failure episodes currently open, summed over replicas.
-    pub fn total_open_episodes(&self) -> usize {
+    pub(crate) fn total_open_episodes(&self) -> usize {
         self.entries
             .values()
             .map(|entry| entry.health.open_episodes)
@@ -441,7 +441,7 @@ impl Supervisor {
     /// signature comes from the wire, so it is checked before the learners
     /// see it: every component finite and as many of them as this fleet's
     /// symptom vectors have (one per metric of the service's schema).
-    pub fn suggest_fix(&self, symptoms: &[f64]) -> Result<Option<(FixKind, f64)>, String> {
+    pub(crate) fn suggest_fix(&self, symptoms: &[f64]) -> Result<Option<(FixKind, f64)>, String> {
         let width = MetricsCatalog::build(&self.config.service).schema().len();
         if symptoms.len() != width {
             return Err(format!(
@@ -456,7 +456,7 @@ impl Supervisor {
     }
 
     /// Per-fix success/failure statistics over the store's experience.
-    pub fn fix_stats(&self) -> Vec<FixStats> {
+    pub(crate) fn fix_stats(&self) -> Vec<FixStats> {
         self.store.fix_stats()
     }
 
@@ -464,7 +464,7 @@ impl Supervisor {
     /// example count written.  The file is a *complete* snapshot, so `path`
     /// must not be a live snapshot log (the daemon refuses such targets, see
     /// [`TenantRegistry::owned_file`](crate::TenantRegistry::owned_file)).
-    pub fn snapshot_to(&self, path: &Path) -> io::Result<usize> {
+    pub(crate) fn snapshot_to(&self, path: &Path) -> io::Result<usize> {
         let snapshot = self.store.snapshot();
         snapshot.save(path)?;
         Ok(snapshot.len())
@@ -515,7 +515,7 @@ impl Supervisor {
     }
 
     /// Stops and retires one replica.  Its id is never reused.
-    pub fn remove_replica(&mut self, id: usize) -> Result<(), String> {
+    pub(crate) fn remove_replica(&mut self, id: usize) -> Result<(), String> {
         self.entries
             .remove(&id)
             .ok_or_else(|| format!("no replica {id}"))?;
@@ -529,7 +529,7 @@ impl Supervisor {
     ///   to `[0, 1]` (the replica must already run a demographic mix).
     /// * `fault_profile=<word>` — any [`DaemonConfig::fault_profile`] word.
     /// * `workload_rate=<f64>` — synthetic arrival rate, finite, floored at
-    ///   0 and refused above [`MAX_WORKLOAD_RATE`].
+    ///   0 and refused above `MAX_WORKLOAD_RATE`.
     /// * `adversary=on|off` — toggles the *fleet-wide* adversarial chaos
     ///   engine (the id names which replica the command rode in on, but the
     ///   engine targets whichever replica is weakest at each reactive
@@ -660,7 +660,7 @@ impl Supervisor {
     /// swapped for the quiet one, while ticking continues so open episodes
     /// heal out.  [`is_drained`](Self::is_drained) turns true once they
     /// have; [`add_replica`](Self::add_replica) resumes normal operation.
-    pub fn drain(&mut self) {
+    pub(crate) fn drain(&mut self) {
         self.draining = true;
         let ids: Vec<usize> = self.entries.keys().copied().collect();
         for id in ids {

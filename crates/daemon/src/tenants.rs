@@ -43,10 +43,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The tenant every daemon starts with and unscoped commands address.
-pub const DEFAULT_TENANT: &str = "default";
+pub(crate) const DEFAULT_TENANT: &str = "default";
 
 /// Upper bound on tenant-name length, in bytes.
-pub const MAX_TENANT_NAME: usize = 32;
+pub(crate) const MAX_TENANT_NAME: usize = 32;
 
 /// One named fleet inside the daemon.
 pub struct Tenant {
@@ -55,16 +55,6 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    /// The tenant's fleet.
-    pub fn supervisor(&self) -> &Supervisor {
-        &self.supervisor
-    }
-
-    /// The tenant's fleet, mutably.
-    pub fn supervisor_mut(&mut self) -> &mut Supervisor {
-        &mut self.supervisor
-    }
-
     /// Whether the tenant participates in the cross-tenant shared pool.
     pub fn shared_pool(&self) -> bool {
         self.shared_pool
@@ -72,7 +62,7 @@ impl Tenant {
 }
 
 /// Owns every tenant fleet plus the daemon-wide shared pool (see the
-/// [module docs](self)).
+/// module docs).
 pub struct TenantRegistry {
     template: DaemonConfig,
     pool: Box<dyn SynopsisStore>,
@@ -119,7 +109,7 @@ impl TenantRegistry {
 
     /// Stops a tenant's replicas, deletes its snapshot log, and rewrites
     /// the manifest.  The `default` tenant cannot be dropped.
-    pub fn drop_tenant(&mut self, name: &str) -> Result<(), String> {
+    pub(crate) fn drop_tenant(&mut self, name: &str) -> Result<(), String> {
         if name == DEFAULT_TENANT {
             return Err("the default tenant cannot be dropped".to_string());
         }
@@ -164,7 +154,7 @@ impl TenantRegistry {
     }
 
     /// The `default` tenant's fleet, mutably (always present).
-    pub fn default_supervisor_mut(&mut self) -> &mut Supervisor {
+    pub(crate) fn default_supervisor_mut(&mut self) -> &mut Supervisor {
         self.supervisor_mut(DEFAULT_TENANT).expect("default tenant")
     }
 
@@ -174,7 +164,7 @@ impl TenantRegistry {
     }
 
     /// One human-readable summary line per tenant (`TENANT LIST`).
-    pub fn list_lines(&self) -> Vec<String> {
+    pub(crate) fn list_lines(&self) -> Vec<String> {
         self.tenants
             .iter()
             .map(|(name, tenant)| {
@@ -197,7 +187,7 @@ impl TenantRegistry {
     /// anything else there — a `SNAPSHOT`, say, whose complete-snapshot
     /// header the next drained batch would then append past — leaves a file
     /// the next launch refuses to replay.
-    pub fn owned_file(&self, path: &Path) -> Option<String> {
+    pub(crate) fn owned_file(&self, path: &Path) -> Option<String> {
         let target = resolve(path);
         let log = self.tenants.iter().find_map(|(name, tenant)| {
             let log = tenant.supervisor.store_path()?;
@@ -212,7 +202,7 @@ impl TenantRegistry {
 
     /// Whether any tenant has replicas left to advance (the daemon loop
     /// sleeps otherwise).
-    pub fn any_active(&self) -> bool {
+    pub(crate) fn any_active(&self) -> bool {
         self.tenants
             .values()
             .any(|t| t.supervisor.replica_count() > 0 && !t.supervisor.is_drained())
@@ -236,7 +226,7 @@ impl TenantRegistry {
     /// One tenant-tagged [`FleetHealth`](selfheal_telemetry::FleetHealth)
     /// JSON line per tenant that has replicas — the daemon's periodic
     /// metrics emission.
-    pub fn health_lines(&self) -> Vec<String> {
+    pub(crate) fn health_lines(&self) -> Vec<String> {
         self.tenants
             .values()
             .filter(|tenant| tenant.supervisor.replica_count() > 0)
@@ -259,7 +249,7 @@ impl TenantRegistry {
     /// Simulated `kill -9`: drops every tenant's fleet without final
     /// flushes, so only experience already drained to each snapshot log
     /// survives.
-    pub fn abort(mut self) {
+    pub(crate) fn abort(mut self) {
         let names: Vec<String> = self.tenants.keys().cloned().collect();
         for name in names {
             if let Some(tenant) = self.tenants.remove(&name) {
@@ -344,7 +334,7 @@ impl TenantRegistry {
 /// The snapshot-log path of one tenant, derived from the daemon's template
 /// path: the `default` tenant keeps the template path itself, tenant `t`
 /// gets the sibling `<stem>.<t>.<ext>`.
-pub fn tenant_store_path(base: &Path, tenant: &str) -> PathBuf {
+pub(crate) fn tenant_store_path(base: &Path, tenant: &str) -> PathBuf {
     if tenant == DEFAULT_TENANT {
         base.to_path_buf()
     } else {

@@ -93,26 +93,28 @@ impl DiagnosisContext {
             slo_error_rate: targets.error_rate,
         }
     }
-
-    /// Drops the invasive per-component metrics, modelling a service that
-    /// only exposes noninvasive instrumentation (Section 4.2).
-    pub fn noninvasive(mut self) -> Self {
-        self.ejb_calls.clear();
-        self.ejb_errors.clear();
-        self.table_accesses.clear();
-        self
-    }
-
-    /// Returns `true` when per-component (invasive) metrics are available.
-    pub fn has_invasive_data(&self) -> bool {
-        !self.ejb_calls.is_empty() || !self.table_accesses.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use selfheal_telemetry::{MetricKind, SchemaBuilder, SloTargets, Tier};
+
+    impl DiagnosisContext {
+        /// Drops the invasive per-component metrics, modelling a service that
+        /// only exposes noninvasive instrumentation (Section 4.2).
+        pub(crate) fn noninvasive(mut self) -> Self {
+            self.ejb_calls.clear();
+            self.ejb_errors.clear();
+            self.table_accesses.clear();
+            self
+        }
+
+        /// Returns `true` when per-component (invasive) metrics are available.
+        pub(crate) fn has_invasive_data(&self) -> bool {
+            !self.ejb_calls.is_empty() || !self.table_accesses.is_empty()
+        }
+    }
 
     fn sim_like_schema(ejbs: usize, tables: usize) -> Schema {
         let mut b = SchemaBuilder::new()

@@ -74,11 +74,6 @@ impl CorrelationAnalyzer {
         }
     }
 
-    /// Number of observations currently retained.
-    pub fn observations(&self) -> usize {
-        self.history.len()
-    }
-
     /// How many of the latest samples of the series
     /// [`diagnose`](Self::diagnose) reads (its own observation history
     /// aside).
@@ -198,6 +193,13 @@ impl CorrelationAnalyzer {
 mod tests {
     use super::*;
     use selfheal_telemetry::{MetricKind, Schema, SchemaBuilder, SloTargets, Tier};
+
+    impl CorrelationAnalyzer {
+        /// Number of observations currently retained.
+        pub(crate) fn observations(&self) -> usize {
+            self.history.len()
+        }
+    }
 
     fn schema() -> Schema {
         let mut b = SchemaBuilder::new()

@@ -26,12 +26,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod anomaly;
-pub mod bottleneck;
-pub mod context;
-pub mod correlation;
-pub mod manual_rules;
-pub mod report;
+pub(crate) mod anomaly;
+pub(crate) mod bottleneck;
+pub(crate) mod context;
+pub(crate) mod correlation;
+pub(crate) mod manual_rules;
+pub(crate) mod report;
 
 pub use anomaly::AnomalyDetector;
 pub use bottleneck::BottleneckAnalyzer;

@@ -22,7 +22,7 @@ use selfheal_telemetry::{SeriesStore, Window, WindowSpec};
 
 /// One expert-written if-then rule.
 #[derive(Clone)]
-pub struct ManualRule {
+pub(crate) struct ManualRule {
     /// Human-readable statement of the rule.
     pub description: String,
     /// Predicate over the recent window.
@@ -115,16 +115,6 @@ impl ManualRuleBase {
         self.window
     }
 
-    /// Number of specific (non-catch-all) rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// The rule descriptions (for documentation output).
-    pub fn descriptions(&self) -> Vec<&str> {
-        self.rules.iter().map(|r| r.description.as_str()).collect()
-    }
-
     /// Evaluates the rules against the most recent window; the first rule
     /// whose condition holds wins (rules are ordered by the expert).  When
     /// no specific rule fires and the catch-all is enabled, the coarse
@@ -167,6 +157,18 @@ impl Default for ManualRuleBase {
 mod tests {
     use super::*;
     use selfheal_telemetry::{MetricKind, Sample, Schema, SchemaBuilder, SloTargets, Tier};
+
+    impl ManualRuleBase {
+        /// Number of specific (non-catch-all) rules.
+        pub(crate) fn rule_count(&self) -> usize {
+            self.rules.len()
+        }
+
+        /// The rule descriptions (for documentation output).
+        pub(crate) fn descriptions(&self) -> Vec<&str> {
+            self.rules.iter().map(|r| r.description.as_str()).collect()
+        }
+    }
 
     fn schema() -> Schema {
         let mut b = SchemaBuilder::new()

@@ -21,19 +21,6 @@ pub enum DiagnosisMethod {
     Signature,
 }
 
-impl DiagnosisMethod {
-    /// Short label used in benchmark output.
-    pub fn label(self) -> &'static str {
-        match self {
-            DiagnosisMethod::AnomalyDetection => "anomaly",
-            DiagnosisMethod::CorrelationAnalysis => "correlation",
-            DiagnosisMethod::BottleneckAnalysis => "bottleneck",
-            DiagnosisMethod::ManualRules => "manual",
-            DiagnosisMethod::Signature => "fixsym",
-        }
-    }
-}
-
 /// One ranked recommendation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnosis {
@@ -50,7 +37,7 @@ pub struct Diagnosis {
 
 impl Diagnosis {
     /// Creates a diagnosis, clamping confidence to `[0, 1]`.
-    pub fn new(
+    pub(crate) fn new(
         method: DiagnosisMethod,
         fix: FixAction,
         confidence: f64,
@@ -66,7 +53,7 @@ impl Diagnosis {
 }
 
 /// Sorts diagnoses by decreasing confidence (stable for equal confidence).
-pub fn rank(mut diagnoses: Vec<Diagnosis>) -> Vec<Diagnosis> {
+pub(crate) fn rank(mut diagnoses: Vec<Diagnosis>) -> Vec<Diagnosis> {
     diagnoses.sort_by(|a, b| {
         b.confidence
             .partial_cmp(&a.confidence)
@@ -82,7 +69,7 @@ pub fn rank(mut diagnoses: Vec<Diagnosis>) -> Vec<Diagnosis> {
 /// ("if the number of accesses to an index is correlated with failure, then
 /// the index can be rebuilt"): it is shared by the anomaly, correlation, and
 /// bottleneck engines.
-pub fn fix_for_db_symptom(
+pub(crate) fn fix_for_db_symptom(
     metric: MetricId,
     ctx: &DiagnosisContext,
     window: &Window,
@@ -110,7 +97,10 @@ pub fn fix_for_db_symptom(
 
 /// Maps an implicated tier-utilization metric to the capacity fix for that
 /// tier.
-pub fn fix_for_tier_saturation(metric: MetricId, ctx: &DiagnosisContext) -> Option<FixAction> {
+pub(crate) fn fix_for_tier_saturation(
+    metric: MetricId,
+    ctx: &DiagnosisContext,
+) -> Option<FixAction> {
     if metric == ctx.web_util || metric == ctx.web_queue_ms {
         Some(FixAction::targeted(
             FixKind::ProvisionResources,
@@ -133,7 +123,7 @@ pub fn fix_for_tier_saturation(metric: MetricId, ctx: &DiagnosisContext) -> Opti
 
 /// Returns the index of the component whose metric has the largest mean in
 /// the window (e.g. the most-accessed table, the EJB with the most errors).
-pub fn busiest_component(metrics: &[MetricId], window: &Window) -> Option<usize> {
+pub(crate) fn busiest_component(metrics: &[MetricId], window: &Window) -> Option<usize> {
     if metrics.is_empty() {
         return None;
     }
@@ -152,6 +142,19 @@ pub fn busiest_component(metrics: &[MetricId], window: &Window) -> Option<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DiagnosisMethod {
+        /// Short label used in benchmark output.
+        pub(crate) fn label(self) -> &'static str {
+            match self {
+                DiagnosisMethod::AnomalyDetection => "anomaly",
+                DiagnosisMethod::CorrelationAnalysis => "correlation",
+                DiagnosisMethod::BottleneckAnalysis => "bottleneck",
+                DiagnosisMethod::ManualRules => "manual",
+                DiagnosisMethod::Signature => "fixsym",
+            }
+        }
+    }
 
     #[test]
     fn rank_orders_by_confidence() {

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 /// reliably repairs the failure, matching the "Candidate fix" column of
 /// Table 1).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CatalogEntry {
+pub(crate) struct CatalogEntry {
     /// The failure class this entry describes.
     pub fault: FaultKind,
     /// Fixes that repair the failure, preferred first.
@@ -130,14 +130,14 @@ impl FixCatalog {
     }
 
     /// Returns the catalog entry for a failure class.
-    pub fn entry(&self, fault: FaultKind) -> &CatalogEntry {
+    pub(crate) fn entry(&self, fault: FaultKind) -> &CatalogEntry {
         self.entries
             .get(&fault)
             .expect("catalog covers every fault kind")
     }
 
     /// All entries, ordered by fault kind.
-    pub fn entries(&self) -> impl Iterator<Item = &CatalogEntry> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &CatalogEntry> {
         self.entries.values()
     }
 
@@ -147,7 +147,7 @@ impl FixCatalog {
     }
 
     /// Returns `true` if `fix_kind` repairs `fault` regardless of targeting.
-    pub fn fix_kind_repairs(&self, fault: FaultKind, fix_kind: FixKind) -> bool {
+    pub(crate) fn fix_kind_repairs(&self, fault: FaultKind, fix_kind: FixKind) -> bool {
         self.entry(fault).fixes.contains(&fix_kind)
     }
 
@@ -169,17 +169,6 @@ impl FixCatalog {
             (None, _) => false,
             (Some(fix_target), fault_target) => targets_match(fix.kind, fix_target, fault_target),
         }
-    }
-
-    /// Number of failure classes covered.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if the catalog is empty (never the case for
-    /// [`FixCatalog::standard`]).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -230,6 +219,19 @@ fn tier_of(target: &FaultTarget) -> Option<u8> {
 mod tests {
     use super::*;
     use crate::fault::FaultId;
+
+    impl FixCatalog {
+        /// Number of failure classes covered.
+        pub(crate) fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        /// Returns `true` if the catalog is empty (never the case for
+        /// [`FixCatalog::standard`]).
+        pub(crate) fn is_empty(&self) -> bool {
+            self.entries.is_empty()
+        }
+    }
 
     fn fault(kind: FaultKind, target: FaultTarget) -> FaultSpec {
         FaultSpec::new(FaultId(0), kind, target, 0.8)

@@ -107,7 +107,7 @@ impl FaultKind {
     }
 
     /// The failure-cause category (Figure 1) this kind belongs to.
-    pub fn cause(self) -> FailureCause {
+    pub(crate) fn cause(self) -> FailureCause {
         match self {
             FaultKind::OperatorMisconfiguration | FaultKind::OperatorProceduralError => {
                 FailureCause::Operator
@@ -123,31 +123,6 @@ impl FaultKind {
             | FaultKind::BottleneckedTier
             | FaultKind::SourceCodeBug => FailureCause::Software,
         }
-    }
-
-    /// Whether the effect of this fault grows gradually over time
-    /// (degradation) rather than hitting at full severity immediately.
-    pub fn is_gradual(self) -> bool {
-        matches!(
-            self,
-            FaultKind::SoftwareAging
-                | FaultKind::SuboptimalQueryPlan
-                | FaultKind::BottleneckedTier
-                | FaultKind::BufferContention
-        )
-    }
-
-    /// Stable numeric code used as the class label by the learning layer.
-    pub fn code(self) -> usize {
-        FaultKind::ALL
-            .iter()
-            .position(|k| *k == self)
-            .expect("kind in ALL")
-    }
-
-    /// Inverse of [`FaultKind::code`].
-    pub fn from_code(code: usize) -> Option<FaultKind> {
-        FaultKind::ALL.get(code).copied()
     }
 }
 
@@ -237,7 +212,7 @@ pub enum FaultTarget {
 
 impl FaultTarget {
     /// Returns a short human-readable description of the target.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             FaultTarget::WebTier => "web tier".to_string(),
             FaultTarget::Ejb { index } => format!("EJB {index}"),
@@ -282,7 +257,7 @@ impl FaultSpec {
     }
 
     /// Overrides the recorded cause category.
-    pub fn with_cause(mut self, cause: FailureCause) -> Self {
+    pub(crate) fn with_cause(mut self, cause: FailureCause) -> Self {
         self.cause = cause;
         self
     }
@@ -291,6 +266,33 @@ impl FaultSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultKind {
+        /// Whether the effect of this fault grows gradually over time
+        /// (degradation) rather than hitting at full severity immediately.
+        pub(crate) fn is_gradual(self) -> bool {
+            matches!(
+                self,
+                FaultKind::SoftwareAging
+                    | FaultKind::SuboptimalQueryPlan
+                    | FaultKind::BottleneckedTier
+                    | FaultKind::BufferContention
+            )
+        }
+
+        /// Stable numeric code used as the class label by the learning layer.
+        pub(crate) fn code(self) -> usize {
+            FaultKind::ALL
+                .iter()
+                .position(|k| *k == self)
+                .expect("kind in ALL")
+        }
+
+        /// Inverse of [`FaultKind::code`].
+        pub(crate) fn from_code(code: usize) -> Option<FaultKind> {
+            FaultKind::ALL.get(code).copied()
+        }
+    }
 
     #[test]
     fn every_kind_has_a_unique_label_and_code() {

@@ -247,26 +247,6 @@ impl fmt::Display for FixAction {
     }
 }
 
-/// The observed outcome of an attempted fix, as determined by the
-/// check-fix step of the FixSym loop (Figure 3, line 13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FixOutcome {
-    /// The service recovered after the fix (SLOs compliant again).
-    Recovered,
-    /// The service did not recover; the failure persists.
-    NotRecovered,
-    /// The verdict is not yet known (the fix or the recovery check is still
-    /// in progress).
-    Pending,
-}
-
-impl FixOutcome {
-    /// Returns `true` for [`FixOutcome::Recovered`].
-    pub fn is_success(self) -> bool {
-        matches!(self, FixOutcome::Recovered)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,12 +306,5 @@ mod tests {
         assert_eq!(a.to_string(), "microreboot_ejb on EJB 2");
         let u = FixAction::untargeted(FixKind::FullServiceRestart);
         assert_eq!(u.to_string(), "full_service_restart");
-    }
-
-    #[test]
-    fn outcome_success_flag() {
-        assert!(FixOutcome::Recovered.is_success());
-        assert!(!FixOutcome::NotRecovered.is_success());
-        assert!(!FixOutcome::Pending.is_success());
     }
 }

@@ -21,23 +21,23 @@
 pub const SURGE_ID_BIT: u32 = 40;
 
 /// Lane bit for [`crate::SeasonalSource`] faults.
-pub const SEASON_ID_BIT: u32 = 43;
+pub(crate) const SEASON_ID_BIT: u32 = 43;
 
 /// Lane bit for [`crate::MixSource`] faults.
-pub const MIX_ID_BIT: u32 = 44;
+pub(crate) const MIX_ID_BIT: u32 = 44;
 
 /// Lane bit for [`crate::CatalogSweep`] faults.
-pub const SWEEP_ID_BIT: u32 = 45;
+pub(crate) const SWEEP_ID_BIT: u32 = 45;
 
 /// Lane bit for reactive-engine strikes
 /// (`selfheal_fleet::reactive::REACTIVE_FAULT_ID_BASE`).
 pub const REACTIVE_ID_BIT: u32 = 46;
 
 /// Lane bit for [`crate::OperatorSource`] faults.
-pub const OPERATOR_ID_BIT: u32 = 47;
+pub(crate) const OPERATOR_ID_BIT: u32 = 47;
 
 /// Lane bit for fleet-storm faults ([`crate::STORM_FAULT_ID_BASE`]).
-pub const STORM_ID_BIT: u32 = 48;
+pub(crate) const STORM_ID_BIT: u32 = 48;
 
 /// Every registered lane, by name.  The order is ascending by bit; the
 /// disjointness test below and `selfheal-lint`'s static mirror both walk
@@ -57,23 +57,23 @@ pub const fn lane_base(bit: u32) -> u64 {
     1u64 << bit
 }
 
-/// One past the last id of the lane rooted at `bit`: lanes span
-/// `[lane_base(bit), lane_end(bit))`.
-pub const fn lane_end(bit: u32) -> u64 {
-    1u64 << (bit + 1)
-}
-
-/// Lowest bit any lane may claim: scripted plans and per-tick request ids
-/// stay comfortably below `2^32`, so every lane at or above bit 32 is
-/// disjoint from them by construction.
-pub const MIN_LANE_BIT: u32 = 32;
-
-/// Highest bit a lane may claim: `lane_end` must not overflow `u64`.
-pub const MAX_LANE_BIT: u32 = 62;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lowest bit any lane may claim: scripted plans and per-tick request ids
+    /// stay comfortably below `2^32`, so every lane at or above bit 32 is
+    /// disjoint from them by construction.
+    const MIN_LANE_BIT: u32 = 32;
+
+    /// Highest bit a lane may claim: `lane_end` must not overflow `u64`.
+    const MAX_LANE_BIT: u32 = 62;
+
+    /// One past the last id of the lane rooted at `bit`: lanes span
+    /// `[lane_base(bit), lane_end(bit))`.
+    pub(crate) const fn lane_end(bit: u32) -> u64 {
+        1u64 << (bit + 1)
+    }
 
     #[test]
     fn manifest_registers_seven_lanes_with_unique_names() {

@@ -4,19 +4,17 @@
 //! preproduction: "the service can be subjected to different types and rates
 //! of workloads, and injected with various failures; while recording data
 //! about observed behavior".  An [`InjectionPlan`] is the schedule of such
-//! injections — either hand-scripted (for targeted experiments such as the
-//! Table 1 fault/fix matrix) or randomly generated from a
-//! [`ServiceProfile`]'s cause mix (for the Figure 1/2 demographics and the
-//! FixSym training runs).
+//! injections, hand-scripted for targeted experiments such as the Table 1
+//! fault/fix matrix.  Stochastic generation from a cause mix is
+//! [`crate::MixSource`]'s job.
 
 use crate::fault::{FaultId, FaultKind, FaultSpec, FaultTarget};
-use crate::mix::ServiceProfile;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// One scheduled injection: a fault to activate at a given tick.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InjectionEvent {
+pub(crate) struct InjectionEvent {
     /// Tick at which the fault becomes active.
     pub at_tick: u64,
     /// The fault to inject.
@@ -36,14 +34,9 @@ impl InjectionPlan {
     }
 
     /// Creates a plan from events (sorted by tick internally).
-    pub fn from_events(mut events: Vec<InjectionEvent>) -> Self {
+    pub(crate) fn from_events(mut events: Vec<InjectionEvent>) -> Self {
         events.sort_by_key(|e| e.at_tick);
         InjectionPlan { events }
-    }
-
-    /// Number of scheduled injections.
-    pub fn len(&self) -> usize {
-        self.events.len()
     }
 
     /// Returns `true` if nothing is scheduled.
@@ -51,13 +44,8 @@ impl InjectionPlan {
         self.events.is_empty()
     }
 
-    /// All events in tick order.
-    pub fn events(&self) -> &[InjectionEvent] {
-        &self.events
-    }
-
     /// Returns the faults that become active exactly at `tick`.
-    pub fn due_at(&self, tick: u64) -> Vec<&FaultSpec> {
+    pub(crate) fn due_at(&self, tick: u64) -> Vec<&FaultSpec> {
         self.events
             .iter()
             .filter(|e| e.at_tick == tick)
@@ -72,39 +60,22 @@ impl InjectionPlan {
 }
 
 /// Builder for [`InjectionPlan`]s.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct InjectionPlanBuilder {
     events: Vec<InjectionEvent>,
     next_id: u64,
-    ejb_count: usize,
-    table_count: usize,
-    index_count: usize,
 }
 
 impl InjectionPlanBuilder {
-    /// Creates a builder that will pick fault targets among `ejb_count`
-    /// EJBs, `table_count` tables, and `index_count` indexes (matching the
-    /// simulated service's topology).
-    pub fn new(ejb_count: usize, table_count: usize, index_count: usize) -> Self {
-        InjectionPlanBuilder {
-            events: Vec::new(),
-            next_id: 0,
-            ejb_count: ejb_count.max(1),
-            table_count: table_count.max(1),
-            index_count: index_count.max(1),
-        }
+    /// Creates an empty builder; fault ids count up from 0.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn next_id(&mut self) -> FaultId {
         let id = FaultId(self.next_id);
         self.next_id += 1;
         id
-    }
-
-    /// Topology this builder draws random targets from, as
-    /// `(ejb_count, table_count, index_count)`.
-    pub fn topology(&self) -> (usize, usize, usize) {
-        (self.ejb_count, self.table_count, self.index_count)
     }
 
     /// Schedules a fully specified fault.
@@ -131,41 +102,6 @@ impl InjectionPlanBuilder {
         self.inject(at_tick, kind, target, 0.8)
     }
 
-    /// Schedules `count` faults drawn from `profile`'s cause mix, spaced
-    /// `spacing_ticks` apart starting at `start_tick`, with random targets
-    /// and severities in `[0.4, 1.0]`.
-    pub fn inject_from_profile<R: Rng + ?Sized>(
-        mut self,
-        profile: ServiceProfile,
-        count: usize,
-        start_tick: u64,
-        spacing_ticks: u64,
-        rng: &mut R,
-    ) -> Self {
-        for i in 0..count {
-            let (cause, kind) = profile.sample_kind(rng);
-            let target = self.random_target(kind, rng);
-            let severity = rng.gen_range(0.4..=1.0);
-            let id = self.next_id();
-            let fault = FaultSpec::new(id, kind, target, severity).with_cause(cause);
-            self.events.push(InjectionEvent {
-                at_tick: start_tick + i as u64 * spacing_ticks,
-                fault,
-            });
-        }
-        self
-    }
-
-    fn random_target<R: Rng + ?Sized>(&self, kind: FaultKind, rng: &mut R) -> FaultTarget {
-        random_target(
-            kind,
-            self.ejb_count,
-            self.table_count,
-            self.index_count,
-            rng,
-        )
-    }
-
     /// Finalizes the plan.
     pub fn build(self) -> InjectionPlan {
         InjectionPlan::from_events(self.events)
@@ -174,9 +110,8 @@ impl InjectionPlanBuilder {
 
 /// Draws a random target for a fault of `kind` within a service topology of
 /// `ejb_count` EJBs, `table_count` tables, and `index_count` indexes — the
-/// target rule shared by [`InjectionPlanBuilder::inject_from_profile`] and
-/// the stochastic [`crate::source::MixSource`].
-pub fn random_target<R: Rng + ?Sized>(
+/// target rule of the stochastic [`crate::source::MixSource`].
+pub(crate) fn random_target<R: Rng + ?Sized>(
     kind: FaultKind,
     ejb_count: usize,
     table_count: usize,
@@ -247,12 +182,25 @@ pub fn default_target(kind: FaultKind, component: usize) -> FaultTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mix::ServiceProfile;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    impl InjectionPlan {
+        /// Number of scheduled injections.
+        pub(crate) fn len(&self) -> usize {
+            self.events.len()
+        }
+
+        /// All events in tick order.
+        pub(crate) fn events(&self) -> &[InjectionEvent] {
+            &self.events
+        }
+    }
+
     #[test]
     fn scripted_plan_is_sorted_and_queryable() {
-        let plan = InjectionPlanBuilder::new(4, 3, 2)
+        let plan = InjectionPlanBuilder::new()
             .inject(
                 50,
                 FaultKind::BufferContention,
@@ -276,9 +224,15 @@ mod tests {
 
     #[test]
     fn unique_fault_ids_are_assigned() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let plan = InjectionPlanBuilder::new(4, 3, 2)
-            .inject_from_profile(ServiceProfile::Online, 50, 0, 100, &mut rng)
+        let plan = (0..50)
+            .fold(InjectionPlanBuilder::new(), |builder, tick| {
+                builder.inject(
+                    tick,
+                    FaultKind::BufferContention,
+                    FaultTarget::DatabaseTier,
+                    0.5,
+                )
+            })
             .build();
         let mut ids: Vec<u64> = plan.events().iter().map(|e| e.fault.id.0).collect();
         ids.sort_unstable();
@@ -287,23 +241,11 @@ mod tests {
     }
 
     #[test]
-    fn profile_plan_spaces_events_evenly() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let plan = InjectionPlanBuilder::new(4, 3, 2)
-            .inject_from_profile(ServiceProfile::Content, 5, 100, 200, &mut rng)
-            .build();
-        let ticks: Vec<u64> = plan.events().iter().map(|e| e.at_tick).collect();
-        assert_eq!(ticks, vec![100, 300, 500, 700, 900]);
-    }
-
-    #[test]
     fn random_targets_stay_within_topology() {
         let mut rng = StdRng::seed_from_u64(3);
-        let plan = InjectionPlanBuilder::new(3, 2, 1)
-            .inject_from_profile(ServiceProfile::ReadMostly, 200, 0, 1, &mut rng)
-            .build();
-        for e in plan.events() {
-            match e.fault.target {
+        for _ in 0..200 {
+            let (_, kind) = ServiceProfile::ReadMostly.sample_kind(&mut rng);
+            match random_target(kind, 3, 2, 1, &mut rng) {
                 FaultTarget::Ejb { index } => assert!(index < 3),
                 FaultTarget::Table { index } => assert!(index < 2),
                 FaultTarget::Index { index } => assert!(index < 1),
@@ -341,7 +283,7 @@ mod tests {
 
     #[test]
     fn inject_default_uses_component_zero() {
-        let plan = InjectionPlanBuilder::new(2, 2, 1)
+        let plan = InjectionPlanBuilder::new()
             .inject_default(5, FaultKind::UnhandledException)
             .build();
         assert_eq!(plan.events()[0].fault.target, FaultTarget::Ejb { index: 0 });

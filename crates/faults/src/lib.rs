@@ -24,7 +24,7 @@
 //!    identification accuracy.
 //!
 //! On top of the catalog, the crate provides the pluggable [`FaultSource`]
-//! API ([`source`]): hand-scripted [`injection::InjectionPlan`]s behind
+//! API (`source`): hand-scripted [`injection::InjectionPlan`]s behind
 //! [`ScriptedSource`], stochastic demographic generation from a cause mix
 //! ([`MixSource`] — the paper's Section 4.2 active stimulation), full
 //! catalog coverage sweeps ([`CatalogSweep`]), seeded time-varying fault
@@ -35,28 +35,27 @@
 //! CauseMix-catalog mode); the failure-cause mix model behind Figure 1 is
 //! [`mix::CauseMix`], the per-category recovery-time model behind Figure 2
 //! is [`recovery_model::RecoveryTimeModel`], and the operator-error model
-//! behind [`OperatorSource`] lives in [`operator::OperatorModel`].
+//! behind [`OperatorSource`] lives in `operator::OperatorModel`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod catalog;
-pub mod fault;
-pub mod fix;
+pub(crate) mod catalog;
+pub(crate) mod fault;
+pub(crate) mod fix;
 pub mod id_space;
 pub mod injection;
-pub mod mix;
-pub mod operator;
-pub mod recovery_model;
-pub mod source;
-pub mod storm;
+pub(crate) mod mix;
+pub(crate) mod operator;
+pub(crate) mod recovery_model;
+pub(crate) mod source;
+pub(crate) mod storm;
 
-pub use catalog::{CatalogEntry, FixCatalog};
+pub use catalog::FixCatalog;
 pub use fault::{FailureCause, FaultId, FaultKind, FaultSpec, FaultTarget};
-pub use fix::{FixAction, FixCost, FixId, FixKind, FixOutcome};
-pub use injection::{InjectionEvent, InjectionPlan, InjectionPlanBuilder};
+pub use fix::{FixAction, FixCost, FixId, FixKind};
+pub use injection::{InjectionPlan, InjectionPlanBuilder};
 pub use mix::{CauseMix, ServiceProfile};
-pub use operator::{OperatorAction, OperatorModel};
 pub use recovery_model::RecoveryTimeModel;
 pub use source::{
     CatalogSweep, ComposedSource, FaultSource, MixSource, OperatorSource, ScriptedSource,

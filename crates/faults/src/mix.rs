@@ -24,7 +24,7 @@ impl CauseMix {
     ///
     /// # Panics
     /// Panics if no pair has positive weight.
-    pub fn new(weights: Vec<(FailureCause, f64)>) -> Self {
+    pub(crate) fn new(weights: Vec<(FailureCause, f64)>) -> Self {
         let total: f64 = weights.iter().map(|(_, w)| w.max(0.0)).sum();
         assert!(total > 0.0, "cause mix must have positive total weight");
         let weights = weights
@@ -39,17 +39,8 @@ impl CauseMix {
         &self.weights
     }
 
-    /// Probability of one cause (0.0 if absent from the mix).
-    pub fn probability(&self, cause: FailureCause) -> f64 {
-        self.weights
-            .iter()
-            .find(|(c, _)| *c == cause)
-            .map(|(_, w)| *w)
-            .unwrap_or(0.0)
-    }
-
     /// Samples a cause according to the mix.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> FailureCause {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> FailureCause {
         let mut r: f64 = rng.gen_range(0.0..1.0);
         for (cause, w) in &self.weights {
             if r < *w {
@@ -58,15 +49,6 @@ impl CauseMix {
             r -= *w;
         }
         self.weights.last().expect("nonempty mix").0
-    }
-
-    /// The cause with the highest probability.
-    pub fn dominant(&self) -> FailureCause {
-        self.weights
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite weights"))
-            .expect("nonempty mix")
-            .0
     }
 }
 
@@ -137,7 +119,7 @@ impl ServiceProfile {
     /// symptoms (e.g. a misconfigured buffer shows up as buffer contention),
     /// which is why the healing layer cannot simply read the cause off the
     /// symptoms.
-    pub fn kinds_for_cause(self, cause: FailureCause) -> Vec<(FaultKind, f64)> {
+    pub(crate) fn kinds_for_cause(self, cause: FailureCause) -> Vec<(FaultKind, f64)> {
         match cause {
             FailureCause::Operator => vec![
                 (FaultKind::OperatorMisconfiguration, 0.6),
@@ -206,6 +188,26 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl CauseMix {
+        /// Probability of one cause (0.0 if absent from the mix).
+        pub(crate) fn probability(&self, cause: FailureCause) -> f64 {
+            self.weights
+                .iter()
+                .find(|(c, _)| *c == cause)
+                .map(|(_, w)| *w)
+                .unwrap_or(0.0)
+        }
+
+        /// The cause with the highest probability.
+        pub(crate) fn dominant(&self) -> FailureCause {
+            self.weights
+                .iter()
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite weights"))
+                .expect("nonempty mix")
+                .0
+        }
+    }
 
     #[test]
     fn mixes_are_normalized_and_operator_dominates() {

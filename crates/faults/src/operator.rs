@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 /// The configuration surface an operator action touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum OperatorAction {
+pub(crate) enum OperatorAction {
     /// Resize the application-server thread pool.
     ResizeThreadPool,
     /// Resize a database buffer pool.
@@ -32,7 +32,7 @@ pub enum OperatorAction {
 
 impl OperatorAction {
     /// All operator action classes.
-    pub const ALL: [OperatorAction; 6] = [
+    pub(crate) const ALL: [OperatorAction; 6] = [
         OperatorAction::ResizeThreadPool,
         OperatorAction::ResizeBufferPool,
         OperatorAction::ResizeTierCapacity,
@@ -43,7 +43,7 @@ impl OperatorAction {
 
     /// The fault kind that a *botched* instance of this action manifests as,
     /// and the target tier/component class it lands on.
-    pub fn failure_manifestation(self) -> (FaultKind, FaultTarget) {
+    pub(crate) fn failure_manifestation(self) -> (FaultKind, FaultTarget) {
         match self {
             OperatorAction::ResizeThreadPool => {
                 (FaultKind::OperatorMisconfiguration, FaultTarget::AppTier)
@@ -68,26 +68,12 @@ impl OperatorAction {
             ),
         }
     }
-
-    /// Human-readable description of the botched action.
-    pub fn describe_mistake(self) -> &'static str {
-        match self {
-            OperatorAction::ResizeThreadPool => "thread pool resized far below the required size",
-            OperatorAction::ResizeBufferPool => "buffer pool shrunk, starving the working set",
-            OperatorAction::ResizeTierCapacity => "tier scaled down during a traffic surge",
-            OperatorAction::DeployApplicationBuild => "wrong or stale application build deployed",
-            OperatorAction::AlterSchema => {
-                "needed index dropped / schema change applied to wrong table"
-            }
-            OperatorAction::MaintenanceRestart => "wrong node restarted during maintenance",
-        }
-    }
 }
 
 /// A model of operator behaviour: how often configuration actions happen and
 /// how likely each is to be botched.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OperatorModel {
+pub(crate) struct OperatorModel {
     /// Probability that any given configuration action is a mistake.
     pub error_rate: f64,
     /// Relative frequency of each action class.
@@ -97,7 +83,7 @@ pub struct OperatorModel {
 impl OperatorModel {
     /// A model with a 15% per-action error rate (operators make mistakes,
     /// which is why they dominate Figure 1) and uniform action frequencies.
-    pub fn standard() -> Self {
+    pub(crate) fn standard() -> Self {
         OperatorModel {
             error_rate: 0.15,
             action_weights: OperatorAction::ALL.iter().map(|a| (*a, 1.0)).collect(),
@@ -105,7 +91,7 @@ impl OperatorModel {
     }
 
     /// Samples an action class according to the configured weights.
-    pub fn sample_action<R: Rng + ?Sized>(&self, rng: &mut R) -> OperatorAction {
+    pub(crate) fn sample_action<R: Rng + ?Sized>(&self, rng: &mut R) -> OperatorAction {
         let total: f64 = self.action_weights.iter().map(|(_, w)| w).sum();
         let mut r = rng.gen_range(0.0..total);
         for (action, w) in &self.action_weights {
@@ -120,7 +106,7 @@ impl OperatorModel {
     /// Simulates one operator action; returns a fault when it is botched.
     ///
     /// `next_fault_id` supplies the id for the new fault instance.
-    pub fn perform_action<R: Rng + ?Sized>(
+    pub(crate) fn perform_action<R: Rng + ?Sized>(
         &self,
         next_fault_id: u64,
         rng: &mut R,
@@ -149,6 +135,26 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl OperatorAction {
+        /// Human-readable description of the botched action.
+        pub(crate) fn describe_mistake(self) -> &'static str {
+            match self {
+                OperatorAction::ResizeThreadPool => {
+                    "thread pool resized far below the required size"
+                }
+                OperatorAction::ResizeBufferPool => "buffer pool shrunk, starving the working set",
+                OperatorAction::ResizeTierCapacity => "tier scaled down during a traffic surge",
+                OperatorAction::DeployApplicationBuild => {
+                    "wrong or stale application build deployed"
+                }
+                OperatorAction::AlterSchema => {
+                    "needed index dropped / schema change applied to wrong table"
+                }
+                OperatorAction::MaintenanceRestart => "wrong node restarted during maintenance",
+            }
+        }
+    }
 
     #[test]
     fn every_action_manifests_an_operator_caused_fault() {

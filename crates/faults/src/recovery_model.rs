@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 /// Parameters of one cause's recovery-time distribution, in minutes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RecoveryParams {
+pub(crate) struct RecoveryParams {
     /// Median recovery time, in minutes.
     pub median_minutes: f64,
     /// Multiplicative spread: the 90th percentile is roughly
@@ -29,7 +29,7 @@ pub struct RecoveryParams {
 
 impl RecoveryParams {
     /// Creates a parameter set.
-    pub fn new(median_minutes: f64, spread: f64) -> Self {
+    pub(crate) fn new(median_minutes: f64, spread: f64) -> Self {
         RecoveryParams {
             median_minutes: median_minutes.max(0.1),
             spread: spread.max(1.0),
@@ -59,13 +59,8 @@ impl RecoveryTimeModel {
     }
 
     /// Returns the parameters for a cause.
-    pub fn params(&self, cause: FailureCause) -> RecoveryParams {
+    pub(crate) fn params(&self, cause: FailureCause) -> RecoveryParams {
         *self.params.get(&cause).expect("model covers every cause")
-    }
-
-    /// Median manual recovery time for a cause, in minutes.
-    pub fn median_minutes(&self, cause: FailureCause) -> f64 {
-        self.params(cause).median_minutes
     }
 
     /// Samples a manual recovery time, in minutes.
@@ -81,12 +76,6 @@ impl RecoveryTimeModel {
         let z = z / std::f64::consts::FRAC_1_SQRT_2;
         (p.median_minutes * p.spread.powf(z * 0.5)).max(0.5)
     }
-
-    /// Samples a manual recovery time, in ticks (one tick = one second of
-    /// service time).
-    pub fn sample_ticks<R: Rng + ?Sized>(&self, cause: FailureCause, rng: &mut R) -> u64 {
-        (self.sample_minutes(cause, rng) * 60.0).round() as u64
-    }
 }
 
 impl Default for RecoveryTimeModel {
@@ -100,6 +89,23 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl RecoveryTimeModel {
+        /// Median manual recovery time for a cause, in minutes.
+        pub(crate) fn median_minutes(&self, cause: FailureCause) -> f64 {
+            self.params(cause).median_minutes
+        }
+
+        /// Samples a manual recovery time, in ticks (one tick = one second of
+        /// service time).
+        pub(crate) fn sample_ticks<R: Rng + ?Sized>(
+            &self,
+            cause: FailureCause,
+            rng: &mut R,
+        ) -> u64 {
+            (self.sample_minutes(cause, rng) * 60.0).round() as u64
+        }
+    }
 
     #[test]
     fn operator_failures_take_longest_to_recover() {

@@ -25,7 +25,7 @@
 //! # Implementing the trait
 //!
 //! ```
-//! use selfheal_faults::source::FaultSource;
+//! use selfheal_faults::FaultSource;
 //! use selfheal_faults::{FaultId, FaultKind, FaultSpec, FaultTarget};
 //!
 //! /// The same buffer-contention fault every `period` ticks — the
@@ -161,11 +161,6 @@ impl ScriptedSource {
     pub fn new(plan: InjectionPlan) -> Self {
         ScriptedSource { plan }
     }
-
-    /// The wrapped plan.
-    pub fn plan(&self) -> &InjectionPlan {
-        &self.plan
-    }
 }
 
 impl From<InjectionPlan> for ScriptedSource {
@@ -281,16 +276,6 @@ impl MixSource {
     pub fn with_id_base(mut self, id_base: u64) -> Self {
         self.id_base = id_base;
         self
-    }
-
-    /// The profile whose demographics drive generation.
-    pub fn profile(&self) -> ServiceProfile {
-        self.profile
-    }
-
-    /// The per-tick firing probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
     }
 }
 
@@ -435,26 +420,10 @@ impl ComposedSource {
         ComposedSource::default()
     }
 
-    /// Adds one child source (builder style).
-    pub fn with(mut self, source: impl FaultSource + 'static) -> Self {
-        self.sources.push(Box::new(source));
-        self
-    }
-
     /// Adds an already-boxed child source (builder style).
     pub fn with_boxed(mut self, source: Box<dyn FaultSource>) -> Self {
         self.sources.push(source);
         self
-    }
-
-    /// Number of child sources.
-    pub fn len(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Returns `true` when the composition has no children.
-    pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
     }
 }
 
@@ -565,7 +534,7 @@ impl SeasonalSource {
     }
 
     /// The rate in force at `tick`: the schedule's draw for that season.
-    pub fn rate_at(&self, tick: u64) -> f64 {
+    pub(crate) fn rate_at(&self, tick: u64) -> f64 {
         let season = tick / self.season_ticks;
         let draw = mix64(self.schedule_seed, season, SEASON_SCHEDULE_SALT);
         self.rates[(draw % self.rates.len() as u64) as usize]
@@ -603,7 +572,7 @@ impl FaultSource for SeasonalSource {
 /// Salt distinguishing [`OperatorSource`]'s per-tick stream.
 const OPERATOR_TICK_SALT: u64 = 0x3C6E_F372_FE94_F82B;
 
-/// The [`OperatorModel`] as a live stimulus: at every tick inside the
+/// The `OperatorModel` as a live stimulus: at every tick inside the
 /// active window, an operator performs a configuration action with
 /// probability `action_rate`; the model decides whether that action is
 /// botched (its `error_rate`) and, if so, which fault the mistake
@@ -626,7 +595,7 @@ pub struct OperatorSource {
 impl OperatorSource {
     /// Creates an operator source performing actions with probability
     /// `action_rate` per tick (clamped to `[0, 1]`) under the standard
-    /// [`OperatorModel`], unbounded in time.
+    /// `OperatorModel`, unbounded in time.
     pub fn new(action_rate: f64, seed: u64) -> Self {
         OperatorSource {
             model: OperatorModel::standard(),
@@ -635,12 +604,6 @@ impl OperatorSource {
             active_ticks: u64::MAX,
             id_base: OPERATOR_FAULT_ID_BASE,
         }
-    }
-
-    /// Overrides the operator-behaviour model.
-    pub fn with_model(mut self, model: OperatorModel) -> Self {
-        self.model = model;
-        self
     }
 
     /// Restricts actions to ticks `[0, active_ticks)` (finite horizon).
@@ -653,11 +616,6 @@ impl OperatorSource {
     pub fn with_id_base(mut self, id_base: u64) -> Self {
         self.id_base = id_base;
         self
-    }
-
-    /// The model driving botched-action decisions.
-    pub fn model(&self) -> &OperatorModel {
-        &self.model
     }
 }
 
@@ -697,9 +655,30 @@ mod tests {
     use crate::fault::{FailureCause, FaultTarget};
     use crate::injection::InjectionPlanBuilder;
 
+    impl OperatorSource {
+        /// Overrides the operator-behaviour model.
+        pub(crate) fn with_model(mut self, model: OperatorModel) -> Self {
+            self.model = model;
+            self
+        }
+    }
+
+    impl ComposedSource {
+        /// Adds one child source (builder style).
+        pub(crate) fn with(mut self, source: impl FaultSource + 'static) -> Self {
+            self.sources.push(Box::new(source));
+            self
+        }
+
+        /// Returns `true` when the composition has no children.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.sources.is_empty()
+        }
+    }
+
     fn scripted() -> ScriptedSource {
         ScriptedSource::new(
-            InjectionPlanBuilder::new(4, 3, 1)
+            InjectionPlanBuilder::new()
                 .inject(
                     30,
                     FaultKind::BufferContention,

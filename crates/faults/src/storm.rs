@@ -13,9 +13,7 @@
 //! the fleet engine's job (its `FleetEvent` machinery resolves a storm into
 //! per-replica injections).
 
-use crate::catalog::FixCatalog;
 use crate::fault::{FaultId, FaultKind, FaultSpec};
-use crate::fix::FixKind;
 use crate::id_space;
 use crate::injection::default_target;
 use crate::mix::ServiceProfile;
@@ -72,7 +70,7 @@ impl StormSpec {
     }
 
     /// Creates a catalog storm spec: each victim's failure class is drawn
-    /// from `profile`'s cause mix (see [`StormSpec::victim_kind`]).
+    /// from `profile`'s cause mix (see `StormSpec::victim_kind`).
     pub fn catalog(profile: ServiceProfile, severity: f64, fraction: f64) -> Self {
         StormSpec {
             kind: FaultKind::BufferContention,
@@ -85,7 +83,7 @@ impl StormSpec {
     /// Number of victims in a fleet of `fleet` replicas: the rounded
     /// fraction, at least 1 whenever the fraction is positive (a storm that
     /// hits nobody is a no-op, not a storm).
-    pub fn victim_count(&self, fleet: usize) -> usize {
+    pub(crate) fn victim_count(&self, fleet: usize) -> usize {
         if fleet == 0 || self.fraction <= 0.0 {
             return 0;
         }
@@ -93,7 +91,7 @@ impl StormSpec {
     }
 
     /// Whether replica `replica` of a fleet of `fleet` is a victim.
-    pub fn hits(&self, replica: usize, fleet: usize) -> bool {
+    pub(crate) fn hits(&self, replica: usize, fleet: usize) -> bool {
         if replica >= fleet {
             return false;
         }
@@ -111,7 +109,7 @@ impl StormSpec {
     /// mode a deterministic draw from the profile's cause mix keyed by
     /// `(seed, victim)` — two victims of the same storm usually manifest
     /// *different* classes, as the Oppenheimer demographics predict.
-    pub fn victim_kind(&self, victim: usize, seed: u64) -> (crate::FailureCause, FaultKind) {
+    pub(crate) fn victim_kind(&self, victim: usize, seed: u64) -> (crate::FailureCause, FaultKind) {
         /// Salt separating the storm victim-kind stream from the mix
         /// source's per-tick stream.
         const STORM_VICTIM_SALT: u64 = 0x570A_11CA_7A10_6000;
@@ -137,32 +135,36 @@ impl StormSpec {
         let (cause, kind) = self.victim_kind(victim, seed);
         FaultSpec::new(FaultId(id), kind, default_target(kind, 0), self.severity).with_cause(cause)
     }
-
-    /// Uniform-mode shorthand for [`StormSpec::fault_for`]: the fault every
-    /// victim receives when no cause mix is set.
-    pub fn fault(&self, id: u64) -> FaultSpec {
-        FaultSpec::new(
-            FaultId(id),
-            self.kind,
-            default_target(self.kind, 0),
-            self.severity,
-        )
-    }
-
-    /// The catalog's preferred (cheapest effective) fix for the storm's
-    /// uniform-mode failure class — what a fleet that has already learned
-    /// the signature should reach for on the first attempt.  (Catalog-mode
-    /// victims have per-victim classes; query
-    /// [`StormSpec::victim_kind`] and the [`FixCatalog`] directly.)
-    pub fn expected_fix(&self) -> FixKind {
-        FixCatalog::standard().preferred_fix(self.kind)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::FixCatalog;
+    use crate::fix::FixKind;
     use crate::FailureCause;
+
+    impl StormSpec {
+        /// Uniform-mode shorthand for [`StormSpec::fault_for`]: the fault every
+        /// victim receives when no cause mix is set.
+        pub(crate) fn fault(&self, id: u64) -> FaultSpec {
+            FaultSpec::new(
+                FaultId(id),
+                self.kind,
+                default_target(self.kind, 0),
+                self.severity,
+            )
+        }
+
+        /// The catalog's preferred (cheapest effective) fix for the storm's
+        /// uniform-mode failure class — what a fleet that has already learned
+        /// the signature should reach for on the first attempt.  (Catalog-mode
+        /// victims have per-victim classes; query
+        /// [`StormSpec::victim_kind`] and the [`FixCatalog`] directly.)
+        pub(crate) fn expected_fix(&self) -> FixKind {
+            FixCatalog::standard().preferred_fix(self.kind)
+        }
+    }
 
     #[test]
     fn victim_count_follows_the_fraction() {

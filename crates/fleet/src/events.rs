@@ -1,7 +1,7 @@
 //! Cross-replica fleet events: correlated fault storms and fleet-wide
 //! workload surges, scheduled against a running fleet.
 //!
-//! A [`FleetEvent`] is a fleet-level statement ("at tick 400, buffer
+//! A `FleetEvent` is a fleet-level statement ("at tick 400, buffer
 //! contention hits half the fleet") that the engine *resolves* into
 //! per-replica [`ReplicaAction`]s before the run starts.  Workers apply each
 //! action exactly when its replica reaches the action's tick, so an
@@ -12,51 +12,33 @@
 //! Two events ship with the crate, mirroring the declarative
 //! [`selfheal_core::harness::EventChoice`] recipes:
 //!
-//! * [`FaultStorm`] — a [`selfheal_faults::StormSpec`] at a tick: every
+//! * `FaultStorm` — a [`selfheal_faults::StormSpec`] at a tick: every
 //!   victim replica (a deterministic, evenly spread fraction of the fleet)
 //!   receives the same fault at the same tick.
-//! * [`WorkloadSurge`] — a fleet-wide flash crowd: every replica's request
+//! * `WorkloadSurge` — a fleet-wide flash crowd: every replica's request
 //!   batches are amplified for a window of ticks.
 //!
-//! # Implementing the trait
+//! # Scheduling events
 //!
 //! ```
-//! use selfheal_fleet::events::{FleetEvent, FleetShape, ReplicaAction};
+//! use selfheal_core::harness::EventChoice;
+//! use selfheal_faults::FaultKind;
+//! use selfheal_fleet::FleetConfig;
+//! use selfheal_sim::ServiceConfig;
 //!
-//! /// Doubles traffic on one chosen replica for 50 ticks — a targeted
-//! /// (rather than fleet-wide) surge.
-//! #[derive(Debug)]
-//! struct HotReplica {
-//!     at_tick: u64,
-//!     replica: usize,
-//! }
-//!
-//! impl FleetEvent for HotReplica {
-//!     fn due_tick(&self) -> u64 {
-//!         self.at_tick
-//!     }
-//!
-//!     fn label(&self) -> String {
-//!         format!("hot_replica_{}", self.replica)
-//!     }
-//!
-//!     fn resolve(&self, fleet: &FleetShape) -> Vec<(usize, ReplicaAction)> {
-//!         if self.replica >= fleet.replicas {
-//!             return Vec::new();
-//!         }
-//!         vec![(
-//!             self.replica,
-//!             ReplicaAction::Surge {
-//!                 factor: 2.0,
-//!                 until_tick: self.at_tick + 50,
-//!             },
-//!         )]
-//!     }
-//! }
-//!
-//! let event = HotReplica { at_tick: 10, replica: 1 };
-//! let shape = FleetShape { replicas: 4, ticks: 100, base_seed: 42 };
-//! assert_eq!(event.resolve(&shape).len(), 1);
+//! // At tick 40 buffer contention hits half the fleet; from tick 80 every
+//! // replica serves three times its traffic for 20 ticks.
+//! let fleet = FleetConfig::builder()
+//!     .service(ServiceConfig::tiny())
+//!     .replicas(4)
+//!     .ticks(120)
+//!     .events([
+//!         EventChoice::storm(40, FaultKind::BufferContention, 0.5),
+//!         EventChoice::surge(80, 20, 3.0),
+//!     ]);
+//! // The surge is the last stimulus: it ends after tick 99.
+//! assert_eq!(fleet.stimulus_horizon(), Some(99));
+//! assert_eq!(fleet.run().replicas().len(), 4);
 //! ```
 
 use selfheal_core::harness::EventChoice;
@@ -65,7 +47,7 @@ use std::collections::BTreeMap;
 
 /// The shape of the fleet an event is resolved against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetShape {
+pub(crate) struct FleetShape {
     /// Number of replicas in the fleet.
     pub replicas: usize,
     /// Ticks each replica will simulate.
@@ -95,7 +77,7 @@ pub enum ReplicaAction {
 /// Implementations must resolve deterministically: the per-replica actions
 /// may depend only on the event itself and the [`FleetShape`], never on
 /// wall-clock state, so every execution mode reproduces the same run.
-pub trait FleetEvent: Send + Sync + std::fmt::Debug {
+pub(crate) trait FleetEvent: Send + Sync + std::fmt::Debug {
     /// The tick at which the event fires (actions resolved from it default
     /// to this tick).
     fn due_tick(&self) -> u64;
@@ -120,7 +102,7 @@ pub trait FleetEvent: Send + Sync + std::fmt::Debug {
 /// hits a deterministic fraction of the fleet (see
 /// [`StormSpec`] for the victim-selection rule).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultStorm {
+pub(crate) struct FaultStorm {
     at_tick: u64,
     spec: StormSpec,
 }
@@ -128,7 +110,7 @@ pub struct FaultStorm {
 impl FaultStorm {
     /// Creates a uniform storm striking at `at_tick`: every victim receives
     /// the same failure class.
-    pub fn new(at_tick: u64, kind: FaultKind, severity: f64, fraction: f64) -> Self {
+    pub(crate) fn new(at_tick: u64, kind: FaultKind, severity: f64, fraction: f64) -> Self {
         FaultStorm {
             at_tick,
             spec: StormSpec::new(kind, severity, fraction),
@@ -139,16 +121,16 @@ impl FaultStorm {
     /// failure class is drawn from `profile`'s cause mix, keyed by the
     /// fleet's base seed at resolution time (so the draw is a pure function
     /// of the configuration).
-    pub fn catalog(at_tick: u64, profile: ServiceProfile, severity: f64, fraction: f64) -> Self {
+    pub(crate) fn catalog(
+        at_tick: u64,
+        profile: ServiceProfile,
+        severity: f64,
+        fraction: f64,
+    ) -> Self {
         FaultStorm {
             at_tick,
             spec: StormSpec::catalog(profile, severity, fraction),
         }
-    }
-
-    /// The underlying storm spec.
-    pub fn spec(&self) -> StormSpec {
-        self.spec
     }
 }
 
@@ -200,7 +182,7 @@ impl FleetEvent for FaultStorm {
 /// amplified by `factor` for `duration_ticks` starting at
 /// [`FleetEvent::due_tick`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkloadSurge {
+pub(crate) struct WorkloadSurge {
     at_tick: u64,
     duration_ticks: u64,
     factor: f64,
@@ -208,7 +190,7 @@ pub struct WorkloadSurge {
 
 impl WorkloadSurge {
     /// Creates a surge covering ticks `[at_tick, at_tick + duration_ticks)`.
-    pub fn new(at_tick: u64, duration_ticks: u64, factor: f64) -> Self {
+    pub(crate) fn new(at_tick: u64, duration_ticks: u64, factor: f64) -> Self {
         WorkloadSurge {
             at_tick,
             duration_ticks,
@@ -255,33 +237,18 @@ impl FleetEvent for WorkloadSurge {
 /// hood) or push any custom [`FleetEvent`] implementation with
 /// [`EventPlan::with`].
 #[derive(Debug, Default)]
-pub struct EventPlan {
+pub(crate) struct EventPlan {
     events: Vec<Box<dyn FleetEvent>>,
 }
 
 impl EventPlan {
     /// An empty plan.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventPlan::default()
     }
 
-    /// Builds a plan from declarative choices.
-    pub fn from_choices(choices: impl IntoIterator<Item = EventChoice>) -> Self {
-        let mut plan = EventPlan::new();
-        for choice in choices {
-            plan.push_choice(choice);
-        }
-        plan
-    }
-
-    /// Adds one event (builder style).
-    pub fn with(mut self, event: impl FleetEvent + 'static) -> Self {
-        self.events.push(Box::new(event));
-        self
-    }
-
     /// Adds one declarative choice.
-    pub fn push_choice(&mut self, choice: EventChoice) {
+    pub(crate) fn push_choice(&mut self, choice: EventChoice) {
         match choice {
             EventChoice::FaultStorm {
                 at_tick,
@@ -311,18 +278,8 @@ impl EventPlan {
         }
     }
 
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Returns `true` when no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Event labels, in schedule order.
-    pub fn labels(&self) -> Vec<String> {
+    pub(crate) fn labels(&self) -> Vec<String> {
         self.events.iter().map(|e| e.label()).collect()
     }
 
@@ -330,7 +287,7 @@ impl EventPlan {
     /// effect, or `None` for an empty plan.  Quiesce detection
     /// ([`crate::FleetConfig::run_to_quiescence`]) runs the fleet past this
     /// horizon plus a healing tail.
-    pub fn horizon(&self) -> Option<u64> {
+    pub(crate) fn horizon(&self) -> Option<u64> {
         self.events.iter().map(|e| e.horizon()).max()
     }
 
@@ -382,6 +339,73 @@ impl ActionSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Doubles traffic on one chosen replica for 50 ticks: a targeted
+    /// (rather than fleet-wide) surge.
+    #[derive(Debug)]
+    struct HotReplica {
+        at_tick: u64,
+        replica: usize,
+    }
+
+    // lint:allow(choice-mirror): a test double of a custom event.
+    impl FleetEvent for HotReplica {
+        fn due_tick(&self) -> u64 {
+            self.at_tick
+        }
+
+        fn label(&self) -> String {
+            format!("hot_replica_{}", self.replica)
+        }
+
+        fn resolve(&self, fleet: &FleetShape) -> Vec<(usize, ReplicaAction)> {
+            if self.replica >= fleet.replicas {
+                return Vec::new();
+            }
+            vec![(
+                self.replica,
+                ReplicaAction::Surge {
+                    factor: 2.0,
+                    until_tick: self.at_tick + 50,
+                },
+            )]
+        }
+    }
+
+    #[test]
+    fn a_custom_event_resolves_against_the_fleet_shape() {
+        let event = HotReplica {
+            at_tick: 10,
+            replica: 1,
+        };
+        let shape = FleetShape {
+            replicas: 4,
+            ticks: 100,
+            base_seed: 42,
+        };
+        assert_eq!(event.resolve(&shape).len(), 1);
+        let small = FleetShape {
+            replicas: 1,
+            ..shape
+        };
+        assert!(event.resolve(&small).is_empty());
+    }
+
+    impl EventPlan {
+        /// Builds a plan from declarative choices.
+        pub(crate) fn from_choices(choices: impl IntoIterator<Item = EventChoice>) -> Self {
+            let mut plan = EventPlan::new();
+            for choice in choices {
+                plan.push_choice(choice);
+            }
+            plan
+        }
+
+        /// Number of scheduled events.
+        pub(crate) fn len(&self) -> usize {
+            self.events.len()
+        }
+    }
 
     #[test]
     fn storms_resolve_to_unique_fault_ids_on_victims_only() {

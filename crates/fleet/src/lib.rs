@@ -25,13 +25,13 @@
 //! * [`FleetEngine`] — builds one resumable
 //!   [`selfheal_sim::ScenarioRunner`] per replica (seeded via
 //!   [`selfheal_sim::seeds::split_seed`]) and drives the whole fleet
-//!   through the [`scheduler`]'s [`EpochEngine`] — the same engine the
+//!   through the `scheduler`'s [`EpochEngine`] — the same engine the
 //!   resident daemon's supervisor advances: worker threads go round the
 //!   fleet taking turns of a few dozen ticks on a replica nobody else is
 //!   stepping, and meet at a barrier only once per window (the whole run,
 //!   or one reactive period), so every replica lives concurrently and
-//!   cross-replica [`events`] (correlated [`events::FaultStorm`]s,
-//!   fleet-wide [`events::WorkloadSurge`]s — declared via
+//!   cross-replica [`events`] (correlated `events::FaultStorm`s,
+//!   fleet-wide `events::WorkloadSurge`s — declared via
 //!   [`selfheal_core::harness::EventChoice`] on the config) land at exact
 //!   ticks.  With **isolated** learning, replica `i`'s entire run is a pure
 //!   function of `(base_seed, i)` — identical at any fleet size, thread
@@ -69,7 +69,7 @@
 
 pub mod events;
 pub mod reactive;
-pub mod scheduler;
+pub(crate) mod scheduler;
 
 use crate::events::{EventPlan, FleetShape};
 use crate::reactive::{ReactivePlan, ReactiveRecord, REACTIVE_PERIOD};
@@ -94,7 +94,7 @@ use std::time::{Duration, Instant};
 /// How the fleet's replicas are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// Replicas advance through the tick-sliced [`scheduler`] on `threads`
+    /// Replicas advance through the tick-sliced `scheduler` on `threads`
     /// OS worker threads (`None` = one per available core): every replica
     /// lives concurrently, and the workers synchronise only where replicas
     /// can observe each other — shared-store access is gated into the
@@ -296,13 +296,6 @@ impl FleetConfig {
         self
     }
 
-    /// Replaces the event schedule with a full [`EventPlan`] (the escape
-    /// hatch for custom [`events::FleetEvent`] implementations).
-    pub fn event_plan(mut self, plan: EventPlan) -> Self {
-        self.events = plan;
-        self
-    }
-
     /// Wires in one declarative reactive chaos engine (a
     /// [`ReactiveChoice::Adversary`] or [`ReactiveChoice::Cascade`]); may
     /// be called repeatedly.  Reactive engines observe the fleet at window
@@ -312,14 +305,6 @@ impl FleetConfig {
     /// [`slice`](FleetConfig::slice) divides the reactive period.
     pub fn reactive(mut self, choice: ReactiveChoice) -> Self {
         self.reactive.push_choice(choice);
-        self
-    }
-
-    /// Replaces the reactive engines with a full [`ReactivePlan`] (the
-    /// escape hatch for custom [`reactive::ReactiveEvent`]
-    /// implementations).
-    pub fn reactive_plan(mut self, plan: ReactivePlan) -> Self {
-        self.reactive = plan;
         self
     }
 
@@ -487,11 +472,6 @@ impl FleetOutcome {
         self.wall
     }
 
-    /// The execution mode the fleet ran under.
-    pub fn mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
     /// The fleet-wide synopsis store (flushed), when the fleet ran a
     /// learning policy against a shared [`LearnerChoice`] (`Locked` or
     /// `Sharded`) — e.g. to
@@ -593,14 +573,9 @@ pub struct FleetEngine {
 }
 
 impl FleetEngine {
-    /// Creates an engine from a finished configuration.
-    pub fn new(config: FleetConfig) -> Self {
-        FleetEngine { config }
-    }
-
     /// Builds the runner for replica index `replica`, with every RNG stream
     /// split deterministically from the fleet's base seed — what
-    /// [`run`](FleetEngine::run) inserts into its [`EpochEngine`], and the
+    /// `run` inserts into its [`EpochEngine`], and the
     /// replica-construction surface the resident daemon's supervisor uses
     /// to add, restart, and warm-start replicas in its own.  The replica's
     /// simulated streams are a pure function of `(base_seed, replica)`.
@@ -659,7 +634,7 @@ impl FleetEngine {
     /// `Some` when the learner is shared ([`LearnerChoice::is_shared`]) and
     /// the policy learns, warm-started from the config's snapshot and
     /// switched to incremental persistence when
-    /// [`FleetConfig::persist_synopsis`] was set.  [`run`](Self::run) calls
+    /// [`FleetConfig::persist_synopsis`] was set.  `run` calls
     /// this internally; the resident daemon calls it once at boot (with
     /// neither set: it replays and adopts its own snapshot log) and keeps
     /// the store alive across epochs and replica restarts.
@@ -701,7 +676,7 @@ impl FleetEngine {
     /// Panics when reactive engines are configured and the
     /// [`slice`](FleetConfig::slice) does not divide
     /// [`reactive::REACTIVE_PERIOD`].
-    pub fn run(self) -> FleetOutcome {
+    pub(crate) fn run(self) -> FleetOutcome {
         let config = &self.config;
         let store = self.build_shared_store();
         let schedule = config.events.resolve(&FleetShape {
@@ -807,7 +782,7 @@ mod tests {
     #[test]
     fn sequential_and_parallel_agree_when_isolated() {
         let plan = |_: usize| {
-            InjectionPlanBuilder::new(4, 3, 1)
+            InjectionPlanBuilder::new()
                 .inject(
                     20,
                     FaultKind::BufferContention,
@@ -832,7 +807,7 @@ mod tests {
     #[test]
     fn shared_topology_exposes_the_flushed_synopsis() {
         let plan = |_: usize| {
-            InjectionPlanBuilder::new(4, 3, 1)
+            InjectionPlanBuilder::new()
                 .inject(
                     20,
                     FaultKind::BufferContention,
@@ -865,7 +840,7 @@ mod tests {
     #[test]
     fn sharded_learner_exposes_a_store_and_learns() {
         let plan = |_: usize| {
-            InjectionPlanBuilder::new(4, 3, 1)
+            InjectionPlanBuilder::new()
                 .inject(
                     20,
                     FaultKind::BufferContention,
@@ -889,7 +864,7 @@ mod tests {
     #[test]
     fn warm_started_private_replicas_skip_the_trial_and_error() {
         let plan = |_: usize| {
-            InjectionPlanBuilder::new(4, 3, 1)
+            InjectionPlanBuilder::new()
                 .inject(
                     40,
                     FaultKind::BufferContention,

@@ -19,7 +19,7 @@
 //!   count (deterministic tie-break by lowest id).  The forcing function
 //!   for the paper's claim: under an adversary that piles onto whoever is
 //!   already failing, shared fix synopses must out-heal isolated learners.
-//! * [`CascadeEvent`] — correlated failure propagation along a small
+//! * `CascadeEvent` — correlated failure propagation along a small
 //!   service-dependency ring: a replica *entering* a failure episode seeds
 //!   a fault in its dependent next epoch, bounded by an injection budget.
 //!
@@ -106,7 +106,7 @@ pub const REACTIVE_PERIOD: u64 = 64;
 /// Id namespace for reactively-injected faults, disjoint from scripted
 /// plans, mix/sweep/season/operator sources, surge requests, and storms —
 /// see [`selfheal_faults::id_space`] for the lane manifest.
-pub const REACTIVE_FAULT_ID_BASE: u64 = id_space::lane_base(id_space::REACTIVE_ID_BIT);
+pub(crate) const REACTIVE_FAULT_ID_BASE: u64 = id_space::lane_base(id_space::REACTIVE_ID_BIT);
 
 /// One replica's state as observable at an epoch barrier.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,7 +136,7 @@ pub struct ReplicaView {
 
 impl ReplicaView {
     /// The view of a retired (panicked) replica slot.
-    pub fn retired(replica: usize) -> Self {
+    pub(crate) fn retired(replica: usize) -> Self {
         ReplicaView {
             replica,
             ticks: 0,
@@ -166,7 +166,7 @@ impl FleetView {
     /// broken toward the lowest replica id — fully deterministic, so
     /// adversarial targeting cannot depend on worker scheduling.  `None`
     /// when every replica is retired.
-    pub fn weakest_replica(&self) -> Option<usize> {
+    pub(crate) fn weakest_replica(&self) -> Option<usize> {
         self.replicas
             .iter()
             .filter(|r| !r.retired)
@@ -187,7 +187,7 @@ impl FleetView {
 /// epoch barrier whose tick is a multiple of [`REACTIVE_PERIOD`]; emitted
 /// actions are applied from the view's tick (the first tick of the next
 /// window), and injected faults are re-stamped with unique ids in the
-/// [`REACTIVE_FAULT_ID_BASE`] namespace.
+/// `REACTIVE_FAULT_ID_BASE` namespace.
 pub trait ReactiveEvent: Send + std::fmt::Debug {
     /// Short display label for bench output and the reactive log.
     fn label(&self) -> String;
@@ -217,7 +217,7 @@ impl Clone for Box<dyn ReactiveEvent> {
 // ---------------------------------------------------------------------------
 
 /// Weakest-replica targeting: at every reactive barrier inside its window,
-/// injects one fault into the replica [`FleetView::weakest_replica`] names.
+/// injects one fault into the replica `FleetView::weakest_replica` names.
 ///
 /// Against isolated learners this is the worst case the fleet can face —
 /// the adversary keeps striking whichever replica is already struggling, so
@@ -288,7 +288,7 @@ impl ReactiveEvent for AdversarySource {
 /// failure.  A total-injection `budget` bounds the chain so a cascade
 /// cannot feed itself around the ring forever.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CascadeEvent {
+pub(crate) struct CascadeEvent {
     kind: FaultKind,
     severity: f64,
     budget: usize,
@@ -300,7 +300,7 @@ pub struct CascadeEvent {
 impl CascadeEvent {
     /// Creates a cascade propagating `kind` at `severity`, injecting at
     /// most `budget` correlated faults before tick `until_tick`.
-    pub fn new(kind: FaultKind, severity: f64, budget: usize, until_tick: u64) -> Self {
+    pub(crate) fn new(kind: FaultKind, severity: f64, budget: usize, until_tick: u64) -> Self {
         CascadeEvent {
             kind,
             severity: severity.clamp(0.0, 1.0),
@@ -368,7 +368,7 @@ impl ReactiveEvent for CascadeEvent {
 /// The set of reactive engines wired into one fleet run.
 ///
 /// Build one from declarative [`ReactiveChoice`]s
-/// ([`ReactivePlan::from_choices`], what `FleetConfig::reactive` does under
+/// (`ReactivePlan::from_choices`, what `FleetConfig::reactive` does under
 /// the hood) or push any custom [`ReactiveEvent`] implementation with
 /// [`ReactivePlan::with`].
 #[derive(Debug, Clone, Default)]
@@ -382,15 +382,6 @@ impl ReactivePlan {
         ReactivePlan::default()
     }
 
-    /// Builds a plan from declarative choices.
-    pub fn from_choices(choices: impl IntoIterator<Item = ReactiveChoice>) -> Self {
-        let mut plan = ReactivePlan::new();
-        for choice in choices {
-            plan.push_choice(choice);
-        }
-        plan
-    }
-
     /// Adds one engine (builder style).
     pub fn with(mut self, event: impl ReactiveEvent + 'static) -> Self {
         self.events.push(Box::new(event));
@@ -398,7 +389,7 @@ impl ReactivePlan {
     }
 
     /// Adds one declarative choice.
-    pub fn push_choice(&mut self, choice: ReactiveChoice) {
+    pub(crate) fn push_choice(&mut self, choice: ReactiveChoice) {
         match choice {
             ReactiveChoice::Adversary {
                 kind,
@@ -419,24 +410,19 @@ impl ReactivePlan {
         }
     }
 
-    /// Number of configured engines.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// Returns `true` when no engines are configured.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
     /// Engine labels, in configuration order.
-    pub fn labels(&self) -> Vec<String> {
+    pub(crate) fn labels(&self) -> Vec<String> {
         self.events.iter().map(|e| e.label()).collect()
     }
 
     /// The latest finite engine horizon, `None` when every engine is
     /// unbounded (or the plan is empty).
-    pub fn horizon(&self) -> Option<u64> {
+    pub(crate) fn horizon(&self) -> Option<u64> {
         self.events
             .iter()
             .map(|e| e.horizon())
@@ -527,6 +513,22 @@ impl ReactiveContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ReactivePlan {
+        /// Builds a plan from declarative choices.
+        pub(crate) fn from_choices(choices: impl IntoIterator<Item = ReactiveChoice>) -> Self {
+            let mut plan = ReactivePlan::new();
+            for choice in choices {
+                plan.push_choice(choice);
+            }
+            plan
+        }
+
+        /// Number of configured engines.
+        pub(crate) fn len(&self) -> usize {
+            self.events.len()
+        }
+    }
 
     fn view(tick: u64, open: &[usize]) -> FleetView {
         FleetView {

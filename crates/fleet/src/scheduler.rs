@@ -80,6 +80,38 @@
 //! window uncut — one slice, one turn — and each replica runs to the
 //! horizon on one core; shared stores keep the deterministic ordering at
 //! every slice width, because reproducible fleet learning is the point.
+//!
+//! # Which test pins which path
+//!
+//! A window runs one of three paths: `sweep_in_order` when the engine has
+//! one worker, turns in `sweep` when it has several, and under those turns
+//! the nested catch-up in `wait_for` once a replica consults a gated store.
+//!
+//! * `sweep_in_order`: `slice_widths_partition_the_run_exactly` and the
+//!   one-worker leg of `one_window_admits_store_accesses_in_the_slice_at_a_time_order`
+//!   (unit tests below); the `ExecutionMode::Sequential` side of every
+//!   equivalence in `tests/scheduler.rs` and the batch twin of
+//!   `tests/daemon.rs::multi_replica_supervisor_matches_the_sequential_batch_fleet`.
+//!   `reactive_plans_reject_a_slice_that_does_not_divide_the_period` is
+//!   refused before any path runs.
+//! * Turns in `sweep`, no gate consulted:
+//!   `a_panicking_replica_is_retired_without_aborting_the_fleet`,
+//!   `a_window_crosses_the_barrier_once_however_many_slices_it_has` and
+//!   `a_replica_changes_workers_at_most_once_a_turn`;
+//!   `tests/scheduler.rs::slice_width_is_invariant_for_private_learners`
+//!   and `workload_surges_amplify_traffic_fleet_wide` (private learners).
+//! * Nested catch-up in `wait_for`: the several-worker legs of
+//!   `one_window_admits_store_accesses_in_the_slice_at_a_time_order`,
+//!   `fewer_workers_than_gated_replicas_cannot_deadlock`,
+//!   `a_panicking_replica_does_not_stall_gated_siblings` and
+//!   `a_replica_dying_mid_window_is_reported_once_at_the_windows_end`;
+//!   the parallel side of `tests/scheduler.rs`'s locked-store tests
+//!   (`tick_sliced_parallel_matches_sequential_with_a_shared_store`,
+//!   `parallel_and_sequential_agree_at_any_matching_slice_width`,
+//!   `fault_storms_are_deterministic_across_worker_counts`,
+//!   `warm_started_fleets_shrug_off_a_storm`); and every multi-replica test
+//!   in `tests/daemon.rs`, whose supervisor takes one worker per core
+//!   (on a one-core host those run `sweep_in_order` instead).
 
 use crate::events::{ActionSchedule, ReplicaAction};
 use crate::reactive::{
@@ -625,7 +657,7 @@ fn helper_loop(shared: &Shared, barrier: &Barrier) {
     }
 }
 
-/// The one epoch engine (see the [module docs](self)): slots keyed by
+/// The one epoch engine (see the module docs): slots keyed by
 /// replica id, a worker pool that lives across windows, the store gate, and
 /// the reactive context — behind a single [`advance`](Self::advance).
 pub struct EpochEngine {
@@ -705,7 +737,7 @@ impl EpochEngine {
     }
 
     /// Ticks advanced so far: the first tick of the next window.
-    pub fn tick(&self) -> u64 {
+    pub(crate) fn tick(&self) -> u64 {
         self.tick
     }
 
@@ -907,7 +939,7 @@ impl Drop for EpochEngine {
 mod tests {
     use super::*;
     use selfheal_core::store::ShardedStore;
-    use selfheal_faults::{FixAction, InjectionPlan};
+    use selfheal_faults::{FixAction, InjectionPlan, ScriptedSource};
     use selfheal_sim::scenario::NoHealing;
     use selfheal_sim::service::TickOutcome;
     use selfheal_sim::{MultiTierService, ServiceConfig};
@@ -941,7 +973,12 @@ mod tests {
             ArrivalProcess::Constant { rate: 20.0 },
             7,
         );
-        ScenarioRunner::new(service, workload, InjectionPlan::empty(), healer)
+        ScenarioRunner::with_faults(
+            service,
+            Box::new(workload),
+            Box::new(ScriptedSource::new(InjectionPlan::empty())),
+            healer,
+        )
     }
 
     /// Advances `engine` to `ticks` in `window`-tick windows; returns every

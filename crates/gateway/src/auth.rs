@@ -42,7 +42,7 @@ pub enum Scope {
 
 impl Scope {
     /// Stable lower-case label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Scope::Read => "read",
             Scope::Operate => "operate",
@@ -51,7 +51,7 @@ impl Scope {
     }
 
     /// Parses a scope word from the token config.
-    pub fn parse(text: &str) -> Result<Scope, String> {
+    pub(crate) fn parse(text: &str) -> Result<Scope, String> {
         match text {
             "read" => Ok(Scope::Read),
             "operate" => Ok(Scope::Operate),
@@ -64,7 +64,7 @@ impl Scope {
 
     /// Whether a token holding `self` may perform an action requiring
     /// `required`.
-    pub fn allows(self, required: Scope) -> bool {
+    pub(crate) fn allows(self, required: Scope) -> bool {
         self >= required
     }
 }
@@ -85,7 +85,7 @@ pub struct Token {
 
 impl Token {
     /// Builds a token directly (tests and embedders; files go through
-    /// [`AuthConfig::parse`]).
+    /// `AuthConfig::parse`).
     pub fn new(name: &str, secret: &str, tenant: &str, scope: Scope) -> Token {
         Token {
             name: name.to_string(),
@@ -96,7 +96,7 @@ impl Token {
     }
 
     /// Whether this token is bound to every tenant.
-    pub fn is_wildcard(&self) -> bool {
+    pub(crate) fn is_wildcard(&self) -> bool {
         self.tenant == "*"
     }
 }
@@ -113,7 +113,7 @@ pub enum AuthError {
 
 impl AuthError {
     /// The HTTP status this denial maps to.
-    pub fn status(&self) -> u16 {
+    pub(crate) fn status(&self) -> u16 {
         match self {
             AuthError::Unauthorized(_) => 401,
             AuthError::Forbidden(_) => 403,
@@ -121,7 +121,7 @@ impl AuthError {
     }
 
     /// The human-readable cause.
-    pub fn message(&self) -> &str {
+    pub(crate) fn message(&self) -> &str {
         match self {
             AuthError::Unauthorized(message) | AuthError::Forbidden(message) => message,
         }
@@ -146,11 +146,6 @@ impl AuthConfig {
         AuthConfig { tokens }
     }
 
-    /// Number of configured tokens.
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
     /// Whether no tokens are configured (every request will be denied).
     pub fn is_empty(&self) -> bool {
         self.tokens.is_empty()
@@ -164,7 +159,7 @@ impl AuthConfig {
     }
 
     /// Parses the TOML subset described in the [module docs](self).
-    pub fn parse(text: &str) -> Result<AuthConfig, String> {
+    pub(crate) fn parse(text: &str) -> Result<AuthConfig, String> {
         let mut tokens: Vec<Token> = Vec::new();
         let mut current: Option<PartialToken> = None;
         for (index, raw) in text.lines().enumerate() {
@@ -207,7 +202,7 @@ impl AuthConfig {
     /// Resolves a presented bearer secret to its token.  Every configured
     /// secret is compared (in constant time per comparison) so the number
     /// of comparisons does not depend on which token matched.
-    pub fn authenticate(&self, bearer: Option<&str>) -> Result<&Token, AuthError> {
+    pub(crate) fn authenticate(&self, bearer: Option<&str>) -> Result<&Token, AuthError> {
         let bearer = bearer.ok_or_else(|| {
             AuthError::Unauthorized("missing Authorization: Bearer header".to_string())
         })?;
@@ -318,7 +313,7 @@ fn parse_quoted(text: &str) -> Result<String, String> {
 /// Compares two byte strings without an early exit: the loop always runs
 /// over the longer input, so timing reveals (at most) the configured
 /// secret's length class, never a matching prefix.
-pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
+pub(crate) fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
     let mut diff = a.len() ^ b.len();
     for i in 0..a.len().max(b.len()) {
         let x = a.get(i).copied().unwrap_or(0);
@@ -331,6 +326,13 @@ pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AuthConfig {
+        /// Number of configured tokens.
+        pub(crate) fn len(&self) -> usize {
+            self.tokens.len()
+        }
+    }
 
     const FILE: &str = r#"
 # operator token

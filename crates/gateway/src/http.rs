@@ -10,7 +10,7 @@
 use std::io::{self, BufRead, Write};
 
 /// Hard cap on the request line plus all header bytes.
-pub const MAX_HEADER_BYTES: usize = 8 * 1024;
+pub(crate) const MAX_HEADER_BYTES: usize = 8 * 1024;
 
 /// Hard cap on a request body (`Content-Length`).
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
@@ -32,7 +32,7 @@ pub struct Request {
 
 impl Request {
     /// The first header with this (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
         self.headers
             .iter()
@@ -41,7 +41,7 @@ impl Request {
     }
 
     /// The bearer token carried in the `Authorization` header, if any.
-    pub fn bearer_token(&self) -> Option<&str> {
+    pub(crate) fn bearer_token(&self) -> Option<&str> {
         self.header("authorization")?
             .strip_prefix("Bearer ")
             .map(str::trim)
@@ -50,7 +50,7 @@ impl Request {
 
     /// Whether the client asked to keep the connection open after this
     /// exchange (HTTP/1.1 default; an explicit `Connection: close` wins).
-    pub fn keep_alive(&self) -> bool {
+    pub(crate) fn keep_alive(&self) -> bool {
         !self
             .header("connection")
             .is_some_and(|value| value.eq_ignore_ascii_case("close"))
@@ -205,7 +205,7 @@ fn read_header_line<R: BufRead>(
 }
 
 /// The reason phrase for the statuses the gateway emits.
-pub fn status_reason(status: u16) -> &'static str {
+pub(crate) fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         201 => "Created",
@@ -258,14 +258,18 @@ impl Response {
 /// Writes a chunked (`Transfer-Encoding: chunked`) response body piece by
 /// piece — the streaming half of the gateway.  The connection always
 /// closes after a stream.
-pub struct ChunkWriter<W: Write> {
+pub(crate) struct ChunkWriter<W: Write> {
     inner: W,
 }
 
 impl<W: Write> ChunkWriter<W> {
     /// Writes the response head (one write) and returns the writer for the
     /// chunks.
-    pub fn start(mut inner: W, status: u16, content_type: &str) -> io::Result<ChunkWriter<W>> {
+    pub(crate) fn start(
+        mut inner: W,
+        status: u16,
+        content_type: &str,
+    ) -> io::Result<ChunkWriter<W>> {
         let head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             status,
@@ -279,7 +283,7 @@ impl<W: Write> ChunkWriter<W> {
 
     /// Writes one chunk, size line and data in one write (empty input is
     /// skipped: a zero-length chunk would terminate the stream).
-    pub fn chunk(&mut self, data: &str) -> io::Result<()> {
+    pub(crate) fn chunk(&mut self, data: &str) -> io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
@@ -289,7 +293,7 @@ impl<W: Write> ChunkWriter<W> {
     }
 
     /// Writes the terminating zero-length chunk.
-    pub fn finish(mut self) -> io::Result<()> {
+    pub(crate) fn finish(mut self) -> io::Result<()> {
         self.inner.write_all(b"0\r\n\r\n")?;
         self.inner.flush()
     }

@@ -16,7 +16,7 @@
 //!   surface and the line protocol can never drift apart: there is only
 //!   one command vocabulary, and the router is a *translation*, not a
 //!   second implementation.
-//! * [`server`] — the [`Gateway`]: accept loop, per-connection threads,
+//! * [`server`] — the `Gateway`: accept loop, per-connection threads,
 //!   route-then-auth request handling, audit lines for mutating requests,
 //!   and the chunked `GET /v1/tenants/<t>/metrics/stream` endpoint that
 //!   polls `@<tenant> METRICS` and forwards each tenant-tagged
@@ -52,9 +52,3 @@ pub mod client;
 pub mod http;
 pub mod router;
 pub mod server;
-
-pub use auth::{AuthConfig, AuthError, Scope, Token};
-pub use client::{request, stream_lines, HttpReply};
-pub use http::{Request, Response};
-pub use router::{route, Lowered, Plan, RouteError};
-pub use server::{Gateway, GatewayOptions};

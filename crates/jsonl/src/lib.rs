@@ -15,7 +15,7 @@
 //!   over the rest of the line and the token is a slice of the `&str` the
 //!   scanner was handed, so `str::parse` is the only other reader of its
 //!   bytes; a number `f64` cannot hold is an error, never an infinity.
-//! * [`escape_into`] / [`push_json_string`] — the serialization-side string
+//! * `escape_into` / [`push_json_string`] — the serialization-side string
 //!   escaping the scanner undoes.
 //! * [`JsonError`] — a parse failure with line and byte-offset context.
 //! * [`parse_lines`] — the JSON-lines document loop (skip blanks, stamp
@@ -72,7 +72,7 @@ impl std::error::Error for JsonError {}
 
 /// Appends `s` to `out` with JSON string escaping (quotes, backslashes,
 /// control characters).  The inverse of [`Scanner::parse_string`].
-pub fn escape_into(out: &mut String, s: &str) {
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -156,7 +156,7 @@ impl<'a> Scanner<'a> {
     }
 
     /// Whether the cursor is past the final byte.
-    pub fn at_end(&self) -> bool {
+    pub(crate) fn at_end(&self) -> bool {
         self.pos >= self.bytes.len()
     }
 
@@ -281,7 +281,7 @@ impl<'a> Scanner<'a> {
     }
 
     /// Parses a `"..."` string, interpreting the escape sequences
-    /// [`escape_into`] produces.  Borrows from the line when no escapes are
+    /// `escape_into` produces.  Borrows from the line when no escapes are
     /// present (the common case for identifier-like labels).
     pub fn parse_string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 /// One boosting round: a weak learner and its vote weight.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WeightedStump {
+pub(crate) struct WeightedStump {
     /// The weak learner.
     pub stump: DecisionStump,
     /// The learner's vote weight (alpha).
@@ -40,12 +40,6 @@ pub struct AdaBoost {
 }
 
 impl AdaBoost {
-    /// Creates an AdaBoost synopsis with the paper's configuration of 60
-    /// weak learners.
-    pub fn paper_default() -> Self {
-        Self::new(60)
-    }
-
     /// Creates an AdaBoost synopsis with `rounds` weak learners.
     ///
     /// # Panics
@@ -58,16 +52,6 @@ impl AdaBoost {
             classes: Vec::new(),
             last_fit_cost: 0,
         }
-    }
-
-    /// Number of boosting rounds this model is configured for.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// The fitted ensemble (empty before the first [`Classifier::fit`]).
-    pub fn ensemble(&self) -> &[WeightedStump] {
-        &self.ensemble
     }
 
     /// Per-class weighted vote scores for a feature vector, normalized to
@@ -177,6 +161,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
+
+    impl AdaBoost {
+        /// The paper's configuration: 60 weak learners.
+        fn paper_default() -> Self {
+            Self::new(60)
+        }
+
+        fn rounds(&self) -> usize {
+            self.rounds
+        }
+
+        fn ensemble(&self) -> &[WeightedStump] {
+            &self.ensemble
+        }
+    }
 
     /// A dataset with a diagonal decision boundary (`x + y > 1`): a single
     /// axis-aligned stump can only reach ~75% accuracy, but an ensemble of

@@ -1,8 +1,6 @@
 //! Labelled datasets of feature vectors.
 
 use crate::Label;
-use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// One labelled example: a feature vector and its class label.
@@ -58,7 +56,7 @@ impl Dataset {
     }
 
     /// Feature width (number of columns).
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
@@ -104,81 +102,17 @@ impl Dataset {
     }
 
     /// The set of distinct labels present, sorted ascending.
-    pub fn labels(&self) -> Vec<Label> {
+    pub(crate) fn labels(&self) -> Vec<Label> {
         let mut labels: Vec<Label> = self.examples.iter().map(|e| e.label).collect();
         labels.sort_unstable();
         labels.dedup();
         labels
-    }
-
-    /// Number of examples with each label, as `(label, count)` sorted by
-    /// label.
-    pub fn label_counts(&self) -> Vec<(Label, usize)> {
-        self.labels()
-            .into_iter()
-            .map(|l| (l, self.examples.iter().filter(|e| e.label == l).count()))
-            .collect()
-    }
-
-    /// Per-column mean and standard deviation, used for z-score
-    /// normalization.
-    pub fn column_stats(&self) -> Vec<(f64, f64)> {
-        let n = self.examples.len().max(1) as f64;
-        (0..self.width)
-            .map(|c| {
-                let mean = self.examples.iter().map(|e| e.features[c]).sum::<f64>() / n;
-                let var = self
-                    .examples
-                    .iter()
-                    .map(|e| (e.features[c] - mean).powi(2))
-                    .sum::<f64>()
-                    / n;
-                (mean, var.sqrt())
-            })
-            .collect()
-    }
-
-    /// Splits the dataset into a training set and a test set, shuffling with
-    /// `rng`; `train_fraction` of the examples (rounded down, at least one
-    /// when nonempty) go to the training set.
-    pub fn split<R: Rng + ?Sized>(&self, train_fraction: f64, rng: &mut R) -> (Dataset, Dataset) {
-        let mut shuffled = self.examples.clone();
-        shuffled.shuffle(rng);
-        let train_len = ((shuffled.len() as f64) * train_fraction.clamp(0.0, 1.0)) as usize;
-        let train_len = train_len.clamp(usize::from(!shuffled.is_empty()), shuffled.len());
-        let test = shuffled.split_off(train_len);
-        (
-            Dataset {
-                width: self.width,
-                examples: shuffled,
-            },
-            Dataset {
-                width: self.width,
-                examples: test,
-            },
-        )
-    }
-
-    /// Returns a copy restricted to the given feature columns (in the given
-    /// order).  Used by feature selection.
-    pub fn project(&self, columns: &[usize]) -> Dataset {
-        let examples = self
-            .examples
-            .iter()
-            .map(|e| Example::new(columns.iter().map(|c| e.features[*c]).collect(), e.label))
-            .collect();
-        Dataset {
-            width: columns.len(),
-            examples,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn dataset() -> Dataset {
         Dataset::from_examples(vec![
@@ -196,7 +130,6 @@ mod tests {
         assert_eq!(d.len(), 4);
         assert!(!d.is_empty());
         assert_eq!(d.labels(), vec![0, 1, 2]);
-        assert_eq!(d.label_counts(), vec![(0, 2), (1, 1), (2, 1)]);
     }
 
     #[test]
@@ -212,43 +145,6 @@ mod tests {
     fn mismatched_width_is_rejected() {
         let mut d = dataset();
         d.push(Example::new(vec![1.0], 0));
-    }
-
-    #[test]
-    fn column_stats_match_hand_computation() {
-        let d = dataset();
-        let stats = d.column_stats();
-        assert!((stats[0].0 - 1.5).abs() < 1e-12);
-        assert!((stats[1].0 - 1.0).abs() < 1e-12);
-        assert!(stats[1].1.abs() < 1e-12, "constant column has zero std dev");
-    }
-
-    #[test]
-    fn split_partitions_all_examples() {
-        let d = dataset();
-        let mut rng = StdRng::seed_from_u64(1);
-        let (train, test) = d.split(0.5, &mut rng);
-        assert_eq!(train.len() + test.len(), d.len());
-        assert_eq!(train.len(), 2);
-        assert_eq!(train.width(), 3);
-        assert_eq!(test.width(), 3);
-    }
-
-    #[test]
-    fn split_always_keeps_at_least_one_training_example() {
-        let d = dataset();
-        let mut rng = StdRng::seed_from_u64(2);
-        let (train, _) = d.split(0.0, &mut rng);
-        assert_eq!(train.len(), 1);
-    }
-
-    #[test]
-    fn projection_reorders_columns() {
-        let d = dataset();
-        let p = d.project(&[2, 0]);
-        assert_eq!(p.width(), 2);
-        assert_eq!(p.examples()[0].features, vec![2.0, 0.0]);
-        assert_eq!(p.examples()[0].label, 0);
     }
 
     #[test]

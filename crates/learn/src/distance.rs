@@ -5,14 +5,10 @@ use serde::{Deserialize, Serialize};
 /// Distance metric used by the instance-based learners (nearest neighbor and
 /// k-means).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Distance {
+pub(crate) enum Distance {
     /// Euclidean (L2) distance.
     #[default]
     Euclidean,
-    /// Manhattan (L1) distance.
-    Manhattan,
-    /// Chebyshev (L∞) distance.
-    Chebyshev,
 }
 
 impl Distance {
@@ -20,7 +16,7 @@ impl Distance {
     ///
     /// # Panics
     /// Panics (in debug builds) if the vectors have different lengths.
-    pub fn between(self, a: &[f64], b: &[f64]) -> f64 {
+    pub(crate) fn between(self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(
             a.len(),
             b.len(),
@@ -33,31 +29,8 @@ impl Distance {
                 .map(|(x, y)| (x - y) * (x - y))
                 .sum::<f64>()
                 .sqrt(),
-            Distance::Manhattan => a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum(),
-            Distance::Chebyshev => a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max),
         }
     }
-}
-
-/// Normalizes a feature vector with per-column `(mean, std_dev)` statistics
-/// (z-score); columns with zero standard deviation are passed through
-/// centred only.
-pub fn zscore(features: &[f64], stats: &[(f64, f64)]) -> Vec<f64> {
-    features
-        .iter()
-        .zip(stats)
-        .map(|(v, (mean, std))| {
-            if *std > f64::EPSILON {
-                (v - mean) / std
-            } else {
-                v - mean
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -71,34 +44,14 @@ mod tests {
     }
 
     #[test]
-    fn manhattan_and_chebyshev() {
-        assert_eq!(Distance::Manhattan.between(&[1.0, 2.0], &[4.0, 0.0]), 5.0);
-        assert_eq!(Distance::Chebyshev.between(&[1.0, 2.0], &[4.0, 0.0]), 3.0);
-    }
-
-    #[test]
     fn distance_to_self_is_zero() {
         let v = [1.5, -2.0, 7.0];
-        for metric in [
-            Distance::Euclidean,
-            Distance::Manhattan,
-            Distance::Chebyshev,
-        ] {
-            assert_eq!(metric.between(&v, &v), 0.0);
-        }
+        assert_eq!(Distance::Euclidean.between(&v, &v), 0.0);
     }
 
     #[test]
     fn default_is_euclidean() {
         assert_eq!(Distance::default(), Distance::Euclidean);
-    }
-
-    #[test]
-    fn zscore_normalizes_and_handles_constant_columns() {
-        let stats = vec![(10.0, 2.0), (5.0, 0.0)];
-        let z = zscore(&[14.0, 7.0], &stats);
-        assert!((z[0] - 2.0).abs() < 1e-12);
-        assert!((z[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! Model evaluation: accuracy, confusion matrices, and learning curves.
+//! Model evaluation: accuracy on a fixed test set.
 //!
 //! Figure 4 of the paper plots "the accuracy of the current synopsis
 //! computed on a fixed test set comprising 1000 failure states (symptoms)
 //! and correct fixes generated by the simulator" against the number of
-//! correct fixes seen so far.  These helpers compute that accuracy and the
-//! supporting confusion matrices.
+//! correct fixes seen so far.  [`accuracy`] computes it.
 
 use crate::dataset::Dataset;
-use crate::{Classifier, Label};
-use std::collections::BTreeMap;
+use crate::Classifier;
 
 /// Fraction of test examples classified correctly.
 pub fn accuracy<C: Classifier + ?Sized>(model: &C, test: &Dataset) -> f64 {
@@ -20,132 +18,6 @@ pub fn accuracy<C: Classifier + ?Sized>(model: &C, test: &Dataset) -> f64 {
         .filter(|(features, label)| model.predict(features) == *label)
         .count();
     correct as f64 / test.len() as f64
-}
-
-/// A confusion matrix over the labels that appear in the evaluated data.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ConfusionMatrix {
-    /// `counts[(actual, predicted)]` = number of test examples.
-    counts: BTreeMap<(Label, Label), usize>,
-    total: usize,
-}
-
-impl ConfusionMatrix {
-    /// Evaluates `model` on `test` and collects the confusion matrix.
-    pub fn evaluate<C: Classifier + ?Sized>(model: &C, test: &Dataset) -> Self {
-        let mut matrix = ConfusionMatrix::default();
-        for (features, actual) in test.iter() {
-            let predicted = model.predict(features);
-            matrix.record(actual, predicted);
-        }
-        matrix
-    }
-
-    /// Records one (actual, predicted) observation.
-    pub fn record(&mut self, actual: Label, predicted: Label) {
-        *self.counts.entry((actual, predicted)).or_insert(0) += 1;
-        self.total += 1;
-    }
-
-    /// Total number of recorded observations.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Number of observations with the given actual and predicted labels.
-    pub fn count(&self, actual: Label, predicted: Label) -> usize {
-        self.counts.get(&(actual, predicted)).copied().unwrap_or(0)
-    }
-
-    /// Overall accuracy.
-    pub fn accuracy(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let correct: usize = self
-            .counts
-            .iter()
-            .filter(|((a, p), _)| a == p)
-            .map(|(_, c)| *c)
-            .sum();
-        correct as f64 / self.total as f64
-    }
-
-    /// All labels appearing as either actual or predicted, sorted.
-    pub fn labels(&self) -> Vec<Label> {
-        let mut labels: Vec<Label> = self.counts.keys().flat_map(|(a, p)| [*a, *p]).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        labels
-    }
-
-    /// Per-class recall: fraction of examples of `label` that were predicted
-    /// as `label`.  Returns 0.0 if the class never appears as an actual.
-    pub fn recall(&self, label: Label) -> f64 {
-        let actual_total: usize = self
-            .counts
-            .iter()
-            .filter(|((a, _), _)| *a == label)
-            .map(|(_, c)| *c)
-            .sum();
-        if actual_total == 0 {
-            return 0.0;
-        }
-        self.count(label, label) as f64 / actual_total as f64
-    }
-
-    /// Per-class precision: fraction of predictions of `label` that were
-    /// correct.  Returns 0.0 if the class was never predicted.
-    pub fn precision(&self, label: Label) -> f64 {
-        let predicted_total: usize = self
-            .counts
-            .iter()
-            .filter(|((_, p), _)| *p == label)
-            .map(|(_, c)| *c)
-            .sum();
-        if predicted_total == 0 {
-            return 0.0;
-        }
-        self.count(label, label) as f64 / predicted_total as f64
-    }
-}
-
-/// One point of a learning curve: after `training_examples` examples, the
-/// model reached `accuracy` on the fixed test set.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LearningCurvePoint {
-    /// Number of training examples seen.
-    pub training_examples: usize,
-    /// Accuracy on the held-out test set.
-    pub accuracy: f64,
-}
-
-/// Computes a learning curve by refitting `model` on growing prefixes of
-/// `train` (of the sizes in `checkpoints`) and evaluating on `test`.
-pub fn learning_curve<C: Classifier>(
-    model: &mut C,
-    train: &Dataset,
-    test: &Dataset,
-    checkpoints: &[usize],
-) -> Vec<LearningCurvePoint> {
-    let mut curve = Vec::with_capacity(checkpoints.len());
-    for &n in checkpoints {
-        let n = n.min(train.len());
-        if n == 0 {
-            curve.push(LearningCurvePoint {
-                training_examples: 0,
-                accuracy: 0.0,
-            });
-            continue;
-        }
-        let prefix = Dataset::from_examples(train.examples()[..n].to_vec());
-        model.fit(&prefix);
-        curve.push(LearningCurvePoint {
-            training_examples: n,
-            accuracy: accuracy(model, test),
-        });
-    }
-    curve
 }
 
 #[cfg(test)]
@@ -170,66 +42,5 @@ mod tests {
         nn.fit(&d);
         assert_eq!(accuracy(&nn, &d), 1.0);
         assert_eq!(accuracy(&nn, &Dataset::new(1)), 0.0);
-    }
-
-    #[test]
-    fn confusion_matrix_counts_and_metrics() {
-        let mut m = ConfusionMatrix::default();
-        m.record(0, 0);
-        m.record(0, 0);
-        m.record(0, 1);
-        m.record(1, 1);
-        assert_eq!(m.total(), 4);
-        assert_eq!(m.count(0, 0), 2);
-        assert_eq!(m.count(0, 1), 1);
-        assert_eq!(m.count(1, 0), 0);
-        assert!((m.accuracy() - 0.75).abs() < 1e-12);
-        assert!((m.recall(0) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(m.recall(1), 1.0);
-        assert_eq!(m.precision(0), 1.0);
-        assert!((m.precision(1) - 0.5).abs() < 1e-12);
-        assert_eq!(m.labels(), vec![0, 1]);
-        assert_eq!(m.recall(7), 0.0);
-        assert_eq!(m.precision(7), 0.0);
-    }
-
-    #[test]
-    fn evaluate_builds_matrix_from_model() {
-        let mut nn = NearestNeighbor::new();
-        let d = data();
-        nn.fit(&d);
-        let m = ConfusionMatrix::evaluate(&nn, &d);
-        assert_eq!(m.total(), 4);
-        assert_eq!(m.accuracy(), 1.0);
-    }
-
-    #[test]
-    fn learning_curve_is_monotone_for_knn_on_clean_data() {
-        let train = Dataset::from_examples(vec![
-            Example::new(vec![0.0], 0),
-            Example::new(vec![10.0], 1),
-            Example::new(vec![0.2], 0),
-            Example::new(vec![9.8], 1),
-        ]);
-        let test = data();
-        let mut nn = NearestNeighbor::new();
-        let curve = learning_curve(&mut nn, &train, &test, &[1, 2, 4, 100]);
-        assert_eq!(curve.len(), 4);
-        assert_eq!(curve[0].training_examples, 1);
-        assert_eq!(
-            curve[3].training_examples, 4,
-            "checkpoint clamps to train size"
-        );
-        assert!(curve[3].accuracy >= curve[0].accuracy);
-        assert_eq!(curve[3].accuracy, 1.0);
-    }
-
-    #[test]
-    fn learning_curve_handles_zero_checkpoint() {
-        let train = data();
-        let test = data();
-        let mut nn = NearestNeighbor::new();
-        let curve = learning_curve(&mut nn, &train, &test, &[0]);
-        assert_eq!(curve[0].accuracy, 0.0);
     }
 }

@@ -20,70 +20,6 @@ pub trait Forecaster {
     fn observations(&self) -> usize;
 }
 
-/// Holt's double exponential smoothing (level + trend).
-#[derive(Debug, Clone)]
-pub struct HoltLinear {
-    alpha: f64,
-    beta: f64,
-    level: Option<f64>,
-    trend: f64,
-    count: usize,
-}
-
-impl HoltLinear {
-    /// Creates a Holt forecaster with level smoothing `alpha` and trend
-    /// smoothing `beta`, both in `(0, 1]`.
-    ///
-    /// # Panics
-    /// Panics if the smoothing factors are out of range.
-    pub fn new(alpha: f64, beta: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        assert!(beta > 0.0 && beta <= 1.0, "beta must be in (0, 1]");
-        HoltLinear {
-            alpha,
-            beta,
-            level: None,
-            trend: 0.0,
-            count: 0,
-        }
-    }
-
-    /// Current estimated trend (change per step).
-    pub fn trend(&self) -> f64 {
-        self.trend
-    }
-
-    /// Current estimated level.
-    pub fn level(&self) -> Option<f64> {
-        self.level
-    }
-}
-
-impl Forecaster for HoltLinear {
-    fn observe(&mut self, value: f64) {
-        self.count += 1;
-        match self.level {
-            None => {
-                self.level = Some(value);
-                self.trend = 0.0;
-            }
-            Some(level) => {
-                let new_level = self.alpha * value + (1.0 - self.alpha) * (level + self.trend);
-                self.trend = self.beta * (new_level - level) + (1.0 - self.beta) * self.trend;
-                self.level = Some(new_level);
-            }
-        }
-    }
-
-    fn forecast(&self, horizon: usize) -> Option<f64> {
-        self.level.map(|l| l + self.trend * horizon as f64)
-    }
-
-    fn observations(&self) -> usize {
-        self.count
-    }
-}
-
 /// Ordinary-least-squares linear trend over a sliding window of the most
 /// recent observations.
 #[derive(Debug, Clone)]
@@ -105,12 +41,6 @@ impl SlidingLinearTrend {
             values: Vec::new(),
             count: 0,
         }
-    }
-
-    /// Estimated slope (change per step) over the current window, or `None`
-    /// until two observations are available.
-    pub fn slope(&self) -> Option<f64> {
-        self.fit().map(|(slope, _)| slope)
     }
 
     fn fit(&self) -> Option<(f64, f64)> {
@@ -178,31 +108,12 @@ pub fn steps_until_threshold<F: Forecaster>(
 mod tests {
     use super::*;
 
-    #[test]
-    fn holt_tracks_a_linear_ramp() {
-        let mut h = HoltLinear::new(0.5, 0.5);
-        assert!(h.forecast(1).is_none());
-        for i in 0..50 {
-            h.observe(10.0 + 2.0 * i as f64);
+    impl SlidingLinearTrend {
+        /// Estimated slope (change per step) over the current window, or
+        /// `None` until two observations are available.
+        fn slope(&self) -> Option<f64> {
+            self.fit().map(|(slope, _)| slope)
         }
-        let f = h.forecast(5).unwrap();
-        let expected = 10.0 + 2.0 * 54.0;
-        assert!(
-            (f - expected).abs() < 2.0,
-            "forecast {f} vs expected {expected}"
-        );
-        assert!((h.trend() - 2.0).abs() < 0.2);
-        assert_eq!(h.observations(), 50);
-    }
-
-    #[test]
-    fn holt_on_constant_series_forecasts_the_constant() {
-        let mut h = HoltLinear::new(0.3, 0.3);
-        for _ in 0..30 {
-            h.observe(42.0);
-        }
-        assert!((h.forecast(10).unwrap() - 42.0).abs() < 1e-9);
-        assert!(h.trend().abs() < 1e-9);
     }
 
     #[test]
@@ -241,12 +152,6 @@ mod tests {
             flat.observe(1.0);
         }
         assert_eq!(steps_until_threshold(&flat, 2.0, 50), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in")]
-    fn holt_rejects_bad_alpha() {
-        HoltLinear::new(0.0, 0.5);
     }
 
     #[test]

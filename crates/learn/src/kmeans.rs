@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 
 /// How the clusters are formed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ClusterMode {
+pub(crate) enum ClusterMode {
     /// One cluster per label; representative = mean of the label's points
     /// (the paper's description of the k-means synopsis).
     LabelPartition,
@@ -96,12 +96,6 @@ impl KMeans {
             clusters: Vec::new(),
             last_fit_cost: 0,
         }
-    }
-
-    /// Sets the distance metric.
-    pub fn with_metric(mut self, metric: Distance) -> Self {
-        self.metric = metric;
-        self
     }
 
     /// Sets the seed used for Lloyd initialization.

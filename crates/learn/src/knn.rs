@@ -45,27 +45,6 @@ impl NearestNeighbor {
         }
     }
 
-    /// Sets the distance metric.
-    pub fn with_metric(mut self, metric: Distance) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Number of stored examples.
-    pub fn len(&self) -> usize {
-        self.examples.len()
-    }
-
-    /// Returns `true` if no examples have been stored yet.
-    pub fn is_empty(&self) -> bool {
-        self.examples.is_empty()
-    }
-
-    /// Adds one example incrementally (the online update used by FixSym).
-    pub fn add_example(&mut self, example: Example) {
-        self.examples.push(example);
-    }
-
     /// Returns the `k` nearest stored examples to `features`, closest first,
     /// as `(distance, label)` pairs.
     pub fn neighbors(&self, features: &[f64]) -> Vec<(f64, Label)> {
@@ -153,17 +132,6 @@ mod tests {
         let (label, confidence) = nn.predict_with_confidence(&[7.0, 7.0]);
         assert_eq!(label, 1);
         assert!(confidence >= 2.0 / 3.0);
-    }
-
-    #[test]
-    fn incremental_updates_change_predictions() {
-        let mut nn = NearestNeighbor::new();
-        assert_eq!(nn.predict_with_confidence(&[1.0, 1.0]), (0, 0.0));
-        nn.add_example(Example::new(vec![1.0, 1.0], 7));
-        assert_eq!(nn.predict(&[1.1, 0.9]), 7);
-        assert_eq!(nn.len(), 1);
-        nn.add_example(Example::new(vec![5.0, 5.0], 3));
-        assert_eq!(nn.predict(&[4.9, 5.2]), 3);
     }
 
     #[test]

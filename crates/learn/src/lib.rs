@@ -12,18 +12,11 @@
 //!   cluster representative).
 //! * [`adaboost::AdaBoost`] — the ensemble synopsis (SAMME-style multi-class
 //!   AdaBoost over decision stumps; the paper uses 60 weak learners).
-//! * [`naive_bayes::GaussianNaiveBayes`] — the probabilistic model family
-//!   used for correlation analysis ("e.g., by building a Bayesian network")
-//!   and for confidence estimates (Section 5.2).
 //! * [`stats`] — Pearson correlation and the chi-square test used by anomaly
 //!   detection (Example 2: "Deviation can be detected, e.g., using the χ²
 //!   statistical test").
-//! * [`feature`] — simple feature selection ("operators for data
-//!   transformation (e.g., aggregation, feature selection)").
-//! * [`eval`] — accuracy, confusion matrices, and train/test evaluation used
-//!   to regenerate Figure 4 and Table 3.
-//! * [`online`] — incremental-update wrappers for online synopsis learning
-//!   (Section 5.2 "Online learning").
+//! * [`accuracy`] — test-set accuracy, used to regenerate Figure 4 and
+//!   Table 3.
 //! * [`forecast`] — time-series forecasting for proactive healing
 //!   (Section 5.3).
 //!
@@ -36,31 +29,25 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adaboost;
-pub mod dataset;
-pub mod distance;
-pub mod eval;
-pub mod feature;
+pub(crate) mod adaboost;
+pub(crate) mod dataset;
+pub(crate) mod distance;
+pub(crate) mod eval;
 pub mod forecast;
-pub mod kmeans;
-pub mod knn;
-pub mod naive_bayes;
-pub mod online;
+pub(crate) mod kmeans;
+pub(crate) mod knn;
 pub mod stats;
-pub mod stump;
+pub(crate) mod stump;
 
 pub use adaboost::AdaBoost;
 pub use dataset::{Dataset, Example};
-pub use distance::Distance;
-pub use eval::{accuracy, ConfusionMatrix};
+pub use eval::accuracy;
 pub use kmeans::KMeans;
 pub use knn::NearestNeighbor;
-pub use naive_bayes::GaussianNaiveBayes;
-pub use online::OnlineLearner;
 
 /// A class label (for FixSym synopses: the code of the fix that repaired the
 /// failure; see `selfheal_faults::FixKind::code`).
-pub type Label = usize;
+pub(crate) type Label = usize;
 
 /// A classifier trained on labelled feature vectors.
 ///

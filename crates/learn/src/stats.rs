@@ -1,6 +1,6 @@
 //! Statistical tests and association measures.
 //!
-//! * [`pearson`] — the correlation coefficient used by the
+//! * `pearson` — the correlation coefficient used by the
 //!   correlation-analysis diagnosis to find attributes "correlated strongly
 //!   with (or predictive of) a failure-indicator attribute" (Section 4.3.2).
 //! * [`chi_square_statistic`] / [`chi_square_test`] — the χ² goodness-of-fit
@@ -15,7 +15,7 @@
 ///
 /// Returns 0.0 when either sample has zero variance or fewer than two
 /// observations (no linear association can be estimated).
-pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
+pub(crate) fn pearson(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "pearson requires equal-length samples");
     let n = x.len();
     if n < 2 {
@@ -69,7 +69,7 @@ pub fn chi_square_statistic(observed: &[f64], expected: &[f64]) -> f64 {
 /// Approximate upper critical value of the χ² distribution with `dof`
 /// degrees of freedom at significance `alpha` (supported: 0.05 and 0.01),
 /// using the Wilson–Hilferty cube-root normal approximation.
-pub fn chi_square_critical(dof: usize, alpha: f64) -> f64 {
+pub(crate) fn chi_square_critical(dof: usize, alpha: f64) -> f64 {
     if dof == 0 {
         return 0.0;
     }

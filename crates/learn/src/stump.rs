@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 /// A one-feature threshold classifier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DecisionStump {
+pub(crate) struct DecisionStump {
     /// Index of the feature tested.
     pub feature: usize,
     /// Threshold the feature is compared against.
@@ -24,7 +24,7 @@ pub struct DecisionStump {
 
 impl DecisionStump {
     /// Predicts the label of a feature vector.
-    pub fn predict(&self, features: &[f64]) -> Label {
+    pub(crate) fn predict(&self, features: &[f64]) -> Label {
         if features[self.feature] <= self.threshold {
             self.below
         } else {
@@ -44,7 +44,7 @@ impl DecisionStump {
     ///
     /// # Panics
     /// Panics if `data` is empty or `weights.len() != data.len()`.
-    pub fn fit_weighted(data: &Dataset, weights: &[f64]) -> (DecisionStump, f64, u64) {
+    pub(crate) fn fit_weighted(data: &Dataset, weights: &[f64]) -> (DecisionStump, f64, u64) {
         assert!(!data.is_empty(), "cannot fit a stump on an empty dataset");
         assert_eq!(weights.len(), data.len(), "one weight per example required");
 

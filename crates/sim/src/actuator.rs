@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 /// A fix currently being applied.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PendingFix {
+pub(crate) struct PendingFix {
     /// Unique id of this fix attempt.
     pub id: FixId,
     /// The action being applied.
@@ -29,7 +29,7 @@ pub struct PendingFix {
 
 /// A fix that completed this tick.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompletedFix {
+pub(crate) struct CompletedFix {
     /// Unique id of the fix attempt.
     pub id: FixId,
     /// The completed action.
@@ -42,7 +42,7 @@ pub struct CompletedFix {
 
 /// Tracks in-progress fixes and their disruption.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FixActuator {
+pub(crate) struct FixActuator {
     pending: Vec<PendingFix>,
     next_fix_id: u64,
     total_started: u64,
@@ -51,18 +51,18 @@ pub struct FixActuator {
 
 impl FixActuator {
     /// Creates an idle actuator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Starts applying a fix at `tick` with its default cost model, returning
     /// the id of the attempt.
-    pub fn start(&mut self, action: FixAction, tick: u64) -> FixId {
+    pub(crate) fn start(&mut self, action: FixAction, tick: u64) -> FixId {
         self.start_with_cost(action, action.kind.default_cost(), tick)
     }
 
     /// Starts applying a fix with an explicit cost model.
-    pub fn start_with_cost(&mut self, action: FixAction, cost: FixCost, tick: u64) -> FixId {
+    pub(crate) fn start_with_cost(&mut self, action: FixAction, cost: FixCost, tick: u64) -> FixId {
         let id = FixId(self.next_fix_id);
         self.next_fix_id += 1;
         self.total_started += 1;
@@ -77,29 +77,9 @@ impl FixActuator {
         id
     }
 
-    /// Fixes currently in progress.
-    pub fn pending(&self) -> &[PendingFix] {
-        &self.pending
-    }
-
-    /// Returns `true` if any fix is currently being applied.
-    pub fn busy(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
-    /// Total fix attempts started.
-    pub fn total_started(&self) -> u64 {
-        self.total_started
-    }
-
-    /// Total fix attempts completed.
-    pub fn total_completed(&self) -> u64 {
-        self.total_completed
-    }
-
     /// The fraction of capacity available at `tier` this tick, given the
     /// disruption of all in-progress fixes (1.0 = undisturbed).
-    pub fn available_fraction(&self, tier: SimTier) -> f64 {
+    pub(crate) fn available_fraction(&self, tier: SimTier) -> f64 {
         let mut available: f64 = 1.0;
         for fix in &self.pending {
             if fix_disrupts_tier(&fix.action, tier) {
@@ -111,7 +91,7 @@ impl FixActuator {
 
     /// Advances in-progress fixes by one tick (ending at `tick`) and returns
     /// the fixes that completed.
-    pub fn advance_tick(&mut self, tick: u64) -> Vec<CompletedFix> {
+    pub(crate) fn advance_tick(&mut self, tick: u64) -> Vec<CompletedFix> {
         let mut completed = Vec::new();
         self.pending.retain_mut(|fix| {
             if fix.remaining_ticks == 0 {
@@ -143,7 +123,7 @@ impl FixActuator {
 
     /// Abandons all in-progress fixes (used when a full restart supersedes
     /// narrower fixes).
-    pub fn cancel_all(&mut self) {
+    pub(crate) fn cancel_all(&mut self) {
         self.pending.clear();
     }
 }
@@ -178,6 +158,28 @@ fn fix_disrupts_tier(action: &FixAction, tier: SimTier) -> bool {
 mod tests {
     use super::*;
     use selfheal_faults::FaultTarget;
+
+    impl FixActuator {
+        /// Fixes currently in progress.
+        pub(crate) fn pending(&self) -> &[PendingFix] {
+            &self.pending
+        }
+
+        /// Returns `true` if any fix is currently being applied.
+        pub(crate) fn busy(&self) -> bool {
+            !self.pending.is_empty()
+        }
+
+        /// Total fix attempts started.
+        pub(crate) fn total_started(&self) -> u64 {
+            self.total_started
+        }
+
+        /// Total fix attempts completed.
+        pub(crate) fn total_completed(&self) -> u64 {
+            self.total_completed
+        }
+    }
 
     #[test]
     fn fixes_complete_after_their_duration() {

@@ -86,7 +86,7 @@ impl ServiceConfig {
 
     /// Validates invariants, panicking with a descriptive message when the
     /// configuration is unusable.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.ejb_count > 0, "service needs at least one EJB");
         assert!(self.table_count > 0, "service needs at least one table");
         assert!(self.web_capacity_ms > 0.0, "web capacity must be positive");

@@ -17,7 +17,7 @@ const COLD_MISS_RATE: f64 = 0.02;
 /// accessed this tick, which the miss rate depends on, is kept up to date by
 /// the accesses themselves instead of being recounted on each.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     nominal_pages: u64,
     current_pages: u64,
     working_set_pages: u64,
@@ -35,7 +35,7 @@ pub struct BufferPool {
 impl BufferPool {
     /// Creates a pool of `nominal_pages` pages serving `table_count` tables,
     /// each with a working set of `working_set_pages`.
-    pub fn new(nominal_pages: u64, working_set_pages: u64, table_count: usize) -> Self {
+    pub(crate) fn new(nominal_pages: u64, working_set_pages: u64, table_count: usize) -> Self {
         assert!(nominal_pages > 0, "buffer pool must have at least one page");
         assert!(table_count > 0, "buffer pool must serve at least one table");
         BufferPool {
@@ -51,24 +51,14 @@ impl BufferPool {
         }
     }
 
-    /// Nominal (configured) size in pages.
-    pub fn nominal_pages(&self) -> u64 {
-        self.nominal_pages
-    }
-
-    /// Current effective size in pages.
-    pub fn current_pages(&self) -> u64 {
-        self.current_pages
-    }
-
     /// Shrinks the effective pool to `fraction` of nominal (fault effect).
-    pub fn shrink_to_fraction(&mut self, fraction: f64) {
+    pub(crate) fn shrink_to_fraction(&mut self, fraction: f64) {
         let fraction = fraction.clamp(0.01, 1.0);
         self.current_pages = ((self.nominal_pages as f64) * fraction).max(1.0) as u64;
     }
 
     /// Restores the nominal allocation (the `RepartitionMemory` fix).
-    pub fn restore_nominal(&mut self) {
+    pub(crate) fn restore_nominal(&mut self) {
         self.current_pages = self.nominal_pages;
     }
 
@@ -77,7 +67,7 @@ impl BufferPool {
     /// The demanded working set is `working_set_pages` per actively accessed
     /// table; the miss rate interpolates between the cold-miss floor (pool ≥
     /// demand) and ~1.0 (pool ≪ demand).
-    pub fn miss_rate(&self) -> f64 {
+    pub(crate) fn miss_rate(&self) -> f64 {
         let active_tables = self.active_tables.max(1) as f64;
         let demand = active_tables * self.working_set_pages as f64;
         let available = self.current_pages as f64;
@@ -95,7 +85,7 @@ impl BufferPool {
     /// # Panics
     /// Panics if `table` is not below the pool's table count.
     #[inline(always)]
-    pub fn access(&mut self, table: usize, rows: f64) -> f64 {
+    pub(crate) fn access(&mut self, table: usize, rows: f64) -> f64 {
         let accessed = &mut self.tick_access_rows[table];
         let was_active = *accessed > 0.0;
         *accessed += rows;
@@ -113,13 +103,13 @@ impl BufferPool {
 
     /// Records rows written (for the tick counters; writes also read pages,
     /// which is already captured by [`BufferPool::access`]).
-    pub fn record_write(&mut self, rows: f64) {
+    pub(crate) fn record_write(&mut self, rows: f64) {
         self.tick_rows_written += rows;
     }
 
     /// Ends the tick, returning `(rows_read, rows_written, mean_miss_rate)`
     /// and resetting the per-tick counters.
-    pub fn finish_tick(&mut self) -> (f64, f64, f64) {
+    pub(crate) fn finish_tick(&mut self) -> (f64, f64, f64) {
         let miss = if self.tick_access_weight > 0.0 {
             self.tick_miss_weighted / self.tick_access_weight
         } else {
@@ -140,6 +130,18 @@ impl BufferPool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl BufferPool {
+        /// Nominal (configured) size in pages.
+        pub(crate) fn nominal_pages(&self) -> u64 {
+            self.nominal_pages
+        }
+
+        /// Current effective size in pages.
+        pub(crate) fn current_pages(&self) -> u64 {
+            self.current_pages
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]

@@ -18,7 +18,7 @@ const INJECTED_SKEW: f64 = 16.0;
 
 /// The lock manager for all tables.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LockManager {
+pub(crate) struct LockManager {
     /// Number of partitions per table (starts at 1; repartitioning raises it).
     partitions: Vec<u32>,
     /// Write rows seen per table this tick.
@@ -30,18 +30,13 @@ pub struct LockManager {
 impl LockManager {
     /// Creates a lock manager for `table_count` tables, each with a single
     /// partition.
-    pub fn new(table_count: usize) -> Self {
+    pub(crate) fn new(table_count: usize) -> Self {
         assert!(table_count > 0, "lock manager needs at least one table");
         LockManager {
             partitions: vec![1; table_count],
             tick_write_rows: vec![0.0; table_count],
             tick_wait_ms: 0.0,
         }
-    }
-
-    /// Number of partitions of a table.
-    pub fn partitions(&self, table: usize) -> u32 {
-        self.partitions[table % self.partitions.len()]
     }
 
     /// Records one access and returns the lock wait (ms) it incurred.
@@ -54,7 +49,7 @@ impl LockManager {
     /// # Panics
     /// Panics if `table` is not one of the manager's tables.
     #[inline(always)]
-    pub fn access(
+    pub(crate) fn access(
         &mut self,
         table: usize,
         rows: f64,
@@ -81,13 +76,13 @@ impl LockManager {
 
     /// Repartitions a table (the `RepartitionTable` fix), doubling its
     /// partition count (capped at 64).
-    pub fn rebalance(&mut self, table: usize) {
+    pub(crate) fn rebalance(&mut self, table: usize) {
         let idx = table % self.partitions.len();
         self.partitions[idx] = (self.partitions[idx] * 2).min(64);
     }
 
     /// Ends the tick, returning the accumulated lock wait (ms).
-    pub fn finish_tick(&mut self) -> f64 {
+    pub(crate) fn finish_tick(&mut self) -> f64 {
         let wait = self.tick_wait_ms;
         self.tick_wait_ms = 0.0;
         for w in &mut self.tick_write_rows {
@@ -97,7 +92,7 @@ impl LockManager {
     }
 
     /// Resets all state, including partition layouts (database restart).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for p in &mut self.partitions {
             *p = 1;
         }
@@ -111,6 +106,13 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LockManager {
+        /// Number of partitions of a table.
+        pub(crate) fn partitions(&self, table: usize) -> u32 {
+            self.partitions[table % self.partitions.len()]
+        }
+    }
 
     #[test]
     fn reads_without_writes_do_not_wait() {

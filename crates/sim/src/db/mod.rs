@@ -17,19 +17,19 @@
 //! * [`DatabaseTier`] — glues the three together and charges each request's
 //!   table accesses.
 
-pub mod buffer;
-pub mod locks;
-pub mod stats;
+pub(crate) mod buffer;
+pub(crate) mod locks;
+pub(crate) mod stats;
 
-pub use buffer::BufferPool;
-pub use locks::LockManager;
-pub use stats::TableStatistics;
+pub(crate) use buffer::BufferPool;
+pub(crate) use locks::LockManager;
+pub(crate) use stats::TableStatistics;
 
 use serde::{Deserialize, Serialize};
 
 /// Aggregate database-tier counters produced for one tick.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct DbTickCounters {
+pub(crate) struct DbTickCounters {
     /// Rows read this tick.
     pub rows_read: f64,
     /// Rows written this tick.
@@ -45,7 +45,7 @@ pub struct DbTickCounters {
 
 /// The simulated database engine state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DatabaseTier {
+pub(crate) struct DatabaseTier {
     buffer: BufferPool,
     stats: Vec<TableStatistics>,
     locks: LockManager,
@@ -57,7 +57,7 @@ pub struct DatabaseTier {
 
 /// Per-access outcome used by the service to attribute latency.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AccessCharge {
+pub(crate) struct AccessCharge {
     /// Extra service demand in ms for this access beyond the nominal cost.
     pub extra_ms: f64,
     /// Lock wait in ms for this access.
@@ -68,7 +68,7 @@ impl DatabaseTier {
     /// Creates a database tier with `table_count` tables, a buffer pool of
     /// `buffer_pages`, a per-table working set of `working_set_pages`, and
     /// the given staleness threshold (writes before statistics go stale).
-    pub fn new(
+    pub(crate) fn new(
         table_count: usize,
         buffer_pages: u64,
         working_set_pages: u64,
@@ -86,24 +86,9 @@ impl DatabaseTier {
         }
     }
 
-    /// Number of tables.
-    pub fn table_count(&self) -> usize {
-        self.stats.len()
-    }
-
-    /// The buffer pool.
-    pub fn buffer(&self) -> &BufferPool {
-        &self.buffer
-    }
-
     /// Mutable access to the buffer pool (used by fault effects and fixes).
-    pub fn buffer_mut(&mut self) -> &mut BufferPool {
+    pub(crate) fn buffer_mut(&mut self) -> &mut BufferPool {
         &mut self.buffer
-    }
-
-    /// Statistics of one table.
-    pub fn table_stats(&self, table: usize) -> &TableStatistics {
-        &self.stats[table]
     }
 
     /// Charges one table access and returns the latency consequences.
@@ -116,7 +101,7 @@ impl DatabaseTier {
     /// # Panics
     /// Panics if `table` is not below [`DatabaseTier::table_count`].
     #[inline(always)]
-    pub fn charge_access(
+    pub(crate) fn charge_access(
         &mut self,
         table: usize,
         rows: f64,
@@ -149,7 +134,7 @@ impl DatabaseTier {
     }
 
     /// Finishes a tick: rolls per-tick counters and returns them.
-    pub fn finish_tick(&mut self) -> DbTickCounters {
+    pub(crate) fn finish_tick(&mut self) -> DbTickCounters {
         let (rows_read, rows_written, miss_rate) = self.buffer.finish_tick();
         let lock_wait_ms = self.locks.finish_tick();
         // The exposed plan-quality metric is the row-weighted misestimate of
@@ -177,26 +162,26 @@ impl DatabaseTier {
     }
 
     /// Applies the `UpdateStatistics` fix to one table.
-    pub fn update_statistics(&mut self, table: usize) {
+    pub(crate) fn update_statistics(&mut self, table: usize) {
         let table = table % self.stats.len();
         self.stats[table].refresh();
     }
 
     /// Applies the `RepartitionTable` fix to one table.
-    pub fn repartition_table(&mut self, table: usize) {
+    pub(crate) fn repartition_table(&mut self, table: usize) {
         let table = table % self.stats.len();
         self.locks.rebalance(table);
     }
 
     /// Applies the `RepartitionMemory` fix: restores the configured buffer
     /// allocation.
-    pub fn repartition_memory(&mut self) {
+    pub(crate) fn repartition_memory(&mut self) {
         self.buffer.restore_nominal();
     }
 
     /// Full database restart: clears all transient state and refreshes all
     /// statistics.
-    pub fn restart(&mut self) {
+    pub(crate) fn restart(&mut self) {
         self.buffer.restore_nominal();
         self.locks.reset();
         for s in &mut self.stats {
@@ -208,6 +193,18 @@ impl DatabaseTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DatabaseTier {
+        /// Number of tables.
+        pub(crate) fn table_count(&self) -> usize {
+            self.stats.len()
+        }
+
+        /// Statistics of one table.
+        pub(crate) fn table_stats(&self, table: usize) -> &TableStatistics {
+            &self.stats[table]
+        }
+    }
 
     fn db() -> DatabaseTier {
         DatabaseTier::new(3, 1200, 500, 1_000)

@@ -20,7 +20,7 @@ const MAX_ORGANIC_PENALTY: f64 = 4.0;
 
 /// Optimizer statistics for one table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TableStatistics {
+pub(crate) struct TableStatistics {
     /// Writes applied since the statistics were last refreshed.
     writes_since_refresh: u64,
     /// Number of writes after which the statistics are fully stale.
@@ -35,7 +35,7 @@ pub struct TableStatistics {
 
 impl TableStatistics {
     /// Creates fresh statistics with the given staleness threshold.
-    pub fn new(staleness_threshold: u64) -> Self {
+    pub(crate) fn new(staleness_threshold: u64) -> Self {
         TableStatistics {
             writes_since_refresh: 0,
             staleness_threshold: staleness_threshold.max(1),
@@ -45,14 +45,14 @@ impl TableStatistics {
     }
 
     /// Records `rows` written to the table.
-    pub fn record_writes(&mut self, rows: u64) {
+    pub(crate) fn record_writes(&mut self, rows: u64) {
         self.writes_since_refresh = self.writes_since_refresh.saturating_add(rows);
         self.organic = 1.0 + (MAX_ORGANIC_PENALTY - 1.0) * self.staleness().min(1.0);
     }
 
     /// Fraction of the staleness threshold consumed (0 = fresh, ≥1 = fully
     /// stale).
-    pub fn staleness(&self) -> f64 {
+    pub(crate) fn staleness(&self) -> f64 {
         self.writes_since_refresh as f64 / self.staleness_threshold as f64
     }
 
@@ -62,7 +62,7 @@ impl TableStatistics {
     /// 1.0 means estimates are accurate.  Organic staleness ramps the factor
     /// linearly up to `MAX_ORGANIC_PENALTY`; an injected suboptimal-plan
     /// fault pins it at least at `INJECTED_PLAN_PENALTY`.
-    pub fn misestimate_factor(&self, injected_fault: bool) -> f64 {
+    pub(crate) fn misestimate_factor(&self, injected_fault: bool) -> f64 {
         if injected_fault {
             self.organic.max(INJECTED_PLAN_PENALTY)
         } else {
@@ -71,21 +71,23 @@ impl TableStatistics {
     }
 
     /// Refreshes the statistics (the `UpdateStatistics` fix / `RUNSTATS`).
-    pub fn refresh(&mut self) {
+    pub(crate) fn refresh(&mut self) {
         self.writes_since_refresh = 0;
         self.refresh_count += 1;
         self.organic = 1.0;
-    }
-
-    /// How many times the statistics have been refreshed.
-    pub fn refresh_count(&self) -> u64 {
-        self.refresh_count
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TableStatistics {
+        /// How many times the statistics have been refreshed.
+        pub(crate) fn refresh_count(&self) -> u64 {
+            self.refresh_count
+        }
+    }
 
     #[test]
     fn fresh_statistics_have_unit_factor() {

@@ -13,23 +13,9 @@
 use selfheal_workload::RequestKind;
 use serde::{Deserialize, Serialize};
 
-/// Role names for the EJBs of the auction application, used to build
-/// human-readable metric names (`app.ejb2_calls` etc. carry the role in the
-/// metric description).
-const EJB_ROLES: [&str; 8] = [
-    "ItemBrowser",
-    "QueryEngine",
-    "ItemDetail",
-    "UserAccount",
-    "BidManager",
-    "PurchaseManager",
-    "ListingManager",
-    "ReportBuilder",
-];
-
 /// The application tier's component catalogue and call graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EjbGraph {
+pub(crate) struct EjbGraph {
     ejb_count: usize,
     table_count: usize,
 }
@@ -37,7 +23,7 @@ pub struct EjbGraph {
 /// The work one request performs in the application and database tiers:
 /// which EJBs it invokes (and how many times), and which tables it touches.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct RequestPath {
+pub(crate) struct RequestPath {
     /// `(ejb index, number of method invocations)`.
     pub ejb_calls: Vec<(usize, u32)>,
     /// `(table index, rows accessed, is_write)`.
@@ -46,31 +32,15 @@ pub struct RequestPath {
 
 impl EjbGraph {
     /// Creates the call graph for a service with `ejb_count` EJBs and
-    /// `table_count` tables.  The canonical roles above are assigned to the
-    /// first eight EJBs; additional EJBs (if any) behave like auxiliary
-    /// report builders, and smaller services wrap around modulo the count.
-    pub fn new(ejb_count: usize, table_count: usize) -> Self {
+    /// `table_count` tables; a smaller service wraps the canonical EJB
+    /// indices around modulo the count.
+    pub(crate) fn new(ejb_count: usize, table_count: usize) -> Self {
         assert!(ejb_count > 0, "call graph needs at least one EJB");
         assert!(table_count > 0, "call graph needs at least one table");
         EjbGraph {
             ejb_count,
             table_count,
         }
-    }
-
-    /// Number of EJB components.
-    pub fn ejb_count(&self) -> usize {
-        self.ejb_count
-    }
-
-    /// Number of tables.
-    pub fn table_count(&self) -> usize {
-        self.table_count
-    }
-
-    /// Role name of an EJB.
-    pub fn role(&self, ejb: usize) -> &'static str {
-        EJB_ROLES[ejb % EJB_ROLES.len()]
     }
 
     fn e(&self, nominal: usize) -> usize {
@@ -86,7 +56,7 @@ impl EjbGraph {
     /// The mapping is fixed (not randomized) so that each request kind has a
     /// stable interaction signature: that stability is what lets the anomaly
     /// detector learn a baseline distribution of inter-EJB calls.
-    pub fn path(&self, kind: RequestKind) -> RequestPath {
+    pub(crate) fn path(&self, kind: RequestKind) -> RequestPath {
         // Table roles: 0 items, 1 bids, 2 users, 3 comments, 4 categories,
         // 5 purchase history.
         match kind {
@@ -146,6 +116,18 @@ impl EjbGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EjbGraph {
+        /// Number of EJB components.
+        pub(crate) fn ejb_count(&self) -> usize {
+            self.ejb_count
+        }
+
+        /// Number of tables.
+        pub(crate) fn table_count(&self) -> usize {
+            self.table_count
+        }
+    }
 
     #[test]
     fn every_request_kind_has_a_nonempty_path() {
@@ -208,12 +190,6 @@ mod tests {
     #[test]
     fn roles_are_stable_and_paths_deterministic() {
         let graph = EjbGraph::new(8, 6);
-        assert_eq!(graph.role(4), "BidManager");
-        assert_eq!(
-            graph.role(12),
-            "BidManager",
-            "roles wrap modulo the catalogue"
-        );
         assert_eq!(
             graph.path(RequestKind::Search),
             graph.path(RequestKind::Search)

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 /// The three physical tiers of the simulated service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SimTier {
+pub(crate) enum SimTier {
     /// Web / servlet tier.
     Web,
     /// Application (EJB) tier.
@@ -21,12 +21,9 @@ pub enum SimTier {
 }
 
 impl SimTier {
-    /// All tiers.
-    pub const ALL: [SimTier; 3] = [SimTier::Web, SimTier::App, SimTier::Db];
-
     /// Maps a fault target to the tier it affects (whole-service targets
     /// return `None`).
-    pub fn of_target(target: &FaultTarget) -> Option<SimTier> {
+    pub(crate) fn of_target(target: &FaultTarget) -> Option<SimTier> {
         match target {
             FaultTarget::WebTier => Some(SimTier::Web),
             FaultTarget::Ejb { .. } | FaultTarget::AppTier => Some(SimTier::App),
@@ -40,7 +37,7 @@ impl SimTier {
 
 /// One active fault instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ActiveFault {
+pub(crate) struct ActiveFault {
     /// The injected specification.
     pub spec: FaultSpec,
     /// Tick at which the fault became active.
@@ -57,7 +54,7 @@ pub struct ActiveFaults {
 
 impl ActiveFaults {
     /// Creates an empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -72,12 +69,12 @@ impl ActiveFaults {
     }
 
     /// All active faults.
-    pub fn iter(&self) -> impl Iterator<Item = &ActiveFault> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &ActiveFault> {
         self.faults.iter()
     }
 
     /// Activates a fault at `tick` (idempotent per fault id).
-    pub fn activate(&mut self, spec: FaultSpec, tick: u64) {
+    pub(crate) fn activate(&mut self, spec: FaultSpec, tick: u64) {
         if self.faults.iter().any(|f| f.spec.id == spec.id) {
             return;
         }
@@ -89,7 +86,7 @@ impl ActiveFaults {
     }
 
     /// Ages every active fault by one tick.
-    pub fn advance_tick(&mut self) {
+    pub(crate) fn advance_tick(&mut self) {
         for f in &mut self.faults {
             f.age += 1;
         }
@@ -97,7 +94,11 @@ impl ActiveFaults {
 
     /// Removes the faults that `fix` repairs according to the ground-truth
     /// `catalog`, returning the removed fault ids.
-    pub fn resolve_with_fix(&mut self, fix: &FixAction, catalog: &FixCatalog) -> Vec<FaultId> {
+    pub(crate) fn resolve_with_fix(
+        &mut self,
+        fix: &FixAction,
+        catalog: &FixCatalog,
+    ) -> Vec<FaultId> {
         let mut removed = Vec::new();
         self.faults.retain(|f| {
             if catalog.repairs(&f.spec, fix) {
@@ -111,7 +112,7 @@ impl ActiveFaults {
     }
 
     /// Removes every active fault (used by tests and by scenario resets).
-    pub fn clear(&mut self) -> Vec<FaultId> {
+    pub(crate) fn clear(&mut self) -> Vec<FaultId> {
         let removed = self.faults.iter().map(|f| f.spec.id).collect();
         self.faults.clear();
         removed
@@ -119,7 +120,7 @@ impl ActiveFaults {
 
     /// The capacity factor (≤ 1.0) that active faults impose on a tier this
     /// tick.  Several faults multiply together.
-    pub fn capacity_factor(&self, tier: SimTier) -> f64 {
+    pub(crate) fn capacity_factor(&self, tier: SimTier) -> f64 {
         let mut factor = 1.0;
         for f in &self.faults {
             let s = f.spec.severity;
@@ -149,7 +150,7 @@ impl ActiveFaults {
 
     /// Probability that any request fails this tick due to whole-service
     /// faults (network partitions, operator procedural errors).
-    pub fn service_error_probability(&self) -> f64 {
+    pub(crate) fn service_error_probability(&self) -> f64 {
         let mut p_ok = 1.0;
         for f in &self.faults {
             let s = f.spec.severity;
@@ -170,7 +171,7 @@ impl ActiveFaults {
     /// The severity of an active buffer-contention fault, if any (also
     /// triggered when an operator misconfiguration targets the database
     /// tier, since a botched buffer resize manifests the same way).
-    pub fn buffer_fault_severity(&self) -> Option<f64> {
+    pub(crate) fn buffer_fault_severity(&self) -> Option<f64> {
         self.faults
             .iter()
             .filter(|f| {
@@ -183,7 +184,7 @@ impl ActiveFaults {
     }
 
     /// Extra whole-service latency (ms) per request from network trouble.
-    pub fn network_extra_latency_ms(&self) -> f64 {
+    pub(crate) fn network_extra_latency_ms(&self) -> f64 {
         self.faults
             .iter()
             .filter(|f| f.spec.kind == FaultKind::NetworkPartition)
@@ -266,6 +267,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use selfheal_faults::FixKind;
+
+    impl SimTier {
+        /// All tiers.
+        pub(crate) const ALL: [SimTier; 3] = [SimTier::Web, SimTier::App, SimTier::Db];
+    }
 
     /// The per-call scans `CallEffects::fill` replaced, kept as its oracle.
     impl ActiveFaults {

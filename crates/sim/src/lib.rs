@@ -12,16 +12,16 @@
 //!
 //! * [`config::ServiceConfig`] — topology and capacity of the three tiers,
 //!   the EJB components, and the database schema.
-//! * [`resource::TierResource`] — the per-tier queueing/capacity model
+//! * `resource::TierResource` — the per-tier queueing/capacity model
 //!   (utilization, backlog, latency inflation, overload).
-//! * [`ejb`] — the EJB components of the application tier and the call graph
+//! * `ejb` — the EJB components of the application tier and the call graph
 //!   mapping each request kind to the EJBs it invokes.
-//! * [`db`] — the database tier internals: buffer pool, per-table optimizer
+//! * `db` — the database tier internals: buffer pool, per-table optimizer
 //!   statistics (with staleness), a cost-based plan-quality model, and a
 //!   lock manager for block contention.
-//! * [`faults_runtime::ActiveFaults`] — the set of currently active faults
+//! * `faults_runtime::ActiveFaults` — the set of currently active faults
 //!   and how each one perturbs demand, capacity, error rates, and latency.
-//! * [`actuator::FixActuator`] — applies [`selfheal_faults::FixAction`]s to
+//! * `actuator::FixActuator` — applies [`selfheal_faults::FixAction`]s to
 //!   the running service, charging the fix's duration and disruption, and
 //!   removing the faults the fix actually repairs (per the ground-truth
 //!   catalog).
@@ -38,23 +38,20 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod actuator;
-pub mod config;
-pub mod db;
-pub mod ejb;
-pub mod faults_runtime;
+pub(crate) mod actuator;
+pub(crate) mod config;
+pub(crate) mod db;
+pub(crate) mod ejb;
+pub(crate) mod faults_runtime;
 pub mod metrics;
 pub mod recovery;
-pub mod resource;
+pub(crate) mod resource;
 pub mod scenario;
 pub mod seeds;
 pub mod service;
-pub mod statesgen;
+pub(crate) mod statesgen;
 
-pub use actuator::FixActuator;
 pub use config::ServiceConfig;
-pub use recovery::{FailureEpisode, RecoveryLog};
 pub use scenario::{Healer, NoHealing, ScenarioOutcome, ScenarioRunner};
-pub use seeds::{split_seed, SeedStream};
 pub use service::{MultiTierService, TickOutcome};
 pub use statesgen::{FailureState, FailureStateGenerator};

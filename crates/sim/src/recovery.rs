@@ -42,7 +42,7 @@ impl FailureEpisode {
     /// The primary (first) cause recorded for the episode, defaulting to
     /// `Unknown` when no fault was active at detection time (e.g. a pure
     /// overload episode).
-    pub fn primary_cause(&self) -> FailureCause {
+    pub(crate) fn primary_cause(&self) -> FailureCause {
         self.primary
             .map_or(FailureCause::Unknown, |(_, cause)| cause)
     }
@@ -62,7 +62,7 @@ pub struct RecoveryLog {
 
 impl RecoveryLog {
     /// Creates an empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -74,7 +74,7 @@ impl RecoveryLog {
     /// Opens an episode at `tick` given the ground truth at detection — the
     /// first active fault's kind and cause, and how many were active
     /// (ignored if an episode is already open).
-    pub fn open_episode(
+    pub(crate) fn open_episode(
         &mut self,
         tick: u64,
         primary: Option<(FaultKind, FailureCause)>,
@@ -95,7 +95,7 @@ impl RecoveryLog {
 
     /// Records a fix attempted during the current episode (no-op when no
     /// episode is open).
-    pub fn record_fix(&mut self, action: FixAction) {
+    pub(crate) fn record_fix(&mut self, action: FixAction) {
         if let Some(ep) = &mut self.open {
             if action.kind.is_escalation() {
                 ep.escalated = true;
@@ -105,7 +105,7 @@ impl RecoveryLog {
     }
 
     /// Closes the current episode at `tick` (no-op when none is open).
-    pub fn close_episode(&mut self, tick: u64) {
+    pub(crate) fn close_episode(&mut self, tick: u64) {
         if let Some(mut ep) = self.open.take() {
             ep.recovered_at = Some(tick);
             self.episodes.push(ep);
@@ -113,13 +113,13 @@ impl RecoveryLog {
     }
 
     /// Abandons the run: any open episode is recorded as never recovered.
-    pub fn finish(&mut self) {
+    pub(crate) fn finish(&mut self) {
         if let Some(ep) = self.open.take() {
             self.episodes.push(ep);
         }
     }
 
-    /// All recorded episodes (closed ones plus, after [`RecoveryLog::finish`],
+    /// All recorded episodes (closed ones plus, after `RecoveryLog::finish`,
     /// any unrecovered one).
     pub fn episodes(&self) -> &[FailureEpisode] {
         &self.episodes
@@ -150,39 +150,6 @@ impl RecoveryLog {
         }
     }
 
-    /// Mean recovery time (ticks) for episodes whose primary cause is
-    /// `cause`.
-    pub fn mean_recovery_ticks_for_cause(&self, cause: FailureCause) -> Option<f64> {
-        let recovered: Vec<u64> = self
-            .episodes
-            .iter()
-            .filter(|e| e.primary_cause() == cause)
-            .filter_map(FailureEpisode::recovery_ticks)
-            .collect();
-        if recovered.is_empty() {
-            None
-        } else {
-            Some(recovered.iter().sum::<u64>() as f64 / recovered.len() as f64)
-        }
-    }
-
-    /// Counts episodes by primary cause, as `(cause, count)` pairs in
-    /// [`FailureCause::ALL`] order (causes with zero episodes included).
-    pub fn cause_counts(&self) -> Vec<(FailureCause, usize)> {
-        FailureCause::ALL
-            .iter()
-            .map(|c| {
-                (
-                    *c,
-                    self.episodes
-                        .iter()
-                        .filter(|e| e.primary_cause() == *c)
-                        .count(),
-                )
-            })
-            .collect()
-    }
-
     /// Mean number of fix attempts per episode.
     pub fn mean_fix_attempts(&self) -> f64 {
         if self.episodes.is_empty() {
@@ -208,6 +175,41 @@ impl RecoveryLog {
 mod tests {
     use super::*;
     use selfheal_faults::FixKind;
+
+    impl RecoveryLog {
+        /// Mean recovery time (ticks) for episodes whose primary cause is
+        /// `cause`.
+        pub(crate) fn mean_recovery_ticks_for_cause(&self, cause: FailureCause) -> Option<f64> {
+            let recovered: Vec<u64> = self
+                .episodes
+                .iter()
+                .filter(|e| e.primary_cause() == cause)
+                .filter_map(FailureEpisode::recovery_ticks)
+                .collect();
+            if recovered.is_empty() {
+                None
+            } else {
+                Some(recovered.iter().sum::<u64>() as f64 / recovered.len() as f64)
+            }
+        }
+
+        /// Counts episodes by primary cause, as `(cause, count)` pairs in
+        /// [`FailureCause::ALL`] order (causes with zero episodes included).
+        pub(crate) fn cause_counts(&self) -> Vec<(FailureCause, usize)> {
+            FailureCause::ALL
+                .iter()
+                .map(|c| {
+                    (
+                        *c,
+                        self.episodes
+                            .iter()
+                            .filter(|e| e.primary_cause() == *c)
+                            .count(),
+                    )
+                })
+                .collect()
+        }
+    }
 
     #[test]
     fn episode_lifecycle_and_recovery_time() {

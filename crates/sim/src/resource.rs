@@ -17,7 +17,7 @@ const RHO_CAP: f64 = 0.95;
 
 /// One tier's resource state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TierResource {
+pub(crate) struct TierResource {
     name: &'static str,
     /// Nominal capacity, ms of service per tick.
     nominal_capacity_ms: f64,
@@ -37,7 +37,7 @@ pub struct TierResource {
 
 /// Result of offering one tick's demand to a tier.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TierTick {
+pub(crate) struct TierTick {
     /// Utilization in `[0, 1]` (fraction of effective capacity used).
     pub utilization: f64,
     /// Multiplier applied to every request's service demand at this tier.
@@ -54,7 +54,7 @@ impl TierResource {
     ///
     /// # Panics
     /// Panics if `nominal_capacity_ms` is not positive.
-    pub fn new(name: &'static str, nominal_capacity_ms: f64) -> Self {
+    pub(crate) fn new(name: &'static str, nominal_capacity_ms: f64) -> Self {
         assert!(nominal_capacity_ms > 0.0, "tier capacity must be positive");
         TierResource {
             name,
@@ -67,69 +67,33 @@ impl TierResource {
         }
     }
 
-    /// Tier name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Effective capacity this tick (nominal × capacity factor × disruption).
-    pub fn effective_capacity_ms(&self) -> f64 {
+    pub(crate) fn effective_capacity_ms(&self) -> f64 {
         (self.nominal_capacity_ms * self.capacity_factor * self.disruption_factor).max(1.0)
     }
 
-    /// The persistent capacity factor (1.0 = healthy).
-    pub fn capacity_factor(&self) -> f64 {
-        self.capacity_factor
-    }
-
     /// Sets the persistent capacity factor (clamped to `[0.01, 10.0]`).
-    pub fn set_capacity_factor(&mut self, factor: f64) {
+    pub(crate) fn set_capacity_factor(&mut self, factor: f64) {
         self.capacity_factor = factor.clamp(0.01, 10.0);
-    }
-
-    /// Scales the persistent capacity factor (e.g. provisioning multiplies
-    /// by 1.5, a hardware failure by 0.5).
-    pub fn scale_capacity(&mut self, factor: f64) {
-        self.set_capacity_factor(self.capacity_factor * factor);
     }
 
     /// Sets this tick's disruption factor (1.0 = no disruption, 0.0 = the
     /// tier is completely unavailable while a fix is applied).
-    pub fn set_disruption(&mut self, available_fraction: f64) {
+    pub(crate) fn set_disruption(&mut self, available_fraction: f64) {
         self.disruption_factor = available_fraction.clamp(0.0, 1.0).max(0.001);
-    }
-
-    /// Clears the disruption factor back to fully available.
-    pub fn clear_disruption(&mut self) {
-        self.disruption_factor = 1.0;
-    }
-
-    /// Current backlog in ms.
-    pub fn backlog_ms(&self) -> f64 {
-        self.backlog_ms
-    }
-
-    /// Utilization observed in the last tick.
-    pub fn last_utilization(&self) -> f64 {
-        self.last_utilization
-    }
-
-    /// Latency multiplier observed in the last tick.
-    pub fn last_latency_multiplier(&self) -> f64 {
-        self.last_latency_multiplier
     }
 
     /// Drops all queued work and resets congestion state (used by tier
     /// reboots and full restarts: in-flight requests are lost, which is part
     /// of why those fixes are disruptive).
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.backlog_ms = 0.0;
         self.last_utilization = 0.0;
         self.last_latency_multiplier = 1.0;
     }
 
     /// Offers `demand_ms` of new work for this tick and advances the tier.
-    pub fn offer(&mut self, demand_ms: f64) -> TierTick {
+    pub(crate) fn offer(&mut self, demand_ms: f64) -> TierTick {
         let capacity = self.effective_capacity_ms();
         let offered = demand_ms.max(0.0) + self.backlog_ms;
         let utilization = (offered / capacity).min(1.0);
@@ -167,6 +131,39 @@ impl TierResource {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TierResource {
+        /// Tier name.
+        pub(crate) fn name(&self) -> &'static str {
+            self.name
+        }
+
+        /// The persistent capacity factor (1.0 = healthy).
+        pub(crate) fn capacity_factor(&self) -> f64 {
+            self.capacity_factor
+        }
+
+        /// Scales the persistent capacity factor (e.g. provisioning multiplies
+        /// by 1.5, a hardware failure by 0.5).
+        pub(crate) fn scale_capacity(&mut self, factor: f64) {
+            self.set_capacity_factor(self.capacity_factor * factor);
+        }
+
+        /// Clears the disruption factor back to fully available.
+        pub(crate) fn clear_disruption(&mut self) {
+            self.disruption_factor = 1.0;
+        }
+
+        /// Current backlog in ms.
+        pub(crate) fn backlog_ms(&self) -> f64 {
+            self.backlog_ms
+        }
+
+        /// Latency multiplier observed in the last tick.
+        pub(crate) fn last_latency_multiplier(&self) -> f64 {
+            self.last_latency_multiplier
+        }
+    }
 
     #[test]
     fn light_load_has_low_utilization_and_unit_latency() {

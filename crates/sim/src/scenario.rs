@@ -11,7 +11,7 @@
 use crate::recovery::RecoveryLog;
 use crate::service::{MultiTierService, TickOutcome};
 use selfheal_faults::id_space;
-use selfheal_faults::{FaultSource, FaultSpec, FixAction, InjectionPlan, ScriptedSource};
+use selfheal_faults::{FaultSource, FaultSpec, FixAction};
 use selfheal_telemetry::SeriesStore;
 use selfheal_workload::{Request, TraceSource};
 
@@ -142,7 +142,8 @@ impl ScenarioOutcome {
 /// [`ScenarioRunner::outcome`] snapshot whenever it likes.
 ///
 /// Faults enter the run through a pluggable [`FaultSource`] — a scripted
-/// [`InjectionPlan`] (via the [`ScenarioRunner::new`] shim), stochastic
+/// [`InjectionPlan`](selfheal_faults::InjectionPlan) (wrapped in a
+/// [`ScriptedSource`](selfheal_faults::ScriptedSource)), stochastic
 /// demographic generation, a catalog sweep, or any custom implementation
 /// handed to [`ScenarioRunner::with_faults`].
 pub struct ScenarioRunner<H: Healer> {
@@ -160,25 +161,6 @@ pub struct ScenarioRunner<H: Healer> {
 }
 
 impl<H: Healer> ScenarioRunner<H> {
-    /// Creates a runner from any [`TraceSource`] and a scripted
-    /// [`InjectionPlan`] (the original constructor, kept as a thin shim over
-    /// [`ScenarioRunner::with_faults`] + [`ScriptedSource`]).  The metric
-    /// history retains up to 100 000 samples by default; see
-    /// [`ScenarioRunner::with_series_capacity`].
-    pub fn new(
-        service: MultiTierService,
-        workload: impl TraceSource + 'static,
-        injections: InjectionPlan,
-        healer: H,
-    ) -> Self {
-        Self::with_faults(
-            service,
-            Box::new(workload),
-            Box::new(ScriptedSource::new(injections)),
-            healer,
-        )
-    }
-
     /// Creates a runner from already-boxed workload and fault sources —
     /// what the harness and the fleet engine hand over after building a
     /// `WorkloadChoice` and a `FaultChoice`.
@@ -208,7 +190,7 @@ impl<H: Healer> ScenarioRunner<H> {
     /// anything a [`TraceSource`] emits, so overlay traffic never collides
     /// with recorded or generated request ids — see
     /// [`selfheal_faults::id_space`] for the lane manifest.
-    pub const SURGE_ID_BASE: u64 = id_space::lane_base(id_space::SURGE_ID_BIT);
+    pub(crate) const SURGE_ID_BASE: u64 = id_space::lane_base(id_space::SURGE_ID_BIT);
 
     /// Limits how many samples of history are retained (older samples are
     /// evicted); the default retains the full run for typical lengths.
@@ -225,24 +207,9 @@ impl<H: Healer> ScenarioRunner<H> {
         self
     }
 
-    /// Read access to the healer (e.g. to inspect learned state afterwards).
-    pub fn healer(&self) -> &H {
-        &self.healer
-    }
-
     /// Read access to the service.
     pub fn service(&self) -> &MultiTierService {
         &self.service
-    }
-
-    /// Read access to the workload source driving the run.
-    pub fn workload(&self) -> &dyn TraceSource {
-        self.workload.as_ref()
-    }
-
-    /// Read access to the fault source driving the run.
-    pub fn faults(&self) -> &dyn FaultSource {
-        self.faults.as_ref()
     }
 
     /// Replaces the fault source mid-run — the live-reconfiguration hook
@@ -271,11 +238,6 @@ impl<H: Healer> ScenarioRunner<H> {
         self.fixes_initiated
     }
 
-    /// The metric history recorded so far.
-    pub fn series(&self) -> &SeriesStore {
-        &self.series
-    }
-
     /// The episode log recorded so far (an episode may still be open).
     pub fn recovery(&self) -> &RecoveryLog {
         &self.recovery
@@ -294,7 +256,7 @@ impl<H: Healer> ScenarioRunner<H> {
     /// (exclusive), each tick's request batch is amplified by `factor`
     /// (≥ 1.0).  The extra requests are deterministic clones of the tick's
     /// own batch, cycled in order and re-stamped with ids from
-    /// [`ScenarioRunner::SURGE_ID_BASE`], so a surged run stays a pure
+    /// `ScenarioRunner::SURGE_ID_BASE`, so a surged run stays a pure
     /// function of the seed.  A new surge replaces any active one.
     pub fn apply_surge(&mut self, factor: f64, until_tick: u64) {
         self.surge_factor = factor.max(1.0);
@@ -384,8 +346,17 @@ impl<H: Healer> ScenarioRunner<H> {
 mod tests {
     use super::*;
     use crate::config::ServiceConfig;
-    use selfheal_faults::{FaultKind, FaultTarget, FixKind, InjectionPlanBuilder};
+    use selfheal_faults::{
+        FaultKind, FaultTarget, FixKind, InjectionPlan, InjectionPlanBuilder, ScriptedSource,
+    };
     use selfheal_workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
+
+    impl<H: Healer> ScenarioRunner<H> {
+        /// Read access to the healer (e.g. to inspect learned state afterwards).
+        pub(crate) fn healer(&self) -> &H {
+            &self.healer
+        }
+    }
 
     fn runner<H: Healer>(healer: H, plan: InjectionPlan) -> ScenarioRunner<H> {
         let config = ServiceConfig::tiny();
@@ -395,7 +366,12 @@ mod tests {
             ArrivalProcess::Constant { rate: 40.0 },
             11,
         );
-        ScenarioRunner::new(service, workload, plan, healer)
+        ScenarioRunner::with_faults(
+            service,
+            Box::new(workload),
+            Box::new(ScriptedSource::new(plan)),
+            healer,
+        )
     }
 
     /// A trivial healer that always requests a full restart when a violation
@@ -435,7 +411,7 @@ mod tests {
 
     #[test]
     fn unhealed_fault_leaves_an_open_ended_episode() {
-        let plan = InjectionPlanBuilder::new(4, 3, 1)
+        let plan = InjectionPlanBuilder::new()
             .inject(
                 20,
                 FaultKind::BottleneckedTier,
@@ -452,7 +428,7 @@ mod tests {
 
     #[test]
     fn restart_healer_recovers_and_is_recorded() {
-        let plan = InjectionPlanBuilder::new(4, 3, 1)
+        let plan = InjectionPlanBuilder::new()
             .inject(
                 20,
                 FaultKind::UnhandledException,

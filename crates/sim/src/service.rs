@@ -168,16 +168,6 @@ impl MultiTierService {
         self.metrics.schema()
     }
 
-    /// The metric-id catalogue (named handles into the schema).
-    pub fn metrics(&self) -> &MetricsCatalog {
-        &self.metrics
-    }
-
-    /// The service configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
     /// The current tick (number of completed ticks).
     pub fn current_tick(&self) -> u64 {
         self.current_tick
@@ -192,12 +182,6 @@ impl MultiTierService {
     /// Returns `true` if any SLO is currently in confirmed violation.
     pub fn slo_violated(&self) -> bool {
         self.slo_monitor.any_violated()
-    }
-
-    /// Returns `true` if the SLO monitor considers the service recovered
-    /// (no SLO currently trending toward violation).
-    pub fn recovered(&self) -> bool {
-        self.slo_monitor.recovered(1)
     }
 
     /// Fraction of ticks so far with at least one confirmed SLO violation.
@@ -222,11 +206,6 @@ impl MultiTierService {
             self.actuator.cancel_all();
         }
         self.actuator.start(action, self.current_tick)
-    }
-
-    /// Returns `true` while any fix is still being applied.
-    pub fn fix_in_progress(&self) -> bool {
-        self.actuator.busy()
     }
 
     /// Simulates one tick with the given arrived requests.
@@ -517,6 +496,23 @@ mod tests {
     use super::*;
     use selfheal_faults::FaultKind;
     use selfheal_workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
+
+    impl MultiTierService {
+        /// The metric-id catalogue (named handles into the schema).
+        pub(crate) fn metrics(&self) -> &MetricsCatalog {
+            &self.metrics
+        }
+
+        /// The service configuration.
+        pub(crate) fn config(&self) -> &ServiceConfig {
+            &self.config
+        }
+
+        /// Returns `true` while any fix is still being applied.
+        pub(crate) fn fix_in_progress(&self) -> bool {
+            self.actuator.busy()
+        }
+    }
 
     fn workload() -> TraceGenerator {
         TraceGenerator::new(

@@ -45,7 +45,7 @@ pub struct FailureState {
 
 impl FailureState {
     /// Converts the state into a learning example (label = fix code).
-    pub fn to_example(&self) -> Example {
+    pub(crate) fn to_example(&self) -> Example {
         Example::new(self.symptoms.clone(), self.correct_fix.code())
     }
 }
@@ -70,7 +70,12 @@ impl FailureStateGenerator {
     /// standard bidding workload, then snapshots it; every failure state is
     /// produced from a clone of that warmed-up snapshot, injected with one
     /// fault and run for `symptom_ticks` more ticks.
-    pub fn new(config: ServiceConfig, seed: u64, warmup_ticks: u64, symptom_ticks: u64) -> Self {
+    pub(crate) fn new(
+        config: ServiceConfig,
+        seed: u64,
+        warmup_ticks: u64,
+        symptom_ticks: u64,
+    ) -> Self {
         let mut service = MultiTierService::new(config.clone());
         let mut workload = baseline_workload(seed);
         let warmup_ticks = warmup_ticks.max(10);
@@ -114,24 +119,14 @@ impl FailureStateGenerator {
         Self::new(config, seed, 40, 25)
     }
 
-    /// The healthy baseline mean of every metric.
-    pub fn baseline_means(&self) -> &[Value] {
-        &self.baseline_means
-    }
-
     /// Width of the generated symptom vectors.
-    pub fn feature_width(&self) -> usize {
+    pub(crate) fn feature_width(&self) -> usize {
         self.baseline_means.len()
-    }
-
-    /// Number of states generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 
     /// Converts a raw per-metric mean vector into the scale-free symptom
     /// representation relative to the healthy baseline.
-    pub fn symptoms_from_means(&self, means: &[Value]) -> Vec<Value> {
+    pub(crate) fn symptoms_from_means(&self, means: &[Value]) -> Vec<Value> {
         means
             .iter()
             .zip(&self.baseline_means)
@@ -162,7 +157,7 @@ impl FailureStateGenerator {
     }
 
     /// Generates one failure state for a specific fault.
-    pub fn generate_with(
+    pub(crate) fn generate_with(
         &mut self,
         kind: FaultKind,
         target: FaultTarget,
@@ -244,6 +239,13 @@ fn baseline_workload(seed: u64) -> TraceGenerator {
 mod tests {
     use super::*;
     use selfheal_learn::{Classifier, NearestNeighbor};
+
+    impl FailureStateGenerator {
+        /// Number of states generated so far.
+        pub(crate) fn generated(&self) -> u64 {
+            self.generated
+        }
+    }
 
     fn generator() -> FailureStateGenerator {
         FailureStateGenerator::new(ServiceConfig::tiny(), 3, 20, 12)

@@ -1,127 +1,9 @@
-//! CSV import/export of time-series data and benchmark result tables.
+//! Benchmark result tables.
 //!
 //! The benchmark harness writes every regenerated figure/table as a plain
-//! CSV/TSV file so EXPERIMENTS.md can reference stable artifacts.  The format
-//! is hand-rolled (header row of metric names preceded by `tick`, one row per
-//! sample) to avoid pulling in a serialization format crate.
+//! CSV file (and a text rendering) so the results stay stable artifacts.
 
-use crate::sample::Sample;
-use crate::schema::Schema;
-use crate::series::SeriesStore;
 use std::fmt::Write as _;
-
-/// Renders a series store as CSV with a header row (`tick,<metric>,...`).
-pub fn series_to_csv(store: &SeriesStore) -> String {
-    let schema = store.schema();
-    let mut out = String::new();
-    out.push_str("tick");
-    for name in schema.names() {
-        out.push(',');
-        out.push_str(name);
-    }
-    out.push('\n');
-    for sample in store.iter() {
-        let _ = write!(out, "{}", sample.tick());
-        for v in sample.values() {
-            let _ = write!(out, ",{v}");
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Errors that can occur while parsing CSV produced by [`series_to_csv`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CsvError {
-    /// The input was empty or had no header row.
-    MissingHeader,
-    /// The header did not match the expected schema columns.
-    HeaderMismatch {
-        /// The offending header field.
-        field: String,
-    },
-    /// A data row had the wrong number of fields.
-    WrongFieldCount {
-        /// 1-based line number of the offending row.
-        line: usize,
-    },
-    /// A field could not be parsed as a number.
-    BadNumber {
-        /// 1-based line number of the offending row.
-        line: usize,
-        /// The unparsable field.
-        field: String,
-    },
-}
-
-impl std::fmt::Display for CsvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CsvError::MissingHeader => write!(f, "CSV input has no header row"),
-            CsvError::HeaderMismatch { field } => {
-                write!(f, "CSV header field `{field}` does not match the schema")
-            }
-            CsvError::WrongFieldCount { line } => {
-                write!(f, "CSV line {line} has the wrong number of fields")
-            }
-            CsvError::BadNumber { line, field } => {
-                write!(f, "CSV line {line} contains unparsable number `{field}`")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CsvError {}
-
-/// Parses CSV produced by [`series_to_csv`] back into a [`SeriesStore`].
-///
-/// The store is created with capacity equal to the number of parsed rows
-/// (minimum 1).
-pub fn series_from_csv(schema: &Schema, csv: &str) -> Result<SeriesStore, CsvError> {
-    let mut lines = csv.lines().enumerate();
-    let (_, header) = lines.next().ok_or(CsvError::MissingHeader)?;
-    let mut fields = header.split(',');
-    match fields.next() {
-        Some("tick") => {}
-        Some(other) => {
-            return Err(CsvError::HeaderMismatch {
-                field: other.to_string(),
-            });
-        }
-        None => return Err(CsvError::MissingHeader),
-    }
-    for (expected, actual) in schema.names().iter().zip(fields.by_ref()) {
-        if *expected != actual {
-            return Err(CsvError::HeaderMismatch {
-                field: actual.to_string(),
-            });
-        }
-    }
-
-    let rows: Vec<(usize, &str)> = lines.filter(|(_, l)| !l.trim().is_empty()).collect();
-    let mut store = SeriesStore::new(schema.clone(), rows.len().max(1));
-    for (idx, line) in rows {
-        let line_no = idx + 1;
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != schema.len() + 1 {
-            return Err(CsvError::WrongFieldCount { line: line_no });
-        }
-        let tick: u64 = fields[0].trim().parse().map_err(|_| CsvError::BadNumber {
-            line: line_no,
-            field: fields[0].to_string(),
-        })?;
-        let mut values = Vec::with_capacity(schema.len());
-        for field in &fields[1..] {
-            let v: f64 = field.trim().parse().map_err(|_| CsvError::BadNumber {
-                line: line_no,
-                field: field.to_string(),
-            })?;
-            values.push(v);
-        }
-        store.push(Sample::from_values(schema, tick, values));
-    }
-    Ok(store)
-}
 
 /// A simple result table (named columns, numeric rows) used by the benchmark
 /// harness to emit the paper's tables and figure series.
@@ -153,16 +35,6 @@ impl ResultTable {
             "row width must match column count"
         );
         self.rows.push((label.into(), values));
-    }
-
-    /// Table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// Column names.
-    pub fn columns(&self) -> &[String] {
-        &self.columns
     }
 
     /// Labelled rows.
@@ -232,66 +104,6 @@ impl ResultTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{MetricKind, Tier};
-    use crate::schema::SchemaBuilder;
-
-    fn schema() -> Schema {
-        SchemaBuilder::new()
-            .metric("a", Tier::Web, MetricKind::Count)
-            .metric("b", Tier::Database, MetricKind::Ratio)
-            .build()
-    }
-
-    #[test]
-    fn csv_roundtrip_preserves_samples() {
-        let sc = schema();
-        let mut store = SeriesStore::new(sc.clone(), 16);
-        for t in 0..5u64 {
-            let mut s = Sample::zeroed(&sc, t);
-            s.set(sc.expect_id("a"), t as f64 * 2.0);
-            s.set(sc.expect_id("b"), 0.25);
-            store.push(s);
-        }
-        let csv = series_to_csv(&store);
-        let parsed = series_from_csv(&sc, &csv).unwrap();
-        assert_eq!(parsed.len(), 5);
-        let roundtrip = series_to_csv(&parsed);
-        assert_eq!(csv, roundtrip);
-    }
-
-    #[test]
-    fn csv_header_is_validated() {
-        let sc = schema();
-        assert!(matches!(
-            series_from_csv(&sc, ""),
-            Err(CsvError::MissingHeader)
-        ));
-        let bad_header = "time,a,b\n0,1,2\n";
-        assert!(matches!(
-            series_from_csv(&sc, bad_header),
-            Err(CsvError::HeaderMismatch { .. })
-        ));
-        let wrong_metric = "tick,a,zzz\n0,1,2\n";
-        assert!(matches!(
-            series_from_csv(&sc, wrong_metric),
-            Err(CsvError::HeaderMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn csv_rows_are_validated() {
-        let sc = schema();
-        let short_row = "tick,a,b\n0,1\n";
-        assert!(matches!(
-            series_from_csv(&sc, short_row),
-            Err(CsvError::WrongFieldCount { line: 2 })
-        ));
-        let bad_number = "tick,a,b\n0,1,zebra\n";
-        assert!(matches!(
-            series_from_csv(&sc, bad_number),
-            Err(CsvError::BadNumber { line: 2, .. })
-        ));
-    }
 
     #[test]
     fn result_table_csv_and_text_render() {

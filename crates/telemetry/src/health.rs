@@ -66,39 +66,6 @@ pub struct ReplicaHealth {
     pub last_error: Option<String>,
 }
 
-impl ReplicaHealth {
-    /// Renders the record as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(160);
-        out.push_str("{\"id\":");
-        out.push_str(&self.id.to_string());
-        out.push_str(",\"profile\":");
-        push_json_string(&mut out, &self.profile);
-        out.push_str(",\"state\":");
-        push_json_string(&mut out, self.state.label());
-        out.push_str(",\"ticks\":");
-        out.push_str(&self.ticks.to_string());
-        out.push_str(",\"episodes\":");
-        out.push_str(&self.episodes.to_string());
-        out.push_str(",\"open_episodes\":");
-        out.push_str(&self.open_episodes.to_string());
-        out.push_str(",\"fixes_initiated\":");
-        out.push_str(&self.fixes_initiated.to_string());
-        out.push_str(",\"restarts\":");
-        out.push_str(&self.restarts.to_string());
-        out.push_str(",\"last_heartbeat_ms\":");
-        out.push_str(&self.last_heartbeat_ms.to_string());
-        out.push_str(",\"active_faults\":");
-        out.push_str(&self.active_faults.to_string());
-        if let Some(error) = &self.last_error {
-            out.push_str(",\"last_error\":");
-            push_json_string(&mut out, error);
-        }
-        out.push('}');
-        out
-    }
-}
-
 /// Fleet-wide health roll-up: what a resident supervisor knows at one epoch
 /// barrier, rendered as one JSON line per emission for scraping.
 #[derive(Debug, Clone)]
@@ -226,6 +193,39 @@ impl Default for FleetHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ReplicaHealth {
+        /// Renders the record as one JSON object (no trailing newline).
+        pub(crate) fn to_json(&self) -> String {
+            let mut out = String::with_capacity(160);
+            out.push_str("{\"id\":");
+            out.push_str(&self.id.to_string());
+            out.push_str(",\"profile\":");
+            push_json_string(&mut out, &self.profile);
+            out.push_str(",\"state\":");
+            push_json_string(&mut out, self.state.label());
+            out.push_str(",\"ticks\":");
+            out.push_str(&self.ticks.to_string());
+            out.push_str(",\"episodes\":");
+            out.push_str(&self.episodes.to_string());
+            out.push_str(",\"open_episodes\":");
+            out.push_str(&self.open_episodes.to_string());
+            out.push_str(",\"fixes_initiated\":");
+            out.push_str(&self.fixes_initiated.to_string());
+            out.push_str(",\"restarts\":");
+            out.push_str(&self.restarts.to_string());
+            out.push_str(",\"last_heartbeat_ms\":");
+            out.push_str(&self.last_heartbeat_ms.to_string());
+            out.push_str(",\"active_faults\":");
+            out.push_str(&self.active_faults.to_string());
+            if let Some(error) = &self.last_error {
+                out.push_str(",\"last_error\":");
+                push_json_string(&mut out, error);
+            }
+            out.push('}');
+            out
+        }
+    }
 
     fn replica(id: usize, state: ReplicaState) -> ReplicaHealth {
         ReplicaHealth {

@@ -23,9 +23,9 @@
 //! * [`Slo`] / [`SloMonitor`] — service-level-objective definitions and the
 //!   SLO-compliance monitor the paper lists as a failure-detection
 //!   prerequisite (Section 4.1).
-//! * [`stats`] — descriptive statistics (means, percentiles, EWMA,
-//!   histograms) shared by the diagnosis and learning layers.
-//! * [`export`] — hand-rolled CSV import/export for benchmark artifacts.
+//! * `stats` — descriptive statistics shared by the diagnosis and
+//!   learning layers.
+//! * [`export`] — the result tables the benchmark harness writes as CSV.
 //!
 //! The crate is deliberately dependency-light: it is consumed by the
 //! simulator (which *produces* samples), by the diagnosis engines and the
@@ -53,29 +53,28 @@
 #![forbid(unsafe_code)]
 
 pub mod export;
-pub mod health;
-pub mod metric;
-pub mod sample;
-pub mod schema;
-pub mod series;
-pub mod slo;
-pub mod stats;
-pub mod window;
+pub(crate) mod health;
+pub(crate) mod metric;
+pub(crate) mod sample;
+pub(crate) mod schema;
+pub(crate) mod series;
+pub(crate) mod slo;
+pub(crate) mod stats;
+pub(crate) mod window;
 
 pub use health::{FleetHealth, ReplicaHealth, ReplicaState};
 pub use metric::{InstrumentationCost, MetricDef, MetricId, MetricKind, Tier};
 pub use sample::Sample;
 pub use schema::{Schema, SchemaBuilder};
 pub use series::SeriesStore;
-pub use slo::{Slo, SloKind, SloMonitor, SloStatus, SloTargets, SloViolation};
-pub use stats::{Ewma, Histogram, Summary};
+pub use slo::{Slo, SloKind, SloMonitor, SloTargets, SloViolation};
 pub use window::{Window, WindowSpec};
 
 /// Simulation time, measured in discrete ticks.
 ///
 /// One tick corresponds to one data-collection interval of the monitored
 /// service (the simulator uses one tick = one second of service time).
-pub type Tick = u64;
+pub(crate) type Tick = u64;
 
 /// A measured metric value.
 ///

@@ -25,15 +25,6 @@ impl MetricId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Builds a `MetricId` from a raw column index.
-    ///
-    /// Intended for tests and for code that enumerates columns positionally;
-    /// prefer [`crate::Schema::id`] when a schema is available.
-    #[inline]
-    pub fn from_index(index: usize) -> Self {
-        MetricId(index as u32)
-    }
 }
 
 impl fmt::Display for MetricId {
@@ -64,17 +55,8 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// All tiers, in request-flow order.
-    pub const ALL: [Tier; 5] = [
-        Tier::Client,
-        Tier::Web,
-        Tier::App,
-        Tier::Database,
-        Tier::Service,
-    ];
-
     /// Short lowercase label used as a metric-name prefix (`web.cpu_util`).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Tier::Client => "client",
             Tier::Web => "web",
@@ -112,22 +94,6 @@ pub enum MetricKind {
     Config,
     /// A boolean status flag encoded as 0.0 / 1.0.
     Flag,
-}
-
-impl MetricKind {
-    /// Returns `true` if values of this kind are naturally bounded to `[0,1]`.
-    pub fn is_bounded_unit(self) -> bool {
-        matches!(
-            self,
-            MetricKind::Utilization | MetricKind::Ratio | MetricKind::Flag
-        )
-    }
-
-    /// Returns `true` if the natural aggregation over a window is a sum
-    /// rather than a mean.
-    pub fn aggregates_by_sum(self) -> bool {
-        matches!(self, MetricKind::Count)
-    }
 }
 
 /// How intrusive the instrumentation producing a metric is.
@@ -193,6 +159,44 @@ impl MetricDef {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MetricKind {
+        /// Returns `true` if values of this kind are naturally bounded to `[0,1]`.
+        pub(crate) fn is_bounded_unit(self) -> bool {
+            matches!(
+                self,
+                MetricKind::Utilization | MetricKind::Ratio | MetricKind::Flag
+            )
+        }
+
+        /// Returns `true` if the natural aggregation over a window is a sum
+        /// rather than a mean.
+        pub(crate) fn aggregates_by_sum(self) -> bool {
+            matches!(self, MetricKind::Count)
+        }
+    }
+
+    impl Tier {
+        /// All tiers, in request-flow order.
+        pub(crate) const ALL: [Tier; 5] = [
+            Tier::Client,
+            Tier::Web,
+            Tier::App,
+            Tier::Database,
+            Tier::Service,
+        ];
+    }
+
+    impl MetricId {
+        /// Builds a `MetricId` from a raw column index.
+        ///
+        /// Intended for tests and for code that enumerates columns positionally;
+        /// prefer [`crate::Schema::id`] when a schema is available.
+        #[inline]
+        pub(crate) fn from_index(index: usize) -> Self {
+            MetricId(index as u32)
+        }
+    }
 
     #[test]
     fn metric_id_roundtrips_through_index() {

@@ -26,21 +26,6 @@ impl Sample {
         }
     }
 
-    /// Creates a sample from a raw row of values.
-    ///
-    /// # Panics
-    /// Panics if the number of values does not match the schema width.
-    pub fn from_values(schema: &Schema, tick: Tick, values: Vec<Value>) -> Self {
-        assert_eq!(
-            values.len(),
-            schema.len(),
-            "sample width {} does not match schema width {}",
-            values.len(),
-            schema.len()
-        );
-        Sample { tick, values }
-    }
-
     /// Overwrites this sample with `other`, keeping its row's allocation.
     pub(crate) fn copy_from(&mut self, other: &Sample) {
         self.tick = other.tick;
@@ -71,40 +56,10 @@ impl Sample {
         self.values[id.index()] = value;
     }
 
-    /// Adds `delta` to the value of one metric (useful for counters that are
-    /// incremented as events occur during a tick).
-    #[inline]
-    pub fn add(&mut self, id: MetricId, delta: Value) {
-        self.values[id.index()] += delta;
-    }
-
-    /// Takes the element-wise maximum of the current value and `value`
-    /// (useful for peak gauges within a tick).
-    #[inline]
-    pub fn max_in_place(&mut self, id: MetricId, value: Value) {
-        let slot = &mut self.values[id.index()];
-        if value > *slot {
-            *slot = value;
-        }
-    }
-
     /// Borrow the full row of values in column order.
     #[inline]
     pub fn values(&self) -> &[Value] {
         &self.values
-    }
-
-    /// Consumes the sample and returns the raw row.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
-    /// Returns the subset of values selected by `ids`, in the order of `ids`.
-    ///
-    /// This is the operation that turns a raw sample into a *symptom vector*
-    /// over a chosen feature set `Ω` (Section 4.3.4 of the paper).
-    pub fn project(&self, ids: &[MetricId]) -> Vec<Value> {
-        ids.iter().map(|id| self.get(*id)).collect()
     }
 
     /// Returns `true` if every value is finite (no NaN / infinity).
@@ -118,6 +73,48 @@ mod tests {
     use super::*;
     use crate::metric::{MetricKind, Tier};
     use crate::schema::SchemaBuilder;
+
+    impl Sample {
+        /// Creates a sample from a raw row of values.
+        ///
+        /// # Panics
+        /// Panics if the number of values does not match the schema width.
+        pub(crate) fn from_values(schema: &Schema, tick: Tick, values: Vec<Value>) -> Self {
+            assert_eq!(
+                values.len(),
+                schema.len(),
+                "sample width {} does not match schema width {}",
+                values.len(),
+                schema.len()
+            );
+            Sample { tick, values }
+        }
+
+        /// Adds `delta` to the value of one metric (useful for counters that are
+        /// incremented as events occur during a tick).
+        #[inline]
+        pub(crate) fn add(&mut self, id: MetricId, delta: Value) {
+            self.values[id.index()] += delta;
+        }
+
+        /// Takes the element-wise maximum of the current value and `value`
+        /// (useful for peak gauges within a tick).
+        #[inline]
+        pub(crate) fn max_in_place(&mut self, id: MetricId, value: Value) {
+            let slot = &mut self.values[id.index()];
+            if value > *slot {
+                *slot = value;
+            }
+        }
+
+        /// Returns the subset of values selected by `ids`, in the order of `ids`.
+        ///
+        /// This is the operation that turns a raw sample into a *symptom vector*
+        /// over a chosen feature set `Ω` (Section 4.3.4 of the paper).
+        pub(crate) fn project(&self, ids: &[MetricId]) -> Vec<Value> {
+            ids.iter().map(|id| self.get(*id)).collect()
+        }
+    }
 
     fn schema() -> Schema {
         SchemaBuilder::new()

@@ -4,7 +4,7 @@
 //! by the monitored service.  It is cheap to clone (internally `Arc`-shared)
 //! because every sample, window, and dataset refers to it.
 
-use crate::metric::{InstrumentationCost, MetricDef, MetricId, MetricKind, Tier};
+use crate::metric::{MetricDef, MetricId, MetricKind, Tier};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -39,7 +39,6 @@ impl Schema {
     }
 
     /// Returns `true` if the schema has no metrics.
-    #[inline]
     pub fn is_empty(&self) -> bool {
         self.inner.defs.is_empty()
     }
@@ -63,60 +62,6 @@ impl Schema {
     #[inline]
     pub fn def(&self, id: MetricId) -> &MetricDef {
         &self.inner.defs[id.index()]
-    }
-
-    /// Returns the name of a metric.
-    #[inline]
-    pub fn name(&self, id: MetricId) -> &str {
-        &self.inner.defs[id.index()].name
-    }
-
-    /// Iterates over `(id, definition)` pairs in column order.
-    pub fn iter(&self) -> impl Iterator<Item = (MetricId, &MetricDef)> {
-        self.inner
-            .defs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (MetricId(i as u32), d))
-    }
-
-    /// Returns all metric ids in column order.
-    pub fn ids(&self) -> Vec<MetricId> {
-        (0..self.len()).map(|i| MetricId(i as u32)).collect()
-    }
-
-    /// Returns the ids of all metrics measured in `tier`.
-    pub fn ids_in_tier(&self, tier: Tier) -> Vec<MetricId> {
-        self.iter()
-            .filter(|(_, d)| d.tier == tier)
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// Returns the ids of all metrics of a given kind.
-    pub fn ids_of_kind(&self, kind: MetricKind) -> Vec<MetricId> {
-        self.iter()
-            .filter(|(_, d)| d.kind == kind)
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// Returns the ids of all metrics whose instrumentation cost is at most
-    /// `max_cost`.
-    ///
-    /// This is how the diagnosis engines restrict themselves to noninvasive
-    /// data when modelling a service that cannot be instrumented invasively
-    /// (Section 4.2 of the paper).
-    pub fn ids_with_cost_at_most(&self, max_cost: InstrumentationCost) -> Vec<MetricId> {
-        self.iter()
-            .filter(|(_, d)| d.cost <= max_cost)
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// Returns the column names in order, useful for CSV headers.
-    pub fn names(&self) -> Vec<&str> {
-        self.inner.defs.iter().map(|d| d.name.as_str()).collect()
     }
 }
 
@@ -158,23 +103,6 @@ impl SchemaBuilder {
         self
     }
 
-    /// Adds a metric and returns its id together with the builder.
-    pub fn metric_with_id(mut self, def: MetricDef) -> (Self, MetricId) {
-        let id = MetricId(self.defs.len() as u32);
-        self = self.metric_def(def);
-        (self, id)
-    }
-
-    /// Number of metrics added so far.
-    pub fn len(&self) -> usize {
-        self.defs.len()
-    }
-
-    /// Returns `true` if no metrics have been added yet.
-    pub fn is_empty(&self) -> bool {
-        self.defs.is_empty()
-    }
-
     /// Finalizes the schema.
     pub fn build(self) -> Schema {
         Schema {
@@ -189,6 +117,63 @@ impl SchemaBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric::InstrumentationCost;
+
+    impl Schema {
+        /// Returns the name of a metric.
+        #[inline]
+        pub(crate) fn name(&self, id: MetricId) -> &str {
+            &self.inner.defs[id.index()].name
+        }
+
+        /// Iterates over `(id, definition)` pairs in column order.
+        pub(crate) fn iter(&self) -> impl Iterator<Item = (MetricId, &MetricDef)> {
+            self.inner
+                .defs
+                .iter()
+                .enumerate()
+                .map(|(i, d)| (MetricId(i as u32), d))
+        }
+
+        /// Returns all metric ids in column order.
+        pub(crate) fn ids(&self) -> Vec<MetricId> {
+            (0..self.len()).map(|i| MetricId(i as u32)).collect()
+        }
+
+        /// Returns the ids of all metrics measured in `tier`.
+        pub(crate) fn ids_in_tier(&self, tier: Tier) -> Vec<MetricId> {
+            self.iter()
+                .filter(|(_, d)| d.tier == tier)
+                .map(|(id, _)| id)
+                .collect()
+        }
+
+        /// Returns the ids of all metrics of a given kind.
+        pub(crate) fn ids_of_kind(&self, kind: MetricKind) -> Vec<MetricId> {
+            self.iter()
+                .filter(|(_, d)| d.kind == kind)
+                .map(|(id, _)| id)
+                .collect()
+        }
+
+        /// Returns the ids of all metrics whose instrumentation cost is at most
+        /// `max_cost`.
+        ///
+        /// This is how the diagnosis engines restrict themselves to noninvasive
+        /// data when modelling a service that cannot be instrumented invasively
+        /// (Section 4.2 of the paper).
+        pub(crate) fn ids_with_cost_at_most(&self, max_cost: InstrumentationCost) -> Vec<MetricId> {
+            self.iter()
+                .filter(|(_, d)| d.cost <= max_cost)
+                .map(|(id, _)| id)
+                .collect()
+        }
+
+        /// Returns the column names in order, useful for CSV headers.
+        pub(crate) fn names(&self) -> Vec<&str> {
+            self.inner.defs.iter().map(|d| d.name.as_str()).collect()
+        }
+    }
 
     fn schema() -> Schema {
         SchemaBuilder::new()

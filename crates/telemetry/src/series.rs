@@ -1,10 +1,8 @@
 //! Bounded in-memory store of time-series samples.
 
-use crate::metric::MetricId;
 use crate::sample::Sample;
 use crate::schema::Schema;
 use crate::window::{Window, WindowSpec};
-use crate::{Tick, Value};
 use std::collections::VecDeque;
 
 /// A bounded, append-only store of [`Sample`]s in tick order.
@@ -52,12 +50,6 @@ impl SeriesStore {
         self.samples.is_empty()
     }
 
-    /// Maximum number of samples retained.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Appends a sample, evicting the oldest if the store is full.
     ///
     /// # Panics
@@ -100,54 +92,9 @@ impl SeriesStore {
         }
     }
 
-    /// The most recent sample, if any.
-    pub fn latest(&self) -> Option<&Sample> {
-        self.samples.back()
-    }
-
-    /// The tick of the most recent sample, if any.
-    pub fn latest_tick(&self) -> Option<Tick> {
-        self.samples.back().map(Sample::tick)
-    }
-
     /// Iterates over all retained samples in tick order.
     pub fn iter(&self) -> impl Iterator<Item = &Sample> {
         self.samples.iter()
-    }
-
-    /// Returns the last `n` samples (or fewer if not enough are retained),
-    /// oldest first.
-    ///
-    /// Allocation-free: borrows directly from the ring buffer.  Diagnosis
-    /// engines probe the tail of the series every tick, so this path must
-    /// not clone or collect.
-    pub fn last_n(&self, n: usize) -> impl ExactSizeIterator<Item = &Sample> + Clone {
-        let start = self.samples.len().saturating_sub(n);
-        self.samples.range(start..)
-    }
-
-    /// Returns all samples with tick in `[from, to)`, oldest first.
-    ///
-    /// Samples are tick-ordered, so both endpoints are found by binary
-    /// search and the result borrows a contiguous stretch of the ring
-    /// buffer — no per-call allocation, no full scan.
-    pub fn range(&self, from: Tick, to: Tick) -> impl ExactSizeIterator<Item = &Sample> + Clone {
-        let lo = self.samples.partition_point(|s| s.tick() < from);
-        let hi = self.samples.partition_point(|s| s.tick() < to).max(lo);
-        self.samples.range(lo..hi)
-    }
-
-    /// Extracts the values of one metric over the last `n` samples, oldest
-    /// first, without materializing the sample list.
-    pub fn metric_tail(&self, id: MetricId, n: usize) -> impl Iterator<Item = Value> + '_ {
-        self.last_n(n).map(move |s| s.get(id))
-    }
-
-    /// The retained samples as (up to) two contiguous slices, oldest first —
-    /// the raw ring-buffer halves, for bulk readers that want memcpy-friendly
-    /// access without an iterator in the loop.
-    pub fn as_slices(&self) -> (&[Sample], &[Sample]) {
-        self.samples.as_slices()
     }
 
     /// Materializes a [`Window`] according to `spec`, anchored at the most
@@ -171,22 +118,66 @@ impl SeriesStore {
         let baseline = self.samples.range(total - nc - nb..total - nc);
         let current = self.samples.range(total - nc..);
         Some((
-            Window::from_iter(self.schema.clone(), baseline),
-            Window::from_iter(self.schema.clone(), current),
+            Window::from_iter(&self.schema, baseline),
+            Window::from_iter(&self.schema, current),
         ))
-    }
-
-    /// Removes all samples (the schema and capacity are kept).
-    pub fn clear(&mut self) {
-        self.samples.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{MetricKind, Tier};
+    use crate::metric::{MetricId, MetricKind, Tier};
     use crate::schema::SchemaBuilder;
+    use crate::{Tick, Value};
+
+    impl SeriesStore {
+        /// The tick of the most recent sample, if any.
+        pub(crate) fn latest_tick(&self) -> Option<Tick> {
+            self.samples.back().map(Sample::tick)
+        }
+
+        /// Returns the last `n` samples (or fewer if not enough are retained),
+        /// oldest first.
+        ///
+        /// Allocation-free: borrows directly from the ring buffer.  Diagnosis
+        /// engines probe the tail of the series every tick, so this path must
+        /// not clone or collect.
+        pub(crate) fn last_n(&self, n: usize) -> impl ExactSizeIterator<Item = &Sample> + Clone {
+            let start = self.samples.len().saturating_sub(n);
+            self.samples.range(start..)
+        }
+
+        /// Returns all samples with tick in `[from, to)`, oldest first.
+        ///
+        /// Samples are tick-ordered, so both endpoints are found by binary
+        /// search and the result borrows a contiguous stretch of the ring
+        /// buffer — no per-call allocation, no full scan.
+        pub(crate) fn range(
+            &self,
+            from: Tick,
+            to: Tick,
+        ) -> impl ExactSizeIterator<Item = &Sample> + Clone {
+            let lo = self.samples.partition_point(|s| s.tick() < from);
+            let hi = self.samples.partition_point(|s| s.tick() < to).max(lo);
+            self.samples.range(lo..hi)
+        }
+
+        /// Extracts the values of one metric over the last `n` samples, oldest
+        /// first, without materializing the sample list.
+        pub(crate) fn metric_tail(
+            &self,
+            id: MetricId,
+            n: usize,
+        ) -> impl Iterator<Item = Value> + '_ {
+            self.last_n(n).map(move |s| s.get(id))
+        }
+
+        /// Removes all samples (the schema and capacity are kept).
+        pub(crate) fn clear(&mut self) {
+            self.samples.clear();
+        }
+    }
 
     fn schema() -> Schema {
         SchemaBuilder::new()

@@ -50,16 +50,6 @@ pub enum SloKind {
     /// The windowed mean of the metric must stay **at or below** the
     /// threshold (e.g. mean response time ≤ 1000 ms).
     UpperBound,
-    /// The windowed mean of the metric must stay **at or above** the
-    /// threshold (e.g. throughput ≥ 50 requests/s).
-    LowerBound,
-    /// The fraction of window samples exceeding the threshold must stay at or
-    /// below `tolerated_fraction` (e.g. at most 5% of intervals may have any
-    /// errors).
-    ExceedanceRate {
-        /// Maximum tolerated fraction of samples above the threshold.
-        tolerated_fraction: f64,
-    },
 }
 
 /// A single service-level objective over one metric.
@@ -86,39 +76,6 @@ impl Slo {
         }
     }
 
-    /// Lower-bound SLO: windowed mean must not drop below `threshold`.
-    pub fn lower_bound(name: impl Into<String>, metric: MetricId, threshold: Value) -> Self {
-        Slo {
-            name: name.into(),
-            metric,
-            threshold,
-            kind: SloKind::LowerBound,
-        }
-    }
-
-    /// Exceedance-rate SLO: at most `tolerated_fraction` of samples in the
-    /// window may exceed `threshold`.
-    pub fn exceedance_rate(
-        name: impl Into<String>,
-        metric: MetricId,
-        threshold: Value,
-        tolerated_fraction: f64,
-    ) -> Self {
-        Slo {
-            name: name.into(),
-            metric,
-            threshold,
-            kind: SloKind::ExceedanceRate { tolerated_fraction },
-        }
-    }
-
-    /// Evaluates the SLO over a window of metric values; returns the degree
-    /// of violation (`0.0` when compliant, positive and growing with
-    /// severity when violated).
-    pub fn violation_severity(&self, values: &[Value]) -> f64 {
-        self.severity_over(values.iter())
-    }
-
     /// [`Slo::violation_severity`] over any in-order walk of the window —
     /// the monitor's ring buffers are read where they lie.  Sums run oldest
     /// to newest, as they do over a slice.
@@ -138,31 +95,13 @@ impl Slo {
                     (mean - self.threshold) / self.threshold.abs()
                 }
             }
-            SloKind::LowerBound => {
-                let mean = values.sum::<Value>() / len as Value;
-                if mean >= self.threshold {
-                    0.0
-                } else if self.threshold.abs() < f64::EPSILON {
-                    -mean
-                } else {
-                    (self.threshold - mean) / self.threshold.abs()
-                }
-            }
-            SloKind::ExceedanceRate { tolerated_fraction } => {
-                let exceeding = values.filter(|v| **v > self.threshold).count() as f64 / len as f64;
-                if exceeding <= tolerated_fraction {
-                    0.0
-                } else {
-                    exceeding - tolerated_fraction
-                }
-            }
         }
     }
 }
 
 /// Current compliance status of one SLO.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SloStatus {
+pub(crate) enum SloStatus {
     /// The SLO is met.
     Compliant,
     /// The SLO is violated with the given severity (> 0).
@@ -174,7 +113,7 @@ pub enum SloStatus {
 
 impl SloStatus {
     /// Returns `true` if this status is a violation.
-    pub fn is_violated(&self) -> bool {
+    pub(crate) fn is_violated(&self) -> bool {
         matches!(self, SloStatus::Violated { .. })
     }
 }
@@ -232,11 +171,6 @@ impl SloMonitor {
         }
     }
 
-    /// The SLOs being monitored.
-    pub fn slos(&self) -> &[Slo] {
-        &self.slos
-    }
-
     /// Observes one sample and returns any *newly confirmed* violations.
     ///
     /// A violation is reported every evaluation while it remains confirmed,
@@ -275,11 +209,6 @@ impl SloMonitor {
             self.total_violation_ticks += 1;
         }
         violations
-    }
-
-    /// Current status of every SLO, in the order they were registered.
-    pub fn status(&self) -> Vec<SloStatus> {
-        self.statuses().collect()
     }
 
     /// Returns `true` if any SLO is currently in confirmed violation.
@@ -338,6 +267,22 @@ mod tests {
     use crate::metric::{MetricKind, Tier};
     use crate::schema::{Schema, SchemaBuilder};
 
+    impl SloMonitor {
+        /// Current status of every SLO, in the order they were registered.
+        pub(crate) fn status(&self) -> Vec<SloStatus> {
+            self.statuses().collect()
+        }
+    }
+
+    impl Slo {
+        /// Evaluates the SLO over a window of metric values; returns the degree
+        /// of violation (`0.0` when compliant, positive and growing with
+        /// severity when violated).
+        pub(crate) fn violation_severity(&self, values: &[Value]) -> f64 {
+            self.severity_over(values.iter())
+        }
+    }
+
     fn schema() -> Schema {
         SchemaBuilder::new()
             .metric("svc.response_ms", Tier::Service, MetricKind::LatencyMs)
@@ -356,11 +301,11 @@ mod tests {
 
     fn monitor(schema: &Schema) -> SloMonitor {
         SloMonitor::new(
-            vec![
-                Slo::upper_bound("response_time", schema.expect_id("svc.response_ms"), 1000.0),
-                Slo::lower_bound("throughput", schema.expect_id("svc.throughput"), 10.0),
-                Slo::exceedance_rate("errors", schema.expect_id("svc.error_rate"), 0.01, 0.05),
-            ],
+            vec![Slo::upper_bound(
+                "response_time",
+                schema.expect_id("svc.response_ms"),
+                1000.0,
+            )],
             4,
             2,
         )
@@ -414,18 +359,6 @@ mod tests {
         assert!(!m.any_violated());
         assert!(m.recovered(2));
         assert!(m.violation_fraction() > 0.0);
-    }
-
-    #[test]
-    fn throughput_floor_and_error_rate_slos_trigger() {
-        let sc = schema();
-        let mut m = monitor(&sc);
-        for t in 0..6 {
-            m.observe(&sample(&sc, t, 100.0, 1.0, 0.5));
-        }
-        let status = m.status();
-        assert!(status[1].is_violated(), "throughput SLO should be violated");
-        assert!(status[2].is_violated(), "error-rate SLO should be violated");
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Descriptive statistics shared by the diagnosis and learning layers.
 //!
-//! These are deliberately small, dependency-free routines: summary
-//! statistics, percentiles, exponentially weighted moving averages, and
-//! fixed-bucket histograms.  The chi-square and correlation machinery used by
+//! These are deliberately small, dependency-free routines.  The chi-square and correlation machinery used by
 //! the diagnosis engines lives in `selfheal-learn::stats`, which builds on
 //! top of these.
 
@@ -26,7 +24,7 @@ pub struct Summary {
 
 impl Summary {
     /// Computes the summary of `values`.
-    pub fn of(values: &[Value]) -> Self {
+    pub(crate) fn of(values: &[Value]) -> Self {
         if values.is_empty() {
             return Summary {
                 count: 0,
@@ -58,168 +56,6 @@ impl Summary {
     pub fn std_dev(&self) -> Value {
         self.variance.sqrt()
     }
-
-    /// Coefficient of variation (`std_dev / mean`); 0.0 when the mean is 0.
-    pub fn coefficient_of_variation(&self) -> Value {
-        if self.mean.abs() < f64::EPSILON {
-            0.0
-        } else {
-            self.std_dev() / self.mean.abs()
-        }
-    }
-}
-
-/// Returns the `q`-quantile (0.0 ≤ q ≤ 1.0) of `values` using linear
-/// interpolation between closest ranks.
-///
-/// Returns 0.0 for an empty slice.  `q` is clamped to `[0, 1]`.
-pub fn percentile(values: &[Value], q: f64) -> Value {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted: Vec<Value> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-finite value in percentile"));
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
-
-/// Exponentially weighted moving average.
-///
-/// Used for smoothed online estimates of metric levels (e.g. the SLO
-/// monitor's smoothed violation rate and the proactive forecaster's level
-/// tracking).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<Value>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`; larger
-    /// values weight recent observations more heavily.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is not in `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "EWMA alpha must be in (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Feeds one observation and returns the updated average.
-    pub fn update(&mut self, observation: Value) -> Value {
-        let next = match self.value {
-            None => observation,
-            Some(current) => self.alpha * observation + (1.0 - self.alpha) * current,
-        };
-        self.value = Some(next);
-        next
-    }
-
-    /// Current smoothed value (`None` until the first observation).
-    pub fn value(&self) -> Option<Value> {
-        self.value
-    }
-
-    /// Resets the average to the uninitialized state.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
-/// Fixed-bucket histogram over `[lo, hi)` with uniform bucket widths plus
-/// overflow/underflow buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` uniform buckets over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range must be nonempty");
-        assert!(buckets > 0, "histogram must have at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: Value) {
-        self.count += 1;
-        if value < self.lo {
-            self.underflow += 1;
-        } else if value >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((value - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total number of recorded observations (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Per-bucket counts (excluding under/overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Count of observations below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of observations at or above the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate quantile from the bucket midpoints; returns the lower
-    /// bound for q=0 and treats overflow observations as sitting at `hi`.
-    pub fn approx_percentile(&self, q: f64) -> Value {
-        if self.count == 0 {
-            return self.lo;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut cumulative = self.underflow;
-        if cumulative >= target && target > 0 {
-            return self.lo;
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            cumulative += b;
-            if cumulative >= target {
-                return self.lo + width * (i as f64 + 0.5);
-            }
-        }
-        self.hi
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +71,6 @@ mod tests {
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
-        assert!((s.coefficient_of_variation() - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -244,65 +79,5 @@ mod tests {
         assert_eq!(s.count, 0);
         assert_eq!(s.mean, 0.0);
         assert_eq!(s.std_dev(), 0.0);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let values = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&values, 0.0), 1.0);
-        assert_eq!(percentile(&values, 1.0), 5.0);
-        assert_eq!(percentile(&values, 0.5), 3.0);
-        assert!((percentile(&values, 0.25) - 2.0).abs() < 1e-12);
-        assert!((percentile(&values, 0.9) - 4.6).abs() < 1e-12);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn ewma_converges_toward_constant_input() {
-        let mut e = Ewma::new(0.3);
-        assert!(e.value().is_none());
-        for _ in 0..200 {
-            e.update(10.0);
-        }
-        assert!((e.value().unwrap() - 10.0).abs() < 1e-9);
-        e.reset();
-        assert!(e.value().is_none());
-    }
-
-    #[test]
-    fn ewma_first_observation_is_taken_verbatim() {
-        let mut e = Ewma::new(0.1);
-        assert_eq!(e.update(42.0), 42.0);
-        let second = e.update(0.0);
-        assert!((second - 37.8).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in")]
-    fn ewma_rejects_zero_alpha() {
-        Ewma::new(0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_percentiles() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for v in 0..100 {
-            h.record(v as f64);
-        }
-        h.record(-5.0);
-        h.record(250.0);
-        assert_eq!(h.count(), 102);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.buckets().iter().sum::<u64>(), 100);
-        let p50 = h.approx_percentile(0.5);
-        assert!(p50 > 30.0 && p50 < 70.0, "p50 = {p50}");
-        assert_eq!(h.approx_percentile(1.0), 100.0);
-    }
-
-    #[test]
-    fn histogram_empty_percentile_is_lower_bound() {
-        let h = Histogram::new(1.0, 2.0, 4);
-        assert_eq!(h.approx_percentile(0.99), 1.0);
     }
 }

@@ -11,7 +11,7 @@ use crate::sample::Sample;
 use crate::schema::Schema;
 use crate::series::SeriesStore;
 use crate::stats::Summary;
-use crate::{Tick, Value};
+use crate::Value;
 
 /// Specification of a window anchored at the newest retained sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,18 +28,11 @@ impl WindowSpec {
     pub fn latest(len: usize) -> Self {
         WindowSpec { len, offset: 0 }
     }
-
-    /// Window of `len` samples ending `offset` samples before the newest one.
-    pub fn offset(len: usize, offset: usize) -> Self {
-        WindowSpec { len, offset }
-    }
 }
 
 /// A materialized, columnar window of consecutive samples.
 #[derive(Debug, Clone)]
 pub struct Window {
-    schema: Schema,
-    ticks: Vec<Tick>,
     /// Column-major storage: `columns[c][r]` is the value of metric `c` in
     /// row `r` of the window.
     columns: Vec<Vec<Value>>,
@@ -48,80 +41,43 @@ pub struct Window {
 impl Window {
     /// Builds a window from borrowed samples (oldest first).
     pub fn from_samples(schema: Schema, samples: &[&Sample]) -> Self {
-        Window::from_iter(schema, samples.iter().copied())
+        Window::from_iter(&schema, samples.iter().copied())
     }
 
     /// Builds a window by draining an iterator of borrowed samples (oldest
     /// first) — the allocation-minimal construction path used by
     /// [`SeriesStore::baseline_current`] and [`Window::from_store`], which
     /// borrow straight from the store's ring buffer.
-    pub fn from_iter<'a>(schema: Schema, samples: impl IntoIterator<Item = &'a Sample>) -> Self {
+    pub(crate) fn from_iter<'a>(
+        schema: &Schema,
+        samples: impl IntoIterator<Item = &'a Sample>,
+    ) -> Self {
         let samples = samples.into_iter();
         let width = schema.len();
         let hint = samples.size_hint().0;
         let mut columns = vec![Vec::with_capacity(hint); width];
-        let mut ticks = Vec::with_capacity(hint);
         for sample in samples {
             debug_assert_eq!(sample.width(), width);
-            ticks.push(sample.tick());
             for (c, column) in columns.iter_mut().enumerate() {
                 column.push(sample.values()[c]);
             }
         }
-        Window {
-            schema,
-            ticks,
-            columns,
-        }
+        Window { columns }
     }
 
     /// Builds a window from a store according to `spec`.
     ///
     /// Returns `None` if the store does not retain enough samples.
-    pub fn from_store(store: &SeriesStore, spec: WindowSpec) -> Option<Self> {
+    pub(crate) fn from_store(store: &SeriesStore, spec: WindowSpec) -> Option<Self> {
         if spec.len == 0 || store.len() < spec.len + spec.offset {
             return None;
         }
         let total = store.len();
         let start = total - spec.offset - spec.len;
         Some(Window::from_iter(
-            store.schema().clone(),
+            store.schema(),
             store.iter().skip(start).take(spec.len),
         ))
-    }
-
-    /// Number of rows (samples) in the window.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.ticks.len()
-    }
-
-    /// Returns `true` if the window holds no samples.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.ticks.is_empty()
-    }
-
-    /// The schema underlying the window.
-    #[inline]
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Ticks of the rows, oldest first.
-    #[inline]
-    pub fn ticks(&self) -> &[Tick] {
-        &self.ticks
-    }
-
-    /// All values of one metric, oldest first.
-    pub fn column(&self, id: MetricId) -> Vec<Value> {
-        self.columns[id.index()].clone()
-    }
-
-    /// Borrows the values of one metric, oldest first.
-    pub fn column_slice(&self, id: MetricId) -> &[Value] {
-        &self.columns[id.index()]
     }
 
     /// Mean of one metric over the window (0.0 for an empty window).
@@ -139,31 +95,9 @@ impl Window {
         self.columns[id.index()].iter().sum()
     }
 
-    /// Maximum of one metric over the window (0.0 for an empty window).
-    pub fn max(&self, id: MetricId) -> Value {
-        let col = &self.columns[id.index()];
-        if col.is_empty() {
-            0.0
-        } else {
-            col.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-        }
-    }
-
     /// Full descriptive summary of one metric over the window.
     pub fn summary(&self, id: MetricId) -> Summary {
         Summary::of(&self.columns[id.index()])
-    }
-
-    /// Mean vector over a subset of metrics, in the order of `ids`.
-    pub fn mean_vector(&self, ids: &[MetricId]) -> Vec<Value> {
-        ids.iter().map(|id| self.mean(*id)).collect()
-    }
-
-    /// Per-row projection over `ids`: returns one feature vector per row.
-    pub fn rows(&self, ids: &[MetricId]) -> Vec<Vec<Value>> {
-        (0..self.len())
-            .map(|r| ids.iter().map(|id| self.columns[id.index()][r]).collect())
-            .collect()
     }
 
     /// Normalizes a column into a discrete distribution (values scaled to sum
@@ -192,6 +126,48 @@ mod tests {
     use crate::metric::{MetricKind, Tier};
     use crate::schema::SchemaBuilder;
 
+    impl Window {
+        /// Number of rows (samples) in the window.
+        #[inline]
+        pub(crate) fn len(&self) -> usize {
+            self.columns.first().map_or(0, Vec::len)
+        }
+
+        /// All values of one metric, oldest first.
+        pub(crate) fn column(&self, id: MetricId) -> Vec<Value> {
+            self.columns[id.index()].clone()
+        }
+
+        /// Maximum of one metric over the window (0.0 for an empty window).
+        pub(crate) fn max(&self, id: MetricId) -> Value {
+            let col = &self.columns[id.index()];
+            if col.is_empty() {
+                0.0
+            } else {
+                col.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+            }
+        }
+
+        /// Mean vector over a subset of metrics, in the order of `ids`.
+        pub(crate) fn mean_vector(&self, ids: &[MetricId]) -> Vec<Value> {
+            ids.iter().map(|id| self.mean(*id)).collect()
+        }
+
+        /// Per-row projection over `ids`: returns one feature vector per row.
+        pub(crate) fn rows(&self, ids: &[MetricId]) -> Vec<Vec<Value>> {
+            (0..self.len())
+                .map(|r| ids.iter().map(|id| self.columns[id.index()][r]).collect())
+                .collect()
+        }
+    }
+
+    impl WindowSpec {
+        /// Window of `len` samples ending `offset` samples before the newest one.
+        pub(crate) fn offset(len: usize, offset: usize) -> Self {
+            WindowSpec { len, offset }
+        }
+    }
+
     fn setup() -> (Schema, SeriesStore) {
         let schema = SchemaBuilder::new()
             .metric("a", Tier::Web, MetricKind::Count)
@@ -214,7 +190,6 @@ mod tests {
         let (schema, store) = setup();
         let w = store.window(WindowSpec::latest(3)).unwrap();
         assert_eq!(w.len(), 3);
-        assert_eq!(w.ticks(), &[7, 8, 9]);
         assert_eq!(w.column(schema.expect_id("a")), vec![7.0, 8.0, 9.0]);
         assert_eq!(w.mean(schema.expect_id("a")), 8.0);
         assert_eq!(w.sum(schema.expect_id("b")), 48.0);
@@ -224,7 +199,6 @@ mod tests {
     fn offset_window_skips_newest_samples() {
         let (schema, store) = setup();
         let w = store.window(WindowSpec::offset(4, 3)).unwrap();
-        assert_eq!(w.ticks(), &[3, 4, 5, 6]);
         assert_eq!(w.column(schema.expect_id("a")), vec![3.0, 4.0, 5.0, 6.0]);
     }
 

@@ -48,7 +48,7 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// The expected arrival rate at `tick` (requests per tick).
-    pub fn mean_rate(&self, tick: u64) -> f64 {
+    pub(crate) fn mean_rate(&self, tick: u64) -> f64 {
         match self {
             ArrivalProcess::Constant { rate } | ArrivalProcess::Poisson { rate } => *rate,
             ArrivalProcess::Diurnal {
@@ -76,7 +76,7 @@ impl ArrivalProcess {
     }
 
     /// Samples the number of arrivals in the tick.
-    pub fn arrivals<R: Rng + ?Sized>(&self, tick: u64, rng: &mut R) -> u64 {
+    pub(crate) fn arrivals<R: Rng + ?Sized>(&self, tick: u64, rng: &mut R) -> u64 {
         let mean = self.mean_rate(tick);
         match self {
             ArrivalProcess::Constant { .. } | ArrivalProcess::Surge { .. } => mean.round() as u64,

@@ -72,7 +72,7 @@ impl BurstSource {
     }
 
     /// Whether `tick` falls inside a burst window.
-    pub fn in_burst(&self, tick: u64) -> bool {
+    pub(crate) fn in_burst(&self, tick: u64) -> bool {
         (tick + self.phase) % self.period_ticks < self.burst_ticks
     }
 
@@ -83,11 +83,6 @@ impl BurstSource {
         } else {
             self.base_rate
         }
-    }
-
-    /// The workload mix requests are drawn from.
-    pub fn mix(&self) -> &WorkloadMix {
-        &self.mix
     }
 }
 

@@ -19,7 +19,7 @@ use selfheal_jsonl::{parse_lines, Scanner};
 
 /// A parse failure, with the 1-based line number when decoding a whole
 /// JSON-lines document (0 when parsing a single line directly).
-pub type CodecError = selfheal_jsonl::JsonError;
+pub(crate) type CodecError = selfheal_jsonl::JsonError;
 
 /// The batch of requests that arrived in one tick — the unit record of a
 /// JSON-lines trace file.
@@ -39,7 +39,7 @@ impl TraceRecord {
 }
 
 /// Serializes one record as a single JSON line (no trailing newline).
-pub fn serialize_record(record: &TraceRecord) -> String {
+pub(crate) fn serialize_record(record: &TraceRecord) -> String {
     let mut out = String::with_capacity(32 + record.requests.len() * 48);
     out.push_str("{\"tick\":");
     out.push_str(&record.tick.to_string());
@@ -61,7 +61,7 @@ pub fn serialize_record(record: &TraceRecord) -> String {
 }
 
 /// Parses one JSON line back into a record.
-pub fn parse_record(line: &str) -> Result<TraceRecord, CodecError> {
+pub(crate) fn parse_record(line: &str) -> Result<TraceRecord, CodecError> {
     let mut scanner = Scanner::new(line);
     let record = scan_record(&mut scanner)?;
     scanner
@@ -72,7 +72,7 @@ pub fn parse_record(line: &str) -> Result<TraceRecord, CodecError> {
 
 /// Serializes a sequence of records as a JSON-lines document (one record per
 /// line, trailing newline included when nonempty).
-pub fn to_jsonl(records: &[TraceRecord]) -> String {
+pub(crate) fn to_jsonl(records: &[TraceRecord]) -> String {
     let mut out = String::new();
     for record in records {
         out.push_str(&serialize_record(record));
@@ -82,7 +82,7 @@ pub fn to_jsonl(records: &[TraceRecord]) -> String {
 }
 
 /// Parses a JSON-lines document (blank lines are skipped).
-pub fn from_jsonl(text: &str) -> Result<Vec<TraceRecord>, CodecError> {
+pub(crate) fn from_jsonl(text: &str) -> Result<Vec<TraceRecord>, CodecError> {
     parse_lines(text, parse_record)
 }
 

@@ -15,17 +15,12 @@
 //! * [`ArrivalProcess`] — open-loop arrival models: constant rate, Poisson,
 //!   diurnal pattern, and a flash-crowd *surge* (the paper's Walmart.com
 //!   Thanksgiving example is exactly such a surge).
-//! * [`SessionPool`] — a simple closed-loop session model with think times,
-//!   used by the closed-loop examples.
-//! * [`stimulation`] — preproduction *active stimulation* schedules
-//!   (Section 4.2: subject the service to "different types and rates of
-//!   workloads ... while recording data about observed behavior").
 //! * [`TraceSource`] — the pluggable per-tick workload abstraction every
 //!   consumer (scenario runner, harness, fleet engine) is written against.
 //! * [`TraceGenerator`] — the synthetic [`TraceSource`]: ties a mix and an
 //!   arrival process together and emits per-tick request batches.
 //! * [`RecordedTrace`] / [`ReplaySource`] — capture any source tick-by-tick,
-//!   persist it as JSON-lines ([`codec`]), and replay it with loop/truncate
+//!   persist it as JSON-lines (`codec`), and replay it with loop/truncate
 //!   semantics and per-replica phase shifts.
 //! * [`BurstSource`] — recurring flash-crowd / fault-storm spikes on top of
 //!   a Poisson baseline.
@@ -33,24 +28,20 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arrival;
-pub mod burst;
-pub mod codec;
-pub mod mix;
-pub mod replay;
-pub mod request;
-pub mod session;
-pub mod source;
-pub mod stimulation;
-pub mod trace;
+pub(crate) mod arrival;
+pub(crate) mod burst;
+pub(crate) mod codec;
+pub(crate) mod mix;
+pub(crate) mod replay;
+pub(crate) mod request;
+pub(crate) mod source;
+pub(crate) mod trace;
 
 pub use arrival::ArrivalProcess;
 pub use burst::BurstSource;
-pub use codec::{CodecError, TraceRecord};
+pub use codec::TraceRecord;
 pub use mix::WorkloadMix;
 pub use replay::{RecordedTrace, ReplayMode, ReplaySource};
 pub use request::{Request, RequestKind, TierDemand};
-pub use session::SessionPool;
 pub use source::TraceSource;
-pub use stimulation::{StimulationPhase, StimulationSchedule};
 pub use trace::TraceGenerator;

@@ -36,7 +36,7 @@ impl WorkloadMix {
     ///
     /// # Panics
     /// Panics if a weight is not finite or no pair has positive weight.
-    pub fn new(name: impl Into<String>, mut weights: Vec<(RequestKind, f64)>) -> Self {
+    pub(crate) fn new(name: impl Into<String>, mut weights: Vec<(RequestKind, f64)>) -> Self {
         let total: f64 = weights.iter().map(|(_, w)| w.max(0.0)).sum();
         assert!(
             total.is_finite() && weights.iter().all(|(_, w)| w.is_finite()),
@@ -105,59 +105,13 @@ impl WorkloadMix {
         )
     }
 
-    /// A write-heavy mix used for stress experiments (statistics staleness
-    /// builds up fastest under heavy update traffic, Example 5 of the paper).
-    pub fn write_heavy() -> Self {
-        WorkloadMix::new(
-            "write_heavy",
-            vec![
-                (RequestKind::Browse, 0.10),
-                (RequestKind::Search, 0.10),
-                (RequestKind::ViewItem, 0.15),
-                (RequestKind::Bid, 0.30),
-                (RequestKind::Buy, 0.10),
-                (RequestKind::Sell, 0.15),
-                (RequestKind::Register, 0.05),
-                (RequestKind::Login, 0.05),
-            ],
-        )
-    }
-
     /// Name of the mix.
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    /// Normalized `(kind, probability)` pairs.
-    pub fn probabilities(&self) -> &[(RequestKind, f64)] {
-        &self.weights
-    }
-
-    /// Probability of one request kind (0.0 when absent).
-    pub fn probability(&self, kind: RequestKind) -> f64 {
-        self.weights
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, w)| *w)
-            .unwrap_or(0.0)
-    }
-
-    /// The fraction of requests that write to the database.
-    pub fn write_fraction(&self) -> f64 {
-        self.weights
-            .iter()
-            .filter(|(k, _)| k.is_write())
-            .map(|(_, w)| w)
-            .sum()
-    }
-
-    /// Expected database demand (ms) of one request drawn from the mix.
-    pub fn expected_db_demand_ms(&self) -> f64 {
-        self.weights.iter().map(|(k, w)| k.demand().db_ms * w).sum()
-    }
-
     /// Samples a request kind: one draw, compared with every threshold.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> RequestKind {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> RequestKind {
         let r: f64 = rng.gen_range(0.0..1.0);
         let entry: usize = self.thresholds.iter().map(|t| (r >= *t) as usize).sum();
         self.weights[entry].0
@@ -171,6 +125,54 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
+
+    impl WorkloadMix {
+        /// A write-heavy mix used for stress experiments (statistics staleness
+        /// builds up fastest under heavy update traffic, Example 5 of the paper).
+        pub(crate) fn write_heavy() -> Self {
+            WorkloadMix::new(
+                "write_heavy",
+                vec![
+                    (RequestKind::Browse, 0.10),
+                    (RequestKind::Search, 0.10),
+                    (RequestKind::ViewItem, 0.15),
+                    (RequestKind::Bid, 0.30),
+                    (RequestKind::Buy, 0.10),
+                    (RequestKind::Sell, 0.15),
+                    (RequestKind::Register, 0.05),
+                    (RequestKind::Login, 0.05),
+                ],
+            )
+        }
+
+        /// Normalized `(kind, probability)` pairs.
+        fn probabilities(&self) -> &[(RequestKind, f64)] {
+            &self.weights
+        }
+
+        /// Probability of one request kind (0.0 when absent).
+        fn probability(&self, kind: RequestKind) -> f64 {
+            self.weights
+                .iter()
+                .find(|(k, _)| *k == kind)
+                .map(|(_, w)| *w)
+                .unwrap_or(0.0)
+        }
+
+        /// The fraction of requests that write to the database.
+        fn write_fraction(&self) -> f64 {
+            self.weights
+                .iter()
+                .filter(|(k, _)| k.is_write())
+                .map(|(_, w)| w)
+                .sum()
+        }
+
+        /// Expected database demand (ms) of one request drawn from the mix.
+        fn expected_db_demand_ms(&self) -> f64 {
+            self.weights.iter().map(|(k, w)| k.demand().db_ms * w).sum()
+        }
+    }
 
     /// An RNG whose every `gen_range(0.0..1.0)` is `k / DRAWS`.
     struct Draw(u64);

@@ -39,7 +39,7 @@ impl RecordedTrace {
     }
 
     /// The per-tick records.
-    pub fn records(&self) -> &[TraceRecord] {
+    pub(crate) fn records(&self) -> &[TraceRecord] {
         &self.records
     }
 
@@ -133,21 +133,6 @@ impl ReplaySource {
         self.phase = phase;
         self
     }
-
-    /// The configured phase shift.
-    pub fn phase(&self) -> u64 {
-        self.phase
-    }
-
-    /// The replay mode.
-    pub fn mode(&self) -> ReplayMode {
-        self.mode
-    }
-
-    /// The trace being replayed.
-    pub fn trace(&self) -> &RecordedTrace {
-        &self.trace
-    }
 }
 
 impl TraceSource for ReplaySource {
@@ -194,6 +179,18 @@ mod tests {
     use crate::arrival::ArrivalProcess;
     use crate::mix::WorkloadMix;
     use crate::trace::TraceGenerator;
+
+    impl ReplaySource {
+        /// The configured phase shift.
+        fn phase(&self) -> u64 {
+            self.phase
+        }
+
+        /// The trace being replayed.
+        fn trace(&self) -> &RecordedTrace {
+            &self.trace
+        }
+    }
 
     fn captured(ticks: u64) -> RecordedTrace {
         let mut generator = TraceGenerator::new(

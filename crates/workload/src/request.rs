@@ -20,13 +20,6 @@ pub struct TierDemand {
     pub writes: bool,
 }
 
-impl TierDemand {
-    /// Total nominal demand across all tiers (ms).
-    pub fn total_ms(&self) -> f64 {
-        self.web_ms + self.app_ms + self.db_ms
-    }
-}
-
 /// The interaction types of the auction site.
 ///
 /// The set mirrors the RUBiS servlet catalogue at the granularity that
@@ -76,7 +69,7 @@ impl RequestKind {
     ];
 
     /// Stable lowercase label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             RequestKind::Home => "home",
             RequestKind::Browse => "browse",
@@ -95,7 +88,7 @@ impl RequestKind {
     /// Inverse of [`RequestKind::label`]: parses the stable lowercase label
     /// back to a kind (`None` for unknown labels).  The trace codec relies
     /// on `from_label(label(k)) == Some(k)` for every kind.
-    pub fn from_label(label: &str) -> Option<RequestKind> {
+    pub(crate) fn from_label(label: &str) -> Option<RequestKind> {
         RequestKind::ALL
             .iter()
             .copied()
@@ -234,6 +227,13 @@ impl Request {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TierDemand {
+        /// Total nominal demand across all tiers (ms).
+        fn total_ms(&self) -> f64 {
+            self.web_ms + self.app_ms + self.db_ms
+        }
+    }
 
     #[test]
     fn labels_and_codes_are_unique_and_stable() {

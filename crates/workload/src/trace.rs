@@ -13,7 +13,7 @@ use rand::SeedableRng;
 /// The generator owns its RNG (seeded at construction) so traces are
 /// reproducible and independent of any other randomness in the simulation.
 /// It is the synthetic implementation of [`TraceSource`]; recorded and
-/// bursty sources live in [`crate::replay`] and [`crate::burst`].
+/// bursty sources live in `crate::replay` and `crate::burst`.
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
     mix: WorkloadMix,
@@ -21,7 +21,6 @@ pub struct TraceGenerator {
     seed: u64,
     rng: StdRng,
     next_request_id: u64,
-    generated: u64,
 }
 
 impl TraceGenerator {
@@ -33,40 +32,7 @@ impl TraceGenerator {
             seed,
             rng: StdRng::seed_from_u64(seed),
             next_request_id: 0,
-            generated: 0,
         }
-    }
-
-    /// The seed the generator was built with (and that
-    /// [`TraceSource::reset`] rewinds to).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The current workload mix.
-    pub fn mix(&self) -> &WorkloadMix {
-        &self.mix
-    }
-
-    /// The current arrival process.
-    pub fn arrivals(&self) -> &ArrivalProcess {
-        &self.arrivals
-    }
-
-    /// Replaces the workload mix (e.g. when an active-stimulation schedule
-    /// moves to its next phase, or to model workload drift in production).
-    pub fn set_mix(&mut self, mix: WorkloadMix) {
-        self.mix = mix;
-    }
-
-    /// Replaces the arrival process.
-    pub fn set_arrivals(&mut self, arrivals: ArrivalProcess) {
-        self.arrivals = arrivals;
-    }
-
-    /// Total number of requests generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 
     /// Generates the requests arriving at `tick`.
@@ -77,7 +43,6 @@ impl TraceGenerator {
             let kind = self.mix.sample(&mut self.rng);
             requests.push(Request::new(self.next_request_id, kind, tick));
             self.next_request_id += 1;
-            self.generated += 1;
         }
         requests
     }
@@ -88,13 +53,10 @@ impl TraceSource for TraceGenerator {
         self.tick(tick)
     }
 
-    /// Reseeds the RNG and rewinds the request-id counters.  The *current*
-    /// mix and arrival process are kept: a generator mutated mid-run (e.g.
-    /// by a stimulation schedule) replays from its latest configuration.
+    /// Reseeds the RNG and rewinds the request-id counter.
     fn reset(&mut self) {
         self.rng = StdRng::seed_from_u64(self.seed);
         self.next_request_id = 0;
-        self.generated = 0;
     }
 
     fn clone_box(&self) -> Box<dyn TraceSource> {
@@ -105,7 +67,6 @@ impl TraceSource for TraceGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::RequestKind;
 
     #[test]
     fn reset_replays_the_same_trace() {
@@ -118,7 +79,6 @@ mod tests {
         g.reset();
         let second: Vec<Vec<Request>> = (0..10).map(|t| g.next_tick(t)).collect();
         assert_eq!(first, second);
-        assert_eq!(g.seed(), 8);
     }
 
     #[test]
@@ -136,7 +96,6 @@ mod tests {
         for t in 0..20 {
             assert_eq!(a.tick(t), b.tick(t));
         }
-        assert_eq!(a.generated(), b.generated());
     }
 
     #[test]
@@ -156,39 +115,5 @@ mod tests {
                 assert_eq!(r.arrival_tick, t);
             }
         }
-        assert_eq!(g.generated(), 70);
-    }
-
-    #[test]
-    fn changing_the_mix_changes_the_request_kinds() {
-        let mut g = TraceGenerator::new(
-            WorkloadMix::browsing(),
-            ArrivalProcess::Constant { rate: 50.0 },
-            3,
-        );
-        let browsing: Vec<Request> = g.tick(0);
-        assert!(browsing.iter().all(|r| !r.kind.is_write()));
-        g.set_mix(WorkloadMix::write_heavy());
-        let writes: usize = g.tick(1).iter().filter(|r| r.kind.is_write()).count();
-        assert!(
-            writes > 10,
-            "write-heavy mix should produce many writes, got {writes}"
-        );
-    }
-
-    #[test]
-    fn changing_arrivals_changes_the_volume() {
-        let mut g = TraceGenerator::new(
-            WorkloadMix::browsing(),
-            ArrivalProcess::Constant { rate: 5.0 },
-            4,
-        );
-        assert_eq!(g.tick(0).len(), 5);
-        g.set_arrivals(ArrivalProcess::Constant { rate: 50.0 });
-        assert_eq!(g.tick(1).len(), 50);
-        assert_eq!(g.arrivals(), &ArrivalProcess::Constant { rate: 50.0 });
-        assert_eq!(g.mix().name(), "browsing");
-        // Silence the unused-import warning path: kinds come from the mix.
-        assert!(g.tick(2).iter().all(|r| RequestKind::ALL.contains(&r.kind)));
     }
 }

@@ -35,7 +35,7 @@ fn main() {
     let config = ServiceConfig::tiny();
 
     // 1. Scripted sources are the old injection plans, verbatim.
-    let plan = selfheal::faults::InjectionPlanBuilder::new(config.ejb_count, config.table_count, 1)
+    let plan = selfheal::faults::InjectionPlanBuilder::new()
         .inject(
             100,
             selfheal::faults::FaultKind::BufferContention,

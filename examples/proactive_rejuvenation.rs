@@ -16,7 +16,7 @@ use selfheal::telemetry::Value;
 
 fn main() {
     let config = ServiceConfig::tiny();
-    let injections = InjectionPlanBuilder::new(config.ejb_count, config.table_count, 1)
+    let injections = InjectionPlanBuilder::new()
         .inject(80, FaultKind::SoftwareAging, FaultTarget::AppTier, 0.9)
         .build();
 

@@ -15,7 +15,7 @@ fn main() {
 
     // Schedule two failures from Table 1 of the paper: a starved database
     // buffer pool and an EJB that starts throwing unhandled exceptions.
-    let injections = InjectionPlanBuilder::new(config.ejb_count, config.table_count, 1)
+    let injections = InjectionPlanBuilder::new()
         .inject(
             120,
             FaultKind::BufferContention,

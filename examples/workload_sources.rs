@@ -28,7 +28,7 @@ use selfheal::workload::{
 fn main() {
     let config = ServiceConfig::tiny();
     let ticks = 600u64;
-    let plan = InjectionPlanBuilder::new(config.ejb_count, config.table_count, 1)
+    let plan = InjectionPlanBuilder::new()
         .inject(
             150,
             FaultKind::BufferContention,

@@ -17,7 +17,9 @@
 //!   tick-wise composition, and correlated fault storms (uniform or
 //!   CauseMix-catalog mode).
 //! * [`sim`] — the three-tier (web / EJB / database) service simulator.
-//! * [`learn`] — from-scratch ML substrate (kNN, k-means, AdaBoost, ...).
+//! * [`learn`] — from-scratch ML substrate: the three Table 3 synopses
+//!   (kNN, k-means, AdaBoost) and the statistics and trend forecaster the
+//!   diagnosis engines and the proactive healer use.
 //! * [`diagnosis`] — anomaly / correlation / bottleneck diagnosis and the
 //!   manual rule baseline.
 //! * [`healing`] — FixSym, synopses behind the pluggable `SynopsisStore`
@@ -53,7 +55,7 @@
 //! use selfheal::faults::{FaultKind, FaultTarget, InjectionPlanBuilder};
 //! use selfheal::sim::ServiceConfig;
 //!
-//! let plan = InjectionPlanBuilder::new(4, 3, 1)
+//! let plan = InjectionPlanBuilder::new()
 //!     .inject(60, FaultKind::BufferContention, FaultTarget::DatabaseTier, 0.9)
 //!     .build();
 //! let outcome = SelfHealingService::builder()

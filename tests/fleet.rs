@@ -23,7 +23,7 @@ fn fleet(replicas: usize, ticks: u64) -> FleetConfig {
         .base_seed(77)
         .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
         .injections_per_replica(|replica| {
-            InjectionPlanBuilder::new(4, 3, 1)
+            InjectionPlanBuilder::new()
                 .inject(
                     30 + 10 * replica as u64,
                     FaultKind::BufferContention,
@@ -42,7 +42,7 @@ fn same_seed_gives_byte_identical_scenario_outcomes() {
         SelfHealingService::builder()
             .config(ServiceConfig::tiny())
             .injections(
-                InjectionPlanBuilder::new(4, 3, 1)
+                InjectionPlanBuilder::new()
                     .inject(
                         40,
                         FaultKind::BufferContention,
@@ -62,7 +62,7 @@ fn same_seed_gives_byte_identical_scenario_outcomes() {
     let c = SelfHealingService::builder()
         .config(ServiceConfig::tiny())
         .injections(
-            InjectionPlanBuilder::new(4, 3, 1)
+            InjectionPlanBuilder::new()
                 .inject(
                     40,
                     FaultKind::BufferContention,
@@ -119,7 +119,7 @@ fn replica_outcomes_are_independent_of_fleet_size_and_interleaving() {
 #[test]
 fn shared_synopsis_warm_starts_later_replicas() {
     let staggered = |replica: usize| {
-        InjectionPlanBuilder::new(4, 3, 1)
+        InjectionPlanBuilder::new()
             .inject(
                 100 + 500 * replica as u64,
                 FaultKind::BufferContention,
@@ -202,7 +202,7 @@ fn shared_synopsis_warm_starts_later_replicas() {
 fn recorded_trace_replays_byte_identically() {
     let mix = WorkloadMix::bidding();
     let arrivals = ArrivalProcess::Poisson { rate: 40.0 };
-    let plan = InjectionPlanBuilder::new(4, 3, 1)
+    let plan = InjectionPlanBuilder::new()
         .inject(
             40,
             FaultKind::BufferContention,
@@ -248,7 +248,7 @@ fn phase_shifted_replay_replicas_match_their_standalone_equivalents() {
     let ticks = 250u64;
     let phase_step = 40u64;
     let plan = |replica: usize| {
-        InjectionPlanBuilder::new(4, 3, 1)
+        InjectionPlanBuilder::new()
             .inject(
                 30 + 10 * replica as u64,
                 FaultKind::BufferContention,

@@ -10,7 +10,7 @@
 //! test, so no other test thread allocates while it measures.
 
 use selfheal::daemon::{DaemonConfig, Supervisor};
-use selfheal::faults::{FaultId, FaultKind, FaultSpec, FaultTarget, InjectionPlan};
+use selfheal::faults::{FaultId, FaultKind, FaultSpec, FaultTarget, InjectionPlan, ScriptedSource};
 use selfheal::healing::{HybridHealer, SynopsisKind};
 use selfheal::sim::scenario::{Healer, NoHealing, ScenarioRunner};
 use selfheal::sim::{MultiTierService, ServiceConfig};
@@ -60,7 +60,12 @@ fn bytes_held_by_opening_an_episode(inert: u64) -> isize {
         ArrivalProcess::Constant { rate: 40.0 },
         11,
     );
-    let mut runner = ScenarioRunner::new(service, workload, InjectionPlan::empty(), NoHealing);
+    let mut runner = ScenarioRunner::with_faults(
+        service,
+        Box::new(workload),
+        Box::new(ScriptedSource::new(InjectionPlan::empty())),
+        NoHealing,
+    );
     runner.inject(FaultSpec::new(
         FaultId(0),
         FaultKind::BottleneckedTier,

@@ -25,7 +25,7 @@ fn stormy_fleet(replicas: usize, ticks: u64, learner: LearnerChoice) -> FleetCon
         .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
         .learner(learner)
         .injections_per_replica(|replica| {
-            InjectionPlanBuilder::new(4, 3, 1)
+            InjectionPlanBuilder::new()
                 .inject(
                     40 + 30 * replica as u64,
                     FaultKind::BufferContention,

@@ -28,7 +28,7 @@ fn fleet(learner: LearnerChoice) -> FleetConfig {
         .learner(learner)
         .mode(ExecutionMode::Sequential)
         .injections_per_replica(|replica| {
-            InjectionPlanBuilder::new(4, 3, 1)
+            InjectionPlanBuilder::new()
                 .inject(
                     40 + 60 * replica as u64,
                     FaultKind::BufferContention,
