@@ -22,9 +22,7 @@ use selfheal_core::harness::{
 };
 use selfheal_core::snapshot::SynopsisSnapshot;
 use selfheal_core::synopsis::{Learner, SynopsisKind};
-use selfheal_faults::{
-    FaultKind, FaultTarget, InjectionPlan, InjectionPlanBuilder, ServiceProfile, StormSpec,
-};
+use selfheal_faults::{FaultKind, FaultTarget, InjectionPlanBuilder, ServiceProfile, StormSpec};
 use selfheal_fleet::events::ReplicaAction;
 use selfheal_fleet::reactive::REACTIVE_PERIOD;
 use selfheal_fleet::{ExecutionMode, FleetConfig, FleetOutcome};
@@ -51,20 +49,22 @@ fn base_fleet(replicas: usize, seed: u64) -> FleetConfig {
 }
 
 /// One scripted [`KIND`] injection on the database tier at `tick`.
-fn inject_at(tick: u64) -> InjectionPlan {
-    InjectionPlanBuilder::new()
-        .inject(tick, KIND, FaultTarget::DatabaseTier, 0.9)
-        .build()
+fn inject_at(tick: u64) -> FaultChoice {
+    FaultChoice::Scripted(
+        InjectionPlanBuilder::new()
+            .inject(tick, KIND, FaultTarget::DatabaseTier, 0.9)
+            .build(),
+    )
 }
 
 /// Injects at `tick` on replica `scout` alone — the replica that meets the
 /// signature first and, with a shared store, publishes the proven fix.
 fn with_scout(config: FleetConfig, scout: usize, tick: u64) -> FleetConfig {
-    config.injections_per_replica(move |replica| {
+    config.faults_per_replica(move |replica| {
         if replica == scout {
             inject_at(tick)
         } else {
-            InjectionPlan::empty()
+            FaultChoice::default()
         }
     })
 }
@@ -99,7 +99,7 @@ pub fn scaling_point(replicas: usize, ticks: u64, seed: u64) -> ScalingPoint {
         base_fleet(replicas, seed)
             .ticks(ticks)
             .learner(LearnerChoice::locked())
-            .injections(inject_at(ticks / 10))
+            .faults(inject_at(ticks / 10))
             .mode(mode)
             .run()
     };
@@ -134,7 +134,7 @@ pub fn smoke_fleet(
     base_fleet(replicas, seed)
         .workload(workload)
         .ticks(ticks)
-        .injections(inject_at(ticks / 4))
+        .faults(inject_at(ticks / 4))
 }
 
 /// What a set of failure episodes cost to heal.
@@ -378,7 +378,7 @@ pub fn cold_start(replicas: usize, seed: u64) -> Experiment {
             base_fleet(replicas, seed)
                 .ticks(100 + STAGGER_TICKS * replicas as u64 + 400)
                 .learner(learner)
-                .injections_per_replica(|replica| inject_at(100 + STAGGER_TICKS * replica as u64))
+                .faults_per_replica(|replica| inject_at(100 + STAGGER_TICKS * replica as u64))
         },
         move |outcome| injected_stats(outcome, 1..replicas),
     )
@@ -437,7 +437,7 @@ pub fn warm_start_comparison(
             // Deterministic execution so warm vs cold differ only through
             // the loaded experience.
             .mode(ExecutionMode::Sequential)
-            .injections(inject_at(150))
+            .faults(inject_at(150))
     };
     // Healed-outcome experiment: run one healing tail past the stimulus
     // horizon rather than a hand-tuned 600 ticks.

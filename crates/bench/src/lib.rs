@@ -13,7 +13,7 @@
 pub mod fleet;
 
 use selfheal_core::fixsym::FixSymEngine;
-use selfheal_core::harness::{PolicyChoice, SelfHealingService};
+use selfheal_core::harness::{FaultChoice, PolicyChoice, SelfHealingService};
 use selfheal_core::synopsis::SynopsisKind;
 use selfheal_faults::{
     injection::default_target, FailureCause, FaultId, FaultKind, FaultSpec, FaultTarget, FixAction,
@@ -151,7 +151,7 @@ pub fn fig2_recovery_time(scale: ExperimentScale, seed: u64) -> ResultTable {
     // policy can address: mean recovery ticks converted to minutes.
     let outcome = SelfHealingService::builder()
         .config(ServiceConfig::tiny())
-        .injections(
+        .faults(FaultChoice::Scripted(
             InjectionPlanBuilder::new()
                 .inject(
                     60,
@@ -172,7 +172,7 @@ pub fn fig2_recovery_time(scale: ExperimentScale, seed: u64) -> ResultTable {
                     0.9,
                 )
                 .build(),
-        )
+        ))
         .policy(PolicyChoice::Hybrid(SynopsisKind::NearestNeighbor))
         .seed(seed)
         .run(1100);
@@ -357,7 +357,7 @@ fn comparison_scenario(
     }
     SelfHealingService::builder()
         .config(config)
-        .injections(builder.build())
+        .faults(FaultChoice::Scripted(builder.build()))
         .policy(policy)
         .seed(seed)
         .run(scale.comparison_ticks)

@@ -251,18 +251,6 @@ pub(crate) struct FixSymHealer<L: Learner = Synopsis> {
     schema: Schema,
 }
 
-impl FixSymHealer {
-    /// Creates a healer for a service with the given metric schema.
-    pub(crate) fn new(schema: &Schema, kind: SynopsisKind) -> Self {
-        Self::with_config(schema, kind, FixSymConfig::default())
-    }
-
-    /// Creates a healer with an explicit configuration.
-    pub(crate) fn with_config(schema: &Schema, kind: SynopsisKind, config: FixSymConfig) -> Self {
-        Self::with_learner(schema, Synopsis::new(kind), config)
-    }
-}
-
 impl<L: Learner> FixSymHealer<L> {
     /// Creates a healer around an existing learner (a fleet-shared synopsis
     /// handle, or a pre-bootstrapped private synopsis).

@@ -2,9 +2,10 @@
 //!
 //! Examples and benchmarks repeatedly need the same assembly: build a
 //! RUBiS-like service, pick a workload, schedule fault injections, choose a
-//! healing policy, run, and summarize.  [`SelfHealingService`] packages that
-//! assembly behind a small builder so the examples read like the experiment
-//! descriptions in the paper.
+//! healing policy, run, and summarize.  [`ReplicaPlan`] is that assembly as
+//! data, and [`ReplicaPlan::runner`] the one place a replica is built from
+//! it; [`SelfHealingService`] wraps one plan behind a small builder so the
+//! examples read like the experiment descriptions in the paper.
 //!
 //! Six declarative enums keep configurations data, not code:
 //! [`PolicyChoice`] names a healing policy, [`WorkloadChoice`] names a
@@ -22,7 +23,8 @@
 //! scheduler resolves into per-replica actions, and [`ReactiveChoice`]
 //! names a *state-observing* chaos engine (an adversary targeting the
 //! weakest replica, or a dependency cascade) evaluated at deterministic
-//! epoch barriers.
+//! epoch barriers.  The fleet crate's `events` and `reactive` modules
+//! evaluate the last two as matches over the variants.
 
 use crate::fixsym::{FixSymConfig, FixSymHealer};
 use crate::hybrid::HybridHealer;
@@ -69,9 +71,10 @@ pub enum PolicyChoice {
 
 impl PolicyChoice {
     /// Builds the healer this policy describes, boxed so heterogeneous
-    /// policies can drive identical runners ([`build_runner`] constructs
-    /// every healer through here or [`build_healer_stored`](Self::build_healer_stored)).
-    pub fn build_healer(&self, schema: &Schema, targets: SloTargets) -> Box<dyn Healer> {
+    /// policies can drive identical runners; a learning policy gets a fresh
+    /// private store ([`ReplicaPlan::runner`] constructs every healer through
+    /// here or [`build_healer_stored`](Self::build_healer_stored)).
+    fn build_healer(&self, schema: &Schema, targets: SloTargets) -> Box<dyn Healer> {
         match self {
             PolicyChoice::None => Box::new(NoHealing),
             PolicyChoice::ManualRules => Box::new(DiagnosisHealer::manual(schema, targets)),
@@ -82,8 +85,9 @@ impl PolicyChoice {
             PolicyChoice::BottleneckAnalysis => {
                 Box::new(DiagnosisHealer::bottleneck(schema, targets))
             }
-            PolicyChoice::FixSym(kind) => Box::new(FixSymHealer::new(schema, *kind)),
-            PolicyChoice::Hybrid(kind) => Box::new(HybridHealer::new(schema, *kind, targets)),
+            PolicyChoice::FixSym(kind) | PolicyChoice::Hybrid(kind) => {
+                self.build_healer_stored(schema, targets, LearnerChoice::Private.build_store(*kind))
+            }
             PolicyChoice::Proactive => Box::new(ProactiveHealer::new(schema, targets)),
         }
     }
@@ -93,7 +97,7 @@ impl PolicyChoice {
     ///
     /// Only the signature-based policies (`FixSym`, `Hybrid`) have learned
     /// state to store; every other policy is stateless across replicas and
-    /// falls back to [`PolicyChoice::build_healer`].  The store's own kind
+    /// ignores the store.  The store's own kind
     /// wins over the kind embedded in the policy, so one fleet cannot
     /// accidentally mix synopsis models.
     pub fn build_healer_stored(
@@ -113,13 +117,8 @@ impl PolicyChoice {
         }
     }
 
-    /// Returns `true` when the policy learns a synopsis that a fleet can
-    /// share across replicas.
-    pub fn shares_learning(&self) -> bool {
-        matches!(self, PolicyChoice::FixSym(_) | PolicyChoice::Hybrid(_))
-    }
-
-    /// The synopsis kind embedded in the policy, if any.
+    /// The synopsis kind embedded in the policy, if any: `Some` exactly for
+    /// the policies that learn a synopsis a fleet can share.
     pub fn synopsis_kind(&self) -> Option<SynopsisKind> {
         match self {
             PolicyChoice::FixSym(kind) | PolicyChoice::Hybrid(kind) => Some(*kind),
@@ -234,9 +233,8 @@ impl EventChoice {
 /// always strikes the currently-weakest replica, the cascade follows open
 /// failures along the service-dependency topology.
 ///
-/// A choice is pure data: the fleet engine bakes it into a
-/// `ReactiveEvent` (see the fleet crate's `reactive` module), which is
-/// evaluated only at fixed barrier ticks — never mid-slice — so reactive
+/// A choice is pure data: the fleet crate's `reactive` module evaluates it
+/// only at fixed barrier ticks — never mid-slice — so reactive
 /// runs stay a pure function of the configuration at any worker count and
 /// any compatible tick-slice width.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -493,11 +491,6 @@ impl FaultChoice {
         self.build_lane(seed, &mut lane)
     }
 
-    /// Bakes the choice into a single (replica-0) source.
-    pub(crate) fn build_source(&self, seed: u64) -> Box<dyn FaultSource> {
-        self.source_for_replica(seed, 0)
-    }
-
     /// Builds the source with its fault-id namespace shifted into the next
     /// free lane.  `lane` is a recipe-global counter: every id-bearing leaf
     /// (mix, sweep) claims one sequential lane regardless of composition
@@ -635,7 +628,7 @@ impl LearnerChoice {
     /// [`build_store`](Self::build_store), optionally warm-started: when a
     /// snapshot is given, its experience is restored into the fresh store
     /// before first use.  The one place warm-start semantics live — the
-    /// harness builder and the fleet engine both construct through here.
+    /// fleet engine builds its shared and its private stores through here.
     pub fn build_store_warm(
         &self,
         kind: SynopsisKind,
@@ -817,55 +810,117 @@ impl WorkloadChoice {
             ),
         }
     }
+}
 
-    /// Bakes the choice into a single (replica-0) source.
-    pub(crate) fn build_source(&self, seed: u64) -> Box<dyn TraceSource> {
-        self.source_for_replica(seed, 0)
+/// Everything one replica is made of, as data: the service it simulates,
+/// the workload and faults that drive it, the policy that heals it, and how
+/// much metric history it keeps.  [`runner`](Self::runner) is the one place
+/// a replica is assembled — [`SelfHealingService::run`], the fleet engine
+/// and the resident daemon's supervisor all build through it and differ
+/// only in the plan, the seeds and the store they pass.  A replica that
+/// differs from its fleet (the daemon's per-replica fault profile, a
+/// `RECONFIGURE`d workload) is a replica with a different plan.
+#[derive(Debug, Clone)]
+pub struct ReplicaPlan {
+    /// The simulated service (its `seed` is replaced by the replica's).
+    pub service: ServiceConfig,
+    /// The workload recipe.
+    pub workload: WorkloadChoice,
+    /// The fault recipe.
+    pub faults: FaultChoice,
+    /// The healing policy.
+    pub policy: PolicyChoice,
+    /// Metric samples the runner retains.
+    pub series_capacity: usize,
+}
+
+/// The three seeds one replica's simulated streams are drawn from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplicaSeeds {
+    /// Seeds the simulated service.
+    pub service: u64,
+    /// Seeds the workload source.
+    pub workload: u64,
+    /// Seeds the fault source.
+    pub faults: u64,
+}
+
+impl ReplicaSeeds {
+    /// Replica `replica` of a fleet seeded `base_seed`: each stream is a
+    /// [`split_seed`] of `(base_seed, replica)`, so the replica's run is a
+    /// pure function of the pair — at any fleet size, worker count and
+    /// tick-slice width.
+    pub fn split(base_seed: u64, replica: usize) -> Self {
+        let replica = replica as u64;
+        ReplicaSeeds {
+            service: split_seed(base_seed, replica, SeedStream::Service),
+            workload: split_seed(base_seed, replica, SeedStream::Workload),
+            faults: split_seed(base_seed, replica, SeedStream::Faults),
+        }
     }
 }
 
-/// The workload a [`SelfHealingService`] builder carries: either a
-/// declarative [`WorkloadChoice`] (instantiated with the builder's seed at
-/// run time) or a caller-supplied custom source used as-is.
-#[derive(Debug)]
-enum WorkloadSpec {
-    Choice(WorkloadChoice),
-    Custom(Box<dyn TraceSource>),
+impl ReplicaPlan {
+    /// Builds replica `replica`'s runner: the service seeded with
+    /// `seeds.service`, both sources baked from their recipes
+    /// ([`WorkloadChoice::source_for_replica`],
+    /// [`FaultChoice::source_for_replica`]), and the policy's healer — wired
+    /// to `store` when one is given, else to a fresh private synopsis.
+    pub fn runner(
+        &self,
+        replica: usize,
+        seeds: ReplicaSeeds,
+        store: Option<Box<dyn SynopsisStore>>,
+    ) -> ScenarioRunner<Box<dyn Healer>> {
+        let workload = self
+            .workload
+            .source_for_replica(seeds.workload, replica as u64);
+        let faults = self.faults.source_for_replica(seeds.faults, replica as u64);
+        let mut config = self.service.clone();
+        config.seed = seeds.service;
+        let targets = config.slo_targets();
+        let service = MultiTierService::new(config);
+        let schema = service.schema().clone();
+        let healer = match store {
+            Some(store) => self.policy.build_healer_stored(&schema, targets, store),
+            None => self.policy.build_healer(&schema, targets),
+        };
+        ScenarioRunner::with_faults(service, workload, faults, healer)
+            .with_series_capacity(self.series_capacity)
+    }
 }
 
-/// Builder/runner bundling service, workload, faults, policy, and the
-/// learner store recipe.
+/// Builder/runner around one [`ReplicaPlan`].
 #[derive(Debug)]
 pub struct SelfHealingService {
-    config: ServiceConfig,
-    workload: WorkloadSpec,
-    faults: FaultChoice,
-    policy: PolicyChoice,
-    learner: LearnerChoice,
-    warm_start: Option<SynopsisSnapshot>,
+    plan: ReplicaPlan,
+    /// A caller-supplied source that replaces the plan's workload.
+    custom_workload: Option<Box<dyn TraceSource>>,
     seed: u64,
 }
 
 impl SelfHealingService {
     /// Starts a builder with the RUBiS-like default configuration, the
     /// default workload ([`WorkloadChoice::default`]: bidding mix at
-    /// Poisson 40 requests/tick), no faults, no healing, and private
-    /// (per-instance) learning.
+    /// Poisson 40 requests/tick), no faults, no healing, and the runner's
+    /// default history of 100 000 samples.
     pub fn builder() -> Self {
         SelfHealingService {
-            config: ServiceConfig::rubis_default(),
-            workload: WorkloadSpec::Choice(WorkloadChoice::default()),
-            faults: FaultChoice::default(),
-            policy: PolicyChoice::None,
-            learner: LearnerChoice::Private,
-            warm_start: None,
+            plan: ReplicaPlan {
+                service: ServiceConfig::rubis_default(),
+                workload: WorkloadChoice::default(),
+                faults: FaultChoice::default(),
+                policy: PolicyChoice::None,
+                series_capacity: 100_000,
+            },
+            custom_workload: None,
             seed: 42,
         }
     }
 
     /// Overrides the service configuration.
     pub fn config(mut self, config: ServiceConfig) -> Self {
-        self.config = config;
+        self.plan.service = config;
         self
     }
 
@@ -873,40 +928,29 @@ impl SelfHealingService {
     /// a burst storm, or any caller-defined implementation).  The source is
     /// used exactly as given; the builder's seed does not touch it.
     pub fn workload(mut self, source: impl TraceSource + 'static) -> Self {
-        self.workload = WorkloadSpec::Custom(Box::new(source));
+        self.custom_workload = Some(Box::new(source));
         self
     }
 
     /// Drives the service with a declarative [`WorkloadChoice`], which is
     /// instantiated with the builder's seed when the run starts.
     pub fn workload_choice(mut self, choice: WorkloadChoice) -> Self {
-        self.workload = WorkloadSpec::Choice(choice);
+        self.plan.workload = choice;
+        self.custom_workload = None;
         self
-    }
-
-    /// Synthetic-workload shorthand for
-    /// [`workload_choice`](Self::workload_choice).
-    pub fn synthetic_workload(self, mix: WorkloadMix, arrivals: ArrivalProcess) -> Self {
-        self.workload_choice(WorkloadChoice::synthetic(mix, arrivals))
-    }
-
-    /// Sets the fault-injection plan (shorthand for
-    /// [`faults`](Self::faults) with [`FaultChoice::Scripted`]).
-    pub fn injections(self, plan: InjectionPlan) -> Self {
-        self.faults(FaultChoice::Scripted(plan))
     }
 
     /// Drives the service with a declarative [`FaultChoice`], instantiated
     /// (with a fault-stream split of the builder's seed) when the run
     /// starts.
     pub fn faults(mut self, faults: FaultChoice) -> Self {
-        self.faults = faults;
+        self.plan.faults = faults;
         self
     }
 
     /// Chooses the healing policy.
     pub fn policy(mut self, policy: PolicyChoice) -> Self {
-        self.policy = policy;
+        self.plan.policy = policy;
         self
     }
 
@@ -917,76 +961,29 @@ impl SelfHealingService {
         self
     }
 
-    /// Runs the scenario for `ticks` ticks.  A learning policy gets the
-    /// store the builder's [`LearnerChoice`] names, restored from the
-    /// `warm_start` snapshot when one was given.
+    /// Runs the scenario for `ticks` ticks.  A learning policy learns alone,
+    /// in a fresh private store.
     pub fn run(self, ticks: u64) -> ScenarioOutcome {
-        let workload = match self.workload {
-            WorkloadSpec::Choice(choice) => choice.build_source(self.seed),
-            WorkloadSpec::Custom(source) => source,
+        // The service keeps its configured seed; the fault stream gets its
+        // own split so demographic fault generation decorrelates from
+        // workload randomness.
+        let seeds = ReplicaSeeds {
+            service: self.plan.service.seed,
+            workload: self.seed,
+            faults: split_seed(self.seed, 0, SeedStream::Faults),
         };
-        // The fault stream gets its own seed split so demographic fault
-        // generation decorrelates from workload randomness.
-        let faults = self
-            .faults
-            .build_source(split_seed(self.seed, 0, SeedStream::Faults));
-        let store = self.policy.synopsis_kind().map(|kind| {
-            self.learner
-                .build_store_warm(kind, self.warm_start.as_ref())
-        });
-        let runner = build_runner(self.config, workload, faults, self.policy, store);
+        let mut runner = self.plan.runner(0, seeds, None);
+        if let Some(source) = self.custom_workload {
+            runner.set_workload(source);
+        }
         runner.run(ticks).0
     }
-}
-
-/// The one replica assembly: the simulated service, its metric schema and
-/// SLO targets, the policy's healer — wired to `store` when one is given,
-/// else to the policy's own private synopsis — and the runner around them.
-/// [`SelfHealingService::run`] and the fleet engine's per-replica
-/// construction both build through here; they differ only in how they seed
-/// `config` and the two sources, and in where `store` comes from.
-pub fn build_runner(
-    config: ServiceConfig,
-    workload: Box<dyn TraceSource>,
-    faults: Box<dyn FaultSource>,
-    policy: PolicyChoice,
-    store: Option<Box<dyn SynopsisStore>>,
-) -> ScenarioRunner<Box<dyn Healer>> {
-    let targets = config.slo_targets();
-    let service = MultiTierService::new(config);
-    let schema = service.schema().clone();
-    let healer = match store {
-        Some(store) => policy.build_healer_stored(&schema, targets, store),
-        None => policy.build_healer(&schema, targets),
-    };
-    ScenarioRunner::with_faults(service, workload, faults, healer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use selfheal_faults::{FaultKind, FaultTarget, InjectionPlanBuilder};
-
-    impl FaultChoice {
-        /// Scripted-plan shorthand.
-        pub(crate) fn scripted(plan: InjectionPlan) -> Self {
-            FaultChoice::Scripted(plan)
-        }
-
-        /// Demographic-mix shorthand: unbounded window, the workspace's
-        /// default tiny topology (4 EJBs, 3 tables, 1 index).  Chain
-        /// [`FaultChoice::active_for`] to bound the window for finite runs.
-        pub(crate) fn mix(profile: ServiceProfile, rate: f64) -> Self {
-            FaultChoice::Mix {
-                profile,
-                rate,
-                active_ticks: u64::MAX,
-                ejbs: 4,
-                tables: 3,
-                indexes: 1,
-            }
-        }
-    }
 
     #[test]
     fn builder_defaults_run_cleanly() {
@@ -1011,12 +1008,12 @@ mod tests {
 
         let unhealed = SelfHealingService::builder()
             .config(config.clone())
-            .injections(plan.clone())
+            .faults(FaultChoice::Scripted(plan.clone()))
             .policy(PolicyChoice::None)
             .run(300);
         let healed = SelfHealingService::builder()
             .config(config)
-            .injections(plan)
+            .faults(FaultChoice::Scripted(plan))
             .policy(PolicyChoice::Hybrid(SynopsisKind::NearestNeighbor))
             .run(300);
 
@@ -1054,8 +1051,8 @@ mod tests {
     fn workload_choices_build_matching_sources() {
         let synthetic = WorkloadChoice::default();
         assert_eq!(synthetic.label(), "synthetic_bidding");
-        let mut a = synthetic.build_source(9);
-        let mut b = synthetic.build_source(9);
+        let mut a = synthetic.source_for_replica(9, 0);
+        let mut b = synthetic.source_for_replica(9, 0);
         assert_eq!(a.next_tick(0), b.next_tick(0));
 
         let mut generator = TraceGenerator::new(
@@ -1081,7 +1078,7 @@ mod tests {
 
         let burst = WorkloadChoice::burst(WorkloadMix::bidding(), 10.0, 4.0, 60, 12);
         assert_eq!(burst.label(), "burst_bidding");
-        assert!(burst.build_source(3).next_tick(0).len() > 10);
+        assert!(burst.source_for_replica(3, 0).next_tick(0).len() > 10);
 
         // Staggered storms: replica 1 of a phase_step-30 burst fleet starts
         // its schedule 30 ticks in (outside the 12-tick storm window), so
@@ -1094,18 +1091,19 @@ mod tests {
 
     #[test]
     fn fault_choice_labels_are_distinct_and_descriptive() {
+        let tiny = ServiceConfig::tiny();
         let labels: Vec<String> = [
             FaultChoice::default(),
-            FaultChoice::scripted(
+            FaultChoice::Scripted(
                 InjectionPlanBuilder::new()
                     .inject_default(10, FaultKind::BufferContention)
                     .build(),
             ),
-            FaultChoice::mix(selfheal_faults::ServiceProfile::Online, 0.02),
+            FaultChoice::mix_for(selfheal_faults::ServiceProfile::Online, 0.02, &tiny),
             FaultChoice::sweep(50, 100),
             FaultChoice::composed([
                 FaultChoice::sweep(50, 100),
-                FaultChoice::mix(selfheal_faults::ServiceProfile::Content, 0.01),
+                FaultChoice::mix_for(selfheal_faults::ServiceProfile::Content, 0.01, &tiny),
             ]),
         ]
         .iter()
@@ -1126,7 +1124,9 @@ mod tests {
     fn fault_choices_build_deterministic_decorrelated_sources() {
         use selfheal_faults::{FaultSource as _, ServiceProfile};
 
-        let choice = FaultChoice::mix(ServiceProfile::Online, 0.5).active_for(64);
+        let tiny = ServiceConfig::tiny();
+
+        let choice = FaultChoice::mix_for(ServiceProfile::Online, 0.5, &tiny).active_for(64);
         let drain = |mut source: Box<dyn selfheal_faults::FaultSource>| -> Vec<_> {
             (0..64).flat_map(|t| source.due_at(t)).collect()
         };
@@ -1142,8 +1142,8 @@ mod tests {
 
         // Composed children get decorrelated seeds and disjoint id lanes.
         let composed = FaultChoice::composed([
-            FaultChoice::mix(ServiceProfile::Online, 1.0),
-            FaultChoice::mix(ServiceProfile::Online, 1.0),
+            FaultChoice::mix_for(ServiceProfile::Online, 1.0, &tiny),
+            FaultChoice::mix_for(ServiceProfile::Online, 1.0, &tiny),
         ]);
         let faults = drain(composed.source_for_replica(7, 0).clone_box());
         assert_eq!(faults.len(), 128, "both children fire every tick");
@@ -1156,10 +1156,10 @@ mod tests {
         // never share an id base with a direct sibling leaf.
         let nested = FaultChoice::composed([
             FaultChoice::composed([
-                FaultChoice::mix(ServiceProfile::Online, 1.0),
-                FaultChoice::mix(ServiceProfile::Online, 1.0),
+                FaultChoice::mix_for(ServiceProfile::Online, 1.0, &tiny),
+                FaultChoice::mix_for(ServiceProfile::Online, 1.0, &tiny),
             ]),
-            FaultChoice::mix(ServiceProfile::Online, 1.0),
+            FaultChoice::mix_for(ServiceProfile::Online, 1.0, &tiny),
         ]);
         let faults = drain(nested.source_for_replica(7, 0).clone_box());
         assert_eq!(faults.len(), 192, "all three leaves fire every tick");
@@ -1170,7 +1170,7 @@ mod tests {
 
         // active_for reaches through compositions.
         let bounded = composed.active_for(10);
-        assert_eq!(bounded.build_source(7).horizon(), 9);
+        assert_eq!(bounded.source_for_replica(7, 0).horizon(), 9);
 
         // Sweeps ignore the seed entirely.
         let sweep = FaultChoice::sweep(5, 3);

@@ -128,6 +128,14 @@ pub(crate) fn parse_rate(text: &str, what: &str) -> Result<f64, String> {
     }
 }
 
+/// Parses a per-tick fault probability from outside the process and clamps
+/// it to `[0, 1]` — the one parse behind `ADD`, `RECONFIGURE`'s
+/// `fault_rate=` and `fault_profile=`, and `--fault-mix`, so the rate a
+/// replica reports is the rate its source fires at.
+pub(crate) fn parse_fault_rate(text: &str) -> Result<f64, String> {
+    parse_rate(text, "fault rate").map(|rate| rate.clamp(0.0, 1.0))
+}
+
 /// Builds one replica runner — the test seam that lets supervisor tests
 /// inject deliberately panicking replicas.  The second argument is the
 /// replica's gated handle to the daemon's shared store; production runners
@@ -138,8 +146,8 @@ pub(crate) type RunnerFactory =
 
 /// Configuration of a resident daemon (and its [`Supervisor`]).
 ///
-/// The daemon *requires* shared learning — a learning policy
-/// ([`PolicyChoice::shares_learning`]) over a shared learner
+/// The daemon *requires* shared learning — a learning policy (one with a
+/// [`PolicyChoice::synopsis_kind`]) over a shared learner
 /// ([`LearnerChoice::is_shared`]) — because its restart and warm-start
 /// semantics hang off the fleet-wide store surviving individual replicas.
 #[derive(Clone)]
@@ -173,7 +181,7 @@ pub struct DaemonConfig {
     pub store_path: Option<PathBuf>,
     /// Test seam: overrides how replica runners are built.  `None` (the
     /// default) builds them through
-    /// [`selfheal_fleet::FleetEngine::replica_runner_with`].
+    /// [`ReplicaPlan::runner`](selfheal_core::harness::ReplicaPlan::runner).
     pub runner_factory: Option<RunnerFactory>,
 }
 
@@ -242,7 +250,7 @@ impl DaemonConfig {
             "default" => Ok(self.default_faults.clone()),
             other => {
                 let (name, rate) = match other.split_once(':') {
-                    Some((name, rate)) => (name, parse_rate(rate, "fault rate")?),
+                    Some((name, rate)) => (name, parse_fault_rate(rate)?),
                     None => (other, DEFAULT_MIX_RATE),
                 };
                 let profile = ServiceProfile::ALL

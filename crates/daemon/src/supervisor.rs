@@ -2,8 +2,9 @@
 //! [`EpochEngine`], plus bounded restart-with-backoff.
 //!
 //! The supervisor owns no threads and no stepping loop.  Its replicas live
-//! in the slots of an [`EpochEngine`] — the same engine
-//! [`FleetEngine::run`] drives a batch fleet through — and
+//! in the slots of an [`EpochEngine`] — the same engine a batch fleet run
+//! drives, each runner built from a [`ReplicaPlan`] seeded by replica id
+//! just as a batch fleet builds its own — and
 //! [`advance_epoch`](Supervisor::advance_epoch) is one
 //! [`EpochEngine::advance`] of [`DaemonConfig::slice`] ticks.  Between two
 //! advances nothing runs, so that barrier is the only point where replicas
@@ -23,16 +24,16 @@
 //! is retired as failed, its last panic message kept for `STATUS`.
 
 use crate::pool::PooledStore;
-use crate::{parse_rate, DaemonConfig, MAX_WORKLOAD_RATE};
-use selfheal_core::harness::{FaultChoice, WorkloadChoice};
+use crate::{parse_fault_rate, parse_rate, DaemonConfig, MAX_WORKLOAD_RATE};
+use selfheal_core::harness::{
+    FaultChoice, ReactiveChoice, ReplicaPlan, ReplicaSeeds, WorkloadChoice,
+};
 use selfheal_core::snapshot::SnapshotLog;
 use selfheal_core::store::{FixStats, SynopsisStore};
 use selfheal_core::synopsis::Learner;
 use selfheal_faults::{FaultKind, FixKind};
-use selfheal_fleet::reactive::{AdversarySource, ReactivePlan};
-use selfheal_fleet::{EpochEngine, FleetConfig, FleetEngine, ReplicaRunner};
+use selfheal_fleet::{EpochEngine, ReplicaRunner};
 use selfheal_sim::metrics::MetricsCatalog;
-use selfheal_sim::seeds::{split_seed, SeedStream};
 use selfheal_telemetry::{FleetHealth, ReplicaHealth, ReplicaState};
 use selfheal_workload::ArrivalProcess;
 use std::collections::BTreeMap;
@@ -41,19 +42,16 @@ use std::path::Path;
 use std::time::Instant;
 
 /// What one supervised replica *is*, independent of any runner incarnation:
-/// its identity, its fault recipe, and its workload recipe.  Restarts
-/// rebuild runners from this.
+/// its identity and its plan (the daemon's service, workload, policy and
+/// history, with the replica's own fault recipe and any `RECONFIGURE`d
+/// workload).  Restarts rebuild runners from this.
 #[derive(Debug, Clone)]
 pub struct ReplicaSpec {
     /// Fleet-unique id (monotonically assigned, never reused) — also the
     /// replica index all RNG streams are split by.
     pub id: usize,
-    /// Display label of the fault recipe.
-    pub profile: String,
-    /// The replica's declarative fault recipe.
-    pub faults: FaultChoice,
-    /// The replica's declarative workload recipe.
-    pub workload: WorkloadChoice,
+    /// What the replica's runner is built from.
+    pub plan: ReplicaPlan,
 }
 
 /// A replica's lifecycle phase, as the supervisor sees it.
@@ -177,9 +175,7 @@ fn replay_log(store: &mut dyn SynopsisStore, path: &Path) -> Result<LogReplay, S
 /// heart of the resident daemon (see the module docs).
 pub struct Supervisor {
     config: DaemonConfig,
-    /// Builds replica runners (seed splitting, healer wiring).
-    fleet: FleetEngine,
-    /// Holds and steps them.
+    /// Holds and steps the replicas' runners.
     engine: EpochEngine,
     store: Box<dyn SynopsisStore>,
     /// A handle to the daemon-wide cross-tenant pool, when this fleet opted
@@ -234,31 +230,19 @@ impl Supervisor {
         config: DaemonConfig,
         pool: Option<Box<dyn SynopsisStore>>,
     ) -> Result<Supervisor, String> {
-        if !config.policy.shares_learning() {
+        let Some(kind) = config.policy.synopsis_kind() else {
             return Err(format!(
                 "the daemon requires a learning policy (got {}); try hybrid or fixsym",
                 config.policy.label()
             ));
-        }
+        };
         if !config.learner.is_shared() {
             return Err(format!(
                 "the daemon requires a shared learner (got {}); try locked or sharded",
                 config.learner.label()
             ));
         }
-        let fleet = FleetConfig::builder()
-            .service(config.service.clone())
-            .workload(config.workload.clone())
-            .policy(config.policy)
-            .learner(config.learner)
-            .base_seed(config.base_seed)
-            .slice(config.slice)
-            .series_capacity(config.series_capacity)
-            .faults(config.default_faults.clone())
-            .build();
-        let mut store = fleet
-            .build_shared_store()
-            .expect("validated: shared learner + learning policy");
+        let mut store = config.learner.build_store(kind);
         let replay = match &config.store_path {
             Some(path) => replay_log(store.as_mut(), path)?,
             None => LogReplay::empty(LogStart::None),
@@ -271,7 +255,6 @@ impl Supervisor {
         };
         Ok(Supervisor {
             config,
-            fleet,
             engine: EpochEngine::new(None),
             store,
             pool,
@@ -476,19 +459,23 @@ impl Supervisor {
     /// built against a handle of the shared store, so every fix the fleet
     /// has learned is already known to it.  Clears a pending drain.
     pub fn add_replica(&mut self, profile: &str) -> Result<usize, String> {
-        let faults = self.config.fault_profile(profile)?;
+        let config = &self.config;
         let id = self.next_id;
         let spec = ReplicaSpec {
             id,
-            profile: faults.label(),
-            faults,
-            workload: self.config.workload.clone(),
+            plan: ReplicaPlan {
+                service: config.service.clone(),
+                workload: config.workload.clone(),
+                faults: config.fault_profile(profile)?,
+                policy: config.policy,
+                series_capacity: config.series_capacity,
+            },
         };
-        let runner = self.build_runner(&spec);
+        let runner = self.runner_for(&spec);
         self.engine.insert(id, runner);
         let health = ReplicaHealth {
             id,
-            profile: spec.profile.clone(),
+            profile: spec.plan.faults.label(),
             state: ReplicaState::Running,
             ticks: 0,
             episodes: 0,
@@ -539,8 +526,8 @@ impl Supervisor {
     ///   [`DaemonConfig::slice`] does not divide that period).
     ///
     /// The rebuilt source is seeded exactly as at construction
-    /// ([`split_seed`] by replica id) and swapped into the live runner; the
-    /// spec is updated so restarts keep the new recipe.  Returns a
+    /// ([`ReplicaSeeds::split`] by replica id) and swapped into the live
+    /// runner; the spec's plan is updated so restarts keep the new recipe.  Returns a
     /// `key=value` description of what was applied.
     pub fn reconfigure(&mut self, id: usize, key: &str, value: &str) -> Result<String, String> {
         if !self.entries.contains_key(&id) {
@@ -562,26 +549,19 @@ impl Supervisor {
                 // fault, so a live fleet degrades rather than collapses.  A
                 // slice that does not divide the reactive period is refused
                 // here, leaving the adversary as it was.
-                let plan = if enable {
-                    ReactivePlan::new().with(AdversarySource::new(
-                        FaultKind::BufferContention,
-                        0.9,
-                        0,
-                        u64::MAX,
-                    ))
-                } else {
-                    ReactivePlan::new()
-                };
-                self.engine.set_reactive(plan, self.config.slice)?;
+                let adversary =
+                    ReactiveChoice::adversary(FaultKind::BufferContention, 0.9, 0, u64::MAX);
+                let choices = if enable { &[adversary][..] } else { &[] };
+                self.engine.set_reactive(choices, self.config.slice)?;
                 self.adversary = enable;
                 self.adversary_target = None;
                 return Ok(format!("adversary={}", if enable { "on" } else { "off" }));
             }
             "fault_rate" => {
-                let rate = parse_rate(value, "fault rate")?;
-                let mut faults = self.entries[&id].spec.faults.clone();
+                let rate = parse_fault_rate(value)?;
+                let mut faults = self.entries[&id].spec.plan.faults.clone();
                 match &mut faults {
-                    FaultChoice::Mix { rate: current, .. } => *current = rate.clamp(0.0, 1.0),
+                    FaultChoice::Mix { rate: current, .. } => *current = rate,
                     _ => {
                         return Err(format!(
                             "replica {id} runs no demographic mix; set fault_profile first"
@@ -598,7 +578,7 @@ impl Supervisor {
                         "workload rate {rate} exceeds the maximum of {MAX_WORKLOAD_RATE}"
                     ));
                 }
-                let mut workload = self.entries[&id].spec.workload.clone();
+                let mut workload = self.entries[&id].spec.plan.workload.clone();
                 match &mut workload {
                     WorkloadChoice::Synthetic { arrivals, .. } => {
                         set_arrival_rate(arrivals, rate.max(0.0))
@@ -622,18 +602,16 @@ impl Supervisor {
         match change {
             Change::Faults(choice) => {
                 self.set_faults(id, choice);
-                Ok(format!("faults={}", self.entries[&id].spec.profile))
+                Ok(format!("faults={}", self.entries[&id].health.profile))
             }
             Change::Workload(choice) => {
-                let source = choice.source_for_replica(
-                    split_seed(self.config.base_seed, id as u64, SeedStream::Workload),
-                    id as u64,
-                );
+                let seed = ReplicaSeeds::split(self.config.base_seed, id).workload;
+                let source = choice.source_for_replica(seed, id as u64);
                 self.engine
                     .with_runner(id, |runner| runner.set_workload(source));
                 let label = choice.label();
                 if let Some(entry) = self.entries.get_mut(&id) {
-                    entry.spec.workload = choice;
+                    entry.spec.plan.workload = choice;
                 }
                 Ok(format!("workload={label}"))
             }
@@ -643,16 +621,13 @@ impl Supervisor {
     /// Swaps replica `id`'s fault recipe: into the live runner when there is
     /// one, and into the spec so restarts keep it.
     fn set_faults(&mut self, id: usize, choice: FaultChoice) {
-        let source = choice.source_for_replica(
-            split_seed(self.config.base_seed, id as u64, SeedStream::Faults),
-            id as u64,
-        );
+        let seed = ReplicaSeeds::split(self.config.base_seed, id).faults;
+        let source = choice.source_for_replica(seed, id as u64);
         self.engine
             .with_runner(id, |runner| runner.set_faults(source));
         if let Some(entry) = self.entries.get_mut(&id) {
-            entry.spec.profile = choice.label();
-            entry.health.profile = entry.spec.profile.clone();
-            entry.spec.faults = choice;
+            entry.health.profile = choice.label();
+            entry.spec.plan.faults = choice;
         }
     }
 
@@ -688,7 +663,7 @@ impl Supervisor {
             })
             .collect();
         for id in due {
-            let runner = self.build_runner(&self.entries[&id].spec);
+            let runner = self.runner_for(&self.entries[&id].spec);
             self.engine.insert(id, runner);
             if let Some(entry) = self.entries.get_mut(&id) {
                 entry.phase = Phase::Running;
@@ -761,19 +736,16 @@ impl Supervisor {
     pub fn abort(self) {}
 
     /// Builds one runner for `spec` against a gated handle of the shared
-    /// store — through the config's test factory when set, through the
-    /// fleet engine's public replica surface otherwise.
-    fn build_runner(&self, spec: &ReplicaSpec) -> ReplicaRunner {
+    /// store — through the config's test factory when set, from the spec's
+    /// plan seeded by replica id otherwise.
+    fn runner_for(&self, spec: &ReplicaSpec) -> ReplicaRunner {
         let store = self.engine.gated_store(self.store.as_ref(), spec.id);
-        if let Some(factory) = &self.config.runner_factory {
-            factory(spec, store.as_ref())
-        } else {
-            self.fleet.replica_runner_with(
-                spec.id,
-                Some(&spec.faults),
-                Some(&spec.workload),
-                Some(store.as_ref()),
-            )
+        match &self.config.runner_factory {
+            Some(factory) => factory(spec, store.as_ref()),
+            None => {
+                let seeds = ReplicaSeeds::split(self.config.base_seed, spec.id);
+                spec.plan.runner(spec.id, seeds, Some(store))
+            }
         }
     }
 }
@@ -843,6 +815,8 @@ mod tests {
                 "content:0.5",
                 Some("faults=mix_content_0.5"),
             ),
+            ("fault_profile", "online:7", Some("faults=mix_online_1")),
+            ("fault_profile", "online:-2", Some("faults=mix_online_0")),
         ];
         for &(key, value, expected) in cases {
             let before = supervisor.replica_health()[0].profile.clone();
@@ -856,7 +830,9 @@ mod tests {
             assert!(supervisor.add_replica(bad).is_err(), "ADD {bad}");
         }
         assert_eq!(supervisor.replica_count(), 1, "refused ADDs add nothing");
-        assert_eq!(supervisor.advance_epoch(), 1, "the fleet ticks on");
+        let clamped = supervisor.add_replica("online:7").unwrap();
+        assert_eq!(supervisor.replica_health()[clamped].profile, "mix_online_1");
+        assert_eq!(supervisor.advance_epoch(), 2, "the fleet ticks on");
         supervisor.shutdown();
     }
 }

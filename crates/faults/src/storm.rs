@@ -10,7 +10,7 @@
 //! identically at any worker count.
 //!
 //! The spec only describes the storm; scheduling it against live replicas is
-//! the fleet engine's job (its `FleetEvent` machinery resolves a storm into
+//! the fleet engine's job (its `events` module resolves a storm into
 //! per-replica injections).
 
 use crate::fault::{FaultId, FaultKind, FaultSpec};

@@ -23,15 +23,16 @@
 //!   execute ([`ExecutionMode::Parallel`] worker threads vs the
 //!   [`ExecutionMode::Sequential`] round-robin interleaver).
 //! * [`FleetEngine`] — builds one resumable
-//!   [`selfheal_sim::ScenarioRunner`] per replica (seeded via
-//!   [`selfheal_sim::seeds::split_seed`]) and drives the whole fleet
+//!   [`selfheal_sim::ScenarioRunner`] per replica (each a
+//!   [`selfheal_core::harness::ReplicaPlan`] built with
+//!   [`selfheal_core::harness::ReplicaSeeds::split`]) and drives the whole fleet
 //!   through the `scheduler`'s [`EpochEngine`] — the same engine the
 //!   resident daemon's supervisor advances: worker threads go round the
 //!   fleet taking turns of a few dozen ticks on a replica nobody else is
 //!   stepping, and meet at a barrier only once per window (the whole run,
 //!   or one reactive period), so every replica lives concurrently and
-//!   cross-replica [`events`] (correlated `events::FaultStorm`s,
-//!   fleet-wide `events::WorkloadSurge`s — declared via
+//!   cross-replica [`events`] (correlated fault storms, fleet-wide
+//!   workload surges — declared via
 //!   [`selfheal_core::harness::EventChoice`] on the config) land at exact
 //!   ticks.  With **isolated** learning, replica `i`'s entire run is a pure
 //!   function of `(base_seed, i)` — identical at any fleet size, thread
@@ -71,22 +72,19 @@ pub mod events;
 pub mod reactive;
 pub(crate) mod scheduler;
 
-use crate::events::{EventPlan, FleetShape};
-use crate::reactive::{ReactivePlan, ReactiveRecord, REACTIVE_PERIOD};
+use crate::events::EventPlan;
+use crate::reactive::{ReactiveRecord, REACTIVE_PERIOD};
 pub use crate::scheduler::{EpochEngine, ReplicaError, ReplicaRunner};
 use selfheal_core::harness::{
-    build_runner, EventChoice, FaultChoice, LearnerChoice, PolicyChoice, ReactiveChoice,
-    WorkloadChoice,
+    EventChoice, FaultChoice, LearnerChoice, PolicyChoice, ReactiveChoice, ReplicaPlan,
+    ReplicaSeeds, WorkloadChoice,
 };
 use selfheal_core::snapshot::SynopsisSnapshot;
 use selfheal_core::store::SynopsisStore;
-use selfheal_faults::{FaultSource, InjectionPlan, ScriptedSource};
 use selfheal_sim::scenario::ScenarioOutcome;
-use selfheal_sim::seeds::{split_seed, SeedStream};
 use selfheal_sim::ServiceConfig;
 use selfheal_workload::{ArrivalProcess, WorkloadMix};
 use std::path::PathBuf;
-use std::sync::Arc;
 // lint:allow(nondeterminism): wall-time import feeds the wall_time report
 // field only; simulation state never reads it.
 use std::time::{Duration, Instant};
@@ -114,25 +112,8 @@ pub enum ExecutionMode {
     Sequential,
 }
 
-type PlanFactory = dyn Fn(usize) -> InjectionPlan + Send + Sync;
-
-/// The fault schedule a fleet carries: either a declarative [`FaultChoice`]
-/// (instantiated per replica with split seeds) or a caller-supplied
-/// per-replica [`InjectionPlan`] factory (the escape hatch staggered
-/// shared-learning experiments use).
-enum FleetFaults {
-    Choice(FaultChoice),
-    PerReplica(Arc<PlanFactory>),
-}
-
-impl FleetFaults {
-    fn label(&self) -> String {
-        match self {
-            FleetFaults::Choice(choice) => choice.label(),
-            FleetFaults::PerReplica(_) => "per_replica".to_string(),
-        }
-    }
-}
+/// Each replica's fault recipe, by replica index.
+type FaultsByReplica = dyn Fn(usize) -> FaultChoice + Send + Sync;
 
 /// Configuration (and builder) for one fleet run.
 pub struct FleetConfig {
@@ -147,9 +128,9 @@ pub struct FleetConfig {
     mode: ExecutionMode,
     slice: u64,
     events: EventPlan,
-    reactive: ReactivePlan,
+    reactive: Vec<ReactiveChoice>,
     series_capacity: usize,
-    faults: FleetFaults,
+    faults: Box<FaultsByReplica>,
     persist_synopsis: Option<PathBuf>,
 }
 
@@ -167,12 +148,12 @@ impl std::fmt::Debug for FleetConfig {
             .field("workload", &self.workload.label())
             .field("policy", &self.policy.label())
             .field("learner", &self.learner.label())
-            .field("faults", &self.faults.label())
+            .field("faults", &(self.faults)(0).label())
             .field("warm_start", &self.warm_start.as_ref().map(|s| s.len()))
             .field("mode", &self.mode)
             .field("slice", &self.slice)
             .field("events", &self.events.labels())
-            .field("reactive", &self.reactive.labels())
+            .field("reactive", &self.reactive)
             .finish_non_exhaustive()
     }
 }
@@ -193,10 +174,10 @@ impl FleetConfig {
             warm_start: None,
             mode: ExecutionMode::Parallel { threads: None },
             slice: 1,
-            events: EventPlan::new(),
-            reactive: ReactivePlan::new(),
+            events: EventPlan::default(),
+            reactive: Vec::new(),
             series_capacity: 100_000,
-            faults: FleetFaults::Choice(FaultChoice::default()),
+            faults: Box::new(|_| FaultChoice::default()),
             persist_synopsis: None,
         }
     }
@@ -284,15 +265,13 @@ impl FleetConfig {
     /// [`EventChoice::FaultStorm`] or [`EventChoice::WorkloadSurge`]); may
     /// be called repeatedly.
     pub fn event(mut self, choice: EventChoice) -> Self {
-        self.events.push_choice(choice);
+        self.events.choices.push(choice);
         self
     }
 
     /// Schedules a batch of declarative cross-replica events.
     pub fn events(mut self, choices: impl IntoIterator<Item = EventChoice>) -> Self {
-        for choice in choices {
-            self.events.push_choice(choice);
-        }
+        self.events.choices.extend(choices);
         self
     }
 
@@ -304,7 +283,7 @@ impl FleetConfig {
     /// worker count — the run panics unless the configured
     /// [`slice`](FleetConfig::slice) divides the reactive period.
     pub fn reactive(mut self, choice: ReactiveChoice) -> Self {
-        self.reactive.push_choice(choice);
+        self.reactive.push(choice);
         self
     }
 
@@ -333,28 +312,35 @@ impl FleetConfig {
     /// The declarative fault schedule every replica runs.  Each replica
     /// instantiates its own [`selfheal_faults::FaultSource`] from the
     /// choice, with a seed split from the fleet's base seed
-    /// ([`SeedStream::Faults`]), so stochastic mix streams decorrelate
+    /// ([`ReplicaSeeds::split`]), so stochastic mix streams decorrelate
     /// across replicas while staying pure functions of
     /// `(base_seed, replica)`.
-    pub fn faults(mut self, faults: FaultChoice) -> Self {
-        self.faults = FleetFaults::Choice(faults);
-        self
+    pub fn faults(self, faults: FaultChoice) -> Self {
+        self.faults_per_replica(move |_| faults.clone())
     }
 
-    /// One injection plan applied identically to every replica (shorthand
-    /// for [`FleetConfig::faults`] with [`FaultChoice::Scripted`]).
-    pub fn injections(self, plan: InjectionPlan) -> Self {
-        self.faults(FaultChoice::Scripted(plan))
-    }
-
-    /// A per-replica injection plan (e.g. stagger the same fault so replica
-    /// 0 sees it long before replica 1 — the shared-learning experiments).
-    pub fn injections_per_replica(
+    /// A fault recipe per replica index (e.g. stagger the same scripted
+    /// fault so replica 0 sees it long before replica 1 — the
+    /// shared-learning experiments), seeded as in
+    /// [`faults`](Self::faults).
+    pub fn faults_per_replica(
         mut self,
-        factory: impl Fn(usize) -> InjectionPlan + Send + Sync + 'static,
+        faults: impl Fn(usize) -> FaultChoice + Send + Sync + 'static,
     ) -> Self {
-        self.faults = FleetFaults::PerReplica(Arc::new(factory));
+        self.faults = Box::new(faults);
         self
+    }
+
+    /// Replica `replica`'s plan: the fleet's service, workload, policy and
+    /// history, with the replica's own fault recipe.
+    fn plan(&self, replica: usize) -> ReplicaPlan {
+        ReplicaPlan {
+            service: self.service.clone(),
+            workload: self.workload.clone(),
+            faults: (self.faults)(replica),
+            policy: self.policy,
+            series_capacity: self.series_capacity,
+        }
     }
 
     /// Builds the engine.
@@ -380,21 +366,17 @@ impl FleetConfig {
             }
         };
         for replica in 0..self.replicas {
-            let h = match &self.faults {
-                FleetFaults::Choice(choice) => choice
-                    .source_for_replica(
-                        split_seed(self.base_seed, replica as u64, SeedStream::Faults),
-                        replica as u64,
-                    )
+            let seed = ReplicaSeeds::split(self.base_seed, replica).faults;
+            observe(
+                (self.faults)(replica)
+                    .source_for_replica(seed, replica as u64)
                     .horizon(),
-                FleetFaults::PerReplica(factory) => factory(replica).horizon(),
-            };
-            observe(h);
+            );
         }
-        if let Some(h) = self.events.horizon() {
-            observe(h);
-        }
-        if let Some(h) = self.reactive.horizon() {
+        for h in [self.events.horizon(), reactive::horizon(&self.reactive)]
+            .into_iter()
+            .flatten()
+        {
             observe(h);
         }
         horizon
@@ -573,12 +555,11 @@ pub struct FleetEngine {
 }
 
 impl FleetEngine {
-    /// Builds the runner for replica index `replica`, with every RNG stream
-    /// split deterministically from the fleet's base seed — what
-    /// `run` inserts into its [`EpochEngine`], and the
-    /// replica-construction surface the resident daemon's supervisor uses
-    /// to add, restart, and warm-start replicas in its own.  The replica's
-    /// simulated streams are a pure function of `(base_seed, replica)`.
+    /// Builds the runner for replica index `replica` — the fleet's
+    /// [`ReplicaPlan`] for it, seeded with [`ReplicaSeeds::split`] of
+    /// `(base_seed, replica)` — what `run` inserts into its
+    /// [`EpochEngine`].  The replica's simulated streams are a pure function
+    /// of `(base_seed, replica)`.
     ///
     /// When `store` is given and the policy learns, the healer is built
     /// against a [`clone_store`](SynopsisStore::clone_store) handle of it
@@ -590,44 +571,16 @@ impl FleetEngine {
         replica: usize,
         store: Option<&dyn SynopsisStore>,
     ) -> ReplicaRunner {
-        self.replica_runner_with(replica, None, None, store)
-    }
-
-    /// [`replica_runner`](Self::replica_runner) with per-replica overrides:
-    /// `faults`/`workload` replace the fleet-wide choices for this replica
-    /// only (still seeded from the fleet's split streams) — how the daemon
-    /// gives each added replica its own fault profile and applies
-    /// `RECONFIGURE`.
-    pub fn replica_runner_with(
-        &self,
-        replica: usize,
-        faults: Option<&FaultChoice>,
-        workload: Option<&WorkloadChoice>,
-        store: Option<&dyn SynopsisStore>,
-    ) -> ReplicaRunner {
         let config = &self.config;
-        let workload_source = workload.unwrap_or(&config.workload).source_for_replica(
-            split_seed(config.base_seed, replica as u64, SeedStream::Workload),
-            replica as u64,
-        );
-        let fault_seed = split_seed(config.base_seed, replica as u64, SeedStream::Faults);
-        let fault_source: Box<dyn FaultSource> = match faults {
-            Some(choice) => choice.source_for_replica(fault_seed, replica as u64),
-            None => match &config.faults {
-                FleetFaults::Choice(choice) => {
-                    choice.source_for_replica(fault_seed, replica as u64)
-                }
-                FleetFaults::PerReplica(factory) => Box::new(ScriptedSource::new(factory(replica))),
-            },
-        };
         let store = config.policy.synopsis_kind().map(|kind| match store {
             Some(shared) => shared.clone_store(),
             None => LearnerChoice::Private.build_store_warm(kind, config.warm_start.as_ref()),
         });
-        let mut service = config.service.clone();
-        service.seed = split_seed(config.base_seed, replica as u64, SeedStream::Service);
-        build_runner(service, workload_source, fault_source, config.policy, store)
-            .with_series_capacity(config.series_capacity)
+        config.plan(replica).runner(
+            replica,
+            ReplicaSeeds::split(config.base_seed, replica),
+            store,
+        )
     }
 
     /// Builds the fleet-wide synopsis store this configuration calls for —
@@ -635,29 +588,22 @@ impl FleetEngine {
     /// the policy learns, warm-started from the config's snapshot and
     /// switched to incremental persistence when
     /// [`FleetConfig::persist_synopsis`] was set.  `run` calls
-    /// this internally; the resident daemon calls it once at boot (with
-    /// neither set: it replays and adopts its own snapshot log) and keeps
-    /// the store alive across epochs and replica restarts.
+    /// this internally.
     ///
     /// # Panics
     /// Panics when the persistence file cannot be created (same contract as
     /// [`FleetConfig::persist_synopsis`]).
     pub fn build_shared_store(&self) -> Option<Box<dyn SynopsisStore>> {
         let config = &self.config;
-        let mut store: Option<Box<dyn SynopsisStore>> =
-            if config.learner.is_shared() && config.policy.shares_learning() {
-                Some(
-                    config.learner.build_store_warm(
-                        config
-                            .policy
-                            .synopsis_kind()
-                            .expect("learning policy has a kind"),
-                        config.warm_start.as_ref(),
-                    ),
-                )
-            } else {
-                None
-            };
+        let mut store = config
+            .policy
+            .synopsis_kind()
+            .filter(|_| config.learner.is_shared())
+            .map(|kind| {
+                config
+                    .learner
+                    .build_store_warm(kind, config.warm_start.as_ref())
+            });
         if let (Some(path), Some(store)) = (&config.persist_synopsis, store.as_mut()) {
             store
                 .persist_to(path)
@@ -679,11 +625,7 @@ impl FleetEngine {
     pub(crate) fn run(self) -> FleetOutcome {
         let config = &self.config;
         let store = self.build_shared_store();
-        let schedule = config.events.resolve(&FleetShape {
-            replicas: config.replicas,
-            ticks: config.ticks,
-            base_seed: config.base_seed,
-        });
+        let schedule = config.events.resolve(config.replicas, config.base_seed);
         let workers = match config.mode {
             ExecutionMode::Sequential => Some(1),
             ExecutionMode::Parallel { threads } => threads,
@@ -696,7 +638,7 @@ impl FleetEngine {
             epochs = epochs.with_slice(config.slice);
         }
         epochs
-            .set_reactive(config.reactive.clone(), config.slice)
+            .set_reactive(&config.reactive, config.slice)
             .unwrap_or_else(|message| panic!("{message}"));
         for replica in 0..config.replicas {
             // Store handles are gated only when parallel workers could race
@@ -757,6 +699,20 @@ mod tests {
     use selfheal_core::synopsis::SynopsisKind;
     use selfheal_faults::{FaultKind, FaultTarget, InjectionPlanBuilder};
 
+    /// Buffer contention on the database tier at `tick`, on every replica.
+    fn contention_at(tick: u64) -> FaultChoice {
+        FaultChoice::Scripted(
+            InjectionPlanBuilder::new()
+                .inject(
+                    tick,
+                    FaultKind::BufferContention,
+                    FaultTarget::DatabaseTier,
+                    0.9,
+                )
+                .build(),
+        )
+    }
+
     fn tiny_fleet() -> FleetConfig {
         FleetConfig::builder()
             .service(ServiceConfig::tiny())
@@ -781,24 +737,15 @@ mod tests {
 
     #[test]
     fn sequential_and_parallel_agree_when_isolated() {
-        let plan = |_: usize| {
-            InjectionPlanBuilder::new()
-                .inject(
-                    20,
-                    FaultKind::BufferContention,
-                    FaultTarget::DatabaseTier,
-                    0.9,
-                )
-                .build()
-        };
+        let plan = contention_at(20);
         let sequential = tiny_fleet()
             .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-            .injections_per_replica(plan)
+            .faults(plan.clone())
             .mode(ExecutionMode::Sequential)
             .run();
         let parallel = tiny_fleet()
             .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-            .injections_per_replica(plan)
+            .faults(plan.clone())
             .mode(ExecutionMode::Parallel { threads: Some(2) })
             .run();
         assert_eq!(sequential.fingerprints(), parallel.fingerprints());
@@ -806,21 +753,12 @@ mod tests {
 
     #[test]
     fn shared_topology_exposes_the_flushed_synopsis() {
-        let plan = |_: usize| {
-            InjectionPlanBuilder::new()
-                .inject(
-                    20,
-                    FaultKind::BufferContention,
-                    FaultTarget::DatabaseTier,
-                    0.9,
-                )
-                .build()
-        };
+        let plan = contention_at(20);
         let outcome = tiny_fleet()
             .ticks(250)
             .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
             .learner(LearnerChoice::locked())
-            .injections_per_replica(plan)
+            .faults(plan.clone())
             .run();
         let store = outcome.store().expect("shared store present");
         assert_eq!(store.pending_updates(), 0, "flushed after the run");
@@ -839,21 +777,12 @@ mod tests {
 
     #[test]
     fn sharded_learner_exposes_a_store_and_learns() {
-        let plan = |_: usize| {
-            InjectionPlanBuilder::new()
-                .inject(
-                    20,
-                    FaultKind::BufferContention,
-                    FaultTarget::DatabaseTier,
-                    0.9,
-                )
-                .build()
-        };
+        let plan = contention_at(20);
         let outcome = tiny_fleet()
             .ticks(250)
             .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
             .learner(LearnerChoice::sharded(4))
-            .injections_per_replica(plan)
+            .faults(plan.clone())
             .run();
         let store = outcome.store().expect("sharded store present");
         assert_eq!(store.kind(), SynopsisKind::NearestNeighbor);
@@ -863,22 +792,13 @@ mod tests {
 
     #[test]
     fn warm_started_private_replicas_skip_the_trial_and_error() {
-        let plan = |_: usize| {
-            InjectionPlanBuilder::new()
-                .inject(
-                    40,
-                    FaultKind::BufferContention,
-                    FaultTarget::DatabaseTier,
-                    0.9,
-                )
-                .build()
-        };
+        let plan = contention_at(40);
         let fleet = || {
             tiny_fleet()
                 .ticks(300)
                 .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
                 .learner(LearnerChoice::locked())
-                .injections_per_replica(plan)
+                .faults(plan.clone())
         };
         let cold = fleet().run();
         let snapshot = cold.store().expect("learning store").snapshot();

@@ -32,7 +32,7 @@
 //!   and the only fleet-wide synchronisation is one two-phase barrier per
 //!   window: between two `advance` calls nothing runs — which is where the
 //!   caller inserts, removes, swaps or inspects runners.
-//! * Cross-replica [`FleetEvent`](crate::events::FleetEvent)s are resolved
+//! * Cross-replica events ([`EventPlan`](crate::events::EventPlan)) are resolved
 //!   into per-replica actions up front and applied by whichever worker
 //!   steps the replica through the action's exact tick — event timing is
 //!   therefore independent of worker count *and* slice width.
@@ -114,9 +114,8 @@
 //!   (on a one-core host those run `sweep_in_order` instead).
 
 use crate::events::{ActionSchedule, ReplicaAction};
-use crate::reactive::{
-    FleetView, ReactiveContext, ReactivePlan, ReactiveRecord, ReplicaView, REACTIVE_PERIOD,
-};
+use crate::reactive::{FleetView, ReactivePlan, ReactiveRecord, ReplicaView, REACTIVE_PERIOD};
+use selfheal_core::harness::ReactiveChoice;
 use selfheal_core::snapshot::{SnapshotLog, SynopsisSnapshot};
 use selfheal_core::store::{FixStats, SynopsisStore};
 use selfheal_core::synopsis::{Learner, SynopsisKind};
@@ -285,8 +284,6 @@ struct ReplicaSlot {
     panic: Option<String>,
     /// Reactive actions to apply before the first tick of the next window.
     pending: Vec<ReplicaAction>,
-    /// Replacement runners inserted into this slot so far.
-    restarts: u32,
 }
 
 /// The state the workers share for one window; the leader rewrites it only
@@ -348,24 +345,10 @@ impl Fleet {
         for (id, slot) in &self.slots {
             let slot = lock(slot);
             let Some(runner) = &slot.runner else { continue };
-            let recovery = runner.recovery();
-            let recent: Vec<u64> = recovery
-                .episodes()
-                .iter()
-                .rev()
-                .filter_map(|e| e.recovery_ticks())
-                .take(5)
-                .collect();
             replicas[*id] = ReplicaView {
                 replica: *id,
-                ticks: runner.ticks_run(),
                 retired: false,
-                open_episodes: usize::from(recovery.in_episode()),
-                episodes: recovery.len(),
-                recent_mean_recovery: (!recent.is_empty())
-                    .then(|| recent.iter().sum::<u64>() as f64 / recent.len() as f64),
-                fixes_initiated: runner.fixes_initiated(),
-                restarts: slot.restarts,
+                open_episodes: usize::from(runner.recovery().in_episode()),
             };
         }
         FleetView { tick, replicas }
@@ -669,7 +652,7 @@ pub struct EpochEngine {
     /// Slice width windows are cut into; `u64::MAX` leaves them uncut.
     slice: u64,
     tick: u64,
-    reactive: ReactiveContext,
+    reactive: ReactivePlan,
     /// Barrier crossings so far: the engine's synchronisation cost as a
     /// count.
     crossings: u64,
@@ -716,7 +699,7 @@ impl EpochEngine {
             max_workers: max_workers.max(1),
             slice: u64::MAX,
             tick: 0,
-            reactive: ReactiveContext::default(),
+            reactive: ReactivePlan::default(),
             crossings: 0,
         }
     }
@@ -751,8 +734,7 @@ impl EpochEngine {
         })
     }
 
-    /// Puts `runner` into slot `replica`, replacing (and counting as a
-    /// restart of) whatever the slot held.
+    /// Puts `runner` into slot `replica`, replacing whatever the slot held.
     pub fn insert(&mut self, replica: usize, runner: ReplicaRunner) {
         self.shared.fleet_mut(|fleet| {
             match fleet.slots.binary_search_by_key(&replica, |(id, _)| *id) {
@@ -760,7 +742,6 @@ impl EpochEngine {
                     let mut slot = lock(&fleet.slots[at].1);
                     slot.runner = Some(runner);
                     slot.pending.clear();
-                    slot.restarts += 1;
                 }
                 Err(at) => fleet.slots.insert(
                     at,
@@ -770,7 +751,6 @@ impl EpochEngine {
                             runner: Some(runner),
                             panic: None,
                             pending: Vec::new(),
-                            restarts: 0,
                         }),
                     ),
                 ),
@@ -796,21 +776,22 @@ impl EpochEngine {
         slot.runner.as_mut().map(f)
     }
 
-    /// Replaces the reactive engines (an empty plan switches them off); the
-    /// fault-id counter and the action log carry over.  `slice` is the width
+    /// Replaces the reactive engines with fresh ones built from `choices`
+    /// (none switches them off); the fault-id counter and the action log
+    /// carry over.  `slice` is the width
     /// of the caller's slices (of its windows, when it advances slice by
     /// slice): it must divide [`REACTIVE_PERIOD`], or the reactive barriers
     /// would fall inside a slice and runs of different widths would observe
     /// different views.
-    pub fn set_reactive(&mut self, plan: ReactivePlan, slice: u64) -> Result<(), String> {
-        if !plan.is_empty() && !REACTIVE_PERIOD.is_multiple_of(slice.max(1)) {
+    pub fn set_reactive(&mut self, choices: &[ReactiveChoice], slice: u64) -> Result<(), String> {
+        if !choices.is_empty() && !REACTIVE_PERIOD.is_multiple_of(slice.max(1)) {
             return Err(format!(
                 "reactive engines evaluate at {REACTIVE_PERIOD}-tick barriers, so the slice \
                  ({slice}) must divide the reactive period — use a slice of 1, 2, 4, 8, 16, \
                  32, or 64"
             ));
         }
-        self.reactive.set_plan(plan);
+        self.reactive.set(choices);
         Ok(())
     }
 
@@ -1309,19 +1290,16 @@ mod tests {
 
     #[test]
     fn reactive_plans_reject_a_slice_that_does_not_divide_the_period() {
-        use crate::reactive::AdversarySource;
         use selfheal_faults::FaultKind;
-        let plan = || {
-            ReactivePlan::new().with(AdversarySource::new(
-                FaultKind::BufferContention,
-                0.9,
-                0,
-                u64::MAX,
-            ))
-        };
+        let plan = [ReactiveChoice::adversary(
+            FaultKind::BufferContention,
+            0.9,
+            0,
+            u64::MAX,
+        )];
         let mut engine = EpochEngine::new(Some(1));
-        assert!(engine.set_reactive(plan(), 48).is_err());
-        assert!(engine.set_reactive(ReactivePlan::new(), 48).is_ok(), "off");
-        assert!(engine.set_reactive(plan(), 32).is_ok());
+        assert!(engine.set_reactive(&plan, 48).is_err());
+        assert!(engine.set_reactive(&[], 48).is_ok(), "off");
+        assert!(engine.set_reactive(&plan, 32).is_ok());
     }
 }

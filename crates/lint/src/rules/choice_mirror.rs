@@ -1,9 +1,13 @@
 //! `choice-mirror`: the pluggable-layer traits and their declarative
 //! `*Choice` enums stay in lockstep.
 //!
-//! Each pluggable layer is a trait (the open half) mirrored by a `*Choice`
-//! enum in `core/src/harness.rs` (the declarative half that fleets, benches
-//! and the daemon configure themselves with).  A trait implementor the
+//! Each of the three pluggable layers — workload, faults, learned state — is
+//! a trait (the open half) mirrored by a `*Choice` enum in
+//! `core/src/harness.rs` (the declarative half that fleets, benches and the
+//! daemon configure themselves with).  Fleet events and reactive engines
+//! have no trait: their `EventChoice` / `ReactiveChoice` *are* the
+//! stimulus, evaluated as matches in the fleet crate, so only the variant
+//! check below applies to them.  A trait implementor the
 //! enum cannot name is a scenario that cannot be configured declaratively —
 //! and therefore escapes the fingerprint-equivalence gates that iterate the
 //! choices.  Both directions are checked:
@@ -11,9 +15,9 @@
 //! * every implementor of a mirrored trait must be *reachable from its
 //!   enum*: named in `harness.rs` itself, or constructed in a builder arm
 //!   within a few lines of the enum's name (core cannot name types from
-//!   the crates above it, so e.g. the `ReactiveChoice` →
-//!   `AdversarySource` mapping lives in fleet's `push_choice`).  Internal
-//!   adapters annotate `lint:allow(choice-mirror)` at the `impl` line;
+//!   the crates above it, so such a mapping would live in the crate that
+//!   defines the type).  Internal adapters annotate
+//!   `lint:allow(choice-mirror)` at the `impl` line;
 //! * every variant of a `*Choice` enum must be referenced somewhere
 //!   outside its own declaration (a variant nothing constructs or matches
 //!   is a dead scenario).
@@ -33,8 +37,6 @@ const MIRRORS: &[(&str, &str)] = &[
     ("TraceSource", "WorkloadChoice"),
     ("FaultSource", "FaultChoice"),
     ("SynopsisStore", "LearnerChoice"),
-    ("ReactiveEvent", "ReactiveChoice"),
-    ("FleetEvent", "EventChoice"),
 ];
 
 /// See the module docs.

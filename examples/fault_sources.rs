@@ -45,7 +45,7 @@ fn main() {
         .build();
     let via_plan = SelfHealingService::builder()
         .config(config.clone())
-        .injections(plan.clone())
+        .faults(FaultChoice::Scripted(plan.clone()))
         .policy(PolicyChoice::Hybrid(SynopsisKind::NearestNeighbor))
         .seed(7)
         .run(400);

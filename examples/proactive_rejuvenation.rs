@@ -9,7 +9,7 @@
 
 use selfheal::faults::{FaultKind, FaultTarget, InjectionPlanBuilder};
 use selfheal::healing::control;
-use selfheal::healing::harness::{PolicyChoice, SelfHealingService};
+use selfheal::healing::harness::{FaultChoice, PolicyChoice, SelfHealingService};
 use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::sim::ServiceConfig;
 use selfheal::telemetry::Value;
@@ -33,7 +33,7 @@ fn main() {
     for (name, policy) in policies {
         let outcome = SelfHealingService::builder()
             .config(config.clone())
-            .injections(injections.clone())
+            .faults(FaultChoice::Scripted(injections.clone()))
             .policy(policy)
             .run(900);
 

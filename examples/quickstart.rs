@@ -6,7 +6,7 @@
 //! ```
 
 use selfheal::faults::{FaultKind, FaultTarget, InjectionPlanBuilder};
-use selfheal::healing::harness::{PolicyChoice, SelfHealingService};
+use selfheal::healing::harness::{FaultChoice, PolicyChoice, SelfHealingService};
 use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::sim::ServiceConfig;
 
@@ -33,7 +33,7 @@ fn main() {
     println!("== no self-healing ==");
     let baseline = SelfHealingService::builder()
         .config(config.clone())
-        .injections(injections.clone())
+        .faults(FaultChoice::Scripted(injections.clone()))
         .policy(PolicyChoice::None)
         .run(1200);
     report(&baseline);
@@ -41,7 +41,7 @@ fn main() {
     println!("\n== hybrid FixSym + diagnosis self-healing ==");
     let healed = SelfHealingService::builder()
         .config(config)
-        .injections(injections)
+        .faults(FaultChoice::Scripted(injections))
         .policy(PolicyChoice::Hybrid(SynopsisKind::NearestNeighbor))
         .run(1200);
     report(&healed);

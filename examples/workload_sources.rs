@@ -17,7 +17,7 @@
 //!    ticks — and show the hybrid healer coping with the storms.
 
 use selfheal::faults::{FaultKind, FaultTarget, InjectionPlanBuilder};
-use selfheal::healing::harness::{PolicyChoice, SelfHealingService, WorkloadChoice};
+use selfheal::healing::harness::{FaultChoice, PolicyChoice, SelfHealingService, WorkloadChoice};
 use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::sim::ServiceConfig;
 use selfheal::workload::{
@@ -45,7 +45,7 @@ fn main() {
     let synthetic = SelfHealingService::builder()
         .config(config.clone())
         .workload_choice(WorkloadChoice::synthetic(mix.clone(), arrivals.clone()))
-        .injections(plan.clone())
+        .faults(FaultChoice::Scripted(plan.clone()))
         .policy(PolicyChoice::Hybrid(SynopsisKind::NearestNeighbor))
         .seed(seed)
         .run(ticks);
@@ -65,7 +65,7 @@ fn main() {
     let replayed = SelfHealingService::builder()
         .config(config.clone())
         .workload(ReplaySource::new(parsed, ReplayMode::Truncate))
-        .injections(plan.clone())
+        .faults(FaultChoice::Scripted(plan.clone()))
         .policy(PolicyChoice::Hybrid(SynopsisKind::NearestNeighbor))
         .run(ticks);
     assert_eq!(
@@ -83,7 +83,7 @@ fn main() {
     let shifted = SelfHealingService::builder()
         .config(config.clone())
         .workload(ReplaySource::new(trace, ReplayMode::Loop).with_phase(150))
-        .injections(plan)
+        .faults(FaultChoice::Scripted(plan))
         .policy(PolicyChoice::Hybrid(SynopsisKind::NearestNeighbor))
         .run(ticks);
     println!(
@@ -106,10 +106,10 @@ fn main() {
     );
     let steady = SelfHealingService::builder()
         .config(config.clone())
-        .synthetic_workload(
+        .workload_choice(WorkloadChoice::synthetic(
             WorkloadMix::bidding(),
             ArrivalProcess::Poisson { rate: 25.0 },
-        )
+        ))
         .run(1000);
     let stormy = SelfHealingService::builder()
         .config(config.clone())

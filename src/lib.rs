@@ -50,7 +50,7 @@
 //! ## Quickstart: one service
 //!
 //! ```
-//! use selfheal::healing::harness::{PolicyChoice, SelfHealingService};
+//! use selfheal::healing::harness::{FaultChoice, PolicyChoice, SelfHealingService};
 //! use selfheal::healing::synopsis::SynopsisKind;
 //! use selfheal::faults::{FaultKind, FaultTarget, InjectionPlanBuilder};
 //! use selfheal::sim::ServiceConfig;
@@ -60,7 +60,7 @@
 //!     .build();
 //! let outcome = SelfHealingService::builder()
 //!     .config(ServiceConfig::tiny())
-//!     .injections(plan)
+//!     .faults(FaultChoice::Scripted(plan))
 //!     .policy(PolicyChoice::Hybrid(SynopsisKind::NearestNeighbor))
 //!     .run(300);
 //! assert!(outcome.fixes_initiated >= 1);

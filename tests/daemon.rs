@@ -13,7 +13,7 @@ use selfheal::faults::{
     FaultKind, FaultTarget, FixAction, FixKind, InjectionPlan, InjectionPlanBuilder, ScriptedSource,
 };
 use selfheal::fleet::{ExecutionMode, FleetConfig};
-use selfheal::healing::harness::ReactiveChoice;
+use selfheal::healing::harness::{ReactiveChoice, WorkloadChoice};
 use selfheal::healing::snapshot::{SnapshotLog, SynopsisSnapshot};
 use selfheal::healing::store::SynopsisStore;
 use selfheal::healing::synopsis::{Learner, SynopsisKind};
@@ -411,6 +411,60 @@ fn multi_replica_supervisor_matches_the_sequential_batch_fleet() {
         );
         supervisor.shutdown();
     }
+}
+
+/// Fingerprints after 40 epochs of a supervisor with two replicas added
+/// under `profile`, each `RECONFIGURE`d by `changes` before the first epoch.
+fn reseeded_fingerprints(
+    config: DaemonConfig,
+    profile: &str,
+    changes: &[(&str, &str)],
+) -> Vec<(usize, u64)> {
+    let mut supervisor = Supervisor::new(config).unwrap();
+    for _ in 0..2 {
+        let id = supervisor.add_replica(profile).unwrap();
+        for (key, value) in changes {
+            supervisor.reconfigure(id, key, value).unwrap();
+        }
+    }
+    for _ in 0..40 {
+        assert_eq!(supervisor.advance_epoch(), 2);
+    }
+    let fingerprints = supervisor.fingerprints();
+    supervisor.shutdown();
+    fingerprints
+}
+
+/// `RECONFIGURE` re-seeds a swapped source exactly as construction seeds it
+/// (by replica id), so a replica reconfigured before its first tick is the
+/// replica built that way: a `fault_profile` swap equals an `ADD` under that
+/// profile, and a `workload_rate` swap equals a daemon whose workload runs
+/// at that rate.
+#[test]
+fn a_source_reconfigured_at_epoch_zero_equals_one_built_that_way() {
+    let config = DaemonConfig::default();
+    let swapped =
+        reseeded_fingerprints(config.clone(), "none", &[("fault_profile", "content:0.05")]);
+    assert_eq!(
+        swapped,
+        reseeded_fingerprints(config.clone(), "content:0.05", &[])
+    );
+    assert_ne!(swapped, reseeded_fingerprints(config.clone(), "none", &[]));
+
+    let swapped = reseeded_fingerprints(config.clone(), "default", &[("workload_rate", "25")]);
+    let built = reseeded_fingerprints(
+        DaemonConfig {
+            workload: WorkloadChoice::synthetic(
+                WorkloadMix::bidding(),
+                ArrivalProcess::Constant { rate: 25.0 },
+            ),
+            ..config.clone()
+        },
+        "default",
+        &[],
+    );
+    assert_eq!(swapped, built);
+    assert_ne!(swapped, reseeded_fingerprints(config, "default", &[]));
 }
 
 /// Drives a supervisor until its store has drained at least one example to

@@ -2,7 +2,7 @@
 //! telemetry → diagnosis/FixSym → fix actuation → recovery.
 
 use selfheal::faults::{FaultKind, FaultTarget, FixKind, InjectionPlanBuilder};
-use selfheal::healing::harness::{PolicyChoice, SelfHealingService};
+use selfheal::healing::harness::{FaultChoice, PolicyChoice, SelfHealingService};
 use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::sim::ServiceConfig;
 
@@ -30,7 +30,7 @@ fn scenario(policy: PolicyChoice, ticks: u64) -> selfheal::sim::ScenarioOutcome 
         .build();
     SelfHealingService::builder()
         .config(config)
-        .injections(injections)
+        .faults(FaultChoice::Scripted(injections))
         .policy(policy)
         .seed(23)
         .run(ticks)
@@ -116,7 +116,7 @@ fn fixsym_policy_handles_recurring_failures_with_fewer_attempts_over_time() {
         .build();
     let outcome = SelfHealingService::builder()
         .config(config)
-        .injections(injections)
+        .faults(FaultChoice::Scripted(injections))
         .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
         .seed(29)
         .run(1800);
@@ -174,7 +174,7 @@ fn manual_rules_escalate_on_failures_outside_their_rule_base() {
         .build();
     let outcome = SelfHealingService::builder()
         .config(config)
-        .injections(injections)
+        .faults(FaultChoice::Scripted(injections))
         .policy(PolicyChoice::ManualRules)
         .seed(31)
         .run(700);

@@ -1,7 +1,6 @@
-//! Acceptance suite for the pluggable `FaultSource` API: the harness's
-//! `InjectionPlan` shim must be byte-identical to a scripted source, mix
-//! sources must be worker-count- and slice-invariant under the tick-sliced
-//! scheduler, and catalog sweeps/storms must cover what they claim.
+//! Acceptance suite for the pluggable `FaultSource` API: mix sources must
+//! be worker-count- and slice-invariant under the tick-sliced scheduler,
+//! and catalog sweeps/storms must cover what they claim.
 
 use selfheal::faults::{
     CatalogSweep, FaultKind, FaultSource, FaultTarget, InjectionPlanBuilder, MixSource,
@@ -30,25 +29,6 @@ fn plan() -> selfheal::faults::InjectionPlan {
             0.8,
         )
         .build()
-}
-
-/// The harness builder shims agree too: `.injections(plan)` and
-/// `.faults(FaultChoice::Scripted(plan))` are the same run.
-#[test]
-fn builder_injections_shim_equals_scripted_fault_choice() {
-    let build = |scripted: bool| {
-        let builder = SelfHealingService::builder()
-            .config(ServiceConfig::tiny())
-            .policy(PolicyChoice::Hybrid(SynopsisKind::NearestNeighbor))
-            .seed(9);
-        let builder = if scripted {
-            builder.faults(FaultChoice::Scripted(plan()))
-        } else {
-            builder.injections(plan())
-        };
-        builder.run(500)
-    };
-    assert_eq!(build(false).fingerprint(), build(true).fingerprint());
 }
 
 fn mix_fleet(workers: Option<usize>, slice: u64) -> FleetConfig {

@@ -3,7 +3,9 @@
 
 use selfheal::faults::{FaultKind, FaultTarget, InjectionPlan, InjectionPlanBuilder};
 use selfheal::fleet::{ExecutionMode, FleetConfig};
-use selfheal::healing::harness::{LearnerChoice, PolicyChoice, SelfHealingService, WorkloadChoice};
+use selfheal::healing::harness::{
+    FaultChoice, LearnerChoice, PolicyChoice, SelfHealingService, WorkloadChoice,
+};
 use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::sim::seeds::{split_seed, SeedStream};
 use selfheal::sim::ServiceConfig;
@@ -22,15 +24,17 @@ fn fleet(replicas: usize, ticks: u64) -> FleetConfig {
         .ticks(ticks)
         .base_seed(77)
         .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-        .injections_per_replica(|replica| {
-            InjectionPlanBuilder::new()
-                .inject(
-                    30 + 10 * replica as u64,
-                    FaultKind::BufferContention,
-                    FaultTarget::DatabaseTier,
-                    0.9,
-                )
-                .build()
+        .faults_per_replica(|replica| {
+            FaultChoice::Scripted(
+                InjectionPlanBuilder::new()
+                    .inject(
+                        30 + 10 * replica as u64,
+                        FaultKind::BufferContention,
+                        FaultTarget::DatabaseTier,
+                        0.9,
+                    )
+                    .build(),
+            )
         })
 }
 
@@ -41,7 +45,7 @@ fn same_seed_gives_byte_identical_scenario_outcomes() {
     let run = || {
         SelfHealingService::builder()
             .config(ServiceConfig::tiny())
-            .injections(
+            .faults(FaultChoice::Scripted(
                 InjectionPlanBuilder::new()
                     .inject(
                         40,
@@ -50,7 +54,7 @@ fn same_seed_gives_byte_identical_scenario_outcomes() {
                         0.9,
                     )
                     .build(),
-            )
+            ))
             .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
             .seed(23)
             .run(300)
@@ -61,7 +65,7 @@ fn same_seed_gives_byte_identical_scenario_outcomes() {
     // would be vacuous.
     let c = SelfHealingService::builder()
         .config(ServiceConfig::tiny())
-        .injections(
+        .faults(FaultChoice::Scripted(
             InjectionPlanBuilder::new()
                 .inject(
                     40,
@@ -70,7 +74,7 @@ fn same_seed_gives_byte_identical_scenario_outcomes() {
                     0.9,
                 )
                 .build(),
-        )
+        ))
         .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
         .seed(24)
         .run(300);
@@ -141,7 +145,7 @@ fn shared_synopsis_warm_starts_later_replicas() {
             .learner(learner)
             // Tick-interleaved so "later replica" is true by construction.
             .mode(ExecutionMode::Sequential)
-            .injections_per_replica(staggered)
+            .faults_per_replica(move |replica| FaultChoice::Scripted(staggered(replica)))
             // The last stagger lands at tick 2600; auto-quiesce runs one
             // healing tail past it instead of hand-tuning the length.
             .run_to_quiescence()
@@ -214,7 +218,7 @@ fn recorded_trace_replays_byte_identically() {
         SelfHealingService::builder()
             .config(ServiceConfig::tiny())
             .workload_choice(workload)
-            .injections(plan.clone())
+            .faults(FaultChoice::Scripted(plan.clone()))
             .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
             .seed(23)
             .run(300)
@@ -273,7 +277,7 @@ fn phase_shifted_replay_replicas_match_their_standalone_equivalents() {
         .ticks(ticks)
         .base_seed(base_seed)
         .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-        .injections_per_replica(plan)
+        .faults_per_replica(move |replica| FaultChoice::Scripted(plan(replica)))
         .run();
     let fleet_prints = fleet.fingerprints();
 
@@ -287,7 +291,7 @@ fn phase_shifted_replay_replicas_match_their_standalone_equivalents() {
                     ReplaySource::new(trace.clone(), ReplayMode::Loop)
                         .with_phase(replica as u64 * phase_step),
                 )
-                .injections(plan(replica))
+                .faults(FaultChoice::Scripted(plan(replica)))
                 .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
                 .run(ticks)
                 .fingerprint()
@@ -311,7 +315,7 @@ fn phase_shifted_replay_replicas_match_their_standalone_equivalents() {
         .replicas(2)
         .ticks(ticks)
         .base_seed(base_seed)
-        .injections(InjectionPlan::empty())
+        .faults(FaultChoice::Scripted(InjectionPlan::empty()))
         .run();
     assert_eq!(aligned.replicas().len(), 2);
     let (a, b) = (

@@ -5,7 +5,7 @@
 
 use selfheal::faults::{FaultKind, FaultTarget, InjectionPlanBuilder, StormSpec};
 use selfheal::fleet::{ExecutionMode, FleetConfig};
-use selfheal::healing::harness::{EventChoice, LearnerChoice, PolicyChoice};
+use selfheal::healing::harness::{EventChoice, FaultChoice, LearnerChoice, PolicyChoice};
 use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::sim::ServiceConfig;
 use selfheal::workload::{ArrivalProcess, WorkloadMix};
@@ -24,15 +24,17 @@ fn stormy_fleet(replicas: usize, ticks: u64, learner: LearnerChoice) -> FleetCon
         .base_seed(77)
         .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
         .learner(learner)
-        .injections_per_replica(|replica| {
-            InjectionPlanBuilder::new()
-                .inject(
-                    40 + 30 * replica as u64,
-                    FaultKind::BufferContention,
-                    FaultTarget::DatabaseTier,
-                    0.9,
-                )
-                .build()
+        .faults_per_replica(|replica| {
+            FaultChoice::Scripted(
+                InjectionPlanBuilder::new()
+                    .inject(
+                        40 + 30 * replica as u64,
+                        FaultKind::BufferContention,
+                        FaultTarget::DatabaseTier,
+                        0.9,
+                    )
+                    .build(),
+            )
         })
         .event(EventChoice::storm(
             ticks / 2,

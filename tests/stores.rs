@@ -4,7 +4,7 @@
 use selfheal::daemon::PooledStore;
 use selfheal::faults::{FaultKind, FaultTarget, FixKind, InjectionPlanBuilder};
 use selfheal::fleet::{ExecutionMode, FleetConfig, FleetOutcome};
-use selfheal::healing::harness::{LearnerChoice, PolicyChoice};
+use selfheal::healing::harness::{FaultChoice, LearnerChoice, PolicyChoice};
 use selfheal::healing::snapshot::SynopsisSnapshot;
 use selfheal::healing::store::SynopsisStore;
 use selfheal::healing::synopsis::{Learner, SynopsisKind};
@@ -27,15 +27,17 @@ fn fleet(learner: LearnerChoice) -> FleetConfig {
         .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
         .learner(learner)
         .mode(ExecutionMode::Sequential)
-        .injections_per_replica(|replica| {
-            InjectionPlanBuilder::new()
-                .inject(
-                    40 + 60 * replica as u64,
-                    FaultKind::BufferContention,
-                    FaultTarget::DatabaseTier,
-                    0.9,
-                )
-                .build()
+        .faults_per_replica(|replica| {
+            FaultChoice::Scripted(
+                InjectionPlanBuilder::new()
+                    .inject(
+                        40 + 60 * replica as u64,
+                        FaultKind::BufferContention,
+                        FaultTarget::DatabaseTier,
+                        0.9,
+                    )
+                    .build(),
+            )
         })
 }
 
