@@ -1,5 +1,5 @@
-//! The fleet experiments behind the `fleet_scaling` binary, its Criterion
-//! bench, `tests/reactive.rs` and `examples/reactive_chaos.rs`.
+//! The fleet experiments behind the `fleet_scaling` binary,
+//! `tests/reactive.rs` and `examples/reactive_chaos.rs`.
 //!
 //! Everything here is one recipe extended per scenario and one fold:
 //!

@@ -494,25 +494,20 @@ const MISSING_HEADER: &str = "synopsis file must start with a {\"synopsis\":...}
 /// read; an example's keys are the bits above.
 const HEADER_KEYS: u8 = 0b111;
 
-/// Adds `key` (its `bit`) to the keys `seen` on a line, refusing a key read
-/// before and one that puts header and example keys on the same line.
+/// Adds `key` (its `bit`) to the keys `seen` on a line, refusing one that
+/// puts header and example keys on the same line.
 fn mark(seen: &mut u8, bit: u8, key: &str, key_at: usize) -> Result<(), JsonError> {
-    let repeated = *seen & bit != 0;
     *seen |= bit;
-    let message = if repeated {
-        format!("duplicate synopsis field \"{key}\"")
-    } else if *seen & HEADER_KEYS != 0 && *seen > HEADER_KEYS {
-        format!("\"{key}\" puts header and example fields on one line")
-    } else {
-        return Ok(());
-    };
-    Err(JsonError::at(key_at, message))
+    if *seen & HEADER_KEYS != 0 && *seen > HEADER_KEYS {
+        let message = format!("\"{key}\" puts header and example fields on one line");
+        return Err(JsonError::at(key_at, message));
+    }
+    Ok(())
 }
 
 /// Parses one line; `width` is how many symptoms to make room for.
 fn parse_line(line: &str, width: usize) -> Result<Line, JsonError> {
     let mut s = Scanner::new(line);
-    s.expect(b'{')?;
     let mut kind: Option<SynopsisKind> = None;
     let mut declared: Option<usize> = None;
     let mut incremental = false;
@@ -520,70 +515,50 @@ fn parse_line(line: &str, width: usize) -> Result<Line, JsonError> {
     let mut fix: Option<FixKind> = None;
     let mut success: Option<bool> = None;
     let mut seen = 0u8;
-    loop {
-        let key_at = {
-            s.skip_ws();
-            s.pos()
-        };
-        let key = s.parse_string()?;
-        s.expect(b':')?;
-        let mut first = |bit: u8| mark(&mut seen, bit, &key, key_at);
-        match key.as_ref() {
+    s.object(|s, key, key_at| {
+        let mut side = |bit: u8| mark(&mut seen, bit, key, key_at);
+        match key {
             "synopsis" => {
-                first(0b001)?;
-                let label_at = {
-                    s.skip_ws();
-                    s.pos()
-                };
+                side(0b001)?;
+                let label_at = s.pos();
                 let label = s.parse_string()?;
                 kind = Some(SynopsisKind::from_label(&label).ok_or_else(|| {
                     JsonError::at(label_at, format!("unknown synopsis kind \"{label}\""))
                 })?);
             }
             "examples" => {
-                first(0b010)?;
+                side(0b010)?;
                 declared = Some(s.parse_u64()? as usize);
             }
             "incremental" => {
-                first(0b100)?;
+                side(0b100)?;
                 incremental = s.parse_bool()?;
             }
             "symptoms" => {
-                first(0b1000)?;
-                symptoms = Some(parse_symptoms(&mut s, width)?);
+                side(0b1000)?;
+                let mut values = Vec::with_capacity(width);
+                s.array(|s| s.parse_f64().map(|value| values.push(value)))?;
+                symptoms = Some(values);
             }
             "fix" => {
-                first(0b1_0000)?;
-                let label_at = {
-                    s.skip_ws();
-                    s.pos()
-                };
+                side(0b1_0000)?;
+                let label_at = s.pos();
                 let label = s.parse_string()?;
                 fix = Some(FixKind::from_label(&label).ok_or_else(|| {
                     JsonError::at(label_at, format!("unknown fix kind \"{label}\""))
                 })?);
             }
             "success" => {
-                first(0b10_0000)?;
+                side(0b10_0000)?;
                 success = Some(s.parse_bool()?);
             }
             other => {
-                return Err(JsonError::at(
-                    key_at,
-                    format!("unknown synopsis field \"{other}\""),
-                ))
+                let message = format!("unknown synopsis field \"{other}\"");
+                return Err(JsonError::at(key_at, message));
             }
         }
-        s.skip_ws();
-        match s.peek() {
-            Some(b',') => s.bump(),
-            Some(b'}') => {
-                s.bump();
-                break;
-            }
-            _ => return Err(JsonError::at(s.pos(), "expected ',' or '}'")),
-        }
-    }
+        Ok(())
+    })?;
     s.finish()?;
     if seen <= HEADER_KEYS {
         let kind = kind.ok_or_else(|| JsonError::at(0, "header is missing \"synopsis\""))?;
@@ -601,33 +576,6 @@ fn parse_line(line: &str, width: usize) -> Result<Line, JsonError> {
         (None, ..) => Err(JsonError::at(0, "example is missing \"symptoms\"")),
         (_, None, _) => Err(JsonError::at(0, "example is missing \"fix\"")),
         (.., None) => Err(JsonError::at(0, "example is missing \"success\"")),
-    }
-}
-
-fn parse_symptoms(s: &mut Scanner<'_>, width: usize) -> Result<Vec<f64>, JsonError> {
-    s.expect(b'[')?;
-    let mut values = Vec::with_capacity(width);
-    s.skip_ws();
-    if s.peek() == Some(b']') {
-        s.bump();
-        return Ok(values);
-    }
-    loop {
-        values.push(s.parse_f64()?);
-        s.skip_ws();
-        match s.peek() {
-            Some(b',') => s.bump(),
-            Some(b']') => {
-                s.bump();
-                return Ok(values);
-            }
-            _ => {
-                return Err(JsonError::at(
-                    s.pos(),
-                    "expected ',' or ']' in symptom array",
-                ))
-            }
-        }
     }
 }
 
@@ -920,7 +868,7 @@ mod tests {
         let bad = GOOD_LINE.replace("}\n", ",\"success\":false}");
         let (line, offset, message) = refusal(&bad);
         assert_eq!((line, offset), (2, bad.rfind("\"success\"").unwrap()));
-        assert_eq!(message, "duplicate synopsis field \"success\"");
+        assert_eq!(message, "duplicate key \"success\"");
         // Header keys too, and a key repeated with the same value.
         let twice = "{\"synopsis\":\"k_means\",\"incremental\":true,\"incremental\":true}\n";
         let err = SynopsisSnapshot::from_jsonl(twice).unwrap_err();

@@ -389,31 +389,23 @@ fn validate_name(name: &str) -> Result<(), String> {
 }
 
 fn parse_manifest_line(line: &str) -> Result<(String, bool), String> {
-    let fail = |err: JsonError| err.to_string();
     let mut scanner = Scanner::new(line);
-    scanner.skip_ws();
-    scanner.expect(b'{').map_err(fail)?;
     let mut name: Option<String> = None;
     let mut shared_pool: Option<bool> = None;
-    loop {
-        scanner.skip_ws();
-        let key = scanner.parse_string().map_err(fail)?;
-        scanner.skip_ws();
-        scanner.expect(b':').map_err(fail)?;
-        scanner.skip_ws();
-        match key.as_ref() {
-            "name" => name = Some(scanner.parse_string().map_err(fail)?.into_owned()),
-            "shared_pool" => shared_pool = Some(scanner.parse_bool().map_err(fail)?),
-            other => return Err(format!("unknown manifest key {other:?}")),
-        }
-        scanner.skip_ws();
-        match scanner.peek() {
-            Some(b',') => scanner.bump(),
-            _ => break,
-        }
-    }
-    scanner.expect(b'}').map_err(fail)?;
-    scanner.finish().map_err(fail)?;
+    scanner
+        .object(|s, key, key_at| {
+            match key {
+                "name" => name = Some(s.parse_string()?.into_owned()),
+                "shared_pool" => shared_pool = Some(s.parse_bool()?),
+                other => {
+                    let message = format!("unknown manifest key {other:?}");
+                    return Err(JsonError::at(key_at, message));
+                }
+            }
+            Ok(())
+        })
+        .and_then(|()| scanner.finish())
+        .map_err(|err| err.to_string())?;
     match (name, shared_pool) {
         (Some(name), Some(shared_pool)) => Ok((name, shared_pool)),
         _ => Err("manifest line needs both name and shared_pool".to_string()),
@@ -459,6 +451,14 @@ mod tests {
         );
         assert!(parse_manifest_line("{\"name\":\"scout\"}").is_err());
         assert!(parse_manifest_line("not json").is_err());
+    }
+
+    #[test]
+    fn a_manifest_line_naming_a_key_twice_is_refused() {
+        let twice = "{\"name\":\"a\",\"name\":\"b\",\"shared_pool\":true}";
+        let err = parse_manifest_line(twice).unwrap_err();
+        assert!(err.contains("duplicate key \"name\""), "{err}");
+        assert!(err.contains(&format!("byte {}", twice.rfind("\"name\"").unwrap())));
     }
 
     #[test]

@@ -27,11 +27,12 @@
 //! | `POST /v1/shutdown`                        | `SHUTDOWN`          | admin   |
 //!
 //! Daemon-wide routes (no `<t>`) additionally require a `*`-bound token
-//! (see [`crate::auth`]).  Request bodies are flat JSON objects.
+//! (see [`crate::auth`]).  Request bodies are flat JSON objects of the keys
+//! each route names; any other key, or one given twice, is a 400.
 
 use crate::auth::Scope;
 use selfheal_daemon::protocol::Command;
-use selfheal_jsonl::Scanner;
+use selfheal_jsonl::{JsonError, Scanner};
 use std::path::PathBuf;
 
 /// What the server should do for one routed request.
@@ -102,7 +103,7 @@ pub fn route(
         ["v1", "tenants"] => match method {
             "GET" => global(Command::TenantList, Scope::Read, false, body),
             "POST" => {
-                let fields = parse_object(body)?;
+                let fields = parse_body(body, &["name", "shared_pool"])?;
                 let name = require_word(&fields, "name")?;
                 let shared_pool = get_bool(&fields, "shared_pool")?.unwrap_or(false);
                 Ok(Lowered {
@@ -169,7 +170,7 @@ fn tenant_route(
         ("GET", ["status"]) => Ok(fleet(Command::Status, Scope::Read, false)),
         ("GET", ["replicas"]) => Ok(fleet(Command::Replicas, Scope::Read, false)),
         ("POST", ["replicas"]) => {
-            let fields = parse_object(body)?;
+            let fields = parse_body(body, &["profile"])?;
             let profile = match get_str(&fields, "profile")? {
                 Some(profile) => check_word(profile, "profile")?,
                 None => "default".to_string(),
@@ -181,7 +182,7 @@ fn tenant_route(
             Ok(fleet(Command::Remove(parse_id(id)?), Scope::Operate, true))
         }
         ("POST", ["replicas", id, "config"]) => {
-            let fields = parse_object(body)?;
+            let fields = parse_body(body, &["key", "value"])?;
             let key = require_word(&fields, "key")?;
             let value = require_word(&fields, "value")?;
             Ok(fleet(
@@ -203,7 +204,7 @@ fn tenant_route(
         }
         ("GET", ["episodes"]) => Ok(fleet(Command::EpisodesOpen, Scope::Read, false)),
         ("POST", ["snapshot"]) => {
-            let fields = parse_object(body)?;
+            let fields = parse_body(body, &["path"])?;
             let target = require_word(&fields, "path")?;
             Ok(fleet(
                 Command::Snapshot(PathBuf::from(target)),
@@ -245,50 +246,44 @@ enum Value {
 /// them, and a flat map keeps the parser honest about what it accepts.
 fn parse_object(body: &[u8]) -> Result<Vec<(String, Value)>, RouteError> {
     let text = std::str::from_utf8(body).map_err(|_| bad("body is not valid UTF-8"))?;
-    if text.trim().is_empty() {
-        return Ok(Vec::new());
-    }
-    let fail = |err: selfheal_jsonl::JsonError| bad(format!("bad JSON body: {err}"));
-    let mut scanner = Scanner::new(text);
-    scanner.skip_ws();
-    scanner.expect(b'{').map_err(fail)?;
     let mut fields = Vec::new();
-    scanner.skip_ws();
-    if scanner.peek() == Some(b'}') {
-        scanner.bump();
-        scanner.finish().map_err(fail)?;
+    if text.trim().is_empty() {
         return Ok(fields);
     }
-    loop {
-        scanner.skip_ws();
-        let key = scanner.parse_string().map_err(fail)?.into_owned();
-        scanner.skip_ws();
-        scanner.expect(b':').map_err(fail)?;
-        scanner.skip_ws();
-        let value = match scanner.peek() {
-            Some(b'"') => Value::Str(scanner.parse_string().map_err(fail)?.into_owned()),
-            Some(b't') | Some(b'f') => Value::Bool(scanner.parse_bool().map_err(fail)?),
-            Some(b'{') | Some(b'[') => {
-                return Err(bad(format!(
-                    "body key {key:?}: nested values are not supported"
-                )))
-            }
-            _ => Value::Num(scanner.parse_f64().map_err(fail)?),
-        };
-        if fields.iter().any(|(existing, _)| *existing == key) {
-            return Err(bad(format!("duplicate body key {key:?}")));
-        }
-        fields.push((key, value));
-        scanner.skip_ws();
-        match scanner.peek() {
-            Some(b',') => scanner.bump(),
-            _ => break,
-        }
-    }
-    scanner.skip_ws();
-    scanner.expect(b'}').map_err(fail)?;
-    scanner.finish().map_err(fail)?;
+    let mut scanner = Scanner::new(text);
+    scanner
+        .object(|s, key, _| {
+            let value = match s.peek() {
+                Some(b'"') => Value::Str(s.parse_string()?.into_owned()),
+                Some(b't' | b'f') => Value::Bool(s.parse_bool()?),
+                Some(b'{' | b'[') => {
+                    let message = format!("body key {key:?}: nested values are not supported");
+                    return Err(JsonError::at(s.pos(), message));
+                }
+                _ => Value::Num(s.parse_f64()?),
+            };
+            fields.push((key.to_string(), value));
+            Ok(())
+        })
+        .and_then(|()| scanner.finish())
+        .map_err(|err| bad(format!("bad JSON body: {err}")))?;
     Ok(fields)
+}
+
+/// [`parse_object`] for a route that takes only the keys `accepted`: any
+/// other key is a 400 that names it.
+fn parse_body(body: &[u8], accepted: &[&str]) -> Result<Vec<(String, Value)>, RouteError> {
+    let fields = parse_object(body)?;
+    match fields
+        .iter()
+        .find(|(key, _)| !accepted.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(bad(format!(
+            "unknown body key {key:?}; this route takes {}",
+            accepted.join(", ")
+        ))),
+        None => Ok(fields),
+    }
 }
 
 fn reject_body(body: &[u8]) -> Result<(), RouteError> {
@@ -680,6 +675,38 @@ mod tests {
         assert!(parse_object(b"{\"a\":1,\"a\":2}").is_err(), "duplicate key");
         assert!(parse_object(b"{\"a\":1} trailing").is_err());
         assert!(parse_object(b"[1]").is_err());
+    }
+
+    #[test]
+    fn a_body_key_the_route_does_not_take_is_a_400_that_names_it() {
+        let err = route(
+            "POST",
+            "/v1/tenants",
+            None,
+            b"{\"name\":\"scout\",\"shared_pol\":true}",
+        )
+        .unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(err.message.contains("\"shared_pol\""), "{}", err.message);
+        for (path, body) in [
+            (
+                "/v1/tenants/scout/replicas",
+                "{\"profile\":\"default\",\"count\":2}",
+            ),
+            (
+                "/v1/tenants/scout/replicas/1/config",
+                "{\"key\":\"k\",\"val\":\"v\"}",
+            ),
+            ("/v1/tenants/scout/snapshot", "{\"file\":\"/tmp/x.jsonl\"}"),
+        ] {
+            let err = route("POST", path, None, body.as_bytes()).unwrap_err();
+            assert_eq!(err.status, 400, "{path}");
+            assert!(
+                err.message.contains("unknown body key"),
+                "{path}: {}",
+                err.message
+            );
+        }
     }
 
     #[test]

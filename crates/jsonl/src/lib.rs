@@ -15,6 +15,11 @@
 //!   over the rest of the line and the token is a slice of the `&str` the
 //!   scanner was handed, so `str::parse` is the only other reader of its
 //!   bytes; a number `f64` cannot hold is an error, never an infinity.
+//! * [`Scanner::object`] / [`Scanner::array`] — the one reader of
+//!   `{ "key": value, … }` and `[ value, … ]` structure.  The caller's
+//!   closure reads each value (it knows the schema); the scanner consumes
+//!   the brackets, keys, colons and commas, and refuses a repeated key at
+//!   its offset.  Neither allocates.
 //! * `escape_into` / [`push_json_string`] — the serialization-side string
 //!   escaping the scanner undoes.
 //! * [`JsonError`] — a parse failure with line and byte-offset context.
@@ -125,10 +130,16 @@ pub fn parse_lines<T>(
     Ok(items)
 }
 
+/// Most keys one object may hold.  Every reader in the workspace names
+/// fewer, and a fixed bound lets [`Scanner::object`] find a repeated key
+/// without allocating.
+const MAX_KEYS: usize = 8;
+
 /// A minimal recursive-descent scanner over one JSON line.
 ///
-/// Object and array structure stays in the calling codec (each knows its own
-/// schema); the scanner owns the token-level work every codec shares.
+/// The scanner owns the token-level work and the object / array structure
+/// every codec shares; what a value means stays in the calling codec (each
+/// knows its own schema).
 #[derive(Debug)]
 pub struct Scanner<'a> {
     /// The line, and the same line as bytes.  A token is *found* in `bytes`
@@ -205,6 +216,83 @@ impl<'a> Scanner<'a> {
         } else {
             Err(JsonError::at(self.pos, "trailing data after the record"))
         }
+    }
+
+    /// Reads one `{ "key": value, … }` object.  Consumes the `{`, each key
+    /// and its `:`, and the `,` or `}` after each value; `field` is handed
+    /// the scanner at the value, the key and the key's byte offset, and
+    /// reads the value.  A key given twice is refused at its second offset
+    /// before `field` sees it, and so is a key past the eighth.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str, usize) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        let mut keys: [Cow<'a, str>; MAX_KEYS] = Default::default();
+        let mut count = 0;
+        let mut done = self.open(b'{', b'}')?;
+        while !done {
+            self.skip_ws();
+            let key_at = self.pos;
+            let key = self.parse_string()?;
+            if keys[..count].contains(&key) {
+                return Err(JsonError::at(key_at, format!("duplicate key \"{key}\"")));
+            }
+            if count == MAX_KEYS {
+                let message = format!("more than {MAX_KEYS} keys in one object");
+                return Err(JsonError::at(key_at, message));
+            }
+            self.expect(b':')?;
+            self.skip_ws();
+            field(self, &key, key_at)?;
+            keys[count] = key;
+            count += 1;
+            done = self.close_or_next(b'}')?;
+        }
+        Ok(())
+    }
+
+    /// Reads one `[ value, … ]` array.  Consumes the `[` and the `,` or `]`
+    /// after each value; `item` is handed the scanner at each value and
+    /// reads it.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        let mut done = self.open(b'[', b']')?;
+        while !done {
+            self.skip_ws();
+            item(self)?;
+            done = self.close_or_next(b']')?;
+        }
+        Ok(())
+    }
+
+    /// Consumes `open`, and `close` too if nothing stands between them;
+    /// says whether it did.  This and [`Self::close_or_next`] run once per
+    /// value of every array the snapshot replay reads, inside readers
+    /// instantiated in other crates: left to itself the compiler calls
+    /// them there instead of inlining them, which cost replay ≈ 6 %.
+    #[inline]
+    fn open(&mut self, open: u8, close: u8) -> Result<bool, JsonError> {
+        self.expect(open)?;
+        self.skip_ws();
+        let empty = self.peek() == Some(close);
+        self.pos += usize::from(empty);
+        Ok(empty)
+    }
+
+    /// Consumes the `,` or `close` after a member; says whether it was
+    /// `close`.
+    #[inline]
+    fn close_or_next(&mut self, close: u8) -> Result<bool, JsonError> {
+        self.skip_ws();
+        let closed = self.peek() == Some(close);
+        if !closed && self.peek() != Some(b',') {
+            let message = format!("expected ',' or '{}'", close as char);
+            return Err(JsonError::at(self.pos, message));
+        }
+        self.pos += 1;
+        Ok(closed)
     }
 
     /// The bytes from the cursor on (none once `bump` has passed the end).
@@ -603,6 +691,137 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Reads any value the scanner has a method for, keys and elements
+    /// nested to any depth; hands each object's keys to `keys`.
+    fn read_value(s: &mut Scanner<'_>, keys: &mut Vec<Vec<String>>) -> Result<(), JsonError> {
+        match s.peek() {
+            Some(b'{') => {
+                let mut held = Vec::new();
+                let read = s.object(|s, key, _| {
+                    held.push(key.to_string());
+                    read_value(s, keys)
+                });
+                keys.push(held);
+                read
+            }
+            Some(b'[') => s.array(|s| read_value(s, keys)),
+            Some(b'"') => s.parse_string().map(drop),
+            Some(b't' | b'f') => s.parse_bool().map(drop),
+            _ => s.parse_f64().map(drop),
+        }
+    }
+
+    /// Keys, some the same key spelt two ways, and values of every kind.
+    const MEMBER_KEYS: [&str; 5] = ["\"a\"", "\"b\"", "\"\\u0061\"", "\"c\"", "\"a\\\"\""];
+    const MEMBER_VALUES: [&str; 8] = [
+        "1",
+        "true",
+        "\"s\"",
+        "[]",
+        "{}",
+        "[1,{\"b\":2}]",
+        "{\"a\":1}",
+        "{\"a\":1,\"a\":2}",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(10_000))]
+
+        /// Whatever the line — an object of members, made of JSON's
+        /// pieces, arbitrary bytes, or a mix — `object` and `array` return
+        /// `Ok` or `Err`, and no object that was read holds a key twice.
+        #[test]
+        fn object_and_array_answer_any_line_and_accept_no_repeated_key(
+            members in proptest::prop::collection::vec(
+                (0usize..MEMBER_KEYS.len(), 0usize..MEMBER_VALUES.len()),
+                0..5,
+            ),
+            picks in proptest::prop::collection::vec(0usize..LINE_PIECES.len(), 0..30),
+            raw in proptest::prop::collection::vec(0u32..256, 0..24),
+            splice in 0usize..64,
+        ) {
+            let object = members
+                .iter()
+                .map(|&(key, value)| format!("{}:{}", MEMBER_KEYS[key], MEMBER_VALUES[value]))
+                .collect::<Vec<_>>()
+                .join(",");
+            let object = format!("{{{object}}}");
+            let pieces: String = picks.iter().map(|&pick| LINE_PIECES[pick]).collect();
+            let raw: Vec<u8> = raw.into_iter().map(|byte| byte as u8).collect();
+            let raw = String::from_utf8_lossy(&raw).into_owned();
+            let cut = (0..=splice.min(object.len()))
+                .rev()
+                .find(|&at| object.is_char_boundary(at))
+                .unwrap_or(0);
+            let spliced = format!("{}{pieces}{}", &object[..cut], &object[cut..]);
+            for line in [object, spliced, format!("[{pieces}"), format!("{pieces}{raw}")] {
+                let _ = Scanner::new(&line).array(|s| s.parse_u64().map(drop));
+                let mut keys = Vec::new();
+                if read_value(&mut Scanner::new(&line), &mut keys).is_ok() {
+                    for held in &keys {
+                        let mut distinct = held.clone();
+                        distinct.sort();
+                        distinct.dedup();
+                        assert_eq!(distinct.len(), held.len(), "{line:?} holds {held:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn object_and_array_read_structure_and_refuse_a_repeated_key() {
+        let line = "{ \"a\" : [1, 2 ,3] , \"b\":{}, \"c\":[] }";
+        let mut s = Scanner::new(line);
+        let mut seen = Vec::new();
+        s.object(|s, key, key_at| {
+            seen.push((key.to_string(), key_at));
+            match key {
+                "a" => s.array(|s| s.parse_u64().map(drop)),
+                "b" => s.object(|_, _, _| Ok(())),
+                _ => s.array(|_| Ok(())),
+            }
+        })
+        .unwrap();
+        s.finish().unwrap();
+        let at = |key: &str| line.find(&format!("\"{key}\"")).unwrap();
+        let expected = ["a", "b", "c"].map(|key| (key.to_string(), at(key)));
+        assert_eq!(seen, expected);
+
+        // The second spelling of a key is refused at its offset, escaped
+        // or not, before the closure sees it.
+        for line in ["{\"a\":1,\"a\":1}", "{\"a\":1,\"\\u0061\":1}"] {
+            let mut calls = 0;
+            let err = Scanner::new(line)
+                .object(|s, _, _| {
+                    calls += 1;
+                    s.parse_u64().map(drop)
+                })
+                .unwrap_err();
+            assert_eq!((err.offset, calls), (7, 1), "{line}");
+            assert_eq!(err.message, "duplicate key \"a\"");
+        }
+        let many = "{\"0\":0,\"1\":1,\"2\":2,\"3\":3,\"4\":4,\"5\":5,\"6\":6,\"7\":7,\"8\":8}";
+        let err = Scanner::new(many).object(|s, _, _| s.parse_u64().map(drop));
+        assert_eq!(err.unwrap_err().offset, many.find("\"8\"").unwrap());
+        for bad in [
+            "{\"a\":1 \"b\":2}",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "[1 2]",
+            "[1,]",
+            "{",
+            "[",
+        ] {
+            let mut s = Scanner::new(bad);
+            let read = match s.peek() {
+                Some(b'{') => s.object(|s, _, _| s.parse_u64().map(drop)),
+                _ => s.array(|s| s.parse_u64().map(drop)),
+            };
+            assert!(read.is_err(), "{bad}");
         }
     }
 

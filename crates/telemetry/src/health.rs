@@ -194,39 +194,6 @@ impl Default for FleetHealth {
 mod tests {
     use super::*;
 
-    impl ReplicaHealth {
-        /// Renders the record as one JSON object (no trailing newline).
-        pub(crate) fn to_json(&self) -> String {
-            let mut out = String::with_capacity(160);
-            out.push_str("{\"id\":");
-            out.push_str(&self.id.to_string());
-            out.push_str(",\"profile\":");
-            push_json_string(&mut out, &self.profile);
-            out.push_str(",\"state\":");
-            push_json_string(&mut out, self.state.label());
-            out.push_str(",\"ticks\":");
-            out.push_str(&self.ticks.to_string());
-            out.push_str(",\"episodes\":");
-            out.push_str(&self.episodes.to_string());
-            out.push_str(",\"open_episodes\":");
-            out.push_str(&self.open_episodes.to_string());
-            out.push_str(",\"fixes_initiated\":");
-            out.push_str(&self.fixes_initiated.to_string());
-            out.push_str(",\"restarts\":");
-            out.push_str(&self.restarts.to_string());
-            out.push_str(",\"last_heartbeat_ms\":");
-            out.push_str(&self.last_heartbeat_ms.to_string());
-            out.push_str(",\"active_faults\":");
-            out.push_str(&self.active_faults.to_string());
-            if let Some(error) = &self.last_error {
-                out.push_str(",\"last_error\":");
-                push_json_string(&mut out, error);
-            }
-            out.push('}');
-            out
-        }
-    }
-
     fn replica(id: usize, state: ReplicaState) -> ReplicaHealth {
         ReplicaHealth {
             id,
@@ -241,15 +208,6 @@ mod tests {
             active_faults: 5,
             last_error: (state != ReplicaState::Running).then(|| "boom \"quoted\"".to_string()),
         }
-    }
-
-    #[test]
-    fn replica_health_renders_json_with_escaping() {
-        let json = replica(7, ReplicaState::Failed).to_json();
-        assert!(json.starts_with("{\"id\":7,"));
-        assert!(json.contains("\"state\":\"failed\""));
-        assert!(json.contains("\"last_heartbeat_ms\":42,\"active_faults\":5,"));
-        assert!(json.contains("\"last_error\":\"boom \\\"quoted\\\"\""));
     }
 
     #[test]

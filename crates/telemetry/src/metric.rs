@@ -160,22 +160,6 @@ impl MetricDef {
 mod tests {
     use super::*;
 
-    impl MetricKind {
-        /// Returns `true` if values of this kind are naturally bounded to `[0,1]`.
-        pub(crate) fn is_bounded_unit(self) -> bool {
-            matches!(
-                self,
-                MetricKind::Utilization | MetricKind::Ratio | MetricKind::Flag
-            )
-        }
-
-        /// Returns `true` if the natural aggregation over a window is a sum
-        /// rather than a mean.
-        pub(crate) fn aggregates_by_sum(self) -> bool {
-            matches!(self, MetricKind::Count)
-        }
-    }
-
     impl Tier {
         /// All tiers, in request-flow order.
         pub(crate) const ALL: [Tier; 5] = [
@@ -211,16 +195,6 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), Tier::ALL.len());
-    }
-
-    #[test]
-    fn metric_kind_classification() {
-        assert!(MetricKind::Utilization.is_bounded_unit());
-        assert!(MetricKind::Ratio.is_bounded_unit());
-        assert!(MetricKind::Flag.is_bounded_unit());
-        assert!(!MetricKind::Count.is_bounded_unit());
-        assert!(MetricKind::Count.aggregates_by_sum());
-        assert!(!MetricKind::LatencyMs.aggregates_by_sum());
     }
 
     #[test]

@@ -74,48 +74,6 @@ mod tests {
     use crate::metric::{MetricKind, Tier};
     use crate::schema::SchemaBuilder;
 
-    impl Sample {
-        /// Creates a sample from a raw row of values.
-        ///
-        /// # Panics
-        /// Panics if the number of values does not match the schema width.
-        pub(crate) fn from_values(schema: &Schema, tick: Tick, values: Vec<Value>) -> Self {
-            assert_eq!(
-                values.len(),
-                schema.len(),
-                "sample width {} does not match schema width {}",
-                values.len(),
-                schema.len()
-            );
-            Sample { tick, values }
-        }
-
-        /// Adds `delta` to the value of one metric (useful for counters that are
-        /// incremented as events occur during a tick).
-        #[inline]
-        pub(crate) fn add(&mut self, id: MetricId, delta: Value) {
-            self.values[id.index()] += delta;
-        }
-
-        /// Takes the element-wise maximum of the current value and `value`
-        /// (useful for peak gauges within a tick).
-        #[inline]
-        pub(crate) fn max_in_place(&mut self, id: MetricId, value: Value) {
-            let slot = &mut self.values[id.index()];
-            if value > *slot {
-                *slot = value;
-            }
-        }
-
-        /// Returns the subset of values selected by `ids`, in the order of `ids`.
-        ///
-        /// This is the operation that turns a raw sample into a *symptom vector*
-        /// over a chosen feature set `Ω` (Section 4.3.4 of the paper).
-        pub(crate) fn project(&self, ids: &[MetricId]) -> Vec<Value> {
-            ids.iter().map(|id| self.get(*id)).collect()
-        }
-    }
-
     fn schema() -> Schema {
         SchemaBuilder::new()
             .metric("a", Tier::Web, MetricKind::Count)
@@ -134,35 +92,17 @@ mod tests {
     }
 
     #[test]
-    fn set_get_add_and_max() {
+    fn set_then_get() {
         let s = schema();
         let a = s.expect_id("a");
         let b = s.expect_id("b");
         let mut sample = Sample::zeroed(&s, 0);
         sample.set(a, 3.0);
-        sample.add(a, 2.0);
-        sample.max_in_place(b, 7.0);
-        sample.max_in_place(b, 4.0);
+        sample.set(b, 7.0);
+        sample.set(a, 5.0);
         assert_eq!(sample.get(a), 5.0);
         assert_eq!(sample.get(b), 7.0);
-    }
-
-    #[test]
-    fn projection_follows_requested_order() {
-        let s = schema();
-        let mut sample = Sample::zeroed(&s, 0);
-        sample.set(s.expect_id("a"), 1.0);
-        sample.set(s.expect_id("b"), 2.0);
-        sample.set(s.expect_id("c"), 3.0);
-        let projected = sample.project(&[s.expect_id("c"), s.expect_id("a")]);
-        assert_eq!(projected, vec![3.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match schema width")]
-    fn from_values_rejects_wrong_width() {
-        let s = schema();
-        Sample::from_values(&s, 0, vec![1.0, 2.0]);
+        assert_eq!(sample.values(), [5.0, 7.0, 0.0]);
     }
 
     #[test]

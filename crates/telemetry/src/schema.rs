@@ -119,62 +119,6 @@ mod tests {
     use super::*;
     use crate::metric::InstrumentationCost;
 
-    impl Schema {
-        /// Returns the name of a metric.
-        #[inline]
-        pub(crate) fn name(&self, id: MetricId) -> &str {
-            &self.inner.defs[id.index()].name
-        }
-
-        /// Iterates over `(id, definition)` pairs in column order.
-        pub(crate) fn iter(&self) -> impl Iterator<Item = (MetricId, &MetricDef)> {
-            self.inner
-                .defs
-                .iter()
-                .enumerate()
-                .map(|(i, d)| (MetricId(i as u32), d))
-        }
-
-        /// Returns all metric ids in column order.
-        pub(crate) fn ids(&self) -> Vec<MetricId> {
-            (0..self.len()).map(|i| MetricId(i as u32)).collect()
-        }
-
-        /// Returns the ids of all metrics measured in `tier`.
-        pub(crate) fn ids_in_tier(&self, tier: Tier) -> Vec<MetricId> {
-            self.iter()
-                .filter(|(_, d)| d.tier == tier)
-                .map(|(id, _)| id)
-                .collect()
-        }
-
-        /// Returns the ids of all metrics of a given kind.
-        pub(crate) fn ids_of_kind(&self, kind: MetricKind) -> Vec<MetricId> {
-            self.iter()
-                .filter(|(_, d)| d.kind == kind)
-                .map(|(id, _)| id)
-                .collect()
-        }
-
-        /// Returns the ids of all metrics whose instrumentation cost is at most
-        /// `max_cost`.
-        ///
-        /// This is how the diagnosis engines restrict themselves to noninvasive
-        /// data when modelling a service that cannot be instrumented invasively
-        /// (Section 4.2 of the paper).
-        pub(crate) fn ids_with_cost_at_most(&self, max_cost: InstrumentationCost) -> Vec<MetricId> {
-            self.iter()
-                .filter(|(_, d)| d.cost <= max_cost)
-                .map(|(id, _)| id)
-                .collect()
-        }
-
-        /// Returns the column names in order, useful for CSV headers.
-        pub(crate) fn names(&self) -> Vec<&str> {
-            self.inner.defs.iter().map(|d| d.name.as_str()).collect()
-        }
-    }
-
     fn schema() -> Schema {
         SchemaBuilder::new()
             .metric("web.cpu_util", Tier::Web, MetricKind::Utilization)
@@ -193,7 +137,7 @@ mod tests {
         assert_eq!(s.len(), 4);
         let id = s.id("db.buffer_miss_rate").unwrap();
         assert_eq!(id.index(), 2);
-        assert_eq!(s.name(id), "db.buffer_miss_rate");
+        assert_eq!(s.def(id).name, "db.buffer_miss_rate");
         assert_eq!(s.def(id).tier, Tier::Database);
         assert!(s.id("does.not.exist").is_none());
     }
@@ -219,31 +163,17 @@ mod tests {
     }
 
     #[test]
-    fn tier_and_kind_filters() {
-        let s = schema();
-        assert_eq!(s.ids_in_tier(Tier::App).len(), 1);
-        assert_eq!(s.ids_in_tier(Tier::Client).len(), 0);
-        assert_eq!(s.ids_of_kind(MetricKind::Count).len(), 2);
-    }
-
-    #[test]
-    fn cost_filter_excludes_invasive_metrics() {
-        let s = schema();
-        let noninvasive = s.ids_with_cost_at_most(InstrumentationCost::NonInvasive);
-        assert_eq!(noninvasive.len(), 3);
-        assert!(!noninvasive.contains(&s.expect_id("app.ejb_calls")));
-        let all = s.ids_with_cost_at_most(InstrumentationCost::PathTracing);
-        assert_eq!(all.len(), 4);
-    }
-
-    #[test]
     fn ids_are_in_column_order() {
         let s = schema();
-        let ids = s.ids();
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(id.index(), i);
+        let names = [
+            "web.cpu_util",
+            "app.ejb_calls",
+            "db.buffer_miss_rate",
+            "svc.slo_violations",
+        ];
+        for (i, name) in names.into_iter().enumerate() {
+            assert_eq!(s.expect_id(name).index(), i);
         }
-        assert_eq!(s.names()[0], "web.cpu_util");
     }
 
     #[test]

@@ -127,57 +127,9 @@ impl SeriesStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{MetricId, MetricKind, Tier};
+    use crate::metric::{MetricKind, Tier};
     use crate::schema::SchemaBuilder;
-    use crate::{Tick, Value};
-
-    impl SeriesStore {
-        /// The tick of the most recent sample, if any.
-        pub(crate) fn latest_tick(&self) -> Option<Tick> {
-            self.samples.back().map(Sample::tick)
-        }
-
-        /// Returns the last `n` samples (or fewer if not enough are retained),
-        /// oldest first.
-        ///
-        /// Allocation-free: borrows directly from the ring buffer.  Diagnosis
-        /// engines probe the tail of the series every tick, so this path must
-        /// not clone or collect.
-        pub(crate) fn last_n(&self, n: usize) -> impl ExactSizeIterator<Item = &Sample> + Clone {
-            let start = self.samples.len().saturating_sub(n);
-            self.samples.range(start..)
-        }
-
-        /// Returns all samples with tick in `[from, to)`, oldest first.
-        ///
-        /// Samples are tick-ordered, so both endpoints are found by binary
-        /// search and the result borrows a contiguous stretch of the ring
-        /// buffer — no per-call allocation, no full scan.
-        pub(crate) fn range(
-            &self,
-            from: Tick,
-            to: Tick,
-        ) -> impl ExactSizeIterator<Item = &Sample> + Clone {
-            let lo = self.samples.partition_point(|s| s.tick() < from);
-            let hi = self.samples.partition_point(|s| s.tick() < to).max(lo);
-            self.samples.range(lo..hi)
-        }
-
-        /// Extracts the values of one metric over the last `n` samples, oldest
-        /// first, without materializing the sample list.
-        pub(crate) fn metric_tail(
-            &self,
-            id: MetricId,
-            n: usize,
-        ) -> impl Iterator<Item = Value> + '_ {
-            self.last_n(n).map(move |s| s.get(id))
-        }
-
-        /// Removes all samples (the schema and capacity are kept).
-        pub(crate) fn clear(&mut self) {
-            self.samples.clear();
-        }
-    }
+    use crate::Tick;
 
     fn schema() -> Schema {
         SchemaBuilder::new()
@@ -201,14 +153,9 @@ mod tests {
             store.push(sample(&sc, t, t as f64, 0.0));
         }
         assert_eq!(store.len(), 5);
-        assert_eq!(store.latest_tick(), Some(4));
-        let tail: Vec<f64> = store.metric_tail(sc.expect_id("a"), 3).collect();
-        assert_eq!(tail, vec![2.0, 3.0, 4.0]);
-        assert_eq!(store.range(1, 3).count(), 2);
-        let ticks: Vec<Tick> = store.range(1, 4).map(Sample::tick).collect();
-        assert_eq!(ticks, vec![1, 2, 3]);
-        assert_eq!(store.range(9, 20).count(), 0);
-        assert_eq!(store.range(3, 3).count(), 0);
+        let a = sc.expect_id("a");
+        let values: Vec<f64> = store.iter().map(|s| s.get(a)).collect();
+        assert_eq!(values, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -236,6 +183,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "sample width does not match store schema")]
+    fn a_sample_of_another_width_is_rejected() {
+        let narrow = SchemaBuilder::new()
+            .metric("a", Tier::Web, MetricKind::Count)
+            .build();
+        let mut store = SeriesStore::new(schema(), 10);
+        store.push(Sample::zeroed(&narrow, 0));
+    }
+
+    #[test]
     fn baseline_current_splits_history() {
         let sc = schema();
         let mut store = SeriesStore::new(sc.clone(), 100);
@@ -244,32 +201,14 @@ mod tests {
             store.push(sample(&sc, t, t as f64, 0.0));
         }
         let (baseline, current) = store.baseline_current(5, 2).unwrap();
-        assert_eq!(baseline.len(), 5);
-        assert_eq!(current.len(), 2);
         // Current window holds the newest two samples (ticks 8, 9);
         // baseline holds the five before them (ticks 3..=7).
-        assert_eq!(current.column(sc.expect_id("a")), vec![8.0, 9.0]);
-        assert_eq!(
-            baseline.column(sc.expect_id("a")),
-            vec![3.0, 4.0, 5.0, 6.0, 7.0]
+        let (current, baseline) = (
+            current.summary(sc.expect_id("a")),
+            baseline.summary(sc.expect_id("a")),
         );
-    }
-
-    #[test]
-    fn last_n_handles_short_history() {
-        let sc = schema();
-        let mut store = SeriesStore::new(sc.clone(), 10);
-        store.push(sample(&sc, 0, 1.0, 2.0));
-        assert_eq!(store.last_n(5).count(), 1);
-    }
-
-    #[test]
-    fn clear_retains_schema() {
-        let sc = schema();
-        let mut store = SeriesStore::new(sc.clone(), 10);
-        store.push(sample(&sc, 0, 1.0, 2.0));
-        store.clear();
-        assert!(store.is_empty());
-        assert_eq!(store.schema().len(), 2);
+        assert_eq!((current.count, current.min, current.max), (2, 8.0, 9.0));
+        assert_eq!((baseline.count, baseline.min, baseline.max), (5, 3.0, 7.0));
+        assert_eq!(baseline.mean, 5.0);
     }
 }

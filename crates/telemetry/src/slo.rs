@@ -274,15 +274,6 @@ mod tests {
         }
     }
 
-    impl Slo {
-        /// Evaluates the SLO over a window of metric values; returns the degree
-        /// of violation (`0.0` when compliant, positive and growing with
-        /// severity when violated).
-        pub(crate) fn violation_severity(&self, values: &[Value]) -> f64 {
-            self.severity_over(values.iter())
-        }
-    }
-
     fn schema() -> Schema {
         SchemaBuilder::new()
             .metric("svc.response_ms", Tier::Service, MetricKind::LatencyMs)
@@ -365,11 +356,11 @@ mod tests {
     fn severity_scales_with_deviation() {
         let sc = schema();
         let slo = Slo::upper_bound("rt", sc.expect_id("svc.response_ms"), 1000.0);
-        let mild = slo.violation_severity(&[1100.0]);
-        let severe = slo.violation_severity(&[5000.0]);
+        let mild = slo.severity_over([1100.0].iter());
+        let severe = slo.severity_over([5000.0].iter());
         assert!(severe > mild);
-        assert_eq!(slo.violation_severity(&[900.0]), 0.0);
-        assert_eq!(slo.violation_severity(&[]), 0.0);
+        assert_eq!(slo.severity_over([900.0].iter()), 0.0);
+        assert_eq!(slo.severity_over([].iter()), 0.0);
     }
 
     #[test]
@@ -387,7 +378,7 @@ mod tests {
                 let copied: Vec<Value> = hist.iter().copied().collect();
                 assert_eq!(
                     slo.severity_over(hist.iter()).to_bits(),
-                    slo.violation_severity(&copied).to_bits(),
+                    slo.severity_over(copied.iter()).to_bits(),
                     "{} at tick {t}",
                     slo.name
                 );

@@ -126,41 +126,6 @@ mod tests {
     use crate::metric::{MetricKind, Tier};
     use crate::schema::SchemaBuilder;
 
-    impl Window {
-        /// Number of rows (samples) in the window.
-        #[inline]
-        pub(crate) fn len(&self) -> usize {
-            self.columns.first().map_or(0, Vec::len)
-        }
-
-        /// All values of one metric, oldest first.
-        pub(crate) fn column(&self, id: MetricId) -> Vec<Value> {
-            self.columns[id.index()].clone()
-        }
-
-        /// Maximum of one metric over the window (0.0 for an empty window).
-        pub(crate) fn max(&self, id: MetricId) -> Value {
-            let col = &self.columns[id.index()];
-            if col.is_empty() {
-                0.0
-            } else {
-                col.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-            }
-        }
-
-        /// Mean vector over a subset of metrics, in the order of `ids`.
-        pub(crate) fn mean_vector(&self, ids: &[MetricId]) -> Vec<Value> {
-            ids.iter().map(|id| self.mean(*id)).collect()
-        }
-
-        /// Per-row projection over `ids`: returns one feature vector per row.
-        pub(crate) fn rows(&self, ids: &[MetricId]) -> Vec<Vec<Value>> {
-            (0..self.len())
-                .map(|r| ids.iter().map(|id| self.columns[id.index()][r]).collect())
-                .collect()
-        }
-    }
-
     impl WindowSpec {
         /// Window of `len` samples ending `offset` samples before the newest one.
         pub(crate) fn offset(len: usize, offset: usize) -> Self {
@@ -189,8 +154,8 @@ mod tests {
     fn latest_window_contains_newest_samples() {
         let (schema, store) = setup();
         let w = store.window(WindowSpec::latest(3)).unwrap();
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.column(schema.expect_id("a")), vec![7.0, 8.0, 9.0]);
+        let a = w.summary(schema.expect_id("a"));
+        assert_eq!((a.count, a.min, a.max), (3, 7.0, 9.0));
         assert_eq!(w.mean(schema.expect_id("a")), 8.0);
         assert_eq!(w.sum(schema.expect_id("b")), 48.0);
     }
@@ -199,7 +164,8 @@ mod tests {
     fn offset_window_skips_newest_samples() {
         let (schema, store) = setup();
         let w = store.window(WindowSpec::offset(4, 3)).unwrap();
-        assert_eq!(w.column(schema.expect_id("a")), vec![3.0, 4.0, 5.0, 6.0]);
+        let a = w.summary(schema.expect_id("a"));
+        assert_eq!((a.count, a.min, a.max, a.mean), (4, 3.0, 6.0, 4.5));
     }
 
     #[test]
@@ -233,23 +199,16 @@ mod tests {
     }
 
     #[test]
-    fn rows_and_mean_vector_project_in_order() {
-        let (schema, store) = setup();
-        let w = store.window(WindowSpec::latest(2)).unwrap();
-        let ids = [schema.expect_id("lat"), schema.expect_id("a")];
-        let rows = w.rows(&ids);
-        assert_eq!(rows, vec![vec![108.0, 8.0], vec![109.0, 9.0]]);
-        assert_eq!(w.mean_vector(&ids), vec![108.5, 8.5]);
-    }
-
-    #[test]
     fn summary_and_max_agree_with_column() {
         let (schema, store) = setup();
         let w = store.window(WindowSpec::latest(5)).unwrap();
         let lat = schema.expect_id("lat");
         let summary = w.summary(lat);
-        assert_eq!(summary.max, 109.0);
-        assert_eq!(w.max(lat), 109.0);
-        assert_eq!(summary.count, 5);
+        let column: Vec<f64> = store.iter().skip(5).map(|s| s.get(lat)).collect();
+        assert_eq!(column, [105.0, 106.0, 107.0, 108.0, 109.0]);
+        assert_eq!(summary.max, column.iter().copied().fold(f64::MIN, f64::max));
+        assert_eq!(summary.min, column[0]);
+        assert_eq!(summary.mean, w.mean(lat));
+        assert_eq!(summary.count, column.len());
     }
 }

@@ -87,36 +87,23 @@ pub(crate) fn from_jsonl(text: &str) -> Result<Vec<TraceRecord>, CodecError> {
 }
 
 fn scan_record(s: &mut Scanner<'_>) -> Result<TraceRecord, CodecError> {
-    s.expect(b'{')?;
     let mut tick: Option<u64> = None;
     let mut requests: Option<Vec<Request>> = None;
-    loop {
-        let key_at = {
-            s.skip_ws();
-            s.pos()
-        };
-        let key = s.parse_string()?;
-        s.expect(b':')?;
-        match key.as_ref() {
+    s.object(|s, key, key_at| {
+        match key {
             "tick" => tick = Some(s.parse_u64()?),
-            "requests" => requests = Some(scan_requests(s)?),
+            "requests" => {
+                let mut batch = Vec::new();
+                s.array(|s| scan_request(s).map(|request| batch.push(request)))?;
+                requests = Some(batch);
+            }
             other => {
-                return Err(CodecError::at(
-                    key_at,
-                    format!("unknown record field \"{other}\""),
-                ))
+                let message = format!("unknown record field \"{other}\"");
+                return Err(CodecError::at(key_at, message));
             }
         }
-        s.skip_ws();
-        match s.peek() {
-            Some(b',') => s.bump(),
-            Some(b'}') => {
-                s.bump();
-                break;
-            }
-            _ => return Err(CodecError::at(s.pos(), "expected ',' or '}' in record")),
-        }
-    }
+        Ok(())
+    })?;
     match (tick, requests) {
         (Some(tick), Some(requests)) => Ok(TraceRecord { tick, requests }),
         (None, _) => Err(CodecError::at(s.pos(), "record is missing \"tick\"")),
@@ -124,75 +111,28 @@ fn scan_record(s: &mut Scanner<'_>) -> Result<TraceRecord, CodecError> {
     }
 }
 
-fn scan_requests(s: &mut Scanner<'_>) -> Result<Vec<Request>, CodecError> {
-    s.expect(b'[')?;
-    let mut requests = Vec::new();
-    s.skip_ws();
-    if s.peek() == Some(b']') {
-        s.bump();
-        return Ok(requests);
-    }
-    loop {
-        requests.push(scan_request(s)?);
-        s.skip_ws();
-        match s.peek() {
-            Some(b',') => s.bump(),
-            Some(b']') => {
-                s.bump();
-                return Ok(requests);
-            }
-            _ => {
-                return Err(CodecError::at(
-                    s.pos(),
-                    "expected ',' or ']' in request array",
-                ))
-            }
-        }
-    }
-}
-
 fn scan_request(s: &mut Scanner<'_>) -> Result<Request, CodecError> {
-    s.expect(b'{')?;
     let mut id: Option<u64> = None;
     let mut kind: Option<RequestKind> = None;
     let mut arrival_tick: Option<u64> = None;
-    loop {
-        let key_at = {
-            s.skip_ws();
-            s.pos()
-        };
-        let key = s.parse_string()?;
-        s.expect(b':')?;
-        match key.as_ref() {
+    s.object(|s, key, key_at| {
+        match key {
             "id" => id = Some(s.parse_u64()?),
             "arrival_tick" => arrival_tick = Some(s.parse_u64()?),
             "kind" => {
-                let label_at = {
-                    s.skip_ws();
-                    s.pos()
-                };
+                let label_at = s.pos();
                 let label = s.parse_string()?;
                 kind = Some(RequestKind::from_label(&label).ok_or_else(|| {
                     CodecError::at(label_at, format!("unknown request kind \"{label}\""))
                 })?);
             }
             other => {
-                return Err(CodecError::at(
-                    key_at,
-                    format!("unknown request field \"{other}\""),
-                ))
+                let message = format!("unknown request field \"{other}\"");
+                return Err(CodecError::at(key_at, message));
             }
         }
-        s.skip_ws();
-        match s.peek() {
-            Some(b',') => s.bump(),
-            Some(b'}') => {
-                s.bump();
-                break;
-            }
-            _ => return Err(CodecError::at(s.pos(), "expected ',' or '}' in request")),
-        }
-    }
+        Ok(())
+    })?;
     match (id, kind, arrival_tick) {
         (Some(id), Some(kind), Some(arrival_tick)) => Ok(Request::new(id, kind, arrival_tick)),
         (None, ..) => Err(CodecError::at(s.pos(), "request is missing \"id\"")),
@@ -274,6 +214,20 @@ mod tests {
             .unwrap_err()
             .message
             .contains("trailing data"));
+    }
+
+    #[test]
+    fn a_repeated_key_is_refused_not_read_as_its_last_value() {
+        let twice = "{\"tick\":1,\"tick\":2,\"requests\":[]}";
+        let err = parse_record(twice).unwrap_err();
+        assert_eq!(err.offset, twice.rfind("\"tick\"").unwrap());
+        assert_eq!(err.message, "duplicate key \"tick\"");
+        // Inside a request too, whichever way the key is spelled.
+        let twice = "{\"tick\":0,\"requests\":[{\"id\":0,\"\\u0069d\":1,\"kind\":\"bid\"}]}";
+        assert_eq!(
+            parse_record(twice).unwrap_err().message,
+            "duplicate key \"id\""
+        );
     }
 
     #[test]

@@ -110,6 +110,20 @@ fn gateway_serves_tenants_auth_and_streams_end_to_end() {
         "body: {}",
         created.body
     );
+    // A misspelt key is refused, not dropped: `shared_pol` would otherwise
+    // create an unpooled tenant.
+    let misspelt = post(
+        &addr,
+        "/v1/tenants",
+        Some("swordfish"),
+        Some("{\"name\":\"typo\",\"shared_pol\":true}"),
+    );
+    assert_eq!(misspelt.status, 400, "misspelt key: {}", misspelt.body);
+    assert!(
+        misspelt.body.contains("shared_pol"),
+        "body: {}",
+        misspelt.body
+    );
     let duplicate = post(
         &addr,
         "/v1/tenants",
@@ -126,6 +140,11 @@ fn gateway_serves_tenants_auth_and_streams_end_to_end() {
     assert_eq!(listed.status, 200);
     assert!(
         listed.body.contains("tenant=scout shared_pool=on"),
+        "list: {}",
+        listed.body
+    );
+    assert!(
+        !listed.body.contains("tenant=typo"),
         "list: {}",
         listed.body
     );

@@ -8,6 +8,7 @@ use selfheal::faults::{
     ServiceProfile,
 };
 use selfheal::gateway::http::{read_request, MAX_BODY_BYTES};
+use selfheal::gateway::router::{route, SAMPLES};
 use selfheal::healing::snapshot::SynopsisSnapshot;
 use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::learn::{Classifier, Dataset, Example, NearestNeighbor};
@@ -258,6 +259,17 @@ const COMMAND_PIECES: [&str; 59] = [
 /// What goes between two pieces of a control line.
 const COMMAND_GLUE: [&str; 3] = ["", " ", " \t "];
 
+/// What a request body is made of: the keys the routes take and some they
+/// do not, values of every kind, JSON's punctuation, bytes that are not
+/// UTF-8.
+#[rustfmt::skip]
+const BODY_PIECES: [&[u8]; 30] = [
+    b"{", b"}", b"[", b"]", b":", b",", b" ", b"\"", b"\"name\"", b"\"shared_pool\"",
+    b"\"profile\"", b"\"key\"", b"\"value\"", b"\"path\"", b"\"shared_pol\"", b"\"scout\"",
+    b"\"two words\"", b"\"\\u0061\"", b"\"\\q\"", b"true", b"false", b"1.5", b"-1e999", b"1e308",
+    b"null", b"\"default\"", b"\"/tmp/x.jsonl\"", b"\xff", b"\xe6\x97\xa5", b"\0",
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10_000))]
 
@@ -285,6 +297,24 @@ proptest! {
                 prop_assert!(request.path.starts_with('/'));
                 prop_assert!(request.body.len() <= MAX_BODY_BYTES);
                 prop_assert_eq!(request.method.to_ascii_uppercase(), request.method.clone());
+            }
+        }
+    }
+
+    /// Whatever the body, every route answers it — a plan or a status —
+    /// without panicking.
+    #[test]
+    fn route_answers_any_body_without_panicking(
+        sample in 0usize..SAMPLES.len(),
+        picks in prop::collection::vec(0usize..BODY_PIECES.len(), 0..20),
+        raw in prop::collection::vec(0u32..256, 0..24),
+    ) {
+        let sample = &SAMPLES[sample];
+        let pieces: Vec<u8> = picks.iter().flat_map(|&pick| BODY_PIECES[pick]).copied().collect();
+        let raw: Vec<u8> = raw.into_iter().map(|byte| byte as u8).collect();
+        for body in [pieces.clone(), raw.clone(), [pieces, raw].concat()] {
+            if let Err(err) = route(sample.method, sample.path, sample.query, &body) {
+                prop_assert!(matches!(err.status, 400 | 404 | 405), "{}", err.message);
             }
         }
     }
