@@ -26,13 +26,16 @@
 //! epoch barriers.  The fleet crate's `events` and `reactive` modules
 //! evaluate the last two as matches over the variants.
 
-use crate::fixsym::{FixSymConfig, FixSymHealer};
+use crate::fixsym::THRESHOLD;
 use crate::hybrid::HybridHealer;
-use crate::policy::DiagnosisHealer;
+use crate::policy::{DiagnosisEngine, DiagnosisPanel, Source};
 use crate::proactive::ProactiveHealer;
 use crate::snapshot::SynopsisSnapshot;
 use crate::store::{PrivateStore, ShardedStore, SynopsisStore};
-use crate::synopsis::SynopsisKind;
+use crate::synopsis::{Learner, SynopsisKind};
+use selfheal_diagnosis::{
+    AnomalyDetector, BottleneckAnalyzer, CorrelationAnalyzer, DiagnosisContext, ManualRuleBase,
+};
 use selfheal_faults::{
     CatalogSweep, ComposedSource, FaultKind, FaultSource, InjectionPlan, MixSource, OperatorSource,
     ScriptedSource, SeasonalSource, ServiceProfile, MIX_FAULT_ID_BASE, OPERATOR_FAULT_ID_BASE,
@@ -71,24 +74,24 @@ pub enum PolicyChoice {
 
 impl PolicyChoice {
     /// Builds the healer this policy describes, boxed so heterogeneous
-    /// policies can drive identical runners; a learning policy gets a fresh
-    /// private store ([`ReplicaPlan::runner`] constructs every healer through
-    /// here or [`build_healer_stored`](Self::build_healer_stored)).
-    fn build_healer(&self, schema: &Schema, targets: SloTargets) -> Box<dyn Healer> {
-        match self {
-            PolicyChoice::None => Box::new(NoHealing),
-            PolicyChoice::ManualRules => Box::new(DiagnosisHealer::manual(schema, targets)),
-            PolicyChoice::AnomalyDetection => Box::new(DiagnosisHealer::anomaly(schema, targets)),
-            PolicyChoice::CorrelationAnalysis => {
-                Box::new(DiagnosisHealer::correlation(schema, targets))
+    /// policies can drive identical runners, with a learning policy's
+    /// synopsis wired to `store` — or, without one, to a fresh private store
+    /// ([`ReplicaPlan::runner`] constructs every healer through here).
+    fn build_healer(
+        &self,
+        schema: &Schema,
+        targets: SloTargets,
+        store: Option<Box<dyn SynopsisStore>>,
+    ) -> Box<dyn Healer> {
+        let synopsis = self
+            .synopsis_kind()
+            .map(|kind| store.unwrap_or_else(|| LearnerChoice::Private.build_store(kind)));
+        match self.healer(schema, targets, synopsis) {
+            Some(healer) => Box::new(healer),
+            None if *self == PolicyChoice::Proactive => {
+                Box::new(ProactiveHealer::new(schema, targets))
             }
-            PolicyChoice::BottleneckAnalysis => {
-                Box::new(DiagnosisHealer::bottleneck(schema, targets))
-            }
-            PolicyChoice::FixSym(kind) | PolicyChoice::Hybrid(kind) => {
-                self.build_healer_stored(schema, targets, LearnerChoice::Private.build_store(*kind))
-            }
-            PolicyChoice::Proactive => Box::new(ProactiveHealer::new(schema, targets)),
+            None => Box::new(NoHealing),
         }
     }
 
@@ -106,15 +109,80 @@ impl PolicyChoice {
         targets: SloTargets,
         store: Box<dyn SynopsisStore>,
     ) -> Box<dyn Healer> {
-        match self {
-            PolicyChoice::FixSym(_) => Box::new(FixSymHealer::with_learner(
-                schema,
-                store,
-                FixSymConfig::default(),
-            )),
-            PolicyChoice::Hybrid(_) => Box::new(HybridHealer::with_learner(schema, store, targets)),
-            other => other.build_healer(schema, targets),
-        }
+        self.build_healer(schema, targets, Some(store))
+    }
+
+    /// Every policy but `None` and `Proactive` is a [`HybridHealer`]: a
+    /// name, an attempt threshold, and a constant list of fix sources over
+    /// `synopsis` and the diagnosis engines named here (README, "How a
+    /// healer chooses its next fix").  Each difference between the lists is
+    /// pinned by Table 2 or a golden fingerprint.
+    pub(crate) fn healer<L: Learner>(
+        &self,
+        schema: &Schema,
+        targets: SloTargets,
+        synopsis: Option<L>,
+    ) -> Option<HybridHealer<L>> {
+        use DiagnosisEngine::{Anomaly, Bottleneck, Correlation, Manual};
+        use Source::{CheapestUntried, Diagnosis, Escalate};
+        const FIXSYM: &[Source] = &[
+            Source::Synopsis {
+                min_confidence: 0.05,
+            },
+            CheapestUntried,
+        ];
+        const HYBRID: &[Source] = &[
+            Source::Synopsis {
+                min_confidence: 0.5,
+            },
+            Diagnosis {
+                repeat_provisioning: false,
+            },
+            Escalate { idle_ticks: 0 },
+        ];
+        const ONE_ENGINE: &[Source] = &[
+            Diagnosis {
+                repeat_provisioning: true,
+            },
+            Escalate { idle_ticks: 90 },
+        ];
+        let (name, threshold, sources, engines) = match self {
+            PolicyChoice::None | PolicyChoice::Proactive => return None,
+            PolicyChoice::FixSym(_) => ("fixsym", THRESHOLD, FIXSYM, vec![]),
+            PolicyChoice::Hybrid(_) => (
+                "hybrid_fixsym_diagnosis",
+                THRESHOLD,
+                HYBRID,
+                DiagnosisEngine::hybrid(),
+            ),
+            PolicyChoice::ManualRules => (
+                "manual_rules",
+                3,
+                ONE_ENGINE,
+                vec![Manual(ManualRuleBase::standard())],
+            ),
+            PolicyChoice::AnomalyDetection => (
+                "anomaly_detection",
+                3,
+                ONE_ENGINE,
+                vec![Anomaly(AnomalyDetector::standard())],
+            ),
+            PolicyChoice::CorrelationAnalysis => {
+                let ctx = DiagnosisContext::from_schema(schema, targets);
+                let engine = Correlation(CorrelationAnalyzer::standard(&ctx));
+                ("correlation_analysis", 3, ONE_ENGINE, vec![engine])
+            }
+            PolicyChoice::BottleneckAnalysis => (
+                "bottleneck_analysis",
+                3,
+                ONE_ENGINE,
+                vec![Bottleneck(BottleneckAnalyzer::standard())],
+            ),
+        };
+        let panel = (!engines.is_empty()).then(|| DiagnosisPanel::new(schema, targets, engines));
+        Some(HybridHealer::with_sources(
+            name, threshold, sources, schema, synopsis, panel,
+        ))
     }
 
     /// The synopsis kind embedded in the policy, if any: `Some` exactly for
@@ -881,10 +949,7 @@ impl ReplicaPlan {
         let targets = config.slo_targets();
         let service = MultiTierService::new(config);
         let schema = service.schema().clone();
-        let healer = match store {
-            Some(store) => self.policy.build_healer_stored(&schema, targets, store),
-            None => self.policy.build_healer(&schema, targets),
-        };
+        let healer = self.policy.build_healer(&schema, targets, store);
         ScenarioRunner::with_faults(service, workload, faults, healer)
             .with_series_capacity(self.series_capacity)
     }

@@ -1,4 +1,4 @@
-//! Hybrid policy: FixSym + diagnosis-based fallback (Section 5.1).
+//! The one online healer: Figure 3's loop around line 9 (Section 5.1).
 //!
 //! "The signature-based approach is good at dealing with scenarios where
 //! same workloads and failures tend to recur.  However, this approach can be
@@ -7,91 +7,144 @@
 //! signature-based approach with one or more of the diagnosis-based
 //! approaches that find the cause of a new failure to recommend a fix."
 //!
-//! [`HybridHealer`] does exactly that: when FixSym's synopsis is confident
-//! about a failure signature it uses the signature-based suggestion (cheap,
-//! no diagnosis needed); when the synopsis is unsure — a novel failure — it
-//! falls back to the diagnosis engines, ranks their recommendations by
-//! confidence, applies the best one, and *teaches the synopsis* the outcome
-//! so that the next occurrence of the same signature is handled by the
-//! signature path.
+//! [`HybridHealer`] runs the online loop — symptom extraction from the live
+//! metric stream, `check_fix` from SLO recovery, `update_synopsis`, the
+//! THRESHOLD escalation — and takes each next fix from [`choose`] over its
+//! constant list of [`Source`]s.  Every policy of Table 2 but no healing is
+//! one of these lists ([`crate::harness::PolicyChoice`] holds them all): the
+//! hybrid trusts a confident synopsis, falls back to the diagnosis engines
+//! for a novel failure, and *teaches the synopsis* the outcome so that the
+//! next occurrence of the same signature takes the signature path; FixSym
+//! has no diagnosis, and a diagnosis baseline no synopsis.
 
-use crate::fixsym::{SignatureLoop, Step};
-use crate::policy::{target_for_fix, DiagnosisPanel};
+use crate::policy::{choose, target_for_fix, DiagnosisPanel, EpisodeTracker, Source, VERIFY_TICKS};
+use crate::symptom::SymptomExtractor;
 use crate::synopsis::{Learner, Synopsis, SynopsisKind};
 use selfheal_faults::FixAction;
 use selfheal_sim::scenario::Healer;
 use selfheal_sim::service::TickOutcome;
 use selfheal_telemetry::{Schema, SloTargets};
 
-/// Combined signature + diagnosis healer.
+/// An online healer: a name, an attempt threshold, a constant list of fix
+/// sources, and the synopsis and diagnosis panel those sources read.
 ///
-/// Generic over the [`Learner`] backing the signature path (default: a
-/// privately owned [`Synopsis`]; fleets pass a
-/// [`crate::store::SynopsisStore`] handle).
+/// Generic over the [`Learner`] backing the synopsis (default: a privately
+/// owned [`Synopsis`]; fleets pass a [`crate::store::SynopsisStore`] handle
+/// so every replica's healer learns from — and teaches — the same model).
 #[derive(Debug)]
 pub struct HybridHealer<L: Learner = Synopsis> {
-    figure3: SignatureLoop<L>,
-    panel: DiagnosisPanel,
+    name: &'static str,
+    sources: &'static [Source],
+    synopsis: Option<L>,
+    panel: Option<DiagnosisPanel>,
     schema: Schema,
-    /// Synopsis confidence above which the signature path is trusted.
-    pub signature_confidence_threshold: f64,
-    signature_decisions: u64,
-    diagnosis_decisions: u64,
+    extractor: SymptomExtractor,
+    tracker: EpisodeTracker,
+    current_symptoms: Option<Vec<f64>>,
+    /// Ticks since the last fix this healer initiated on which only an
+    /// `Escalate` source had a fix to offer.
+    idle_ticks: u32,
 }
 
 impl HybridHealer {
     /// Creates a hybrid healer for a service with the given schema and SLO
     /// targets.
     pub fn new(schema: &Schema, kind: SynopsisKind, targets: SloTargets) -> Self {
-        Self::with_learner(schema, Synopsis::new(kind), targets)
+        crate::harness::PolicyChoice::Hybrid(kind)
+            .healer(schema, targets, Some(Synopsis::new(kind)))
+            .expect("the hybrid policy is a HybridHealer")
     }
 }
 
 impl<L: Learner> HybridHealer<L> {
-    /// Creates a hybrid healer around an existing learner (e.g. a
-    /// fleet-shared synopsis handle).
-    pub(crate) fn with_learner(schema: &Schema, learner: L, targets: SloTargets) -> Self {
+    /// The healer `name` that tries at most `threshold` fixes per episode
+    /// before escalating and takes each from `sources`.
+    pub(crate) fn with_sources(
+        name: &'static str,
+        threshold: u32,
+        sources: &'static [Source],
+        schema: &Schema,
+        synopsis: Option<L>,
+        panel: Option<DiagnosisPanel>,
+    ) -> Self {
         HybridHealer {
-            figure3: SignatureLoop::new(schema, learner, 4, 25),
-            panel: DiagnosisPanel::new(schema, targets),
+            name,
+            sources,
+            synopsis,
+            panel,
             schema: schema.clone(),
-            signature_confidence_threshold: 0.5,
-            signature_decisions: 0,
-            diagnosis_decisions: 0,
+            extractor: SymptomExtractor::new(schema, 30, 5),
+            tracker: EpisodeTracker::new(threshold, VERIFY_TICKS),
+            current_symptoms: None,
+            idle_ticks: 0,
         }
+    }
+
+    /// One step of the online loop: the fix initiated this tick, if any, and
+    /// the source it came from.
+    fn decide(&mut self, outcome: &TickOutcome) -> Option<(FixAction, Source)> {
+        let violated = !outcome.violations.is_empty();
+        if let Some(panel) = &mut self.panel {
+            panel.push(&outcome.sample, violated);
+        }
+        self.extractor
+            .observe(&outcome.sample, !violated && !self.tracker.in_episode());
+
+        // Resolve the outcome of a previously applied fix (check_fix) and
+        // teach it to the synopsis (update_synopsis).
+        if let Some((fix, success)) = self.tracker.resolve(outcome, violated) {
+            if let (Some(synopsis), Some(symptoms)) = (&mut self.synopsis, &self.current_symptoms) {
+                synopsis.record(symptoms, fix.kind, success);
+            }
+            if success {
+                self.current_symptoms = None;
+            }
+        }
+
+        // Nothing to do while healthy or while a fix is in flight / settling.
+        if !self.tracker.should_act(violated) {
+            return None;
+        }
+        // New failure data point (or next attempt for the current one).
+        let symptoms = self.extractor.symptoms()?;
+        if self.current_symptoms.is_none() {
+            self.current_symptoms = Some(symptoms.clone());
+        }
+
+        // Past the threshold, lines 18–20 escalate at once.
+        let sources: &[Source] = if self.tracker.exhausted() {
+            &[Source::Escalate { idle_ticks: 0 }]
+        } else {
+            self.sources
+        };
+        let (action, source, _) = choose(
+            sources,
+            self.synopsis.as_ref(),
+            self.panel.as_ref(),
+            &symptoms,
+            &self.tracker.tried_kinds(),
+            |kind| target_for_fix(kind, &self.schema, &outcome.sample),
+        )?;
+        if let Source::Escalate { idle_ticks } = source {
+            if self.idle_ticks < idle_ticks {
+                self.idle_ticks += 1;
+                return None;
+            }
+        }
+        self.idle_ticks = 0;
+        self.tracker.record_attempt(action);
+        Some((action, source))
     }
 }
 
 impl<L: Learner> Healer for HybridHealer<L> {
     fn name(&self) -> &str {
-        "hybrid_fixsym_diagnosis"
+        self.name
     }
 
     fn observe(&mut self, outcome: &TickOutcome) -> Vec<FixAction> {
-        self.panel.push(&outcome.sample);
-        let (symptoms, tried) = match self.figure3.step(outcome) {
-            Step::Choose(symptoms, tried) => (symptoms, tried),
-            Step::Done(actions) => return actions,
-        };
-
-        // Signature path: trust the synopsis when it is confident.
-        if let Some((fix, confidence)) = self.figure3.synopsis.suggest_excluding(&symptoms, &tried)
-        {
-            if confidence >= self.signature_confidence_threshold {
-                self.signature_decisions += 1;
-                let action = target_for_fix(fix, &self.schema, &outcome.sample);
-                return self.figure3.tracker.attempt(action);
-            }
-        }
-
-        // Diagnosis fallback for novel / low-confidence failures.
-        if let Some(action) = self.panel.best_untried(&tried) {
-            self.diagnosis_decisions += 1;
-            return self.figure3.tracker.attempt(action);
-        }
-
-        // Neither path has anything new: escalate.
-        self.figure3.tracker.escalate()
+        self.decide(outcome)
+            .map_or_else(Vec::new, |(action, _)| vec![action])
     }
 }
 
@@ -102,28 +155,22 @@ mod tests {
     use selfheal_sim::{MultiTierService, ServiceConfig};
     use selfheal_workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
 
-    impl<L: Learner> HybridHealer<L> {
-        /// How many fixes were chosen by the signature path vs the diagnosis
-        /// fallback: `(signature, diagnosis)`.
-        pub(crate) fn decision_counts(&self) -> (u64, u64) {
-            (self.signature_decisions, self.diagnosis_decisions)
-        }
-    }
-
     impl HybridHealer {
         /// The learned synopsis.
         pub(crate) fn synopsis(&self) -> &Synopsis {
-            &self.figure3.synopsis
+            self.synopsis.as_ref().expect("the hybrid learns")
         }
     }
 
+    /// Runs `ticks` ticks and returns the source of every fix chosen.
     fn run(
         healer: &mut HybridHealer,
         service: &mut MultiTierService,
         workload: &mut TraceGenerator,
         ticks: u64,
         inject: Option<(u64, FaultSpec)>,
-    ) {
+    ) -> Vec<Source> {
+        let mut sources = Vec::new();
         for _ in 0..ticks {
             let t = service.current_tick();
             if let Some((at, fault)) = &inject {
@@ -133,10 +180,12 @@ mod tests {
             }
             let requests = workload.tick(t);
             let outcome = service.tick(&requests);
-            for action in healer.observe(&outcome) {
+            if let Some((action, source)) = healer.decide(&outcome) {
                 service.apply_fix(action);
+                sources.push(source);
             }
         }
+        sources
     }
 
     #[test]
@@ -162,7 +211,7 @@ mod tests {
             FaultTarget::DatabaseTier,
             0.9,
         );
-        run(
+        let first = run(
             &mut healer,
             &mut service,
             &mut workload,
@@ -173,10 +222,9 @@ mod tests {
             service.active_faults().is_empty(),
             "first occurrence should be repaired"
         );
-        let (sig_first, diag_first) = healer.decision_counts();
         assert!(
-            diag_first >= 1,
-            "the first occurrence must use the diagnosis path"
+            first.iter().any(|s| matches!(s, Source::Diagnosis { .. })),
+            "the first occurrence must use the diagnosis path: {first:?}"
         );
         assert!(
             healer.synopsis().correct_fixes_learned() >= 1,
@@ -192,7 +240,7 @@ mod tests {
             0.9,
         );
         let tick = service.current_tick();
-        run(
+        let second = run(
             &mut healer,
             &mut service,
             &mut workload,
@@ -203,10 +251,9 @@ mod tests {
             service.active_faults().is_empty(),
             "second occurrence should be repaired"
         );
-        let (sig_second, _) = healer.decision_counts();
         assert!(
-            sig_second > sig_first,
-            "the recurrence should be handled by the signature path ({sig_first} -> {sig_second})"
+            second.iter().any(|s| matches!(s, Source::Synopsis { .. })),
+            "the recurrence should be handled by the signature path: {second:?}"
         );
     }
 
@@ -221,8 +268,7 @@ mod tests {
         );
         let mut healer =
             HybridHealer::new(service.schema(), SynopsisKind::KMeans, config.slo_targets());
-        run(&mut healer, &mut service, &mut workload, 100, None);
-        assert_eq!(healer.decision_counts(), (0, 0));
+        assert!(run(&mut healer, &mut service, &mut workload, 100, None).is_empty());
         assert_eq!(healer.name(), "hybrid_fixsym_diagnosis");
     }
 }

@@ -25,10 +25,17 @@
 //! with 60 weak learners) behind one interface and tracks the training cost
 //! needed for the Table 3 comparison.
 //!
-//! The crate also provides `policy` (healers wrapping the manual rule base
-//! and the three diagnosis-based engines so all approaches of Table 2 can be
-//! run head-to-head), `hybrid` (signature + diagnosis combination,
-//! Section 5.1), `proactive` (failure forecasting, Section 5.3),
+//! Line 9 of that loop is one function, `policy::choose`: it asks a
+//! constant list of fix sources — the synopsis above a confidence floor,
+//! a panel of diagnosis engines, the cheapest untried candidate, escalation
+//! — for the first fix not yet tried.  [`HybridHealer`] is the one online
+//! healer: every policy of Table 2 but no healing (the manual rule base,
+//! the three diagnosis-based engines, FixSym, and the signature + diagnosis
+//! hybrid of Section 5.1) is one of these lists, held in
+//! [`harness::PolicyChoice`], and `FixSymEngine` drives the same
+//! `choose`.
+//!
+//! The crate also provides `proactive` (failure forecasting, Section 5.3),
 //! [`control`] (settling time / overshoot / oscillation of the healing loop,
 //! Section 5.4), [`store`] (pluggable [`store::SynopsisStore`] homes for the
 //! learned model: private, lock-shared, or sharded by symptom-space region),

@@ -1,16 +1,24 @@
-//! Healing policies: episode tracking, fix targeting, and healers that wrap
-//! the manual rule base and the three diagnosis-based engines so every
-//! approach in Table 2 of the paper can drive the simulated service through
-//! the same [`Healer`] interface.
+//! Healing policies: episode tracking, fix targeting, and line 9 of
+//! Figure 3 — [`choose`], which asks a healer's constant list of fix
+//! [`Source`]s (the synopsis, a [`DiagnosisPanel`] over the manual rule base
+//! or the diagnosis engines, the cheapest untried candidate, escalation) for
+//! the next fix, so every approach in Table 2 of the paper drives the
+//! simulated service through the same [`crate::HybridHealer`].
 
+use crate::synopsis::Learner;
 use selfheal_diagnosis::{
-    AnomalyDetector, BottleneckAnalyzer, CorrelationAnalyzer, DiagnosisContext, ManualRuleBase,
+    AnomalyDetector, BottleneckAnalyzer, CorrelationAnalyzer, Diagnosis, DiagnosisContext,
+    ManualRuleBase,
 };
 use selfheal_faults::{FaultTarget, FixAction, FixKind};
-use selfheal_sim::scenario::Healer;
 use selfheal_sim::service::TickOutcome;
 use selfheal_telemetry::{Sample, Schema, SeriesStore, SloTargets};
 use std::collections::HashSet;
+
+/// Ticks every online healer waits after a fix completes before judging
+/// whether it worked ("care should be taken to let the service recover
+/// fully").
+pub(crate) const VERIFY_TICKS: u32 = 25;
 
 /// Tracks the state of the current failure episode for an online healer:
 /// which fixes have been tried, whether a fix is in flight, and whether the
@@ -69,20 +77,6 @@ impl EpisodeTracker {
         self.pending = Some(action);
         self.verify_remaining = None;
         self.in_episode = true;
-    }
-
-    /// [`record_attempt`](Self::record_attempt), returning the fix as this
-    /// tick's actions — how a healer's `observe` initiates its choice.
-    pub(crate) fn attempt(&mut self, action: FixAction) -> Vec<FixAction> {
-        self.record_attempt(action);
-        vec![action]
-    }
-
-    /// Initiates the escalation of Figure 3, line 19 — restart the service
-    /// (and notify the administrator) — and returns it as this tick's
-    /// actions.  Every healer escalates through here.
-    pub(crate) fn escalate(&mut self) -> Vec<FixAction> {
-        self.attempt(FixAction::untargeted(FixKind::FullServiceRestart))
     }
 
     /// Advances the tracker with this tick's outcome.  Returns
@@ -209,72 +203,73 @@ pub(crate) fn target_for_fix(kind: FixKind, schema: &Schema, sample: &Sample) ->
     }
 }
 
-/// The diagnosis engines a signature-less healer consults (Section 5.1):
-/// the anomaly detector, the bottleneck analyzer and the manual rule base,
-/// evaluated over one shared metric history.
-///
-/// The history holds the most any engine reads — the largest of their
-/// `history()`, 35 samples for the standard windows — and no more: every
-/// engine reads only the latest rows, so a longer store would answer the
-/// same (`crates/diagnosis/tests/history.rs` holds each engine to a
-/// 4 096-row store).  The engines are private to the panel, so their
-/// windows cannot change after the store is sized.
-#[derive(Debug)]
-pub(crate) struct DiagnosisPanel {
-    series: SeriesStore,
-    pub(crate) ctx: DiagnosisContext,
-    anomaly: AnomalyDetector,
-    bottleneck: BottleneckAnalyzer,
-    manual: ManualRuleBase,
+/// Where line 9 of Figure 3 (`probFix = suggest_fix(S, f, F)`) may take the
+/// next fix from.  Every online healer and the offline engine hold a
+/// constant list of sources; [`choose`] asks them in order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Source {
+    /// The synopsis's best untried suggestion, when its confidence is at
+    /// least `min_confidence` (every learner's confidence lies in `[0, 1]`,
+    /// so 0 means no floor).
+    Synopsis { min_confidence: f64 },
+    /// The diagnosis panel's most confident untried recommendation;
+    /// provisioning is additive, so `repeat_provisioning` lets
+    /// `ProvisionResources` be chosen again within an episode.
+    Diagnosis { repeat_provisioning: bool },
+    /// The cheapest untried candidate of F, escalations excluded ("domain
+    /// knowledge may be used").
+    CheapestUntried,
+    /// Lines 18–20: restart the service and notify the administrator.
+    /// Always offers the restart; the healer applies it on the first tick
+    /// it comes up after `idle_ticks` such ticks since the healer's last
+    /// fix (waiting for the detectors' history).
+    Escalate { idle_ticks: u32 },
 }
 
-impl DiagnosisPanel {
-    pub(crate) fn new(schema: &Schema, targets: SloTargets) -> Self {
-        let (anomaly, bottleneck, manual) = (
-            AnomalyDetector::standard(),
-            BottleneckAnalyzer::standard(),
-            ManualRuleBase::standard(),
-        );
-        let history = anomaly
-            .history()
-            .max(bottleneck.history())
-            .max(manual.history());
-        DiagnosisPanel {
-            series: SeriesStore::new(schema.clone(), history),
-            ctx: DiagnosisContext::from_schema(schema, targets),
-            anomaly,
-            bottleneck,
-            manual,
-        }
-    }
-
-    /// Appends this tick's sample to the history the engines diagnose.
-    pub(crate) fn push(&mut self, sample: &Sample) {
-        self.series.push_copy(sample);
-    }
-
-    /// Ranks every engine's recommendations by confidence and returns the
-    /// best one whose fix kind is not in `tried`.
-    pub(crate) fn best_untried(&self, tried: &HashSet<FixKind>) -> Option<FixAction> {
-        let mut candidates = self.anomaly.diagnose(&self.series, &self.ctx);
-        candidates.extend(self.bottleneck.diagnose(&self.series, &self.ctx));
-        let mut manual = self.manual.diagnose(&self.series, &self.ctx);
-        // The manual catch-all restart is a last resort, not a fallback peer.
-        manual.retain(|d| d.fix.kind != FixKind::FullServiceRestart);
-        candidates.extend(manual);
-        candidates.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .expect("finite confidence")
-        });
-        candidates
-            .into_iter()
-            .find(|d| !tried.contains(&d.fix.kind))
-            .map(|d| d.fix)
-    }
+/// Line 9: the first of `sources` that offers a fix whose kind is not in
+/// `tried`, with the source and its confidence (0 for the last two
+/// sources).  `target` aims a kind the synopsis or the candidate set
+/// names; a diagnosis carries its own target.
+pub(crate) fn choose(
+    sources: &[Source],
+    synopsis: Option<&impl Learner>,
+    panel: Option<&DiagnosisPanel>,
+    symptoms: &[f64],
+    tried: &HashSet<FixKind>,
+    target: impl Fn(FixKind) -> FixAction,
+) -> Option<(FixAction, Source, f64)> {
+    sources.iter().find_map(|&source| {
+        let (action, score) = match source {
+            Source::Synopsis { min_confidence } => synopsis?
+                .suggest_excluding(symptoms, tried)
+                .filter(|(_, confidence)| *confidence >= min_confidence)
+                .map(|(kind, confidence)| (target(kind), confidence))?,
+            Source::Diagnosis {
+                repeat_provisioning,
+            } => panel?.best_untried(tried, repeat_provisioning)?,
+            Source::CheapestUntried => (target(cheapest_untried(tried)?), 0.0),
+            Source::Escalate { .. } => (FixAction::untargeted(FixKind::FullServiceRestart), 0.0),
+        };
+        Some((action, source, score))
+    })
 }
 
-/// The diagnosis engine wrapped by a [`DiagnosisHealer`].
+/// The cheapest fix of the candidate set F of Figure 3 not yet tried in this
+/// episode (escalations excluded).
+fn cheapest_untried(tried: &HashSet<FixKind>) -> Option<FixKind> {
+    FixKind::CANDIDATES
+        .iter()
+        .filter(|f| !tried.contains(f) && !f.is_escalation())
+        .min_by(|a, b| {
+            a.default_cost()
+                .penalty()
+                .partial_cmp(&b.default_cost().penalty())
+                .expect("finite penalties")
+        })
+        .copied()
+}
+
+/// One diagnosis engine of a [`DiagnosisPanel`].
 #[derive(Debug)]
 pub(crate) enum DiagnosisEngine {
     /// Manual rule-based baseline (Section 3).
@@ -288,13 +283,18 @@ pub(crate) enum DiagnosisEngine {
 }
 
 impl DiagnosisEngine {
-    fn label(&self) -> &'static str {
-        match self {
-            DiagnosisEngine::Manual(_) => "manual_rules",
-            DiagnosisEngine::Anomaly(_) => "anomaly_detection",
-            DiagnosisEngine::Correlation(_) => "correlation_analysis",
-            DiagnosisEngine::Bottleneck(_) => "bottleneck_analysis",
-        }
+    /// The engines the hybrid and proactive healers consult (Section 5.1):
+    /// the anomaly detector, the bottleneck analyzer, and the manual rules
+    /// without their catch-all restart, which is a last resort and not a
+    /// peer (no specific rule yields a restart).
+    pub(crate) fn hybrid() -> Vec<DiagnosisEngine> {
+        let mut manual = ManualRuleBase::standard();
+        manual.catch_all_restart = false;
+        vec![
+            DiagnosisEngine::Anomaly(AnomalyDetector::standard()),
+            DiagnosisEngine::Bottleneck(BottleneckAnalyzer::standard()),
+            DiagnosisEngine::Manual(manual),
+        ]
     }
 
     /// How many of the latest samples the engine's `diagnose` reads.
@@ -306,143 +306,91 @@ impl DiagnosisEngine {
             DiagnosisEngine::Bottleneck(e) => e.history(),
         }
     }
+
+    fn diagnose(&self, series: &SeriesStore, ctx: &DiagnosisContext) -> Vec<Diagnosis> {
+        match self {
+            DiagnosisEngine::Manual(e) => e.diagnose(series, ctx),
+            DiagnosisEngine::Anomaly(e) => e.diagnose(series, ctx),
+            DiagnosisEngine::Correlation(e) => e.diagnose(series, ctx),
+            DiagnosisEngine::Bottleneck(e) => e.diagnose(series, ctx),
+        }
+    }
 }
 
-/// A healer that drives the service with one diagnosis-based engine (or the
-/// manual rule base).
+/// One or more diagnosis engines evaluated over one shared metric history.
 ///
-/// Its metric history holds the engine's `history()` samples and no more
-/// (the correlation analyzer's own observation window is separate).  The
-/// engine is private to the healer once built, so its windows cannot change
-/// after the store is sized.
+/// The history holds the most any engine reads — the largest of their
+/// `history()`, 35 samples for the hybrid's standard windows — and no more:
+/// every engine reads only the latest rows, so a longer store would answer
+/// the same (`crates/diagnosis/tests/history.rs` holds each engine to a
+/// 4 096-row store).  The engines are private to the panel, so their
+/// windows cannot change after the store is sized.  (The correlation
+/// analyzer's own observation window is separate.)
 #[derive(Debug)]
-pub(crate) struct DiagnosisHealer {
-    engine: DiagnosisEngine,
+pub(crate) struct DiagnosisPanel {
     series: SeriesStore,
-    ctx: DiagnosisContext,
-    tracker: EpisodeTracker,
-    name: &'static str,
-    /// Ticks spent in violation with nothing (new) to suggest; once it
-    /// exceeds `max_wait_ticks` the healer escalates rather than waiting
-    /// forever for more data.
-    idle_violation_ticks: u32,
-    max_wait_ticks: u32,
+    pub(crate) ctx: DiagnosisContext,
+    engines: Vec<DiagnosisEngine>,
 }
 
-impl DiagnosisHealer {
-    /// Creates a healer around the given engine for a service with `schema`
-    /// and the given SLO targets (used as the failure indicator by the
-    /// correlation analyzer).
-    pub(crate) fn new(engine: DiagnosisEngine, schema: &Schema, targets: SloTargets) -> Self {
-        let ctx = DiagnosisContext::from_schema(schema, targets);
-        let name = engine.label();
-        DiagnosisHealer {
-            series: SeriesStore::new(schema.clone(), engine.history().max(1)),
-            engine,
-            ctx,
-            tracker: EpisodeTracker::new(3, 25),
-            name,
-            idle_violation_ticks: 0,
-            max_wait_ticks: 90,
+impl DiagnosisPanel {
+    pub(crate) fn new(schema: &Schema, targets: SloTargets, engines: Vec<DiagnosisEngine>) -> Self {
+        let history = engines
+            .iter()
+            .map(DiagnosisEngine::history)
+            .fold(1, usize::max);
+        DiagnosisPanel {
+            series: SeriesStore::new(schema.clone(), history),
+            ctx: DiagnosisContext::from_schema(schema, targets),
+            engines,
         }
     }
 
-    /// Convenience constructors for the four engines.
-    pub(crate) fn manual(schema: &Schema, targets: SloTargets) -> Self {
-        Self::new(
-            DiagnosisEngine::Manual(ManualRuleBase::standard()),
-            schema,
-            targets,
-        )
-    }
-
-    /// Anomaly-detection healer with the standard window sizes.
-    pub(crate) fn anomaly(schema: &Schema, targets: SloTargets) -> Self {
-        Self::new(
-            DiagnosisEngine::Anomaly(AnomalyDetector::standard()),
-            schema,
-            targets,
-        )
-    }
-
-    /// Correlation-analysis healer with the standard window.
-    pub(crate) fn correlation(schema: &Schema, targets: SloTargets) -> Self {
-        let ctx = DiagnosisContext::from_schema(schema, targets);
-        Self::new(
-            DiagnosisEngine::Correlation(CorrelationAnalyzer::standard(&ctx)),
-            schema,
-            targets,
-        )
-    }
-
-    /// Bottleneck-analysis healer with the standard thresholds.
-    pub(crate) fn bottleneck(schema: &Schema, targets: SloTargets) -> Self {
-        Self::new(
-            DiagnosisEngine::Bottleneck(BottleneckAnalyzer::standard()),
-            schema,
-            targets,
-        )
-    }
-}
-
-impl Healer for DiagnosisHealer {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn observe(&mut self, outcome: &TickOutcome) -> Vec<FixAction> {
-        let violated = !outcome.violations.is_empty();
-        self.series.push_copy(&outcome.sample);
-        if let DiagnosisEngine::Correlation(analyzer) = &mut self.engine {
-            analyzer.observe(&outcome.sample, violated);
+    /// Appends this tick's sample to the history the engines diagnose.
+    pub(crate) fn push(&mut self, sample: &Sample, violated: bool) {
+        self.series.push_copy(sample);
+        for engine in &mut self.engines {
+            if let DiagnosisEngine::Correlation(analyzer) = engine {
+                analyzer.observe(sample, violated);
+            }
         }
+    }
 
-        let _ = self.tracker.resolve(outcome, violated);
-        if !self.tracker.should_act(violated) {
-            return Vec::new();
-        }
-        if self.tracker.exhausted() {
-            return self.tracker.escalate();
-        }
-
-        let diagnoses = match &self.engine {
-            DiagnosisEngine::Manual(e) => e.diagnose(&self.series, &self.ctx),
-            DiagnosisEngine::Anomaly(e) => e.diagnose(&self.series, &self.ctx),
-            DiagnosisEngine::Correlation(e) => e.diagnose(&self.series, &self.ctx),
-            DiagnosisEngine::Bottleneck(e) => e.diagnose(&self.series, &self.ctx),
-        };
-        let tried = self.tracker.tried_kinds();
-        // Provisioning is additive (each application adds capacity), so it
-        // may be repeated; every other fix kind is only tried once per
-        // episode.
-        let next = diagnoses
+    /// Ranks every engine's recommendations by confidence (a stable sort, so
+    /// one engine keeps its own ranking) and returns the best one whose fix
+    /// kind is not in `tried`, with its confidence.
+    pub(crate) fn best_untried(
+        &self,
+        tried: &HashSet<FixKind>,
+        repeat_provisioning: bool,
+    ) -> Option<(FixAction, f64)> {
+        let mut candidates: Vec<Diagnosis> = self
+            .engines
+            .iter()
+            .flat_map(|engine| engine.diagnose(&self.series, &self.ctx))
+            .collect();
+        candidates.sort_by(|a, b| {
+            b.confidence
+                .partial_cmp(&a.confidence)
+                .expect("finite confidence")
+        });
+        candidates
             .into_iter()
-            .find(|d| !tried.contains(&d.fix.kind) || d.fix.kind == FixKind::ProvisionResources);
-        match next {
-            Some(diagnosis) => {
-                self.idle_violation_ticks = 0;
-                self.tracker.attempt(diagnosis.fix)
-            }
-            None => {
-                // The engine has nothing (new) to suggest.  Wait a bounded
-                // amount of time for more data (the detectors need history),
-                // then fall back to the expensive universal fix.
-                self.idle_violation_ticks += 1;
-                if self.idle_violation_ticks > self.max_wait_ticks {
-                    self.idle_violation_ticks = 0;
-                    self.tracker.escalate()
-                } else {
-                    Vec::new()
-                }
-            }
-        }
+            .find(|d| {
+                !tried.contains(&d.fix.kind)
+                    || (repeat_provisioning && d.fix.kind == FixKind::ProvisionResources)
+            })
+            .map(|d| (d.fix, d.confidence))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::PolicyChoice;
+    use crate::synopsis::Synopsis;
     use selfheal_faults::{FaultId, FaultKind, FaultSpec};
+    use selfheal_sim::scenario::Healer;
     use selfheal_sim::{MultiTierService, ServiceConfig};
     use selfheal_workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
 
@@ -451,6 +399,17 @@ mod tests {
         pub(crate) fn escalations(&self) -> u64 {
             self.escalations
         }
+    }
+
+    /// The one-engine healer `policy` names, which learns nothing.
+    fn baseline(
+        policy: PolicyChoice,
+        schema: &Schema,
+        targets: SloTargets,
+    ) -> crate::HybridHealer<Synopsis> {
+        policy
+            .healer(schema, targets, None)
+            .expect("a diagnosis policy")
     }
 
     fn run_with_healer<H: Healer>(
@@ -497,6 +456,136 @@ mod tests {
         assert_eq!(tracker.escalations(), 0);
     }
 
+    /// A synopsis that always suggests one fix, unless it was tried.
+    struct Fixed(FixKind, f64);
+
+    impl Learner for Fixed {
+        fn suggest(&self, _: &[f64]) -> Option<(FixKind, f64)> {
+            Some((self.0, self.1))
+        }
+
+        fn suggest_excluding(
+            &self,
+            _: &[f64],
+            excluded: &HashSet<FixKind>,
+        ) -> Option<(FixKind, f64)> {
+            (!excluded.contains(&self.0)).then_some((self.0, self.1))
+        }
+
+        fn record(&mut self, _: &[f64], _: FixKind, _: bool) {}
+
+        fn correct_fixes_learned(&self) -> usize {
+            0
+        }
+    }
+
+    /// One rule of [`choose`]: what it says, the sources, the panel, the
+    /// kinds already tried, and the fix and source expected.
+    type Row<'a> = (
+        &'a str,
+        &'a [Source],
+        &'a DiagnosisPanel,
+        &'a [FixKind],
+        Option<(FixKind, Source)>,
+    );
+
+    #[test]
+    fn choose_takes_the_first_source_that_offers_an_untried_fix() {
+        use FixKind::*;
+        use Source::{CheapestUntried, Diagnosis, Escalate};
+        let config = ServiceConfig::tiny();
+        let schema = MultiTierService::new(config.clone()).schema().clone();
+        // A manual-rules panel that has seen one sample with `metric` high.
+        let panel = |metric: &str, value: f64| {
+            let manual = DiagnosisEngine::Manual(ManualRuleBase::standard());
+            let mut panel = DiagnosisPanel::new(&schema, config.slo_targets(), vec![manual]);
+            let mut sample = Sample::zeroed(&schema, 0);
+            sample.set(schema.expect_id(metric), value);
+            panel.push(&sample, true);
+            panel
+        };
+        let provisions = panel("db.util", 0.99);
+        let repartitions = panel("db.buffer_miss_rate", 0.9);
+        let synopsis = Fixed(RebootTier, 0.3);
+        let (floor_03, floor_05) = (
+            Source::Synopsis {
+                min_confidence: 0.3,
+            },
+            Source::Synopsis {
+                min_confidence: 0.5,
+            },
+        );
+        let (repeat, once) = (
+            Diagnosis {
+                repeat_provisioning: true,
+            },
+            Diagnosis {
+                repeat_provisioning: false,
+            },
+        );
+        let escalate = Escalate { idle_ticks: 90 };
+        let non_escalations: Vec<FixKind> = FixKind::CANDIDATES
+            .into_iter()
+            .filter(|kind| !kind.is_escalation())
+            .collect();
+        #[rustfmt::skip]
+        let rows: [Row; 14] = [
+            ("a suggestion at the floor is taken", &[floor_03, CheapestUntried], &provisions, &[], Some((RebootTier, floor_03))),
+            ("a suggestion below the floor falls through", &[floor_05, CheapestUntried], &provisions, &[], Some((KillHungQuery, CheapestUntried))),
+            ("a tried suggestion falls through", &[floor_03, escalate], &provisions, &[RebootTier], Some((FullServiceRestart, escalate))),
+            ("provisioning may repeat", &[repeat], &provisions, &[ProvisionResources], Some((ProvisionResources, repeat))),
+            ("provisioning may not repeat", &[once], &provisions, &[ProvisionResources], None),
+            ("an untried diagnosis is taken", &[once], &repartitions, &[ProvisionResources], Some((RepartitionMemory, once))),
+            ("repeating covers only provisioning", &[repeat], &repartitions, &[RepartitionMemory], None),
+            ("the cheapest candidate first", &[CheapestUntried], &provisions, &[], Some((KillHungQuery, CheapestUntried))),
+            ("the cheapest untried candidate", &[CheapestUntried], &provisions, &[KillHungQuery], Some((MicrorebootEjb, CheapestUntried))),
+            ("escalations are never the cheapest", &[CheapestUntried], &provisions, &non_escalations, None),
+            ("escalation always offers the restart", &[escalate], &provisions, &[FullServiceRestart], Some((FullServiceRestart, escalate))),
+            ("the first source wins", &[CheapestUntried, floor_03], &provisions, &[], Some((KillHungQuery, CheapestUntried))),
+            ("an empty source falls through", &[once, floor_03], &provisions, &[ProvisionResources], Some((RebootTier, floor_03))),
+            ("no sources, no fix", &[], &provisions, &[], None),
+        ];
+        for (rule, sources, panel, tried, expected) in rows {
+            let tried = tried.iter().copied().collect();
+            let chosen = choose(
+                sources,
+                Some(&synopsis),
+                Some(panel),
+                &[],
+                &tried,
+                FixAction::untargeted,
+            );
+            assert_eq!(
+                chosen.map(|(fix, source, _)| (fix.kind, source)),
+                expected,
+                "{rule}"
+            );
+        }
+        // The score is the source's confidence, 0 for the two fallbacks; a
+        // healer without a synopsis or a panel skips those sources.
+        let none = HashSet::new();
+        let score = |sources: &[Source], synopsis: Option<&Fixed>, panel| {
+            choose(sources, synopsis, panel, &[], &none, FixAction::untargeted)
+                .map(|(fix, _, score)| (fix.kind, score))
+        };
+        assert_eq!(
+            score(&[floor_03], Some(&synopsis), None),
+            Some((RebootTier, 0.3))
+        );
+        assert_eq!(
+            score(&[once], None, Some(&repartitions)),
+            Some((RepartitionMemory, 0.7))
+        );
+        assert_eq!(
+            score(&[CheapestUntried], None, None),
+            Some((KillHungQuery, 0.0))
+        );
+        assert_eq!(
+            score(&[floor_03, once, escalate], None, None),
+            Some((FullServiceRestart, 0.0))
+        );
+    }
+
     #[test]
     fn target_selection_picks_the_implicated_components() {
         let config = ServiceConfig::tiny();
@@ -522,7 +611,7 @@ mod tests {
     fn manual_rule_healer_repairs_a_buffer_contention_fault() {
         let config = ServiceConfig::tiny();
         let schema = MultiTierService::new(config.clone()).schema().clone();
-        let healer = DiagnosisHealer::manual(&schema, config.slo_targets());
+        let healer = baseline(PolicyChoice::ManualRules, &schema, config.slo_targets());
         let (service, healer, fixes) = run_with_healer(
             healer,
             FaultKind::BufferContention,
@@ -542,7 +631,11 @@ mod tests {
     fn bottleneck_healer_provisions_a_bottlenecked_tier() {
         let config = ServiceConfig::tiny();
         let schema = MultiTierService::new(config.clone()).schema().clone();
-        let healer = DiagnosisHealer::bottleneck(&schema, config.slo_targets());
+        let healer = baseline(
+            PolicyChoice::BottleneckAnalysis,
+            &schema,
+            config.slo_targets(),
+        );
         let (service, _healer, fixes) = run_with_healer(
             healer,
             FaultKind::BottleneckedTier,
@@ -560,7 +653,11 @@ mod tests {
     fn anomaly_healer_microreboots_a_failing_ejb() {
         let config = ServiceConfig::tiny();
         let schema = MultiTierService::new(config.clone()).schema().clone();
-        let healer = DiagnosisHealer::anomaly(&schema, config.slo_targets());
+        let healer = baseline(
+            PolicyChoice::AnomalyDetection,
+            &schema,
+            config.slo_targets(),
+        );
         let (service, _healer, fixes) = run_with_healer(
             healer,
             FaultKind::UnhandledException,

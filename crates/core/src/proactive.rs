@@ -14,7 +14,7 @@
 //! the generic remedy for gradual degradation such as software aging).
 //! When a violation does slip through, it reacts like the reactive hybrid.
 
-use crate::policy::{DiagnosisPanel, EpisodeTracker};
+use crate::policy::{DiagnosisEngine, DiagnosisPanel, EpisodeTracker, VERIFY_TICKS};
 use selfheal_faults::{FaultTarget, FixAction, FixKind};
 use selfheal_learn::forecast::{steps_until_threshold, Forecaster, SlidingLinearTrend};
 use selfheal_sim::scenario::Healer;
@@ -22,16 +22,18 @@ use selfheal_sim::service::TickOutcome;
 use selfheal_telemetry::{Schema, SloTargets};
 use std::collections::HashSet;
 
+/// How far ahead (ticks) the forecast must cross the SLO before acting.
+const HORIZON_TICKS: usize = 60;
+
+/// Minimum ticks between proactive interventions.
+const COOLDOWN_TICKS: u64 = 120;
+
 /// Forecast-driven proactive healer.
 #[derive(Debug)]
 pub(crate) struct ProactiveHealer {
     panel: DiagnosisPanel,
     forecaster: SlidingLinearTrend,
     tracker: EpisodeTracker,
-    /// How far ahead (ticks) the forecast must cross the SLO before acting.
-    pub horizon_ticks: usize,
-    /// Minimum ticks between proactive interventions.
-    pub cooldown_ticks: u64,
     last_proactive_at: Option<u64>,
     proactive_fixes: u64,
     reactive_fixes: u64,
@@ -42,11 +44,9 @@ impl ProactiveHealer {
     /// SLO targets.
     pub(crate) fn new(schema: &Schema, targets: SloTargets) -> Self {
         ProactiveHealer {
-            panel: DiagnosisPanel::new(schema, targets),
+            panel: DiagnosisPanel::new(schema, targets, DiagnosisEngine::hybrid()),
             forecaster: SlidingLinearTrend::new(30),
-            tracker: EpisodeTracker::new(3, 25),
-            horizon_ticks: 60,
-            cooldown_ticks: 120,
+            tracker: EpisodeTracker::new(3, VERIFY_TICKS),
             last_proactive_at: None,
             proactive_fixes: 0,
             reactive_fixes: 0,
@@ -61,7 +61,7 @@ impl Healer for ProactiveHealer {
 
     fn observe(&mut self, outcome: &TickOutcome) -> Vec<FixAction> {
         let violated = !outcome.violations.is_empty();
-        self.panel.push(&outcome.sample);
+        self.panel.push(&outcome.sample, violated);
         self.forecaster
             .observe(outcome.sample.get(self.panel.ctx.response_ms));
 
@@ -70,12 +70,17 @@ impl Healer for ProactiveHealer {
         // Reactive path when a violation slipped through.
         if self.tracker.should_act(violated) {
             self.reactive_fixes += 1;
-            if !self.tracker.exhausted() {
-                if let Some(action) = self.panel.best_untried(&self.tracker.tried_kinds()) {
-                    return self.tracker.attempt(action);
-                }
-            }
-            return self.tracker.escalate();
+            let diagnosed = if self.tracker.exhausted() {
+                None
+            } else {
+                self.panel.best_untried(&self.tracker.tried_kinds(), false)
+            };
+            let action = diagnosed.map_or(
+                FixAction::untargeted(FixKind::FullServiceRestart),
+                |(action, _)| action,
+            );
+            self.tracker.record_attempt(action);
+            return vec![action];
         }
 
         // Proactive path: act when the forecast crosses the SLO soon.
@@ -84,7 +89,7 @@ impl Healer for ProactiveHealer {
         }
         let in_cooldown = self
             .last_proactive_at
-            .map(|t| outcome.tick.saturating_sub(t) < self.cooldown_ticks)
+            .map(|t| outcome.tick.saturating_sub(t) < COOLDOWN_TICKS)
             .unwrap_or(false);
         if in_cooldown || self.forecaster.observations() < 30 {
             return Vec::new();
@@ -92,7 +97,7 @@ impl Healer for ProactiveHealer {
         let crossing = steps_until_threshold(
             &self.forecaster,
             self.panel.ctx.slo_response_ms,
-            self.horizon_ticks,
+            HORIZON_TICKS,
         );
         if crossing.is_none() {
             return Vec::new();
@@ -101,10 +106,10 @@ impl Healer for ProactiveHealer {
         // A violation is coming: pick the best preventive fix from the
         // diagnosis engines, defaulting to rejuvenating the application tier
         // (the classic countermeasure to gradual degradation).
-        let action = self
-            .panel
-            .best_untried(&HashSet::new())
-            .unwrap_or_else(|| FixAction::targeted(FixKind::RebootTier, FaultTarget::AppTier));
+        let action = self.panel.best_untried(&HashSet::new(), false).map_or_else(
+            || FixAction::targeted(FixKind::RebootTier, FaultTarget::AppTier),
+            |(action, _)| action,
+        );
         self.last_proactive_at = Some(outcome.tick);
         self.proactive_fixes += 1;
         vec![action]

@@ -26,8 +26,8 @@
 //!
 //! Healing policies stay written against the [`Learner`] trait; every store
 //! implements it (as does `Box<dyn SynopsisStore>`), so
-//! `crate::FixSymHealer` and [`crate::HybridHealer`] are oblivious to
-//! which store backs them.
+//! [`crate::HybridHealer`] — every learning policy's healer — is oblivious
+//! to which store backs it.
 
 use crate::snapshot::{SnapshotLog, SynopsisSnapshot};
 use crate::synopsis::{Learner, Synopsis, SynopsisKind};

@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 /// work identically against a privately owned [`Synopsis`] or a handle to
 /// fleet-shared state (e.g. [`crate::store::ShardedStore`]).
 ///
-/// This is the seam the fleet engine plugs into: `crate::FixSymHealer` and
-/// [`crate::HybridHealer`] are generic over `Learner`, so one replica's
+/// This is the seam the fleet engine plugs into: [`crate::HybridHealer`],
+/// the one online healer, is generic over `Learner`, so one replica's
 /// healer can consult — and teach — a synopsis that every other replica in
 /// the fleet shares.
 pub trait Learner: Send {

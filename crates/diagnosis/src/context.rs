@@ -100,22 +100,6 @@ mod tests {
     use super::*;
     use selfheal_telemetry::{MetricKind, SchemaBuilder, SloTargets, Tier};
 
-    impl DiagnosisContext {
-        /// Drops the invasive per-component metrics, modelling a service that
-        /// only exposes noninvasive instrumentation (Section 4.2).
-        pub(crate) fn noninvasive(mut self) -> Self {
-            self.ejb_calls.clear();
-            self.ejb_errors.clear();
-            self.table_accesses.clear();
-            self
-        }
-
-        /// Returns `true` when per-component (invasive) metrics are available.
-        pub(crate) fn has_invasive_data(&self) -> bool {
-            !self.ejb_calls.is_empty() || !self.table_accesses.is_empty()
-        }
-    }
-
     fn sim_like_schema(ejbs: usize, tables: usize) -> Schema {
         let mut b = SchemaBuilder::new()
             .metric("svc.response_ms", Tier::Service, MetricKind::LatencyMs)
@@ -152,18 +136,7 @@ mod tests {
         assert_eq!(ctx.ejb_calls.len(), 4);
         assert_eq!(ctx.ejb_errors.len(), 4);
         assert_eq!(ctx.table_accesses.len(), 3);
-        assert!(ctx.has_invasive_data());
         assert_eq!(ctx.slo_response_ms, 200.0);
-    }
-
-    #[test]
-    fn noninvasive_context_drops_component_metrics() {
-        let schema = sim_like_schema(4, 3);
-        let ctx =
-            DiagnosisContext::from_schema(&schema, SloTargets::new(200.0, 0.05)).noninvasive();
-        assert!(ctx.ejb_calls.is_empty());
-        assert!(ctx.table_accesses.is_empty());
-        assert!(!ctx.has_invasive_data());
     }
 
     #[test]
@@ -171,7 +144,7 @@ mod tests {
         let schema = sim_like_schema(0, 0);
         let ctx = DiagnosisContext::from_schema(&schema, SloTargets::new(100.0, 0.01));
         assert!(ctx.ejb_calls.is_empty());
-        assert!(!ctx.has_invasive_data());
+        assert!(ctx.table_accesses.is_empty());
     }
 
     #[test]

@@ -158,18 +158,6 @@ mod tests {
     use super::*;
     use selfheal_telemetry::{MetricKind, Sample, Schema, SchemaBuilder, SloTargets, Tier};
 
-    impl ManualRuleBase {
-        /// Number of specific (non-catch-all) rules.
-        pub(crate) fn rule_count(&self) -> usize {
-            self.rules.len()
-        }
-
-        /// The rule descriptions (for documentation output).
-        pub(crate) fn descriptions(&self) -> Vec<&str> {
-            self.rules.iter().map(|r| r.description.as_str()).collect()
-        }
-    }
-
     fn schema() -> Schema {
         let mut b = SchemaBuilder::new()
             .metric("svc.response_ms", Tier::Service, MetricKind::LatencyMs)
@@ -247,8 +235,6 @@ mod tests {
         let diagnoses = base.diagnose(&s, &ctx);
         assert_eq!(diagnoses[0].fix.kind, FixKind::FullServiceRestart);
         assert!(diagnoses[0].confidence < 0.3);
-        assert_eq!(base.rule_count(), 5);
-        assert_eq!(base.descriptions().len(), 5);
     }
 
     #[test]

@@ -15,10 +15,6 @@ pub enum DiagnosisMethod {
     BottleneckAnalysis,
     /// The manual rule-based baseline.
     ManualRules,
-    /// The signature-based FixSym engine (defined in `selfheal-core`, but
-    /// the method enum lives here so hybrid policies can label every
-    /// recommendation uniformly).
-    Signature,
 }
 
 /// One ranked recommendation.
@@ -143,19 +139,6 @@ pub(crate) fn busiest_component(metrics: &[MetricId], window: &Window) -> Option
 mod tests {
     use super::*;
 
-    impl DiagnosisMethod {
-        /// Short label used in benchmark output.
-        pub(crate) fn label(self) -> &'static str {
-            match self {
-                DiagnosisMethod::AnomalyDetection => "anomaly",
-                DiagnosisMethod::CorrelationAnalysis => "correlation",
-                DiagnosisMethod::BottleneckAnalysis => "bottleneck",
-                DiagnosisMethod::ManualRules => "manual",
-                DiagnosisMethod::Signature => "fixsym",
-            }
-        }
-    }
-
     #[test]
     fn rank_orders_by_confidence() {
         let a = Diagnosis::new(
@@ -184,20 +167,5 @@ mod tests {
             "x",
         );
         assert_eq!(d.confidence, 1.0);
-    }
-
-    #[test]
-    fn method_labels_are_unique() {
-        let methods = [
-            DiagnosisMethod::AnomalyDetection,
-            DiagnosisMethod::CorrelationAnalysis,
-            DiagnosisMethod::BottleneckAnalysis,
-            DiagnosisMethod::ManualRules,
-            DiagnosisMethod::Signature,
-        ];
-        let mut labels: Vec<&str> = methods.iter().map(|m| m.label()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), methods.len());
     }
 }
