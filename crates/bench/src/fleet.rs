@@ -1,24 +1,25 @@
-//! The fleet experiments behind the `fleet_scaling` binary,
-//! `tests/reactive.rs` and `examples/reactive_chaos.rs`.
+//! The fleet experiments: measured by the `fleet_scaling` binary, asserted
+//! by this module's tests, `tests/reactive.rs` and `tests/scheduler.rs`,
+//! and shown by `examples/reactive_chaos.rs`.
 //!
 //! Everything here is one recipe extended per scenario and one fold:
 //!
 //! * a private `base_fleet` — tiny service, constant bidding load, FixSym
 //!   healing, a 512-sample metric ring — which every scenario
-//!   ([`scaling_point`], [`smoke_fleet`], [`cold_start`],
-//!   [`warm_start_comparison`], [`storm`], [`adversary`], [`seasons`],
-//!   [`cascade`], [`mix`]) extends with only what is particular to it;
+//!   ([`scaling_point`], [`cold_start`], [`warm_start_comparison`],
+//!   [`storm`], [`adversary`], [`seasons`], [`cascade`], [`mix`]) extends
+//!   with only what is particular to it;
 //! * [`EpisodeStats`] — strikes / matched / open / mean attempts / mean
 //!   recovery folded over "the episodes that count"; the selectors
-//!   ([`injected_stats`], [`reactive_strike_stats`], [`all_episodes`],
-//!   [`fault_episodes`]) differ only in which episodes they hand the fold;
+//!   (`injected_stats`, [`reactive_strike_stats`], `all_episodes`,
+//!   `fault_episodes`) differ only in which episodes they hand the fold;
 //! * [`Experiment`] — a fleet recipe, the learner that shares it, how long
 //!   it runs (ticks | quiescence) and its selector — with the
 //!   shared-vs-isolated [`Comparison`] and the sequential ≡ parallel
 //!   equivalence leg each written once.
 
 use selfheal_core::harness::{
-    EventChoice, FaultChoice, LearnerChoice, PolicyChoice, ReactiveChoice, WorkloadChoice,
+    EventChoice, FaultChoice, LearnerChoice, PolicyChoice, ReactiveChoice,
 };
 use selfheal_core::snapshot::SynopsisSnapshot;
 use selfheal_core::synopsis::{Learner, SynopsisKind};
@@ -41,7 +42,10 @@ const KIND: FaultKind = FaultKind::BufferContention;
 fn base_fleet(replicas: usize, seed: u64) -> FleetConfig {
     FleetConfig::builder()
         .service(ServiceConfig::tiny())
-        .workload(smoke_workload())
+        .synthetic_workload(
+            WorkloadMix::bidding(),
+            ArrivalProcess::Constant { rate: 40.0 },
+        )
         .replicas(replicas)
         .base_seed(seed)
         .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
@@ -112,31 +116,6 @@ pub fn scaling_point(replicas: usize, ticks: u64, seed: u64) -> ScalingPoint {
     }
 }
 
-/// The synthetic workload every experiment runs — and the one the smoke
-/// fleet's record/replay quickstart captures to a JSON-lines trace.
-pub fn smoke_workload() -> WorkloadChoice {
-    WorkloadChoice::synthetic(
-        WorkloadMix::bidding(),
-        ArrivalProcess::Constant { rate: 40.0 },
-    )
-}
-
-/// A small FixSym fleet (one fault a quarter into the run, isolated
-/// learning) under an arbitrary workload choice — the config the
-/// `fleet_scaling` binary's `--smoke` / `--record` / `--replay` modes run,
-/// sized so CI can afford it.
-pub fn smoke_fleet(
-    replicas: usize,
-    ticks: u64,
-    seed: u64,
-    workload: WorkloadChoice,
-) -> FleetConfig {
-    base_fleet(replicas, seed)
-        .workload(workload)
-        .ticks(ticks)
-        .faults(inject_at(ticks / 4))
-}
-
 /// What a set of failure episodes cost to heal.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EpisodeStats {
@@ -205,7 +184,7 @@ fn episode_on(
 /// The injected (ground-truth-labelled) episode of each of `replicas`: warm
 /// replicas of a staggered fleet, every replica of a warm-start run, the
 /// victims of a storm.
-pub fn injected_stats(
+fn injected_stats(
     outcome: &FleetOutcome,
     replicas: impl IntoIterator<Item = usize>,
 ) -> EpisodeStats {
@@ -232,8 +211,8 @@ pub fn reactive_strike_stats(outcome: &FleetOutcome) -> EpisodeStats {
 }
 
 /// Every episode of the fleet counts — the "did the run quiesce healed"
-/// selector the mix and sweep smokes gate on.
-pub fn all_episodes(outcome: &FleetOutcome) -> EpisodeStats {
+/// selector of the mix run.
+fn all_episodes(outcome: &FleetOutcome) -> EpisodeStats {
     EpisodeStats::fold(episodes(outcome).map(Some))
 }
 
@@ -241,21 +220,12 @@ pub fn all_episodes(outcome: &FleetOutcome) -> EpisodeStats {
 /// actual fault.  Long runs grow a tail of spontaneous SLO-flap episodes
 /// with no fault behind them — a flap that opens a tick or two before
 /// quiesce is noise, not an unhealed fault, so the horizon-sensitive
-/// seasons gate leaves it unmatched.
-pub fn fault_episodes(outcome: &FleetOutcome) -> EpisodeStats {
+/// seasons test leaves it unmatched.
+fn fault_episodes(outcome: &FleetOutcome) -> EpisodeStats {
     EpisodeStats::fold(
         episodes(outcome)
             .map(|e| (e.recovery_ticks().is_some() || e.primary_fault().is_some()).then_some(e)),
     )
-}
-
-/// Distinct primary failure classes across every episode of a fleet — how
-/// much of the catalog a demographic or sweep run actually exercised.
-pub fn distinct_fault_kinds(outcome: &FleetOutcome) -> usize {
-    let kinds: std::collections::HashSet<FaultKind> = episodes(outcome)
-        .filter_map(|e| e.primary_fault())
-        .collect();
-    kinds.len()
 }
 
 /// Escalated episodes across the whole fleet.
@@ -396,7 +366,7 @@ pub struct WarmStartReport {
     /// Outcomes recorded in the snapshot the warm fleet loaded.
     pub saved_examples: usize,
     /// Successful fixes known to a freshly restored store *before* its
-    /// first tick (the CI warm-start smoke asserts this is nonzero).
+    /// first tick.
     pub preloaded_fixes: usize,
     /// The injected episode of every replica, cold fleet.
     pub cold: EpisodeStats,
@@ -414,7 +384,7 @@ impl WarmStartReport {
 
 /// Successful fixes a store of `learner`'s kind knows right after restoring
 /// `snapshot`, before its first tick — the whole point of persistence.
-pub fn preloaded_fixes(learner: LearnerChoice, snapshot: &SynopsisSnapshot) -> usize {
+fn preloaded_fixes(learner: LearnerChoice, snapshot: &SynopsisSnapshot) -> usize {
     let mut probe = learner.build_store(SynopsisKind::NearestNeighbor);
     probe.restore(snapshot);
     probe.correct_fixes_learned()
@@ -542,7 +512,7 @@ pub fn adversary(replicas: usize, seed: u64, slice: u64) -> Experiment {
     )
 }
 
-/// The fault-seasons run over [`fault_episodes`]: demographic generation
+/// The fault-seasons run over `fault_episodes`: demographic generation
 /// whose rate switches between calm (0), moderate, and stormy seasons every
 /// 128 ticks on a schedule shared by the whole fleet — correlated bad
 /// *weeks* without correlated faults.  Active for the first half of the run,
@@ -596,7 +566,7 @@ pub fn cascade(replicas: usize, seed: u64, budget: usize, slice: u64) -> Experim
 /// before quiesce.
 const MIX_ACTIVE_FRACTION: f64 = 0.5;
 
-/// The demographic-mix run over [`all_episodes`]: faults generated
+/// The demographic-mix run over `all_episodes`: faults generated
 /// stochastically from a [`ServiceProfile`]'s cause mix at `rate` per tick
 /// over the first half of the run, healed by the
 /// FixSym+diagnosis hybrid (signature learning alone cannot cover
@@ -669,7 +639,8 @@ mod tests {
 
     #[test]
     fn storm_victims_recover_faster_with_shared_learning() {
-        let report = storm(6, 42, 1).compare();
+        let experiment = storm(6, 42, 1);
+        let report = experiment.compare();
         assert_eq!(report.shared.strikes, 3, "50% of 6 replicas");
         assert!(
             report.shared.recovered() && report.shared.matched == 3,
@@ -677,6 +648,11 @@ mod tests {
             report.shared
         );
         assert!(report.shared_recovers_faster(), "{report:?}");
+        let (outcome, _) = experiment.measure(experiment.shared);
+        assert!(
+            experiment.parallel_matches(&outcome),
+            "storm runs are worker-count invariant"
+        );
     }
 
     #[test]
@@ -689,6 +665,7 @@ mod tests {
             stats.strikes >= 1,
             "a 0.02-rate mix over 300 active ticks must fault somewhere"
         );
+        assert!(stats.matched >= 1, "every mix episode is attributable");
         assert_eq!(
             stats.open, 0,
             "every demographic fault heals before quiesce"
@@ -701,9 +678,15 @@ mod tests {
 
     #[test]
     fn adversary_strikes_land_and_shared_learning_recovers_faster() {
-        let report = adversary(6, 42, 64).compare();
+        let experiment = adversary(6, 42, 64);
+        let report = experiment.compare();
         assert!(report.recovered(), "{report:?}");
         assert!(report.shared_recovers_faster(), "{report:?}");
+        let (outcome, _) = experiment.measure(experiment.shared);
+        assert!(
+            experiment.parallel_matches(&outcome),
+            "adversary runs are worker-count invariant"
+        );
     }
 
     #[test]
@@ -727,6 +710,10 @@ mod tests {
             "at least one propagation opens an attributable episode"
         );
         assert_eq!(stats.open, 0, "every attributed cascade episode heals");
+        assert!(
+            experiment.parallel_matches(&outcome),
+            "cascade runs are worker-count invariant"
+        );
     }
 
     #[test]
@@ -738,7 +725,12 @@ mod tests {
             stats.strikes >= 1,
             "a 0.06-rate stormy season must fault somewhere"
         );
+        assert!(stats.matched >= 1, "a seasonal episode is attributable");
         assert_eq!(stats.open, 0);
+        assert!(
+            experiment.parallel_matches(&outcome),
+            "seasons runs are worker-count invariant"
+        );
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-//! for the recorded results).
+//! evaluation, plus the fleet experiments of [`fleet`].
 //!
 //! Each `fig*` / `table*` function returns a
-//! [`selfheal_telemetry::export::ResultTable`] so the binary front-ends can
-//! print it and write it as CSV, and the Criterion benches can time the
-//! underlying computation on reduced sizes.
+//! [`selfheal_telemetry::export::ResultTable`]; the binary of the same name
+//! prints it and writes it to `results/<name>.csv`, and the tests run the
+//! same code at [`ExperimentScale::quick`].  `tests/paper_tables.rs` holds
+//! Table 2 to its committed CSV.  Speed numbers come from the standalone
+//! `benchmark/` package, not from this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +29,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Parameters controlling experiment sizes, so the Criterion benches can run
+/// Parameters controlling experiment sizes, so tests and examples can run
 /// reduced versions of the same code paths.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentScale {
@@ -54,7 +55,7 @@ impl ExperimentScale {
         }
     }
 
-    /// A reduced scale for Criterion benches and smoke tests.
+    /// A reduced scale for tests and examples.
     pub fn quick() -> Self {
         ExperimentScale {
             test_states: 60,

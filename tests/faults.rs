@@ -13,6 +13,7 @@ use selfheal::healing::harness::{
 use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::sim::ServiceConfig;
 use selfheal::workload::{ArrivalProcess, WorkloadMix};
+use std::collections::HashSet;
 
 fn plan() -> selfheal::faults::InjectionPlan {
     InjectionPlanBuilder::new()
@@ -109,6 +110,12 @@ fn catalog_sweep_exposes_the_healer_to_every_class() {
         outcome.recovery.len()
     );
     assert!(outcome.fixes_initiated >= 8);
+    let episodes = outcome.recovery.episodes().iter();
+    let classes: HashSet<FaultKind> = episodes.filter_map(|e| e.primary_fault()).collect();
+    assert!(
+        classes.len() >= 2,
+        "the episodes span failure classes: {classes:?}"
+    );
 }
 
 /// Composed sources merge scripted scenarios with background demographic

@@ -199,7 +199,7 @@ fn shared_synopsis_warm_starts_later_replicas() {
 }
 
 /// The record/replay contract of the workload redesign: a scenario driven by
-/// a synthetic `TraceGenerator`, captured to a JSON-lines trace, parsed
+/// a synthetic `TraceGenerator`, saved to a JSON-lines trace file, loaded
 /// back, and replayed through a `ReplaySource` produces a byte-identical
 /// `ScenarioOutcome::fingerprint()`.
 #[test]
@@ -226,12 +226,16 @@ fn recorded_trace_replays_byte_identically() {
 
     let synthetic = scenario(WorkloadChoice::synthetic(mix.clone(), arrivals.clone()));
 
-    // Record the exact same generator, round-trip it through the JSON-lines
-    // codec, and replay it.
+    // Record the exact same generator, write it to a JSON-lines file, read
+    // it back, and replay it.
     let mut generator = TraceGenerator::new(mix, arrivals, 23);
     let trace = RecordedTrace::capture(&mut generator, 300);
-    let parsed = RecordedTrace::from_jsonl(&trace.to_jsonl()).expect("codec round trip");
-    assert_eq!(parsed, trace, "parse ∘ serialize must be the identity");
+    let path =
+        std::env::temp_dir().join(format!("selfheal-fleet-trace-{}.jsonl", std::process::id()));
+    trace.save(&path).expect("write the trace");
+    let parsed = RecordedTrace::load(&path).expect("read the trace back");
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(parsed, trace, "load ∘ save must be the identity");
 
     let replayed = scenario(WorkloadChoice::replay(parsed, ReplayMode::Truncate, 0));
     assert_eq!(

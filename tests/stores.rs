@@ -92,7 +92,7 @@ fn warm_started_fleets_recover_in_fewer_attempts_than_cold_ones() {
         let snapshot = cold.store().expect("learning fleet").snapshot();
         assert!(snapshot.positives() >= 1, "cold fleet learned successes");
 
-        // Round-trip through the codec, exactly as --save/--load-synopsis do.
+        // Round-trip through the codec a saved synopsis file uses.
         let restored =
             SynopsisSnapshot::from_jsonl(&snapshot.to_jsonl()).expect("codec round trip");
         assert_eq!(restored, snapshot);
@@ -105,6 +105,34 @@ fn warm_started_fleets_recover_in_fewer_attempts_than_cold_ones() {
             learner.label()
         );
     }
+}
+
+/// `FleetConfig::persist_synopsis` streams every drained batch to its log as
+/// the fleet runs, so once the fleet quiesces the file holds every outcome
+/// the store holds.
+#[test]
+fn a_persisted_synopsis_log_holds_every_outcome_of_the_store() {
+    let path = std::env::temp_dir().join(format!(
+        "selfheal-stores-persist-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let outcome = fleet(LearnerChoice::locked())
+        .mode(ExecutionMode::Parallel { threads: Some(2) })
+        .persist_synopsis(&path)
+        .run();
+    let held = outcome
+        .store()
+        .expect("locked fleet exposes its store")
+        .snapshot();
+    let logged = SynopsisSnapshot::load(&path).expect("the log re-loads");
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(
+        logged.len(),
+        held.len(),
+        "the log holds what the store holds"
+    );
+    assert!(logged.positives() >= 1, "the fleet logged a successful fix");
 }
 
 /// Regression test: a snapshot taken while updates are still queued (fewer
