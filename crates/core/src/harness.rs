@@ -16,7 +16,7 @@
 //! demographic generation from a cause mix, a catalog coverage sweep, or a
 //! tick-wise composition) as a recipe for a [`FaultSource`],
 //! [`LearnerChoice`] names where learned synopsis state lives (a private
-//! per-replica model, one lock-shared model, or symptom-space shards) as a
+//! per-replica model, one fleet-shared model, or symptom-space shards) as a
 //! recipe for a [`SynopsisStore`], and [`EventChoice`] names a fleet-wide
 //! cross-replica event (a correlated fault storm — uniform or
 //! CauseMix-catalog — or a workload surge) that the fleet's tick-sliced
@@ -31,7 +31,7 @@ use crate::hybrid::HybridHealer;
 use crate::policy::{DiagnosisEngine, DiagnosisPanel, Source};
 use crate::proactive::ProactiveHealer;
 use crate::snapshot::SynopsisSnapshot;
-use crate::store::{PrivateStore, ShardedStore, SynopsisStore};
+use crate::store::{ShardedStore, SynopsisStore};
 use crate::synopsis::{Learner, SynopsisKind};
 use selfheal_diagnosis::{
     AnomalyDetector, BottleneckAnalyzer, CorrelationAnalyzer, DiagnosisContext, ManualRuleBase,
@@ -639,19 +639,21 @@ impl FaultChoice {
 /// per replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LearnerChoice {
-    /// Every replica learns alone in its own `PrivateStore` (the paper's
-    /// single-instance setup).
+    /// Every replica learns alone in its own one-shard, batch-1
+    /// [`ShardedStore`] (the paper's single-instance setup: every record
+    /// refits the model at once).
     #[default]
     Private,
-    /// One fleet-wide synopsis behind one lock (a one-shard
-    /// [`ShardedStore`]), draining queued updates in batches of `batch`.
+    /// One fleet-wide synopsis (a one-shard [`ShardedStore`]), draining
+    /// queued updates in batches of `batch`.
     Locked {
         /// Queued updates that trigger one combined drain + retrain.
         batch: usize,
     },
     /// A fleet-wide [`ShardedStore`]: symptom space is partitioned across
-    /// `shards` k-means-routed synopses, each with its own lock and batch
-    /// queue, so replicas healing different failure modes never contend.
+    /// `shards` k-means-routed synopses, each with its own batch queue and
+    /// fitted only to its own region's failures — a learning choice, since
+    /// the fleet's gate already admits one replica to the store at a time.
     Sharded {
         /// Number of symptom-space shards (1 is `Locked`).
         shards: usize,
@@ -685,7 +687,7 @@ impl LearnerChoice {
     /// Bakes the choice into a concrete store for a synopsis of `kind`.
     pub fn build_store(&self, kind: SynopsisKind) -> Box<dyn SynopsisStore> {
         match self {
-            LearnerChoice::Private => Box::new(PrivateStore::new(kind)),
+            LearnerChoice::Private => Box::new(ShardedStore::with_batch(kind, 1, 1)),
             LearnerChoice::Locked { batch } => Box::new(ShardedStore::with_batch(kind, 1, *batch)),
             LearnerChoice::Sharded { shards, batch } => {
                 Box::new(ShardedStore::with_batch(kind, *shards, *batch))

@@ -4,20 +4,25 @@
 //! The paper's scaling argument (Table 3: synopses are cheap to build and
 //! query) says one synopsis can serve *many* service instances.  The
 //! [`SynopsisStore`] trait is the seam that makes the topology of that
-//! sharing a configuration choice instead of a code path:
+//! sharing a configuration choice instead of a code path, and
+//! [`ShardedStore`] is the one store behind it:
 //!
-//! * `PrivateStore` — one replica, one synopsis (the paper's
-//!   single-instance setup).  Updates apply immediately.
-//! * [`ShardedStore`] — the one fleet-shared store: `k` synopses, each
-//!   behind its own `RwLock` with batched update draining so replicas never
-//!   stall on a sibling's retrain, each owning a region of symptom space.
-//!   Like cyclic block coordinate descent partitions a solver's coordinates
-//!   into disjoint blocks, the store partitions the symptom space with
-//!   k-means centroids (`selfheal_learn::KMeans`) and routes every
-//!   suggest/record to the shard owning that region — so concurrent
-//!   replicas updating *different* failure modes contend on different
-//!   locks.  With `k = 1` there is nothing to route: one fleet, one
-//!   synopsis behind one lock (what `LearnerChoice::Locked` builds).
+//! * A replica learning alone (the paper's single-instance setup,
+//!   `LearnerChoice::Private`) owns a one-shard store with batch 1: every
+//!   record is drained, and the model refit, as it happens.
+//! * A fleet shares one store (`LearnerChoice::Locked` / `Sharded`) whose
+//!   records queue and drain in batches with one combined refit.  With
+//!   `k > 1` shards the store partitions the symptom space with k-means
+//!   centroids (`selfheal_learn::KMeans`) — like cyclic block coordinate
+//!   descent partitions a solver's coordinates into disjoint blocks — and
+//!   routes every suggest/record to the synopsis owning that region.  That
+//!   is a learning choice (each region's model sees only its own
+//!   failures), not a way around contention.
+//!
+//! A store does not order its users; the fleet engine's gate
+//! (`selfheal_fleet::scheduler`) admits one replica to a shared store at a
+//! time, and the daemon advances its tenants one after another.  So a
+//! store's state sits behind one `Mutex`, which only makes it `Sync`.
 //!
 //! Every store can [`snapshot`](SynopsisStore::snapshot) its experience to a
 //! [`SynopsisSnapshot`] and [`restore`](SynopsisStore::restore) from one —
@@ -29,51 +34,17 @@
 //! [`crate::HybridHealer`] — every learning policy's healer — is oblivious
 //! to which store backs it.
 
-use crate::snapshot::{SnapshotLog, SynopsisSnapshot};
+use crate::snapshot::{SnapshotLog, SynopsisExample, SynopsisSnapshot};
 use crate::synopsis::{Learner, Synopsis, SynopsisKind};
 use selfheal_faults::FixKind;
 use selfheal_learn::{Classifier, Dataset, Example, KMeans};
 use std::collections::HashSet;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One queued `(symptoms, fix, success)` outcome awaiting the next drain.
 type PendingUpdate = (Vec<f64>, FixKind, bool);
-
-/// Appends a batch of drained updates to the store's incremental snapshot
-/// log, when one is active (see [`SynopsisStore::persist_to`]).
-///
-/// # Panics
-/// Panics when the append fails: silently dropping experience from a file
-/// the operator asked for would defeat the point of persistence.
-fn log_drained(log: &Mutex<Option<SnapshotLog>>, updates: &[PendingUpdate]) {
-    let log = log.lock().expect("snapshot log poisoned");
-    if let Some(log) = log.as_ref() {
-        let outcomes = updates.iter().map(|(s, fix, ok)| (s.as_slice(), *fix, *ok));
-        log.append_outcomes(outcomes)
-            .expect("appending drained outcomes to the synopsis log failed");
-    }
-}
-
-/// Recreates an active incremental log from a store's post-restore
-/// experience (no-op when persistence is off).  The path is read and the
-/// log replaced in separate critical sections so the snapshot — whose
-/// flush may itself append to the log — never runs under the log lock.
-///
-/// # Panics
-/// Panics when the recreation fails (see [`log_drained`]).
-fn recreate_log(log: &Mutex<Option<SnapshotLog>>, snapshot: impl FnOnce() -> SynopsisSnapshot) {
-    let path = {
-        let guard = log.lock().expect("snapshot log poisoned");
-        guard.as_ref().map(|l| l.path().to_path_buf())
-    };
-    if let Some(path) = path {
-        let recreated = SnapshotLog::create(&path, &snapshot())
-            .expect("recreating the synopsis log after restore failed");
-        *log.lock().expect("snapshot log poisoned") = Some(recreated);
-    }
-}
 
 /// A home for learned synopsis state, pluggable behind every healer.
 ///
@@ -109,9 +80,8 @@ pub trait SynopsisStore: Learner {
     /// not fitted weights, so any store restores from any snapshot).
     fn restore(&mut self, snapshot: &SynopsisSnapshot);
 
-    /// A handle for one more consumer of this store.  The shared
-    /// [`ShardedStore`] returns a handle to the *same* state;
-    /// `PrivateStore` returns an independent deep copy.
+    /// A handle for one more consumer of this store: [`ShardedStore`]
+    /// returns a handle to the *same* state, whichever recipe built it.
     fn clone_store(&self) -> Box<dyn SynopsisStore>;
 
     /// Switches the store to *incremental* persistence: creates (truncating)
@@ -130,11 +100,10 @@ pub trait SynopsisStore: Learner {
     /// [`attach_log`](Self::attach_log) the handle instead, which writes
     /// nothing (see [`crate::snapshot`]).
     ///
-    /// Shared stores log through their shared state, so every
+    /// The log belongs to the store's shared state, so every
     /// [`clone_store`](Self::clone_store) handle feeds the same file;
     /// [`restore`](Self::restore) recreates the file from the restored
-    /// experience.  `PrivateStore` applies updates immediately, so it
-    /// appends on every record.
+    /// experience.  A batch-1 store drains, and so appends, on every record.
     fn persist_to(&mut self, path: &Path) -> io::Result<()>;
 
     /// Switches the store to incremental persistence through a log that is
@@ -290,123 +259,6 @@ fn append_synopsis(snapshot: &mut SynopsisSnapshot, synopsis: &Synopsis) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// PrivateStore
-// ---------------------------------------------------------------------------
-
-/// A privately owned synopsis: the paper's single-instance setup, wrapped in
-/// the store API so a lone service and a fleet replica configure learning
-/// the same way.  Updates apply (and refit) immediately; there is nothing to
-/// flush.
-#[derive(Debug)]
-pub(crate) struct PrivateStore {
-    synopsis: Synopsis,
-    log: Option<SnapshotLog>,
-}
-
-impl PrivateStore {
-    /// Creates an empty private store.
-    pub(crate) fn new(kind: SynopsisKind) -> Self {
-        PrivateStore {
-            synopsis: Synopsis::new(kind),
-            log: None,
-        }
-    }
-
-    /// Creates a private store pre-loaded from a snapshot.
-    pub(crate) fn from_snapshot(kind: SynopsisKind, snapshot: &SynopsisSnapshot) -> Self {
-        PrivateStore {
-            synopsis: Synopsis::from_examples(kind, &snapshot.examples),
-            log: None,
-        }
-    }
-}
-
-impl Learner for PrivateStore {
-    fn suggest(&self, symptoms: &[f64]) -> Option<(FixKind, f64)> {
-        self.synopsis.suggest(symptoms)
-    }
-
-    fn suggest_excluding(
-        &self,
-        symptoms: &[f64],
-        excluded: &HashSet<FixKind>,
-    ) -> Option<(FixKind, f64)> {
-        self.synopsis.suggest_excluding(symptoms, excluded)
-    }
-
-    fn record(&mut self, symptoms: &[f64], fix: FixKind, success: bool) {
-        self.synopsis.update(symptoms, fix, success);
-        // A private store applies updates immediately, so every record *is*
-        // a drain — append it to the log right away.
-        if let Some(log) = &self.log {
-            log.append_outcomes(std::iter::once((symptoms, fix, success)))
-                .expect("appending the recorded outcome to the synopsis log failed");
-        }
-    }
-
-    fn correct_fixes_learned(&self) -> usize {
-        self.synopsis.correct_fixes_learned()
-    }
-}
-
-impl SynopsisStore for PrivateStore {
-    fn kind(&self) -> SynopsisKind {
-        self.synopsis.kind()
-    }
-
-    fn flush(&self) {}
-
-    fn pending_updates(&self) -> usize {
-        0
-    }
-
-    fn snapshot(&self) -> SynopsisSnapshot {
-        let mut snapshot = SynopsisSnapshot::new(self.kind());
-        append_synopsis(&mut snapshot, &self.synopsis);
-        snapshot
-    }
-
-    fn fix_stats(&self) -> Vec<FixStats> {
-        let mut tally = FixTally::default();
-        tally.add_synopsis(&self.synopsis);
-        tally.finish()
-    }
-
-    fn failure_memory(&self) -> (usize, usize) {
-        self.synopsis.failure_memory()
-    }
-
-    fn restore(&mut self, snapshot: &SynopsisSnapshot) {
-        self.synopsis = Synopsis::from_examples(self.kind(), &snapshot.examples);
-        if let Some(log) = &self.log {
-            self.log = Some(
-                SnapshotLog::create(log.path(), &SynopsisStore::snapshot(self))
-                    .expect("recreating the synopsis log after restore failed"),
-            );
-        }
-    }
-
-    fn clone_store(&self) -> Box<dyn SynopsisStore> {
-        // The deep copy does not inherit the log: two independent stores
-        // appending to one file would interleave unrelated experience.
-        Box::new(PrivateStore::from_snapshot(self.kind(), &self.snapshot()))
-    }
-
-    fn persist_to(&mut self, path: &Path) -> io::Result<()> {
-        self.attach_log(SnapshotLog::create(path, &SynopsisStore::snapshot(self))?)
-    }
-
-    fn attach_log(&mut self, log: SnapshotLog) -> io::Result<()> {
-        self.log = Some(log);
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ShardedStore
-// ---------------------------------------------------------------------------
-
 /// The symptom-space router of a [`ShardedStore`].
 ///
 /// Until enough symptom vectors have been observed to fit centroids, every
@@ -495,50 +347,115 @@ impl Router {
     }
 }
 
+/// One symptom region's synopsis and the updates queued for it.
 #[derive(Debug)]
 struct Shard {
-    model: RwLock<Synopsis>,
-    pending: Mutex<Vec<PendingUpdate>>,
+    model: Synopsis,
+    pending: Vec<PendingUpdate>,
 }
 
+impl Shard {
+    /// Replaces the model with one built from `examples`, dropping the queue.
+    fn rebuild(&mut self, kind: SynopsisKind, examples: &[SynopsisExample]) {
+        self.pending.clear();
+        self.model = Synopsis::from_examples(kind, examples);
+    }
+}
+
+/// Everything a [`ShardedStore`] holds, behind its one lock.
 #[derive(Debug)]
-struct ShardedState {
+struct State {
     kind: SynopsisKind,
     batch: usize,
+    router: Router,
     shards: Vec<Shard>,
-    router: RwLock<Router>,
-    drains: Mutex<u64>,
-    log: Mutex<Option<SnapshotLog>>,
+    drains: u64,
+    log: Option<SnapshotLog>,
 }
 
-/// The fleet-shared store: a cloneable, thread-safe handle to `k`
-/// independently locked synopses that partition symptom space.
+impl State {
+    /// The model owning `symptoms`' region.
+    fn routed(&self, symptoms: &[f64]) -> &Synopsis {
+        &self.shards[self.router.route(symptoms)].model
+    }
+
+    /// Folds shard `index`'s queue into its model with one combined refit,
+    /// first appending the outcomes to the incremental log when one is
+    /// active; `false` when nothing was queued.  The queue keeps its
+    /// capacity, so a batch-1 record allocates only its symptom vector.
+    ///
+    /// # Panics
+    /// Panics when the append fails: silently dropping experience from a
+    /// file the operator asked for would defeat the point of persistence.
+    fn absorb_pending(&mut self, index: usize) -> bool {
+        let Shard { model, pending } = &mut self.shards[index];
+        if pending.is_empty() {
+            return false;
+        }
+        if let Some(log) = &self.log {
+            let outcomes = pending.iter().map(|(s, fix, ok)| (s.as_slice(), *fix, *ok));
+            log.append_outcomes(outcomes)
+                .expect("appending drained outcomes to the synopsis log failed");
+        }
+        model.absorb(pending.drain(..));
+        true
+    }
+
+    /// Drains every shard's queue (each non-empty one counts as a drain).
+    fn flush(&mut self) {
+        for index in 0..self.shards.len() {
+            self.drains += u64::from(self.absorb_pending(index));
+        }
+    }
+
+    /// Every shard's folded experience; queued updates are not in it.
+    fn experience(&self) -> SynopsisSnapshot {
+        let mut snapshot = SynopsisSnapshot::new(self.kind);
+        for shard in &self.shards {
+            append_synopsis(&mut snapshot, &shard.model);
+        }
+        snapshot
+    }
+
+    /// Rebuilds every shard's model from `snapshot`, partitioned by the
+    /// router's current centroids.
+    fn partition(&mut self, snapshot: &SynopsisSnapshot) {
+        let kind = self.kind;
+        // One shard owns everything: rebuild straight from the snapshot
+        // instead of copying it into a per-shard slice first.
+        if let [only] = self.shards.as_mut_slice() {
+            return only.rebuild(kind, &snapshot.examples);
+        }
+        let mut per_shard = vec![Vec::new(); self.shards.len()];
+        for example in &snapshot.examples {
+            per_shard[self.router.route(&example.symptoms)].push(example.clone());
+        }
+        for (shard, examples) in self.shards.iter_mut().zip(&per_shard) {
+            shard.rebuild(kind, examples);
+        }
+    }
+}
+
+/// The one synopsis store: a cloneable handle to `k` synopses that
+/// partition symptom space, each with a queue of updates it drains in
+/// batches.  Clones share state.
 ///
 /// Every suggest/record is routed to the shard owning the symptom's region
-/// (nearest fitted centroid), so replicas healing *different* failure modes
-/// update disjoint models and never contend on one global lock — the paper's
-/// shared-learning benefit without its single-writer bottleneck.  Within a
-/// shard:
-///
-/// * **Reads** ([`suggest`](Learner::suggest) /
-///   [`suggest_excluding`](Learner::suggest_excluding)) take a shared read
-///   lock on the fitted model — replicas query concurrently.
-/// * **Writes** ([`record`](Learner::record)) append to a cheap pending
-///   queue.  Only when the queue reaches the batch threshold does one
-///   replica opportunistically (`try_write`, never blocking on a retrain
-///   already in progress) drain the queue into the model with a *single*
-///   combined refit.  A replica therefore never stalls because another
-///   replica's update triggered a retrain.
-///
-/// Batching trades staleness for throughput: a freshly learned fix becomes
-/// visible to other replicas after at most `batch - 1` further updates (or a
+/// (nearest fitted centroid).  A [`record`](Learner::record) appends to the
+/// shard's queue; once the queue holds `batch` updates it is drained into
+/// the model with a *single* combined refit.  Batching trades staleness for
+/// fewer refits: a freshly learned fix becomes visible after at most
+/// `batch - 1` further updates to its shard (or a
 /// [`flush`](SynopsisStore::flush)).  With `k = 1` the router is inert and
-/// the store is one fleet-wide synopsis behind one lock.
+/// the store is one synopsis; with batch 1 every record drains at once.
 ///
-/// The handle is `Clone`; clones share state.
+/// All of it — router, models, queues, drain count, log — sits behind one
+/// `Mutex`.  Nothing contends for it: the fleet's gate admits one replica
+/// at a time (see the module docs), so no method waits on it in practice,
+/// and none re-locks it while holding it.
 #[derive(Debug, Clone)]
 pub struct ShardedStore {
-    state: Arc<ShardedState>,
+    state: Arc<Mutex<State>>,
 }
 
 impl ShardedStore {
@@ -561,124 +478,43 @@ impl ShardedStore {
     /// updates each (`1` = drain on every update, i.e. no added staleness).
     pub fn with_batch(kind: SynopsisKind, shards: usize, batch: usize) -> Self {
         let shards = shards.max(1);
+        let state = State {
+            kind,
+            batch: batch.max(1),
+            router: Router::new(shards, Self::DEFAULT_FIT_AFTER),
+            shards: (0..shards)
+                .map(|_| Shard {
+                    model: Synopsis::new(kind),
+                    pending: Vec::new(),
+                })
+                .collect(),
+            drains: 0,
+            log: None,
+        };
         ShardedStore {
-            state: Arc::new(ShardedState {
-                kind,
-                batch: batch.max(1),
-                shards: (0..shards)
-                    .map(|_| Shard {
-                        model: RwLock::new(Synopsis::new(kind)),
-                        pending: Mutex::new(Vec::new()),
-                    })
-                    .collect(),
-                router: RwLock::new(Router::new(shards, Self::DEFAULT_FIT_AFTER)),
-                drains: Mutex::new(0),
-                log: Mutex::new(None),
-            }),
+            state: Arc::new(Mutex::new(state)),
         }
+    }
+
+    /// The store's state, locked.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("synopsis store poisoned")
     }
 
     /// Successful-fix examples per shard — how the symptom space actually
     /// partitioned.
     pub(crate) fn shard_sizes(&self) -> Vec<usize> {
-        self.state
-            .shards
+        let shards = &self.state().shards;
+        shards
             .iter()
-            .map(|s| {
-                s.model
-                    .read()
-                    .expect("shard lock poisoned")
-                    .correct_fixes_learned()
-            })
+            .map(|s| s.model.correct_fixes_learned())
             .collect()
-    }
-
-    /// Folds `shard`'s pending queue into its model with one combined refit.
-    /// `blocking` (a flush) waits for the model lock; otherwise (a due batch)
-    /// the drain gives up, leaving the queue for a later caller, when a
-    /// sibling's retrain is in progress.  Drained updates are appended to
-    /// the incremental log when persistence is active.
-    fn drain_shard(&self, shard: &Shard, blocking: bool) {
-        let mut model = if blocking {
-            shard.model.write().expect("shard lock poisoned")
-        } else {
-            match shard.model.try_write() {
-                Ok(model) => model,
-                Err(_) => return,
-            }
-        };
-        let updates = std::mem::take(&mut *shard.pending.lock().expect("shard queue poisoned"));
-        if updates.is_empty() {
-            return;
-        }
-        log_drained(&self.state.log, &updates);
-        model.absorb(updates);
-        *self.state.drains.lock().expect("drain counter poisoned") += 1;
-    }
-
-    /// The model owning `symptoms`' region, read-locked.
-    fn routed_model(&self, symptoms: &[f64]) -> std::sync::RwLockReadGuard<'_, Synopsis> {
-        let router = self.state.router.read().expect("router poisoned");
-        let shard = &self.state.shards[router.route(symptoms)];
-        drop(router);
-        shard.model.read().expect("shard lock poisoned")
-    }
-
-    /// Drains every shard and collects the store's entire experience —
-    /// internal re-homing support, so it leaves the drain counter alone.
-    ///
-    /// Lock ordering: callers hold the router write lock; shard locks nest
-    /// under it (the same order [`SynopsisStore::restore`] uses, and no path
-    /// acquires them in reverse).
-    fn collect_resident(&self) -> SynopsisSnapshot {
-        let mut snapshot = SynopsisSnapshot::new(self.state.kind);
-        for shard in &self.state.shards {
-            let updates = {
-                let mut pending = shard.pending.lock().expect("shard queue poisoned");
-                std::mem::take(&mut *pending)
-            };
-            let mut model = shard.model.write().expect("shard lock poisoned");
-            if !updates.is_empty() {
-                // Re-homing drains these updates outside drain_shard, so the
-                // incremental log must hear about them here.
-                log_drained(&self.state.log, &updates);
-                model.absorb(updates);
-            }
-            append_synopsis(&mut snapshot, &model);
-        }
-        snapshot
-    }
-
-    /// Rebuilds every shard's model from `snapshot`, partitioned by the
-    /// given router's (current) centroids.
-    fn partition_into_shards(&self, router: &Router, snapshot: &SynopsisSnapshot) {
-        let rebuild = |shard: &Shard, slice: &SynopsisSnapshot| {
-            shard.pending.lock().expect("shard queue poisoned").clear();
-            *shard.model.write().expect("shard lock poisoned") =
-                Synopsis::from_examples(self.state.kind, &slice.examples);
-        };
-        // One shard owns everything: rebuild straight from the snapshot
-        // instead of copying it into a per-shard slice first.
-        if let [only] = self.state.shards.as_slice() {
-            return rebuild(only, snapshot);
-        }
-        let mut per_shard: Vec<SynopsisSnapshot> = (0..self.state.shards.len())
-            .map(|_| SynopsisSnapshot::new(self.state.kind))
-            .collect();
-        for example in &snapshot.examples {
-            per_shard[router.route(&example.symptoms)]
-                .examples
-                .push(example.clone());
-        }
-        for (shard, slice) in self.state.shards.iter().zip(&per_shard) {
-            rebuild(shard, slice);
-        }
     }
 }
 
 impl Learner for ShardedStore {
     fn suggest(&self, symptoms: &[f64]) -> Option<(FixKind, f64)> {
-        self.routed_model(symptoms).suggest(symptoms)
+        self.state().routed(symptoms).suggest(symptoms)
     }
 
     fn suggest_excluding(
@@ -686,39 +522,31 @@ impl Learner for ShardedStore {
         symptoms: &[f64],
         excluded: &HashSet<FixKind>,
     ) -> Option<(FixKind, f64)> {
-        self.routed_model(symptoms)
-            .suggest_excluding(symptoms, excluded)
+        let state = self.state();
+        state.routed(symptoms).suggest_excluding(symptoms, excluded)
     }
 
     fn record(&mut self, symptoms: &[f64], fix: FixKind, success: bool) {
-        let unfitted = !self.state.router.read().expect("router poisoned").fitted;
-        if unfitted {
-            let mut router = self.state.router.write().expect("router poisoned");
-            if router.observe(symptoms) {
-                // The partition just froze.  Everything recorded so far
-                // routed to shard 0; re-home it under the new centroids so
-                // pre-fit experience stays reachable from its region's
-                // shard instead of being stranded.
-                let resident = self.collect_resident();
-                self.partition_into_shards(&router, &resident);
+        let mut guard = self.state();
+        let state = &mut *guard;
+        if state.router.observe(symptoms) {
+            // The partition just froze.  Everything recorded so far routed
+            // to shard 0; re-home it under the new centroids so pre-fit
+            // experience stays reachable from its region's shard instead of
+            // being stranded.  Moving experience is not a drain, so the
+            // queues fold in uncounted (and are logged).
+            for index in 0..state.shards.len() {
+                state.absorb_pending(index);
             }
+            let resident = state.experience();
+            state.partition(&resident);
         }
-        // Route and enqueue under one router read guard: a concurrent fit
-        // (router write) therefore cannot slip between the two and strand
-        // this update on a shard the new centroids no longer route to —
-        // the fit's re-homing sees either the queued update or none.
-        let (index, due) = {
-            let router = self.state.router.read().expect("router poisoned");
-            let index = router.route(symptoms);
-            let mut pending = self.state.shards[index]
-                .pending
-                .lock()
-                .expect("shard queue poisoned");
-            pending.push((symptoms.to_vec(), fix, success));
-            (index, pending.len() >= self.state.batch)
-        };
-        if due {
-            self.drain_shard(&self.state.shards[index], false);
+        let index = state.router.route(symptoms);
+        let pending = &mut state.shards[index].pending;
+        pending.push((symptoms.to_vec(), fix, success));
+        if pending.len() >= state.batch {
+            state.absorb_pending(index);
+            state.drains += 1;
         }
     }
 
@@ -729,59 +557,49 @@ impl Learner for ShardedStore {
 
 impl SynopsisStore for ShardedStore {
     fn kind(&self) -> SynopsisKind {
-        self.state.kind
+        self.state().kind
     }
 
     fn flush(&self) {
-        for shard in &self.state.shards {
-            self.drain_shard(shard, true);
-        }
+        self.state().flush();
     }
 
     fn pending_updates(&self) -> usize {
-        self.state
-            .shards
-            .iter()
-            .map(|s| s.pending.lock().expect("shard queue poisoned").len())
-            .sum()
+        self.state().shards.iter().map(|s| s.pending.len()).sum()
     }
 
     fn snapshot(&self) -> SynopsisSnapshot {
-        self.flush();
-        let mut snapshot = SynopsisSnapshot::new(self.state.kind);
-        for shard in &self.state.shards {
-            let model = shard.model.read().expect("shard lock poisoned");
-            append_synopsis(&mut snapshot, &model);
-        }
-        snapshot
+        let mut state = self.state();
+        state.flush();
+        state.experience()
     }
 
     fn fix_stats(&self) -> Vec<FixStats> {
-        self.flush();
+        let mut state = self.state();
+        state.flush();
         let mut tally = FixTally::default();
-        for shard in &self.state.shards {
-            tally.add_synopsis(&shard.model.read().expect("shard lock poisoned"));
+        for shard in &state.shards {
+            tally.add_synopsis(&shard.model);
         }
         tally.finish()
     }
 
     fn failure_memory(&self) -> (usize, usize) {
-        let models = self.state.shards.iter();
-        models.fold((0, 0), |(recorded, kept), shard| {
-            let model = shard.model.read().expect("shard lock poisoned");
-            let (r, k) = model.failure_memory();
-            (recorded + r, kept + k)
-        })
+        let state = self.state();
+        let models = state.shards.iter().map(|s| s.model.failure_memory());
+        models.fold((0, 0), |(recorded, kept), (r, k)| (recorded + r, kept + k))
     }
 
     fn restore(&mut self, snapshot: &SynopsisSnapshot) {
-        let mut router = self.state.router.write().expect("router poisoned");
+        let mut state = self.state();
         // Refit the routing centroids from the snapshot's symptom vectors so
         // restored experience lands on the shards that will serve it.  With
         // too few examples to fit, stale centroids from a previous fit are
         // discarded too — routing falls back to shard 0 (where the examples
         // are about to land) until the warm-up buffer refills.
-        if self.state.shards.len() > 1 {
+        let shards = state.shards.len();
+        if shards > 1 {
+            let router = &mut state.router;
             router.buffer = snapshot
                 .examples
                 .iter()
@@ -789,14 +607,17 @@ impl SynopsisStore for ShardedStore {
                 .collect();
             router.fitted = false;
             router.centroids.clear();
-            if router.buffer.len() >= self.state.shards.len() {
+            if router.buffer.len() >= shards {
                 router.fit();
             }
         }
-        // Partition the experience by routed shard and rebuild each model.
-        self.partition_into_shards(&router, snapshot);
-        drop(router);
-        recreate_log(&self.state.log, || SynopsisStore::snapshot(self));
+        state.partition(snapshot);
+        // An active log is recreated from the restored experience (the
+        // queues were just emptied, so there is nothing to flush).
+        if let Some(path) = state.log.as_ref().map(|log| log.path().to_path_buf()) {
+            let recreated = SnapshotLog::create(path, &state.experience());
+            state.log = Some(recreated.expect("recreating the synopsis log after restore failed"));
+        }
     }
 
     fn clone_store(&self) -> Box<dyn SynopsisStore> {
@@ -804,11 +625,15 @@ impl SynopsisStore for ShardedStore {
     }
 
     fn persist_to(&mut self, path: &Path) -> io::Result<()> {
-        self.attach_log(SnapshotLog::create(path, &SynopsisStore::snapshot(self))?)
+        let mut state = self.state();
+        state.flush();
+        let log = SnapshotLog::create(path, &state.experience())?;
+        state.log = Some(log);
+        Ok(())
     }
 
     fn attach_log(&mut self, log: SnapshotLog) -> io::Result<()> {
-        *self.state.log.lock().expect("snapshot log poisoned") = Some(log);
+        self.state().log = Some(log);
         Ok(())
     }
 }
@@ -816,25 +641,19 @@ impl SynopsisStore for ShardedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::LearnerChoice;
     use std::thread;
 
     impl ShardedStore {
         /// Whether the routing centroids have been fitted yet (before the fit,
         /// all traffic goes to shard 0).
         pub(crate) fn routing_fitted(&self) -> bool {
-            self.state.router.read().expect("router poisoned").fitted
+            self.state().router.fitted
         }
 
         /// How many batched drains have run across all shards.
         pub(crate) fn drains(&self) -> u64 {
-            *self.state.drains.lock().expect("drain counter poisoned")
-        }
-    }
-
-    impl PrivateStore {
-        /// The wrapped synopsis.
-        pub(crate) fn synopsis(&self) -> &Synopsis {
-            &self.synopsis
+            self.state().drains
         }
     }
 
@@ -860,10 +679,7 @@ mod tests {
 
     /// Sums a per-model statistic over every shard.
     fn over_models(store: &ShardedStore, stat: impl Fn(&Synopsis) -> usize) -> usize {
-        let models = store.state.shards.iter();
-        models
-            .map(|shard| stat(&shard.model.read().expect("shard lock poisoned")))
-            .sum()
+        store.state().shards.iter().map(|s| stat(&s.model)).sum()
     }
 
     #[test]
@@ -961,7 +777,8 @@ mod tests {
 
     #[test]
     fn private_store_learns_immediately_and_snapshots() {
-        let mut store = PrivateStore::new(SynopsisKind::NearestNeighbor);
+        let private = || LearnerChoice::Private.build_store(SynopsisKind::NearestNeighbor);
+        let mut store = private();
         store.record(&symptom(0), FixKind::RepartitionMemory, true);
         store.record(&symptom(1), FixKind::MicrorebootEjb, false);
         assert_eq!(store.correct_fixes_learned(), 1);
@@ -970,26 +787,20 @@ mod tests {
         assert_eq!(snap.positives(), 1);
         assert_eq!(snap.negatives(), 1);
 
-        let mut restored = PrivateStore::new(SynopsisKind::NearestNeighbor);
+        let mut restored = private();
         restored.restore(&snap);
         assert_eq!(restored.correct_fixes_learned(), 1);
         assert_eq!(
             restored.suggest(&symptom(0)).unwrap().0,
             FixKind::RepartitionMemory
         );
-        assert_eq!(restored.synopsis().failed_fixes_recorded(), 1);
-        // One bootstrap refit, not one per example.
-        assert_eq!(restored.synopsis().retrains(), 1);
-    }
-
-    #[test]
-    fn private_clone_store_is_a_deep_copy() {
-        let mut a = PrivateStore::new(SynopsisKind::NearestNeighbor);
-        a.record(&symptom(0), FixKind::RepartitionMemory, true);
-        let mut b = a.clone_store();
-        b.record(&symptom(1), FixKind::MicrorebootEjb, true);
-        assert_eq!(a.correct_fixes_learned(), 1, "original unaffected");
-        assert_eq!(b.correct_fixes_learned(), 2);
+        assert_eq!(restored.failure_memory(), (1, 1));
+        // One bootstrap refit, not one per example, in the store the
+        // recipe builds.
+        let mut concrete = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
+        concrete.restore(&snap);
+        assert_eq!(over_models(&concrete, |m| m.failed_fixes_recorded()), 1);
+        assert_eq!(over_models(&concrete, |m| m.retrains() as usize), 1);
     }
 
     #[test]
@@ -1188,7 +999,7 @@ mod tests {
         );
 
         let private_path = dir.join("private.jsonl");
-        let mut private = PrivateStore::new(SynopsisKind::NearestNeighbor);
+        let mut private = LearnerChoice::Private.build_store(SynopsisKind::NearestNeighbor);
         private.record(&symptom(0), FIXES[0], true);
         private.persist_to(&private_path).unwrap();
         private.record(&symptom(1), FIXES[1], false);

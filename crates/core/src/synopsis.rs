@@ -24,8 +24,9 @@ use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// A learned failure-signature → fix mapping, abstracted so healing policies
-/// work identically against a privately owned [`Synopsis`] or a handle to
-/// fleet-shared state (e.g. [`crate::store::ShardedStore`]).
+/// work identically against a bare [`Synopsis`] or a
+/// [`crate::store::ShardedStore`] handle — one replica's own store or the
+/// one its whole fleet shares.
 ///
 /// This is the seam the fleet engine plugs into: [`crate::HybridHealer`],
 /// the one online healer, is generic over `Learner`, so one replica's
@@ -46,8 +47,8 @@ pub trait Learner: Send {
 
     /// Records the outcome of an attempted fix (Figure 3, line 15).
     ///
-    /// Implementations may defer the model refit (shared synopses batch
-    /// updates so replicas never stall on a retrain); the example must still
+    /// Implementations may defer the model refit (a store drains queued
+    /// updates in batches, one refit per batch); the example must still
     /// become visible to `suggest` eventually.
     fn record(&mut self, symptoms: &[f64], fix: FixKind, success: bool);
 
@@ -164,7 +165,6 @@ pub const NEGATIVES_KEPT: usize = 256;
 /// A learned mapping from failure signatures to fixes.
 #[derive(Debug)]
 pub struct Synopsis {
-    kind: SynopsisKind,
     model: Model,
     /// Successful (symptom, fix) examples — the positive training set.
     positives: Dataset,
@@ -188,7 +188,6 @@ impl Synopsis {
             SynopsisKind::AdaBoost(rounds) => Model::AdaBoost(AdaBoost::new(rounds.max(1))),
         };
         Synopsis {
-            kind,
             model,
             positives: Dataset::new(0),
             negatives: VecDeque::new(),
@@ -197,11 +196,6 @@ impl Synopsis {
             training_ops: 0,
             retrains: 0,
         }
-    }
-
-    /// The configured kind.
-    pub(crate) fn kind(&self) -> SynopsisKind {
-        self.kind
     }
 
     /// Number of successful-fix training examples seen so far (the x-axis of

@@ -17,7 +17,7 @@
 //!   recorded-trace replay with per-replica phase shifts, or burst storms),
 //!   where learned state lives (a declarative
 //!   [`selfheal_core::harness::LearnerChoice`]: a private
-//!   per-replica store, one lock-shared store, or symptom-space shards —
+//!   per-replica store, one fleet-shared store, or symptom-space shards —
 //!   optionally warm-started from a saved
 //!   [`selfheal_core::snapshot::SynopsisSnapshot`]), and how replicas
 //!   execute ([`ExecutionMode::Parallel`] worker threads vs the
@@ -228,7 +228,7 @@ impl FleetConfig {
     }
 
     /// Where learned synopsis state lives: a private per-replica store, one
-    /// lock-shared store, or a sharded store routed by symptom-space region.
+    /// fleet-shared store, or a sharded store routed by symptom-space region.
     pub fn learner(mut self, learner: LearnerChoice) -> Self {
         self.learner = learner;
         self

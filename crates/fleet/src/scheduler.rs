@@ -102,6 +102,8 @@
 //!   and `workload_surges_amplify_traffic_fleet_wide` (private learners).
 //! * Nested catch-up in `wait_for`: the several-worker legs of
 //!   `one_window_admits_store_accesses_in_the_slice_at_a_time_order`,
+//!   `the_gate_admits_one_replica_to_the_store_at_a_time` (which is why a
+//!   store's one lock is never contended),
 //!   `fewer_workers_than_gated_replicas_cannot_deadlock`,
 //!   `a_panicking_replica_does_not_stall_gated_siblings` and
 //!   `a_replica_dying_mid_window_is_reported_once_at_the_windows_end`;
@@ -925,6 +927,7 @@ mod tests {
     use selfheal_sim::service::TickOutcome;
     use selfheal_sim::{MultiTierService, ServiceConfig};
     use selfheal_workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
+    use std::sync::atomic::AtomicUsize;
 
     /// A healer that panics once its replica reaches a given tick.
     #[derive(Debug)]
@@ -1003,13 +1006,16 @@ mod tests {
     /// logs each access; at period 1 the worst case for a gate that fails to
     /// hand the turn on.  The log entry is pushed while the replica still
     /// holds the turn (a turn lasts until the slice completes), so the log
-    /// is the store's view.
+    /// is the store's view.  While it holds the turn it also marks itself
+    /// in `in_turn` and yields, panicking if another replica already holds
+    /// the mark: the store is never entered by two replicas at once.
     struct TouchStore {
         store: Box<dyn SynopsisStore>,
         replica: usize,
         period: u64,
         seen: u64,
         log: AccessLog,
+        in_turn: Arc<AtomicUsize>,
     }
 
     impl Healer for TouchStore {
@@ -1020,6 +1026,12 @@ mod tests {
         fn observe(&mut self, _outcome: &TickOutcome) -> Vec<FixAction> {
             if self.seen.is_multiple_of(self.period) {
                 let _ = self.store.suggest(&[1.0, 2.0, 3.0]);
+                let holders = self.in_turn.fetch_add(1, Ordering::SeqCst);
+                assert_eq!(holders, 0, "replica {} shares the store", self.replica);
+                for _ in 0..3 {
+                    thread::yield_now();
+                }
+                self.in_turn.fetch_sub(1, Ordering::SeqCst);
                 lock(&self.log).push((self.replica, self.seen));
             }
             self.seen += 1;
@@ -1031,6 +1043,7 @@ mod tests {
     struct Touched {
         store: ShardedStore,
         log: AccessLog,
+        in_turn: Arc<AtomicUsize>,
     }
 
     impl Touched {
@@ -1038,6 +1051,7 @@ mod tests {
             Touched {
                 store: ShardedStore::new(SynopsisKind::NearestNeighbor, 1),
                 log: AccessLog::default(),
+                in_turn: Arc::default(),
             }
         }
 
@@ -1050,6 +1064,7 @@ mod tests {
                 period,
                 seen: 0,
                 log: Arc::clone(&self.log),
+                in_turn: Arc::clone(&self.in_turn),
             };
             engine.insert(replica, runner(Box::new(healer)));
         }
@@ -1149,6 +1164,32 @@ mod tests {
                              patience {patience}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The premise of the store's one uncontended lock: the gate lets one
+    /// replica at a time into the store.  Every [`TouchStore`] checks it on
+    /// each access, so a second replica let in while another yields inside
+    /// its turn panics, and the window reports that replica.
+    #[test]
+    fn the_gate_admits_one_replica_to_the_store_at_a_time() {
+        for workers in [2, 3, 4] {
+            for slice in [1, 7] {
+                for patience in PATIENCES {
+                    let touched = Touched::new();
+                    let mut engine = EpochEngine::new(Some(workers))
+                        .with_slice(slice)
+                        .with_patience(patience);
+                    for (replica, period) in TOUCHERS {
+                        touched.insert(&mut engine, replica, period);
+                    }
+                    let errors = drive(&mut engine, 200, 200);
+                    assert!(
+                        errors.is_empty(),
+                        "slice {slice}, {workers} workers, patience {patience}: {errors:?}"
+                    );
                 }
             }
         }

@@ -23,7 +23,7 @@
 //! * [`diagnosis`] — anomaly / correlation / bottleneck diagnosis and the
 //!   manual rule baseline.
 //! * [`healing`] — FixSym, synopses behind the pluggable `SynopsisStore`
-//!   API (private, lock-shared, or sharded by symptom-space region, all
+//!   API (private, fleet-shared, or sharded by symptom-space region, all
 //!   persistable to JSON-lines for warm starts), hybrid and proactive
 //!   policies, the healing-loop harness (the paper's contribution).
 //! * [`daemon`] — the resident fleet daemon: supervised replicas in the
