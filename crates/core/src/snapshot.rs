@@ -35,10 +35,19 @@
 //!   appended so far — even if the process dies mid-run.  The loader reads
 //!   incremental files to EOF with no count check.
 //!
-//! Either shape is read in one streaming pass — the header, then each
-//! example straight into the result — and [`SnapshotLog::open`] streams the
-//! file itself through one small buffer, so a log is never in memory whole
-//! beside the experience parsed from it.  Writing is the same the other way
+//! Either shape is read by one reader, streamed.  [`SnapshotLog::open`]
+//! and [`SynopsisSnapshot::load`] cut the file into up to
+//! `available_parallelism()` byte ranges, each starting at a line and at
+//! least 1 MiB long, and parse every range on a thread of its own through
+//! positioned reads of the one handle into a 64 KiB buffer of its own, so
+//! a log is never in memory whole beside the experience parsed from it.  A
+//! range notes only what the document rules need in file order — its
+//! header lines, its first example and its first refusal, each at its line
+//! — and the calling thread replays those notes in file order and joins the
+//! ranges' examples.  So the snapshot, the byte counts and every refusal,
+//! message and line number, are what one pass over the file gives; a file
+//! under 2 MiB, a one-core host and [`SynopsisSnapshot::from_jsonl`] are
+//! one range on the calling thread.  Writing is streamed the other way
 //! round: [`SnapshotLog::create`] and [`SynopsisSnapshot::save`] format
 //! lines into one reused buffer and write it out, at a line boundary, every
 //! 64 KiB.
@@ -71,17 +80,23 @@
 //! 3. its header names a **different synopsis kind** than the store that
 //!    will append to it — the header would misdescribe what follows.
 //!
-//! What a restart costs is that replay, and most of it is not ours to
-//! shave.  Over a 20 000-example log (26 symptoms a line, 10.9 MB, 520 000
-//! numbers of 16–17 digits) `open` takes ≈ 26 ms on one core:
+//! What a restart costs is that replay, ≈ 1.3 µs a line on a core.  Over a
+//! 20 000-example log (26 symptoms a line, 10.9 MB, 520 000 numbers of
+//! 16–17 digits) one range takes ≈ 26 ms on a quick core:
 //! `str::parse::<f64>` ≈ 10, finding each token's end and walking the
 //! arrays ≈ 9, one `Vec` a line ≈ 2, reading the file, copying each line
 //! and checking it is UTF-8 ≈ 2.5; restoring the store (≈ 1.4) and dropping
 //! the replayed snapshot (≈ 0.8) follow.  The scanner slices the `&str` it
 //! is handed and finds a token's end in one search, so a number's bytes are
-//! looked at twice — once to delimit, once to convert.  A restart that must
-//! be faster than this has to replay *less* (compact the log), not parse
-//! more cleverly.
+//! looked at twice — once to delimit, once to convert.  On two cores the
+//! log is two ranges that parse side by side in 0.50–0.55 of the one-range
+//! time each, and the calling thread's replay of their notes and join of
+//! their examples add ≈ 0.6 ms, so `open` takes ≈ 0.55–0.65 of one range,
+//! and a relaunched daemon answers its first `STATUS` in ≈ 0.62 of the time
+//! (measured on a 2-vCPU host, whose absolute times swing 2× with its
+//! load).  Past one range per core the parse cannot be split further: a
+//! restart that must be faster still has to replay *less* (compact the
+//! log), not parse more cleverly.
 //!
 //! **Torn tail.**  An append is one `O_APPEND` write of whole lines, and
 //! `create` a run of such writes on the one handle, so the only damage a
@@ -97,8 +112,10 @@ use crate::synopsis::SynopsisKind;
 use selfheal_faults::FixKind;
 use selfheal_jsonl::{push_f64, JsonError, Scanner};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead as _, BufReader, Write as _};
+use std::io::{self, BufRead, BufReader, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
+use std::thread;
 
 /// One recorded fix outcome: the failure signature, the fix attempted, and
 /// whether it repaired the failure.
@@ -206,11 +223,10 @@ impl SynopsisSnapshot {
     /// (blank lines are skipped).  Complete snapshots are verified against
     /// their declared example count; incremental logs are read to EOF.
     pub fn from_jsonl(text: &str) -> Result<SynopsisSnapshot, JsonError> {
-        let mut document = Document::sized(text.len());
-        for line in text.lines() {
-            document.feed(line)?;
-        }
-        document.finish()
+        let range = read_range(text.as_bytes(), text.len(), Tail::Line);
+        Document::replay(vec![range])
+            .and_then(Document::finish)
+            .map_err(Refusal::into_json)
     }
 
     /// Writes the snapshot to a JSON-lines file.
@@ -218,10 +234,13 @@ impl SynopsisSnapshot {
         self.write_complete(File::create(path)?)
     }
 
-    /// Reads a snapshot from a JSON-lines file.
+    /// Reads a snapshot from a JSON-lines file, streamed in ranges as
+    /// [`SnapshotLog::open`] reads it, and refused wherever
+    /// [`from_jsonl`](Self::from_jsonl) would refuse its text.
     pub fn load(path: impl AsRef<Path>) -> io::Result<SynopsisSnapshot> {
-        let text = std::fs::read_to_string(path)?;
-        SynopsisSnapshot::from_jsonl(&text).map_err(invalid_data)
+        let file = File::open(path)?;
+        replay_file(&file, line_cuts, Tail::Line)
+            .and_then(|document| document.finish().map_err(Refusal::into_io))
     }
 }
 
@@ -284,6 +303,9 @@ pub struct Replay {
     /// Bytes of an unfinished final line that were dropped (0 when the file
     /// ended on a whole line).
     pub torn_bytes: u64,
+    /// Byte ranges the file was read in, each on a core of its own (1 for
+    /// a file under 2 MiB or a one-core host).
+    pub ranges: usize,
 }
 
 impl SnapshotLog {
@@ -311,34 +333,28 @@ impl SnapshotLog {
     /// is replayed but neither repaired nor opened for append — see
     /// [`Replay::log`].
     pub fn open(path: impl AsRef<Path>) -> io::Result<Replay> {
-        let path = path.as_ref().to_path_buf();
+        SnapshotLog::open_cut(path.as_ref(), line_cuts)
+    }
+
+    /// [`open`](Self::open), its ranges starting where `cut` says.
+    fn open_cut(
+        path: &Path,
+        cut: impl FnOnce(&File, u64) -> io::Result<Vec<u64>>,
+    ) -> io::Result<Replay> {
+        let path = path.to_path_buf();
         let mut file = OpenOptions::new().read(true).append(true).open(&path)?;
-        let mut document = Document::sized(file.metadata()?.len() as usize);
-        // Line by line through one small buffer: the file is never in
-        // memory whole.  `whole` counts the bytes of terminated lines.
-        let mut reader = BufReader::with_capacity(1 << 16, &file);
-        let mut line = Vec::new();
-        let mut whole = 0u64;
-        loop {
-            line.clear();
-            reader.read_until(b'\n', &mut line)?;
-            let Some(text) = line.strip_suffix(b"\n") else {
-                break;
-            };
-            let text = std::str::from_utf8(text).map_err(invalid_data)?;
-            document.feed(text).map_err(invalid_data)?;
-            whole += line.len() as u64;
-        }
-        // What is left in `line` is the tail no newline ended.
-        let kept = std::str::from_utf8(&line).is_ok_and(|tail| document.feed_whole_example(tail));
-        let torn = if kept { 0 } else { line.len() as u64 };
+        let mut document = replay_file(&file, cut, Tail::Torn)?;
+        let tail = std::mem::take(&mut document.tail);
+        let kept = std::str::from_utf8(&tail).is_ok_and(|tail| document.take_whole_example(tail));
+        let torn = if kept { 0 } else { tail.len() as u64 };
+        let (whole, ranges) = (document.whole, document.ranges);
         let incremental = document.is_incremental();
-        let snapshot = document.finish().map_err(invalid_data)?;
+        let snapshot = document.finish().map_err(Refusal::into_io)?;
 
         let log = if incremental {
             if torn > 0 {
                 file.set_len(whole)?;
-            } else if !line.is_empty() {
+            } else if !tail.is_empty() {
                 file.write_all(b"\n")?;
             }
             Some(SnapshotLog { path, file })
@@ -348,8 +364,9 @@ impl SnapshotLog {
         Ok(Replay {
             snapshot,
             log,
-            bytes: whole + line.len() as u64 - torn,
+            bytes: whole + tail.len() as u64 - torn,
             torn_bytes: torn,
+            ranges,
         })
     }
 
@@ -399,61 +416,316 @@ enum Line {
     Example(SynopsisExample),
 }
 
-/// A synopsis document being read, one line at a time: the header, then
-/// every example pushed straight into the result.
-struct Document {
-    header: Option<Header>,
-    examples: Vec<SynopsisExample>,
-    /// Lines fed so far (errors carry the 1-based number).
-    lines: usize,
-    /// Length of the whole text, for sizing `examples` by the first one.
-    bytes: usize,
+/// Fewest bytes a replay range holds — ≈ 2.5 ms of parsing on one core —
+/// so a small file is read on the calling thread alone.
+const MIN_RANGE: u64 = 1 << 20;
+
+/// Read buffer of each replay range.
+const READ_CHUNK: usize = 1 << 16;
+
+/// How a reader treats the bytes after a file's last newline.
+#[derive(Clone, Copy, PartialEq)]
+enum Tail {
+    /// As one more line: what [`SynopsisSnapshot::load`] and
+    /// [`SynopsisSnapshot::from_jsonl`] read.
+    Line,
+    /// Set aside, for [`SnapshotLog::open`] to keep or cut.
+    Torn,
 }
 
-impl Document {
-    fn sized(bytes: usize) -> Document {
-        Document {
-            header: None,
-            examples: Vec::new(),
-            lines: 0,
-            bytes,
+/// Why a document was refused: what the codec found wrong with a line, or
+/// what reading the bytes found (bytes that are not UTF-8 among it).
+enum Refusal {
+    Codec(JsonError),
+    Read(io::Error),
+}
+
+impl From<JsonError> for Refusal {
+    fn from(err: JsonError) -> Self {
+        Refusal::Codec(err)
+    }
+}
+
+impl Refusal {
+    /// The refusal, a codec error numbered with its 1-based `line`.
+    fn at_line(self, line: usize) -> Refusal {
+        match self {
+            Refusal::Codec(mut err) => {
+                err.line = line;
+                Refusal::Codec(err)
+            }
+            read => read,
         }
     }
 
-    /// Takes the next line (its line ending stripped, a `\r` tolerated).
-    /// Blank lines are skipped; an example before the header, or a second
-    /// header, is an error.
-    fn feed(&mut self, line: &str) -> Result<(), JsonError> {
-        self.lines += 1;
-        if line.trim().is_empty() {
-            return Ok(());
+    fn into_io(self) -> io::Error {
+        match self {
+            Refusal::Codec(err) => invalid_data(err),
+            Refusal::Read(err) => err,
         }
-        let at_line = |mut err: JsonError| {
-            err.line = self.lines;
-            err
-        };
-        // Neighbouring lines are as wide as each other: size the symptom
-        // vector by the previous line's, and the result by the first's.
-        let width = self.examples.last().map_or(0, |e| e.symptoms.len());
-        match (parse_line(line, width).map_err(at_line)?, &self.header) {
-            (Line::Header(header), None) => self.header = Some(header),
-            (Line::Header(_), Some(_)) => {
-                return Err(at_line(JsonError::at(0, "duplicate synopsis header line")))
-            }
-            (Line::Example(_), None) => return Err(JsonError::at(0, MISSING_HEADER)),
-            (Line::Example(example), Some(_)) => {
-                if self.examples.is_empty() {
-                    self.examples.reserve(self.bytes / (line.len() + 1));
+    }
+
+    /// For text already in memory, which reads without error.
+    fn into_json(self) -> JsonError {
+        match self {
+            Refusal::Codec(err) => err,
+            Refusal::Read(err) => JsonError::at(0, err.to_string()),
+        }
+    }
+}
+
+/// What one byte range of a synopsis file holds, read without knowing what
+/// came before it: every example in it, and the three things the
+/// [`Document`] rules need in file order, each at its line within the
+/// range — the header lines, the first example and the first refusal,
+/// where the range stops.
+#[derive(Default)]
+struct Range {
+    /// Lines read, blank ones included.
+    lines: usize,
+    /// Bytes of the newline-terminated lines read.
+    whole: u64,
+    headers: Vec<(usize, Header)>,
+    first_example: Option<usize>,
+    refusal: Option<(usize, Refusal)>,
+    examples: Vec<SynopsisExample>,
+    /// The bytes after the file's last newline, under [`Tail::Torn`].
+    tail: Vec<u8>,
+}
+
+impl Range {
+    /// Reads one line, its `\n` stripped (a `\r` is whitespace to the
+    /// codec); `false` once the range is refused.  `bytes` is the range's
+    /// length, for sizing `examples` by the first one.
+    fn read_line(&mut self, line: &[u8], bytes: usize) -> bool {
+        let refusal = match std::str::from_utf8(line) {
+            Err(err) => Refusal::Read(invalid_data(err)),
+            Ok(text) if text.trim().is_empty() => return true,
+            // Neighbouring lines are as wide as each other: size the symptom
+            // vector by the previous line's.
+            Ok(text) => {
+                match parse_line(text, self.examples.last().map_or(0, |e| e.symptoms.len())) {
+                    Ok(Line::Header(header)) => {
+                        self.headers.push((self.lines, header));
+                        return true;
+                    }
+                    Ok(Line::Example(example)) => {
+                        if self.examples.is_empty() {
+                            self.first_example = Some(self.lines);
+                            self.examples.reserve(bytes / (line.len() + 1));
+                        }
+                        self.examples.push(example);
+                        return true;
+                    }
+                    Err(err) => Refusal::Codec(err),
                 }
-                self.examples.push(example);
             }
+        };
+        self.refusal = Some((self.lines, refusal));
+        false
+    }
+}
+
+/// Reads one range line by line through `reader` — `bytes` long, or about
+/// that — up to its end or its first refusal.
+fn read_range(mut reader: impl BufRead, bytes: usize, tail: Tail) -> Range {
+    let mut range = Range::default();
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if let Err(err) = reader.read_until(b'\n', &mut line) {
+            range.refusal = Some((range.lines, Refusal::Read(err)));
+            break;
+        }
+        let whole = line.last() == Some(&b'\n');
+        if whole {
+            line.pop();
+            range.whole += line.len() as u64 + 1;
+        } else if line.is_empty() || tail == Tail::Torn {
+            range.tail = line;
+            break;
+        }
+        range.lines += 1;
+        if !range.read_line(&line, bytes) || !whole {
+            break;
+        }
+    }
+    range
+}
+
+/// Bytes `at..end` of a file, read with positioned reads, so any number of
+/// spans read one handle at once.
+struct Span<'f> {
+    file: &'f File,
+    at: u64,
+    end: u64,
+}
+
+impl io::Read for Span<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let room = (self.end - self.at).min(buf.len() as u64) as usize;
+        let read = self.file.read_at(&mut buf[..room], self.at)?;
+        self.at += read as u64;
+        Ok(read)
+    }
+}
+
+/// Where a replay of a `len`-byte file starts its ranges after the first:
+/// one range per available core, none shorter than [`MIN_RANGE`] before it
+/// is moved forward to the start of a line.
+fn line_cuts(file: &File, len: u64) -> io::Result<Vec<u64>> {
+    let mut ranges = len / MIN_RANGE;
+    if ranges > 1 {
+        // Only a file worth splitting asks how many cores there are.
+        ranges = ranges.min(thread::available_parallelism().map_or(1, usize::from) as u64);
+    }
+    let mut cuts: Vec<u64> = Vec::new();
+    let mut probe = [0u8; 4096];
+    for i in 1..ranges {
+        let mut at = (len / ranges * i - 1).max(cuts.last().copied().unwrap_or(0));
+        loop {
+            let read = file.read_at(&mut probe, at)?;
+            if read == 0 {
+                return Ok(cuts);
+            }
+            if let Some(newline) = probe[..read].iter().position(|&b| b == b'\n') {
+                at += newline as u64 + 1;
+                break;
+            }
+            at += read as u64;
+        }
+        if at < len {
+            cuts.push(at);
+        }
+    }
+    Ok(cuts)
+}
+
+/// Reads `file` in ranges — the first from byte 0, the others from the
+/// rising line starts `cut` returns — each on a scoped thread but the
+/// first, which the calling thread reads, and replays them in file order.
+fn replay_file(
+    file: &File,
+    cut: impl FnOnce(&File, u64) -> io::Result<Vec<u64>>,
+    tail: Tail,
+) -> io::Result<Document> {
+    let len = file.metadata()?.len();
+    let starts: Vec<u64> = std::iter::once(0).chain(cut(file, len)?).collect();
+    let read = |i: usize| {
+        let (at, end) = (starts[i], starts.get(i + 1).copied());
+        let bytes = end.unwrap_or(len).saturating_sub(at) as usize;
+        let span = Span {
+            file,
+            at,
+            end: end.unwrap_or(u64::MAX),
+        };
+        read_range(BufReader::with_capacity(READ_CHUNK, span), bytes, tail)
+    };
+    let ranges = thread::scope(|scope| {
+        let read = &read;
+        let spawned: Vec<_> = (1..starts.len())
+            .map(|i| {
+                (
+                    i,
+                    thread::Builder::new().spawn_scoped(scope, move || read(i)),
+                )
+            })
+            .collect();
+        let mut ranges = vec![read(0)];
+        for (i, thread) in spawned {
+            ranges.push(match thread {
+                Ok(thread) => thread
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                // No thread to spare: this one reads the range too.
+                Err(_) => read(i),
+            });
+        }
+        ranges
+    });
+    Document::replay(ranges).map_err(Refusal::into_io)
+}
+
+/// A synopsis document replayed from the ranges it was read in: the
+/// header, then every example, in file order.
+struct Document {
+    header: Option<Header>,
+    examples: Vec<SynopsisExample>,
+    /// Lines replayed so far (errors carry the 1-based number).
+    lines: usize,
+    /// Bytes of the newline-terminated lines replayed.
+    whole: u64,
+    /// The bytes after the last newline, under [`Tail::Torn`].
+    tail: Vec<u8>,
+    /// Ranges the document was read in.
+    ranges: usize,
+}
+
+impl Document {
+    /// Replays `ranges`' notes, in file order, through the rules one pass
+    /// over the file would apply line by line — blank lines skipped, an
+    /// example before the header or a second header refused, the first
+    /// refusal in the file returned — and joins their examples.
+    fn replay(ranges: Vec<Range>) -> Result<Document, Refusal> {
+        let total = ranges.iter().map(|range| range.examples.len()).sum();
+        let mut document = Document {
+            header: None,
+            examples: Vec::new(),
+            lines: 0,
+            whole: 0,
+            tail: Vec::new(),
+            ranges: ranges.len(),
+        };
+        for range in ranges {
+            document.take(range, total)?;
+        }
+        Ok(document)
+    }
+
+    /// Takes the next range; `total` is how many examples all of them hold.
+    fn take(&mut self, range: Range, total: usize) -> Result<(), Refusal> {
+        let mut first_example = range.first_example;
+        for (line, header) in range.headers {
+            if first_example.is_some_and(|at| at < line) {
+                self.expect_header()?;
+                first_example = None;
+            }
+            if self.header.is_some() {
+                let err = JsonError::at(0, "duplicate synopsis header line");
+                return Err(Refusal::from(err).at_line(self.lines + line));
+            }
+            self.header = Some(header);
+        }
+        if first_example.is_some() {
+            self.expect_header()?;
+        }
+        if let Some((line, refusal)) = range.refusal {
+            return Err(refusal.at_line(self.lines + line));
+        }
+        self.lines += range.lines;
+        self.whole += range.whole;
+        self.tail = range.tail;
+        let mut examples = range.examples;
+        if self.examples.is_empty() {
+            examples.reserve_exact(total - examples.len());
+            self.examples = examples;
+        } else {
+            self.examples.append(&mut examples);
         }
         Ok(())
     }
 
+    /// Refuses an example when no header came before it.
+    fn expect_header(&self) -> Result<(), JsonError> {
+        match self.header {
+            Some(_) => Ok(()),
+            None => Err(JsonError::at(0, MISSING_HEADER)),
+        }
+    }
+
     /// Takes `line` if — and only if — it is a whole example in its place;
     /// says whether it did.
-    fn feed_whole_example(&mut self, line: &str) -> bool {
+    fn take_whole_example(&mut self, line: &str) -> bool {
         let width = self.examples.last().map_or(0, |e| e.symptoms.len());
         match (parse_line(line, width), &self.header) {
             (Ok(Line::Example(example)), Some(_)) => {
@@ -470,7 +742,7 @@ impl Document {
     }
 
     /// The finished snapshot, a complete one's declared count checked.
-    fn finish(self) -> Result<SynopsisSnapshot, JsonError> {
+    fn finish(self) -> Result<SynopsisSnapshot, Refusal> {
         let header = self
             .header
             .ok_or_else(|| JsonError::at(0, MISSING_HEADER))?;
@@ -479,7 +751,8 @@ impl Document {
             Some(declared) if declared != found => Err(JsonError::at(
                 0,
                 format!("header declares {declared} examples but the file holds {found}"),
-            )),
+            )
+            .into()),
             _ => Ok(SynopsisSnapshot {
                 kind: header.kind,
                 examples: self.examples,
@@ -582,6 +855,17 @@ fn parse_line(line: &str, width: usize) -> Result<Line, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SnapshotLog {
+        /// A log over `path` whose handle cannot write: every append fails.
+        pub(crate) fn read_only(path: &Path) -> SnapshotLog {
+            let file = File::open(path).expect("the log exists");
+            SnapshotLog {
+                path: path.to_path_buf(),
+                file,
+            }
+        }
+    }
 
     fn snapshot() -> SynopsisSnapshot {
         let mut snap = SynopsisSnapshot::new(SynopsisKind::NearestNeighbor);
@@ -780,11 +1064,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn open_refuses_everything_load_refuses_before_the_final_line() {
-        let header = "{\"synopsis\":\"k_means\",\"incremental\":true}\n";
-        let good = "{\"symptoms\":[1.0],\"fix\":\"reboot_tier\",\"success\":true}\n";
-        let cases = [
+    /// Logs both readers refuse, each named by what is wrong with it.
+    fn refused_logs() -> [(&'static str, String); 9] {
+        let (header, good) = (LOG_HEADER, GOOD_LINE);
+        [
             ("empty file", String::new()),
             ("no header", format!("{good}{good}")),
             ("duplicate header", format!("{header}{good}{header}{good}")),
@@ -812,9 +1095,14 @@ mod tests {
                     header.replace("\"incremental\":true", "\"examples\":2")
                 ),
             ),
-        ];
+        ]
+    }
+
+    #[test]
+    fn open_refuses_everything_load_refuses_before_the_final_line() {
+        let header = LOG_HEADER;
         let path = scratch("refused.jsonl");
-        for (what, text) in cases {
+        for (what, text) in refused_logs() {
             std::fs::write(&path, &text).unwrap();
             let loaded = SynopsisSnapshot::load(&path).expect_err(what);
             let opened = SnapshotLog::open(&path).expect_err(what);
@@ -1024,6 +1312,188 @@ mod tests {
             let err = SynopsisSnapshot::from_jsonl(&damaged.join("\n")).unwrap_err();
             assert_eq!((err.line, err.offset), (at + 1, offset), "{}", err.message);
         }
+    }
+
+    /// What one replay of `text` ended as: the snapshot, `bytes`,
+    /// `torn_bytes`, whether a log handle came back, and the file's bytes
+    /// afterwards — or the refusal's text, which carries its line number.
+    type Outcome = (Result<(SynopsisSnapshot, u64, u64, bool), String>, Vec<u8>);
+
+    /// Replays `text` from a file, its ranges starting at 0 and at `cuts`:
+    /// as [`SnapshotLog::open`] does under [`Tail::Torn`], as
+    /// [`SynopsisSnapshot::load`] does under [`Tail::Line`].
+    fn replayed(path: &Path, text: &[u8], cuts: &[u64], tail: Tail) -> Outcome {
+        std::fs::write(path, text).unwrap();
+        let cut = |_: &File, _: u64| Ok(cuts.to_vec());
+        let result = match tail {
+            Tail::Torn => SnapshotLog::open_cut(path, cut).map(|replay| {
+                assert_eq!(replay.ranges, cuts.len() + 1);
+                let log = replay.log.is_some();
+                (replay.snapshot, replay.bytes, replay.torn_bytes, log)
+            }),
+            Tail::Line => File::open(path)
+                .and_then(|file| replay_file(&file, cut, Tail::Line))
+                .and_then(|document| document.finish().map_err(Refusal::into_io))
+                .map(|snapshot| (snapshot, 0, 0, false)),
+        };
+        (
+            result.map_err(|err| err.to_string()),
+            std::fs::read(path).unwrap(),
+        )
+    }
+
+    /// Every way to cut `text` into 1 to 4 ranges at line starts.
+    fn splits(text: &[u8]) -> Vec<Vec<u64>> {
+        let starts: Vec<u64> = (1..text.len())
+            .filter(|&at| text[at - 1] == b'\n')
+            .map(|at| at as u64)
+            .collect();
+        let mut splits = vec![Vec::new()];
+        for (i, &a) in starts.iter().enumerate() {
+            splits.push(vec![a]);
+            for (j, &b) in starts.iter().enumerate().skip(i + 1) {
+                splits.push(vec![a, b]);
+                splits.extend(starts[j + 1..].iter().map(|&c| vec![a, b, c]));
+            }
+        }
+        splits
+    }
+
+    /// Logs that exercise the range reader's notes: blank lines, CRLF
+    /// endings and a header after blank lines; a duplicate header, an
+    /// example before the header, a bad number, bytes that are not UTF-8
+    /// (two of them in each log, so that each range can hold one); whole
+    /// and torn unterminated tails; complete snapshots, their counts right
+    /// and wrong.
+    fn range_logs() -> Vec<Vec<u8>> {
+        let example = |n: usize| {
+            let mut line = String::new();
+            let fix = FixKind::ALL[n % FixKind::ALL.len()];
+            push_outcome_line(
+                &mut line,
+                &[n as f64 + 0.5, 1.0, -2.25],
+                fix,
+                n.is_multiple_of(3),
+            );
+            line
+        };
+        let body = |header: &str| {
+            let mut text = format!("\n  \r\n{header}\r\n");
+            for n in 0..8 {
+                text.push_str(&example(n));
+                if n % 3 == 1 {
+                    text.insert(text.len() - 1, '\r');
+                    text.push('\n');
+                }
+            }
+            text
+        };
+        let header = LOG_HEADER.trim_end();
+        let log = body(header);
+        let mut logs = vec![log.clone().into_bytes()];
+        // The tail: the last newline missing, then the last line torn.
+        logs.push(log.trim_end().as_bytes().to_vec());
+        logs.push(log.as_bytes()[..log.len() - 9].to_vec());
+        // Complete snapshots: a count that holds, and one that does not.
+        let complete = |count: usize| {
+            body(&format!(
+                "{{\"synopsis\":\"k_means\",\"examples\":{count}}}"
+            ))
+        };
+        logs.push(complete(8).into_bytes());
+        logs.push(complete(9).into_bytes());
+        // The header after examples, at several depths.
+        let lines: Vec<&str> = log.split_inclusive('\n').collect();
+        let header_at = lines.iter().position(|l| l.trim() == header).unwrap();
+        for after in [1, 4, 7] {
+            let mut moved = lines.clone();
+            let line = moved.remove(header_at);
+            moved.insert(header_at + after, line);
+            logs.push(moved.concat().into_bytes());
+        }
+        // Two faults per log, each kind against each, far enough apart for
+        // a range each; each fault replaces a whole example line.
+        let faults: [&[u8]; 3] = [
+            b"{\"synopsis\":\"k_means\",\"incremental\":true}\n",
+            b"{\"symptoms\":[1.0,1e999],\"fix\":\"no_op\",\"success\":true}\n",
+            b"{\"symptoms\":[1.0],\"fix\":\"no_op\",\"success\":\xff}\n",
+        ];
+        for first in faults {
+            for second in faults {
+                let mut faulty: Vec<Vec<u8>> =
+                    lines.iter().map(|l| l.as_bytes().to_vec()).collect();
+                faulty[header_at + 2] = first.to_vec();
+                faulty[header_at + 6] = second.to_vec();
+                logs.push(faulty.concat());
+            }
+        }
+        logs
+    }
+
+    #[test]
+    fn every_split_at_line_starts_replays_what_one_range_replays() {
+        let path = scratch("split.jsonl");
+        let mut texts = range_logs();
+        texts.extend(refused_logs().map(|(_, text)| text.into_bytes()));
+        let (mut accepted, mut replays) = (0, 0);
+        for text in &texts {
+            for tail in [Tail::Torn, Tail::Line] {
+                let whole = replayed(&path, text, &[], tail);
+                accepted += usize::from(whole.0.is_ok());
+                if let (Tail::Line, Ok(text)) = (tail, std::str::from_utf8(text)) {
+                    // One range is what `from_jsonl` reads, refusals and all.
+                    let parsed = SynopsisSnapshot::from_jsonl(text);
+                    let parsed = parsed.map(|s| (s, 0, 0, false)).map_err(|e| e.to_string());
+                    assert_eq!(parsed, whole.0, "{text:?}");
+                }
+                for cuts in splits(text) {
+                    let split = replayed(&path, text, &cuts, tail);
+                    assert_eq!(
+                        split,
+                        whole,
+                        "cuts {cuts:?} of {:?}",
+                        String::from_utf8_lossy(text)
+                    );
+                    replays += 1;
+                }
+            }
+        }
+        // Accepted: the good log and its whole tail by both readers, its
+        // torn tail by `open` alone, the complete snapshot whose count
+        // holds by both.  Every other replay is a refusal.
+        assert_eq!(accepted, 7);
+        assert!(replays > 10_000, "{replays}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_large_file_is_cut_at_line_starts_one_range_per_core() {
+        let path = scratch("cuts.jsonl");
+        let mut big = SynopsisSnapshot::new(SynopsisKind::KMeans);
+        for n in 0..12_000 {
+            big.push(
+                vec![n as f64 + 0.123456789; 26],
+                FixKind::RebootTier,
+                n % 2 == 0,
+            );
+        }
+        drop(SnapshotLog::create(&path, &big).unwrap());
+        let text = std::fs::read(&path).unwrap();
+        let len = text.len() as u64;
+        assert!(len > 4 * MIN_RANGE, "{len}");
+        let file = File::open(&path).unwrap();
+        let cores = thread::available_parallelism().map_or(1, usize::from);
+        let cuts = line_cuts(&file, len).unwrap();
+        assert_eq!(cuts.len() + 1, cores.min((len / MIN_RANGE) as usize));
+        for (i, &cut) in cuts.iter().enumerate() {
+            assert_eq!(text[cut as usize - 1], b'\n', "cut {i} at a line start");
+            assert!(cut >= len / (cuts.len() as u64 + 1) * (i as u64 + 1));
+        }
+        let replay = SnapshotLog::open(&path).unwrap();
+        assert_eq!((replay.snapshot, replay.ranges), (big, cuts.len() + 1));
+        // Below two ranges' worth there is one range, whatever the host.
+        assert!(line_cuts(&file, 2 * MIN_RANGE - 1).unwrap().is_empty());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

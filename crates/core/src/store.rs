@@ -155,6 +155,15 @@ pub trait SynopsisStore: Learner {
         let kept = self.snapshot().negatives();
         (kept, kept)
     }
+
+    /// Whether the store dropped its incremental log because writing to it
+    /// failed — a full disk, a bad handle — and learns in memory only
+    /// until the next [`persist_to`](Self::persist_to) or
+    /// [`attach_log`](Self::attach_log) (`STATUS`'s `log=detached`).  The
+    /// default body says no: a store without a log never detaches one.
+    fn log_detached(&self) -> bool {
+        false
+    }
 }
 
 /// Per-fix success/failure counts while [`SynopsisStore::fix_stats`]
@@ -370,7 +379,18 @@ struct State {
     router: Router,
     shards: Vec<Shard>,
     drains: u64,
-    log: Option<SnapshotLog>,
+    log: Persist,
+}
+
+/// Where a store's drained outcomes go besides its models.
+#[derive(Debug)]
+enum Persist {
+    /// Nowhere: the store was never given a log.
+    Off,
+    /// Appended to this incremental log.
+    Log(SnapshotLog),
+    /// Nowhere any more: writing the log failed, so the store dropped it.
+    Detached,
 }
 
 impl State {
@@ -384,18 +404,19 @@ impl State {
     /// active; `false` when nothing was queued.  The queue keeps its
     /// capacity, so a batch-1 record allocates only its symptom vector.
     ///
-    /// # Panics
-    /// Panics when the append fails: silently dropping experience from a
-    /// file the operator asked for would defeat the point of persistence.
+    /// A failed append (a full disk, a bad handle) detaches the log: the
+    /// store keeps learning in memory, and
+    /// [`log_detached`](SynopsisStore::log_detached) says so.
     fn absorb_pending(&mut self, index: usize) -> bool {
         let Shard { model, pending } = &mut self.shards[index];
         if pending.is_empty() {
             return false;
         }
-        if let Some(log) = &self.log {
+        if let Persist::Log(log) = &self.log {
             let outcomes = pending.iter().map(|(s, fix, ok)| (s.as_slice(), *fix, *ok));
-            log.append_outcomes(outcomes)
-                .expect("appending drained outcomes to the synopsis log failed");
+            if log.append_outcomes(outcomes).is_err() {
+                self.log = Persist::Detached;
+            }
         }
         model.absorb(pending.drain(..));
         true
@@ -489,7 +510,7 @@ impl ShardedStore {
                 })
                 .collect(),
             drains: 0,
-            log: None,
+            log: Persist::Off,
         };
         ShardedStore {
             state: Arc::new(Mutex::new(state)),
@@ -613,10 +634,12 @@ impl SynopsisStore for ShardedStore {
         }
         state.partition(snapshot);
         // An active log is recreated from the restored experience (the
-        // queues were just emptied, so there is nothing to flush).
-        if let Some(path) = state.log.as_ref().map(|log| log.path().to_path_buf()) {
-            let recreated = SnapshotLog::create(path, &state.experience());
-            state.log = Some(recreated.expect("recreating the synopsis log after restore failed"));
+        // queues were just emptied, so there is nothing to flush); one that
+        // cannot be is detached, as a failed append detaches it.
+        if let Persist::Log(log) = &state.log {
+            let path = log.path().to_path_buf();
+            state.log = SnapshotLog::create(path, &state.experience())
+                .map_or(Persist::Detached, Persist::Log);
         }
     }
 
@@ -628,13 +651,17 @@ impl SynopsisStore for ShardedStore {
         let mut state = self.state();
         state.flush();
         let log = SnapshotLog::create(path, &state.experience())?;
-        state.log = Some(log);
+        state.log = Persist::Log(log);
         Ok(())
     }
 
     fn attach_log(&mut self, log: SnapshotLog) -> io::Result<()> {
-        self.state().log = Some(log);
+        self.state().log = Persist::Log(log);
         Ok(())
+    }
+
+    fn log_detached(&self) -> bool {
+        matches!(self.state().log, Persist::Detached)
     }
 }
 
@@ -1008,6 +1035,45 @@ mod tests {
 
         std::fs::remove_file(&sharded_path).ok();
         std::fs::remove_file(&private_path).ok();
+    }
+
+    #[test]
+    fn a_log_that_cannot_be_written_is_detached_and_learning_goes_on() {
+        let dir = std::env::temp_dir().join("selfheal_store_detach_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("read_only.jsonl");
+        let mut store = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
+        store.record(&symptom(0), FIXES[0], true);
+        store.persist_to(&path).unwrap();
+        let on_disk = std::fs::read(&path).unwrap();
+        assert!(!store.log_detached());
+
+        // Every append through a read-only handle fails (EBADF): the store
+        // drops the log, keeps the outcome, and writes nothing.
+        store.attach_log(SnapshotLog::read_only(&path)).unwrap();
+        store.record(&symptom(1), FIXES[1], true);
+        assert!(store.log_detached());
+        assert_eq!(store.correct_fixes_learned(), 2);
+        store.record(&symptom(2), FIXES[2], false);
+        assert_eq!(store.failure_memory(), (1, 1));
+        assert_eq!(std::fs::read(&path).unwrap(), on_disk);
+
+        // A restore has no log left to recreate; a new one re-attaches.
+        store.restore(&store.snapshot());
+        assert!(store.log_detached());
+        store.persist_to(&path).unwrap();
+        assert!(!store.log_detached());
+        assert_eq!(SynopsisSnapshot::load(&path).unwrap().len(), 3);
+
+        // A log that cannot be recreated after a restore is detached too.
+        let gone = dir.join("gone");
+        std::fs::create_dir_all(&gone).unwrap();
+        store.persist_to(&gone.join("log.jsonl")).unwrap();
+        std::fs::remove_dir_all(&gone).unwrap();
+        store.restore(&store.snapshot());
+        assert!(store.log_detached());
+        assert_eq!(store.correct_fixes_learned(), 2);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

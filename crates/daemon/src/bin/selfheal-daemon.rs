@@ -155,12 +155,14 @@ fn run() -> Result<(), String> {
             bytes => format!(" torn_bytes_dropped={bytes}"),
         };
         println!(
-            "selfheal-daemon: tenant={name} log={} path={} examples={} bytes={} replay_ms={}{torn}",
+            "selfheal-daemon: tenant={name} log={} path={} examples={} bytes={} replay_ms={} \
+             replay_ranges={}{torn}",
             replay.start.label(),
             path.display(),
             replay.examples,
             replay.bytes,
-            replay.millis
+            replay.millis,
+            replay.ranges
         );
     }
     println!("selfheal-daemon: serving on {}", socket.display());

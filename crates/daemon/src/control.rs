@@ -632,14 +632,19 @@ fn status_lines(supervisor: &Supervisor) -> Vec<String> {
         ),
         format!(
             "store={} fixes_known={} pending_updates={} restored_examples={} persist={persist} \
-             replay_ms={} log={} failures_recorded={failures_recorded} \
+             replay_ms={} replay_ranges={} log={} failures_recorded={failures_recorded} \
              negatives_kept={negatives_kept}",
             supervisor.store().kind().label(),
             health.fixes_known,
             health.pending_updates,
             replay.examples,
             replay.millis,
-            replay.start.label()
+            replay.ranges,
+            if supervisor.store().log_detached() {
+                "detached"
+            } else {
+                replay.start.label()
+            }
         ),
         format!(
             "open_episodes={} restarts_total={}",

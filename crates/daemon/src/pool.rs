@@ -114,6 +114,10 @@ impl SynopsisStore for PooledStore {
     fn attach_log(&mut self, log: SnapshotLog) -> io::Result<()> {
         self.primary.attach_log(log)
     }
+
+    fn log_detached(&self) -> bool {
+        self.primary.log_detached()
+    }
 }
 
 #[cfg(test)]

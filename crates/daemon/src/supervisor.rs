@@ -103,7 +103,8 @@ impl LogStart {
 
 /// What startup did with the snapshot log and what it cost — the restart's
 /// own time-to-recover, reported by `STATUS` (`restored_examples=`,
-/// `replay_ms=`, `log=`) and by `selfheal-daemon`'s launch line.
+/// `replay_ms=`, `replay_ranges=`, `log=`) and by `selfheal-daemon`'s
+/// launch line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogReplay {
     /// The path taken.
@@ -116,6 +117,10 @@ pub struct LogReplay {
     pub torn_bytes: u64,
     /// Wall time of replay, restore and attach (or rewrite), in ms.
     pub millis: u64,
+    /// Byte ranges the log was replayed in, each on a core of its own
+    /// ([`Replay::ranges`](selfheal_core::snapshot::Replay::ranges); 0 when
+    /// nothing was replayed).
+    pub ranges: usize,
 }
 
 impl LogReplay {
@@ -127,6 +132,7 @@ impl LogReplay {
             bytes: 0,
             torn_bytes: 0,
             millis: 0,
+            ranges: 0,
         }
     }
 }
@@ -159,6 +165,7 @@ fn replay_log(store: &mut dyn SynopsisStore, path: &Path) -> Result<LogReplay, S
                 bytes: found.bytes,
                 torn_bytes: found.torn_bytes,
                 millis: 0,
+                ranges: found.ranges,
             }
         }
         Err(err) if err.kind() == io::ErrorKind::NotFound => {

@@ -267,6 +267,10 @@ impl SynopsisStore for GatedStore {
     fn attach_log(&mut self, log: SnapshotLog) -> std::io::Result<()> {
         self.inner.attach_log(log)
     }
+
+    fn log_detached(&self) -> bool {
+        self.inner.log_detached()
+    }
 }
 
 // ---------------------------------------------------------------------------

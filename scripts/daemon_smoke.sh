@@ -11,6 +11,9 @@
 #        pre-crash bytes must be a prefix of the live file, header untouched
 #     -> kill -9, tear 7 bytes off the log's tail, relaunch
 #     -> STATUS must show every whole line but the torn one restored
+#     -> kill -9, grow the log past 4 MiB by repeating its example lines,
+#        relaunch: STATUS must show every example restored, log=adopted, and
+#        the replay read in 2+ ranges when there are 2+ cores
 #     -> clean SHUTDOWN within a bounded wait
 #
 # Exits 1 on any failed step.  Binaries default to target/release; override
@@ -134,7 +137,7 @@ printf '%s\n' "$STATUS" | grep -q 'restored_examples=[1-9]' \
     || fail "nothing restored after the crash: $STATUS"
 printf '%s\n' "$STATUS" | grep -q 'fixes_known=[1-9]' \
     || fail "restored store knows no fixes: $STATUS"
-printf '%s\n' "$STATUS" | grep -q 'replay_ms=[0-9][0-9]* log=adopted' \
+printf '%s\n' "$STATUS" | grep -q 'replay_ms=[0-9][0-9]* replay_ranges=[0-9][0-9]* log=adopted' \
     || fail "the restart did not adopt its log: $STATUS"
 cmp -s -n "$SIZE" "$DIR/first-life.jsonl" "$STORE" \
     || fail "the first life's $SIZE bytes are no longer a prefix of the log"
@@ -150,6 +153,28 @@ launch
 STATUS="$(ctl STATUS)" || fail "STATUS over a torn log rejected"
 printf '%s\n' "$STATUS" | grep -q "restored_examples=$((WHOLE - 1)) .* log=adopted" \
     || fail "expected $((WHOLE - 1)) examples restored over the torn tail: $STATUS"
+
+# Fourth life, over a log grown past 4 MiB: big enough to be replayed in
+# ranges, one per core, which must restore exactly what one pass would.
+crash
+BODY="$DIR/body.jsonl"
+# Whole lines only (a kill -9 can leave the last one torn), header apart.
+head -n "$(wc -l <"$STORE")" "$STORE" | tail -n +2 >"$BODY"
+[ -s "$BODY" ] || fail "the log holds no whole example line to repeat"
+while [ "$(wc -c <"$BODY")" -le $((4 << 20)) ]; do
+    cat "$BODY" "$BODY" >"$BODY.twice" && mv "$BODY.twice" "$BODY"
+done
+EXAMPLES="$(wc -l <"$BODY")"
+{ head -n 1 "$STORE"; cat "$BODY"; } >"$STORE.grown" && mv "$STORE.grown" "$STORE"
+launch
+STATUS="$(ctl STATUS)" || fail "STATUS over the grown log rejected"
+printf '%s\n' "$STATUS" | grep -q "restored_examples=$EXAMPLES .* log=adopted" \
+    || fail "expected all $EXAMPLES examples of the grown log restored: $STATUS"
+RANGES="$(printf '%s\n' "$STATUS" | sed -n 's/.*replay_ranges=\([0-9]*\).*/\1/p')"
+[ -n "$RANGES" ] || fail "STATUS lacks replay_ranges=: $STATUS"
+if [ "$(nproc)" -ge 2 ] && [ "$RANGES" -lt 2 ]; then
+    fail "a 4 MiB log on $(nproc) cores was replayed in $RANGES range(s): $STATUS"
+fi
 
 # Clean shutdown, bounded.
 ctl SHUTDOWN | grep -q 'shutting down' || fail "SHUTDOWN rejected"

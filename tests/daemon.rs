@@ -554,6 +554,7 @@ fn restart_adopts_the_log_in_place_and_rewrites_nothing() {
     assert_eq!(replay.start, LogStart::Adopted);
     assert_eq!(replay.examples, first_life.len());
     assert_eq!((replay.bytes, replay.torn_bytes), (first.len() as u64, 0));
+    assert_eq!(replay.ranges, 1, "a log under 2 MiB is one range");
     assert_eq!(std::fs::read(&store_path).unwrap(), first);
     // ...and what it drains lands behind what was there.
     supervisor.add_replica("default").unwrap();
@@ -927,6 +928,7 @@ fn end_to_end_daemon_session_survives_kill_dash_nine() {
         Some(restored as u64),
         "status reports the restored synopsis count: {status}"
     );
+    assert_eq!(field(&status, "replay_ranges="), Some(1), "{status}");
     assert!(
         field(&status, "fixes_known=").unwrap_or(0) >= 1,
         "restored store knows fixes immediately: {status}"
