@@ -1,6 +1,6 @@
 //! FixSym: the signature-based self-healing engine (Figure 3 of the paper).
 
-use crate::policy::{choose, Source};
+use crate::policy::{choose, Source, ESCALATE};
 use crate::synopsis::{Synopsis, SynopsisKind};
 use selfheal_faults::{FixAction, FixKind};
 use std::collections::HashSet;
@@ -10,13 +10,14 @@ use std::collections::HashSet;
 pub(crate) const THRESHOLD: u32 = 4;
 
 /// Line 9 of the offline engine: the synopsis's suggestion with no
-/// confidence floor, else the cheapest untried candidate; when both are
-/// empty the episode escalates.
+/// confidence floor, else the cheapest untried candidate, else lines 18–20
+/// (which [`ESCALATE`] also takes past the threshold).
 const OFFLINE: &[Source] = &[
     Source::Synopsis {
         min_confidence: 0.0,
     },
     Source::CheapestUntried,
+    Source::Escalate { idle_ticks: 0 },
 ];
 
 /// Result of healing one failure episode with [`FixSymEngine::run_episode`].
@@ -26,7 +27,8 @@ pub struct EpisodeResult {
     pub attempts: Vec<FixKind>,
     /// The fix that finally worked (`None` when the loop escalated).
     pub successful_fix: Option<FixKind>,
-    /// Whether the loop escalated to the expensive universal fix.
+    /// Whether the loop escalated (lines 18–20): it restarted the service
+    /// and learned the administrator's fix.
     pub escalated: bool,
 }
 
@@ -38,14 +40,12 @@ impl EpisodeResult {
 }
 
 /// The offline/episodic FixSym engine used by the Figure 4 / Table 3
-/// experiments: each failure data point is healed against an oracle that
-/// reports whether an attempted fix repaired the failure (in the
-/// experiments, the simulator's ground-truth catalog plays that role, just
-/// as the authors' simulator did).
+/// experiments: each failure data point is healed against an oracle, the
+/// fix that repairs it (in the experiments, the simulator's ground-truth
+/// catalog plays that role, just as the authors' simulator did).
 #[derive(Debug)]
 pub struct FixSymEngine {
     synopsis: Synopsis,
-    episodes: u64,
     escalations: u64,
 }
 
@@ -54,7 +54,6 @@ impl FixSymEngine {
     pub fn new(kind: SynopsisKind) -> Self {
         FixSymEngine {
             synopsis: Synopsis::new(kind),
-            episodes: 0,
             escalations: 0,
         }
     }
@@ -69,66 +68,58 @@ impl FixSymEngine {
         self.escalations
     }
 
-    /// Heals one failure data point (Figure 3, lines 4–21).
+    /// Heals one failure data point (Figure 3, lines 4–21) whose catalogue
+    /// fix is `fix`.
     ///
-    /// `check_fix` is the oracle of line 13: it applies the candidate fix to
-    /// the (simulated) service and reports whether the service recovered.
-    /// The synopsis is updated after every attempt with the observed
-    /// outcome, exactly as in the pseudocode.
-    pub fn run_episode<F>(&mut self, symptoms: &[f64], mut check_fix: F) -> EpisodeResult
-    where
-        F: FnMut(FixKind) -> bool,
-    {
-        self.episodes += 1;
+    /// `fix` is the oracle: line 13's `check_fix` reports whether an
+    /// attempted fix is it, and past the threshold it is the administrator's
+    /// answer of lines 18–20.  The synopsis is updated after every attempt
+    /// with the observed outcome, exactly as in the pseudocode, and learns
+    /// the administrator's answer as a positive.
+    pub fn run_episode(&mut self, symptoms: &[f64], fix: FixKind) -> EpisodeResult {
         let mut attempts = Vec::new();
         let mut tried: HashSet<FixKind> = HashSet::new();
-
-        while attempts.len() < THRESHOLD as usize {
+        loop {
             // Line 9: query the current synopsis for the probable fix.  With
             // an empty synopsis (first-ever failure) fall back to the
             // cheapest untried candidate, mirroring "domain knowledge may be
             // used" to initialize the synopsis.
-            let Some((action, _, _)) = choose(
-                OFFLINE,
+            let sources = if attempts.len() < THRESHOLD as usize {
+                OFFLINE
+            } else {
+                ESCALATE
+            };
+            let (action, source, _) = choose(
+                sources,
                 Some(&self.synopsis),
                 None,
                 symptoms,
                 &tried,
                 FixAction::untargeted,
-            ) else {
-                break;
+            )
+            .expect("escalation always offers a fix");
+            attempts.push(action.kind);
+            tried.insert(action.kind);
+
+            // Lines 11–15: apply the fix, check whether it worked and update
+            // the synopsis with the new data point.  Lines 18–20: restart the
+            // service and notify the administrator; the fix found by the
+            // administrator is learned too.
+            let escalated = matches!(source, Source::Escalate { .. });
+            let (learned, fixed) = if escalated {
+                (fix, true)
+            } else {
+                (action.kind, action.kind == fix)
             };
-            let fix = action.kind;
-
-            // Lines 11–13: apply the fix and check whether it worked.
-            attempts.push(fix);
-            tried.insert(fix);
-            let fixed = check_fix(fix);
-
-            // Line 15: update the synopsis with the new data point.
-            self.synopsis.update(symptoms, fix, fixed);
-
+            self.synopsis.update(symptoms, learned, fixed);
             if fixed {
+                self.escalations += u64::from(escalated);
                 return EpisodeResult {
                     attempts,
-                    successful_fix: Some(fix),
-                    escalated: false,
+                    successful_fix: (!escalated).then_some(fix),
+                    escalated,
                 };
             }
-        }
-
-        // Lines 18–20: threshold exceeded — restart the service and notify
-        // the administrator; the fix found by the administrator (here: the
-        // universal restart) is learned too.
-        self.escalations += 1;
-        let escalation = FixKind::FullServiceRestart;
-        attempts.push(escalation);
-        let fixed = check_fix(escalation);
-        self.synopsis.update(symptoms, escalation, fixed);
-        EpisodeResult {
-            attempts,
-            successful_fix: if fixed { Some(escalation) } else { None },
-            escalated: true,
         }
     }
 }
@@ -137,13 +128,6 @@ impl FixSymEngine {
 mod tests {
     use super::*;
     use selfheal_faults::{FaultKind, FixCatalog};
-
-    impl FixSymEngine {
-        /// Number of failure episodes processed.
-        pub(crate) fn episodes(&self) -> u64 {
-            self.episodes
-        }
-    }
 
     fn symptoms_for(kind: usize) -> Vec<f64> {
         match kind {
@@ -158,37 +142,52 @@ mod tests {
         let mut engine = FixSymEngine::new(SynopsisKind::NearestNeighbor);
         let correct = FixKind::RepartitionMemory;
 
-        let first = engine.run_episode(&symptoms_for(0), |fix| fix == correct);
+        let first = engine.run_episode(&symptoms_for(0), correct);
         assert_eq!(first.successful_fix, Some(correct));
         assert!(first.attempt_count() >= 1);
 
         // The same symptoms next time are fixed on the first attempt.
-        let second = engine.run_episode(&symptoms_for(0), |fix| fix == correct);
+        let second = engine.run_episode(&symptoms_for(0), correct);
         assert_eq!(second.successful_fix, Some(correct));
         assert_eq!(second.attempt_count(), 1);
-        assert_eq!(engine.episodes(), 2);
     }
 
     #[test]
-    fn threshold_exceeded_escalates_to_full_restart() {
+    fn past_the_threshold_the_administrators_fix_is_learned() {
         let mut engine = FixSymEngine::new(SynopsisKind::NearestNeighbor);
-        // No narrow fix ever works; only the restart does.
-        let result = engine.run_episode(&symptoms_for(1), |fix| fix == FixKind::FullServiceRestart);
+        // The tier reboot is not among the four cheapest candidates, so
+        // trial and error cannot reach it.
+        let correct = FixKind::RebootTier;
+        let result = engine.run_episode(&symptoms_for(1), correct);
         assert!(result.escalated);
-        assert_eq!(result.successful_fix, Some(FixKind::FullServiceRestart));
+        assert_eq!(result.successful_fix, None);
         assert_eq!(
-            result.attempts.len(),
-            THRESHOLD as usize + 1,
-            "THRESHOLD narrow attempts plus the escalation"
+            result.attempts[THRESHOLD as usize..],
+            [FixKind::FullServiceRestart],
+            "THRESHOLD narrow attempts, then the escalation"
         );
+        assert!(!result.attempts.contains(&correct));
         assert_eq!(engine.escalations(), 1);
+        // The administrator's fix is the one positive learned.
+        assert_eq!(engine.synopsis().correct_fixes_learned(), 1);
+        assert_eq!(
+            engine
+                .synopsis()
+                .suggest(&symptoms_for(1))
+                .map(|(fix, _)| fix),
+            Some(correct)
+        );
+        // The next episode with the same symptoms succeeds at once.
+        let next = engine.run_episode(&symptoms_for(1), correct);
+        assert_eq!(next.attempts, [correct]);
+        assert_eq!(next.successful_fix, Some(correct));
     }
 
     #[test]
     fn failed_attempts_are_not_retried_within_an_episode() {
         let mut engine = FixSymEngine::new(SynopsisKind::NearestNeighbor);
         let correct = FixKind::UpdateStatistics;
-        let result = engine.run_episode(&symptoms_for(2), |fix| fix == correct);
+        let result = engine.run_episode(&symptoms_for(2), correct);
         let mut seen = HashSet::new();
         for fix in &result.attempts {
             assert!(
@@ -214,12 +213,12 @@ mod tests {
         // Teach the engine by letting it heal each failure type a few times.
         for _ in 0..4 {
             for (class, correct) in mapping {
-                engine.run_episode(&symptoms_for(class), |fix| fix == correct);
+                engine.run_episode(&symptoms_for(class), correct);
             }
         }
         // Now every failure type is healed on the first attempt.
         for (class, correct) in mapping {
-            let result = engine.run_episode(&symptoms_for(class), |fix| fix == correct);
+            let result = engine.run_episode(&symptoms_for(class), correct);
             assert_eq!(result.attempt_count(), 1, "class {class}");
             assert_eq!(result.successful_fix, Some(correct));
         }
@@ -228,7 +227,7 @@ mod tests {
     #[test]
     fn synopsis_statistics_are_exposed() {
         let mut engine = FixSymEngine::new(SynopsisKind::KMeans);
-        engine.run_episode(&symptoms_for(0), |fix| fix == FixKind::KillHungQuery);
+        engine.run_episode(&symptoms_for(0), FixKind::KillHungQuery);
         assert!(engine.synopsis().correct_fixes_learned() >= 1);
         assert!(engine.synopsis().retrains() >= 1);
     }

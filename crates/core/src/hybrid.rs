@@ -17,7 +17,9 @@
 //! next occurrence of the same signature takes the signature path; FixSym
 //! has no diagnosis, and a diagnosis baseline no synopsis.
 
-use crate::policy::{choose, target_for_fix, DiagnosisPanel, EpisodeTracker, Source, VERIFY_TICKS};
+use crate::policy::{
+    choose, target_for_fix, DiagnosisPanel, EpisodeTracker, Source, ESCALATE, VERIFY_TICKS,
+};
 use crate::symptom::SymptomExtractor;
 use crate::synopsis::{Learner, Synopsis, SynopsisKind};
 use selfheal_faults::FixAction;
@@ -112,8 +114,8 @@ impl<L: Learner> HybridHealer<L> {
         }
 
         // Past the threshold, lines 18–20 escalate at once.
-        let sources: &[Source] = if self.tracker.exhausted() {
-            &[Source::Escalate { idle_ticks: 0 }]
+        let sources = if self.tracker.exhausted() {
+            ESCALATE
         } else {
             self.sources
         };

@@ -33,7 +33,13 @@
 //! the three diagnosis-based engines, FixSym, and the signature + diagnosis
 //! hybrid of Section 5.1) is one of these lists, held in
 //! [`harness::PolicyChoice`], and `FixSymEngine` drives the same
-//! `choose`.
+//! `choose`.  The last line, the escalation, is that function's
+//! `Escalate` source and the only place a restart is built: past the
+//! threshold every healer asks for it alone.  Offline the administrator's
+//! answer — the oracle's catalogue fix — is learned as a positive, so a
+//! synopsis learns every failure class, including those whose fix trial
+//! and error within the threshold cannot reach; online the restart is the
+//! whole escalation.
 //!
 //! The crate also provides `proactive` (failure forecasting, Section 5.3),
 //! [`control`] (settling time / overshoot / oscillation of the healing loop,

@@ -31,8 +31,6 @@ pub(crate) struct EpisodeTracker {
     pending: Option<FixAction>,
     verify_remaining: Option<u32>,
     in_episode: bool,
-    episodes_completed: u64,
-    escalations: u64,
 }
 
 impl EpisodeTracker {
@@ -46,8 +44,6 @@ impl EpisodeTracker {
             pending: None,
             verify_remaining: None,
             in_episode: false,
-            episodes_completed: 0,
-            escalations: 0,
         }
     }
 
@@ -70,9 +66,6 @@ impl EpisodeTracker {
 
     /// Records that a fix was initiated.
     pub(crate) fn record_attempt(&mut self, action: FixAction) {
-        if action.kind.is_escalation() {
-            self.escalations += 1;
-        }
         self.attempts.push(action);
         self.pending = Some(action);
         self.verify_remaining = None;
@@ -134,9 +127,6 @@ impl EpisodeTracker {
     }
 
     fn close_episode(&mut self) {
-        if self.in_episode {
-            self.episodes_completed += 1;
-        }
         self.in_episode = false;
         self.attempts.clear();
         self.pending = None;
@@ -219,12 +209,18 @@ pub(crate) enum Source {
     /// The cheapest untried candidate of F, escalations excluded ("domain
     /// knowledge may be used").
     CheapestUntried,
-    /// Lines 18–20: restart the service and notify the administrator.
-    /// Always offers the restart; the healer applies it on the first tick
-    /// it comes up after `idle_ticks` such ticks since the healer's last
-    /// fix (waiting for the detectors' history).
+    /// Lines 18–20: restart the service and notify the administrator.  The
+    /// one place a restart is built: it is always offered, and the healer
+    /// applies it on the first tick it comes up after `idle_ticks` such
+    /// ticks since the healer's last fix (waiting for the detectors'
+    /// history).  Online the restart is the whole escalation, judged and
+    /// learned like any fix; offline the administrator's fix is learned
+    /// instead ([`crate::fixsym::FixSymEngine::run_episode`]).
     Escalate { idle_ticks: u32 },
 }
+
+/// The sources past the THRESHOLD of Figure 3: lines 18–20 at once.
+pub(crate) const ESCALATE: &[Source] = &[Source::Escalate { idle_ticks: 0 }];
 
 /// Line 9: the first of `sources` that offers a fix whose kind is not in
 /// `tried`, with the source and its confidence (0 for the last two
@@ -394,13 +390,6 @@ mod tests {
     use selfheal_sim::{MultiTierService, ServiceConfig};
     use selfheal_workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
 
-    impl EpisodeTracker {
-        /// Number of escalations recorded.
-        pub(crate) fn escalations(&self) -> u64 {
-            self.escalations
-        }
-    }
-
     /// The one-engine healer `policy` names, which learns nothing.
     fn baseline(
         policy: PolicyChoice,
@@ -453,7 +442,6 @@ mod tests {
         assert!(!tracker.exhausted());
         tracker.record_attempt(FixAction::untargeted(FixKind::RebootTier));
         assert!(tracker.exhausted());
-        assert_eq!(tracker.escalations(), 0);
     }
 
     /// A synopsis that always suggests one fix, unless it was tried.

@@ -14,7 +14,8 @@ use selfheal::sim::{FailureStateGenerator, ServiceConfig};
 fn main() {
     // The simulator generates labelled failure states: symptom vectors plus
     // the fix that actually repairs each failure (used only to *check* an
-    // attempted fix, exactly like the check_fix step of Figure 3).
+    // attempted fix, exactly like the check_fix step of Figure 3, and as the
+    // administrator's answer when an episode escalates).
     let mut generator = FailureStateGenerator::standard(ServiceConfig::tiny(), 7);
     let kinds = FaultKind::TABLE1.to_vec();
     let catalog = FixCatalog::standard();
@@ -32,8 +33,7 @@ fn main() {
 
         for i in 0..60 {
             let state = generator.generate_one(&kinds);
-            let correct = state.correct_fix;
-            let result = engine.run_episode(&state.symptoms, |fix| fix == correct);
+            let result = engine.run_episode(&state.symptoms, state.correct_fix);
             block_attempts += result.attempt_count();
             block_count += 1;
             if (i + 1) % 15 == 0 {
