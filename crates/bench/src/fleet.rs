@@ -36,9 +36,7 @@ use selfheal_workload::{ArrivalProcess, WorkloadMix};
 const KIND: FaultKind = FaultKind::BufferContention;
 
 /// The fleet every experiment extends: the tiny service under a constant
-/// bidding load, healed by FixSym over a nearest-neighbour synopsis.  The
-/// experiments only need aggregate counters and episodes, not full metric
-/// history, so a small ring keeps 32 × 5000-tick fleets lean.
+/// bidding load, healed by FixSym over a nearest-neighbour synopsis.
 fn base_fleet(replicas: usize, seed: u64) -> FleetConfig {
     FleetConfig::builder()
         .service(ServiceConfig::tiny())
@@ -49,7 +47,6 @@ fn base_fleet(replicas: usize, seed: u64) -> FleetConfig {
         .replicas(replicas)
         .base_seed(seed)
         .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-        .series_capacity(512)
 }
 
 /// One scripted [`KIND`] injection on the database tier at `tick`.
@@ -230,7 +227,8 @@ fn fault_episodes(outcome: &FleetOutcome) -> EpisodeStats {
 
 /// Escalated episodes across the whole fleet.
 pub fn escalations(outcome: &FleetOutcome) -> usize {
-    episodes(outcome).filter(|e| e.escalated).count()
+    let logs = outcome.replicas().iter().map(|r| &r.outcome.recovery);
+    logs.map(|log| log.escalations()).sum()
 }
 
 /// The same fleet measured with fleet-wide knowledge and without it.

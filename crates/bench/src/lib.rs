@@ -313,19 +313,14 @@ pub fn table2_approach_comparison(scale: ExperimentScale, seed: u64) -> ResultTa
     for policy in policies {
         let outcome = comparison_scenario(policy, scale, seed);
         let recovery = &outcome.recovery;
-        let recovered = recovery
-            .episodes()
-            .iter()
-            .filter(|e| e.recovery_ticks().is_some())
-            .count();
         table.push_row(
             policy.label(),
             vec![
                 recovery.len() as f64,
-                recovered as f64,
+                recovery.recovered().0 as f64,
                 recovery.mean_recovery_ticks().unwrap_or(f64::NAN),
                 recovery.mean_fix_attempts(),
-                recovery.escalation_fraction(),
+                recovery.escalations() as f64 / recovery.len().max(1) as f64,
                 outcome.violation_fraction,
             ],
         );

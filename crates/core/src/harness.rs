@@ -883,13 +883,13 @@ impl WorkloadChoice {
 }
 
 /// Everything one replica is made of, as data: the service it simulates,
-/// the workload and faults that drive it, the policy that heals it, and how
-/// much metric history it keeps.  [`runner`](Self::runner) is the one place
-/// a replica is assembled — [`SelfHealingService::run`], the fleet engine
-/// and the resident daemon's supervisor all build through it and differ
-/// only in the plan, the seeds and the store they pass.  A replica that
-/// differs from its fleet (the daemon's per-replica fault profile, a
-/// `RECONFIGURE`d workload) is a replica with a different plan.
+/// the workload and faults that drive it, and the policy that heals it.
+/// [`runner`](Self::runner) is the one place a replica is assembled —
+/// [`SelfHealingService::run`], the fleet engine and the resident daemon's
+/// supervisor all build through it and differ only in the plan, the seeds
+/// and the store they pass.  A replica that differs from its fleet (the
+/// daemon's per-replica fault profile, a `RECONFIGURE`d workload) is a
+/// replica with a different plan.
 #[derive(Debug, Clone)]
 pub struct ReplicaPlan {
     /// The simulated service (its `seed` is replaced by the replica's).
@@ -900,8 +900,6 @@ pub struct ReplicaPlan {
     pub faults: FaultChoice,
     /// The healing policy.
     pub policy: PolicyChoice,
-    /// Metric samples the runner retains.
-    pub series_capacity: usize,
 }
 
 /// The three seeds one replica's simulated streams are drawn from.
@@ -953,7 +951,6 @@ impl ReplicaPlan {
         let schema = service.schema().clone();
         let healer = self.policy.build_healer(&schema, targets, store);
         ScenarioRunner::with_faults(service, workload, faults, healer)
-            .with_series_capacity(self.series_capacity)
     }
 }
 
@@ -969,8 +966,7 @@ pub struct SelfHealingService {
 impl SelfHealingService {
     /// Starts a builder with the RUBiS-like default configuration, the
     /// default workload ([`WorkloadChoice::default`]: bidding mix at
-    /// Poisson 40 requests/tick), no faults, no healing, and the runner's
-    /// default history of 100 000 samples.
+    /// Poisson 40 requests/tick), no faults and no healing.
     pub fn builder() -> Self {
         SelfHealingService {
             plan: ReplicaPlan {
@@ -978,7 +974,6 @@ impl SelfHealingService {
                 workload: WorkloadChoice::default(),
                 faults: FaultChoice::default(),
                 policy: PolicyChoice::None,
-                series_capacity: 100_000,
             },
             custom_workload: None,
             seed: 42,

@@ -168,7 +168,9 @@ pub struct DaemonConfig {
     /// Ticks per epoch: how far every replica advances between barriers
     /// (and therefore between control-plane command applications).
     pub slice: u64,
-    /// Metric samples each replica retains.
+    /// Ignored: a replica keeps no metric history.
+    #[deprecated(note = "a replica keeps no metric history; this is ignored")]
+    #[doc(hidden)]
     pub series_capacity: usize,
     /// Runner rebuilds allowed per replica before it is retired as failed.
     pub max_restarts: u32,
@@ -190,6 +192,7 @@ impl Default for DaemonConfig {
     /// workload, hybrid nearest-neighbor healing over one locked store that
     /// drains every update (so persistence lags reality by at most one
     /// in-flight record).
+    #[allow(deprecated)] // `series_capacity` is set until the field goes.
     fn default() -> Self {
         DaemonConfig {
             service: ServiceConfig::tiny(),

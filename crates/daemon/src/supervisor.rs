@@ -42,8 +42,8 @@ use std::path::Path;
 use std::time::Instant;
 
 /// What one supervised replica *is*, independent of any runner incarnation:
-/// its identity and its plan (the daemon's service, workload, policy and
-/// history, with the replica's own fault recipe and any `RECONFIGURE`d
+/// its identity and its plan (the daemon's service, workload and policy,
+/// with the replica's own fault recipe and any `RECONFIGURE`d
 /// workload).  Restarts rebuild runners from this.
 #[derive(Debug, Clone)]
 pub struct ReplicaSpec {
@@ -475,7 +475,6 @@ impl Supervisor {
                 workload: config.workload.clone(),
                 faults: config.fault_profile(profile)?,
                 policy: config.policy,
-                series_capacity: config.series_capacity,
             },
         };
         let runner = self.runner_for(&spec);

@@ -129,7 +129,6 @@ pub struct FleetConfig {
     slice: u64,
     events: EventPlan,
     reactive: Vec<ReactiveChoice>,
-    series_capacity: usize,
     faults: Box<FaultsByReplica>,
     persist_synopsis: Option<PathBuf>,
 }
@@ -176,7 +175,6 @@ impl FleetConfig {
             slice: 1,
             events: EventPlan::default(),
             reactive: Vec::new(),
-            series_capacity: 100_000,
             faults: Box::new(|_| FaultChoice::default()),
             persist_synopsis: None,
         }
@@ -303,9 +301,10 @@ impl FleetConfig {
         self
     }
 
-    /// Metric samples each replica retains.
-    pub fn series_capacity(mut self, capacity: usize) -> Self {
-        self.series_capacity = capacity.max(1);
+    /// Does nothing: a replica keeps no metric history.
+    #[deprecated(note = "a replica keeps no metric history; this does nothing")]
+    #[doc(hidden)]
+    pub fn series_capacity(self, _capacity: usize) -> Self {
         self
     }
 
@@ -331,15 +330,14 @@ impl FleetConfig {
         self
     }
 
-    /// Replica `replica`'s plan: the fleet's service, workload, policy and
-    /// history, with the replica's own fault recipe.
+    /// Replica `replica`'s plan: the fleet's service, workload and policy,
+    /// with the replica's own fault recipe.
     fn plan(&self, replica: usize) -> ReplicaPlan {
         ReplicaPlan {
             service: self.service.clone(),
             workload: self.workload.clone(),
             faults: (self.faults)(replica),
             policy: self.policy,
-            series_capacity: self.series_capacity,
         }
     }
 
@@ -505,17 +503,9 @@ impl FleetOutcome {
     /// Mean recovery time (ticks) over every recovered episode in the
     /// fleet, `None` when nothing recovered.
     pub fn mean_recovery_ticks(&self) -> Option<f64> {
-        let recovered: Vec<u64> = self
-            .replicas
-            .iter()
-            .flat_map(|r| r.outcome.recovery.episodes())
-            .filter_map(|e| e.recovery_ticks())
-            .collect();
-        if recovered.is_empty() {
-            None
-        } else {
-            Some(recovered.iter().sum::<u64>() as f64 / recovered.len() as f64)
-        }
+        let logs = self.replicas.iter().map(|r| r.outcome.recovery.recovered());
+        let (recovered, ticks) = logs.fold((0, 0), |(n, sum), (m, ticks)| (n + m, sum + ticks));
+        (recovered > 0).then(|| ticks as f64 / recovered as f64)
     }
 
     /// Total fix attempts across the fleet.

@@ -4,11 +4,18 @@
 //! to recover from failures of each cause category.  The scenario runner
 //! opens a [`FailureEpisode`] when an SLO violation is confirmed, records
 //! every fix attempted during the episode, and closes it when the service is
-//! compliant again; the episode log is then aggregated per cause or per
-//! fault kind by the benchmarks.
+//! compliant again.  The log is a fold over the run: whole-run counts and
+//! sums (episodes, recovered, recovery ticks, fix attempts, escalations),
+//! which every aggregate reads, and the last 64 closed episodes whole.  What
+//! it holds does not grow with simulated time.
 
 use selfheal_faults::{FailureCause, FaultKind, FixAction};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
+
+/// Closed episodes a log keeps whole, newest last; older ones live on only
+/// in its folds.
+const RECENT_EPISODES: usize = 64;
 
 /// One contiguous period of SLO violation and the recovery that ended it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -53,19 +60,20 @@ impl FailureEpisode {
     }
 }
 
-/// The log of all failure episodes in a run.
+/// The episodes of a run, folded: whole-run counts and sums, and the last
+/// 64 closed episodes.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryLog {
-    episodes: Vec<FailureEpisode>,
+    recent: VecDeque<FailureEpisode>,
     open: Option<FailureEpisode>,
+    episodes: usize,
+    recovered: usize,
+    recovery_ticks: u64,
+    fix_attempts: usize,
+    escalations: usize,
 }
 
 impl RecoveryLog {
-    /// Creates an empty log.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Returns `true` if an episode is currently open.
     pub fn in_episode(&self) -> bool {
         self.open.is_some()
@@ -104,70 +112,65 @@ impl RecoveryLog {
         }
     }
 
-    /// Closes the current episode at `tick` (no-op when none is open).
-    pub(crate) fn close_episode(&mut self, tick: u64) {
-        if let Some(mut ep) = self.open.take() {
-            ep.recovered_at = Some(tick);
-            self.episodes.push(ep);
+    /// Closes the open episode, recovered at `recovered_at` — or never,
+    /// when the run is abandoned with the episode open — and returns it
+    /// (`None` when no episode is open).
+    pub(crate) fn close_episode(&mut self, recovered_at: Option<u64>) -> Option<&FailureEpisode> {
+        let mut ep = self.open.take()?;
+        ep.recovered_at = recovered_at;
+        self.episodes += 1;
+        if let Some(ticks) = ep.recovery_ticks() {
+            self.recovered += 1;
+            self.recovery_ticks += ticks;
         }
-    }
-
-    /// Abandons the run: any open episode is recorded as never recovered.
-    pub(crate) fn finish(&mut self) {
-        if let Some(ep) = self.open.take() {
-            self.episodes.push(ep);
+        self.fix_attempts += ep.fixes_attempted.len();
+        self.escalations += usize::from(ep.escalated);
+        if self.recent.len() == RECENT_EPISODES {
+            self.recent.pop_front();
         }
+        self.recent.push_back(ep);
+        self.recent.back()
     }
 
-    /// All recorded episodes (closed ones plus, after `RecoveryLog::finish`,
-    /// any unrecovered one).
-    pub fn episodes(&self) -> &[FailureEpisode] {
-        &self.episodes
+    /// The last 64 recorded episodes, oldest first (in an outcome, the last
+    /// may be one the run ended in, unrecovered).
+    pub fn episodes(&self) -> &VecDeque<FailureEpisode> {
+        &self.recent
     }
 
-    /// Number of recorded episodes.
+    /// Number of recorded episodes over the whole run.
     pub fn len(&self) -> usize {
-        self.episodes.len()
+        self.episodes
     }
 
     /// Returns `true` if no episodes have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.episodes.is_empty()
+        self.episodes == 0
+    }
+
+    /// How many recorded episodes recovered, and their recovery times
+    /// (ticks) summed.
+    pub fn recovered(&self) -> (usize, u64) {
+        (self.recovered, self.recovery_ticks)
     }
 
     /// Mean recovery time (ticks) over recovered episodes, `None` when no
     /// episode recovered.
     pub fn mean_recovery_ticks(&self) -> Option<f64> {
-        let recovered: Vec<u64> = self
-            .episodes
-            .iter()
-            .filter_map(FailureEpisode::recovery_ticks)
-            .collect();
-        if recovered.is_empty() {
-            None
-        } else {
-            Some(recovered.iter().sum::<u64>() as f64 / recovered.len() as f64)
-        }
+        (self.recovered > 0).then(|| self.recovery_ticks as f64 / self.recovered as f64)
     }
 
     /// Mean number of fix attempts per episode.
     pub fn mean_fix_attempts(&self) -> f64 {
-        if self.episodes.is_empty() {
+        if self.episodes == 0 {
             return 0.0;
         }
-        self.episodes
-            .iter()
-            .map(|e| e.fixes_attempted.len())
-            .sum::<usize>() as f64
-            / self.episodes.len() as f64
+        self.fix_attempts as f64 / self.episodes as f64
     }
 
-    /// Fraction of episodes that ended in escalation.
-    pub fn escalation_fraction(&self) -> f64 {
-        if self.episodes.is_empty() {
-            return 0.0;
-        }
-        self.episodes.iter().filter(|e| e.escalated).count() as f64 / self.episodes.len() as f64
+    /// Number of recorded episodes that ended in escalation.
+    pub fn escalations(&self) -> usize {
+        self.escalations
     }
 }
 
@@ -176,44 +179,9 @@ mod tests {
     use super::*;
     use selfheal_faults::FixKind;
 
-    impl RecoveryLog {
-        /// Mean recovery time (ticks) for episodes whose primary cause is
-        /// `cause`.
-        pub(crate) fn mean_recovery_ticks_for_cause(&self, cause: FailureCause) -> Option<f64> {
-            let recovered: Vec<u64> = self
-                .episodes
-                .iter()
-                .filter(|e| e.primary_cause() == cause)
-                .filter_map(FailureEpisode::recovery_ticks)
-                .collect();
-            if recovered.is_empty() {
-                None
-            } else {
-                Some(recovered.iter().sum::<u64>() as f64 / recovered.len() as f64)
-            }
-        }
-
-        /// Counts episodes by primary cause, as `(cause, count)` pairs in
-        /// [`FailureCause::ALL`] order (causes with zero episodes included).
-        pub(crate) fn cause_counts(&self) -> Vec<(FailureCause, usize)> {
-            FailureCause::ALL
-                .iter()
-                .map(|c| {
-                    (
-                        *c,
-                        self.episodes
-                            .iter()
-                            .filter(|e| e.primary_cause() == *c)
-                            .count(),
-                    )
-                })
-                .collect()
-        }
-    }
-
     #[test]
     fn episode_lifecycle_and_recovery_time() {
-        let mut log = RecoveryLog::new();
+        let mut log = RecoveryLog::default();
         assert!(!log.in_episode());
         log.open_episode(
             100,
@@ -228,7 +196,7 @@ mod tests {
             1,
         );
         log.record_fix(FixAction::untargeted(FixKind::RepartitionMemory));
-        log.close_episode(130);
+        log.close_episode(Some(130));
         assert!(!log.in_episode());
         assert_eq!(log.len(), 1);
         let ep = &log.episodes()[0];
@@ -241,7 +209,7 @@ mod tests {
 
     #[test]
     fn escalation_is_flagged() {
-        let mut log = RecoveryLog::new();
+        let mut log = RecoveryLog::default();
         log.open_episode(
             0,
             Some((FaultKind::SourceCodeBug, FailureCause::Software)),
@@ -249,49 +217,62 @@ mod tests {
         );
         log.record_fix(FixAction::untargeted(FixKind::MicrorebootEjb));
         log.record_fix(FixAction::untargeted(FixKind::FullServiceRestart));
-        log.close_episode(400);
-        assert_eq!(log.escalation_fraction(), 1.0);
+        log.close_episode(Some(400));
+        assert_eq!(log.escalations(), 1);
         assert_eq!(log.mean_fix_attempts(), 2.0);
     }
 
     #[test]
-    fn per_cause_aggregation() {
-        let mut log = RecoveryLog::new();
+    fn aggregates_fold_every_episode() {
+        let mut log = RecoveryLog::default();
         log.open_episode(
             0,
             Some((FaultKind::OperatorMisconfiguration, FailureCause::Operator)),
             1,
         );
-        log.close_episode(200);
+        log.close_episode(Some(200));
         log.open_episode(
             300,
             Some((FaultKind::BufferContention, FailureCause::Software)),
             1,
         );
-        log.close_episode(320);
+        log.close_episode(Some(320));
         assert_eq!(log.mean_recovery_ticks(), Some(110.0));
+        assert_eq!(log.recovered(), (2, 220));
+        let by_cause: Vec<_> = log
+            .episodes()
+            .iter()
+            .map(|e| (e.primary_cause(), e.recovery_ticks()))
+            .collect();
         assert_eq!(
-            log.mean_recovery_ticks_for_cause(FailureCause::Operator),
-            Some(200.0)
+            by_cause,
+            [
+                (FailureCause::Operator, Some(200)),
+                (FailureCause::Software, Some(20))
+            ]
         );
-        assert_eq!(
-            log.mean_recovery_ticks_for_cause(FailureCause::Software),
-            Some(20.0)
-        );
-        assert_eq!(
-            log.mean_recovery_ticks_for_cause(FailureCause::Hardware),
-            None
-        );
-        let counts = log.cause_counts();
-        assert_eq!(counts[0], (FailureCause::Operator, 1));
-        assert_eq!(counts[2], (FailureCause::Software, 1));
+    }
+
+    #[test]
+    fn the_ring_keeps_the_last_episodes_and_the_folds_keep_all() {
+        let mut log = RecoveryLog::default();
+        for i in 0..100 {
+            log.open_episode(i * 10, None, 0);
+            log.record_fix(FixAction::untargeted(FixKind::RepartitionMemory));
+            log.close_episode(Some(i * 10 + 1 + i % 2));
+        }
+        assert_eq!(log.len(), 100);
+        assert_eq!(log.episodes().len(), RECENT_EPISODES);
+        assert_eq!(log.episodes()[0].detected_at, 360);
+        assert_eq!(log.mean_recovery_ticks(), Some(1.5));
+        assert_eq!(log.mean_fix_attempts(), 1.0);
     }
 
     #[test]
     fn unfinished_episode_is_recorded_without_recovery() {
-        let mut log = RecoveryLog::new();
+        let mut log = RecoveryLog::default();
         log.open_episode(10, None, 0);
-        log.finish();
+        log.close_episode(None);
         assert_eq!(log.len(), 1);
         assert_eq!(log.episodes()[0].recovery_ticks(), None);
         assert_eq!(log.episodes()[0].primary_cause(), FailureCause::Unknown);
@@ -300,9 +281,9 @@ mod tests {
 
     #[test]
     fn empty_log_aggregates_to_defaults() {
-        let log = RecoveryLog::new();
+        let log = RecoveryLog::default();
         assert!(log.is_empty());
         assert_eq!(log.mean_fix_attempts(), 0.0);
-        assert_eq!(log.escalation_fraction(), 0.0);
+        assert_eq!(log.escalations(), 0);
     }
 }

@@ -18,7 +18,6 @@ const RHO_CAP: f64 = 0.95;
 /// One tier's resource state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct TierResource {
-    name: &'static str,
     /// Nominal capacity, ms of service per tick.
     nominal_capacity_ms: f64,
     /// Multiplier applied to the nominal capacity (faults and fixes move
@@ -29,10 +28,6 @@ pub(crate) struct TierResource {
     disruption_factor: f64,
     /// Carried-over demand from previous ticks, in ms.
     backlog_ms: f64,
-    /// Utilization observed in the last completed tick.
-    last_utilization: f64,
-    /// Latency multiplier observed in the last completed tick.
-    last_latency_multiplier: f64,
 }
 
 /// Result of offering one tick's demand to a tier.
@@ -54,16 +49,13 @@ impl TierResource {
     ///
     /// # Panics
     /// Panics if `nominal_capacity_ms` is not positive.
-    pub(crate) fn new(name: &'static str, nominal_capacity_ms: f64) -> Self {
+    pub(crate) fn new(nominal_capacity_ms: f64) -> Self {
         assert!(nominal_capacity_ms > 0.0, "tier capacity must be positive");
         TierResource {
-            name,
             nominal_capacity_ms,
             capacity_factor: 1.0,
             disruption_factor: 1.0,
             backlog_ms: 0.0,
-            last_utilization: 0.0,
-            last_latency_multiplier: 1.0,
         }
     }
 
@@ -88,8 +80,6 @@ impl TierResource {
     /// of why those fixes are disruptive).
     pub(crate) fn flush(&mut self) {
         self.backlog_ms = 0.0;
-        self.last_utilization = 0.0;
-        self.last_latency_multiplier = 1.0;
     }
 
     /// Offers `demand_ms` of new work for this tick and advances the tier.
@@ -116,8 +106,6 @@ impl TierResource {
         let latency_multiplier = 1.0 / (1.0 - rho) + self.backlog_ms / capacity;
 
         self.backlog_ms = backlog;
-        self.last_utilization = utilization;
-        self.last_latency_multiplier = latency_multiplier;
 
         TierTick {
             utilization,
@@ -133,52 +121,30 @@ mod tests {
     use super::*;
 
     impl TierResource {
-        /// Tier name.
-        pub(crate) fn name(&self) -> &'static str {
-            self.name
-        }
-
         /// The persistent capacity factor (1.0 = healthy).
         pub(crate) fn capacity_factor(&self) -> f64 {
             self.capacity_factor
-        }
-
-        /// Scales the persistent capacity factor (e.g. provisioning multiplies
-        /// by 1.5, a hardware failure by 0.5).
-        pub(crate) fn scale_capacity(&mut self, factor: f64) {
-            self.set_capacity_factor(self.capacity_factor * factor);
-        }
-
-        /// Clears the disruption factor back to fully available.
-        pub(crate) fn clear_disruption(&mut self) {
-            self.disruption_factor = 1.0;
         }
 
         /// Current backlog in ms.
         pub(crate) fn backlog_ms(&self) -> f64 {
             self.backlog_ms
         }
-
-        /// Latency multiplier observed in the last tick.
-        pub(crate) fn last_latency_multiplier(&self) -> f64 {
-            self.last_latency_multiplier
-        }
     }
 
     #[test]
     fn light_load_has_low_utilization_and_unit_latency() {
-        let mut tier = TierResource::new("web", 1000.0);
+        let mut tier = TierResource::new(1000.0);
         let t = tier.offer(100.0);
         assert!((t.utilization - 0.1).abs() < 1e-9);
         assert!(t.latency_multiplier < 1.2);
         assert_eq!(t.backlog_ms, 0.0);
         assert_eq!(t.shed_fraction, 0.0);
-        assert_eq!(tier.name(), "web");
     }
 
     #[test]
     fn latency_inflates_as_load_approaches_capacity() {
-        let mut tier = TierResource::new("db", 1000.0);
+        let mut tier = TierResource::new(1000.0);
         let light = tier.offer(100.0).latency_multiplier;
         tier.flush();
         let heavy = tier.offer(900.0).latency_multiplier;
@@ -187,7 +153,7 @@ mod tests {
 
     #[test]
     fn overload_builds_backlog_and_eventually_sheds() {
-        let mut tier = TierResource::new("app", 1000.0);
+        let mut tier = TierResource::new(1000.0);
         let mut shed_seen = false;
         for _ in 0..30 {
             let t = tier.offer(3000.0);
@@ -202,32 +168,31 @@ mod tests {
 
     #[test]
     fn backlog_drains_when_load_drops() {
-        let mut tier = TierResource::new("db", 1000.0);
+        let mut tier = TierResource::new(1000.0);
         tier.offer(2500.0);
         assert!(tier.backlog_ms() > 0.0);
         for _ in 0..5 {
             tier.offer(0.0);
         }
         assert_eq!(tier.backlog_ms(), 0.0);
-        assert!(tier.last_latency_multiplier() >= 1.0);
     }
 
     #[test]
     fn capacity_factor_and_disruption_shrink_effective_capacity() {
-        let mut tier = TierResource::new("db", 1000.0);
+        let mut tier = TierResource::new(1000.0);
         tier.set_capacity_factor(0.5);
         assert_eq!(tier.effective_capacity_ms(), 500.0);
         tier.set_disruption(0.2);
         assert!((tier.effective_capacity_ms() - 100.0).abs() < 1e-9);
-        tier.clear_disruption();
-        tier.scale_capacity(2.0);
+        tier.set_disruption(1.0);
+        tier.set_capacity_factor(1.0);
         assert_eq!(tier.capacity_factor(), 1.0);
         assert_eq!(tier.effective_capacity_ms(), 1000.0);
     }
 
     #[test]
     fn capacity_factor_is_clamped() {
-        let mut tier = TierResource::new("db", 1000.0);
+        let mut tier = TierResource::new(1000.0);
         tier.set_capacity_factor(0.0);
         assert!(tier.effective_capacity_ms() >= 1.0);
         tier.set_capacity_factor(1000.0);
@@ -236,7 +201,7 @@ mod tests {
 
     #[test]
     fn flush_clears_backlog() {
-        let mut tier = TierResource::new("web", 500.0);
+        let mut tier = TierResource::new(500.0);
         tier.offer(5000.0);
         assert!(tier.backlog_ms() > 0.0);
         tier.flush();
@@ -246,6 +211,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_is_rejected() {
-        TierResource::new("bad", 0.0);
+        TierResource::new(0.0);
     }
 }

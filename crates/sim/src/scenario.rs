@@ -6,13 +6,18 @@
 //! catalog sweep — anything implementing
 //! [`selfheal_faults::FaultSource`]), hands each tick's observations to a
 //! [`Healer`], applies whatever fixes the healer requests, and keeps the
-//! books (metric series, failure episodes, recovery times, fix attempts).
+//! books (failure episodes, recovery times, fix attempts).
+//!
+//! The books are folds, constant in simulated time: the episode log's
+//! counts and sums with its last few episodes, the counters, and a running
+//! digest of every tick's metric sample and every episode as it closes.
+//! No metric history is kept; [`ScenarioOutcome::fingerprint`] digests the
+//! whole run all the same.
 
-use crate::recovery::RecoveryLog;
+use crate::recovery::{FailureEpisode, RecoveryLog};
 use crate::service::{MultiTierService, TickOutcome};
 use selfheal_faults::id_space;
-use selfheal_faults::{FaultSource, FaultSpec, FixAction};
-use selfheal_telemetry::SeriesStore;
+use selfheal_faults::{FailureCause, FaultKind, FaultSource, FaultSpec, FaultTarget, FixAction};
 use selfheal_workload::{Request, TraceSource};
 
 /// A healing policy plugged into the scenario runner.
@@ -66,8 +71,6 @@ impl Healer for NoHealing {
 pub struct ScenarioOutcome {
     /// Label of the healer that drove the run.
     pub healer: String,
-    /// The full metric time series of the run.
-    pub series: SeriesStore,
     /// Failure episodes and recovery times.
     pub recovery: RecoveryLog,
     /// Ticks simulated.
@@ -82,6 +85,8 @@ pub struct ScenarioOutcome {
     pub violation_fraction: f64,
     /// Total fixes initiated by the healer.
     pub fixes_initiated: u64,
+    /// The run's samples and episodes, folded as they happened.
+    digest: Digest,
 }
 
 impl ScenarioOutcome {
@@ -94,41 +99,79 @@ impl ScenarioOutcome {
         }
     }
 
-    /// A digest of everything observable in the outcome: every retained
-    /// metric value (bit-exact), every failure episode, and all counters.
+    /// A digest of everything observable in the run: every tick's metric
+    /// values (bit-exact), every failure episode, and all counters — the
+    /// whole run, whatever the runner retains, by a hash written out in this
+    /// crate (FNV-1a over `u64` words), whatever the toolchain.
     ///
     /// Two runs with the same seed must produce the same fingerprint; the
     /// fleet determinism tests rely on this to assert byte-identical
     /// replica behaviour regardless of fleet size or thread interleaving.
     pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        self.ticks.hash(&mut hasher);
-        self.arrived.hash(&mut hasher);
-        self.completed.hash(&mut hasher);
-        self.errors.hash(&mut hasher);
-        self.fixes_initiated.hash(&mut hasher);
-        self.violation_fraction.to_bits().hash(&mut hasher);
-        self.series.len().hash(&mut hasher);
-        for sample in self.series.iter() {
-            sample.tick().hash(&mut hasher);
-            for value in sample.values() {
-                value.to_bits().hash(&mut hasher);
-            }
+        let mut digest = self.digest;
+        digest.fold([self.ticks, self.arrived, self.completed, self.errors]);
+        digest.fold([self.fixes_initiated, self.violation_fraction.to_bits()]);
+        digest.fold([self.recovery.len() as u64]);
+        digest.0
+    }
+}
+
+/// FNV-1a (Fowler–Noll–Vo) with the 64-bit offset basis and prime, applied
+/// to whole `u64` words — a word is its eight little-endian bytes read as
+/// one number.  A step xors one word into the state and multiplies the
+/// state by the odd prime modulo 2⁶⁴; both are bijections of the state, so
+/// changing any one word of an input changes the digest.
+#[derive(Debug, Clone, Copy)]
+struct Digest(u64);
+
+impl Digest {
+    /// The digest of no words: the offset basis.
+    const EMPTY: Digest = Digest(0xcbf2_9ce4_8422_2325);
+    /// 2⁴⁰ + 2⁸ + 0xb3.
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn fold(&mut self, words: impl IntoIterator<Item = u64>) {
+        for word in words {
+            self.0 = (self.0 ^ word).wrapping_mul(Self::PRIME);
         }
-        // Episodes field by field, so the digest says what an episode is
-        // held to and not how its struct happens to be laid out.
-        self.recovery.len().hash(&mut hasher);
-        for episode in self.recovery.episodes() {
-            (episode.detected_at, episode.recovered_at).hash(&mut hasher);
-            (episode.primary_fault(), episode.primary_cause()).hash(&mut hasher);
-            (episode.active_faults, episode.fixes_attempted.len()).hash(&mut hasher);
-            for fix in &episode.fixes_attempted {
-                (fix.kind, fix.target).hash(&mut hasher);
-            }
-            episode.escalated.hash(&mut hasher);
+    }
+
+    /// The episode that just closed, if one did, field by field: detected
+    /// and recovered ticks, first fault's kind and cause, faults active at
+    /// detection, the number of fixes attempted and each one's kind and
+    /// target, escalated.  An optional word is two, presence (0 or 1) and
+    /// value (0 when absent); an enum is its index in its `ALL` list; a fix
+    /// target is its variant, 0 for none and the variants in declaration
+    /// order from 1, and its component index (0 for a variant that names
+    /// none).
+    fn episode(&mut self, episode: Option<&FailureEpisode>) {
+        fn index_in<T: PartialEq>(all: &[T], value: T) -> u64 {
+            all.iter().position(|v| *v == value).expect("listed") as u64
         }
-        hasher.finish()
+        let Some(episode) = episode else { return };
+        let option = |word: Option<u64>| [u64::from(word.is_some()), word.unwrap_or(0)];
+        let kind = episode
+            .primary_fault()
+            .map(|k| index_in(&FaultKind::ALL, k));
+        self.fold([episode.detected_at]);
+        self.fold(option(episode.recovered_at));
+        self.fold(option(kind));
+        self.fold([index_in(&FailureCause::ALL, episode.primary_cause())]);
+        self.fold([episode.active_faults, episode.fixes_attempted.len()].map(|n| n as u64));
+        for fix in &episode.fixes_attempted {
+            let (variant, index) = match fix.target {
+                None => (0, 0),
+                Some(FaultTarget::WebTier) => (1, 0),
+                Some(FaultTarget::Ejb { index }) => (2, index),
+                Some(FaultTarget::AppTier) => (3, 0),
+                Some(FaultTarget::Table { index }) => (4, index),
+                Some(FaultTarget::Index { index }) => (5, index),
+                Some(FaultTarget::DatabaseTier) => (6, 0),
+                Some(FaultTarget::WholeService) => (7, 0),
+            };
+            self.fold([fix.kind.code() as u64, variant, index as u64]);
+        }
+        self.fold([u64::from(episode.escalated)]);
     }
 }
 
@@ -151,8 +194,8 @@ pub struct ScenarioRunner<H: Healer> {
     workload: Box<dyn TraceSource>,
     faults: Box<dyn FaultSource>,
     healer: H,
-    series: SeriesStore,
     recovery: RecoveryLog,
+    digest: Digest,
     fixes_initiated: u64,
     ticks_run: u64,
     surge_factor: f64,
@@ -170,14 +213,13 @@ impl<H: Healer> ScenarioRunner<H> {
         faults: Box<dyn FaultSource>,
         healer: H,
     ) -> Self {
-        let series = SeriesStore::new(service.schema().clone(), 100_000);
         ScenarioRunner {
             service,
             workload,
             faults,
             healer,
-            series,
-            recovery: RecoveryLog::new(),
+            recovery: RecoveryLog::default(),
+            digest: Digest::EMPTY,
             fixes_initiated: 0,
             ticks_run: 0,
             surge_factor: 1.0,
@@ -192,18 +234,10 @@ impl<H: Healer> ScenarioRunner<H> {
     /// [`selfheal_faults::id_space`] for the lane manifest.
     pub(crate) const SURGE_ID_BASE: u64 = id_space::lane_base(id_space::SURGE_ID_BIT);
 
-    /// Limits how many samples of history are retained (older samples are
-    /// evicted); the default retains the full run for typical lengths.
-    ///
-    /// # Panics
-    /// Panics if called after the first [`ScenarioRunner::step`] (the
-    /// retained history would silently be dropped).
-    pub fn with_series_capacity(mut self, capacity: usize) -> Self {
-        assert_eq!(
-            self.ticks_run, 0,
-            "set the series capacity before stepping the runner"
-        );
-        self.series = SeriesStore::new(self.service.schema().clone(), capacity.max(1));
+    /// Does nothing: the runner keeps no metric history.
+    #[deprecated(note = "the runner keeps no metric history; this does nothing")]
+    #[doc(hidden)]
+    pub fn with_series_capacity(self, _capacity: usize) -> Self {
         self
     }
 
@@ -265,7 +299,7 @@ impl<H: Healer> ScenarioRunner<H> {
 
     /// Advances the scenario by exactly one tick: inject due faults, serve
     /// the tick's traffic, keep the episode books, let the healer react, and
-    /// record the metric sample.  Returns the tick's outcome.
+    /// fold the metric sample into the digest.  Returns the tick's outcome.
     pub fn step(&mut self) -> TickOutcome {
         let tick = self.service.current_tick();
 
@@ -296,7 +330,8 @@ impl<H: Healer> ScenarioRunner<H> {
             self.recovery
                 .open_episode(outcome.tick, primary, active.len());
         } else if self.recovery.in_episode() && !self.service.slo_violated() {
-            self.recovery.close_episode(outcome.tick);
+            let closed = self.recovery.close_episode(Some(outcome.tick));
+            self.digest.episode(closed);
         }
 
         // Let the healing policy react.
@@ -307,7 +342,9 @@ impl<H: Healer> ScenarioRunner<H> {
             self.fixes_initiated += 1;
         }
 
-        self.series.push_copy(&outcome.sample);
+        let values = outcome.sample.values().iter().map(|v| v.to_bits());
+        self.digest
+            .fold(std::iter::once(outcome.sample.tick()).chain(values));
         self.ticks_run += 1;
         outcome
     }
@@ -316,11 +353,11 @@ impl<H: Healer> ScenarioRunner<H> {
     /// scheduler keeps stepping replicas after reading interim outcomes.
     pub fn outcome(&self) -> ScenarioOutcome {
         let mut recovery = self.recovery.clone();
-        recovery.finish();
+        let mut digest = self.digest;
+        digest.episode(recovery.close_episode(None));
         let (arrived, completed, errors) = self.service.totals();
         ScenarioOutcome {
             healer: self.healer.name().to_string(),
-            series: self.series.clone(),
             recovery,
             ticks: self.ticks_run,
             arrived,
@@ -328,6 +365,7 @@ impl<H: Healer> ScenarioRunner<H> {
             errors,
             violation_fraction: self.service.violation_fraction(),
             fixes_initiated: self.fixes_initiated,
+            digest,
         }
     }
 
@@ -405,7 +443,6 @@ mod tests {
         assert_eq!(outcome.violation_fraction, 0.0);
         assert_eq!(outcome.fixes_initiated, 0);
         assert!(outcome.goodput_fraction() > 0.99);
-        assert_eq!(outcome.series.len(), 80);
         assert_eq!(outcome.ticks, 80);
     }
 
@@ -450,10 +487,42 @@ mod tests {
     }
 
     #[test]
-    fn series_capacity_limits_history() {
-        let (outcome, _) = runner(NoHealing, InjectionPlan::empty())
-            .with_series_capacity(10)
-            .run(50);
-        assert_eq!(outcome.series.len(), 10);
+    #[allow(deprecated)]
+    fn the_fingerprint_does_not_depend_on_a_series_capacity() {
+        let plan = || {
+            InjectionPlanBuilder::new()
+                .inject(
+                    20,
+                    FaultKind::BufferContention,
+                    FaultTarget::DatabaseTier,
+                    0.9,
+                )
+                .build()
+        };
+        let healer = || RestartOnViolation { in_flight: false };
+        let (full, _) = runner(healer(), plan()).run(400);
+        let (capped, _) = runner(healer(), plan()).with_series_capacity(10).run(400);
+        assert!(!full.recovery.is_empty());
+        assert_eq!(full.fingerprint(), capped.fingerprint());
+    }
+
+    /// FNV-1a by hand over the words 1, 2, 3.  The state starts at the
+    /// offset basis h₀ = cbf29ce484222325; a step is h ← (h ⊕ w) · p mod
+    /// 2⁶⁴ with p = 2⁴⁰ + 0x1b3, i.e. (x ≪ 40) + x · 0x1b3 for x = h ⊕ w:
+    ///
+    /// ```text
+    /// w = 1: x = cbf29ce484222324, x≪40 = 2223240000000000,
+    ///        x·0x1b3 = 8d40984c8601b62c, h₁ = af63bc4c8601b62c
+    /// w = 2: x = af63bc4c8601b62e, x≪40 = 01b62e0000000000,
+    ///        x·0x1b3 = 0678f607b4e8902a, h₂ = 082f2407b4e8902a
+    /// w = 3: x = 082f2407b4e89029, x≪40 = e890290000000000,
+    ///        x·0x1b3 = e81a3918672cf5ab, h₃ = d0aa6218672cf5ab
+    /// ```
+    #[test]
+    fn the_digest_is_fnv_1a_over_words() {
+        let mut digest = Digest::EMPTY;
+        assert_eq!(digest.0, 0xcbf2_9ce4_8422_2325);
+        digest.fold([1, 2, 3]);
+        assert_eq!(digest.0, 0xd0aa_6218_672c_f5ab);
     }
 }

@@ -139,9 +139,9 @@ impl MultiTierService {
             ejb_errors: vec![0.0; config.ejb_count],
             table_accesses: vec![0.0; config.table_count],
             call_effects: CallEffects::new(config.ejb_count, config.table_count),
-            web: TierResource::new("web", config.web_capacity_ms),
-            app: TierResource::new("app", config.app_capacity_ms),
-            db_resource: TierResource::new("db", config.db_capacity_ms),
+            web: TierResource::new(config.web_capacity_ms),
+            app: TierResource::new(config.app_capacity_ms),
+            db_resource: TierResource::new(config.db_capacity_ms),
             db: DatabaseTier::new(
                 config.table_count,
                 config.buffer_pool_pages,

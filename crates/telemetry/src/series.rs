@@ -93,7 +93,7 @@ impl SeriesStore {
     }
 
     /// Iterates over all retained samples in tick order.
-    pub fn iter(&self) -> impl Iterator<Item = &Sample> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Sample> {
         self.samples.iter()
     }
 
@@ -143,6 +143,24 @@ mod tests {
         s.set(schema.expect_id("a"), a);
         s.set(schema.expect_id("b"), b);
         s
+    }
+
+    /// Every capacity and push count up to a few rings' worth: the store
+    /// holds the latest `capacity` samples, in tick order.
+    #[test]
+    fn series_store_is_bounded_and_ordered() {
+        let sc = schema();
+        for capacity in 1..24 {
+            for pushes in 0..60 {
+                let mut store = SeriesStore::new(sc.clone(), capacity);
+                for t in 0..pushes {
+                    store.push(Sample::zeroed(&sc, t));
+                }
+                let ticks: Vec<Tick> = store.iter().map(Sample::tick).collect();
+                let kept: Vec<Tick> = (pushes.saturating_sub(capacity as Tick)..pushes).collect();
+                assert_eq!(ticks, kept, "capacity {capacity}, {pushes} pushes");
+            }
+        }
     }
 
     #[test]

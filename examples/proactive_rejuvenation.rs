@@ -9,10 +9,12 @@
 
 use selfheal::faults::{FaultKind, FaultTarget, InjectionPlanBuilder};
 use selfheal::healing::control;
-use selfheal::healing::harness::{FaultChoice, PolicyChoice, SelfHealingService};
+use selfheal::healing::harness::{
+    FaultChoice, PolicyChoice, ReplicaPlan, ReplicaSeeds, WorkloadChoice,
+};
 use selfheal::healing::synopsis::SynopsisKind;
+use selfheal::sim::seeds::{split_seed, SeedStream};
 use selfheal::sim::ServiceConfig;
-use selfheal::telemetry::Value;
 
 fn main() {
     let config = ServiceConfig::tiny();
@@ -31,21 +33,32 @@ fn main() {
 
     println!("software aging injected at tick 80 (slow leak in the application tier)\n");
     for (name, policy) in policies {
-        let outcome = SelfHealingService::builder()
-            .config(config.clone())
-            .faults(FaultChoice::Scripted(injections.clone()))
-            .policy(policy)
-            .run(900);
+        // `SelfHealingService::builder().seed(42)`'s replica, stepped here
+        // so the example can keep the one trajectory it analyses.
+        let plan = ReplicaPlan {
+            service: config.clone(),
+            workload: WorkloadChoice::default(),
+            faults: FaultChoice::Scripted(injections.clone()),
+            policy,
+        };
+        let seeds = ReplicaSeeds {
+            service: config.seed,
+            workload: 42,
+            faults: split_seed(42, 0, SeedStream::Faults),
+        };
+        let mut runner = plan.runner(0, seeds, None);
+        let response_id = runner.service().schema().expect_id("svc.response_ms");
+        let mut trajectory = Vec::new();
+        for _ in 0..900 {
+            let tick = runner.step();
+            if tick.sample.tick() >= 80 {
+                trajectory.push(tick.sample.get(response_id));
+            }
+        }
+        let outcome = runner.outcome();
 
         // Control-theoretic view of the response-time trajectory after the
         // disturbance (Section 5.4): settling time, overshoot, oscillation.
-        let response_id = outcome.series.schema().expect_id("svc.response_ms");
-        let trajectory: Vec<Value> = outcome
-            .series
-            .iter()
-            .filter(|s| s.tick() >= 80)
-            .map(|s| s.get(response_id))
-            .collect();
         let analysis = control::analyze(&trajectory, 40.0, 0.9);
 
         println!("policy = {name}");

@@ -3,14 +3,17 @@
 //! What a tick allocates must not depend on how many requests it serves:
 //! the request paths are a table built with the service, the per-EJB and
 //! per-table accumulators live in it, and the SLO and symptom windows are
-//! read where they lie.  This file holds one test, so no other test thread
-//! allocates while it counts, and the counter is per thread besides.
+//! read where they lie.  What a run's outcome allocates must not depend on
+//! how long the run was: it copies folds and the last few episodes, never a
+//! history.  The counter is per thread, so the tests do not see each
+//! other's allocations.
 
+use selfheal::faults::ServiceProfile;
 use selfheal::fleet::FleetConfig;
-use selfheal::healing::harness::PolicyChoice;
+use selfheal::healing::harness::{FaultChoice, PolicyChoice};
 use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::sim::{MultiTierService, ServiceConfig};
-use selfheal::workload::{Request, RequestKind};
+use selfheal::workload::{ArrivalProcess, Request, RequestKind, WorkloadMix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -59,8 +62,7 @@ fn batch(n: usize, tick: u64) -> Vec<Request> {
 }
 
 /// Most allocations a steady-state `ScenarioRunner::step` may make: the
-/// workload's batch and the tick's sample (a full series copies it into the
-/// row it evicts).
+/// workload's batch and the tick's sample.
 const STEP_ALLOCATIONS: u64 = 2;
 
 #[test]
@@ -82,8 +84,8 @@ fn a_tick_allocates_the_same_for_ten_requests_as_for_two_hundred() {
 
     // FixSym, then the hybrid, over a private learner under the default
     // Poisson-40 workload, stepped until the baseline is frozen and the
-    // series rings are full: the runner's, and the hybrid's diagnosis
-    // history, which holds only the samples its engines read.
+    // hybrid's diagnosis history, which holds only the samples its engines
+    // read, is full.
     for policy in [
         PolicyChoice::FixSym(SynopsisKind::NearestNeighbor),
         PolicyChoice::Hybrid(SynopsisKind::NearestNeighbor),
@@ -91,7 +93,6 @@ fn a_tick_allocates_the_same_for_ten_requests_as_for_two_hundred() {
         let label = policy.label();
         let mut runner = FleetConfig::builder()
             .policy(policy)
-            .series_capacity(512)
             .build()
             .replica_runner(0, None);
         for _ in 0..600 {
@@ -112,5 +113,54 @@ fn a_tick_allocates_the_same_for_ten_requests_as_for_two_hundred() {
             steady >= 180,
             "{label}: only {steady} of 200 steps stayed in bounds"
         );
+    }
+}
+
+/// Ticks after which `ScenarioRunner::outcome`'s allocations are counted:
+/// both long past the point where the episode log holds its last 64.
+const OUTCOME_AT: [u64; 2] = [20_000, 100_000];
+
+/// What `outcome` allocates besides one fix list per held episode that
+/// attempted a fix: the healer's name and the ring of held episodes.
+const OUTCOME_ALLOCATIONS: u64 = 2;
+
+#[test]
+fn an_outcome_allocates_nothing_that_grows_with_the_run() {
+    let tiny = ServiceConfig::tiny();
+    let mut runner = FleetConfig::builder()
+        .service(tiny.clone())
+        .synthetic_workload(
+            WorkloadMix::bidding(),
+            ArrivalProcess::Constant { rate: 40.0 },
+        )
+        .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
+        .faults(FaultChoice::mix_for(ServiceProfile::Online, 0.0005, &tiny))
+        .build()
+        .replica_runner(0, None);
+    for until in OUTCOME_AT {
+        // Counted between episodes, so no open one is copied on top.
+        while runner.ticks_run() < until || runner.recovery().in_episode() {
+            assert!(
+                runner.ticks_run() < until + 5_000,
+                "no gap between episodes"
+            );
+            runner.step();
+        }
+        let (count, outcome) = allocations_in(|| runner.outcome());
+        let held = outcome.recovery.episodes();
+        let with_fixes = held.iter().filter(|e| !e.fixes_attempted.is_empty());
+        let with_fixes = with_fixes.count() as u64;
+        println!(
+            "ScenarioRunner::outcome at tick {}: {count} allocations; \
+             {} episodes, {} held, {with_fixes} of them with fixes",
+            outcome.ticks,
+            outcome.recovery.len(),
+            held.len()
+        );
+        assert!(
+            outcome.recovery.len() > held.len(),
+            "the ring has turned over"
+        );
+        assert_eq!(count, OUTCOME_ALLOCATIONS + with_fixes);
     }
 }

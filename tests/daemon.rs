@@ -355,7 +355,6 @@ fn batch_twin(config: &DaemonConfig, replicas: usize, epochs: u64) -> FleetConfi
         .workload(config.workload.clone())
         .faults(config.default_faults.clone())
         .base_seed(config.base_seed)
-        .series_capacity(config.series_capacity)
         .replicas(replicas)
         .slice(config.slice)
         .ticks(epochs * config.slice)

@@ -127,7 +127,7 @@ fn fixsym_policy_handles_recurring_failures_with_fewer_attempts_over_time() {
         "expected several episodes, got {}",
         episodes.len()
     );
-    let first_attempts = episodes.first().unwrap().fixes_attempted.len();
+    let first_attempts = episodes.front().unwrap().fixes_attempted.len();
     // Brief SLO flaps can open (and close) unrelated episodes around the
     // real injections; judge the synopsis by the last recovered episode that
     // was actually caused by the injected fault (ground truth is recorded on
@@ -180,7 +180,7 @@ fn manual_rules_escalate_on_failures_outside_their_rule_base() {
         .run(700);
     assert!(outcome.fixes_initiated >= 1);
     assert!(
-        outcome.recovery.escalation_fraction() > 0.0,
+        outcome.recovery.escalations() > 0,
         "the manual policy should escalate for an unforeseen failure class"
     );
 }

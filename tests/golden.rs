@@ -1,14 +1,19 @@
 //! Golden fingerprints: the simulated outcome of a grid of fleets, of the
 //! benchmark's two fleet configurations and of the daemon's default tenant,
 //! pinned to what the simulator of commit 2718727 produces.  The numbers
-//! were regenerated once since, with no simulated value changed: when
-//! `ScenarioOutcome::fingerprint` stopped digesting the episode log's
-//! `Debug` text and began digesting each episode field by field, that one
-//! function on top of the unchanged simulator printed the tables below.
+//! were regenerated twice since, each time with no simulated value changed:
+//! when `ScenarioOutcome::fingerprint` stopped digesting the episode log's
+//! `Debug` text and began digesting each episode field by field, and when
+//! the digest moved from std's default hasher (unspecified across
+//! releases) over the retained metric history to the FNV-1a fold written
+//! out in `selfheal-sim`.  The second time, the parent simulator with only
+//! the new digest added printed exactly the tables below before the change
+//! that dropped the history landed.
 //!
-//! A fingerprint digests every retained metric value bit for bit, every
-//! failure episode (detected, recovered, first fault's kind and cause, how
-//! many were active, each attempted fix, escalated) and every counter, so a
+//! A fingerprint digests the whole run, whatever the runner retains: each
+//! tick's number and every metric value bit for bit, every failure episode
+//! as it closes (detected, recovered, first fault's kind and cause, how many
+//! were active, each attempted fix, escalated) and every counter, so a
 //! change to the simulator's arithmetic, to the order of its floating-point
 //! operations or to the number of RNG draws moves at least one of them.  An
 //! optimisation of the tick path passes this file unmodified or is not an
@@ -145,8 +150,7 @@ fn rubis_default_grid_matches_the_pinned_fingerprints() {
 }
 
 /// The benchmark's `fleet_quiet` and `fleet_faulty` configurations
-/// (`benchmark/src/fleet.rs`: 4 × 12 500 ticks, 512 retained samples),
-/// sequential, seed 42.
+/// (`benchmark/src/fleet.rs`: 4 × 12 500 ticks), sequential, seed 42.
 #[test]
 fn the_benchmark_fleets_match_the_pinned_fingerprints() {
     let bench_fleet = || {
@@ -154,7 +158,6 @@ fn the_benchmark_fleets_match_the_pinned_fingerprints() {
             .replicas(4)
             .ticks(12_500)
             .base_seed(42)
-            .series_capacity(512)
             .mode(ExecutionMode::Sequential)
     };
     let quiet = bench_fleet().policy(PolicyChoice::FixSym(KNN)).run();
@@ -197,22 +200,22 @@ fn the_default_daemon_tenant_matches_the_pinned_fingerprints() {
 
 /// `(epochs run, fingerprints by replica id)`.
 const DAEMON_DEFAULT: [(usize, [(usize, u64); 2]); 2] = [
-    (1_000, [(0, 8037605621900490268), (1, 2053889015822062076)]),
-    (3_000, [(0, 4117338056951287107), (1, 11932139439240936156)]),
+    (1_000, [(0, 5979837483687393322), (1, 1746556712270608543)]),
+    (3_000, [(0, 5515993481814587960), (1, 13767014207341830034)]),
 ];
 
 const FLEET_QUIET: [u64; 4] = [
-    11101700323625404791,
-    9023325765395125243,
-    13301795576074067703,
-    7381828931711497402,
+    6986624953112590414,
+    15794618893850104927,
+    7053496429631955340,
+    15291195270370460509,
 ];
 
 const FLEET_FAULTY: [u64; 4] = [
-    3107109735735981643,
-    2964266565017787379,
-    6224610564413719355,
-    15297884730679009451,
+    16010201066332505174,
+    9493448128922612923,
+    4537835721603664955,
+    18273827729627221516,
 ];
 
 /// Per healer and fault profile, four rows: seed 42 at slices 1 and 7, then
@@ -220,128 +223,128 @@ const FLEET_FAULTY: [u64; 4] = [
 #[rustfmt::skip]
 const TINY: &[[u64; REPLICAS]] = &[
     // fixsym_private, none
-    [4710931648406716600, 14449976468471270921, 17810798100799727873],
-    [4710931648406716600, 14449976468471270921, 17810798100799727873],
-    [8101877597354039160, 7373739726255269067, 16974641075554649012],
-    [8101877597354039160, 7373739726255269067, 16974641075554649012],
+    [8629349674701671677, 12074222252576545819, 14757457767139811448],
+    [8629349674701671677, 12074222252576545819, 14757457767139811448],
+    [16716273181889483574, 13287801763822807326, 18430903329288922326],
+    [16716273181889483574, 13287801763822807326, 18430903329288922326],
     // fixsym_private, mix0.002
-    [2735022177793085619, 14449976468471270921, 17907172648580386593],
-    [2735022177793085619, 14449976468471270921, 17907172648580386593],
-    [16754747766369007909, 7408933720408557937, 595226904902135573],
-    [16754747766369007909, 7408933720408557937, 595226904902135573],
+    [13121369442833527989, 12074222252576545819, 2868189547802294078],
+    [13121369442833527989, 12074222252576545819, 2868189547802294078],
+    [8408265240467906683, 12950670328884066848, 14128724271214166093],
+    [8408265240467906683, 12950670328884066848, 14128724271214166093],
     // fixsym_private, mix0.02
-    [12375011466566568171, 17392955736822142687, 17227762017312226579],
-    [12375011466566568171, 17392955736822142687, 17227762017312226579],
-    [6271910077243706170, 6507673556343797534, 16039064441431507857],
-    [6271910077243706170, 6507673556343797534, 16039064441431507857],
+    [1952645172759729868, 3276273569345607720, 11411567492959247267],
+    [1952645172759729868, 3276273569345607720, 11411567492959247267],
+    [13691942032895546645, 288399636277764720, 12010279587669432209],
+    [13691942032895546645, 288399636277764720, 12010279587669432209],
     // fixsym_private, storm
-    [4710931648406716600, 18217779634834790485, 5803605011398298068],
-    [4710931648406716600, 18217779634834790485, 5803605011398298068],
-    [8101877597354039160, 11889663620662720378, 12367330458327487129],
-    [8101877597354039160, 11889663620662720378, 12367330458327487129],
+    [8629349674701671677, 2875789977520700406, 10392033021843544563],
+    [8629349674701671677, 2875789977520700406, 10392033021843544563],
+    [16716273181889483574, 18444768146123486542, 15257048255004101784],
+    [16716273181889483574, 18444768146123486542, 15257048255004101784],
     // hybrid_locked, none
-    [8341883551867953778, 14449976468471270921, 2407699520541898957],
-    [8341883551867953778, 14449976468471270921, 2407699520541898957],
-    [16090629357453422268, 622959614288296031, 9500790022722681827],
-    [16090629357453422268, 622959614288296031, 9500790022722681827],
+    [13130413452250509596, 12074222252576545819, 1849315272543091746],
+    [13130413452250509596, 12074222252576545819, 1849315272543091746],
+    [11038836008189345759, 8976074021200159680, 5584468890738659091],
+    [11038836008189345759, 8976074021200159680, 5584468890738659091],
     // hybrid_locked, mix0.002
-    [2350628265290413395, 14449976468471270921, 3042868305671617932],
-    [2350628265290413395, 14449976468471270921, 3042868305671617932],
-    [13691334540479767781, 17657197938723107628, 9545951976125358004],
-    [13691334540479767781, 17657197938723107628, 9545951976125358004],
+    [16224436138510430412, 12074222252576545819, 4390713220702099977],
+    [16224436138510430412, 12074222252576545819, 4390713220702099977],
+    [14711513461184355798, 17956767351329413568, 10317273635809575268],
+    [14711513461184355798, 17956767351329413568, 10317273635809575268],
     // hybrid_locked, mix0.02
-    [17968903795863453197, 6956035363167241114, 11079554589788209976],
-    [17968903795863453197, 6956035363167241114, 11079554589788209976],
-    [4291315787152622118, 2545556243216024520, 7803141270003628844],
-    [4291315787152622118, 2545556243216024520, 7803141270003628844],
+    [13835092355691560132, 12982055684108724303, 13751120884569104701],
+    [13835092355691560132, 12982055684108724303, 13751120884569104701],
+    [5047427774425054533, 77674402092672748, 9030762044101542741],
+    [5047427774425054533, 77674402092672748, 9030762044101542741],
     // hybrid_locked, storm
-    [8341883551867953778, 16490251756258831473, 6242284373035246257],
-    [8341883551867953778, 16490251756258831473, 6242284373035246257],
-    [16090629357453422268, 4924864498051437724, 12968098915641007233],
-    [16090629357453422268, 4924864498051437724, 12968098915641007233],
+    [13130413452250509596, 17465220361775290472, 17387080709022628474],
+    [13130413452250509596, 17465220361775290472, 17387080709022628474],
+    [11038836008189345759, 12571792400644347600, 13938050033396120836],
+    [11038836008189345759, 12571792400644347600, 13938050033396120836],
     // hybrid_sharded4, none
-    [8341883551867953778, 14449976468471270921, 2407699520541898957],
-    [8341883551867953778, 14449976468471270921, 2407699520541898957],
-    [16090629357453422268, 622959614288296031, 9500790022722681827],
-    [16090629357453422268, 622959614288296031, 9500790022722681827],
+    [13130413452250509596, 12074222252576545819, 1849315272543091746],
+    [13130413452250509596, 12074222252576545819, 1849315272543091746],
+    [11038836008189345759, 8976074021200159680, 5584468890738659091],
+    [11038836008189345759, 8976074021200159680, 5584468890738659091],
     // hybrid_sharded4, mix0.002
-    [2350628265290413395, 14449976468471270921, 3042868305671617932],
-    [2350628265290413395, 14449976468471270921, 3042868305671617932],
-    [13691334540479767781, 17657197938723107628, 9545951976125358004],
-    [13691334540479767781, 17657197938723107628, 9545951976125358004],
+    [16224436138510430412, 12074222252576545819, 4390713220702099977],
+    [16224436138510430412, 12074222252576545819, 4390713220702099977],
+    [14711513461184355798, 17956767351329413568, 10317273635809575268],
+    [14711513461184355798, 17956767351329413568, 10317273635809575268],
     // hybrid_sharded4, mix0.02
-    [17968903795863453197, 6956035363167241114, 11079554589788209976],
-    [17968903795863453197, 6956035363167241114, 11079554589788209976],
-    [4291315787152622118, 2545556243216024520, 7803141270003628844],
-    [4291315787152622118, 2545556243216024520, 7803141270003628844],
+    [13835092355691560132, 12982055684108724303, 13751120884569104701],
+    [13835092355691560132, 12982055684108724303, 13751120884569104701],
+    [5047427774425054533, 77674402092672748, 9030762044101542741],
+    [5047427774425054533, 77674402092672748, 9030762044101542741],
     // hybrid_sharded4, storm
-    [8341883551867953778, 16490251756258831473, 6242284373035246257],
-    [8341883551867953778, 16490251756258831473, 6242284373035246257],
-    [16090629357453422268, 4924864498051437724, 12968098915641007233],
-    [16090629357453422268, 4924864498051437724, 12968098915641007233],
+    [13130413452250509596, 17465220361775290472, 17387080709022628474],
+    [13130413452250509596, 17465220361775290472, 17387080709022628474],
+    [11038836008189345759, 12571792400644347600, 13938050033396120836],
+    [11038836008189345759, 12571792400644347600, 13938050033396120836],
 ];
 
 /// Rows as in [`TINY`].
 #[rustfmt::skip]
 const RUBIS_DEFAULT: &[[u64; REPLICAS]] = &[
     // fixsym_private, none
-    [6370874439868559239, 5540424428054609261, 15400609149115451709],
-    [6370874439868559239, 5540424428054609261, 15400609149115451709],
-    [8198073450149143595, 16869688229789377255, 12574909265911136799],
-    [8198073450149143595, 16869688229789377255, 12574909265911136799],
+    [2072350076469165320, 2085464896379152506, 2413365975773266213],
+    [2072350076469165320, 2085464896379152506, 2413365975773266213],
+    [221594921651899505, 14444561421017874281, 13205304581948888209],
+    [221594921651899505, 14444561421017874281, 13205304581948888209],
     // fixsym_private, mix0.002
-    [8246009078104026893, 5540424428054609261, 8460482406877520515],
-    [8246009078104026893, 5540424428054609261, 8460482406877520515],
-    [18089239520977874285, 2393181828491705571, 3914741367169923866],
-    [18089239520977874285, 2393181828491705571, 3914741367169923866],
+    [2723142448369159938, 2085464896379152506, 13753663200287053936],
+    [2723142448369159938, 2085464896379152506, 13753663200287053936],
+    [4333200721213767809, 6722268220756513277, 10923805802830626474],
+    [4333200721213767809, 6722268220756513277, 10923805802830626474],
     // fixsym_private, mix0.02
-    [12200008841740644914, 5049664838149413377, 8354080636375079543],
-    [12200008841740644914, 5049664838149413377, 8354080636375079543],
-    [6427127893613326292, 5471914475048684174, 7577438692931541014],
-    [6427127893613326292, 5471914475048684174, 7577438692931541014],
+    [12002648079225309478, 5827646728475464694, 8909753664497642287],
+    [12002648079225309478, 5827646728475464694, 8909753664497642287],
+    [4108092234908329500, 3825041935352433365, 9392083523983045546],
+    [4108092234908329500, 3825041935352433365, 9392083523983045546],
     // fixsym_private, storm
-    [6370874439868559239, 9801300686148656504, 545493704775636606],
-    [6370874439868559239, 9801300686148656504, 545493704775636606],
-    [8198073450149143595, 2446468384024405875, 4151036742330203219],
-    [8198073450149143595, 2446468384024405875, 4151036742330203219],
+    [2072350076469165320, 16899858457528550339, 15091277289941367791],
+    [2072350076469165320, 16899858457528550339, 15091277289941367791],
+    [221594921651899505, 14954953730098271231, 9395101343049825707],
+    [221594921651899505, 14954953730098271231, 9395101343049825707],
     // hybrid_locked, none
-    [6370874439868559239, 5540424428054609261, 15400609149115451709],
-    [6370874439868559239, 5540424428054609261, 15400609149115451709],
-    [8198073450149143595, 16869688229789377255, 12574909265911136799],
-    [8198073450149143595, 16869688229789377255, 12574909265911136799],
+    [2072350076469165320, 2085464896379152506, 2413365975773266213],
+    [2072350076469165320, 2085464896379152506, 2413365975773266213],
+    [221594921651899505, 14444561421017874281, 13205304581948888209],
+    [221594921651899505, 14444561421017874281, 13205304581948888209],
     // hybrid_locked, mix0.002
-    [7764206405735826818, 5540424428054609261, 8460482406877520515],
-    [7764206405735826818, 5540424428054609261, 8460482406877520515],
-    [216454390176061364, 10104935449454089571, 11140690712195634534],
-    [216454390176061364, 10104935449454089571, 11140690712195634534],
+    [9335955819386495918, 2085464896379152506, 13753663200287053936],
+    [9335955819386495918, 2085464896379152506, 13753663200287053936],
+    [4272732736109884782, 17007879383356092891, 13965157235631046709],
+    [4272732736109884782, 17007879383356092891, 13965157235631046709],
     // hybrid_locked, mix0.02
-    [2468496325721359132, 17316757280820694077, 13189260117786014396],
-    [2468496325721359132, 17316757280820694077, 15087041734742452930],
-    [7406532004507987049, 15093546557742149909, 16065484840263444969],
-    [7406532004507987049, 15093546557742149909, 16065484840263444969],
+    [10841778366709930007, 1311662457342267861, 5945725511372446418],
+    [10841778366709930007, 1311662457342267861, 1856189512380218437],
+    [11777261171330958211, 14486173390950655142, 10270621208946809596],
+    [11777261171330958211, 14486173390950655142, 10270621208946809596],
     // hybrid_locked, storm
-    [6370874439868559239, 7929793738501673319, 7997796331528558448],
-    [6370874439868559239, 7929793738501673319, 7997796331528558448],
-    [8198073450149143595, 1908637777534788005, 1467931546692131349],
-    [8198073450149143595, 1908637777534788005, 1467931546692131349],
+    [2072350076469165320, 14584331598066401386, 12335951179459275474],
+    [2072350076469165320, 14584331598066401386, 12335951179459275474],
+    [221594921651899505, 14080990383289317794, 3035909260978169098],
+    [221594921651899505, 14080990383289317794, 3035909260978169098],
     // hybrid_sharded4, none
-    [6370874439868559239, 5540424428054609261, 15400609149115451709],
-    [6370874439868559239, 5540424428054609261, 15400609149115451709],
-    [8198073450149143595, 16869688229789377255, 12574909265911136799],
-    [8198073450149143595, 16869688229789377255, 12574909265911136799],
+    [2072350076469165320, 2085464896379152506, 2413365975773266213],
+    [2072350076469165320, 2085464896379152506, 2413365975773266213],
+    [221594921651899505, 14444561421017874281, 13205304581948888209],
+    [221594921651899505, 14444561421017874281, 13205304581948888209],
     // hybrid_sharded4, mix0.002
-    [7764206405735826818, 5540424428054609261, 8460482406877520515],
-    [7764206405735826818, 5540424428054609261, 8460482406877520515],
-    [216454390176061364, 10104935449454089571, 11140690712195634534],
-    [216454390176061364, 10104935449454089571, 11140690712195634534],
+    [9335955819386495918, 2085464896379152506, 13753663200287053936],
+    [9335955819386495918, 2085464896379152506, 13753663200287053936],
+    [4272732736109884782, 17007879383356092891, 13965157235631046709],
+    [4272732736109884782, 17007879383356092891, 13965157235631046709],
     // hybrid_sharded4, mix0.02
-    [2468496325721359132, 17316757280820694077, 13189260117786014396],
-    [2468496325721359132, 17316757280820694077, 15087041734742452930],
-    [7406532004507987049, 15093546557742149909, 16065484840263444969],
-    [7406532004507987049, 15093546557742149909, 16065484840263444969],
+    [10841778366709930007, 1311662457342267861, 5945725511372446418],
+    [10841778366709930007, 1311662457342267861, 1856189512380218437],
+    [11777261171330958211, 14486173390950655142, 10270621208946809596],
+    [11777261171330958211, 14486173390950655142, 10270621208946809596],
     // hybrid_sharded4, storm
-    [6370874439868559239, 7929793738501673319, 7997796331528558448],
-    [6370874439868559239, 7929793738501673319, 7997796331528558448],
-    [8198073450149143595, 1908637777534788005, 1467931546692131349],
-    [8198073450149143595, 1908637777534788005, 1467931546692131349],
+    [2072350076469165320, 14584331598066401386, 12335951179459275474],
+    [2072350076469165320, 14584331598066401386, 12335951179459275474],
+    [221594921651899505, 14080990383289317794, 3035909260978169098],
+    [221594921651899505, 14080990383289317794, 3035909260978169098],
 ];

@@ -13,7 +13,6 @@ use selfheal::healing::snapshot::SynopsisSnapshot;
 use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::learn::{Classifier, Dataset, Example, NearestNeighbor};
 use selfheal::sim::{MultiTierService, ServiceConfig};
-use selfheal::telemetry::{Sample, SeriesStore};
 use selfheal::workload::{
     ArrivalProcess, RecordedTrace, Request, RequestKind, TraceGenerator, TraceRecord, WorkloadMix,
 };
@@ -200,28 +199,6 @@ proptest! {
                 cause
             );
         }
-    }
-
-    /// The telemetry store respects its capacity and keeps samples in tick
-    /// order under any push pattern.
-    #[test]
-    fn series_store_is_bounded_and_ordered(
-        capacity in 1usize..64,
-        pushes in 0usize..200,
-    ) {
-        let schema = selfheal::telemetry::SchemaBuilder::new()
-            .metric("x", selfheal::telemetry::Tier::Service, selfheal::telemetry::MetricKind::Gauge)
-            .build();
-        let mut store = SeriesStore::new(schema.clone(), capacity);
-        for t in 0..pushes {
-            store.push(Sample::zeroed(&schema, t as u64));
-        }
-        prop_assert!(store.len() <= capacity);
-        prop_assert_eq!(store.len(), pushes.min(capacity));
-        let ticks: Vec<u64> = store.iter().map(|s| s.tick()).collect();
-        let mut sorted = ticks.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(ticks, sorted);
     }
 }
 
