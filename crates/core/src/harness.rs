@@ -16,8 +16,8 @@
 //! demographic generation from a cause mix, a catalog coverage sweep, or a
 //! tick-wise composition) as a recipe for a [`FaultSource`],
 //! [`LearnerChoice`] names where learned synopsis state lives (a private
-//! per-replica model, one fleet-shared model, or symptom-space shards) as a
-//! recipe for a [`SynopsisStore`], and [`EventChoice`] names a fleet-wide
+//! per-replica model or one fleet-shared model) as a recipe for a
+//! [`SynopsisStore`], and [`EventChoice`] names a fleet-wide
 //! cross-replica event (a correlated fault storm — uniform or
 //! CauseMix-catalog — or a workload surge) that the fleet's tick-sliced
 //! scheduler resolves into per-replica actions, and [`ReactiveChoice`]
@@ -31,7 +31,7 @@ use crate::hybrid::HybridHealer;
 use crate::policy::{DiagnosisEngine, DiagnosisPanel, Source};
 use crate::proactive::ProactiveHealer;
 use crate::snapshot::SynopsisSnapshot;
-use crate::store::{ShardedStore, SynopsisStore};
+use crate::store::{BatchedStore, SynopsisStore};
 use crate::synopsis::{Learner, SynopsisKind};
 use selfheal_diagnosis::{
     AnomalyDetector, BottleneckAnalyzer, CorrelationAnalyzer, DiagnosisContext, ManualRuleBase,
@@ -633,31 +633,21 @@ impl FaultChoice {
 /// learning topology declaratively.
 ///
 /// A choice is a *recipe*: [`LearnerChoice::build_store`] bakes it into a
-/// concrete [`SynopsisStore`] of a given [`SynopsisKind`].  Shared recipes
-/// (`Locked`, `Sharded`) are built **once** per fleet and handed to replicas
-/// via [`SynopsisStore::clone_store`]; the `Private` recipe is built fresh
-/// per replica.
+/// concrete [`SynopsisStore`] of a given [`SynopsisKind`].  The shared
+/// recipe (`Locked`) is built **once** per fleet and handed to replicas via
+/// [`SynopsisStore::clone_store`]; the `Private` recipe is built fresh per
+/// replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LearnerChoice {
-    /// Every replica learns alone in its own one-shard, batch-1
-    /// [`ShardedStore`] (the paper's single-instance setup: every record
-    /// refits the model at once).
+    /// Every replica learns alone in its own batch-1 [`BatchedStore`] (the
+    /// paper's single-instance setup: every record refits the model at
+    /// once).
     #[default]
     Private,
-    /// One fleet-wide synopsis (a one-shard [`ShardedStore`]), draining
-    /// queued updates in batches of `batch`.
+    /// One fleet-wide synopsis (a [`BatchedStore`]), draining queued
+    /// updates in batches of `batch`.
     Locked {
         /// Queued updates that trigger one combined drain + retrain.
-        batch: usize,
-    },
-    /// A fleet-wide [`ShardedStore`]: symptom space is partitioned across
-    /// `shards` k-means-routed synopses, each with its own batch queue and
-    /// fitted only to its own region's failures — a learning choice, since
-    /// the fleet's gate already admits one replica to the store at a time.
-    Sharded {
-        /// Number of symptom-space shards (1 is `Locked`).
-        shards: usize,
-        /// Queued updates per shard that trigger a drain + retrain.
         batch: usize,
     },
 }
@@ -666,15 +656,7 @@ impl LearnerChoice {
     /// Lock-shared learning with the default batch threshold.
     pub fn locked() -> Self {
         LearnerChoice::Locked {
-            batch: ShardedStore::DEFAULT_BATCH,
-        }
-    }
-
-    /// Sharded learning with the default batch threshold.
-    pub fn sharded(shards: usize) -> Self {
-        LearnerChoice::Sharded {
-            shards,
-            batch: ShardedStore::DEFAULT_BATCH,
+            batch: BatchedStore::DEFAULT_BATCH,
         }
     }
 
@@ -687,11 +669,8 @@ impl LearnerChoice {
     /// Bakes the choice into a concrete store for a synopsis of `kind`.
     pub fn build_store(&self, kind: SynopsisKind) -> Box<dyn SynopsisStore> {
         match self {
-            LearnerChoice::Private => Box::new(ShardedStore::with_batch(kind, 1, 1)),
-            LearnerChoice::Locked { batch } => Box::new(ShardedStore::with_batch(kind, 1, *batch)),
-            LearnerChoice::Sharded { shards, batch } => {
-                Box::new(ShardedStore::with_batch(kind, *shards, *batch))
-            }
+            LearnerChoice::Private => Box::new(BatchedStore::new(kind, 1)),
+            LearnerChoice::Locked { batch } => Box::new(BatchedStore::new(kind, *batch)),
         }
     }
 
@@ -717,7 +696,6 @@ impl LearnerChoice {
         match self {
             LearnerChoice::Private => "private".to_string(),
             LearnerChoice::Locked { .. } => "locked".to_string(),
-            LearnerChoice::Sharded { shards, .. } => format!("sharded_{shards}"),
         }
     }
 }

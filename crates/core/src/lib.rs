@@ -44,10 +44,10 @@
 //! The crate also provides `proactive` (failure forecasting, Section 5.3),
 //! [`control`] (settling time / overshoot / oscillation of the healing loop,
 //! Section 5.4), [`store`] (pluggable [`store::SynopsisStore`] homes for the
-//! learned model: private, fleet-shared, or sharded by symptom-space region),
-//! [`snapshot`] (JSON-lines synopsis persistence for warm-starting fleets),
-//! and [`harness`] (a convenience wrapper that bundles a simulated service
-//! with a healing policy for the examples and benches).
+//! learned model: private or fleet-shared), [`snapshot`] (JSON-lines
+//! synopsis persistence for warm-starting fleets), and [`harness`] (a
+//! convenience wrapper that bundles a simulated service with a healing
+//! policy for the examples and benches).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

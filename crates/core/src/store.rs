@@ -5,19 +5,13 @@
 //! query) says one synopsis can serve *many* service instances.  The
 //! [`SynopsisStore`] trait is the seam that makes the topology of that
 //! sharing a configuration choice instead of a code path, and
-//! [`ShardedStore`] is the one store behind it:
+//! [`BatchedStore`] is the one store behind it:
 //!
 //! * A replica learning alone (the paper's single-instance setup,
-//!   `LearnerChoice::Private`) owns a one-shard store with batch 1: every
-//!   record is drained, and the model refit, as it happens.
-//! * A fleet shares one store (`LearnerChoice::Locked` / `Sharded`) whose
-//!   records queue and drain in batches with one combined refit.  With
-//!   `k > 1` shards the store partitions the symptom space with k-means
-//!   centroids (`selfheal_learn::KMeans`) — like cyclic block coordinate
-//!   descent partitions a solver's coordinates into disjoint blocks — and
-//!   routes every suggest/record to the synopsis owning that region.  That
-//!   is a learning choice (each region's model sees only its own
-//!   failures), not a way around contention.
+//!   `LearnerChoice::Private`) owns a batch-1 store: every record is
+//!   drained, and the model refit, as it happens.
+//! * A fleet shares one store (`LearnerChoice::Locked`) whose records queue
+//!   and drain in batches with one combined refit.
 //!
 //! A store does not order its users; the fleet engine's gate
 //! (`selfheal_fleet::scheduler`) admits one replica to a shared store at a
@@ -34,10 +28,9 @@
 //! [`crate::HybridHealer`] — every learning policy's healer — is oblivious
 //! to which store backs it.
 
-use crate::snapshot::{SnapshotLog, SynopsisExample, SynopsisSnapshot};
+use crate::snapshot::{SnapshotLog, SynopsisSnapshot};
 use crate::synopsis::{Learner, Synopsis, SynopsisKind};
 use selfheal_faults::FixKind;
-use selfheal_learn::{Classifier, Dataset, Example, KMeans};
 use std::collections::HashSet;
 use std::io;
 use std::path::Path;
@@ -55,7 +48,7 @@ pub trait SynopsisStore: Learner {
     /// The synopsis kind backing the store.
     fn kind(&self) -> SynopsisKind;
 
-    /// Blockingly folds every queued update into the model(s).  Call once
+    /// Blockingly folds every queued update into the model.  Call once
     /// the fleet quiesces, before reading statistics or snapshotting.
     fn flush(&self);
 
@@ -80,7 +73,7 @@ pub trait SynopsisStore: Learner {
     /// not fitted weights, so any store restores from any snapshot).
     fn restore(&mut self, snapshot: &SynopsisSnapshot);
 
-    /// A handle for one more consumer of this store: [`ShardedStore`]
+    /// A handle for one more consumer of this store: [`BatchedStore`]
     /// returns a handle to the *same* state, whichever recipe built it.
     fn clone_store(&self) -> Box<dyn SynopsisStore>;
 
@@ -142,7 +135,7 @@ pub trait SynopsisStore: Learner {
         tally.finish()
     }
 
-    /// `(recorded, kept)`: failed fixes folded into the model(s) so far, and
+    /// `(recorded, kept)`: failed fixes folded into the model so far, and
     /// how many of them are still held as examples — what tells a bounded
     /// memory from a growing one (`STATUS`'s `failures_recorded=` /
     /// `negatives_kept=`).
@@ -173,7 +166,7 @@ struct FixTally([(usize, usize); FixKind::ALL.len()]);
 
 impl FixTally {
     /// Counts one outcome.  Codes outside [`FixKind::ALL`] are skipped, as
-    /// [`append_synopsis`] skips them.
+    /// a snapshot of the store skips them.
     fn add(&mut self, code: usize, success: bool) {
         if let Some((successes, failures)) = self.0.get_mut(code) {
             *(if success { successes } else { failures }) += 1;
@@ -253,136 +246,18 @@ impl Learner for Box<dyn SynopsisStore> {
     }
 }
 
-/// Appends a synopsis's experience (successes first, then failures) to a
-/// snapshot.
-fn append_synopsis(snapshot: &mut SynopsisSnapshot, synopsis: &Synopsis) {
-    for example in synopsis.positive_examples() {
-        if let Some(fix) = FixKind::from_code(example.label) {
-            snapshot.push(example.features.clone(), fix, true);
-        }
-    }
-    for example in synopsis.negative_examples() {
-        if let Some(fix) = FixKind::from_code(example.label) {
-            snapshot.push(example.features.clone(), fix, false);
-        }
-    }
-}
-
-/// The symptom-space router of a [`ShardedStore`].
-///
-/// Until enough symptom vectors have been observed to fit centroids, every
-/// request routes to shard 0 (so a cold sharded fleet behaves exactly like a
-/// one-shard store).  Once `fit_after` distinct observations accumulate, the
-/// router fits `k` centroids with Lloyd's k-means (deterministically seeded)
-/// and the partition is frozen — fixed blocks, as in cyclic block
-/// coordinate descent, so a symptom region never migrates between shards
-/// mid-run.
-#[derive(Debug)]
-struct Router {
-    shards: usize,
-    fit_after: usize,
-    buffer: Vec<Vec<f64>>,
-    centroids: Vec<Vec<f64>>,
-    fitted: bool,
-}
-
-impl Router {
-    fn new(shards: usize, fit_after: usize) -> Self {
-        Router {
-            shards,
-            fit_after: fit_after.max(shards),
-            buffer: Vec::new(),
-            centroids: Vec::new(),
-            fitted: shards <= 1,
-        }
-    }
-
-    /// Nearest-centroid routing; shard 0 before the fit (or with one shard).
-    fn route(&self, symptoms: &[f64]) -> usize {
-        if self.centroids.len() <= 1 {
-            return 0;
-        }
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (i, centroid) in self.centroids.iter().enumerate() {
-            let d: f64 = centroid
-                .iter()
-                .zip(symptoms)
-                .map(|(c, s)| (c - s) * (c - s))
-                .sum();
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Notes an observed symptom vector; fits the centroids once the buffer
-    /// is full.  Returns `true` when this call performed the fit.
-    fn observe(&mut self, symptoms: &[f64]) -> bool {
-        if self.fitted {
-            return false;
-        }
-        self.buffer.push(symptoms.to_vec());
-        if self.buffer.len() < self.fit_after {
-            return false;
-        }
-        self.fit();
-        true
-    }
-
-    /// Fits `shards` centroids over whatever symptoms are available (the
-    /// buffer, or a restored snapshot's vectors).
-    fn fit(&mut self) {
-        let data = Dataset::from_examples(
-            self.buffer
-                .iter()
-                .map(|s| Example::new(s.clone(), 0))
-                .collect(),
-        );
-        if data.is_empty() {
-            return;
-        }
-        let mut kmeans = KMeans::lloyd(self.shards, 50).with_seed(ShardedStore::ROUTE_SEED);
-        kmeans.fit(&data);
-        self.centroids = kmeans
-            .clusters()
-            .iter()
-            .map(|c| c.centroid.clone())
-            .collect();
-        self.buffer.clear();
-        self.fitted = true;
-    }
-}
-
-/// One symptom region's synopsis and the updates queued for it.
-#[derive(Debug)]
-struct Shard {
-    model: Synopsis,
-    pending: Vec<PendingUpdate>,
-}
-
-impl Shard {
-    /// Replaces the model with one built from `examples`, dropping the queue.
-    fn rebuild(&mut self, kind: SynopsisKind, examples: &[SynopsisExample]) {
-        self.pending.clear();
-        self.model = Synopsis::from_examples(kind, examples);
-    }
-}
-
-/// Everything a [`ShardedStore`] holds, behind its one lock.
+/// Everything a [`BatchedStore`] holds, behind its one lock.
 #[derive(Debug)]
 struct State {
     kind: SynopsisKind,
     batch: usize,
-    router: Router,
-    shards: Vec<Shard>,
+    model: Synopsis,
+    pending: Vec<PendingUpdate>,
     drains: u64,
     log: Persist,
 }
 
-/// Where a store's drained outcomes go besides its models.
+/// Where a store's drained outcomes go besides its model.
 #[derive(Debug)]
 enum Persist {
     /// Nowhere: the store was never given a log.
@@ -394,125 +269,89 @@ enum Persist {
 }
 
 impl State {
-    /// The model owning `symptoms`' region.
-    fn routed(&self, symptoms: &[f64]) -> &Synopsis {
-        &self.shards[self.router.route(symptoms)].model
-    }
-
-    /// Folds shard `index`'s queue into its model with one combined refit,
-    /// first appending the outcomes to the incremental log when one is
-    /// active; `false` when nothing was queued.  The queue keeps its
-    /// capacity, so a batch-1 record allocates only its symptom vector.
+    /// Folds the queue into the model with one combined refit, first
+    /// appending the outcomes to the incremental log when one is active;
+    /// `false` when nothing was queued.  The queue keeps its capacity, so a
+    /// batch-1 record allocates only its symptom vector.
     ///
     /// A failed append (a full disk, a bad handle) detaches the log: the
     /// store keeps learning in memory, and
     /// [`log_detached`](SynopsisStore::log_detached) says so.
-    fn absorb_pending(&mut self, index: usize) -> bool {
-        let Shard { model, pending } = &mut self.shards[index];
-        if pending.is_empty() {
+    fn absorb_pending(&mut self) -> bool {
+        if self.pending.is_empty() {
             return false;
         }
         if let Persist::Log(log) = &self.log {
-            let outcomes = pending.iter().map(|(s, fix, ok)| (s.as_slice(), *fix, *ok));
+            let outcomes = self
+                .pending
+                .iter()
+                .map(|(s, fix, ok)| (s.as_slice(), *fix, *ok));
             if log.append_outcomes(outcomes).is_err() {
                 self.log = Persist::Detached;
             }
         }
-        model.absorb(pending.drain(..));
+        self.model.absorb(self.pending.drain(..));
         true
     }
 
-    /// Drains every shard's queue (each non-empty one counts as a drain).
+    /// Drains the queue (a non-empty one counts as a drain).
     fn flush(&mut self) {
-        for index in 0..self.shards.len() {
-            self.drains += u64::from(self.absorb_pending(index));
-        }
+        self.drains += u64::from(self.absorb_pending());
     }
 
-    /// Every shard's folded experience; queued updates are not in it.
+    /// The model's folded experience, successes first, then failures;
+    /// queued updates are not in it.
     fn experience(&self) -> SynopsisSnapshot {
         let mut snapshot = SynopsisSnapshot::new(self.kind);
-        for shard in &self.shards {
-            append_synopsis(&mut snapshot, &shard.model);
+        for example in self.model.positive_examples() {
+            if let Some(fix) = FixKind::from_code(example.label) {
+                snapshot.push(example.features.clone(), fix, true);
+            }
+        }
+        for example in self.model.negative_examples() {
+            if let Some(fix) = FixKind::from_code(example.label) {
+                snapshot.push(example.features.clone(), fix, false);
+            }
         }
         snapshot
     }
-
-    /// Rebuilds every shard's model from `snapshot`, partitioned by the
-    /// router's current centroids.
-    fn partition(&mut self, snapshot: &SynopsisSnapshot) {
-        let kind = self.kind;
-        // One shard owns everything: rebuild straight from the snapshot
-        // instead of copying it into a per-shard slice first.
-        if let [only] = self.shards.as_mut_slice() {
-            return only.rebuild(kind, &snapshot.examples);
-        }
-        let mut per_shard = vec![Vec::new(); self.shards.len()];
-        for example in &snapshot.examples {
-            per_shard[self.router.route(&example.symptoms)].push(example.clone());
-        }
-        for (shard, examples) in self.shards.iter_mut().zip(&per_shard) {
-            shard.rebuild(kind, examples);
-        }
-    }
 }
 
-/// The one synopsis store: a cloneable handle to `k` synopses that
-/// partition symptom space, each with a queue of updates it drains in
-/// batches.  Clones share state.
+/// The one synopsis store: a cloneable handle to one synopsis with a queue
+/// of updates it drains in batches.  Clones share state.
 ///
-/// Every suggest/record is routed to the shard owning the symptom's region
-/// (nearest fitted centroid).  A [`record`](Learner::record) appends to the
-/// shard's queue; once the queue holds `batch` updates it is drained into
-/// the model with a *single* combined refit.  Batching trades staleness for
-/// fewer refits: a freshly learned fix becomes visible after at most
-/// `batch - 1` further updates to its shard (or a
-/// [`flush`](SynopsisStore::flush)).  With `k = 1` the router is inert and
-/// the store is one synopsis; with batch 1 every record drains at once.
+/// A [`record`](Learner::record) appends to the queue; once the queue holds
+/// `batch` updates it is drained into the model with a *single* combined
+/// refit.  Batching trades staleness for fewer refits: a freshly learned
+/// fix becomes visible after at most `batch - 1` further updates (or a
+/// [`flush`](SynopsisStore::flush)); with batch 1 every record drains at
+/// once.
 ///
-/// All of it — router, models, queues, drain count, log — sits behind one
-/// `Mutex`.  Nothing contends for it: the fleet's gate admits one replica
-/// at a time (see the module docs), so no method waits on it in practice,
-/// and none re-locks it while holding it.
+/// All of it — model, queue, drain count, log — sits behind one `Mutex`.
+/// Nothing contends for it: the fleet's gate admits one replica at a time
+/// (see the module docs), so no method waits on it in practice, and none
+/// re-locks it while holding it.
 #[derive(Debug, Clone)]
-pub struct ShardedStore {
+pub struct BatchedStore {
     state: Arc<Mutex<State>>,
 }
 
-impl ShardedStore {
+impl BatchedStore {
     /// Default number of queued updates that triggers a drain + refit.
     pub const DEFAULT_BATCH: usize = 4;
 
-    /// Observations buffered before the routing centroids are fitted.
-    pub(crate) const DEFAULT_FIT_AFTER: usize = 32;
-
-    /// Seed of the deterministic Lloyd fit behind the router.
-    pub(crate) const ROUTE_SEED: u64 = 0x5ead_c0de;
-
-    /// Creates a sharded store with the default batch threshold and router
-    /// warm-up.
-    pub fn new(kind: SynopsisKind, shards: usize) -> Self {
-        Self::with_batch(kind, shards, Self::DEFAULT_BATCH)
-    }
-
-    /// Creates a sharded store whose shards drain after `batch` queued
-    /// updates each (`1` = drain on every update, i.e. no added staleness).
-    pub fn with_batch(kind: SynopsisKind, shards: usize, batch: usize) -> Self {
-        let shards = shards.max(1);
+    /// Creates a store that drains after `batch` queued updates (`1` =
+    /// drain on every update, i.e. no added staleness).
+    pub fn new(kind: SynopsisKind, batch: usize) -> Self {
         let state = State {
             kind,
             batch: batch.max(1),
-            router: Router::new(shards, Self::DEFAULT_FIT_AFTER),
-            shards: (0..shards)
-                .map(|_| Shard {
-                    model: Synopsis::new(kind),
-                    pending: Vec::new(),
-                })
-                .collect(),
+            model: Synopsis::new(kind),
+            pending: Vec::new(),
             drains: 0,
             log: Persist::Off,
         };
-        ShardedStore {
+        BatchedStore {
             state: Arc::new(Mutex::new(state)),
         }
     }
@@ -521,21 +360,11 @@ impl ShardedStore {
     fn state(&self) -> MutexGuard<'_, State> {
         self.state.lock().expect("synopsis store poisoned")
     }
-
-    /// Successful-fix examples per shard — how the symptom space actually
-    /// partitioned.
-    pub(crate) fn shard_sizes(&self) -> Vec<usize> {
-        let shards = &self.state().shards;
-        shards
-            .iter()
-            .map(|s| s.model.correct_fixes_learned())
-            .collect()
-    }
 }
 
-impl Learner for ShardedStore {
+impl Learner for BatchedStore {
     fn suggest(&self, symptoms: &[f64]) -> Option<(FixKind, f64)> {
-        self.state().routed(symptoms).suggest(symptoms)
+        self.state().model.suggest(symptoms)
     }
 
     fn suggest_excluding(
@@ -543,40 +372,23 @@ impl Learner for ShardedStore {
         symptoms: &[f64],
         excluded: &HashSet<FixKind>,
     ) -> Option<(FixKind, f64)> {
-        let state = self.state();
-        state.routed(symptoms).suggest_excluding(symptoms, excluded)
+        self.state().model.suggest_excluding(symptoms, excluded)
     }
 
     fn record(&mut self, symptoms: &[f64], fix: FixKind, success: bool) {
-        let mut guard = self.state();
-        let state = &mut *guard;
-        if state.router.observe(symptoms) {
-            // The partition just froze.  Everything recorded so far routed
-            // to shard 0; re-home it under the new centroids so pre-fit
-            // experience stays reachable from its region's shard instead of
-            // being stranded.  Moving experience is not a drain, so the
-            // queues fold in uncounted (and are logged).
-            for index in 0..state.shards.len() {
-                state.absorb_pending(index);
-            }
-            let resident = state.experience();
-            state.partition(&resident);
-        }
-        let index = state.router.route(symptoms);
-        let pending = &mut state.shards[index].pending;
-        pending.push((symptoms.to_vec(), fix, success));
-        if pending.len() >= state.batch {
-            state.absorb_pending(index);
-            state.drains += 1;
+        let mut state = self.state();
+        state.pending.push((symptoms.to_vec(), fix, success));
+        if state.pending.len() >= state.batch {
+            state.flush();
         }
     }
 
     fn correct_fixes_learned(&self) -> usize {
-        self.shard_sizes().iter().sum()
+        self.state().model.correct_fixes_learned()
     }
 }
 
-impl SynopsisStore for ShardedStore {
+impl SynopsisStore for BatchedStore {
     fn kind(&self) -> SynopsisKind {
         self.state().kind
     }
@@ -586,7 +398,7 @@ impl SynopsisStore for ShardedStore {
     }
 
     fn pending_updates(&self) -> usize {
-        self.state().shards.iter().map(|s| s.pending.len()).sum()
+        self.state().pending.len()
     }
 
     fn snapshot(&self) -> SynopsisSnapshot {
@@ -599,42 +411,20 @@ impl SynopsisStore for ShardedStore {
         let mut state = self.state();
         state.flush();
         let mut tally = FixTally::default();
-        for shard in &state.shards {
-            tally.add_synopsis(&shard.model);
-        }
+        tally.add_synopsis(&state.model);
         tally.finish()
     }
 
     fn failure_memory(&self) -> (usize, usize) {
-        let state = self.state();
-        let models = state.shards.iter().map(|s| s.model.failure_memory());
-        models.fold((0, 0), |(recorded, kept), (r, k)| (recorded + r, kept + k))
+        self.state().model.failure_memory()
     }
 
     fn restore(&mut self, snapshot: &SynopsisSnapshot) {
         let mut state = self.state();
-        // Refit the routing centroids from the snapshot's symptom vectors so
-        // restored experience lands on the shards that will serve it.  With
-        // too few examples to fit, stale centroids from a previous fit are
-        // discarded too — routing falls back to shard 0 (where the examples
-        // are about to land) until the warm-up buffer refills.
-        let shards = state.shards.len();
-        if shards > 1 {
-            let router = &mut state.router;
-            router.buffer = snapshot
-                .examples
-                .iter()
-                .map(|e| e.symptoms.clone())
-                .collect();
-            router.fitted = false;
-            router.centroids.clear();
-            if router.buffer.len() >= shards {
-                router.fit();
-            }
-        }
-        state.partition(snapshot);
+        state.pending.clear();
+        state.model = Synopsis::from_examples(state.kind, &snapshot.examples);
         // An active log is recreated from the restored experience (the
-        // queues were just emptied, so there is nothing to flush); one that
+        // queue was just emptied, so there is nothing to flush); one that
         // cannot be is detached, as a failed append detaches it.
         if let Persist::Log(log) = &state.log {
             let path = log.path().to_path_buf();
@@ -671,16 +461,15 @@ mod tests {
     use crate::harness::LearnerChoice;
     use std::thread;
 
-    impl ShardedStore {
-        /// Whether the routing centroids have been fitted yet (before the fit,
-        /// all traffic goes to shard 0).
-        pub(crate) fn routing_fitted(&self) -> bool {
-            self.state().router.fitted
-        }
-
-        /// How many batched drains have run across all shards.
+    impl BatchedStore {
+        /// How many batched drains have run.
         pub(crate) fn drains(&self) -> u64 {
             self.state().drains
+        }
+
+        /// A statistic of the store's synopsis.
+        fn model_stat(&self, stat: impl Fn(&Synopsis) -> usize) -> usize {
+            stat(&self.state().model)
         }
     }
 
@@ -698,108 +487,87 @@ mod tests {
         FixKind::UpdateStatistics,
     ];
 
-    /// The shared-store contract holds at every shard count: one shard (what
-    /// `LearnerChoice::Locked` builds) and four (unfitted, so still routing
-    /// to shard 0 at these update counts — except under the 100 concurrent
-    /// records below, which cross the router fit).
-    const SHARD_COUNTS: [usize; 2] = [1, 4];
-
-    /// Sums a per-model statistic over every shard.
-    fn over_models(store: &ShardedStore, stat: impl Fn(&Synopsis) -> usize) -> usize {
-        store.state().shards.iter().map(|s| stat(&s.model)).sum()
-    }
-
     #[test]
     fn locked_updates_are_batched_until_the_threshold() {
-        for shards in SHARD_COUNTS {
-            let mut shared = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, shards, 3);
-            shared.record(&symptom(0), FixKind::RepartitionMemory, true);
-            shared.record(&symptom(1), FixKind::MicrorebootEjb, true);
-            assert_eq!(shared.pending_updates(), 2, "{shards} shards");
-            assert_eq!(shared.correct_fixes_learned(), 0, "not yet drained");
-            assert!(shared.suggest(&symptom(0)).is_none());
+        let mut shared = BatchedStore::new(SynopsisKind::NearestNeighbor, 3);
+        shared.record(&symptom(0), FixKind::RepartitionMemory, true);
+        shared.record(&symptom(1), FixKind::MicrorebootEjb, true);
+        assert_eq!(shared.pending_updates(), 2);
+        assert_eq!(shared.correct_fixes_learned(), 0, "not yet drained");
+        assert!(shared.suggest(&symptom(0)).is_none());
 
-            shared.record(&symptom(2), FixKind::UpdateStatistics, true);
-            assert_eq!(shared.pending_updates(), 0, "{shards} shards");
-            assert_eq!(shared.correct_fixes_learned(), 3);
-            assert_eq!(shared.drains(), 1);
-            assert_eq!(
-                shared.suggest(&symptom(0)).unwrap().0,
-                FixKind::RepartitionMemory
-            );
-            assert_eq!(
-                over_models(&shared, |m| m.retrains() as usize),
-                1,
-                "one refit for the whole batch"
-            );
-        }
+        shared.record(&symptom(2), FixKind::UpdateStatistics, true);
+        assert_eq!(shared.pending_updates(), 0);
+        assert_eq!(shared.correct_fixes_learned(), 3);
+        assert_eq!(shared.drains(), 1);
+        assert_eq!(
+            shared.suggest(&symptom(0)).unwrap().0,
+            FixKind::RepartitionMemory
+        );
+        assert_eq!(
+            shared.model_stat(|m| m.retrains() as usize),
+            1,
+            "one refit for the whole batch"
+        );
     }
 
     #[test]
     fn locked_flush_publishes_a_partial_batch() {
-        for shards in SHARD_COUNTS {
-            let mut shared = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, shards, 64);
-            shared.record(&symptom(0), FixKind::RepartitionMemory, true);
-            assert!(shared.suggest(&symptom(0)).is_none());
-            shared.flush();
-            assert_eq!(
-                shared.suggest(&symptom(0)).unwrap().0,
-                FixKind::RepartitionMemory
-            );
-            // A second flush with an empty queue is a no-op.
-            shared.flush();
-            assert_eq!(shared.drains(), 1, "{shards} shards");
-        }
+        let mut shared = BatchedStore::new(SynopsisKind::NearestNeighbor, 64);
+        shared.record(&symptom(0), FixKind::RepartitionMemory, true);
+        assert!(shared.suggest(&symptom(0)).is_none());
+        shared.flush();
+        assert_eq!(
+            shared.suggest(&symptom(0)).unwrap().0,
+            FixKind::RepartitionMemory
+        );
+        // A second flush with an empty queue is a no-op.
+        shared.flush();
+        assert_eq!(shared.drains(), 1);
     }
 
     #[test]
     fn locked_clones_share_learned_state() {
-        for shards in SHARD_COUNTS {
-            let mut a = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, shards, 1);
-            let b = a.clone();
-            a.record(&symptom(1), FixKind::MicrorebootEjb, true);
-            assert_eq!(b.correct_fixes_learned(), 1, "{shards} shards");
-            assert_eq!(b.suggest(&symptom(1)).unwrap().0, FixKind::MicrorebootEjb);
-        }
+        let mut a = BatchedStore::new(SynopsisKind::NearestNeighbor, 1);
+        let b = a.clone();
+        a.record(&symptom(1), FixKind::MicrorebootEjb, true);
+        assert_eq!(b.correct_fixes_learned(), 1);
+        assert_eq!(b.suggest(&symptom(1)).unwrap().0, FixKind::MicrorebootEjb);
     }
 
     #[test]
     fn failed_fixes_never_become_positives() {
-        for shards in SHARD_COUNTS {
-            let mut shared = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, shards, 1);
-            shared.record(&symptom(0), FixKind::KillHungQuery, false);
-            shared.flush();
-            assert_eq!(shared.correct_fixes_learned(), 0, "{shards} shards");
-            assert_eq!(over_models(&shared, |m| m.failed_fixes_recorded()), 1);
-        }
+        let mut shared = BatchedStore::new(SynopsisKind::NearestNeighbor, 1);
+        shared.record(&symptom(0), FixKind::KillHungQuery, false);
+        shared.flush();
+        assert_eq!(shared.correct_fixes_learned(), 0);
+        assert_eq!(shared.model_stat(|m| m.failed_fixes_recorded()), 1);
     }
 
     #[test]
     fn concurrent_recorders_lose_no_updates() {
-        for shards in SHARD_COUNTS {
-            let shared = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, shards, 5);
-            let threads: Vec<_> = (0..4)
-                .map(|t| {
-                    let mut handle = shared.clone();
-                    thread::spawn(move || {
-                        for i in 0..25 {
-                            let class = (t + i) % 3;
-                            handle.record(&symptom(class), FIXES[class], true);
-                        }
-                    })
+        let shared = BatchedStore::new(SynopsisKind::NearestNeighbor, 5);
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let mut handle = shared.clone();
+                thread::spawn(move || {
+                    for i in 0..25 {
+                        let class = (t + i) % 3;
+                        handle.record(&symptom(class), FIXES[class], true);
+                    }
                 })
-                .collect();
-            for t in threads {
-                t.join().expect("recorder thread panicked");
-            }
-            shared.flush();
-            assert_eq!(shared.correct_fixes_learned(), 100, "{shards} shards");
-            assert!(shared.drains() >= 1);
-            assert_eq!(
-                shared.suggest(&symptom(0)).unwrap().0,
-                FixKind::RepartitionMemory
-            );
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("recorder thread panicked");
         }
+        shared.flush();
+        assert_eq!(shared.correct_fixes_learned(), 100);
+        assert!(shared.drains() >= 1);
+        assert_eq!(
+            shared.suggest(&symptom(0)).unwrap().0,
+            FixKind::RepartitionMemory
+        );
     }
 
     #[test]
@@ -824,28 +592,28 @@ mod tests {
         assert_eq!(restored.failure_memory(), (1, 1));
         // One bootstrap refit, not one per example, in the store the
         // recipe builds.
-        let mut concrete = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
+        let mut concrete = BatchedStore::new(SynopsisKind::NearestNeighbor, 1);
         concrete.restore(&snap);
-        assert_eq!(over_models(&concrete, |m| m.failed_fixes_recorded()), 1);
-        assert_eq!(over_models(&concrete, |m| m.retrains() as usize), 1);
+        assert_eq!(concrete.model_stat(|m| m.failed_fixes_recorded()), 1);
+        assert_eq!(concrete.model_stat(|m| m.retrains() as usize), 1);
     }
 
     #[test]
     fn snapshots_restore_across_store_and_synopsis_kinds() {
-        let mut locked = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
+        let mut locked = BatchedStore::new(SynopsisKind::NearestNeighbor, 1);
         for i in 0..12 {
             let class = i % 3;
             locked.record(&symptom(class), FIXES[class], true);
         }
         let snap = locked.snapshot();
 
-        // Restore into a different shard count AND a different model kind.
-        let mut sharded = ShardedStore::new(SynopsisKind::KMeans, 3);
-        sharded.restore(&snap);
-        assert_eq!(sharded.correct_fixes_learned(), 12);
+        // Restore into a different batch size AND a different model kind.
+        let mut kmeans = BatchedStore::new(SynopsisKind::KMeans, BatchedStore::DEFAULT_BATCH);
+        kmeans.restore(&snap);
+        assert_eq!(kmeans.correct_fixes_learned(), 12);
         for (class, fix) in FIXES.iter().enumerate() {
             assert_eq!(
-                sharded.suggest(&symptom(class)).unwrap().0,
+                kmeans.suggest(&symptom(class)).unwrap().0,
                 *fix,
                 "class {class}"
             );
@@ -853,114 +621,27 @@ mod tests {
     }
 
     #[test]
-    fn sharded_routes_to_shard_zero_until_the_fit() {
-        let mut store = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 4, 1);
-        assert!(!store.routing_fitted());
-        for i in 0..8 {
-            let class = i % 3;
-            store.record(&symptom(class), FIXES[class], true);
-        }
-        assert!(!store.routing_fitted(), "fit_after not reached");
-        assert_eq!(store.shard_sizes()[0], 8, "everything on shard 0 pre-fit");
-
-        for i in 0..ShardedStore::DEFAULT_FIT_AFTER {
-            let class = i % 3;
-            store.record(&symptom(class), FIXES[class], true);
-        }
-        assert!(store.routing_fitted());
-        // Post-fit traffic spreads across shards.
-        for i in 0..30 {
-            let class = i % 3;
-            store.record(&symptom(class), FIXES[class], true);
-        }
-        SynopsisStore::flush(&store);
-        let sizes = store.shard_sizes();
-        assert!(
-            sizes.iter().filter(|&&n| n > 0).count() >= 2,
-            "post-fit updates must land on multiple shards: {sizes:?}"
-        );
-        // Suggestions still resolve correctly through the router.
-        for (class, fix) in FIXES.iter().enumerate() {
-            assert_eq!(store.suggest(&symptom(class)).unwrap().0, *fix);
-        }
-    }
-
-    #[test]
-    fn pre_fit_experience_survives_the_router_fit() {
-        let mut store = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 4, 1);
-        // A rare failure healed before the routing centroids exist.
-        let rare = vec![50.0, 50.0, 50.0];
-        store.record(&rare, FixKind::RebuildIndex, true);
-        assert_eq!(store.suggest(&rare).unwrap().0, FixKind::RebuildIndex);
-
-        // Bulk traffic triggers the centroid fit.
-        for i in 0..(2 * ShardedStore::DEFAULT_FIT_AFTER) {
-            let class = i % 3;
-            store.record(&symptom(class), FIXES[class], true);
-        }
-        assert!(store.routing_fitted());
-
-        // The rare signature now routes by centroid — and must still find
-        // the experience recorded while everything lived on shard 0.
-        assert_eq!(
-            store.suggest(&rare).map(|(fix, _)| fix),
-            Some(FixKind::RebuildIndex),
-            "pre-fit experience must be re-homed, not stranded on shard 0"
-        );
-        for (class, fix) in FIXES.iter().enumerate() {
-            assert_eq!(store.suggest(&symptom(class)).unwrap().0, *fix);
-        }
-        SynopsisStore::flush(&store);
-        assert_eq!(
-            store.correct_fixes_learned(),
-            1 + 2 * ShardedStore::DEFAULT_FIT_AFTER,
-            "re-homing loses nothing"
-        );
-    }
-
-    #[test]
     fn restoring_a_small_snapshot_discards_stale_centroids() {
-        // Fit the router on one distribution...
-        let mut store = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 4, 1);
-        for i in 0..(2 * ShardedStore::DEFAULT_FIT_AFTER) {
+        // Fit a k-means synopsis's centroids on one distribution...
+        let mut store = BatchedStore::new(SynopsisKind::KMeans, 1);
+        for i in 0..64 {
             let class = i % 3;
             store.record(&symptom(class), FIXES[class], true);
         }
-        assert!(store.routing_fitted());
+        assert_eq!(store.suggest(&symptom(0)).unwrap().0, FIXES[0]);
 
-        // ...then restore a snapshot too small to refit centroids.
-        let mut snap = SynopsisSnapshot::new(SynopsisKind::NearestNeighbor);
+        // ...then restore a one-example snapshot: the restore replaces the
+        // model, so no centroid of the old fit answers any more.
+        let mut snap = SynopsisSnapshot::new(SynopsisKind::KMeans);
         snap.push(vec![50.0, 50.0, 50.0], FixKind::RebuildIndex, true);
         store.restore(&snap);
-        assert!(!store.routing_fitted(), "old partition must not survive");
         assert_eq!(store.correct_fixes_learned(), 1);
-        assert_eq!(
-            store.suggest(&[50.0, 50.0, 50.0]).unwrap().0,
-            FixKind::RebuildIndex,
-            "restored experience must be reachable under the reset routing"
-        );
-    }
-
-    #[test]
-    fn sharded_restore_partitions_and_warm_starts() {
-        let mut cold = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 4, 1);
-        for i in 0..60 {
-            let class = i % 3;
-            cold.record(&symptom(class), FIXES[class], true);
-        }
-        let snap = SynopsisStore::snapshot(&cold);
-
-        let mut warm = ShardedStore::new(SynopsisKind::NearestNeighbor, 4);
-        warm.restore(&snap);
-        assert!(warm.routing_fitted(), "restore fits the router");
-        assert_eq!(warm.correct_fixes_learned(), 60);
-        let sizes = warm.shard_sizes();
-        assert!(
-            sizes.iter().filter(|&&n| n > 0).count() >= 2,
-            "restored experience spreads across shards: {sizes:?}"
-        );
-        for (class, fix) in FIXES.iter().enumerate() {
-            assert_eq!(warm.suggest(&symptom(class)).unwrap().0, *fix);
+        for symptoms in [vec![50.0, 50.0, 50.0], symptom(0), symptom(1)] {
+            assert_eq!(
+                store.suggest(&symptoms).unwrap().0,
+                FixKind::RebuildIndex,
+                "old partition must not survive: {symptoms:?}"
+            );
         }
     }
 
@@ -970,7 +651,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("locked.jsonl");
 
-        let mut store = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 2);
+        let mut store = BatchedStore::new(SynopsisKind::NearestNeighbor, 2);
         store.record(&symptom(0), FIXES[0], true);
         store.persist_to(&path).unwrap();
         // The pending (undrained) update seeded the file via the flush
@@ -992,7 +673,8 @@ mod tests {
         assert_eq!(SynopsisSnapshot::load(&path).unwrap().len(), 3);
 
         // ...and a "restarted process" warm-starts from the mid-run file.
-        let mut revived = ShardedStore::new(SynopsisKind::NearestNeighbor, 1);
+        let mut revived =
+            BatchedStore::new(SynopsisKind::NearestNeighbor, BatchedStore::DEFAULT_BATCH);
         revived.restore(&mid_run);
         assert_eq!(revived.correct_fixes_learned(), 2);
         assert_eq!(revived.suggest(&symptom(0)).unwrap().0, FIXES[0]);
@@ -1004,26 +686,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_private_stores_persist_incrementally_too() {
+    fn private_stores_persist_incrementally_too() {
         let dir = std::env::temp_dir().join("selfheal_store_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
-
-        let sharded_path = dir.join("sharded.jsonl");
-        let mut sharded = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 3, 1);
-        sharded.persist_to(&sharded_path).unwrap();
-        // Enough traffic to trigger the centroid fit and its re-homing
-        // drain path.
-        for i in 0..(2 * ShardedStore::DEFAULT_FIT_AFTER) {
-            let class = i % 3;
-            sharded.record(&symptom(class), FIXES[class], true);
-        }
-        SynopsisStore::flush(&sharded);
-        let loaded = SynopsisSnapshot::load(&sharded_path).unwrap();
-        assert_eq!(
-            loaded.len(),
-            2 * ShardedStore::DEFAULT_FIT_AFTER,
-            "every drained outcome (incl. re-homed ones) is on disk exactly once"
-        );
 
         let private_path = dir.join("private.jsonl");
         let mut private = LearnerChoice::Private.build_store(SynopsisKind::NearestNeighbor);
@@ -1033,7 +698,6 @@ mod tests {
         // Immediate-apply store: every record is a drain.
         assert_eq!(SynopsisSnapshot::load(&private_path).unwrap().len(), 2);
 
-        std::fs::remove_file(&sharded_path).ok();
         std::fs::remove_file(&private_path).ok();
     }
 
@@ -1042,7 +706,7 @@ mod tests {
         let dir = std::env::temp_dir().join("selfheal_store_detach_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("read_only.jsonl");
-        let mut store = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
+        let mut store = BatchedStore::new(SynopsisKind::NearestNeighbor, 1);
         store.record(&symptom(0), FIXES[0], true);
         store.persist_to(&path).unwrap();
         let on_disk = std::fs::read(&path).unwrap();
@@ -1078,7 +742,7 @@ mod tests {
 
     #[test]
     fn boxed_store_handles_drive_the_learner_surface() {
-        let shared = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 2, 1);
+        let shared = BatchedStore::new(SynopsisKind::NearestNeighbor, 1);
         let mut handle: Box<dyn SynopsisStore> = shared.clone_store();
         handle.record(&symptom(0), FixKind::RepartitionMemory, true);
         handle.flush();

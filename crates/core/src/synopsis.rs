@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 /// A learned failure-signature → fix mapping, abstracted so healing policies
 /// work identically against a bare [`Synopsis`] or a
-/// [`crate::store::ShardedStore`] handle — one replica's own store or the
+/// [`crate::store::BatchedStore`] handle — one replica's own store or the
 /// one its whole fleet shares.
 ///
 /// This is the seam the fleet engine plugs into: [`crate::HybridHealer`],
@@ -158,8 +158,7 @@ impl std::fmt::Debug for Model {
 }
 
 /// How many failed-fix examples a synopsis holds: the most recent ones, in
-/// recording order.  Above the 32 outcomes a sharded store re-homes when its
-/// router fits, so that move loses none.
+/// recording order.
 pub const NEGATIVES_KEPT: usize = 256;
 
 /// A learned mapping from failure signatures to fixes.

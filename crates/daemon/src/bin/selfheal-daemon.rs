@@ -5,7 +5,7 @@
 //! selfheal-daemon --socket /tmp/selfheal.sock [--replicas N] [--fault-mix P[:R]]
 //!                 [--store PATH] [--metrics PATH] [--metrics-every N]
 //!                 [--seed N] [--slice N] [--max-restarts N] [--backoff N]
-//!                 [--shards N] [--batch N] [--profile WORD] [--epoch-ms N]
+//!                 [--batch N] [--profile WORD] [--epoch-ms N]
 //! ```
 //!
 //! Drive it with `selfheal-ctl` (same crate) — see the README's "resident
@@ -31,8 +31,7 @@ const USAGE: &str = "usage: selfheal-daemon --socket PATH [options]
   --slice N            ticks per epoch (default 32)
   --max-restarts N     runner rebuilds before a replica is retired (default 5)
   --backoff N          base restart backoff in epochs, doubling (default 2)
-  --shards N           use a sharded store with N shards (default: locked)
-  --batch N            store drain batch (default 1)
+  --batch N            drain batch of the fleet's one store (default 1)
   --epoch-ms N         wall-clock pause between epochs (default 0: run hot)
   --help               print this help";
 
@@ -48,7 +47,6 @@ struct Args {
     slice: u64,
     max_restarts: u32,
     backoff: u64,
-    shards: usize,
     batch: usize,
     epoch_ms: u64,
 }
@@ -66,7 +64,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         slice: 32,
         max_restarts: 5,
         backoff: 2,
-        shards: 0,
         batch: 1,
         epoch_ms: 0,
     };
@@ -91,7 +88,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
                 parsed.max_restarts = numeric("--max-restarts", &value("--max-restarts")?)?
             }
             "--backoff" => parsed.backoff = numeric("--backoff", &value("--backoff")?)?,
-            "--shards" => parsed.shards = numeric("--shards", &value("--shards")?)?,
             "--batch" => parsed.batch = numeric("--batch", &value("--batch")?)?,
             "--epoch-ms" => parsed.epoch_ms = numeric("--epoch-ms", &value("--epoch-ms")?)?,
             "--help" | "-h" => return Err(USAGE.to_string()),
@@ -118,15 +114,8 @@ fn run() -> Result<(), String> {
         max_restarts: args.max_restarts,
         backoff_epochs: args.backoff.max(1),
         store_path: args.store.clone(),
-        learner: if args.shards > 0 {
-            LearnerChoice::Sharded {
-                shards: args.shards,
-                batch: args.batch.max(1),
-            }
-        } else {
-            LearnerChoice::Locked {
-                batch: args.batch.max(1),
-            }
+        learner: LearnerChoice::Locked {
+            batch: args.batch.max(1),
         },
         ..DaemonConfig::default()
     };

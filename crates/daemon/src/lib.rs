@@ -156,7 +156,7 @@ pub struct DaemonConfig {
     pub service: ServiceConfig,
     /// Healing policy driving every replica (must learn).
     pub policy: PolicyChoice,
-    /// Where learned state lives (must be shared: `Locked` or `Sharded`).
+    /// Where learned state lives (must be shared: `Locked`).
     pub learner: LearnerChoice,
     /// Workload shape every replica runs (per-replica seeded).
     pub workload: WorkloadChoice,

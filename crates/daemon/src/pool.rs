@@ -69,7 +69,6 @@ impl Learner for PooledStore {
     }
 }
 
-// lint:allow(choice-mirror): PooledStore is the daemon-internal cross-tenant adapter, not a configurable scenario; tenants select it via the shared_pool flag, not LearnerChoice.
 impl SynopsisStore for PooledStore {
     fn kind(&self) -> SynopsisKind {
         self.primary.kind()
@@ -123,24 +122,20 @@ impl SynopsisStore for PooledStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selfheal_core::store::ShardedStore;
+    use selfheal_core::store::BatchedStore;
 
     fn signature() -> Vec<f64> {
         vec![4.0, 1.0, 0.0, 2.5]
     }
 
-    fn pooled(pool: &ShardedStore) -> PooledStore {
-        let primary = Box::new(ShardedStore::with_batch(
-            SynopsisKind::NearestNeighbor,
-            1,
-            1,
-        ));
+    fn pooled(pool: &BatchedStore) -> PooledStore {
+        let primary = Box::new(BatchedStore::new(SynopsisKind::NearestNeighbor, 1));
         PooledStore::new(primary, pool.clone_store())
     }
 
     #[test]
     fn fixes_transfer_through_the_pool() {
-        let pool = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
+        let pool = BatchedStore::new(SynopsisKind::NearestNeighbor, 1);
         let mut scout = pooled(&pool);
         let victim = pooled(&pool);
         scout.record(&signature(), FixKind::MicrorebootEjb, true);
@@ -157,7 +152,7 @@ mod tests {
         assert!(confidence > 0.0);
 
         // A store outside the pool sees nothing.
-        let mut loner = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
+        let mut loner = BatchedStore::new(SynopsisKind::NearestNeighbor, 1);
         Learner::record(&mut loner, &[9.9, 9.9, 9.9, 9.9], FixKind::RebootTier, true);
         loner.flush();
         assert_eq!(
@@ -169,7 +164,7 @@ mod tests {
 
     #[test]
     fn primary_experience_wins_over_the_pool() {
-        let pool = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
+        let pool = BatchedStore::new(SynopsisKind::NearestNeighbor, 1);
         let mut scout = pooled(&pool);
         scout.record(&signature(), FixKind::MicrorebootEjb, true);
         let mut victim = pooled(&pool);
@@ -185,7 +180,7 @@ mod tests {
 
     #[test]
     fn namespace_surfaces_exclude_the_pool() {
-        let pool = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, 1, 1);
+        let pool = BatchedStore::new(SynopsisKind::NearestNeighbor, 1);
         let mut scout = pooled(&pool);
         let mut victim = pooled(&pool);
         scout.record(&signature(), FixKind::MicrorebootEjb, true);

@@ -245,7 +245,7 @@ impl Supervisor {
         };
         if !config.learner.is_shared() {
             return Err(format!(
-                "the daemon requires a shared learner (got {}); try locked or sharded",
+                "the daemon requires a shared learner (got {}); try locked",
                 config.learner.label()
             ));
         }
@@ -777,7 +777,7 @@ mod tests {
     #[test]
     fn adversary_on_is_refused_when_the_slice_breaks_the_reactive_period() {
         let mut supervisor = Supervisor::new(DaemonConfig {
-            slice: 48, // lint:allow(barrier-period): the refusal is the point.
+            slice: 48,
             ..DaemonConfig::default()
         })
         .unwrap();

@@ -17,7 +17,7 @@
 //!   recorded-trace replay with per-replica phase shifts, or burst storms),
 //!   where learned state lives (a declarative
 //!   [`selfheal_core::harness::LearnerChoice`]: a private
-//!   per-replica store, one fleet-shared store, or symptom-space shards —
+//!   per-replica store or one fleet-shared store —
 //!   optionally warm-started from a saved
 //!   [`selfheal_core::snapshot::SynopsisSnapshot`]), and how replicas
 //!   execute ([`ExecutionMode::Parallel`] worker threads vs the
@@ -225,8 +225,8 @@ impl FleetConfig {
         self
     }
 
-    /// Where learned synopsis state lives: a private per-replica store, one
-    /// fleet-shared store, or a sharded store routed by symptom-space region.
+    /// Where learned synopsis state lives: a private per-replica store or one
+    /// fleet-shared store.
     pub fn learner(mut self, learner: LearnerChoice) -> Self {
         self.learner = learner;
         self
@@ -453,8 +453,7 @@ impl FleetOutcome {
     }
 
     /// The fleet-wide synopsis store (flushed), when the fleet ran a
-    /// learning policy against a shared [`LearnerChoice`] (`Locked` or
-    /// `Sharded`) — e.g. to
+    /// learning policy against the shared [`LearnerChoice::Locked`] — e.g. to
     /// [`snapshot`](selfheal_core::store::SynopsisStore::snapshot) it for a
     /// later warm start.
     pub fn store(&self) -> Option<&dyn SynopsisStore> {
@@ -751,6 +750,7 @@ mod tests {
             .faults(plan.clone())
             .run();
         let store = outcome.store().expect("shared store present");
+        assert_eq!(store.kind(), SynopsisKind::NearestNeighbor);
         assert_eq!(store.pending_updates(), 0, "flushed after the run");
         assert!(
             store.correct_fixes_learned() >= 1,
@@ -763,21 +763,6 @@ mod tests {
     fn non_learning_policies_ignore_the_shared_topology() {
         let outcome = tiny_fleet().learner(LearnerChoice::locked()).run();
         assert!(outcome.store().is_none());
-    }
-
-    #[test]
-    fn sharded_learner_exposes_a_store_and_learns() {
-        let plan = contention_at(20);
-        let outcome = tiny_fleet()
-            .ticks(250)
-            .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-            .learner(LearnerChoice::sharded(4))
-            .faults(plan.clone())
-            .run();
-        let store = outcome.store().expect("sharded store present");
-        assert_eq!(store.kind(), SynopsisKind::NearestNeighbor);
-        assert_eq!(store.pending_updates(), 0, "flushed after the run");
-        assert!(store.correct_fixes_learned() >= 1);
     }
 
     #[test]

@@ -224,9 +224,6 @@ impl Learner for GatedStore {
     }
 }
 
-// lint:allow(choice-mirror): GatedStore is the engine-internal barrier
-// wrapper around whichever store LearnerChoice built — it is plumbing, not
-// a configurable scenario, so it has no enum variant by design.
 impl SynopsisStore for GatedStore {
     fn kind(&self) -> SynopsisKind {
         self.inner.kind()
@@ -925,7 +922,7 @@ impl Drop for EpochEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selfheal_core::store::ShardedStore;
+    use selfheal_core::store::BatchedStore;
     use selfheal_faults::{FixAction, InjectionPlan, ScriptedSource};
     use selfheal_sim::scenario::NoHealing;
     use selfheal_sim::service::TickOutcome;
@@ -1045,7 +1042,7 @@ mod tests {
 
     /// One store, its access log, and the gated healers touching it.
     struct Touched {
-        store: ShardedStore,
+        store: BatchedStore,
         log: AccessLog,
         in_turn: Arc<AtomicUsize>,
     }
@@ -1053,7 +1050,10 @@ mod tests {
     impl Touched {
         fn new() -> Self {
             Touched {
-                store: ShardedStore::new(SynopsisKind::NearestNeighbor, 1),
+                store: BatchedStore::new(
+                    SynopsisKind::NearestNeighbor,
+                    BatchedStore::DEFAULT_BATCH,
+                ),
                 log: AccessLog::default(),
                 in_turn: Arc::default(),
             }

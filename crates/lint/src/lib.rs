@@ -18,10 +18,9 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `id-space` | every `*_ID_BASE` lane derives from the `faults::id_space` manifest and lanes are pairwise disjoint |
-//! | `choice-mirror` | every `TraceSource`/`FaultSource`/`SynopsisStore` implementor is reachable from its `*Choice` enum, and every `*Choice` variant is used |
+//! | `choice-mirror` | every `TraceSource`/`FaultSource` implementor is reachable from its `*Choice` enum, and every `*Choice` variant is used |
 //! | `nondeterminism` | no wall clocks and no `HashMap`/`HashSet` iteration in fingerprint-bearing crates |
 //! | `seed-discipline` | per-replica streams derive via `split_seed`, never raw arithmetic on a seed |
-//! | `barrier-period` | literal slice widths in reactive tests/benches divide `REACTIVE_PERIOD` |
 //!
 //! Run it as `cargo run -p selfheal-lint -- --workspace` (exit 1 on
 //! findings, `--json` for machine-readable output).  Suppress a deliberate

@@ -1,13 +1,15 @@
 //! `choice-mirror`: the pluggable-layer traits and their declarative
 //! `*Choice` enums stay in lockstep.
 //!
-//! Each of the three pluggable layers — workload, faults, learned state — is
-//! a trait (the open half) mirrored by a `*Choice` enum in
-//! `core/src/harness.rs` (the declarative half that fleets, benches and the
-//! daemon configure themselves with).  Fleet events and reactive engines
-//! have no trait: their `EventChoice` / `ReactiveChoice` *are* the
-//! stimulus, evaluated as matches in the fleet crate, so only the variant
-//! check below applies to them.  A trait implementor the
+//! Each of the two open source layers — workload and faults — is a trait
+//! (the open half) mirrored by a `*Choice` enum in `core/src/harness.rs`
+//! (the declarative half that fleets, benches and the daemon configure
+//! themselves with).  Learned state has one store type, which
+//! `LearnerChoice` builds; the other `SynopsisStore` implementors are
+//! decorators around it, so that layer has no mirror.  Fleet events and
+//! reactive engines have no trait: their `EventChoice` / `ReactiveChoice`
+//! *are* the stimulus, evaluated as matches in the fleet crate, so only the
+//! variant check below applies to them (as it does to `LearnerChoice`).  A trait implementor the
 //! enum cannot name is a scenario that cannot be configured declaratively —
 //! and therefore escapes the fingerprint-equivalence gates that iterate the
 //! choices.  Both directions are checked:
@@ -36,7 +38,6 @@ const BUILDER_WINDOW: usize = 8;
 const MIRRORS: &[(&str, &str)] = &[
     ("TraceSource", "WorkloadChoice"),
     ("FaultSource", "FaultChoice"),
-    ("SynopsisStore", "LearnerChoice"),
 ];
 
 /// See the module docs.

@@ -1,12 +1,10 @@
 //! The shipped rules — each one a cross-file determinism invariant.
 
-mod barrier_period;
 mod choice_mirror;
 mod id_space;
 mod nondeterminism;
 mod seed_discipline;
 
-pub use barrier_period::BarrierPeriod;
 pub use choice_mirror::ChoiceMirror;
 pub use id_space::IdSpace;
 pub use nondeterminism::Nondeterminism;
@@ -21,6 +19,5 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(ChoiceMirror),
         Box::new(Nondeterminism),
         Box::new(SeedDiscipline),
-        Box::new(BarrierPeriod),
     ]
 }

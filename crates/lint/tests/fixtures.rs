@@ -38,7 +38,6 @@ fn each_rule_fires_exactly_on_its_seeded_violation() {
     let want = vec![
         ("choice-mirror", "crates/faults/src/rogue.rs"),
         ("id-space", "crates/faults/src/source.rs"),
-        ("barrier-period", "crates/fleet/src/reactive.rs"),
         ("nondeterminism", "crates/sim/src/engine.rs"),
         ("nondeterminism", "crates/sim/src/engine.rs"),
         ("seed-discipline", "crates/sim/src/engine.rs"),
@@ -73,9 +72,9 @@ fn allow_annotations_suppress_findings() {
 fn single_rule_selection_scopes_the_run() {
     let ws = fixture("violations");
     let mut rules = all_rules();
-    rules.retain(|r| r.name() == "barrier-period");
+    rules.retain(|r| r.name() == "id-space");
     let findings = run_rules(&ws, &rules);
     assert_eq!(findings.len(), 1);
-    assert!(findings[0].message.contains("does not divide"));
-    assert_eq!(findings[0].line, 6);
+    assert!(findings[0].message.contains("must derive from"));
+    assert_eq!(findings[0].line, 3);
 }

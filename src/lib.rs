@@ -23,8 +23,8 @@
 //! * [`diagnosis`] — anomaly / correlation / bottleneck diagnosis and the
 //!   manual rule baseline.
 //! * [`healing`] — FixSym, synopses behind the pluggable `SynopsisStore`
-//!   API (private, fleet-shared, or sharded by symptom-space region, all
-//!   persistable to JSON-lines for warm starts), hybrid and proactive
+//!   API (private or fleet-shared, both persistable to JSON-lines for warm
+//!   starts), hybrid and proactive
 //!   policies, the healing-loop harness (the paper's contribution).
 //! * [`daemon`] — the resident fleet daemon: supervised replicas in the
 //!   fleet crate's shared epoch engine (so a tenant replays the batch fleet
@@ -140,7 +140,7 @@
 //!     .replicas(4)
 //!     .ticks(150)
 //!     .policy(PolicyChoice::FixSym(SynopsisKind::NearestNeighbor))
-//!     .learner(LearnerChoice::sharded(4))   // k-means-routed shards
+//!     .learner(LearnerChoice::locked())    // one synopsis, fleet-shared
 //!     .run();
 //! // snapshot.save(path) / SynopsisSnapshot::load(path) cross processes.
 //! let snapshot = first.store().expect("learning fleet").snapshot();

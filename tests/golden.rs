@@ -24,7 +24,7 @@ use selfheal::daemon::{DaemonConfig, Supervisor};
 use selfheal::faults::{FaultKind, ServiceProfile};
 use selfheal::fleet::{ExecutionMode, FleetConfig};
 use selfheal::healing::harness::{EventChoice, FaultChoice, LearnerChoice, PolicyChoice};
-use selfheal::healing::store::ShardedStore;
+use selfheal::healing::store::BatchedStore;
 use selfheal::healing::synopsis::SynopsisKind;
 use selfheal::sim::ServiceConfig;
 use selfheal::workload::{ArrivalProcess, WorkloadMix};
@@ -33,10 +33,10 @@ const REPLICAS: usize = 3;
 const TICKS: u64 = 700;
 
 const KNN: SynopsisKind = SynopsisKind::NearestNeighbor;
-const BATCH: usize = ShardedStore::DEFAULT_BATCH;
+const BATCH: usize = BatchedStore::DEFAULT_BATCH;
 
 /// Healer and learner of a cell, under the label its rows are listed by.
-const HEALERS: [(&str, PolicyChoice, LearnerChoice); 3] = [
+const HEALERS: [(&str, PolicyChoice, LearnerChoice); 2] = [
     (
         "fixsym_private",
         PolicyChoice::FixSym(KNN),
@@ -46,14 +46,6 @@ const HEALERS: [(&str, PolicyChoice, LearnerChoice); 3] = [
         "hybrid_locked",
         PolicyChoice::Hybrid(KNN),
         LearnerChoice::Locked { batch: BATCH },
-    ),
-    (
-        "hybrid_sharded4",
-        PolicyChoice::Hybrid(KNN),
-        LearnerChoice::Sharded {
-            shards: 4,
-            batch: BATCH,
-        },
     ),
 ];
 
@@ -262,26 +254,6 @@ const TINY: &[[u64; REPLICAS]] = &[
     [13130413452250509596, 17465220361775290472, 17387080709022628474],
     [11038836008189345759, 12571792400644347600, 13938050033396120836],
     [11038836008189345759, 12571792400644347600, 13938050033396120836],
-    // hybrid_sharded4, none
-    [13130413452250509596, 12074222252576545819, 1849315272543091746],
-    [13130413452250509596, 12074222252576545819, 1849315272543091746],
-    [11038836008189345759, 8976074021200159680, 5584468890738659091],
-    [11038836008189345759, 8976074021200159680, 5584468890738659091],
-    // hybrid_sharded4, mix0.002
-    [16224436138510430412, 12074222252576545819, 4390713220702099977],
-    [16224436138510430412, 12074222252576545819, 4390713220702099977],
-    [14711513461184355798, 17956767351329413568, 10317273635809575268],
-    [14711513461184355798, 17956767351329413568, 10317273635809575268],
-    // hybrid_sharded4, mix0.02
-    [13835092355691560132, 12982055684108724303, 13751120884569104701],
-    [13835092355691560132, 12982055684108724303, 13751120884569104701],
-    [5047427774425054533, 77674402092672748, 9030762044101542741],
-    [5047427774425054533, 77674402092672748, 9030762044101542741],
-    // hybrid_sharded4, storm
-    [13130413452250509596, 17465220361775290472, 17387080709022628474],
-    [13130413452250509596, 17465220361775290472, 17387080709022628474],
-    [11038836008189345759, 12571792400644347600, 13938050033396120836],
-    [11038836008189345759, 12571792400644347600, 13938050033396120836],
 ];
 
 /// Rows as in [`TINY`].
@@ -323,26 +295,6 @@ const RUBIS_DEFAULT: &[[u64; REPLICAS]] = &[
     [11777261171330958211, 14486173390950655142, 10270621208946809596],
     [11777261171330958211, 14486173390950655142, 10270621208946809596],
     // hybrid_locked, storm
-    [2072350076469165320, 14584331598066401386, 12335951179459275474],
-    [2072350076469165320, 14584331598066401386, 12335951179459275474],
-    [221594921651899505, 14080990383289317794, 3035909260978169098],
-    [221594921651899505, 14080990383289317794, 3035909260978169098],
-    // hybrid_sharded4, none
-    [2072350076469165320, 2085464896379152506, 2413365975773266213],
-    [2072350076469165320, 2085464896379152506, 2413365975773266213],
-    [221594921651899505, 14444561421017874281, 13205304581948888209],
-    [221594921651899505, 14444561421017874281, 13205304581948888209],
-    // hybrid_sharded4, mix0.002
-    [9335955819386495918, 2085464896379152506, 13753663200287053936],
-    [9335955819386495918, 2085464896379152506, 13753663200287053936],
-    [4272732736109884782, 17007879383356092891, 13965157235631046709],
-    [4272732736109884782, 17007879383356092891, 13965157235631046709],
-    // hybrid_sharded4, mix0.02
-    [10841778366709930007, 1311662457342267861, 5945725511372446418],
-    [10841778366709930007, 1311662457342267861, 1856189512380218437],
-    [11777261171330958211, 14486173390950655142, 10270621208946809596],
-    [11777261171330958211, 14486173390950655142, 10270621208946809596],
-    // hybrid_sharded4, storm
     [2072350076469165320, 14584331598066401386, 12335951179459275474],
     [2072350076469165320, 14584331598066401386, 12335951179459275474],
     [221594921651899505, 14080990383289317794, 3035909260978169098],

@@ -1,5 +1,5 @@
-//! Integration tests for the pluggable `SynopsisStore` layer: shard
-//! equivalence, determinism, and cross-process warm starts.
+//! Integration tests for the pluggable `SynopsisStore` layer: queued
+//! updates, restarts over a log, and cross-process warm starts.
 
 use selfheal::daemon::PooledStore;
 use selfheal::faults::{FaultKind, FaultTarget, FixKind, InjectionPlanBuilder};
@@ -61,50 +61,30 @@ fn mean_attempts(outcome: &FleetOutcome) -> f64 {
     attempts.iter().sum::<f64>() / attempts.len() as f64
 }
 
-/// Sharded learning with k >= 4 is deterministic under sequential execution:
-/// the same seed reproduces every replica bit-for-bit, and a different seed
-/// does not (so the fingerprints actually discriminate).
-#[test]
-fn sharded_fleet_runs_are_deterministic() {
-    let a = fleet(LearnerChoice::sharded(4)).run();
-    let b = fleet(LearnerChoice::sharded(4)).run();
-    assert_eq!(a.fingerprints(), b.fingerprints());
-
-    let c = fleet(LearnerChoice::sharded(4)).base_seed(78).run();
-    assert_ne!(a.fingerprints(), c.fingerprints());
-
-    // The store really is sharded and really learned.
-    let store = a.store().expect("sharded fleet exposes its store");
-    assert!(store.correct_fixes_learned() >= 1);
-    assert_eq!(store.pending_updates(), 0, "flushed after the run");
-}
-
 /// The acceptance criterion end to end, entirely through the public API: a
 /// fleet warm-started from a previous fleet's saved (JSON-lines
 /// round-tripped) synopsis recovers in measurably fewer mean fix attempts
-/// than the identical cold fleet, for both locked and k>=4 sharded stores.
+/// than the identical cold fleet.
 #[test]
 fn warm_started_fleets_recover_in_fewer_attempts_than_cold_ones() {
-    for learner in [LearnerChoice::locked(), LearnerChoice::sharded(4)] {
-        // Healed-outcome comparison: let the horizon, not a hand-tuned tick
-        // count, decide when every episode has had time to close.
-        let cold = fleet(learner).run_to_quiescence();
-        let snapshot = cold.store().expect("learning fleet").snapshot();
-        assert!(snapshot.positives() >= 1, "cold fleet learned successes");
+    // Healed-outcome comparison: let the horizon, not a hand-tuned tick
+    // count, decide when every episode has had time to close.
+    let cold = fleet(LearnerChoice::locked()).run_to_quiescence();
+    let snapshot = cold.store().expect("learning fleet").snapshot();
+    assert!(snapshot.positives() >= 1, "cold fleet learned successes");
 
-        // Round-trip through the codec a saved synopsis file uses.
-        let restored =
-            SynopsisSnapshot::from_jsonl(&snapshot.to_jsonl()).expect("codec round trip");
-        assert_eq!(restored, snapshot);
+    // Round-trip through the codec a saved synopsis file uses.
+    let restored = SynopsisSnapshot::from_jsonl(&snapshot.to_jsonl()).expect("codec round trip");
+    assert_eq!(restored, snapshot);
 
-        let warm = fleet(learner).warm_start(restored).run_to_quiescence();
-        let (cold_attempts, warm_attempts) = (mean_attempts(&cold), mean_attempts(&warm));
-        assert!(
-            warm_attempts < cold_attempts,
-            "{}: warm {warm_attempts} vs cold {cold_attempts} mean fix attempts",
-            learner.label()
-        );
-    }
+    let warm = fleet(LearnerChoice::locked())
+        .warm_start(restored)
+        .run_to_quiescence();
+    let (cold_attempts, warm_attempts) = (mean_attempts(&cold), mean_attempts(&warm));
+    assert!(
+        warm_attempts < cold_attempts,
+        "warm {warm_attempts} vs cold {cold_attempts} mean fix attempts"
+    );
 }
 
 /// `FleetConfig::persist_synopsis` streams every drained batch to its log as
@@ -141,48 +121,47 @@ fn a_persisted_synopsis_log_holds_every_outcome_of_the_store() {
 #[test]
 fn snapshots_flush_queued_updates_instead_of_dropping_them() {
     use selfheal::faults::FixKind;
-    use selfheal::healing::store::{ShardedStore, SynopsisStore};
+    use selfheal::healing::store::{BatchedStore, SynopsisStore};
     use selfheal::healing::synopsis::Learner;
 
-    for shards in [1, 4] {
-        // A batch threshold far above the update count: everything stays
-        // queued until something flushes.
-        let mut store = ShardedStore::with_batch(SynopsisKind::NearestNeighbor, shards, 64);
-        store.record(&[8.0, 1.0, 1.0], FixKind::RepartitionMemory, true);
-        store.record(&[1.0, 9.0, 1.0], FixKind::MicrorebootEjb, true);
-        store.record(&[1.0, 1.0, 7.0], FixKind::UpdateStatistics, false);
-        assert_eq!(store.pending_updates(), 3, "updates queued, not drained");
+    // A batch threshold far above the update count: everything stays
+    // queued until something flushes.
+    let mut store = BatchedStore::new(SynopsisKind::NearestNeighbor, 64);
+    store.record(&[8.0, 1.0, 1.0], FixKind::RepartitionMemory, true);
+    store.record(&[1.0, 9.0, 1.0], FixKind::MicrorebootEjb, true);
+    store.record(&[1.0, 1.0, 7.0], FixKind::UpdateStatistics, false);
+    assert_eq!(store.pending_updates(), 3, "updates queued, not drained");
 
-        let snapshot = store.snapshot();
-        assert_eq!(store.pending_updates(), 0, "snapshot flushed the queue");
-        assert_eq!(snapshot.positives(), 2, "queued successes captured");
-        assert_eq!(snapshot.negatives(), 1, "queued failures captured");
+    let snapshot = store.snapshot();
+    assert_eq!(store.pending_updates(), 0, "snapshot flushed the queue");
+    assert_eq!(snapshot.positives(), 2, "queued successes captured");
+    assert_eq!(snapshot.negatives(), 1, "queued failures captured");
 
-        // The queued experience survives a restore elsewhere.
-        let mut restored = ShardedStore::new(SynopsisKind::NearestNeighbor, 1);
-        restored.restore(&snapshot);
-        assert_eq!(
-            restored.suggest(&[8.0, 1.0, 1.0]).map(|(fix, _)| fix),
-            Some(FixKind::RepartitionMemory)
-        );
-    }
+    // The queued experience survives a restore elsewhere.
+    let mut restored =
+        BatchedStore::new(SynopsisKind::NearestNeighbor, BatchedStore::DEFAULT_BATCH);
+    restored.restore(&snapshot);
+    assert_eq!(
+        restored.suggest(&[8.0, 1.0, 1.0]).map(|(fix, _)| fix),
+        Some(FixKind::RepartitionMemory)
+    );
 }
 
 /// Warm starts cross store layouts: experience saved by a locked fleet
-/// restores into a sharded fleet (and into per-replica private stores) and
-/// still pays off.
+/// restores into a locked fleet that drains every record (and into
+/// per-replica private stores) and still pays off.
 #[test]
 fn snapshots_transfer_between_store_layouts() {
     let cold = fleet(LearnerChoice::locked()).run();
     let cold_attempts = mean_attempts(&cold);
     let snapshot = cold.store().expect("learning fleet").snapshot();
 
-    let warm_sharded = fleet(LearnerChoice::sharded(4))
+    let warm_unbatched = fleet(LearnerChoice::Locked { batch: 1 })
         .warm_start(snapshot.clone())
         .run();
     assert!(
-        mean_attempts(&warm_sharded) < cold_attempts,
-        "locked -> sharded transfer"
+        mean_attempts(&warm_unbatched) < cold_attempts,
+        "batch 4 -> batch 1 transfer"
     );
 
     let warm_private = fleet(LearnerChoice::Private).warm_start(snapshot).run();
@@ -195,9 +174,10 @@ fn snapshots_transfer_between_store_layouts() {
 /// Restart equivalence: a store that adopted a live log — restored from
 /// [`SnapshotLog::open`]'s replay, then handed the open file — is the store
 /// a fresh one restored from [`SynopsisSnapshot::load`] of the same file
-/// is, for the locked and the sharded layout and under the daemon's
-/// cross-tenant wrapper; adopting writes nothing, and what the adopted
-/// store learns next lands behind the bytes already there.
+/// is, drained on every record or in batches of three and under the
+/// daemon's cross-tenant wrapper; adopting writes nothing, and what the
+/// adopted store learns next lands behind the bytes already there once it
+/// drains.
 #[test]
 fn a_store_that_adopted_a_log_equals_one_restored_from_it() {
     use selfheal::daemon::PooledStore;
@@ -210,11 +190,7 @@ fn a_store_that_adopted_a_log_equals_one_restored_from_it() {
         let locked = || LearnerChoice::Locked { batch: 1 }.build_store(kind);
         match layout {
             "locked" => locked(),
-            "sharded_4" => LearnerChoice::Sharded {
-                shards: 4,
-                batch: 3,
-            }
-            .build_store(kind),
+            "locked_3" => LearnerChoice::Locked { batch: 3 }.build_store(kind),
             _ => Box::new(PooledStore::new(locked(), locked())),
         }
     };
@@ -233,7 +209,7 @@ fn a_store_that_adopted_a_log_equals_one_restored_from_it() {
     let dir = std::env::temp_dir().join(format!("selfheal-stores-adopt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
-    for layout in ["locked", "sharded_4", "pooled"] {
+    for layout in ["locked", "locked_3", "pooled"] {
         // The log as a live store of this layout leaves it: created empty,
         // appended drain by drain, successes and failures interleaved.
         let path = dir.join(format!("{layout}.jsonl"));
@@ -278,6 +254,14 @@ fn a_store_that_adopted_a_log_equals_one_restored_from_it() {
         );
 
         adopted.record(&[2.0, 2.0, 2.0], FixKind::RebootTier, true);
+        if layout == "locked_3" {
+            assert_eq!(adopted.pending_updates(), 1, "queued until the batch fills");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                before,
+                "a queued update is not yet logged"
+            );
+        }
         adopted.flush();
         let after = std::fs::read(&path).unwrap();
         assert!(
@@ -381,7 +365,6 @@ impl Learner for Forwarding {
         self.0.correct_fixes_learned()
     }
 }
-// lint:allow(choice-mirror): a test double of an out-of-tree wrapper.
 impl SynopsisStore for Forwarding {
     fn kind(&self) -> SynopsisKind {
         self.0.kind()
@@ -426,14 +409,11 @@ fn fix_stats_counted_in_place_equal_the_snapshot_derived_default() {
             store.record(symptoms, *fix, *success);
         }
     };
-    let sharded = LearnerChoice::Sharded {
-        shards: 4,
-        batch: 3,
-    };
-    for learner in [LearnerChoice::Private, LearnerChoice::locked(), sharded] {
+    let queued = LearnerChoice::Locked { batch: 3 };
+    for learner in [LearnerChoice::Private, LearnerChoice::locked(), queued] {
         let mut store = learner.build_store(kind);
         teach(store.as_mut());
-        if learner == sharded {
+        if learner == queued {
             assert!(store.pending_updates() > 0, "updates must still be queued");
         }
         let counted = store.fix_stats();
@@ -457,7 +437,7 @@ fn fix_stats_counted_in_place_equal_the_snapshot_derived_default() {
     // A pooled pair: the scout's experience reaches the pool, not the
     // victim's own statistics.
     let pool = LearnerChoice::locked().build_store(kind);
-    let pooled = || PooledStore::new(sharded.build_store(kind), pool.clone_store());
+    let pooled = || PooledStore::new(queued.build_store(kind), pool.clone_store());
     let (mut scout, mut victim) = (pooled(), pooled());
     teach(&mut scout);
     victim.record(&[8.0, 1.0, 1.0], FixKind::RebootTier, false);
