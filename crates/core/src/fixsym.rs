@@ -1,9 +1,8 @@
 //! FixSym: the signature-based self-healing engine (Figure 3 of the paper).
 
 use crate::policy::{choose, Source, ESCALATE};
-use crate::synopsis::{Synopsis, SynopsisKind};
+use crate::synopsis::{FixExclusions, Synopsis, SynopsisKind};
 use selfheal_faults::{FixAction, FixKind};
-use std::collections::HashSet;
 
 /// Maximum fix attempts per failure before escalating (the THRESHOLD of
 /// Figure 3).
@@ -78,7 +77,7 @@ impl FixSymEngine {
     /// the administrator's answer as a positive.
     pub fn run_episode(&mut self, symptoms: &[f64], fix: FixKind) -> EpisodeResult {
         let mut attempts = Vec::new();
-        let mut tried: HashSet<FixKind> = HashSet::new();
+        let mut tried = FixExclusions::new();
         loop {
             // Line 9: query the current synopsis for the probable fix.  With
             // an empty synopsis (first-ever failure) fall back to the
@@ -188,7 +187,7 @@ mod tests {
         let mut engine = FixSymEngine::new(SynopsisKind::NearestNeighbor);
         let correct = FixKind::UpdateStatistics;
         let result = engine.run_episode(&symptoms_for(2), correct);
-        let mut seen = HashSet::new();
+        let mut seen = FixExclusions::new();
         for fix in &result.attempts {
             assert!(
                 seen.insert(*fix),

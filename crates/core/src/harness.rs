@@ -36,10 +36,10 @@ use crate::synopsis::{Learner, SynopsisKind};
 use selfheal_diagnosis::{
     AnomalyDetector, BottleneckAnalyzer, CorrelationAnalyzer, DiagnosisContext, ManualRuleBase,
 };
+use selfheal_faults::id_space::IdLane;
 use selfheal_faults::{
     CatalogSweep, ComposedSource, FaultKind, FaultSource, InjectionPlan, MixSource, OperatorSource,
-    ScriptedSource, SeasonalSource, ServiceProfile, MIX_FAULT_ID_BASE, OPERATOR_FAULT_ID_BASE,
-    SEASON_FAULT_ID_BASE, SWEEP_FAULT_ID_BASE,
+    ScriptedSource, SeasonalSource, ServiceProfile,
 };
 use selfheal_sim::scenario::{Healer, NoHealing, ScenarioOutcome, ScenarioRunner};
 use selfheal_sim::seeds::{split_seed, SeedStream};
@@ -582,7 +582,7 @@ impl FaultChoice {
                 MixSource::new(*profile, *rate, seed)
                     .active_for(*active_ticks)
                     .with_topology(*ejbs, *tables, *indexes)
-                    .with_id_base(MIX_FAULT_ID_BASE + claim_lane(lane)),
+                    .with_id_base(IdLane::Mix.base() + claim_lane(lane)),
             ),
             FaultChoice::Sweep {
                 start_tick,
@@ -591,7 +591,7 @@ impl FaultChoice {
             } => Box::new(
                 CatalogSweep::new(*start_tick, *spacing_ticks)
                     .with_severity(*severity)
-                    .with_id_base(SWEEP_FAULT_ID_BASE + claim_lane(lane)),
+                    .with_id_base(IdLane::Sweep.base() + claim_lane(lane)),
             ),
             FaultChoice::Seasons {
                 profile,
@@ -606,7 +606,7 @@ impl FaultChoice {
                 SeasonalSource::new(*profile, rates.clone(), *season_ticks, seed, *schedule_seed)
                     .active_for(*active_ticks)
                     .with_topology(*ejbs, *tables, *indexes)
-                    .with_id_base(SEASON_FAULT_ID_BASE + claim_lane(lane)),
+                    .with_id_base(IdLane::Season.base() + claim_lane(lane)),
             ),
             FaultChoice::Operator {
                 action_rate,
@@ -614,7 +614,7 @@ impl FaultChoice {
             } => Box::new(
                 OperatorSource::new(*action_rate, seed)
                     .active_for(*active_ticks)
-                    .with_id_base(OPERATOR_FAULT_ID_BASE + claim_lane(lane)),
+                    .with_id_base(IdLane::Operator.base() + claim_lane(lane)),
             ),
             FaultChoice::Composed(children) => {
                 let mut composed = ComposedSource::new();

@@ -51,6 +51,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
 
 pub mod control;
 pub mod fixsym;

@@ -5,7 +5,7 @@
 //! the next fix, so every approach in Table 2 of the paper drives the
 //! simulated service through the same [`crate::HybridHealer`].
 
-use crate::synopsis::Learner;
+use crate::synopsis::{FixExclusions, Learner};
 use selfheal_diagnosis::{
     AnomalyDetector, BottleneckAnalyzer, CorrelationAnalyzer, Diagnosis, DiagnosisContext,
     ManualRuleBase,
@@ -13,7 +13,6 @@ use selfheal_diagnosis::{
 use selfheal_faults::{FaultTarget, FixAction, FixKind};
 use selfheal_sim::service::TickOutcome;
 use selfheal_telemetry::{Sample, Schema, SeriesStore, SloTargets};
-use std::collections::HashSet;
 
 /// Ticks every online healer waits after a fix completes before judging
 /// whether it worked ("care should be taken to let the service recover
@@ -53,7 +52,7 @@ impl EpisodeTracker {
     }
 
     /// The kinds of fixes already tried in the current episode.
-    pub(crate) fn tried_kinds(&self) -> HashSet<FixKind> {
+    pub(crate) fn tried_kinds(&self) -> FixExclusions {
         self.attempts.iter().map(|a| a.kind).collect()
     }
 
@@ -231,7 +230,7 @@ pub(crate) fn choose(
     synopsis: Option<&impl Learner>,
     panel: Option<&DiagnosisPanel>,
     symptoms: &[f64],
-    tried: &HashSet<FixKind>,
+    tried: &FixExclusions,
     target: impl Fn(FixKind) -> FixAction,
 ) -> Option<(FixAction, Source, f64)> {
     sources.iter().find_map(|&source| {
@@ -252,7 +251,7 @@ pub(crate) fn choose(
 
 /// The cheapest fix of the candidate set F of Figure 3 not yet tried in this
 /// episode (escalations excluded).
-fn cheapest_untried(tried: &HashSet<FixKind>) -> Option<FixKind> {
+fn cheapest_untried(tried: &FixExclusions) -> Option<FixKind> {
     FixKind::CANDIDATES
         .iter()
         .filter(|f| !tried.contains(f) && !f.is_escalation())
@@ -357,7 +356,7 @@ impl DiagnosisPanel {
     /// kind is not in `tried`, with its confidence.
     pub(crate) fn best_untried(
         &self,
-        tried: &HashSet<FixKind>,
+        tried: &FixExclusions,
         repeat_provisioning: bool,
     ) -> Option<(FixAction, f64)> {
         let mut candidates: Vec<Diagnosis> = self
@@ -452,11 +451,7 @@ mod tests {
             Some((self.0, self.1))
         }
 
-        fn suggest_excluding(
-            &self,
-            _: &[f64],
-            excluded: &HashSet<FixKind>,
-        ) -> Option<(FixKind, f64)> {
+        fn suggest_excluding(&self, _: &[f64], excluded: &FixExclusions) -> Option<(FixKind, f64)> {
             (!excluded.contains(&self.0)).then_some((self.0, self.1))
         }
 
@@ -551,7 +546,7 @@ mod tests {
         }
         // The score is the source's confidence, 0 for the two fallbacks; a
         // healer without a synopsis or a panel skips those sources.
-        let none = HashSet::new();
+        let none = FixExclusions::new();
         let score = |sources: &[Source], synopsis: Option<&Fixed>, panel| {
             choose(sources, synopsis, panel, &[], &none, FixAction::untargeted)
                 .map(|(fix, _, score)| (fix.kind, score))

@@ -18,13 +18,12 @@
 use crate::policy::{
     choose, DiagnosisEngine, DiagnosisPanel, EpisodeTracker, Source, ESCALATE, VERIFY_TICKS,
 };
-use crate::synopsis::Synopsis;
+use crate::synopsis::{FixExclusions, Synopsis};
 use selfheal_faults::{FaultTarget, FixAction, FixKind};
 use selfheal_learn::forecast::{steps_until_threshold, Forecaster, SlidingLinearTrend};
 use selfheal_sim::scenario::Healer;
 use selfheal_sim::service::TickOutcome;
 use selfheal_telemetry::{Schema, SloTargets};
-use std::collections::HashSet;
 
 /// How far ahead (ticks) the forecast must cross the SLO before acting.
 const HORIZON_TICKS: usize = 60;
@@ -118,10 +117,13 @@ impl Healer for ProactiveHealer {
         // A violation is coming: pick the best preventive fix from the
         // diagnosis engines, defaulting to rejuvenating the application tier
         // (the classic countermeasure to gradual degradation).
-        let action = self.panel.best_untried(&HashSet::new(), false).map_or_else(
-            || FixAction::targeted(FixKind::RebootTier, FaultTarget::AppTier),
-            |(action, _)| action,
-        );
+        let action = self
+            .panel
+            .best_untried(&FixExclusions::new(), false)
+            .map_or_else(
+                || FixAction::targeted(FixKind::RebootTier, FaultTarget::AppTier),
+                |(action, _)| action,
+            );
         self.last_proactive_at = Some(outcome.tick);
         vec![action]
     }

@@ -29,9 +29,8 @@
 //! to which store backs it.
 
 use crate::snapshot::{SnapshotLog, SynopsisSnapshot};
-use crate::synopsis::{Learner, Synopsis, SynopsisKind};
+use crate::synopsis::{FixExclusions, Learner, Synopsis, SynopsisKind};
 use selfheal_faults::FixKind;
-use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -232,7 +231,7 @@ impl Learner for Box<dyn SynopsisStore> {
     fn suggest_excluding(
         &self,
         symptoms: &[f64],
-        excluded: &HashSet<FixKind>,
+        excluded: &FixExclusions,
     ) -> Option<(FixKind, f64)> {
         (**self).suggest_excluding(symptoms, excluded)
     }
@@ -370,7 +369,7 @@ impl Learner for BatchedStore {
     fn suggest_excluding(
         &self,
         symptoms: &[f64],
-        excluded: &HashSet<FixKind>,
+        excluded: &FixExclusions,
     ) -> Option<(FixKind, f64)> {
         self.state().model.suggest_excluding(symptoms, excluded)
     }
@@ -753,7 +752,10 @@ mod tests {
             FixKind::RepartitionMemory
         );
         assert!(handle
-            .suggest_excluding(&symptom(0), &HashSet::from([FixKind::RepartitionMemory]))
+            .suggest_excluding(
+                &symptom(0),
+                &FixExclusions::from([FixKind::RepartitionMemory])
+            )
             .is_none());
         assert_eq!(handle.kind(), SynopsisKind::NearestNeighbor);
     }

@@ -18,10 +18,22 @@
 use crate::snapshot::SynopsisExample;
 use selfheal_faults::FixKind;
 use selfheal_learn::{AdaBoost, Classifier, Dataset, Example, KMeans, NearestNeighbor};
-use std::collections::{HashSet, VecDeque};
-// lint:allow(nondeterminism): wall-time import feeds the training_wall_time
-// metric only, never a learned or fingerprinted value.
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
+
+/// The fixes already tried for the current failure, which
+/// [`Learner::suggest_excluding`] skips.
+///
+/// The deterministic crates ban `std`'s hash types (their `clippy.toml`):
+/// iteration order differs per instance.  This set is the one exception,
+/// because implementors outside the workspace name it through `Learner`.
+/// Lookups and inserts are order-free, and clippy still refuses `.iter()`
+/// and a `for` loop over it.
+#[allow(
+    clippy::disallowed_types,
+    reason = "Learner's public signature names HashSet; iterating it stays banned"
+)]
+pub type FixExclusions = std::collections::HashSet<FixKind>;
 
 /// A learned failure-signature → fix mapping, abstracted so healing policies
 /// work identically against a bare [`Synopsis`] or a
@@ -42,7 +54,7 @@ pub trait Learner: Send {
     fn suggest_excluding(
         &self,
         symptoms: &[f64],
-        excluded: &HashSet<FixKind>,
+        excluded: &FixExclusions,
     ) -> Option<(FixKind, f64)>;
 
     /// Records the outcome of an attempted fix (Figure 3, line 15).
@@ -64,7 +76,7 @@ impl Learner for Synopsis {
     fn suggest_excluding(
         &self,
         symptoms: &[f64],
-        excluded: &HashSet<FixKind>,
+        excluded: &FixExclusions,
     ) -> Option<(FixKind, f64)> {
         Synopsis::suggest_excluding(self, symptoms, excluded)
     }
@@ -302,8 +314,10 @@ impl Synopsis {
     }
 
     fn refit(&mut self) {
-        // lint:allow(nondeterminism): measures training wall time for the
-        // report; the fitted model sees none of it.
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "training wall time is reported; the fitted model sees none of it"
+        )]
         let start = Instant::now();
         self.model.as_classifier_mut().fit(&self.positives);
         self.training_wall_time += start.elapsed();
@@ -344,7 +358,7 @@ impl Synopsis {
     pub(crate) fn suggest_excluding(
         &self,
         symptoms: &[f64],
-        excluded: &HashSet<FixKind>,
+        excluded: &FixExclusions,
     ) -> Option<(FixKind, f64)> {
         if self.positives.is_empty() {
             return None;
@@ -420,17 +434,6 @@ mod tests {
         pub(crate) fn retrains(&self) -> u64 {
             self.retrains
         }
-
-        /// Bulk-loads successful-fix examples (preproduction bootstrap /
-        /// Figure 4 training prefix) and refits once.
-        pub(crate) fn bootstrap(&mut self, examples: &[Example]) {
-            for e in examples {
-                self.positives.push(e.clone());
-            }
-            if !examples.is_empty() {
-                self.refit();
-            }
-        }
     }
 
     fn symptom(kind: usize) -> Vec<f64> {
@@ -491,7 +494,7 @@ mod tests {
         for kind in SynopsisKind::paper_set() {
             let mut synopsis = Synopsis::new(kind);
             train(&mut synopsis, 30);
-            let mut excluded = HashSet::new();
+            let mut excluded = FixExclusions::new();
             excluded.insert(FixKind::RepartitionMemory);
             let (fix, _) = synopsis.suggest_excluding(&symptom(0), &excluded).unwrap();
             assert_ne!(fix, FixKind::RepartitionMemory, "{}", kind.label());
@@ -523,17 +526,6 @@ mod tests {
         test.push(Example::new(symptom(2), FixKind::UpdateStatistics.code()));
         assert_eq!(synopsis.accuracy_on(&test), 1.0);
         assert_eq!(Synopsis::new(SynopsisKind::KMeans).accuracy_on(&test), 0.0);
-    }
-
-    #[test]
-    fn bootstrap_loads_examples_in_one_refit() {
-        let mut synopsis = Synopsis::new(SynopsisKind::NearestNeighbor);
-        let examples: Vec<Example> = (0..10)
-            .map(|i| Example::new(symptom(i % 3), [5, 0, 4][i % 3]))
-            .collect();
-        synopsis.bootstrap(&examples);
-        assert_eq!(synopsis.correct_fixes_learned(), 10);
-        assert_eq!(synopsis.retrains(), 1);
     }
 
     #[test]

@@ -21,9 +21,8 @@
 
 use selfheal_core::snapshot::{SnapshotLog, SynopsisSnapshot};
 use selfheal_core::store::{FixStats, SynopsisStore};
-use selfheal_core::synopsis::{Learner, SynopsisKind};
+use selfheal_core::synopsis::{FixExclusions, Learner, SynopsisKind};
 use selfheal_faults::FixKind;
-use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 
@@ -52,7 +51,7 @@ impl Learner for PooledStore {
     fn suggest_excluding(
         &self,
         symptoms: &[f64],
-        excluded: &HashSet<FixKind>,
+        excluded: &FixExclusions,
     ) -> Option<(FixKind, f64)> {
         self.primary
             .suggest_excluding(symptoms, excluded)

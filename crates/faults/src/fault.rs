@@ -267,44 +267,16 @@ impl FaultSpec {
 mod tests {
     use super::*;
 
-    impl FaultKind {
-        /// Whether the effect of this fault grows gradually over time
-        /// (degradation) rather than hitting at full severity immediately.
-        pub(crate) fn is_gradual(self) -> bool {
-            matches!(
-                self,
-                FaultKind::SoftwareAging
-                    | FaultKind::SuboptimalQueryPlan
-                    | FaultKind::BottleneckedTier
-                    | FaultKind::BufferContention
-            )
-        }
-
-        /// Stable numeric code used as the class label by the learning layer.
-        pub(crate) fn code(self) -> usize {
-            FaultKind::ALL
-                .iter()
-                .position(|k| *k == self)
-                .expect("kind in ALL")
-        }
-
-        /// Inverse of [`FaultKind::code`].
-        pub(crate) fn from_code(code: usize) -> Option<FaultKind> {
-            FaultKind::ALL.get(code).copied()
-        }
-    }
-
     #[test]
     fn every_kind_has_a_unique_label_and_code() {
         let mut labels: Vec<&str> = FaultKind::ALL.iter().map(|k| k.label()).collect();
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), FaultKind::ALL.len());
+        // A kind's code is its place in `ALL`, unique while no kind repeats.
         for (i, kind) in FaultKind::ALL.iter().enumerate() {
-            assert_eq!(kind.code(), i);
-            assert_eq!(FaultKind::from_code(i), Some(*kind));
+            assert!(!FaultKind::ALL[..i].contains(kind), "{kind} repeats");
         }
-        assert_eq!(FaultKind::from_code(999), None);
     }
 
     #[test]
@@ -318,14 +290,6 @@ mod tests {
         );
         assert_eq!(FaultKind::HardwareFailure.cause(), FailureCause::Hardware);
         assert_eq!(FaultKind::NetworkPartition.cause(), FailureCause::Network);
-    }
-
-    #[test]
-    fn gradual_faults_are_the_degradation_classes() {
-        assert!(FaultKind::SoftwareAging.is_gradual());
-        assert!(FaultKind::BottleneckedTier.is_gradual());
-        assert!(!FaultKind::DeadlockedThreads.is_gradual());
-        assert!(!FaultKind::SourceCodeBug.is_gradual());
     }
 
     #[test]

@@ -39,6 +39,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
 
 pub(crate) mod catalog;
 pub(crate) mod fault;
@@ -59,7 +60,6 @@ pub use mix::{CauseMix, ServiceProfile};
 pub use recovery_model::RecoveryTimeModel;
 pub use source::{
     CatalogSweep, ComposedSource, FaultSource, MixSource, OperatorSource, ScriptedSource,
-    SeasonalSource, MIX_FAULT_ID_BASE, OPERATOR_FAULT_ID_BASE, SEASON_FAULT_ID_BASE,
-    SWEEP_FAULT_ID_BASE,
+    SeasonalSource,
 };
-pub use storm::{StormSpec, STORM_FAULT_ID_BASE};
+pub use storm::StormSpec;

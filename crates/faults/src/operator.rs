@@ -136,32 +136,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    impl OperatorAction {
-        /// Human-readable description of the botched action.
-        pub(crate) fn describe_mistake(self) -> &'static str {
-            match self {
-                OperatorAction::ResizeThreadPool => {
-                    "thread pool resized far below the required size"
-                }
-                OperatorAction::ResizeBufferPool => "buffer pool shrunk, starving the working set",
-                OperatorAction::ResizeTierCapacity => "tier scaled down during a traffic surge",
-                OperatorAction::DeployApplicationBuild => {
-                    "wrong or stale application build deployed"
-                }
-                OperatorAction::AlterSchema => {
-                    "needed index dropped / schema change applied to wrong table"
-                }
-                OperatorAction::MaintenanceRestart => "wrong node restarted during maintenance",
-            }
-        }
-    }
-
     #[test]
     fn every_action_manifests_an_operator_caused_fault() {
         for action in OperatorAction::ALL {
             let (kind, _) = action.failure_manifestation();
             assert_eq!(kind.cause(), FailureCause::Operator, "{action:?}");
-            assert!(!action.describe_mistake().is_empty());
         }
     }
 

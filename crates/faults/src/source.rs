@@ -69,27 +69,13 @@
 
 use crate::catalog::FixCatalog;
 use crate::fault::{FaultId, FaultKind, FaultSpec};
-use crate::id_space;
+use crate::id_space::IdLane;
 use crate::injection::{default_target, random_target, InjectionPlan};
 use crate::mix::ServiceProfile;
 use crate::operator::OperatorModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-
-/// Id namespace for [`MixSource`]-generated faults, disjoint from scripted
-/// plans (ids from 0), surge requests, and storm faults — see
-/// [`crate::id_space`] for the lane manifest.
-pub const MIX_FAULT_ID_BASE: u64 = id_space::lane_base(id_space::MIX_ID_BIT);
-
-/// Id namespace for [`CatalogSweep`]-generated faults.
-pub const SWEEP_FAULT_ID_BASE: u64 = id_space::lane_base(id_space::SWEEP_ID_BIT);
-
-/// Id namespace for [`SeasonalSource`]-generated faults.
-pub const SEASON_FAULT_ID_BASE: u64 = id_space::lane_base(id_space::SEASON_ID_BIT);
-
-/// Id namespace for [`OperatorSource`]-generated faults.
-pub const OPERATOR_FAULT_ID_BASE: u64 = id_space::lane_base(id_space::OPERATOR_ID_BIT);
 
 /// A source of scheduled fault activations.
 ///
@@ -220,7 +206,7 @@ pub(crate) fn mix64(seed: u64, index: u64, salt: u64) -> u64 {
 /// decorrelating sibling replicas' fault streams.
 ///
 /// Fault ids are `id_base + tick` (at most one fault fires per tick), in
-/// the [`MIX_FAULT_ID_BASE`] namespace by default.
+/// the [`IdLane::Mix`] namespace by default.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MixSource {
     profile: ServiceProfile,
@@ -246,7 +232,7 @@ impl MixSource {
             ejb_count: 4,
             table_count: 3,
             index_count: 1,
-            id_base: MIX_FAULT_ID_BASE,
+            id_base: IdLane::Mix.base(),
         }
     }
 
@@ -347,7 +333,7 @@ impl CatalogSweep {
             start_tick,
             spacing_ticks: spacing_ticks.max(1),
             severity: 0.9,
-            id_base: SWEEP_FAULT_ID_BASE,
+            id_base: IdLane::Sweep.base(),
             kinds: Self::kinds(),
         }
     }
@@ -475,7 +461,7 @@ const SEASON_SCHEDULE_SALT: u64 = 0xBB67_AE85_84CA_A73B;
 /// Like [`MixSource`], every decision derives from `(seed, tick)` alone —
 /// call order, worker count, and slice width cannot perturb the stream, and
 /// [`reset`](FaultSource::reset) is free.  Fault ids live in the
-/// [`SEASON_FAULT_ID_BASE`] namespace by default.
+/// [`IdLane::Season`] namespace by default.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeasonalSource {
     inner: MixSource,
@@ -499,7 +485,7 @@ impl SeasonalSource {
     ) -> Self {
         let rates = if rates.is_empty() { vec![0.0] } else { rates };
         SeasonalSource {
-            inner: MixSource::new(profile, 0.0, seed).with_id_base(SEASON_FAULT_ID_BASE),
+            inner: MixSource::new(profile, 0.0, seed).with_id_base(IdLane::Season.base()),
             rates: rates.into_iter().map(|r| r.clamp(0.0, 1.0)).collect(),
             season_ticks: season_ticks.max(1),
             schedule_seed,
@@ -582,7 +568,7 @@ const OPERATOR_TICK_SALT: u64 = 0x3C6E_F372_FE94_F82B;
 /// Decisions are a pure function of `(seed, tick)` — the same stateless
 /// construction as [`MixSource`] — so the stream survives worker-count and
 /// slice-width changes untouched.  Fault ids are `id_base + tick` in the
-/// [`OPERATOR_FAULT_ID_BASE`] namespace by default.
+/// [`IdLane::Operator`] namespace by default.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatorSource {
     model: OperatorModel,
@@ -602,7 +588,7 @@ impl OperatorSource {
             action_rate: action_rate.clamp(0.0, 1.0),
             seed,
             active_ticks: u64::MAX,
-            id_base: OPERATOR_FAULT_ID_BASE,
+            id_base: IdLane::Operator.base(),
         }
     }
 
@@ -655,24 +641,11 @@ mod tests {
     use crate::fault::{FailureCause, FaultTarget};
     use crate::injection::InjectionPlanBuilder;
 
-    impl OperatorSource {
-        /// Overrides the operator-behaviour model.
-        pub(crate) fn with_model(mut self, model: OperatorModel) -> Self {
-            self.model = model;
-            self
-        }
-    }
-
     impl ComposedSource {
         /// Adds one child source (builder style).
         pub(crate) fn with(mut self, source: impl FaultSource + 'static) -> Self {
             self.sources.push(Box::new(source));
             self
-        }
-
-        /// Returns `true` when the composition has no children.
-        pub(crate) fn is_empty(&self) -> bool {
-            self.sources.is_empty()
         }
     }
 
@@ -729,7 +702,7 @@ mod tests {
         for tick in 0..200 {
             for fault in source.due_at(tick) {
                 assert!(tick < 20, "no faults past the window");
-                assert!(fault.id.0 >= MIX_FAULT_ID_BASE);
+                assert!(fault.id.0 >= IdLane::Mix.base());
                 match fault.target {
                     FaultTarget::Ejb { index } => assert!(index < 2),
                     FaultTarget::Table { index } => assert!(index < 2),
@@ -781,7 +754,7 @@ mod tests {
             for fault in sweep.due_at(tick) {
                 assert_eq!(tick, 50 + seen.len() as u64 * 10);
                 assert_eq!(fault.severity, 0.9);
-                assert!(fault.id.0 >= SWEEP_FAULT_ID_BASE);
+                assert!(fault.id.0 >= IdLane::Sweep.base());
                 seen.push(fault.kind);
             }
         }
@@ -811,7 +784,6 @@ mod tests {
     #[test]
     fn empty_composition_never_fires() {
         let mut empty = ComposedSource::new();
-        assert!(empty.is_empty());
         assert_eq!(empty.horizon(), 0);
         assert!(empty.due_at(0).is_empty());
     }
@@ -841,7 +813,7 @@ mod tests {
                 assert!(faults.is_empty(), "calm season fired at tick {tick}");
             }
             for fault in &faults {
-                assert!(fault.id.0 >= SEASON_FAULT_ID_BASE);
+                assert!(fault.id.0 >= IdLane::Season.base());
             }
         }
     }
@@ -869,7 +841,10 @@ mod tests {
             error_rate: 0.5,
             ..OperatorModel::standard()
         };
-        let mut source = OperatorSource::new(0.5, 11).with_model(model);
+        let mut source = OperatorSource {
+            model,
+            ..OperatorSource::new(0.5, 11)
+        };
         let faults: Vec<_> = (0..20_000).flat_map(|t| source.due_at(t)).collect();
         let rate = faults.len() as f64 / 20_000.0;
         assert!(
@@ -878,7 +853,7 @@ mod tests {
         );
         for fault in &faults {
             assert_eq!(fault.cause, FailureCause::Operator);
-            assert!(fault.id.0 >= OPERATOR_FAULT_ID_BASE);
+            assert!(fault.id.0 >= IdLane::Operator.base());
             assert!(fault.severity >= 0.5);
         }
     }
@@ -896,7 +871,7 @@ mod tests {
         assert!(!forwards.is_empty(), "dense operators must blunder");
         assert!(forwards
             .iter()
-            .all(|f| f.id.0 < OPERATOR_FAULT_ID_BASE + 100));
+            .all(|f| f.id.0 < IdLane::Operator.base() + 100));
         assert!(OperatorSource::new(0.0, 13).due_at(5).is_empty());
     }
 

@@ -14,17 +14,10 @@
 //! per-replica injections).
 
 use crate::fault::{FaultId, FaultKind, FaultSpec};
-use crate::id_space;
 use crate::injection::default_target;
 use crate::mix::ServiceProfile;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Id namespace for storm-injected faults, far above anything an
-/// [`crate::InjectionPlanBuilder`] assigns, so storm faults never collide
-/// with a replica's scheduled plan — see [`crate::id_space`] for the lane
-/// manifest.
-pub const STORM_FAULT_ID_BASE: u64 = id_space::lane_base(id_space::STORM_ID_BIT);
 
 /// One correlated fault storm: a failure class (or a whole failure-cause
 /// *catalog*), a severity, and the fraction of the fleet it hits.
@@ -129,7 +122,8 @@ impl StormSpec {
     /// The fault one victim receives, targeted at its failure class's
     /// natural component (component 0, as scripted experiments do).  `id`
     /// must be unique per `(storm, victim)`; callers allocate ids in the
-    /// [`STORM_FAULT_ID_BASE`] namespace.  `seed` keys the catalog-mode
+    /// [`IdLane::Storm`](crate::id_space::IdLane::Storm) namespace, far above anything an
+    /// [`crate::InjectionPlanBuilder`] assigns.  `seed` keys the catalog-mode
     /// class draw (ignored in uniform mode).
     pub fn fault_for(&self, id: u64, victim: usize, seed: u64) -> FaultSpec {
         let (cause, kind) = self.victim_kind(victim, seed);
@@ -142,29 +136,8 @@ mod tests {
     use super::*;
     use crate::catalog::FixCatalog;
     use crate::fix::FixKind;
+    use crate::id_space::IdLane;
     use crate::FailureCause;
-
-    impl StormSpec {
-        /// Uniform-mode shorthand for [`StormSpec::fault_for`]: the fault every
-        /// victim receives when no cause mix is set.
-        pub(crate) fn fault(&self, id: u64) -> FaultSpec {
-            FaultSpec::new(
-                FaultId(id),
-                self.kind,
-                default_target(self.kind, 0),
-                self.severity,
-            )
-        }
-
-        /// The catalog's preferred (cheapest effective) fix for the storm's
-        /// uniform-mode failure class — what a fleet that has already learned
-        /// the signature should reach for on the first attempt.  (Catalog-mode
-        /// victims have per-victim classes; query
-        /// [`StormSpec::victim_kind`] and the [`FixCatalog`] directly.)
-        pub(crate) fn expected_fix(&self) -> FixKind {
-            FixCatalog::standard().preferred_fix(self.kind)
-        }
-    }
 
     #[test]
     fn victim_count_follows_the_fraction() {
@@ -196,17 +169,21 @@ mod tests {
     #[test]
     fn storm_faults_use_the_natural_target_and_the_storm_namespace() {
         let storm = StormSpec::new(FaultKind::BufferContention, 0.8, 0.5);
-        let fault = storm.fault(STORM_FAULT_ID_BASE + 3);
+        let fault = storm.fault_for(IdLane::Storm.base() + 3, 1, 42);
         assert_eq!(fault.kind, FaultKind::BufferContention);
         assert_eq!(fault.target, default_target(FaultKind::BufferContention, 0));
         assert_eq!(fault.severity, 0.8);
-        assert!(fault.id.0 >= STORM_FAULT_ID_BASE);
+        assert!(fault.id.0 >= IdLane::Storm.base());
     }
 
     #[test]
     fn expected_fix_comes_from_the_catalog() {
         let storm = StormSpec::new(FaultKind::BufferContention, 0.9, 0.5);
-        assert_eq!(storm.expected_fix(), FixKind::RepartitionMemory);
+        let fault = storm.fault_for(IdLane::Storm.base(), 0, 42);
+        assert_eq!(
+            FixCatalog::standard().preferred_fix(fault.kind),
+            FixKind::RepartitionMemory
+        );
     }
 
     #[test]
@@ -220,7 +197,7 @@ mod tests {
                 .collect::<Vec<_>>(),
             "pure function of (victim, seed)"
         );
-        let distinct: std::collections::HashSet<_> = kinds.iter().map(|(_, k)| *k).collect();
+        let distinct: std::collections::BTreeSet<_> = kinds.iter().map(|(_, k)| *k).collect();
         assert!(
             distinct.len() >= 3,
             "a 32-victim catalog storm manifests several classes: {distinct:?}"
@@ -233,7 +210,7 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         // The recorded cause matches the drawn category.
-        let fault = storm.fault_for(STORM_FAULT_ID_BASE, 5, 42);
+        let fault = storm.fault_for(IdLane::Storm.base(), 5, 42);
         assert_eq!(fault.cause, storm.victim_kind(5, 42).0);
     }
 

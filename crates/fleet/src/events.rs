@@ -40,7 +40,8 @@
 //! ```
 
 use selfheal_core::harness::EventChoice;
-use selfheal_faults::{FaultSpec, StormSpec, STORM_FAULT_ID_BASE};
+use selfheal_faults::id_space::IdLane;
+use selfheal_faults::{FaultSpec, StormSpec};
 use std::collections::BTreeMap;
 
 /// One resolved per-replica effect of a fleet event.
@@ -115,13 +116,13 @@ impl EventPlan {
     /// scheduler consults.  A storm strikes its victims at its tick (a
     /// catalog storm draws each victim's class from the cause mix, keyed by
     /// the base seed); a surge covers every replica from its tick.
-    /// Injected faults get unique ids in the [`STORM_FAULT_ID_BASE`]
+    /// Injected faults get unique ids in the [`IdLane::Storm`]
     /// namespace, in schedule order, so two events can never collide with
     /// each other or with a replica's own fault source.
     pub(crate) fn resolve(&self, replicas: usize, base_seed: u64) -> ActionSchedule {
         let mut per_replica: Vec<BTreeMap<u64, Vec<ReplicaAction>>> =
             (0..replicas).map(|_| BTreeMap::new()).collect();
-        let mut next_fault_id = STORM_FAULT_ID_BASE;
+        let mut next_fault_id = IdLane::Storm.base();
         for choice in &self.choices {
             let (at_tick, spec) = match *choice {
                 EventChoice::FaultStorm {
@@ -220,7 +221,7 @@ mod tests {
                 let ReplicaAction::Inject(fault) = action else {
                     panic!("storms resolve to injections");
                 };
-                assert!(fault.id.0 >= STORM_FAULT_ID_BASE);
+                assert!(fault.id.0 >= IdLane::Storm.base());
                 ids.push(fault.id.0);
                 victims += 1;
             }
@@ -258,14 +259,14 @@ mod tests {
                     let ReplicaAction::Inject(fault) = action else {
                         panic!("storms resolve to injections");
                     };
-                    assert!(fault.id.0 >= STORM_FAULT_ID_BASE);
+                    assert!(fault.id.0 >= IdLane::Storm.base());
                     fault.kind
                 })
                 .collect()
         };
         let drawn = kinds(42);
         assert_eq!(drawn.len(), 24, "full-fraction storm hits everyone");
-        let distinct: std::collections::HashSet<_> = drawn.iter().copied().collect();
+        let distinct: std::collections::BTreeSet<_> = drawn.iter().copied().collect();
         assert!(
             distinct.len() >= 3,
             "victims manifest several failure classes: {distinct:?}"

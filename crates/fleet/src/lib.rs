@@ -67,6 +67,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
 
 pub mod events;
 pub mod reactive;
@@ -85,8 +86,6 @@ use selfheal_sim::scenario::ScenarioOutcome;
 use selfheal_sim::ServiceConfig;
 use selfheal_workload::{ArrivalProcess, WorkloadMix};
 use std::path::PathBuf;
-// lint:allow(nondeterminism): wall-time import feeds the wall_time report
-// field only; simulation state never reads it.
 use std::time::{Duration, Instant};
 
 /// How the fleet's replicas are executed.
@@ -641,8 +640,10 @@ impl FleetEngine {
             epochs.insert(replica, runner);
         }
 
-        // lint:allow(nondeterminism): wall-clock duration is reported, not
-        // simulated; fingerprints are computed from tick state alone.
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "wall time is reported, not simulated; fingerprints come from tick state alone"
+        )]
         let start = Instant::now();
         // One window to the horizon — unless reactive engines are set: they
         // read the fleet at every reactive barrier, which only exists
@@ -806,5 +807,101 @@ mod tests {
             mean_attempts(&warm),
             mean_attempts(&cold)
         );
+    }
+
+    /// Pairs every lane with the source that draws from it and holds each
+    /// drawn id to the lane's `[base, 2·base)`.
+    #[test]
+    fn every_lane_holds_the_ids_its_source_draws() {
+        use crate::events::ReplicaAction;
+        use crate::reactive::{FleetView, ReactivePlan, ReplicaView};
+        use selfheal_faults::id_space::IdLane;
+        use selfheal_faults::ServiceProfile;
+
+        let faults = |choice: FaultChoice| -> Vec<u64> {
+            let mut source = choice.source_for_replica(7, 0);
+            (0..400)
+                .flat_map(|tick| source.due_at(tick))
+                .map(|fault| fault.id.0)
+                .collect()
+        };
+        let injected = |action: &ReplicaAction| match action {
+            ReplicaAction::Inject(fault) => fault.id.0,
+            other => panic!("expected an injection, got {other:?}"),
+        };
+        let drawn = |lane: IdLane| -> Vec<u64> {
+            match lane {
+                IdLane::Mix => faults(FaultChoice::mix_for(
+                    ServiceProfile::Online,
+                    0.5,
+                    &ServiceConfig::tiny(),
+                )),
+                IdLane::Sweep => faults(FaultChoice::sweep(0, 10)),
+                IdLane::Season => {
+                    faults(FaultChoice::seasons(ServiceProfile::Online, vec![0.5], 50))
+                }
+                IdLane::Operator => faults(FaultChoice::Operator {
+                    action_rate: 0.5,
+                    active_ticks: u64::MAX,
+                }),
+                IdLane::Storm => {
+                    let storm = EventChoice::storm(10, FaultKind::BufferContention, 1.0);
+                    let schedule = EventPlan {
+                        choices: vec![storm],
+                    }
+                    .resolve(4, 7);
+                    (0..4)
+                        .flat_map(|replica| schedule.actions_for(replica, 10))
+                        .map(injected)
+                        .collect()
+                }
+                IdLane::Reactive => {
+                    let mut plan = ReactivePlan::default();
+                    plan.set(&[ReactiveChoice::adversary(
+                        FaultKind::BufferContention,
+                        0.9,
+                        0,
+                        1000,
+                    )]);
+                    (0..4)
+                        .flat_map(|barrier| {
+                            let replicas = (0..2)
+                                .map(|replica| ReplicaView {
+                                    replica,
+                                    retired: false,
+                                    open_episodes: 0,
+                                })
+                                .collect();
+                            plan.evaluate(&FleetView {
+                                tick: barrier * REACTIVE_PERIOD,
+                                replicas,
+                            })
+                        })
+                        .map(|(_, action)| injected(&action))
+                        .collect()
+                }
+                IdLane::Surge => {
+                    let mut runner = tiny_fleet().build().replica_runner(0, None);
+                    runner.apply_surge(3.0, 20);
+                    for _ in 0..20 {
+                        runner.step();
+                    }
+                    // Consecutive ids: the first and the last drawn bound
+                    // the rest.
+                    let ids = runner.surge_ids();
+                    assert!(!ids.is_empty(), "the surge synthesized no requests");
+                    vec![ids.start, ids.end - 1]
+                }
+            }
+        };
+        for lane in IdLane::ALL {
+            let ids = drawn(lane);
+            let lane_ids = lane.base()..2 * lane.base();
+            assert!(!ids.is_empty(), "{lane:?}'s source drew no ids");
+            assert!(
+                ids.iter().all(|id| lane_ids.contains(id)),
+                "{lane:?} drew ids outside {lane_ids:?}: {ids:?}"
+            );
+        }
     }
 }

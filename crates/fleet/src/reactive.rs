@@ -50,7 +50,7 @@
 
 use crate::events::ReplicaAction;
 use selfheal_core::harness::ReactiveChoice;
-use selfheal_faults::id_space;
+use selfheal_faults::id_space::IdLane;
 use selfheal_faults::injection::default_target;
 use selfheal_faults::{FaultId, FaultSpec};
 
@@ -60,11 +60,6 @@ use selfheal_faults::{FaultId, FaultSpec};
 /// same sequence of views — the engine requires the configured slice to
 /// divide this period whenever reactive events are present.
 pub const REACTIVE_PERIOD: u64 = 64;
-
-/// Id namespace for reactively-injected faults, disjoint from scripted
-/// plans, mix/sweep/season/operator sources, surge requests, and storms —
-/// see [`selfheal_faults::id_space`] for the lane manifest.
-pub(crate) const REACTIVE_FAULT_ID_BASE: u64 = id_space::lane_base(id_space::REACTIVE_ID_BIT);
 
 /// One replica's state as observable at an epoch barrier.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,7 +217,8 @@ pub struct ReactiveRecord {
 
 /// The reactive engines an epoch engine runs — each a [`ReactiveChoice`]
 /// with its edge state — plus the id counter re-stamping their injections
-/// and the log of the actions they emitted.
+/// in the [`IdLane::Reactive`] namespace, and the log of the actions they
+/// emitted.
 #[derive(Debug)]
 pub(crate) struct ReactivePlan {
     engines: Vec<Engine>,
@@ -234,7 +230,7 @@ impl Default for ReactivePlan {
     fn default() -> Self {
         ReactivePlan {
             engines: Vec::new(),
-            next_fault_id: REACTIVE_FAULT_ID_BASE,
+            next_fault_id: IdLane::Reactive.base(),
             log: Vec::new(),
         }
     }
@@ -417,9 +413,9 @@ mod tests {
         assert_eq!(
             ids,
             vec![
-                REACTIVE_FAULT_ID_BASE,
-                REACTIVE_FAULT_ID_BASE + 1,
-                REACTIVE_FAULT_ID_BASE + 2
+                IdLane::Reactive.base(),
+                IdLane::Reactive.base() + 1,
+                IdLane::Reactive.base() + 2
             ]
         );
         let log = context.take_log();
@@ -438,6 +434,6 @@ mod tests {
         let ReplicaAction::Inject(fault) = &context.evaluate(&view(64, &[0, 1]))[0].1 else {
             panic!("adversaries inject");
         };
-        assert_eq!(fault.id.0, REACTIVE_FAULT_ID_BASE + 3);
+        assert_eq!(fault.id.0, IdLane::Reactive.base() + 3);
     }
 }

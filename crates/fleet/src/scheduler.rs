@@ -120,10 +120,9 @@ use crate::reactive::{FleetView, ReactivePlan, ReactiveRecord, ReplicaView, REAC
 use selfheal_core::harness::ReactiveChoice;
 use selfheal_core::snapshot::{SnapshotLog, SynopsisSnapshot};
 use selfheal_core::store::{FixStats, SynopsisStore};
-use selfheal_core::synopsis::{Learner, SynopsisKind};
+use selfheal_core::synopsis::{FixExclusions, Learner, SynopsisKind};
 use selfheal_faults::FixKind;
 use selfheal_sim::scenario::{Healer, ScenarioRunner};
-use std::collections::HashSet;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -207,7 +206,7 @@ impl Learner for GatedStore {
     fn suggest_excluding(
         &self,
         symptoms: &[f64],
-        excluded: &HashSet<FixKind>,
+        excluded: &FixExclusions,
     ) -> Option<(FixKind, f64)> {
         self.wait_for_turn();
         self.inner.suggest_excluding(symptoms, excluded)
@@ -1294,7 +1293,10 @@ mod tests {
                 // Ticks long enough that the helper joins in early on, and
                 // uneven, so the workers do not stay in step by themselves.
                 (0..100 * (1 + self.replica)).for_each(|_| std::hint::spin_loop());
-                // lint:allow(nondeterminism): counted, never fingerprinted.
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "the stepping thread is counted, never fingerprinted"
+                )]
                 let worker = thread::current().id();
                 lock(&self.log).push((self.replica, worker));
                 Vec::new()

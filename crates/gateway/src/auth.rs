@@ -327,13 +327,6 @@ pub(crate) fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 mod tests {
     use super::*;
 
-    impl AuthConfig {
-        /// Number of configured tokens.
-        pub(crate) fn len(&self) -> usize {
-            self.tokens.len()
-        }
-    }
-
     const FILE: &str = r#"
 # operator token
 [[token]]
@@ -352,7 +345,7 @@ scope = "read"
     #[test]
     fn parses_the_token_file_subset() {
         let config = AuthConfig::parse(FILE).unwrap();
-        assert_eq!(config.len(), 2);
+        assert_eq!(config.tokens.len(), 2);
         let ops = config.authenticate(Some("swordfish")).unwrap();
         assert_eq!((ops.name.as_str(), ops.scope), ("ops", Scope::Admin));
         assert!(ops.is_wildcard());

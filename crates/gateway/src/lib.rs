@@ -26,7 +26,8 @@
 //!
 //! The gateway is I/O glue, not simulation: it holds no fleet state and
 //! performs no learning, so (like the daemon loop) its wall-clock timing
-//! is not part of the determinism surface the `selfheal-lint` rules guard.
+//! is not part of the determinism surface the six deterministic crates'
+//! `clippy.toml` bans guard.
 //!
 //! ## Example
 //!

@@ -163,17 +163,8 @@ mod tests {
     use rand::SeedableRng;
 
     impl AdaBoost {
-        /// The paper's configuration: 60 weak learners.
-        fn paper_default() -> Self {
-            Self::new(60)
-        }
-
         fn rounds(&self) -> usize {
             self.rounds
-        }
-
-        fn ensemble(&self) -> &[WeightedStump] {
-            &self.ensemble
         }
     }
 
@@ -230,7 +221,7 @@ mod tests {
     fn multiclass_blobs_are_classified_accurately() {
         let train = three_class_blobs(40, 3);
         let test = three_class_blobs(40, 4);
-        let mut model = AdaBoost::paper_default();
+        let mut model = AdaBoost::new(60);
         model.fit(&train);
         let acc = accuracy(&model, &test);
         assert!(acc > 0.9, "three-class accuracy {acc}");
@@ -268,7 +259,7 @@ mod tests {
         ]);
         let mut model = AdaBoost::new(60);
         model.fit(&train);
-        assert!(model.ensemble().len() < 60, "early stop on separable data");
+        assert!(model.ensemble.len() < 60, "early stop on separable data");
         assert_eq!(model.predict(&[0.5]), 0);
         assert_eq!(model.predict(&[10.5]), 1);
     }

@@ -28,6 +28,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
 
 pub(crate) mod adaboost;
 pub(crate) mod dataset;

@@ -1,13 +1,9 @@
-//! Fixture fault source: id base derived from the manifest.
-
-use crate::id_space;
-
-pub const ALPHA_FAULT_ID_BASE: u64 = id_space::lane_base(id_space::ALPHA_ID_BIT);
+//! Fixture fault source: reachable from `FaultChoice`, so silent.
 
 pub struct ScriptedSource;
 
 impl FaultSource for ScriptedSource {
     fn next(&mut self) -> u64 {
-        ALPHA_FAULT_ID_BASE
+        0
     }
 }

@@ -1,9 +1,5 @@
-//! Fixture simulation core: seeded, ordered, clock-free.
-
-use std::collections::BTreeMap;
+//! Fixture simulation core: child seeds come from `split_seed`.
 
 pub fn run(base_seed: u64) -> u64 {
-    let counts: BTreeMap<u64, u64> = BTreeMap::new();
-    let child = split_seed(base_seed, 0);
-    counts.values().sum::<u64>() ^ child
+    split_seed(base_seed, 0) ^ 0x9E37_79B9
 }

@@ -4,10 +4,8 @@ pub enum FaultChoice {
     Scripted,
 }
 
-impl FaultChoice {
-    pub fn build(self) -> ScriptedSource {
-        match self {
-            FaultChoice::Scripted => ScriptedSource,
-        }
+pub fn build(choice: FaultChoice) -> ScriptedSource {
+    match choice {
+        FaultChoice::Scripted => ScriptedSource,
     }
 }

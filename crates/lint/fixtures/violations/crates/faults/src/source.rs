@@ -1,11 +1,9 @@
-//! Fixture fault source: hand-rolls its id base instead of deriving it.
-
-pub const BETA_FAULT_ID_BASE: u64 = 1 << 44;
+//! Fixture fault source: reachable from `FaultChoice`, so silent.
 
 pub struct ScriptedSource;
 
 impl FaultSource for ScriptedSource {
     fn next(&mut self) -> u64 {
-        BETA_FAULT_ID_BASE
+        0
     }
 }

@@ -1,18 +1,9 @@
-//! Fixture simulation core seeded with one violation of each kind the
-//! `nondeterminism` and `seed-discipline` rules catch, plus one allowed
-//! exception that must stay suppressed.
-
-use std::collections::HashMap;
+//! Fixture simulation core seeded with one `seed-discipline` violation,
+//! plus one allowed exception that must stay suppressed.
 
 pub fn run(base_seed: u64, replica: u64) -> u64 {
-    let started = std::time::Instant::now();
-    // lint:allow(nondeterminism): fixture exercises allow-suppression.
-    let allowed = std::time::Instant::now();
-    let counts: HashMap<u64, u64> = HashMap::new();
-    let mut total = 0;
-    for k in counts {
-        total += k.0;
-    }
     let child = base_seed + replica;
-    total ^ child ^ (allowed >= started) as u64
+    // lint:allow(seed-discipline): fixture exercises allow-suppression.
+    let allowed = base_seed * replica;
+    child ^ allowed
 }

@@ -1,4 +1,4 @@
-//! The rule engine: findings, allow-list filtering, and JSON output.
+//! The rule engine: findings and allow-list filtering.
 
 use crate::workspace::Workspace;
 
@@ -29,8 +29,6 @@ impl std::fmt::Display for Finding {
 pub trait Rule {
     /// Stable rule name, as used in `lint:allow(<name>)`.
     fn name(&self) -> &'static str;
-    /// One-line description for `--list-rules`.
-    fn description(&self) -> &'static str;
     /// Returns every violation found (the engine applies allow-listing).
     fn check(&self, ws: &Workspace) -> Vec<Finding>;
 }
@@ -54,64 +52,4 @@ pub fn run_rules(ws: &Workspace, rules: &[Box<dyn Rule>]) -> Vec<Finding> {
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     findings
-}
-
-/// Renders findings as a JSON array (hand-rolled, mirroring the
-/// `selfheal-jsonl` codec's spirit: no serde, stable field order).
-pub fn to_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {\"rule\":\"");
-        escape_into(f.rule, &mut out);
-        out.push_str("\",\"file\":\"");
-        escape_into(&f.file, &mut out);
-        out.push_str("\",\"line\":");
-        out.push_str(&f.line.to_string());
-        out.push_str(",\"message\":\"");
-        escape_into(&f.message, &mut out);
-        out.push_str("\"}");
-    }
-    if !findings.is_empty() {
-        out.push('\n');
-    }
-    out.push(']');
-    out
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escapes_and_orders_fields() {
-        let findings = vec![Finding {
-            rule: "id-space",
-            file: "crates/a/src/b.rs".into(),
-            line: 3,
-            message: "a \"quoted\"\nmessage".into(),
-        }];
-        let json = to_json(&findings);
-        assert!(json.contains("\"rule\":\"id-space\""));
-        assert!(json.contains("\\\"quoted\\\"\\nmessage"));
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert_eq!(to_json(&[]), "[]");
-    }
 }

@@ -1,58 +1,27 @@
-//! `selfheal-lint` — the workspace determinism auditor.
+//! `selfheal-lint` — the workspace seed and mirror auditor.
 //!
 //! ```text
-//! cargo run -p selfheal-lint -- --workspace            # audit, human output
-//! cargo run -p selfheal-lint -- --workspace --json     # machine-readable
-//! cargo run -p selfheal-lint -- --rule nondeterminism  # one rule only
-//! cargo run -p selfheal-lint -- --list-rules
+//! cargo run -p selfheal-lint -- --workspace             # audit this workspace
+//! cargo run -p selfheal-lint -- --workspace --root PATH # audit another tree
 //! ```
 //!
 //! Exit status: `0` clean, `1` findings, `2` usage or I/O error.
 
 use selfheal_lint::rules::all_rules;
-use selfheal_lint::{run_rules, to_json, Workspace};
+use selfheal_lint::{run_rules, Workspace};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-struct Options {
-    root: Option<PathBuf>,
-    json: bool,
-    list: bool,
-    rules: Vec<String>,
-}
-
 fn main() -> ExitCode {
-    let opts = match parse_args(std::env::args().skip(1)) {
-        Ok(opts) => opts,
+    let root = match parse_args(std::env::args().skip(1)) {
+        Ok(root) => root,
         Err(msg) => {
             eprintln!("selfheal-lint: {msg}");
-            eprintln!("usage: selfheal-lint [--workspace] [--root PATH] [--json] [--rule NAME]... [--list-rules]");
+            eprintln!("usage: selfheal-lint [--workspace] [--root PATH]");
             return ExitCode::from(2);
         }
     };
-
-    let mut rules = all_rules();
-    if opts.list {
-        for rule in &rules {
-            println!("{:<16} {}", rule.name(), rule.description());
-        }
-        return ExitCode::SUCCESS;
-    }
-    if !opts.rules.is_empty() {
-        let known: Vec<&str> = rules.iter().map(|r| r.name()).collect();
-        for want in &opts.rules {
-            if !known.contains(&want.as_str()) {
-                eprintln!(
-                    "selfheal-lint: unknown rule `{want}` (known: {})",
-                    known.join(", ")
-                );
-                return ExitCode::from(2);
-            }
-        }
-        rules.retain(|r| opts.rules.iter().any(|w| w == r.name()));
-    }
-
-    let root = match opts.root.map_or_else(discover_root, Ok) {
+    let root = match root.map_or_else(discover_root, Ok) {
         Ok(root) => root,
         Err(msg) => {
             eprintln!("selfheal-lint: {msg}");
@@ -67,20 +36,17 @@ fn main() -> ExitCode {
         }
     };
 
+    let rules = all_rules();
     let findings = run_rules(&ws, &rules);
-    if opts.json {
-        println!("{}", to_json(&findings));
-    } else {
-        for finding in &findings {
-            println!("{finding}");
-        }
-        eprintln!(
-            "selfheal-lint: {} file(s), {} rule(s), {} finding(s)",
-            ws.files.len(),
-            rules.len(),
-            findings.len()
-        );
+    for finding in &findings {
+        println!("{finding}");
     }
+    eprintln!(
+        "selfheal-lint: {} file(s), {} rule(s), {} finding(s)",
+        ws.files.len(),
+        rules.len(),
+        findings.len()
+    );
     if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
@@ -88,55 +54,39 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
-    let mut opts = Options {
-        root: None,
-        json: false,
-        list: false,
-        rules: Vec::new(),
-    };
-    let mut args = args.peekable();
+/// The `--root` path, if one was given.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<PathBuf>, String> {
+    let mut root = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             // `--workspace` is the default (and only) scope; accepted for
             // self-documenting invocations.
             "--workspace" => {}
-            "--json" => opts.json = true,
-            "--list-rules" => opts.list = true,
             "--root" => {
                 let path = args.next().ok_or("--root needs a path")?;
-                opts.root = Some(PathBuf::from(path));
-            }
-            "--rule" => {
-                let name = args.next().ok_or("--rule needs a name")?;
-                opts.rules.push(name);
+                root = Some(PathBuf::from(path));
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(opts)
+    Ok(root)
 }
 
 /// Walks up from the current directory to the workspace root (the first
 /// `Cargo.toml` declaring `[workspace]`).
 fn discover_root() -> Result<PathBuf, String> {
     let start = std::env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?;
-    let mut dir: &Path = &start;
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Ok(dir.to_path_buf());
-            }
-        }
-        match dir.parent() {
-            Some(parent) => dir = parent,
-            None => {
-                return Err(format!(
-                    "no workspace Cargo.toml above {} — pass --root",
-                    start.display()
-                ))
-            }
-        }
-    }
+    start
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|text| text.contains("[workspace]"))
+        })
+        .map(Path::to_path_buf)
+        .ok_or_else(|| {
+            format!(
+                "no workspace Cargo.toml above {} — pass --root",
+                start.display()
+            )
+        })
 }

@@ -26,7 +26,8 @@
 
 use crate::engine::{Finding, Rule};
 use crate::scan::tokens;
-use crate::workspace::Workspace;
+use crate::workspace::{SourceFile, Workspace};
+use std::collections::{BTreeMap, BTreeSet};
 
 const HARNESS_SUFFIX: &str = "core/src/harness.rs";
 
@@ -48,10 +49,6 @@ impl Rule for ChoiceMirror {
         "choice-mirror"
     }
 
-    fn description(&self) -> &'static str {
-        "every mirrored-trait implementor is reachable from its *Choice enum, and every variant is used"
-    }
-
     fn check(&self, ws: &Workspace) -> Vec<Finding> {
         let mut findings = Vec::new();
         let Some(harness) = ws.file_ending_with(HARNESS_SUFFIX) else {
@@ -68,11 +65,10 @@ impl Rule for ChoiceMirror {
         // tokens near any mention of the mirror enum anywhere (builder
         // match arms construct the concrete type within a few lines of
         // naming the enum variant).
-        let mut reachable: std::collections::BTreeMap<&str, std::collections::BTreeSet<String>> =
-            MIRRORS
-                .iter()
-                .map(|(_, m)| (*m, harness_token_set(harness)))
-                .collect();
+        let mut reachable: BTreeMap<&str, BTreeSet<String>> = MIRRORS
+            .iter()
+            .map(|(_, m)| (*m, harness_token_set(harness)))
+            .collect();
         for file in &ws.files {
             for (_, mirror) in MIRRORS {
                 let set = reachable.get_mut(mirror).expect("mirror registered");
@@ -152,16 +148,11 @@ impl Rule for ChoiceMirror {
 }
 
 /// The full token set of the harness file.
-fn harness_token_set(harness: &crate::workspace::SourceFile) -> std::collections::BTreeSet<String> {
+fn harness_token_set(harness: &SourceFile) -> BTreeSet<String> {
     harness
         .lines
         .iter()
-        .flat_map(|l| {
-            tokens(&l.code)
-                .into_iter()
-                .map(|(_, t)| t.to_string())
-                .collect::<Vec<_>>()
-        })
+        .flat_map(|l| tokens(&l.code).into_iter().map(|(_, t)| t.to_string()))
         .collect()
 }
 
@@ -190,13 +181,9 @@ fn parse_impl(code: &str) -> Option<(&str, &str)> {
 }
 
 /// The `*Choice` enums of the harness file: `(name, variants, body_lines)`.
-type EnumInfo = (
-    String,
-    Vec<(String, usize)>,
-    std::collections::BTreeSet<usize>,
-);
+type EnumInfo = (String, Vec<(String, usize)>, BTreeSet<usize>);
 
-fn choice_enums(harness: &crate::workspace::SourceFile) -> Vec<EnumInfo> {
+fn choice_enums(harness: &SourceFile) -> Vec<EnumInfo> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < harness.lines.len() {
@@ -217,7 +204,7 @@ fn choice_enums(harness: &crate::workspace::SourceFile) -> Vec<EnumInfo> {
             .unwrap_or_default();
         // Walk the enum body, brace-balanced.
         let mut depth = 0i32;
-        let mut body = std::collections::BTreeSet::new();
+        let mut body = BTreeSet::new();
         let mut variants = Vec::new();
         let mut j = i;
         loop {
@@ -250,10 +237,6 @@ fn choice_enums(harness: &crate::workspace::SourceFile) -> Vec<EnumInfo> {
             }
             if depth == 0 && j > i {
                 break;
-            }
-            // Opening line might not contain `{` yet (rare); keep going.
-            if depth == 0 && !line_code.contains('{') && j == i {
-                depth = 0;
             }
             j += 1;
         }

@@ -33,10 +33,6 @@ impl Rule for SeedDiscipline {
         "seed-discipline"
     }
 
-    fn description(&self) -> &'static str {
-        "seeds are split via SeedStream/split_seed, not derived by raw arithmetic"
-    }
-
     fn check(&self, ws: &Workspace) -> Vec<Finding> {
         let mut findings = Vec::new();
         for file in &ws.files {

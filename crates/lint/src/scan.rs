@@ -276,92 +276,6 @@ pub fn ident_ending_before(code: &str, pos: usize) -> Option<&str> {
     }
 }
 
-/// A `const` item declaration harvested from stripped lines.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConstDecl {
-    /// The constant's name.
-    pub name: String,
-    /// The initializer expression (joined across lines, up to the `;`).
-    pub expr: String,
-    /// 1-based line of the declaration.
-    pub line: usize,
-}
-
-/// Finds every `const NAME: TYPE = EXPR;` item in stripped `lines`
-/// (associated consts included).  Initializers may span a handful of lines.
-pub fn find_consts(lines: &[Line]) -> Vec<ConstDecl> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < lines.len() {
-        let code = &lines[i].code;
-        if let Some(decl) = parse_const_header(code) {
-            let (name, mut tail) = decl;
-            // Accumulate until the terminating semicolon.
-            let mut expr = String::new();
-            let mut line_idx = i;
-            loop {
-                if let Some(semi) = tail.find(';') {
-                    expr.push_str(&tail[..semi]);
-                    break;
-                }
-                expr.push_str(&tail);
-                expr.push(' ');
-                line_idx += 1;
-                if line_idx >= lines.len() || line_idx - i > 16 {
-                    break;
-                }
-                tail = lines[line_idx].code.clone();
-            }
-            // The expression starts after the `=` (the header may or may
-            // not have included it yet).
-            let expr = match expr.find('=') {
-                Some(eq) => expr[eq + 1..].trim().to_string(),
-                None => expr.trim().to_string(),
-            };
-            out.push(ConstDecl {
-                name,
-                expr,
-                line: i + 1,
-            });
-            i = line_idx + 1;
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// Parses a line that begins a const item, returning the name and the rest
-/// of the line from the name's `:` onward.
-fn parse_const_header(code: &str) -> Option<(String, String)> {
-    let toks = tokens(code);
-    for (n, (_, tok)) in toks.iter().enumerate() {
-        if *tok == "const" {
-            // `const fn` is a function, not an item we parse.
-            let (name_pos, name) = toks.get(n + 1)?;
-            if *name == "fn" {
-                return None;
-            }
-            // Require a `:` after the name (rules out `const` in generic
-            // parameter lists like `<const N: usize>` only when absent).
-            let after = &code[name_pos + name.len()..];
-            if !after.trim_start().starts_with(':') {
-                return None;
-            }
-            // Skip generic-parameter consts: they appear inside `<...>`.
-            if code[..*name_pos].contains('<') {
-                return None;
-            }
-            return Some((name.to_string(), after.to_string()));
-        }
-        // Only leading keywords may precede `const`.
-        if !matches!(*tok, "pub" | "crate" | "super" | "self" | "in") {
-            return None;
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,20 +324,6 @@ mod tests {
         assert!(lines[1].allows.is_empty());
         assert_eq!(lines[2].allows, vec!["rule-y"]);
         assert!(lines[3].allows.is_empty());
-    }
-
-    #[test]
-    fn consts_parse_across_lines() {
-        let lines = strip_source(
-            "pub const A: u64 = 1 << 44;\npub const B: u64 =\n    id_space::lane_base(id_space::MIX_ID_BIT);\nconst fn lane(b: u32) -> u64 { 1 << b }\n",
-        );
-        let consts = find_consts(&lines);
-        assert_eq!(consts.len(), 2);
-        assert_eq!(consts[0].name, "A");
-        assert_eq!(consts[0].expr, "1 << 44");
-        assert_eq!(consts[1].name, "B");
-        assert!(consts[1].expr.contains("lane_base"));
-        assert_eq!(consts[1].line, 2);
     }
 
     #[test]

@@ -10,10 +10,6 @@ use std::path::{Path, PathBuf};
 pub struct SourceFile {
     /// Path relative to the workspace root, with `/` separators.
     pub rel_path: String,
-    /// The owning workspace crate (`crates/<name>/...`), if any; root-level
-    /// `src/`, `tests/`, and `examples/` files belong to the umbrella crate
-    /// and carry `None`.
-    pub crate_name: Option<String>,
     /// Stripped lines (see [`crate::scan`]).
     pub lines: Vec<Line>,
 }
@@ -30,8 +26,6 @@ impl SourceFile {
 /// Every scanned file of one workspace tree.
 #[derive(Debug)]
 pub struct Workspace {
-    /// The root the walk started from.
-    pub root: PathBuf,
     /// Scanned files, sorted by relative path.
     pub files: Vec<SourceFile>,
 }
@@ -70,7 +64,6 @@ impl Workspace {
                 } else if path.extension().is_some_and(|e| e == "rs") {
                     let text = fs::read_to_string(&path)?;
                     files.push(SourceFile {
-                        crate_name: crate_of(&rel),
                         rel_path: rel,
                         lines: strip_source(&text),
                     });
@@ -78,10 +71,7 @@ impl Workspace {
             }
         }
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-        })
+        Ok(Workspace { files })
     }
 
     /// The first file whose relative path ends with `suffix`.
@@ -95,25 +85,4 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .unwrap_or(path)
         .to_string_lossy()
         .replace('\\', "/")
-}
-
-fn crate_of(rel: &str) -> Option<String> {
-    let mut parts = rel.split('/');
-    if parts.next() == Some("crates") {
-        parts.next().map(|s| s.to_string())
-    } else {
-        None
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn crate_attribution_follows_the_path() {
-        assert_eq!(crate_of("crates/sim/src/scenario.rs"), Some("sim".into()));
-        assert_eq!(crate_of("tests/fleet.rs"), None);
-        assert_eq!(crate_of("src/lib.rs"), None);
-    }
 }

@@ -37,9 +37,6 @@ fn each_rule_fires_exactly_on_its_seeded_violation() {
     let got: Vec<(&str, &str)> = findings.iter().map(|f| (f.rule, f.file.as_str())).collect();
     let want = vec![
         ("choice-mirror", "crates/faults/src/rogue.rs"),
-        ("id-space", "crates/faults/src/source.rs"),
-        ("nondeterminism", "crates/sim/src/engine.rs"),
-        ("nondeterminism", "crates/sim/src/engine.rs"),
         ("seed-discipline", "crates/sim/src/engine.rs"),
     ];
     assert_eq!(
@@ -58,23 +55,23 @@ fn each_rule_fires_exactly_on_its_seeded_violation() {
 fn allow_annotations_suppress_findings() {
     let ws = fixture("violations");
     let findings = run_rules(&ws, &all_rules());
-    // The fixture has two wall-clock reads; the `lint:allow` one (line 10)
-    // must be silent while its unannotated twin (line 8) fires.
-    let clock_lines: Vec<usize> = findings
+    // The fixture derives two seeds by hand; the `lint:allow` one (line 7)
+    // must be silent while its unannotated twin (line 5) fires.
+    let seed_lines: Vec<usize> = findings
         .iter()
-        .filter(|f| f.message.contains("wall clock"))
+        .filter(|f| f.rule == "seed-discipline")
         .map(|f| f.line)
         .collect();
-    assert_eq!(clock_lines, vec![8], "only the unannotated Instant fires");
+    assert_eq!(seed_lines, vec![5], "only the unannotated derivation fires");
 }
 
 #[test]
 fn single_rule_selection_scopes_the_run() {
     let ws = fixture("violations");
     let mut rules = all_rules();
-    rules.retain(|r| r.name() == "id-space");
+    rules.retain(|r| r.name() == "seed-discipline");
     let findings = run_rules(&ws, &rules);
     assert_eq!(findings.len(), 1);
-    assert!(findings[0].message.contains("must derive from"));
-    assert_eq!(findings[0].line, 3);
+    assert!(findings[0].message.contains("split_seed"));
+    assert_eq!(findings[0].line, 5);
 }

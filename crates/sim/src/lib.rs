@@ -37,6 +37,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
 
 pub(crate) mod actuator;
 pub(crate) mod config;

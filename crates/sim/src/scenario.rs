@@ -16,7 +16,7 @@
 
 use crate::recovery::{FailureEpisode, RecoveryLog};
 use crate::service::{MultiTierService, TickOutcome};
-use selfheal_faults::id_space;
+use selfheal_faults::id_space::IdLane;
 use selfheal_faults::{FailureCause, FaultKind, FaultSource, FaultSpec, FaultTarget, FixAction};
 use selfheal_workload::{Request, TraceSource};
 
@@ -224,15 +224,17 @@ impl<H: Healer> ScenarioRunner<H> {
             ticks_run: 0,
             surge_factor: 1.0,
             surge_until: 0,
-            surge_next_id: Self::SURGE_ID_BASE,
+            surge_next_id: IdLane::Surge.base(),
         }
     }
 
-    /// Id namespace for requests synthesized by a workload surge, far above
-    /// anything a [`TraceSource`] emits, so overlay traffic never collides
-    /// with recorded or generated request ids — see
-    /// [`selfheal_faults::id_space`] for the lane manifest.
-    pub(crate) const SURGE_ID_BASE: u64 = id_space::lane_base(id_space::SURGE_ID_BIT);
+    /// The request ids the runner's surges have synthesized so far, from
+    /// [`IdLane::Surge`]'s base: far above anything a [`TraceSource`]
+    /// emits, so overlay traffic never collides with recorded or generated
+    /// request ids.
+    pub fn surge_ids(&self) -> std::ops::Range<u64> {
+        IdLane::Surge.base()..self.surge_next_id
+    }
 
     /// Does nothing: the runner keeps no metric history.
     #[deprecated(note = "the runner keeps no metric history; this does nothing")]
@@ -290,7 +292,7 @@ impl<H: Healer> ScenarioRunner<H> {
     /// (exclusive), each tick's request batch is amplified by `factor`
     /// (≥ 1.0).  The extra requests are deterministic clones of the tick's
     /// own batch, cycled in order and re-stamped with ids from
-    /// `ScenarioRunner::SURGE_ID_BASE`, so a surged run stays a pure
+    /// [`ScenarioRunner::surge_ids`], so a surged run stays a pure
     /// function of the seed.  A new surge replaces any active one.
     pub fn apply_surge(&mut self, factor: f64, until_tick: u64) {
         self.surge_factor = factor.max(1.0);

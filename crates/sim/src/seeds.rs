@@ -59,7 +59,7 @@ mod tests {
 
     #[test]
     fn replicas_and_streams_decorrelate() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for replica in 0..64 {
             for stream in [
                 SeedStream::Service,

@@ -27,6 +27,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
 
 pub(crate) mod arrival;
 pub(crate) mod burst;

@@ -158,20 +158,6 @@ mod tests {
                 .map(|(_, w)| *w)
                 .unwrap_or(0.0)
         }
-
-        /// The fraction of requests that write to the database.
-        fn write_fraction(&self) -> f64 {
-            self.weights
-                .iter()
-                .filter(|(k, _)| k.is_write())
-                .map(|(_, w)| w)
-                .sum()
-        }
-
-        /// Expected database demand (ms) of one request drawn from the mix.
-        fn expected_db_demand_ms(&self) -> f64 {
-            self.weights.iter().map(|(k, w)| k.demand().db_ms * w).sum()
-        }
     }
 
     /// An RNG whose every `gen_range(0.0..1.0)` is `k / DRAWS`.
@@ -315,13 +301,20 @@ mod tests {
 
     #[test]
     fn browsing_mix_has_no_writes_and_bidding_mix_does() {
-        assert_eq!(WorkloadMix::browsing().write_fraction(), 0.0);
-        let bidding = WorkloadMix::bidding().write_fraction();
+        let write_fraction = |mix: WorkloadMix| -> f64 {
+            mix.weights
+                .iter()
+                .filter(|(k, _)| k.is_write())
+                .map(|(_, w)| w)
+                .sum()
+        };
+        assert_eq!(write_fraction(WorkloadMix::browsing()), 0.0);
+        let bidding = write_fraction(WorkloadMix::bidding());
         assert!(
             bidding > 0.1 && bidding < 0.3,
             "bidding write fraction {bidding}"
         );
-        assert!(WorkloadMix::write_heavy().write_fraction() > 0.5);
+        assert!(write_fraction(WorkloadMix::write_heavy()) > 0.5);
     }
 
     #[test]
@@ -348,8 +341,16 @@ mod tests {
 
     #[test]
     fn expected_db_demand_is_positive_and_higher_for_search_heavy_mixes() {
-        let browsing = WorkloadMix::browsing().expected_db_demand_ms();
+        let db_ms = |mix: WorkloadMix| -> f64 {
+            mix.weights.iter().map(|(k, w)| k.demand().db_ms * w).sum()
+        };
+        let browsing = db_ms(WorkloadMix::browsing());
         assert!(browsing > 0.0);
+        let search_heavy = WorkloadMix::new(
+            "search_heavy",
+            vec![(RequestKind::Search, 0.8), (RequestKind::Home, 0.2)],
+        );
+        assert!(db_ms(search_heavy) > browsing);
     }
 
     #[test]

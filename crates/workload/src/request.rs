@@ -228,13 +228,6 @@ impl Request {
 mod tests {
     use super::*;
 
-    impl TierDemand {
-        /// Total nominal demand across all tiers (ms).
-        fn total_ms(&self) -> f64 {
-            self.web_ms + self.app_ms + self.db_ms
-        }
-    }
-
     #[test]
     fn labels_and_codes_are_unique_and_stable() {
         let mut labels: Vec<&str> = RequestKind::ALL.iter().map(|k| k.label()).collect();
@@ -267,7 +260,6 @@ mod tests {
         for kind in RequestKind::ALL {
             let d = kind.demand();
             assert!(d.web_ms > 0.0 && d.app_ms > 0.0 && d.db_ms > 0.0, "{kind}");
-            assert!(d.total_ms() >= d.db_ms);
         }
         let about_me = RequestKind::AboutMe.demand().db_ms;
         for kind in RequestKind::ALL {

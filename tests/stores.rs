@@ -7,10 +7,9 @@ use selfheal::fleet::{ExecutionMode, FleetConfig, FleetOutcome};
 use selfheal::healing::harness::{FaultChoice, LearnerChoice, PolicyChoice};
 use selfheal::healing::snapshot::SynopsisSnapshot;
 use selfheal::healing::store::SynopsisStore;
-use selfheal::healing::synopsis::{Learner, SynopsisKind};
+use selfheal::healing::synopsis::{FixExclusions, Learner, SynopsisKind};
 use selfheal::sim::ServiceConfig;
 use selfheal::workload::{ArrivalProcess, WorkloadMix};
-use std::collections::HashSet;
 
 /// A fleet whose replicas meet staggered faults, run tick-interleaved so
 /// shared-learning interactions are deterministic.
@@ -354,7 +353,7 @@ impl Learner for Forwarding {
     fn suggest_excluding(
         &self,
         symptoms: &[f64],
-        excluded: &HashSet<FixKind>,
+        excluded: &FixExclusions,
     ) -> Option<(FixKind, f64)> {
         self.0.suggest_excluding(symptoms, excluded)
     }
