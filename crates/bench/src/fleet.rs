@@ -1,14 +1,14 @@
-//! The fleet experiments: measured by the `fleet_scaling` binary, asserted
-//! by this module's tests, `tests/reactive.rs` and `tests/scheduler.rs`,
-//! and shown by `examples/reactive_chaos.rs`.
+//! The fleet experiments: tabulated by [`learning_table`] and
+//! [`scaling_table`], which the `fleet_scaling` binary writes to
+//! `results/`; asserted by this module's tests, `tests/reactive.rs` and
+//! `tests/scheduler.rs`; shown by `examples/reactive_chaos.rs`.
 //!
 //! Everything here is one recipe extended per scenario and one fold:
 //!
 //! * a private `base_fleet` — tiny service, constant bidding load, FixSym
-//!   healing, a 512-sample metric ring — which every scenario
-//!   ([`scaling_point`], [`cold_start`], [`warm_start_comparison`],
-//!   [`storm`], [`adversary`], [`seasons`], [`cascade`], [`mix`]) extends
-//!   with only what is particular to it;
+//!   healing — which every scenario (`scaling_point`, [`cold_start`],
+//!   `warm_start_comparison`, [`storm`], [`adversary`], [`seasons`],
+//!   [`cascade`], [`mix`]) extends with only what is particular to it;
 //! * [`EpisodeStats`] — strikes / matched / open / mean attempts / mean
 //!   recovery folded over "the episodes that count"; the selectors
 //!   (`injected_stats`, [`reactive_strike_stats`], `all_episodes`,
@@ -29,6 +29,7 @@ use selfheal_fleet::reactive::REACTIVE_PERIOD;
 use selfheal_fleet::{ExecutionMode, FleetConfig, FleetOutcome};
 use selfheal_sim::recovery::FailureEpisode;
 use selfheal_sim::ServiceConfig;
+use selfheal_telemetry::export::ResultTable;
 use selfheal_workload::{ArrivalProcess, WorkloadMix};
 
 /// The failure class every scripted, storm, adversarial and cascade
@@ -72,18 +73,18 @@ fn with_scout(config: FleetConfig, scout: usize, tick: u64) -> FleetConfig {
 
 /// One point of the replicas-vs-throughput curve.
 #[derive(Debug, Clone, Copy)]
-pub struct ScalingPoint {
+struct ScalingPoint {
     /// Wall-clock seconds for the parallel (worker-thread) engine.
-    pub parallel_wall_s: f64,
+    parallel_wall_s: f64,
     /// Wall-clock seconds for the sequential tick-interleaver.
-    pub sequential_wall_s: f64,
+    sequential_wall_s: f64,
     /// Simulated ticks per second achieved by the parallel engine.
-    pub parallel_throughput: f64,
+    parallel_throughput: f64,
 }
 
 impl ScalingPoint {
     /// Sequential wall-clock over parallel wall-clock.
-    pub fn speedup(&self) -> f64 {
+    fn speedup(&self) -> f64 {
         if self.parallel_wall_s <= 0.0 {
             f64::INFINITY
         } else {
@@ -95,7 +96,7 @@ impl ScalingPoint {
 /// Measures one fleet size in both execution modes: a mid-run fault per
 /// replica healed against one fleet-shared synopsis — the whole subsystem
 /// under test, not an idle loop.
-pub fn scaling_point(replicas: usize, ticks: u64, seed: u64) -> ScalingPoint {
+fn scaling_point(replicas: usize, ticks: u64, seed: u64) -> ScalingPoint {
     let run = |mode| {
         base_fleet(replicas, seed)
             .ticks(ticks)
@@ -226,7 +227,7 @@ fn fault_episodes(outcome: &FleetOutcome) -> EpisodeStats {
 }
 
 /// Escalated episodes across the whole fleet.
-pub fn escalations(outcome: &FleetOutcome) -> usize {
+fn escalations(outcome: &FleetOutcome) -> usize {
     let logs = outcome.replicas().iter().map(|r| &r.outcome.recovery);
     logs.map(|log| log.escalations()).sum()
 }
@@ -360,24 +361,18 @@ pub fn cold_start(replicas: usize, seed: u64) -> Experiment {
 /// attempts — the fleet remembers across process boundaries what the cold
 /// fleet had to discover by trial and error.
 #[derive(Debug, Clone, Copy)]
-pub struct WarmStartReport {
+struct WarmStartReport {
     /// Outcomes recorded in the snapshot the warm fleet loaded.
-    pub saved_examples: usize,
+    saved_examples: usize,
     /// Successful fixes known to a freshly restored store *before* its
     /// first tick.
-    pub preloaded_fixes: usize,
+    preloaded_fixes: usize,
     /// The injected episode of every replica, cold fleet.
-    pub cold: EpisodeStats,
+    cold: EpisodeStats,
     /// The injected episode of every replica, warm fleet.
-    pub warm: EpisodeStats,
-}
-
-impl WarmStartReport {
-    /// The acceptance predicate: warm recovery takes strictly fewer mean
-    /// fix attempts than cold.
-    pub fn warm_is_faster(&self) -> bool {
-        self.warm.mean_attempts < self.cold.mean_attempts
-    }
+    warm: EpisodeStats,
+    /// Escalated episodes across the cold fleet and across the warm one.
+    escalations: [usize; 2],
 }
 
 /// Successful fixes a store of `learner`'s kind knows right after restoring
@@ -394,11 +389,7 @@ fn preloaded_fixes(learner: LearnerChoice, snapshot: &SynopsisSnapshot) -> usize
 /// # Panics
 /// Panics when `learner` is [`LearnerChoice::Private`] (a per-replica store
 /// leaves nothing fleet-wide to snapshot).
-pub fn warm_start_comparison(
-    replicas: usize,
-    seed: u64,
-    learner: LearnerChoice,
-) -> WarmStartReport {
+fn warm_start_comparison(replicas: usize, seed: u64, learner: LearnerChoice) -> WarmStartReport {
     let fleet = || {
         base_fleet(replicas, seed)
             .learner(learner)
@@ -422,25 +413,25 @@ pub fn warm_start_comparison(
         preloaded_fixes,
         cold: injected_stats(&cold, 0..replicas),
         warm: injected_stats(&warm, 0..replicas),
+        escalations: [escalations(&cold), escalations(&warm)],
     }
 }
 
 /// Tick at which the scout replica (replica 0) meets the signature alone.
 const STORM_SCOUT_TICK: u64 = 80;
 /// Tick at which the storm hits half the fleet at once.
-pub const STORM_TICK: u64 = 400;
+const STORM_TICK: u64 = 400;
 /// Fraction of the fleet the storm hits.
-pub const STORM_FRACTION: f64 = 0.5;
+const STORM_FRACTION: f64 = 0.5;
 
 /// The replicas the storm hits.
-pub fn storm_victims(replicas: usize) -> Vec<usize> {
+fn storm_victims(replicas: usize) -> Vec<usize> {
     StormSpec::new(KIND, 0.9, STORM_FRACTION).victims(replicas)
 }
 
 /// Shared-vs-isolated recovery under a correlated fault storm: a scout
 /// injection on replica 0 (never a storm victim under the Bresenham spread)
-/// at tick 80, and a [`STORM_FRACTION`] [`EventChoice::storm`] at
-/// [`STORM_TICK`].  The stats cover the victims' storm episodes: with one
+/// at tick 80, and a 50 % [`EventChoice::storm`] at tick 400.  The stats cover the victims' storm episodes: with one
 /// shared store the victims should reach for the scout's proven fix on
 /// (close to) the first attempt; isolated victims each rediscover it by
 /// trial and error.
@@ -470,7 +461,7 @@ const ADVERSARY_SCOUT_TICK: u64 = 80;
 /// First tick (an epoch barrier) at which the adversary may strike — late
 /// enough that the scout's episode has healed in both learning topologies,
 /// so strikes open *fresh* episodes on the healthy fleet.
-pub const ADVERSARY_START: u64 = 256;
+const ADVERSARY_START: u64 = 256;
 /// Tick (exclusive) after which the adversary stands down — barriers at
 /// 256, 320, …, 512 give five strikes.
 pub const ADVERSARY_UNTIL: u64 = 576;
@@ -594,6 +585,108 @@ pub fn mix(
     )
 }
 
+/// Seed of every run the two tables report.
+const SEED: u64 = 42;
+
+/// The fleet learning table (`results/fleet_learning.csv`), at seed 42:
+/// one row per run of the warm-vs-cold comparison (6 replicas, one locked
+/// store) and of the shared-vs-isolated pairs of [`cold_start`] (8
+/// replicas), [`storm`] (8 replicas, slice 1) and [`adversary`] (6
+/// replicas, slice 64).
+///
+/// The columns are the run's [`EpisodeStats`] over the episodes that
+/// count, the escalations of the whole fleet, and the snapshot the run
+/// started from (`saved_examples` outcomes, `preloaded_fixes` fixes known
+/// before the first tick; 0 for every run but `warm_start_warm`).  Every
+/// run is sequential, so the table is a pure function of the code:
+/// `cargo test` holds it to the committed CSV byte for byte.
+pub fn learning_table() -> ResultTable {
+    let columns = [
+        "strikes",
+        "matched",
+        "open",
+        "mean_fix_attempts",
+        "mean_recovery_ticks",
+        "escalations",
+        "saved_examples",
+        "preloaded_fixes",
+    ];
+    let mut table = ResultTable::new(
+        "Fleet learning: shared vs isolated synopses, warm vs cold start",
+        columns.map(String::from).to_vec(),
+    );
+    // A run's row: its counted episodes, then the fleet's escalations and
+    // the snapshot it started from.
+    let mut push = |label: &str, stats: EpisodeStats, counts: [usize; 3]| {
+        let episodes = [stats.strikes, stats.matched, stats.open].map(|n| n as f64);
+        let means = [stats.mean_attempts, stats.mean_recovery];
+        let row = [&episodes[..], &means, &counts.map(|n| n as f64)].concat();
+        table.push_row(label, row);
+    };
+    let warm = warm_start_comparison(6, SEED, LearnerChoice::locked());
+    let [cold_escalations, warm_escalations] = warm.escalations;
+    push("warm_start_cold", warm.cold, [cold_escalations, 0, 0]);
+    let loaded = [warm_escalations, warm.saved_examples, warm.preloaded_fixes];
+    push("warm_start_warm", warm.warm, loaded);
+    let experiments = [
+        ("cold_start", cold_start(8, SEED)),
+        ("storm", storm(8, SEED, 1)),
+        ("adversary", adversary(6, SEED, 64)),
+    ];
+    for (name, experiment) in experiments {
+        let sides = [
+            ("shared", experiment.shared),
+            ("isolated", LearnerChoice::Private),
+        ];
+        for (side, learner) in sides {
+            let (outcome, stats) = experiment.measure(learner);
+            push(
+                &format!("{name}_{side}"),
+                stats,
+                [escalations(&outcome), 0, 0],
+            );
+        }
+    }
+    table
+}
+
+/// The replicas-vs-throughput curve (`results/fleet_scaling.csv`): fleets
+/// of 1 to 32 replicas × 5 000 ticks, the parallel engine against the
+/// sequential interleaver, with the machine's core count on every row (on
+/// fewer than 4 cores a 2× speedup is out of reach).  Wall clocks: the
+/// file is never pinned.
+pub fn scaling_table() -> ResultTable {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let ticks = 5_000;
+    let columns = [
+        "cores",
+        "ticks_per_replica",
+        "parallel_wall_s",
+        "sequential_wall_s",
+        "speedup",
+        "parallel_ticks_per_s",
+    ];
+    let mut table = ResultTable::new(
+        "Fleet scaling: parallel engine vs sequential interleaver",
+        columns.map(String::from).to_vec(),
+    );
+    for replicas in [1, 2, 4, 8, 16, 32] {
+        let point = scaling_point(replicas, ticks, SEED);
+        table.push_row(
+            format!("{replicas}_replicas"),
+            vec![
+                cores as f64,
+                ticks as f64,
+                point.parallel_wall_s,
+                point.sequential_wall_s,
+                point.speedup(),
+                point.parallel_throughput,
+            ],
+        );
+    }
+    table
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,7 +721,7 @@ mod tests {
             "restored store knows fixes before the first tick"
         );
         assert!(
-            report.warm_is_faster(),
+            report.warm.mean_attempts < report.cold.mean_attempts,
             "warm {} vs cold {} mean attempts",
             report.warm.mean_attempts,
             report.cold.mean_attempts

@@ -1,4 +1,5 @@
-//! Table 2 pinned under `cargo test`, and Table 3 asserted over a seed set.
+//! Table 2 and the fleet learning table pinned under `cargo test`, and
+//! Table 3 asserted over a seed set.
 //!
 //! Table 2: every healer of the comparison — the
 //! manual rules, the three diagnosis engines, FixSym and the hybrid — runs
@@ -6,24 +7,34 @@
 //! CSV byte for byte.  A change to how any healer chooses its next fix
 //! moves a row; one that *means* to regenerates the file with
 //! `cargo run --release -p selfheal-bench --bin table2_approach_comparison`.
+//! The fleet learning table (warm vs cold start; cold start, storm and
+//! adversary, shared vs isolated) is held the same way; its binary is
+//! `fleet_scaling`.
 
-use selfheal_bench::{synopsis_comparison, table2_approach_comparison, ExperimentScale};
+use selfheal_bench::{fleet, synopsis_comparison, table2_approach_comparison, ExperimentScale};
 use selfheal_core::synopsis::SynopsisKind;
 use selfheal_faults::FixKind;
 use std::sync::OnceLock;
 
-#[test]
-fn table2_regenerates_the_committed_csv() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/table2_approach_comparison.csv"
-    );
-    let committed = std::fs::read_to_string(path).expect("the committed Table 2");
-    let regenerated = table2_approach_comparison(ExperimentScale::full(), 4).to_csv();
+/// Fails unless `regenerated` is the committed `results/<name>.csv`.
+fn assert_committed(name: &str, regenerated: &str) {
+    let path = format!("{}/../../results/{name}.csv", env!("CARGO_MANIFEST_DIR"));
+    let committed = std::fs::read_to_string(&path).expect("the committed CSV");
     assert!(
         regenerated == committed,
-        "Table 2 moved.\ncommitted:\n{committed}\nregenerated:\n{regenerated}"
+        "{name} moved.\ncommitted:\n{committed}\nregenerated:\n{regenerated}"
     );
+}
+
+#[test]
+fn table2_regenerates_the_committed_csv() {
+    let table = table2_approach_comparison(ExperimentScale::full(), 4);
+    assert_committed("table2_approach_comparison", &table.to_csv());
+}
+
+#[test]
+fn fleet_learning_regenerates_the_committed_csv() {
+    assert_committed("fleet_learning", &fleet::learning_table().to_csv());
 }
 
 /// Table 3 over a seed set.  Escalation teaches the administrator's fix, so

@@ -19,7 +19,6 @@ use crate::snapshot::SynopsisExample;
 use selfheal_faults::FixKind;
 use selfheal_learn::{AdaBoost, Classifier, Dataset, Example, KMeans, NearestNeighbor};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 /// The fixes already tried for the current failure, which
 /// [`Learner::suggest_excluding`] skips.
@@ -185,7 +184,6 @@ pub struct Synopsis {
     negatives: VecDeque<Example>,
     /// Every failed attempt ever recorded, counted by fix code.
     failures: [usize; FixKind::ALL.len()],
-    training_wall_time: Duration,
     training_ops: u64,
     retrains: u64,
 }
@@ -203,7 +201,6 @@ impl Synopsis {
             positives: Dataset::new(0),
             negatives: VecDeque::new(),
             failures: [0; FixKind::ALL.len()],
-            training_wall_time: Duration::ZERO,
             training_ops: 0,
             retrains: 0,
         }
@@ -314,13 +311,7 @@ impl Synopsis {
     }
 
     fn refit(&mut self) {
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "training wall time is reported; the fitted model sees none of it"
-        )]
-        let start = Instant::now();
         self.model.as_classifier_mut().fit(&self.positives);
-        self.training_wall_time += start.elapsed();
         self.training_ops += self.model.as_classifier().last_fit_cost();
         self.retrains += 1;
     }

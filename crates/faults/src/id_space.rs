@@ -1,8 +1,8 @@
-//! The single manifest of fault/surge id namespaces.
+//! The single manifest of fault-id namespaces.
 //!
 //! Every generated-id namespace in the workspace — stochastic mix faults,
-//! catalog sweeps, seasonal mixes, operator actions, fleet storms, workload
-//! surges, and reactive strikes — claims one power-of-two *lane*: ids in
+//! catalog sweeps, seasonal mixes, operator actions, fleet storms and
+//! reactive strikes — claims one power-of-two *lane*: ids in
 //! `[base, 2·base)` with `base = 1 << bit`.  Scripted
 //! [`crate::InjectionPlan`]s number their faults from zero, far below every
 //! lane, so arbitrary compositions of sources never collide.
@@ -26,9 +26,6 @@
 #[repr(u32)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdLane {
-    /// Workload-surge request ids
-    /// (`selfheal_sim::scenario::ScenarioRunner::apply_surge`).
-    Surge = 40,
     /// [`crate::SeasonalSource`] faults.
     Season = 43,
     /// [`crate::MixSource`] faults.
@@ -45,8 +42,7 @@ pub enum IdLane {
 
 impl IdLane {
     /// Every lane, ascending by bit.
-    pub const ALL: [IdLane; 7] = [
-        IdLane::Surge,
+    pub const ALL: [IdLane; 6] = [
         IdLane::Season,
         IdLane::Mix,
         IdLane::Sweep,
@@ -75,19 +71,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn manifest_registers_seven_lanes_with_unique_names() {
+    fn manifest_lists_every_lane_in_bit_order() {
         // The match is exhaustive, so a new variant does not compile here
         // until it is given a place, and the assertion fails until `ALL`
         // lists it there.
         for (at, lane) in IdLane::ALL.into_iter().enumerate() {
             let place = match lane {
-                IdLane::Surge => 0,
-                IdLane::Season => 1,
-                IdLane::Mix => 2,
-                IdLane::Sweep => 3,
-                IdLane::Reactive => 4,
-                IdLane::Operator => 5,
-                IdLane::Storm => 6,
+                IdLane::Season => 0,
+                IdLane::Mix => 1,
+                IdLane::Sweep => 2,
+                IdLane::Reactive => 3,
+                IdLane::Operator => 4,
+                IdLane::Storm => 5,
             };
             assert_eq!(place, at, "{lane:?} is listed out of place in IdLane::ALL");
         }

@@ -880,18 +880,6 @@ mod tests {
                         .map(|(_, action)| injected(&action))
                         .collect()
                 }
-                IdLane::Surge => {
-                    let mut runner = tiny_fleet().build().replica_runner(0, None);
-                    runner.apply_surge(3.0, 20);
-                    for _ in 0..20 {
-                        runner.step();
-                    }
-                    // Consecutive ids: the first and the last drawn bound
-                    // the rest.
-                    let ids = runner.surge_ids();
-                    assert!(!ids.is_empty(), "the surge synthesized no requests");
-                    vec![ids.start, ids.end - 1]
-                }
             }
         };
         for lane in IdLane::ALL {

@@ -20,11 +20,11 @@
 //! | `choice-mirror` | every `TraceSource`/`FaultSource` implementor is reachable from its `*Choice` enum, and every `*Choice` variant is used |
 //! | `seed-discipline` | per-replica streams derive via `split_seed`, never raw arithmetic on a seed |
 //!
-//! Run it as `cargo run -p selfheal-lint -- --workspace` (exit 1 on
-//! findings).  Suppress a deliberate exception with
-//! `// lint:allow(<rule>): <why>` on the offending line or the comment line
-//! directly above it — the *why* is mandatory by convention, reviewed like
-//! any other code.
+//! `tests/self_check.rs` runs both rules over this workspace and fails on
+//! any finding: `cargo test -p selfheal-lint`.  Suppress a deliberate
+//! exception with `// lint:allow(<rule>): <why>` on the offending line or
+//! the comment line directly above it — the *why* is mandatory by
+//! convention, reviewed like any other code.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -2,8 +2,8 @@
 //!
 //! This is the teeth of the whole exercise — every deliberate exception in
 //! the tree carries a reviewed `lint:allow`, so any new finding is a real
-//! regression (and this test failing in CI is how it gets caught even when
-//! nobody runs the binary).
+//! regression, and this test failing under `cargo test` is how it gets
+//! caught.
 
 use selfheal_lint::rules::all_rules;
 use selfheal_lint::{run_rules, Workspace};

@@ -16,7 +16,6 @@
 
 use crate::recovery::{FailureEpisode, RecoveryLog};
 use crate::service::{MultiTierService, TickOutcome};
-use selfheal_faults::id_space::IdLane;
 use selfheal_faults::{FailureCause, FaultKind, FaultSource, FaultSpec, FaultTarget, FixAction};
 use selfheal_workload::{Request, TraceSource};
 
@@ -200,7 +199,6 @@ pub struct ScenarioRunner<H: Healer> {
     ticks_run: u64,
     surge_factor: f64,
     surge_until: u64,
-    surge_next_id: u64,
 }
 
 impl<H: Healer> ScenarioRunner<H> {
@@ -224,16 +222,7 @@ impl<H: Healer> ScenarioRunner<H> {
             ticks_run: 0,
             surge_factor: 1.0,
             surge_until: 0,
-            surge_next_id: IdLane::Surge.base(),
         }
-    }
-
-    /// The request ids the runner's surges have synthesized so far, from
-    /// [`IdLane::Surge`]'s base: far above anything a [`TraceSource`]
-    /// emits, so overlay traffic never collides with recorded or generated
-    /// request ids.
-    pub fn surge_ids(&self) -> std::ops::Range<u64> {
-        IdLane::Surge.base()..self.surge_next_id
     }
 
     /// Does nothing: the runner keeps no metric history.
@@ -291,9 +280,9 @@ impl<H: Healer> ScenarioRunner<H> {
     /// Overlays a workload surge on the replica: until `until_tick`
     /// (exclusive), each tick's request batch is amplified by `factor`
     /// (≥ 1.0).  The extra requests are deterministic clones of the tick's
-    /// own batch, cycled in order and re-stamped with ids from
-    /// [`ScenarioRunner::surge_ids`], so a surged run stays a pure
-    /// function of the seed.  A new surge replaces any active one.
+    /// own batch, cycled in order (a clone keeps its template's id, which
+    /// nothing downstream reads), so a surged run stays a pure function of
+    /// the seed.  A new surge replaces any active one.
     pub fn apply_surge(&mut self, factor: f64, until_tick: u64) {
         self.surge_factor = factor.max(1.0);
         self.surge_until = until_tick;
@@ -316,10 +305,8 @@ impl<H: Healer> ScenarioRunner<H> {
             let base = requests.len();
             let extra = (base as f64 * (self.surge_factor - 1.0)).round() as usize;
             for i in 0..extra {
-                let template = &requests[i % base];
-                let clone = Request::new(self.surge_next_id, template.kind, tick);
-                self.surge_next_id += 1;
-                requests.push(clone);
+                let template = requests[i % base];
+                requests.push(Request::new(template.id, template.kind, tick));
             }
         }
         let outcome = self.service.tick(&requests);

@@ -205,7 +205,8 @@ impl fmt::Display for RequestKind {
 /// One request instance submitted to the service.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Request {
-    /// Unique id within the run.
+    /// Id within the trace that emitted it (a workload surge's extra
+    /// copies repeat their template's).
     pub id: u64,
     /// Interaction type.
     pub kind: RequestKind,
