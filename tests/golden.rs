@@ -93,7 +93,7 @@ fn grid_fleet(
 /// Runs every cell of one service's grid and holds it to `golden`, in the
 /// order the loops visit them.
 fn check_grid(service: &str, golden: &[[u64; REPLICAS]]) {
-    let mut actual = Vec::new();
+    let mut cells = Vec::new();
     for (healer, policy, learner) in HEALERS {
         for faults in FAULTS {
             for seed in [42, 7] {
@@ -101,12 +101,22 @@ fn check_grid(service: &str, golden: &[[u64; REPLICAS]]) {
                     let label = format!("{service}/{healer}/{faults}/seed{seed}/slice{slice}");
                     let fleet =
                         grid_fleet(service == "tiny", (policy, learner), faults, seed, slice);
-                    let outcome = fleet.run();
-                    assert!(outcome.is_complete(), "{label}");
-                    actual.push((label, outcome.fingerprints()));
+                    cells.push((label, fleet));
                 }
             }
         }
+    }
+    check_cells(service, cells, golden);
+}
+
+/// Runs `cells` and holds their fingerprints to `golden`, row by row; on a
+/// mismatch prints the table they produced and names the rows that moved.
+fn check_cells(what: &str, cells: Vec<(String, FleetConfig)>, golden: &[[u64; REPLICAS]]) {
+    let mut actual = Vec::new();
+    for (label, fleet) in cells {
+        let outcome = fleet.run();
+        assert!(outcome.is_complete(), "{label}");
+        actual.push((label, outcome.fingerprints()));
     }
     let matches = actual.len() == golden.len()
         && actual
@@ -124,7 +134,7 @@ fn check_grid(service: &str, golden: &[[u64; REPLICAS]]) {
             .map(|((label, _), _)| label.as_str())
             .collect();
         panic!(
-            "{} of {} {service} fingerprints moved (table printed above): {moved:?}",
+            "{} of {} {what} fingerprints moved (table printed above): {moved:?}",
             moved.len() + actual.len().abs_diff(golden.len()),
             actual.len()
         );
@@ -139,6 +149,34 @@ fn tiny_grid_matches_the_pinned_fingerprints() {
 #[test]
 fn rubis_default_grid_matches_the_pinned_fingerprints() {
     check_grid("rubis_default", RUBIS_DEFAULT);
+}
+
+/// Ticks of the long cells: long enough for FixSym to try all ten
+/// candidates and find no source with a fix left to offer on 9 of their 12
+/// replicas, the first at tick 1 013.
+const LONG_TICKS: u64 = 3_000;
+
+/// FixSym and the proactive healer under the heavy fault mix for
+/// [`LONG_TICKS`], on both services at seeds 42 and 7 (slice 1).  The grid
+/// above stops at 700 ticks, before any FixSym replica runs out of fixes
+/// to try, and runs no proactive healer.
+#[test]
+fn long_heavy_mix_cells_match_the_pinned_fingerprints() {
+    let mut cells = Vec::new();
+    for service in ["tiny", "rubis_default"] {
+        for (healer, policy) in [
+            ("fixsym_private", PolicyChoice::FixSym(KNN)),
+            ("proactive", PolicyChoice::Proactive),
+        ] {
+            for seed in [42, 7] {
+                let label = format!("{service}/{healer}/mix0.02/seed{seed}/{LONG_TICKS}");
+                let cell = (policy, LearnerChoice::Private);
+                let fleet = grid_fleet(service == "tiny", cell, "mix0.02", seed, 1);
+                cells.push((label, fleet.ticks(LONG_TICKS)));
+            }
+        }
+    }
+    check_cells("long heavy-mix", cells, LONG_HEAVY_MIX);
 }
 
 /// The benchmark's `fleet_quiet` and `fleet_faulty` configurations
@@ -299,4 +337,21 @@ const RUBIS_DEFAULT: &[[u64; REPLICAS]] = &[
     [2072350076469165320, 14584331598066401386, 12335951179459275474],
     [221594921651899505, 14080990383289317794, 3035909260978169098],
     [221594921651899505, 14080990383289317794, 3035909260978169098],
+];
+
+/// Per service, FixSym then the proactive healer, each at seeds 42 and 7.
+#[rustfmt::skip]
+const LONG_HEAVY_MIX: &[[u64; REPLICAS]] = &[
+    // tiny, fixsym_private
+    [8129847947085857612, 11057190589204810943, 15295281279396599351],
+    [4045897478301504701, 36173689730825329, 12849994197709292147],
+    // tiny, proactive
+    [9592983811849960265, 10351198891851160647, 3859066433127672909],
+    [8366977961446531906, 9048020630371905141, 9745011390073927717],
+    // rubis_default, fixsym_private
+    [16689687509502579566, 1674567855435755375, 2194165096226138937],
+    [5068495906222926933, 16340562234236044986, 10250140287197919824],
+    // rubis_default, proactive
+    [9293707231872770296, 386103916916254983, 7791513836722496156],
+    [13956132598417735979, 10321241058102284246, 11306662867249912788],
 ];
