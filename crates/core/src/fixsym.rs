@@ -1,6 +1,6 @@
 //! FixSym: the signature-based self-healing engine (Figure 3 of the paper).
 
-use crate::policy::{choose, Source, ESCALATE};
+use crate::policy::{choose, sources_after, Source};
 use crate::synopsis::{FixExclusions, Synopsis, SynopsisKind};
 use selfheal_faults::{FixAction, FixKind};
 
@@ -10,7 +10,7 @@ pub(crate) const THRESHOLD: u32 = 4;
 
 /// Line 9 of the offline engine: the synopsis's suggestion with no
 /// confidence floor, else the cheapest untried candidate, else lines 18–20
-/// (which [`ESCALATE`] also takes past the threshold).
+/// (which [`sources_after`] also takes past the threshold).
 const OFFLINE: &[Source] = &[
     Source::Synopsis {
         min_confidence: 0.0,
@@ -83,13 +83,8 @@ impl FixSymEngine {
             // an empty synopsis (first-ever failure) fall back to the
             // cheapest untried candidate, mirroring "domain knowledge may be
             // used" to initialize the synopsis.
-            let sources = if attempts.len() < THRESHOLD as usize {
-                OFFLINE
-            } else {
-                ESCALATE
-            };
             let (action, source, _) = choose(
-                sources,
+                sources_after(&attempts, THRESHOLD, OFFLINE),
                 Some(&self.synopsis),
                 None,
                 symptoms,

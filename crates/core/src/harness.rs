@@ -29,7 +29,7 @@
 use crate::fixsym::THRESHOLD;
 use crate::hybrid::HybridHealer;
 use crate::policy::{DiagnosisEngine, DiagnosisPanel, Source};
-use crate::proactive::ProactiveHealer;
+use crate::proactive::Forecast;
 use crate::snapshot::SynopsisSnapshot;
 use crate::store::{BatchedStore, SynopsisStore};
 use crate::synopsis::{Learner, SynopsisKind};
@@ -88,9 +88,6 @@ impl PolicyChoice {
             .map(|kind| store.unwrap_or_else(|| LearnerChoice::Private.build_store(kind)));
         match self.healer(schema, targets, synopsis) {
             Some(healer) => Box::new(healer),
-            None if *self == PolicyChoice::Proactive => {
-                Box::new(ProactiveHealer::new(schema, targets))
-            }
             None => Box::new(NoHealing),
         }
     }
@@ -112,11 +109,11 @@ impl PolicyChoice {
         self.build_healer(schema, targets, Some(store))
     }
 
-    /// Every policy but `None` and `Proactive` is a [`HybridHealer`]: a
-    /// name, an attempt threshold, and a constant list of fix sources over
-    /// `synopsis` and the diagnosis engines named here (README, "How a
-    /// healer chooses its next fix").  Each difference between the lists is
-    /// pinned by Table 2 or a golden fingerprint.
+    /// Every policy but `None` is a [`HybridHealer`]: a name, an attempt
+    /// threshold, and a constant list of fix sources over `synopsis` and the
+    /// diagnosis engines named here (README, "How a healer chooses its next
+    /// fix"); `Proactive` alone adds a [`Forecast`].  Each difference
+    /// between the lists is pinned by Table 2 or a golden fingerprint.
     pub(crate) fn healer<L: Learner>(
         &self,
         schema: &Schema,
@@ -146,8 +143,15 @@ impl PolicyChoice {
             },
             Escalate { idle_ticks: 90 },
         ];
+        const REACTIVE: &[Source] = &[
+            Diagnosis {
+                repeat_provisioning: false,
+            },
+            Escalate { idle_ticks: 0 },
+        ];
         let (name, threshold, sources, engines) = match self {
-            PolicyChoice::None | PolicyChoice::Proactive => return None,
+            PolicyChoice::None => return None,
+            PolicyChoice::Proactive => ("proactive", 3, REACTIVE, DiagnosisEngine::hybrid()),
             PolicyChoice::FixSym(_) => ("fixsym", THRESHOLD, FIXSYM, vec![]),
             PolicyChoice::Hybrid(_) => (
                 "hybrid_fixsym_diagnosis",
@@ -180,8 +184,9 @@ impl PolicyChoice {
             ),
         };
         let panel = (!engines.is_empty()).then(|| DiagnosisPanel::new(schema, targets, engines));
+        let forecast = (*self == PolicyChoice::Proactive).then(Forecast::new);
         Some(HybridHealer::with_sources(
-            name, threshold, sources, schema, synopsis, panel,
+            name, threshold, sources, schema, synopsis, panel, forecast,
         ))
     }
 

@@ -8,18 +8,22 @@
 //! approaches that find the cause of a new failure to recommend a fix."
 //!
 //! [`HybridHealer`] runs the online loop — symptom extraction from the live
-//! metric stream, `check_fix` from SLO recovery, `update_synopsis`, the
-//! THRESHOLD escalation — and takes each next fix from [`choose`] over its
-//! constant list of [`Source`]s.  Every policy of Table 2 but no healing is
+//! metric stream, then the [`EpisodeTracker`]'s phase machine: `check_fix`
+//! from SLO recovery, `update_synopsis`, the THRESHOLD escalation, paging
+//! when nothing is left to try — and takes each next fix from [`choose`]
+//! over its constant list of [`Source`]s.  Every policy but no healing is
 //! one of these lists ([`crate::harness::PolicyChoice`] holds them all): the
 //! hybrid trusts a confident synopsis, falls back to the diagnosis engines
 //! for a novel failure, and *teaches the synopsis* the outcome so that the
 //! next occurrence of the same signature takes the signature path; FixSym
-//! has no diagnosis, and a diagnosis baseline no synopsis.
+//! has no diagnosis, a diagnosis baseline no synopsis, and the proactive
+//! policy adds a forecast ([`crate::proactive`]) that may act before the
+//! SLO is violated.
 
 use crate::policy::{
-    choose, target_for_fix, DiagnosisPanel, EpisodeTracker, Source, ESCALATE, VERIFY_TICKS,
+    choose, target_for_fix, DiagnosisPanel, EpisodeTracker, Phase, Source, VERIFY_TICKS,
 };
+use crate::proactive::Forecast;
 use crate::symptom::SymptomExtractor;
 use crate::synopsis::{Learner, Synopsis, SynopsisKind};
 use selfheal_faults::FixAction;
@@ -28,7 +32,8 @@ use selfheal_sim::service::TickOutcome;
 use selfheal_telemetry::{Schema, SloTargets};
 
 /// An online healer: a name, an attempt threshold, a constant list of fix
-/// sources, and the synopsis and diagnosis panel those sources read.
+/// sources, the synopsis and diagnosis panel those sources read, and — for
+/// the proactive policy alone — a forecast that may act on a healthy tick.
 ///
 /// Generic over the [`Learner`] backing the synopsis (default: a privately
 /// owned [`Synopsis`]; fleets pass a [`crate::store::SynopsisStore`] handle
@@ -39,13 +44,10 @@ pub struct HybridHealer<L: Learner = Synopsis> {
     sources: &'static [Source],
     synopsis: Option<L>,
     panel: Option<DiagnosisPanel>,
+    forecast: Option<Forecast>,
     schema: Schema,
     extractor: SymptomExtractor,
     tracker: EpisodeTracker,
-    current_symptoms: Option<Vec<f64>>,
-    /// Ticks since the last fix this healer initiated on which only an
-    /// `Escalate` source had a fix to offer.
-    idle_ticks: u32,
 }
 
 impl HybridHealer {
@@ -68,17 +70,17 @@ impl<L: Learner> HybridHealer<L> {
         schema: &Schema,
         synopsis: Option<L>,
         panel: Option<DiagnosisPanel>,
+        forecast: Option<Forecast>,
     ) -> Self {
         HybridHealer {
             name,
             sources,
             synopsis,
             panel,
+            forecast,
             schema: schema.clone(),
             extractor: SymptomExtractor::new(schema, 30, 5),
             tracker: EpisodeTracker::new(threshold, VERIFY_TICKS),
-            current_symptoms: None,
-            idle_ticks: 0,
         }
     }
 
@@ -89,53 +91,31 @@ impl<L: Learner> HybridHealer<L> {
         if let Some(panel) = &mut self.panel {
             panel.push(&outcome.sample, violated);
         }
-        self.extractor
-            .observe(&outcome.sample, !violated && !self.tracker.in_episode());
+        let healthy = !violated && self.tracker.phase() == Phase::Healthy;
+        self.extractor.observe(&outcome.sample, healthy);
 
-        // Resolve the outcome of a previously applied fix (check_fix) and
-        // teach it to the synopsis (update_synopsis).
-        if let Some((fix, success)) = self.tracker.resolve(outcome, violated) {
-            if let (Some(synopsis), Some(symptoms)) = (&mut self.synopsis, &self.current_symptoms) {
-                synopsis.record(symptoms, fix.kind, success);
-            }
-            if success {
-                self.current_symptoms = None;
-            }
-        }
-
-        // Nothing to do while healthy or while a fix is in flight / settling.
-        if !self.tracker.should_act(violated) {
+        // check_fix, update_synopsis, and whether line 9 runs this tick.
+        let synopsis = &mut self.synopsis;
+        let choosing = self
+            .tracker
+            .advance(outcome, violated, |symptoms, fix, success| {
+                if let Some(synopsis) = synopsis {
+                    synopsis.record(symptoms, fix, success);
+                }
+            });
+        if !choosing {
             return None;
         }
-        // New failure data point (or next attempt for the current one).
         let symptoms = self.extractor.symptoms()?;
-        if self.current_symptoms.is_none() {
-            self.current_symptoms = Some(symptoms.clone());
-        }
-
-        // Past the threshold, lines 18–20 escalate at once.
-        let sources = if self.tracker.exhausted() {
-            ESCALATE
-        } else {
-            self.sources
-        };
-        let (action, source, _) = choose(
-            sources,
+        let offer = choose(
+            self.tracker.sources(self.sources),
             self.synopsis.as_ref(),
             self.panel.as_ref(),
             &symptoms,
             &self.tracker.tried_kinds(),
             |kind| target_for_fix(kind, &self.schema, &outcome.sample),
-        )?;
-        if let Source::Escalate { idle_ticks } = source {
-            if self.idle_ticks < idle_ticks {
-                self.idle_ticks += 1;
-                return None;
-            }
-        }
-        self.idle_ticks = 0;
-        self.tracker.record_attempt(action);
-        Some((action, source))
+        );
+        self.tracker.start(offer, symptoms)
     }
 }
 
@@ -145,15 +125,22 @@ impl<L: Learner> Healer for HybridHealer<L> {
     }
 
     fn observe(&mut self, outcome: &TickOutcome) -> Vec<FixAction> {
-        self.decide(outcome)
-            .map_or_else(Vec::new, |(action, _)| vec![action])
+        let mut action = self.decide(outcome).map(|(action, _)| action);
+        if let (Some(forecast), Some(panel)) = (&mut self.forecast, &self.panel) {
+            forecast.observe(outcome.sample.get(panel.ctx.response_ms));
+            if action.is_none() && self.tracker.phase() == Phase::Healthy {
+                action = forecast.preventive_fix(outcome.tick, panel);
+            }
+        }
+        action.map_or_else(Vec::new, |action| vec![action])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selfheal_faults::{FaultId, FaultKind, FaultSpec, FaultTarget};
+    use crate::harness::{FaultChoice, LearnerChoice, PolicyChoice, ReplicaSeeds, WorkloadChoice};
+    use selfheal_faults::{FaultId, FaultKind, FaultSpec, FaultTarget, ServiceProfile};
     use selfheal_sim::{MultiTierService, ServiceConfig};
     use selfheal_workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
 
@@ -272,5 +259,56 @@ mod tests {
             HybridHealer::new(service.schema(), SynopsisKind::KMeans, config.slo_targets());
         assert!(run(&mut healer, &mut service, &mut workload, 100, None).is_empty());
         assert_eq!(healer.name(), "hybrid_fixsym_diagnosis");
+    }
+
+    /// FixSym's dead state, named: replica 0 of a FixSym fleet at base seed
+    /// 6 on the tiny service under the light online mix has tried the nine
+    /// non-escalation candidates and the restart by tick 2 305, and no
+    /// source offers another fix.  The healer pages, and starts no fix for
+    /// as long as the service stays violated.
+    #[test]
+    fn fixsym_pages_when_nothing_is_left_to_try_and_waits_while_violated() {
+        let config = ServiceConfig::tiny();
+        let seeds = ReplicaSeeds::split(6, 0);
+        let mut service = MultiTierService::new(ServiceConfig {
+            seed: seeds.service,
+            ..config.clone()
+        });
+        let bidding = WorkloadChoice::synthetic(
+            WorkloadMix::bidding(),
+            ArrivalProcess::Constant { rate: 40.0 },
+        );
+        let mut workload = bidding.source_for_replica(seeds.workload, 0);
+        let mix = FaultChoice::mix_for(ServiceProfile::Online, 0.002, &config);
+        let mut faults = mix.source_for_replica(seeds.faults, 0);
+        let kind = SynopsisKind::NearestNeighbor;
+        let store = LearnerChoice::Private.build_store(kind);
+        let mut healer = (PolicyChoice::FixSym(kind))
+            .healer(service.schema(), config.slo_targets(), Some(store))
+            .expect("FixSym is a HybridHealer");
+        let mut paged_at = None;
+        while service.current_tick() < 3_000 {
+            let tick = service.current_tick();
+            for fault in faults.due_at(tick) {
+                service.inject(fault);
+            }
+            let outcome = service.tick(&workload.next_tick(tick));
+            let fixes = healer.observe(&outcome);
+            for &fix in &fixes {
+                service.apply_fix(fix);
+            }
+            let paged = healer.tracker.phase() == Phase::Paged;
+            if paged_at.is_none() && paged {
+                paged_at = Some(outcome.tick);
+            }
+            if paged_at.is_some() {
+                if outcome.violations.is_empty() {
+                    break;
+                }
+                assert!(paged && fixes.is_empty(), "tick {tick}");
+            }
+        }
+        assert_eq!(paged_at, Some(2_305));
+        assert!(service.slo_violated(), "still violated at the end");
     }
 }

@@ -29,19 +29,25 @@
 //! constant list of fix sources — the synopsis above a confidence floor,
 //! a panel of diagnosis engines, the cheapest untried candidate, escalation
 //! — for the first fix not yet tried.  [`HybridHealer`] is the one online
-//! healer: every policy of Table 2 but no healing (the manual rule base,
-//! the three diagnosis-based engines, FixSym, and the signature + diagnosis
-//! hybrid of Section 5.1) is one of these lists, held in
-//! [`harness::PolicyChoice`], and `FixSymEngine` drives the same
-//! `choose`.  The last line, the escalation, is that function's
-//! `Escalate` source and the only place a restart is built: past the
-//! threshold every healer asks for it alone.  Offline the administrator's
-//! answer — the oracle's catalogue fix — is learned as a positive, so a
-//! synopsis learns every failure class, including those whose fix trial
-//! and error within the threshold cannot reach; online the restart is the
-//! whole escalation.
+//! healer: every policy but no healing (the manual rule base, the three
+//! diagnosis-based engines, FixSym, the signature + diagnosis hybrid of
+//! Section 5.1 and the proactive policy of Section 5.3) is one of these
+//! lists, held in [`harness::PolicyChoice`], and `FixSymEngine` drives the
+//! same `choose`.  Online, the loop around line 9 is one phase machine,
+//! `policy::EpisodeTracker`: healthy, choosing, a fix in flight, verifying
+//! it, or paged.  The last line, the escalation, is `choose`'s `Escalate`
+//! source and the only place a restart is built: past the threshold every
+//! healer asks for it alone (`policy::sources_after`, which the offline
+//! engine shares).  Offline the administrator's answer — the oracle's
+//! catalogue fix — is learned as a positive, so a synopsis learns every
+//! failure class, including those whose fix trial and error within the
+//! threshold cannot reach; online the restart is the whole escalation, and
+//! a healer with no source left to offer a fix (FixSym, once every
+//! candidate and the restart have failed) pages and waits for the service
+//! to recover: no administrator answers online yet.
 //!
-//! The crate also provides `proactive` (failure forecasting, Section 5.3),
+//! The crate also provides `proactive` (the forecast that lets the
+//! proactive policy act before a failure, Section 5.3),
 //! [`control`] (settling time / overshoot / oscillation of the healing loop,
 //! Section 5.4), [`store`] (pluggable [`store::SynopsisStore`] homes for the
 //! learned model: private or fleet-shared), [`snapshot`] (JSON-lines

@@ -19,17 +19,41 @@ use selfheal_telemetry::{Sample, Schema, SeriesStore, SloTargets};
 /// fully").
 pub(crate) const VERIFY_TICKS: u32 = 25;
 
-/// Tracks the state of the current failure episode for an online healer:
-/// which fixes have been tried, whether a fix is in flight, and whether the
-/// post-fix verification window has elapsed.
+/// Where Figure 3's loop stands on the current failure.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Phase {
+    /// No failure episode is open.
+    Healthy,
+    /// Line 9: the service is violated and no fix is being applied or
+    /// judged, so the healer picks the next one.
+    Choosing,
+    /// Line 11: the fix is being applied.
+    InFlight(FixAction),
+    /// Line 13: the last fix completed; `check_fix` judges it after this
+    /// many more ticks.
+    Verifying(u32),
+    /// Lines 18–20: no source offered a fix, so the failure is the
+    /// administrator's.  Online no administrator answers, so the healer
+    /// waits for the service to recover on its own: only a healthy tick
+    /// leaves this phase.  Only FixSym gets here — its list has no
+    /// `Escalate`, which always offers the restart — once all nine
+    /// non-escalation candidates and the restart have been tried.
+    Paged,
+}
+
+/// Figure 3's loop for one online healer, as a phase machine: the
+/// [`Phase`], the fixes tried in the current episode and the symptoms it
+/// first acted on, which live and die with the episode.
 #[derive(Debug, Clone)]
 pub(crate) struct EpisodeTracker {
     threshold: u32,
     verify_ticks: u32,
-    attempts: Vec<FixAction>,
-    pending: Option<FixAction>,
-    verify_remaining: Option<u32>,
-    in_episode: bool,
+    phase: Phase,
+    attempts: Vec<FixKind>,
+    symptoms: Option<Vec<f64>>,
+    /// Ticks since the healer's last fix on which only an `Escalate` source
+    /// offered one; an episode that closes does not reset it.
+    idle_ticks: u32,
 }
 
 impl EpisodeTracker {
@@ -39,97 +63,98 @@ impl EpisodeTracker {
         EpisodeTracker {
             threshold: threshold.max(1),
             verify_ticks,
+            phase: Phase::Healthy,
             attempts: Vec::new(),
-            pending: None,
-            verify_remaining: None,
-            in_episode: false,
+            symptoms: None,
+            idle_ticks: 0,
         }
     }
 
-    /// Returns `true` while a failure episode is being handled.
-    pub(crate) fn in_episode(&self) -> bool {
-        self.in_episode
+    pub(crate) fn phase(&self) -> Phase {
+        self.phase
     }
 
     /// The kinds of fixes already tried in the current episode.
     pub(crate) fn tried_kinds(&self) -> FixExclusions {
-        self.attempts.iter().map(|a| a.kind).collect()
+        self.attempts.iter().copied().collect()
     }
 
-    /// Returns `true` when the attempt threshold has been reached and the
-    /// next action should be the escalation.
-    pub(crate) fn exhausted(&self) -> bool {
-        self.attempts.len() as u32 >= self.threshold
-            && !self.attempts.iter().any(|a| a.kind.is_escalation())
+    /// The sources line 9 asks now: `sources`, or lines 18–20 past the
+    /// threshold ([`sources_after`]).
+    pub(crate) fn sources(&self, sources: &'static [Source]) -> &'static [Source] {
+        sources_after(&self.attempts, self.threshold, sources)
     }
 
-    /// Records that a fix was initiated.
-    pub(crate) fn record_attempt(&mut self, action: FixAction) {
-        self.attempts.push(action);
-        self.pending = Some(action);
-        self.verify_remaining = None;
-        self.in_episode = true;
-    }
-
-    /// Advances the tracker with this tick's outcome.  Returns
-    /// `Some((action, success))` when a previously initiated fix has
-    /// completed and its verification window has elapsed; `success` is
-    /// judged from whether the service is still in violation.
-    pub(crate) fn resolve(
+    /// The transition on one tick's outcome.  A completed fix starts its
+    /// verification window; an elapsed window is judged (`check_fix`) and
+    /// handed to `learn` with the episode's symptoms — success is a
+    /// compliant service, and closes the episode; a compliant tick with no
+    /// fix in flight or settling closes it too.  Returns `true` in
+    /// [`Phase::Choosing`]: the service is violated and the healer should
+    /// pick a fix.
+    pub(crate) fn advance(
         &mut self,
         outcome: &TickOutcome,
         violated: bool,
-    ) -> Option<(FixAction, bool)> {
-        // Has the in-flight fix finished being applied?
-        if let Some(pending) = self.pending {
-            if outcome
-                .completed_fixes
-                .iter()
-                .any(|f| f.action.kind == pending.kind && f.action.target == pending.target)
+        learn: impl FnOnce(&[f64], FixKind, bool),
+    ) -> bool {
+        if let Phase::InFlight(fix) = self.phase {
+            if (outcome.completed_fixes.iter())
+                .any(|f| f.action.kind == fix.kind && f.action.target == fix.target)
             {
-                self.verify_remaining = Some(self.verify_ticks);
-                self.pending = None;
+                self.phase = Phase::Verifying(self.verify_ticks);
             }
         }
-        // Count down the verification window.
-        if let Some(remaining) = self.verify_remaining {
-            if remaining == 0 {
-                self.verify_remaining = None;
-                let action = *self
-                    .attempts
-                    .last()
-                    .expect("verification implies an attempt");
-                let success = !violated;
-                if success {
-                    self.close_episode();
+        match self.phase {
+            Phase::Verifying(0) => {
+                let fix = *self.attempts.last().expect("a verdict follows an attempt");
+                if let Some(symptoms) = &self.symptoms {
+                    learn(symptoms, fix, !violated);
                 }
-                return Some((action, success));
+                if violated {
+                    self.phase = Phase::Choosing;
+                } else {
+                    self.close();
+                }
             }
-            self.verify_remaining = Some(remaining - 1);
+            Phase::Verifying(left) => self.phase = Phase::Verifying(left - 1),
+            Phase::Healthy if violated => self.phase = Phase::Choosing,
+            Phase::Choosing | Phase::Paged if !violated => self.close(),
+            _ => {}
+        }
+        self.phase == Phase::Choosing
+    }
+
+    /// Line 9's answer in [`Phase::Choosing`], given the `symptoms` it was
+    /// asked with (the first an episode acts on are the ones it learns
+    /// with).  A fix goes in flight, unless an `Escalate` source offered it
+    /// and the healer has not yet idled that source's ticks; no fix pages.
+    pub(crate) fn start(
+        &mut self,
+        offer: Option<(FixAction, Source, f64)>,
+        symptoms: Vec<f64>,
+    ) -> Option<(FixAction, Source)> {
+        self.symptoms.get_or_insert(symptoms);
+        let Some((action, source, _)) = offer else {
+            self.phase = Phase::Paged;
             return None;
+        };
+        if let Source::Escalate { idle_ticks } = source {
+            if self.idle_ticks < idle_ticks {
+                self.idle_ticks += 1;
+                return None;
+            }
         }
-        // No fix in flight: a quiet service closes any lingering episode.
-        if self.in_episode && self.pending.is_none() && !violated {
-            self.close_episode();
-        }
-        None
+        self.idle_ticks = 0;
+        self.attempts.push(action.kind);
+        self.phase = Phase::InFlight(action);
+        Some((action, source))
     }
 
-    /// Returns `true` when the healer should pick a (new) fix this tick:
-    /// the service is in confirmed violation and no fix is being applied or
-    /// verified.
-    pub(crate) fn should_act(&mut self, violated: bool) -> bool {
-        if violated {
-            self.in_episode = true;
-        }
-        violated && self.pending.is_none() && self.verify_remaining.is_none()
-    }
-
-    fn close_episode(&mut self) {
-        self.in_episode = false;
+    fn close(&mut self) {
+        self.phase = Phase::Healthy;
         self.attempts.clear();
-        self.pending = None;
-        self.verify_remaining = None;
+        self.symptoms = None;
     }
 }
 
@@ -218,8 +243,21 @@ pub(crate) enum Source {
     Escalate { idle_ticks: u32 },
 }
 
-/// The sources past the THRESHOLD of Figure 3: lines 18–20 at once.
-pub(crate) const ESCALATE: &[Source] = &[Source::Escalate { idle_ticks: 0 }];
+/// Figure 3's THRESHOLD: once `threshold` fixes have been tried with no
+/// escalation among them, lines 18–20 are the only way on; until then
+/// line 9 asks `sources`.
+pub(crate) fn sources_after(
+    tried: &[FixKind],
+    threshold: u32,
+    sources: &'static [Source],
+) -> &'static [Source] {
+    let exhausted = tried.len() >= threshold as usize && !tried.iter().any(|k| k.is_escalation());
+    if exhausted {
+        &[Source::Escalate { idle_ticks: 0 }]
+    } else {
+        sources
+    }
+}
 
 /// Line 9: the first of `sources` that offers a fix whose kind is not in
 /// `tried`, with the source and its confidence (0 for the last two
@@ -384,9 +422,11 @@ mod tests {
     use super::*;
     use crate::harness::PolicyChoice;
     use crate::synopsis::Synopsis;
-    use selfheal_faults::{FaultId, FaultKind, FaultSpec};
+    use selfheal_faults::{FaultId, FaultKind, FaultSpec, FixId};
     use selfheal_sim::scenario::Healer;
+    use selfheal_sim::service::CompletedFixReport;
     use selfheal_sim::{MultiTierService, ServiceConfig};
+    use selfheal_telemetry::SchemaBuilder;
     use selfheal_workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
 
     /// The one-engine healer `policy` names, which learns nothing.
@@ -428,19 +468,264 @@ mod tests {
         (service, healer, fixes)
     }
 
+    /// A tick whose outcome reports `completed` as finished being applied.
+    fn tick(completed: &[FixAction]) -> TickOutcome {
+        let report = |&action| CompletedFixReport {
+            fix_id: FixId(0),
+            action,
+            started_at: 0,
+            completed_at: 0,
+            repaired_faults: Vec::new(),
+        };
+        TickOutcome {
+            tick: 0,
+            sample: Sample::zeroed(&SchemaBuilder::new().build(), 0),
+            violations: Vec::new(),
+            arrived: 0,
+            completed: 0,
+            errors: 0,
+            completed_fixes: completed.iter().map(report).collect(),
+        }
+    }
+
+    fn ignore(_: &[f64], _: FixKind, _: bool) {}
+
     #[test]
     fn episode_tracker_lifecycle() {
-        let mut tracker = EpisodeTracker::new(2, 0);
-        assert!(!tracker.in_episode());
-        assert!(!tracker.should_act(false));
-        assert!(tracker.should_act(true));
-        tracker.record_attempt(FixAction::untargeted(FixKind::RepartitionMemory));
-        assert!(tracker.in_episode());
-        assert!(!tracker.should_act(true), "a fix is in flight");
-        assert_eq!(tracker.tried_kinds().len(), 1);
-        assert!(!tracker.exhausted());
-        tracker.record_attempt(FixAction::untargeted(FixKind::RebootTier));
-        assert!(tracker.exhausted());
+        use FixKind::{RebootTier, RepartitionMemory};
+        let (first, second) = (
+            FixAction::untargeted(RepartitionMemory),
+            FixAction::untargeted(RebootTier),
+        );
+        let offer = |action| Some((action, Source::CheapestUntried, 0.0));
+        let cheapest: &[Source] = &[Source::CheapestUntried];
+        let mut tracker = EpisodeTracker::new(2, 1);
+        assert!(!tracker.advance(&tick(&[]), false, ignore));
+        assert!(tracker.advance(&tick(&[]), true, ignore));
+        assert_eq!(
+            tracker.start(offer(first), vec![1.0]).map(|(a, _)| a),
+            Some(first)
+        );
+        assert_eq!(tracker.phase(), Phase::InFlight(first));
+        assert!(
+            !tracker.advance(&tick(&[second]), true, ignore),
+            "another fix completed"
+        );
+        assert!(
+            !tracker.advance(&tick(&[first]), true, ignore),
+            "the fix settles"
+        );
+        assert_eq!(tracker.phase(), Phase::Verifying(0));
+        let mut verdict = None;
+        let learn = |symptoms: &[f64], fix, ok| verdict = Some((symptoms.to_vec(), fix, ok));
+        assert!(
+            tracker.advance(&tick(&[]), true, learn),
+            "a failed fix: choose again"
+        );
+        assert_eq!(verdict, Some((vec![1.0], RepartitionMemory, false)));
+        assert_eq!(tracker.sources(cheapest), cheapest);
+        tracker.start(offer(second), vec![2.0]);
+        assert_eq!(tracker.tried_kinds().len(), 2);
+        assert_eq!(
+            tracker.sources(cheapest),
+            [Source::Escalate { idle_ticks: 0 }],
+            "the threshold reached"
+        );
+        tracker.advance(&tick(&[second]), true, ignore);
+        let mut verdict = None;
+        let learn = |symptoms: &[f64], fix, ok| verdict = Some((symptoms.to_vec(), fix, ok));
+        assert!(!tracker.advance(&tick(&[]), false, learn));
+        assert_eq!(
+            verdict,
+            Some((vec![1.0], RebootTier, true)),
+            "the first symptoms"
+        );
+        assert_eq!(
+            (tracker.phase(), tracker.tried_kinds().len()),
+            (Phase::Healthy, 0)
+        );
+        // No source offers a fix: paged until a healthy tick.
+        assert!(tracker.advance(&tick(&[]), true, ignore));
+        assert_eq!(tracker.start(None, vec![]), None);
+        assert!(!tracker.advance(&tick(&[]), true, ignore));
+        assert_eq!(tracker.phase(), Phase::Paged);
+        assert!(!tracker.advance(&tick(&[]), false, ignore));
+        assert_eq!(tracker.phase(), Phase::Healthy);
+    }
+
+    /// The four-field tracker the phase machine replaced, kept verbatim as
+    /// the reference the property below holds it to.
+    struct Reference {
+        threshold: u32,
+        verify_ticks: u32,
+        attempts: Vec<FixAction>,
+        pending: Option<FixAction>,
+        verify_remaining: Option<u32>,
+        in_episode: bool,
+    }
+
+    impl Reference {
+        fn new(threshold: u32, verify_ticks: u32) -> Self {
+            Reference {
+                threshold: threshold.max(1),
+                verify_ticks,
+                attempts: Vec::new(),
+                pending: None,
+                verify_remaining: None,
+                in_episode: false,
+            }
+        }
+
+        fn tried_kinds(&self) -> FixExclusions {
+            self.attempts.iter().map(|a| a.kind).collect()
+        }
+
+        fn exhausted(&self) -> bool {
+            self.attempts.len() as u32 >= self.threshold
+                && !self.attempts.iter().any(|a| a.kind.is_escalation())
+        }
+
+        fn record_attempt(&mut self, action: FixAction) {
+            self.attempts.push(action);
+            self.pending = Some(action);
+            self.verify_remaining = None;
+            self.in_episode = true;
+        }
+
+        fn resolve(&mut self, outcome: &TickOutcome, violated: bool) -> Option<(FixAction, bool)> {
+            if let Some(pending) = self.pending {
+                if outcome
+                    .completed_fixes
+                    .iter()
+                    .any(|f| f.action.kind == pending.kind && f.action.target == pending.target)
+                {
+                    self.verify_remaining = Some(self.verify_ticks);
+                    self.pending = None;
+                }
+            }
+            if let Some(remaining) = self.verify_remaining {
+                if remaining == 0 {
+                    self.verify_remaining = None;
+                    let action = *self
+                        .attempts
+                        .last()
+                        .expect("verification implies an attempt");
+                    let success = !violated;
+                    if success {
+                        self.close_episode();
+                    }
+                    return Some((action, success));
+                }
+                self.verify_remaining = Some(remaining - 1);
+                return None;
+            }
+            if self.in_episode && self.pending.is_none() && !violated {
+                self.close_episode();
+            }
+            None
+        }
+
+        fn should_act(&mut self, violated: bool) -> bool {
+            if violated {
+                self.in_episode = true;
+            }
+            violated && self.pending.is_none() && self.verify_remaining.is_none()
+        }
+
+        fn close_episode(&mut self) {
+            self.in_episode = false;
+            self.attempts.clear();
+            self.pending = None;
+            self.verify_remaining = None;
+        }
+    }
+
+    /// Line 9 over `sources` with no synopsis and no panel.
+    fn offer(sources: &[Source], tried: &FixExclusions) -> Option<(FixAction, Source, f64)> {
+        choose(
+            sources,
+            None::<&Synopsis>,
+            None,
+            &[],
+            tried,
+            FixAction::untargeted,
+        )
+    }
+
+    /// Source lists of three shapes: FixSym's, which runs dry; one that
+    /// escalates at once when dry; and one-engine healers' with nothing
+    /// diagnosed, which idles before it escalates.
+    const LISTS: [&[Source]; 3] = [
+        &[Source::CheapestUntried],
+        &[Source::CheapestUntried, Source::Escalate { idle_ticks: 0 }],
+        &[Source::Escalate { idle_ticks: 3 }],
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1_000))]
+
+        /// Driven by the same ticks, with the parent healer's loop around
+        /// the reference, the two agree on every verdict, every decision to
+        /// choose and every fix started — except that a paged tracker stops
+        /// asking, where the reference asked again and was offered nothing.
+        #[test]
+        fn the_phase_machine_agrees_with_the_four_field_tracker(
+            ticks in proptest::prop::collection::vec((0u32..8, 0u32..3), 1..400),
+            list in 0usize..3,
+            threshold in 1u32..6,
+            verify_ticks in 0u32..4,
+        ) {
+            let sources = LISTS[list];
+            let mut tracker = EpisodeTracker::new(threshold, verify_ticks);
+            let mut reference = Reference::new(threshold, verify_ticks);
+            let (mut reference_idle, mut last) = (0, None);
+            for (draw, done) in ticks {
+                let violated = draw < 6;
+                let completed = match (done, last) {
+                    (1, Some(fix)) => vec![fix],
+                    (2, _) => vec![FixAction::untargeted(FixKind::NoOp)],
+                    _ => vec![],
+                };
+                let outcome = tick(&completed);
+                let expected = reference.resolve(&outcome, violated).map(|(a, ok)| (a.kind, ok));
+                let asks = reference.should_act(violated);
+                let mut verdict = None;
+                let choosing =
+                    tracker.advance(&outcome, violated, |_, fix, ok| verdict = Some((fix, ok)));
+                proptest::prop_assert_eq!(verdict, expected);
+                if tracker.phase() == Phase::Paged {
+                    proptest::prop_assert!(!choosing);
+                    proptest::prop_assert!(!asks || offer(sources, &reference.tried_kinds()).is_none());
+                    continue;
+                }
+                proptest::prop_assert_eq!(choosing, asks);
+                if !choosing {
+                    continue;
+                }
+                let reference_sources = if reference.exhausted() {
+                    &[Source::Escalate { idle_ticks: 0 }]
+                } else {
+                    sources
+                };
+                proptest::prop_assert_eq!(tracker.sources(sources), reference_sources);
+                let expected = offer(reference_sources, &reference.tried_kinds()).and_then(
+                    |(action, source, _)| {
+                        if let Source::Escalate { idle_ticks } = source {
+                            if reference_idle < idle_ticks {
+                                reference_idle += 1;
+                                return None;
+                            }
+                        }
+                        reference_idle = 0;
+                        reference.record_attempt(action);
+                        Some((action, source))
+                    },
+                );
+                let started = tracker.start(offer(tracker.sources(sources), &tracker.tried_kinds()), vec![]);
+                proptest::prop_assert_eq!(started, expected);
+                last = started.map(|(action, _)| action).or(last);
+            }
+        }
     }
 
     /// A synopsis that always suggests one fix, unless it was tried.

@@ -6,24 +6,19 @@
 //! proactively, can be more attractive.  Such strategies need synopses that
 //! can forecast failures."
 //!
-//! [`ProactiveHealer`] forecasts the response-time trajectory with a sliding
-//! linear trend; when the forecast crosses the SLO threshold within the
-//! configured horizon, it applies a preventive fix *before* the SLO is
-//! violated — choosing the fix from the diagnosis engines evaluated on the
-//! degradation seen so far (and falling back to an application-tier reboot,
-//! the generic remedy for gradual degradation such as software aging).
-//! When a violation does slip through, it reacts like the reactive hybrid:
-//! the diagnosis engines' untried recommendation, else lines 18–20.
+//! The proactive policy is a [`crate::HybridHealer`] with a [`Forecast`]: a
+//! sliding linear trend of the response time.  On a healthy tick, when the
+//! trend crosses the SLO threshold within the horizon, the healer applies a
+//! preventive fix *before* the SLO is violated — the diagnosis engines'
+//! recommendation on the degradation seen so far, else an application-tier
+//! reboot, the generic remedy for gradual degradation such as software
+//! aging.  When a violation does slip through, the healer's reactive loop
+//! handles it like any other.
 
-use crate::policy::{
-    choose, DiagnosisEngine, DiagnosisPanel, EpisodeTracker, Source, ESCALATE, VERIFY_TICKS,
-};
-use crate::synopsis::{FixExclusions, Synopsis};
+use crate::policy::DiagnosisPanel;
+use crate::synopsis::FixExclusions;
 use selfheal_faults::{FaultTarget, FixAction, FixKind};
 use selfheal_learn::forecast::{steps_until_threshold, Forecaster, SlidingLinearTrend};
-use selfheal_sim::scenario::Healer;
-use selfheal_sim::service::TickOutcome;
-use selfheal_telemetry::{Schema, SloTargets};
 
 /// How far ahead (ticks) the forecast must cross the SLO before acting.
 const HORIZON_TICKS: usize = 60;
@@ -31,110 +26,62 @@ const HORIZON_TICKS: usize = 60;
 /// Minimum ticks between proactive interventions.
 const COOLDOWN_TICKS: u64 = 120;
 
-/// The reactive path's sources below the threshold.
-const REACTIVE: &[Source] = &[
-    Source::Diagnosis {
-        repeat_provisioning: false,
-    },
-    Source::Escalate { idle_ticks: 0 },
-];
-
-/// Forecast-driven proactive healer.
+/// The response-time trend and when it last called for a fix.
 #[derive(Debug)]
-pub(crate) struct ProactiveHealer {
-    panel: DiagnosisPanel,
-    forecaster: SlidingLinearTrend,
-    tracker: EpisodeTracker,
-    last_proactive_at: Option<u64>,
+pub(crate) struct Forecast {
+    trend: SlidingLinearTrend,
+    last_fix_at: Option<u64>,
 }
 
-impl ProactiveHealer {
-    /// Creates a proactive healer for a service with the given schema and
-    /// SLO targets.
-    pub(crate) fn new(schema: &Schema, targets: SloTargets) -> Self {
-        ProactiveHealer {
-            panel: DiagnosisPanel::new(schema, targets, DiagnosisEngine::hybrid()),
-            forecaster: SlidingLinearTrend::new(30),
-            tracker: EpisodeTracker::new(3, VERIFY_TICKS),
-            last_proactive_at: None,
+impl Forecast {
+    pub(crate) fn new() -> Self {
+        Forecast {
+            trend: SlidingLinearTrend::new(30),
+            last_fix_at: None,
         }
     }
-}
 
-impl Healer for ProactiveHealer {
-    fn name(&self) -> &str {
-        "proactive"
+    /// Adds this tick's mean response time to the trend.
+    pub(crate) fn observe(&mut self, response_ms: f64) {
+        self.trend.observe(response_ms);
     }
 
-    fn observe(&mut self, outcome: &TickOutcome) -> Vec<FixAction> {
-        let violated = !outcome.violations.is_empty();
-        self.panel.push(&outcome.sample, violated);
-        self.forecaster
-            .observe(outcome.sample.get(self.panel.ctx.response_ms));
-
-        let _ = self.tracker.resolve(outcome, violated);
-
-        // Reactive path when a violation slipped through.
-        if self.tracker.should_act(violated) {
-            let sources = if self.tracker.exhausted() {
-                ESCALATE
-            } else {
-                REACTIVE
-            };
-            let (action, _, _) = choose(
-                sources,
-                None::<&Synopsis>,
-                Some(&self.panel),
-                &[],
-                &self.tracker.tried_kinds(),
-                FixAction::untargeted,
-            )
-            .expect("escalation always offers a fix");
-            self.tracker.record_attempt(action);
-            return vec![action];
+    /// On a healthy tick at `tick`: the preventive fix, when the trend
+    /// crosses `panel`'s SLO within the horizon and the last one is past
+    /// its cooldown.
+    pub(crate) fn preventive_fix(
+        &mut self,
+        tick: u64,
+        panel: &DiagnosisPanel,
+    ) -> Option<FixAction> {
+        let cooling = (self.last_fix_at).is_some_and(|at| tick.saturating_sub(at) < COOLDOWN_TICKS);
+        if cooling || self.trend.observations() < 30 {
+            return None;
         }
-
-        // Proactive path: act when the forecast crosses the SLO soon.
-        if violated || self.tracker.in_episode() {
-            return Vec::new();
-        }
-        let in_cooldown = self
-            .last_proactive_at
-            .map(|t| outcome.tick.saturating_sub(t) < COOLDOWN_TICKS)
-            .unwrap_or(false);
-        if in_cooldown || self.forecaster.observations() < 30 {
-            return Vec::new();
-        }
-        let crossing = steps_until_threshold(
-            &self.forecaster,
-            self.panel.ctx.slo_response_ms,
-            HORIZON_TICKS,
-        );
-        if crossing.is_none() {
-            return Vec::new();
-        }
-
-        // A violation is coming: pick the best preventive fix from the
-        // diagnosis engines, defaulting to rejuvenating the application tier
-        // (the classic countermeasure to gradual degradation).
-        let action = self
-            .panel
-            .best_untried(&FixExclusions::new(), false)
-            .map_or_else(
-                || FixAction::targeted(FixKind::RebootTier, FaultTarget::AppTier),
-                |(action, _)| action,
-            );
-        self.last_proactive_at = Some(outcome.tick);
-        vec![action]
+        steps_until_threshold(&self.trend, panel.ctx.slo_response_ms, HORIZON_TICKS)?;
+        self.last_fix_at = Some(tick);
+        Some((panel.best_untried(&FixExclusions::new(), false)).map_or(
+            FixAction::targeted(FixKind::RebootTier, FaultTarget::AppTier),
+            |(action, _)| action,
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use selfheal_faults::{FaultId, FaultKind, FaultSpec};
+    use crate::harness::PolicyChoice;
+    use crate::synopsis::Synopsis;
+    use crate::HybridHealer;
+    use selfheal_faults::{FaultId, FaultKind, FaultSpec, FaultTarget};
+    use selfheal_sim::scenario::Healer;
     use selfheal_sim::{MultiTierService, ServiceConfig};
+    use selfheal_telemetry::{Schema, SloTargets};
     use selfheal_workload::{ArrivalProcess, TraceGenerator, WorkloadMix};
+
+    fn proactive(schema: &Schema, targets: SloTargets) -> HybridHealer {
+        (PolicyChoice::Proactive.healer(schema, targets, None::<Synopsis>))
+            .expect("the proactive policy is a HybridHealer")
+    }
 
     fn run_aging_scenario<H: Healer>(mut healer: H, ticks: u64) -> (MultiTierService, H, u64) {
         let config = ServiceConfig::tiny();
@@ -168,7 +115,7 @@ mod tests {
     fn proactive_healer_intervenes_and_limits_violations_under_aging() {
         let config = ServiceConfig::tiny();
         let schema = MultiTierService::new(config.clone()).schema().clone();
-        let healer = ProactiveHealer::new(&schema, config.slo_targets());
+        let healer = proactive(&schema, config.slo_targets());
         let (service, healer, fixes) = run_aging_scenario(healer, 500);
         assert!(fixes >= 1, "the healer must act");
         // Aging under a proactive/reactive healer ends up either repaired
@@ -185,7 +132,7 @@ mod tests {
     fn proactive_healer_beats_no_healing_on_slo_violation_time() {
         let config = ServiceConfig::tiny();
         let schema = MultiTierService::new(config.clone()).schema().clone();
-        let healer = ProactiveHealer::new(&schema, config.slo_targets());
+        let healer = proactive(&schema, config.slo_targets());
         let (healed_service, _, _) = run_aging_scenario(healer, 500);
         let (unhealed_service, _, _) = run_aging_scenario(selfheal_sim::scenario::NoHealing, 500);
         assert!(
@@ -205,7 +152,7 @@ mod tests {
             ArrivalProcess::Constant { rate: 20.0 },
             17,
         );
-        let mut healer = ProactiveHealer::new(service.schema(), config.slo_targets());
+        let mut healer = proactive(service.schema(), config.slo_targets());
         for _ in 0..200 {
             let requests = workload.tick(service.current_tick());
             let outcome = service.tick(&requests);
