@@ -168,6 +168,10 @@ fn episodes(outcome: &FleetOutcome) -> impl Iterator<Item = &FailureEpisode> {
 }
 
 /// The first `kind` episode inside `window` (detection ticks) on `replica`.
+///
+/// # Panics
+/// Panics when the replica's log has dropped episodes newer than the
+/// window's start: one of them might be the episode asked for.
 fn episode_on(
     outcome: &FleetOutcome,
     replica: usize,
@@ -175,21 +179,29 @@ fn episode_on(
     window: std::ops::Range<u64>,
 ) -> Option<&FailureEpisode> {
     let replica = outcome.replicas().iter().find(|r| r.replica == replica)?;
-    (replica.outcome.recovery.episodes().iter())
+    let log = &replica.outcome.recovery;
+    let oldest = log.episodes().front().map_or(0, |e| e.detected_at);
+    assert!(
+        log.len() == log.episodes().len() || oldest <= window.start,
+        "replica {}'s episode ring has wrapped past window {window:?}: \
+         its oldest episode was detected at tick {oldest}",
+        replica.replica
+    );
+    (log.episodes().iter())
         .find(|e| window.contains(&e.detected_at) && e.primary_fault() == Some(kind))
 }
 
-/// The injected (ground-truth-labelled) episode of each of `replicas`: warm
-/// replicas of a staggered fleet, every replica of a warm-start run, the
-/// victims of a storm.
+/// The injected (ground-truth-labelled) episode of each of `replicas`, on
+/// or after the tick `at` says it was injected: warm replicas of a
+/// staggered fleet, every replica of a warm-start run, the victims of a
+/// storm.
 fn injected_stats(
     outcome: &FleetOutcome,
     replicas: impl IntoIterator<Item = usize>,
+    at: impl Fn(usize) -> u64,
 ) -> EpisodeStats {
     EpisodeStats::fold(
-        replicas
-            .into_iter()
-            .map(|replica| episode_on(outcome, replica, KIND, 0..u64::MAX)),
+        (replicas.into_iter()).map(|r| episode_on(outcome, r, KIND, at(r)..u64::MAX)),
     )
 }
 
@@ -334,6 +346,11 @@ impl Experiment {
 /// drain before the next replica's fault lands.
 const STAGGER_TICKS: u64 = 500;
 
+/// The tick replica `replica` of a cold-start fleet is injected at.
+fn staggered(replica: usize) -> u64 {
+    100 + STAGGER_TICKS * replica as u64
+}
+
 /// Shared-vs-isolated cold start: the same fault hits every replica in
 /// turn, `STAGGER_TICKS` (500) apart.  The stats cover the *warm* replicas
 /// 1..N, whose fault arrives only after each predecessor has healed the
@@ -345,11 +362,11 @@ pub fn cold_start(replicas: usize, seed: u64) -> Experiment {
         false,
         move |learner| {
             base_fleet(replicas, seed)
-                .ticks(100 + STAGGER_TICKS * replicas as u64 + 400)
+                .ticks(staggered(replicas) + 400)
                 .learner(learner)
-                .faults_per_replica(|replica| inject_at(100 + STAGGER_TICKS * replica as u64))
+                .faults_per_replica(|replica| inject_at(staggered(replica)))
         },
-        move |outcome| injected_stats(outcome, 1..replicas),
+        move |outcome| injected_stats(outcome, 1..replicas, staggered),
     )
 }
 
@@ -383,6 +400,9 @@ fn preloaded_fixes(learner: LearnerChoice, snapshot: &SynopsisSnapshot) -> usize
     probe.correct_fixes_learned()
 }
 
+/// Tick at which every replica of the warm-start runs is injected.
+const WARM_START_TICK: u64 = 150;
+
 /// Runs the warm-vs-cold experiment with the given (shared) learner recipe:
 /// cold run → snapshot the store → warm run from the snapshot.
 ///
@@ -396,7 +416,7 @@ fn warm_start_comparison(replicas: usize, seed: u64, learner: LearnerChoice) -> 
             // Deterministic execution so warm vs cold differ only through
             // the loaded experience.
             .mode(ExecutionMode::Sequential)
-            .faults(inject_at(150))
+            .faults(inject_at(WARM_START_TICK))
     };
     // Healed-outcome experiment: run one healing tail past the stimulus
     // horizon rather than a hand-tuned 600 ticks.
@@ -411,8 +431,8 @@ fn warm_start_comparison(replicas: usize, seed: u64, learner: LearnerChoice) -> 
     WarmStartReport {
         saved_examples,
         preloaded_fixes,
-        cold: injected_stats(&cold, 0..replicas),
-        warm: injected_stats(&warm, 0..replicas),
+        cold: injected_stats(&cold, 0..replicas, |_| WARM_START_TICK),
+        warm: injected_stats(&warm, 0..replicas, |_| WARM_START_TICK),
         escalations: [escalations(&cold), escalations(&warm)],
     }
 }
@@ -448,7 +468,7 @@ pub fn storm(replicas: usize, seed: u64, slice: u64) -> Experiment {
                 .slice(slice)
                 .event(EventChoice::storm(STORM_TICK, KIND, STORM_FRACTION))
         },
-        move |outcome| injected_stats(outcome, storm_victims(replicas)),
+        move |outcome| injected_stats(outcome, storm_victims(replicas), |_| STORM_TICK),
     )
 }
 
@@ -822,6 +842,16 @@ mod tests {
             experiment.parallel_matches(&outcome),
             "seasons runs are worker-count invariant"
         );
+    }
+
+    /// Replica 0 of the locked 8-replica cold start at seed 42 is injected at
+    /// tick 100, and by the end of the run its log's ring of recent episodes
+    /// starts at tick 813: the lookup must refuse, not miss.
+    #[test]
+    #[should_panic(expected = "replica 0's episode ring has wrapped past window 100..")]
+    fn a_lookup_past_the_episode_ring_refuses() {
+        let (outcome, _) = cold_start(8, 42).measure(LearnerChoice::locked());
+        episode_on(&outcome, 0, KIND, 100..u64::MAX);
     }
 
     #[test]
