@@ -45,9 +45,14 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A small RUBiS-like service: 8 EJBs, 6 tables, capacities sized so the
-    /// default workloads run at 10–40% utilization and leave headroom for
-    /// faults to push individual tiers into saturation.
+    /// A small RUBiS-like service: 8 EJBs, 6 tables.  Under the default
+    /// workload (bidding at Poisson 40) with no fault and no healer, the
+    /// web, application and database tiers start near 33 %, 37 % and 54 %
+    /// utilization; then the tables' optimizer statistics go stale with
+    /// writes (`staleness_threshold_writes`) and the database saturates.
+    /// The service is violated for none of the first 400 ticks, about a
+    /// third of the first 1 600 and 0.91–0.92 of 12 500 (seeds 1–3).
+    /// ROADMAP item 16 makes that organic failure a named one.
     pub fn rubis_default() -> Self {
         ServiceConfig {
             ejb_count: 8,
